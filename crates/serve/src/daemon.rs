@@ -4,7 +4,11 @@
 //! Threading model: `run_daemon_on` spawns exactly one extra thread (the
 //! HTTP server) and keeps every piece of simulation state — trace,
 //! policy, cluster, recorder — on the calling thread's stack. The two
-//! threads meet only at the [`Ctrl`] block. In replay mode the recorder
+//! threads meet only at the [`Ctrl`] block: at every safe point (batch
+//! boundary, wear tick, replay step return, wake-up from a park) the
+//! session renders the views a reader is waiting for — none, when nobody
+//! reads — and with nothing to do it parks on the block's condvar
+//! instead of polling. In replay mode the recorder
 //! sits in a `RefCell` because the [`LiveRun`] engine holds an exclusive
 //! borrow of its recorder for the whole run; the cell lets the session
 //! loop read journals and counters between steps, when the engine is
@@ -14,9 +18,10 @@ use std::cell::RefCell;
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
 
-use edm_cluster::{CheckpointConfig, LiveRun, SimOptions, SnapManifest, StepPause, TimeSource};
+use edm_cluster::{
+    CheckpointConfig, Cluster, LiveRun, SimOptions, SnapManifest, StepPause, TimeSource,
+};
 use edm_obs::{render_prometheus, Histogram, ObsLevel, Recorder};
 use edm_scenario::{render_report, report_digest, Scenario, SnapMeta};
 use edm_snap::SnapshotFile;
@@ -25,9 +30,9 @@ use crate::backend::{Backend, DirBackend, MemBackend};
 use crate::ingest::{ApplyOutcome, LiveWorld};
 use crate::pacer::{DilatedPacer, FlatOut};
 use crate::recorder::ServeRecorder;
-use crate::server::spawn_server;
-use crate::state::{Ctrl, Published};
-use crate::views;
+use crate::server::{spawn_server, wake_server};
+use crate::state::{Ctrl, View};
+use crate::views::{self, HealthInfo};
 
 /// How the daemon sources its operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,16 +69,8 @@ pub struct DaemonConfig {
     pub backend: BackendKind,
 }
 
-/// Sleep for the session loop when there is nothing to do (paused, or
-/// ingest queue empty).
-const IDLE: Duration = Duration::from_millis(1);
-
 /// Ingest lines drained per session-loop iteration.
 const DRAIN_BATCH: usize = 256;
-
-/// Publish progress every this many pacer yields during replay, so
-/// `/stats` tracks a dilated run without paying a render per event.
-const YIELD_PUBLISH_PERIOD: u64 = 64;
 
 /// Runs the daemon on an already-bound listener until a shutdown is
 /// requested over HTTP (or the session fails to build). Binding is left
@@ -85,13 +82,19 @@ pub fn run_daemon_on(listener: TcpListener, config: DaemonConfig) -> Result<(), 
     };
     let recorder = RefCell::new(ServeRecorder::new(config.obs_level, backend));
     let ctrl = Arc::new(Ctrl::new());
+    let addr = listener
+        .local_addr()
+        .map_err(|e| format!("listener has no local address: {e}"))?;
     let server = spawn_server(listener, Arc::clone(&ctrl));
     let session = match config.mode {
         Mode::Ingest => run_ingest_session(&config, &ctrl, &recorder),
         Mode::Replay => run_replay_session(&config, &ctrl, &recorder),
     };
-    // Whatever happened, release the server thread before returning.
+    // Whatever happened, release any waiting reader and the server
+    // thread (which may be blocked in `accept`) before returning.
+    ctrl.end_session();
     ctrl.request_shutdown();
+    wake_server(addr);
     if server.join().is_err() {
         return Err("server thread panicked".to_string());
     }
@@ -127,41 +130,30 @@ fn run_ingest_session(
     }
     let mut checkpoints = 0u64;
     let mut last_ckpt_us = world.now_us();
-    let mut was_paused = false;
-    publish_ingest(ctrl, &world, recorder, checkpoints, false);
+    let mut batch = Vec::new();
     loop {
+        let seen = ctrl.serve_views(|v| {
+            let done = ctrl.ingest_complete();
+            render_ingest(v, ctrl, &world, recorder, checkpoints, done)
+        });
         if ctrl.shutdown_requested() {
             return Ok(());
         }
-        if ctrl.is_paused() {
-            if !was_paused {
-                // Republish so /healthz reflects the pause; the view is a
-                // snapshot, and the loop publishes nothing while it sleeps.
-                was_paused = true;
-                publish_ingest(ctrl, &world, recorder, checkpoints, ctrl.ingest_complete());
-            }
-            std::thread::sleep(IDLE);
-            continue;
-        }
-        if was_paused {
-            was_paused = false;
-            publish_ingest(ctrl, &world, recorder, checkpoints, ctrl.ingest_complete());
-        }
-        // An explicit checkpoint request is honored between operations:
-        // the live world holds no mid-decision state there.
+        // Between operations the live world holds no mid-decision state,
+        // paused or not: an explicit checkpoint request is honored here.
         if ctrl.take_checkpoint_request() {
             checkpoint_world(config, &world, &mut checkpoints, &mut last_ckpt_us)?;
-            publish_ingest(ctrl, &world, recorder, checkpoints, ctrl.ingest_complete());
         }
-        let lines = ctrl.drain_ingest(DRAIN_BATCH);
-        if lines.is_empty() {
-            if ctrl.ingest_complete() {
-                publish_ingest(ctrl, &world, recorder, checkpoints, true);
-            }
-            std::thread::sleep(IDLE);
+        if ctrl.is_paused() {
+            batch.clear();
+        } else {
+            ctrl.drain_ingest(DRAIN_BATCH, &mut batch);
+        }
+        if batch.is_empty() {
+            ctrl.park(seen);
             continue;
         }
-        for line in &lines {
+        for line in &batch {
             let outcome = {
                 let mut rec = recorder.borrow_mut();
                 world.apply_line(line, &mut *rec)
@@ -173,10 +165,9 @@ fn run_ingest_session(
                 if due {
                     checkpoint_world(config, &world, &mut checkpoints, &mut last_ckpt_us)?;
                 }
-                publish_ingest(ctrl, &world, recorder, checkpoints, false);
+                ctrl.serve_views(|v| render_ingest(v, ctrl, &world, recorder, checkpoints, false));
             }
         }
-        publish_ingest(ctrl, &world, recorder, checkpoints, ctrl.ingest_complete());
     }
 }
 
@@ -198,42 +189,79 @@ fn checkpoint_world(
     Ok(())
 }
 
-fn publish_ingest(
+/// The `/healthz` inputs both modes share; ingest adds its own counters.
+fn health<'a>(
     ctrl: &Ctrl,
-    world: &LiveWorld,
-    recorder: &RefCell<ServeRecorder>,
+    rec: &'a ServeRecorder,
+    mode: &'a str,
+    policy: &'a str,
+    now_us: u64,
     checkpoints: u64,
     done: bool,
-) {
-    let rec = recorder.borrow();
+) -> HealthInfo<'a> {
     let (accepted, buffered, closed) = ctrl.ingest_status();
-    let stats = world.stats();
-    let health = views::HealthInfo {
-        mode: "ingest",
-        policy: &world.policy_name(),
+    HealthInfo {
+        mode,
+        policy,
         backend: rec.backend().name(),
-        now_us: world.now_us(),
+        now_us,
         paused: ctrl.is_paused(),
         done,
         ingest_accepted: accepted,
         ingest_buffered: buffered as u64,
         ingest_closed: closed,
-        skipped_ops: world.skipped_ops(),
-        rejected_lines: world.rejected_lines(),
+        skipped_ops: 0,
+        rejected_lines: 0,
         checkpoints,
         backend_moves: rec.backend().moves_applied(),
         backend_errors: rec.backend_errors(),
+        last_error: rec.last_backend_error(),
+    }
+}
+
+/// Renders one view of a session at a safe point; `stats` is the mode's
+/// own `/stats` body.
+fn render_view(
+    view: View,
+    ctrl: &Ctrl,
+    rec: &ServeRecorder,
+    cluster: &Cluster,
+    health: &HealthInfo<'_>,
+    stats: impl FnOnce() -> String,
+) -> String {
+    match view {
+        View::Healthz => views::render_healthz(health),
+        View::Nodes => views::render_nodes(cluster, health.now_us),
+        View::Plan => views::render_plan(rec.journal()),
+        View::Stats => stats(),
+        View::Model => views::render_model(cluster, health.now_us),
+        View::Metrics => {
+            let mut out = render_prometheus(rec.inner());
+            ctrl.write_metrics(&mut out);
+            out
+        }
+    }
+}
+
+fn render_ingest(
+    view: View,
+    ctrl: &Ctrl,
+    world: &LiveWorld,
+    recorder: &RefCell<ServeRecorder>,
+    checkpoints: u64,
+    done: bool,
+) -> String {
+    let rec = recorder.borrow();
+    let (policy, now_us) = (world.policy_name(), world.now_us());
+    let health = HealthInfo {
+        skipped_ops: world.skipped_ops(),
+        rejected_lines: world.rejected_lines(),
         last_error: world.last_error().or(rec.last_backend_error()),
+        ..health(ctrl, &rec, "ingest", &policy, now_us, checkpoints, done)
     };
-    ctrl.publish(Published {
-        healthz: views::render_healthz(&health),
-        nodes: views::render_nodes(world.cluster(), world.now_us()),
-        plan: views::render_plan(rec.journal()),
-        stats: views::render_live_stats(&stats, world.now_us(), world.cluster()),
-        model: views::render_model(world.cluster(), world.now_us()),
-        metrics: render_prometheus(rec.inner()),
-        done,
-    });
+    render_view(view, ctrl, &rec, world.cluster(), &health, || {
+        views::render_live_stats(&world.stats(), now_us, world.cluster())
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -344,19 +372,16 @@ fn run_replay_session(
     let mut dilated = config.speed.map(|s| DilatedPacer::new(s, live.now_us()));
     let mut flat = FlatOut::new();
     let mut checkpoints = 0u64;
-    let mut yields = 0u64;
     let mut was_paused = false;
-    publish_replay(ctrl, &live, recorder, &policy_name, checkpoints, false);
     let done = loop {
+        let seen = ctrl
+            .serve_views(|v| render_replay(v, ctrl, &live, recorder, &policy_name, checkpoints));
         if ctrl.shutdown_requested() {
             break false;
         }
         if ctrl.is_paused() {
-            if !was_paused {
-                was_paused = true;
-                publish_replay(ctrl, &live, recorder, &policy_name, checkpoints, false);
-            }
-            std::thread::sleep(IDLE);
+            was_paused = true;
+            ctrl.park(seen);
             continue;
         }
         if was_paused {
@@ -381,14 +406,8 @@ fn run_replay_session(
                         checkpoints += 1;
                     }
                 }
-                publish_replay(ctrl, &live, recorder, &policy_name, checkpoints, false);
             }
-            StepPause::Yielded => {
-                yields += 1;
-                if yields.is_multiple_of(YIELD_PUBLISH_PERIOD) {
-                    publish_replay(ctrl, &live, recorder, &policy_name, checkpoints, false);
-                }
-            }
+            StepPause::Yielded => {}
         }
     };
     if !done {
@@ -396,76 +415,49 @@ fn run_replay_session(
     }
     let (report, cluster) = live.finish();
     let digest = report_digest(&report);
-    let rec = recorder.borrow();
-    let (accepted, buffered, closed) = ctrl.ingest_status();
-    let health = views::HealthInfo {
-        mode: "replay",
-        policy: &policy_name,
-        backend: rec.backend().name(),
-        now_us: report.duration_us,
-        paused: false,
-        done: true,
-        ingest_accepted: accepted,
-        ingest_buffered: buffered as u64,
-        ingest_closed: closed,
-        skipped_ops: 0,
-        rejected_lines: 0,
-        checkpoints,
-        backend_moves: rec.backend().moves_applied(),
-        backend_errors: rec.backend_errors(),
-        last_error: rec.last_backend_error(),
-    };
-    ctrl.publish(Published {
-        healthz: views::render_healthz(&health),
-        nodes: views::render_nodes(&cluster, report.duration_us),
-        plan: views::render_plan(rec.journal()),
-        stats: views::render_replay_final(&render_report(&report), digest),
-        model: views::render_model(&cluster, report.duration_us),
-        metrics: render_prometheus(rec.inner()),
-        done: true,
-    });
-    drop(rec);
-    // Keep serving the final views until the client says shutdown.
-    while !ctrl.shutdown_requested() {
-        std::thread::sleep(IDLE);
+    {
+        let rec = recorder.borrow();
+        let now_us = report.duration_us;
+        let health = health(
+            ctrl,
+            &rec,
+            "replay",
+            &policy_name,
+            now_us,
+            checkpoints,
+            true,
+        );
+        ctrl.freeze_views(|view| {
+            render_view(view, ctrl, &rec, &cluster, &health, || {
+                views::render_replay_final(&render_report(&report), digest)
+            })
+        });
     }
+    // Keep serving the final views until the client says shutdown.
+    ctrl.park_until_shutdown();
     Ok(())
 }
 
-fn publish_replay(
+fn render_replay(
+    view: View,
     ctrl: &Ctrl,
     live: &LiveRun<'_>,
     recorder: &RefCell<ServeRecorder>,
     policy_name: &str,
     checkpoints: u64,
-    done: bool,
-) {
+) -> String {
     let rec = recorder.borrow();
-    let (accepted, buffered, closed) = ctrl.ingest_status();
-    let health = views::HealthInfo {
-        mode: "replay",
-        policy: policy_name,
-        backend: rec.backend().name(),
-        now_us: live.now_us(),
-        paused: ctrl.is_paused(),
-        done,
-        ingest_accepted: accepted,
-        ingest_buffered: buffered as u64,
-        ingest_closed: closed,
-        skipped_ops: 0,
-        rejected_lines: 0,
+    let now_us = live.now_us();
+    let health = health(
+        ctrl,
+        &rec,
+        "replay",
+        policy_name,
+        now_us,
         checkpoints,
-        backend_moves: rec.backend().moves_applied(),
-        backend_errors: rec.backend_errors(),
-        last_error: rec.last_backend_error(),
-    };
-    ctrl.publish(Published {
-        healthz: views::render_healthz(&health),
-        nodes: views::render_nodes(live.cluster(), live.now_us()),
-        plan: views::render_plan(rec.journal()),
-        stats: views::render_replay_progress(live.now_us(), live.completed_ops(), live.total_ops()),
-        model: views::render_model(live.cluster(), live.now_us()),
-        metrics: render_prometheus(rec.inner()),
-        done,
-    });
+        false,
+    );
+    render_view(view, ctrl, &rec, live.cluster(), &health, || {
+        views::render_replay_progress(now_us, live.completed_ops(), live.total_ops())
+    })
 }

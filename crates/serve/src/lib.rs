@@ -22,7 +22,10 @@
 //! The HTTP surface ([`http`], [`server`]) is a dependency-free
 //! HTTP/1.1 subset: `GET /healthz`, `/nodes`, `/plan`, `/stats`,
 //! Prometheus-style `/metrics`, plus `POST /ingest` and the admin verbs
-//! `/pause`, `/resume`, `/checkpoint`, `/shutdown`.
+//! `/pause`, `/resume`, `/checkpoint`, `/shutdown`. Views are rendered on
+//! demand: a `GET` asks the session thread for the one view it names and
+//! gets it from the session's next safe point ([`state`]); a daemon
+//! nobody reads renders nothing.
 //!
 //! Crash recovery reuses `edm-snap`: both modes cut checkpoints at wear
 //! ticks (the only instant with no mid-decision state), and `--resume`

@@ -1,48 +1,37 @@
 //! The daemon's HTTP server: a sequential accept loop over a
 //! line-protocol subset of HTTP/1.1 (see [`crate::http`]).
 //!
-//! The server thread never touches simulation state. GET endpoints serve
-//! the strings the session thread last published; POST endpoints flip
-//! control flags or enqueue ingest lines on the shared [`Ctrl`] block.
-//! One connection is serviced at a time — the daemon's API traffic is
-//! control-plane, where simplicity beats throughput — and the listener
-//! is polled non-blocking so a shutdown request is honored within a poll
-//! interval even when no client ever connects again.
+//! The server thread never touches simulation state. A GET asks the
+//! session thread for the one view it names and serves the string handed
+//! back ([`Ctrl::fetch`]: a bounded wait for the session's next safe
+//! point); POST endpoints flip control flags or enqueue ingest lines on
+//! the shared [`Ctrl`] block. One connection is serviced at a time — the
+//! daemon's API traffic is control-plane, where simplicity beats
+//! throughput — and `accept` blocks, so an idle daemon costs nothing and
+//! a request never waits out a poll interval.
 
 use std::io::{BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
 use crate::http::{parse_request, status_text, write_response, ParseError, Request};
-use crate::state::Ctrl;
-
-/// Poll interval for the non-blocking accept loop.
-const ACCEPT_POLL: Duration = Duration::from_millis(2);
+use crate::state::{Ctrl, View};
 
 /// Per-connection socket timeout: a stalled client cannot wedge the
 /// control plane for longer than this.
 const SOCKET_TIMEOUT: Duration = Duration::from_millis(2000);
 
 /// Runs the accept loop until a shutdown is requested. Consumes the
-/// listener; every response closes its connection.
+/// listener; every response closes its connection. A shutdown that did
+/// not arrive as a request on this loop must be followed by
+/// [`wake_server`], or the loop stays blocked in `accept`.
 pub fn serve(listener: TcpListener, ctrl: &Ctrl) {
-    if listener.set_nonblocking(true).is_err() {
-        // Without non-blocking accept the loop could never observe
-        // shutdown; refuse to serve rather than hang forever.
-        ctrl.request_shutdown();
-        return;
-    }
-    loop {
-        if ctrl.shutdown_requested() {
-            return;
-        }
+    while !ctrl.shutdown_requested() {
         match listener.accept() {
             Ok((stream, _addr)) => handle_connection(stream, ctrl),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+            // Transient (ECONNABORTED, EMFILE, ...): don't spin on it.
+            Err(_) => std::thread::sleep(Duration::from_millis(2)),
         }
     }
 }
@@ -54,10 +43,14 @@ pub fn spawn_server(listener: TcpListener, ctrl: Arc<Ctrl>) -> std::thread::Join
     std::thread::spawn(move || serve(listener, &ctrl))
 }
 
+/// Unblocks a server sitting in `accept` on the listener bound to `addr`
+/// so it observes a shutdown requested elsewhere: a loopback connection
+/// that is opened and dropped.
+pub fn wake_server(addr: SocketAddr) {
+    let _ = TcpStream::connect_timeout(&addr, SOCKET_TIMEOUT);
+}
+
 fn handle_connection(stream: TcpStream, ctrl: &Ctrl) {
-    // Accepted sockets may inherit the listener's non-blocking flag;
-    // undo that and bound each read/write instead.
-    let _ = stream.set_nonblocking(false);
     let _ = stream.set_read_timeout(Some(SOCKET_TIMEOUT));
     let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
     let mut reader = BufReader::new(match stream.try_clone() {
@@ -78,47 +71,42 @@ fn handle_connection(stream: TcpStream, ctrl: &Ctrl) {
 fn respond(w: &mut TcpStream, request: &Request, ctrl: &Ctrl) {
     let method = request.method.as_str();
     let path = request.path.as_str();
-    let result = match (method, path) {
-        ("GET", "/healthz") => json(w, &ctrl.published().healthz),
-        ("GET", "/nodes") => json(w, &ctrl.published().nodes),
-        ("GET", "/plan") => json(w, &ctrl.published().plan),
-        ("GET", "/stats") => json(w, &ctrl.published().stats),
-        ("GET", "/model") => json(w, &ctrl.published().model),
-        ("GET", "/metrics") => write_response(
+    let result = match (method, path, View::from_path(path)) {
+        ("GET", _, Some(View::Metrics)) => write_response(
             w,
             200,
             "text/plain; version=0.0.4",
-            ctrl.published().metrics.as_bytes(),
+            ctrl.fetch(View::Metrics).as_bytes(),
         ),
-        ("POST", "/ingest") => match std::str::from_utf8(&request.body) {
+        ("GET", _, Some(view)) => json(w, &ctrl.fetch(view)),
+        ("POST", "/ingest", _) => match std::str::from_utf8(&request.body) {
             Err(_) => write_response(w, 400, "text/plain", b"ingest body is not UTF-8"),
             Ok(body) => match ctrl.push_ingest(body) {
                 Ok(accepted) => json(w, &format!("{{\"accepted\":{accepted}}}")),
                 Err(e) => write_response(w, 409, "text/plain", e.as_bytes()),
             },
         },
-        ("POST", "/pause") => {
+        ("POST", "/pause", _) => {
             ctrl.pause();
             json(w, "{\"paused\":true}")
         }
-        ("POST", "/resume") => {
+        ("POST", "/resume", _) => {
             ctrl.resume();
             json(w, "{\"paused\":false}")
         }
-        ("POST", "/checkpoint") => {
+        ("POST", "/checkpoint", _) => {
             ctrl.request_checkpoint();
             json(w, "{\"checkpoint\":\"requested\"}")
         }
-        ("POST", "/shutdown") => {
+        ("POST", "/shutdown", _) => {
             ctrl.request_shutdown();
             json(w, "{\"shutdown\":\"requested\"}")
         }
         // Known paths with the wrong verb are 405, the rest 404.
-        (
-            _,
-            "/healthz" | "/nodes" | "/plan" | "/stats" | "/model" | "/metrics" | "/ingest"
-            | "/pause" | "/resume" | "/checkpoint" | "/shutdown",
-        ) => write_response(w, 405, "text/plain", status_text(405).as_bytes()),
+        (_, _, Some(_))
+        | (_, "/ingest" | "/pause" | "/resume" | "/checkpoint" | "/shutdown", _) => {
+            write_response(w, 405, "text/plain", status_text(405).as_bytes())
+        }
         _ => write_response(w, 404, "text/plain", status_text(404).as_bytes()),
     };
     let _ = result;
@@ -131,17 +119,17 @@ fn json(w: &mut TcpStream, body: &str) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::Published;
     use std::io::Read;
 
     fn start() -> (std::net::SocketAddr, Arc<Ctrl>, std::thread::JoinHandle<()>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let ctrl = Arc::new(Ctrl::new());
-        ctrl.publish(Published {
-            healthz: "{\"ok\":true}".to_string(),
-            metrics: "# TYPE edm_x_total counter\nedm_x_total 1\n".to_string(),
-            ..Published::default()
+        // A finished session's frozen views: served without a hand-off.
+        ctrl.freeze_views(|view| match view {
+            View::Healthz => "{\"ok\":true}".to_string(),
+            View::Metrics => "# TYPE edm_x_total counter\nedm_x_total 1\n".to_string(),
+            _ => String::new(),
         });
         let handle = spawn_server(listener, Arc::clone(&ctrl));
         (addr, ctrl, handle)
@@ -156,7 +144,7 @@ mod tests {
     }
 
     #[test]
-    fn serves_published_views_and_control() {
+    fn serves_views_and_control() {
         let (addr, ctrl, handle) = start();
         let reply = roundtrip(addr, "GET /healthz HTTP/1.1\r\n\r\n");
         assert!(reply.starts_with("HTTP/1.1 200 OK\r\n"), "{reply}");
@@ -174,7 +162,9 @@ mod tests {
             ),
         );
         assert!(reply.contains("\"accepted\":1"), "{reply}");
-        assert_eq!(ctrl.drain_ingest(10), vec!["w 0 0 4096"]);
+        let mut drained = Vec::new();
+        ctrl.drain_ingest(10, &mut drained);
+        assert_eq!(drained, vec!["w 0 0 4096"]);
 
         let reply = roundtrip(addr, "POST /pause HTTP/1.1\r\n\r\n");
         assert!(reply.contains("\"paused\":true"), "{reply}");
@@ -201,7 +191,9 @@ mod tests {
             "POST /ingest HTTP/1.1\r\nContent-Length: 4\r\n\r\nw000",
         );
         assert!(reply.starts_with("HTTP/1.1 409"), "{reply}");
+        // Requested off the accept loop: the server has to be woken.
         ctrl.request_shutdown();
+        wake_server(addr);
         handle.join().unwrap();
     }
 }

@@ -1,10 +1,12 @@
 //! Rendering of the daemon's HTTP views.
 //!
-//! The session thread renders these strings at safe points (ticks,
-//! pauses, completion) and publishes them through
-//! [`Ctrl::publish`](crate::state::Ctrl::publish); the server thread
-//! serves them verbatim. Rendering therefore never races the simulation
-//! — a view is always a consistent cut of the world.
+//! The session thread renders one of these strings when a `GET` has
+//! asked for it — at its next safe point (batch boundary, tick, wake-up
+//! from a pause, replay step return), through
+//! [`Ctrl::serve_views`](crate::state::Ctrl::serve_views) — and the
+//! server thread serves what it is handed. Rendering therefore never
+//! races the simulation: a view is a consistent cut of the world, taken
+//! after the request arrived, and a view nobody asks for costs nothing.
 //!
 //! The `/stats` body is part of the crash-recovery contract: it carries
 //! only *convergent* state, values an interrupted-and-resumed session
@@ -18,7 +20,7 @@ use edm_obs::{Event, JournalEntry};
 
 use crate::ingest::LiveStats;
 
-/// Inputs for `/healthz` (assembled by the daemon each publish).
+/// Inputs for `/healthz` (assembled by the daemon for each render).
 pub struct HealthInfo<'a> {
     pub mode: &'a str,
     pub policy: &'a str,

@@ -9,7 +9,7 @@
 #   check.sh lint    clippy, warnings denied
 #   check.sh audit   edm-audit static analysis
 #   check.sh build   release build
-#   check.sh test    cargo test
+#   check.sh test    cargo test, workspace then the benchmark package
 #   check.sh smoke   perf + obs + checkpoint/resume smokes
 #   check.sh scale   sharded-vs-sequential digest identity smoke
 #   check.sh spec    edm-spec conformance replay of smoke + corpus journals
@@ -17,8 +17,9 @@
 #   check.sh fuzz    edm-fuzz smoke batch (+ fuzz_throughput bench cell)
 #   check.sh model   analytic-model differential gate (edm-exp model-diff
 #                    vs scripts/model_tolerances.json, + model_* bench cells)
-#   check.sh tsan    ThreadSanitizer lane over shard + serve tests (advisory;
-#                    skips cleanly without a nightly toolchain + rust-src)
+#   check.sh tsan    ThreadSanitizer lane over shard + serve tests and the
+#                    loopback daemon suite (advisory; skips cleanly without
+#                    a nightly toolchain + rust-src)
 #
 # EDM_CHECK_QUICK=1 shrinks the expensive steps (test -> workspace lib
 # tests only, smoke/scale/spec/fuzz -> skipped) for local edit loops.
@@ -84,6 +85,11 @@ step_test() {
     else
         echo "==> cargo test"
         cargo test -q
+        # benchmark/ is a package of its own that reaches the crates only
+        # through public functions: a change to one it calls fails here,
+        # not in the benchmark pipeline.
+        echo "==> cargo test (benchmark package)"
+        cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
     fi
 }
 
@@ -470,11 +476,15 @@ step_tsan() {
     local host
     host="$(rustc -vV | sed -n 's/^host: //p')"
     # Only the crates with real thread concurrency: the group-sharded
-    # engine (scoped-thread shard execution) and the serve daemon
-    # (listener + worker + journal threads).
+    # engine (scoped-thread shard execution) and the serve daemon (server
+    # thread + session thread meeting at the Ctrl hand-off) — its unit
+    # tests, then the loopback suite that drives both threads for real.
     RUSTFLAGS="-Zsanitizer=thread" RUSTDOCFLAGS="-Zsanitizer=thread" \
         cargo +nightly test -q -Zbuild-std --target "$host" \
         -p edm-cluster -p edm-serve
+    RUSTFLAGS="-Zsanitizer=thread" RUSTDOCFLAGS="-Zsanitizer=thread" \
+        cargo +nightly test -q -Zbuild-std --target "$host" \
+        -p edm-harness --test serve_daemon
     echo "tsan: shard + serve test suites clean under ThreadSanitizer"
 }
 

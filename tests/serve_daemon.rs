@@ -11,6 +11,7 @@
 //! simulation state they assert on stays virtual-time-deterministic.
 #![allow(clippy::disallowed_methods)]
 
+use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -19,7 +20,10 @@ use std::time::{Duration, Instant};
 use edm_cluster::MigrationSchedule;
 use edm_obs::ObsLevel;
 use edm_scenario::{report_digest, Scenario};
-use edm_serve::{dump_ops, run_daemon_on, BackendKind, DaemonConfig, Mode};
+use edm_serve::{
+    dump_ops, run_daemon_on, views, BackendKind, DaemonConfig, LiveWorld, MemBackend, Mode,
+    ServeRecorder,
+};
 
 fn scenario() -> Scenario {
     // Mirrors fuzz/corpus/random-trace-every-tick.scn: a workload that
@@ -84,9 +88,10 @@ impl Daemon {
         body_of(&reply)
     }
 
-    /// Polls `/healthz` until it contains `needle` — the view is a
-    /// snapshot the session thread republishes at safe points, so state
-    /// flips show up eventually rather than on the next request.
+    /// Polls `/healthz` until it contains `needle`. Every body is rendered
+    /// after the request that asked for it, but what the needles report —
+    /// a built world, a drained queue, a cut checkpoint — is the session's
+    /// own progress, which no request waits for.
     fn wait_health(&self, needle: &str) {
         let deadline = Instant::now() + Duration::from_secs(60);
         loop {
@@ -117,6 +122,18 @@ fn body_of(reply: &str) -> String {
         Some((_, body)) => body.to_string(),
         None => panic!("no header/body separator in {reply:?}"),
     }
+}
+
+/// `edm_serve_view_renders_total` of a `/metrics` body, by view.
+fn renders(metrics: &str) -> BTreeMap<String, u64> {
+    metrics
+        .lines()
+        .filter_map(|l| {
+            l.strip_prefix("edm_serve_view_renders_total{view=\"")?
+                .split_once("\"} ")
+        })
+        .map(|(view, n)| (view.to_string(), n.parse().unwrap()))
+        .collect()
 }
 
 /// Pulls `edm_<name>_total <value>` out of a Prometheus rendering.
@@ -284,4 +301,99 @@ fn daemon_rejects_malformed_and_unknown_requests() {
     }
     assert!(daemon.get("/healthz").contains("\"ok\":true"));
     daemon.shutdown();
+}
+
+#[test]
+fn views_are_rendered_when_asked_for_and_only_then() {
+    let daemon = Daemon::start(config(Mode::Ingest));
+    daemon.wait_health("\"mode\"");
+    let ops = dump_ops(&scenario());
+    let lines: Vec<&str> = ops.lines().collect();
+    // A render is counted once its body is stored, so a /metrics body
+    // counts every /metrics render but its own.
+    let before = renders(&daemon.get("/metrics"));
+    assert_eq!(before["metrics"], 0);
+
+    // Ingest with nobody reading...
+    for batch in lines.chunks(64) {
+        daemon.post("/ingest", &format!("{}\n", batch.join("\n")));
+    }
+    // ...then watch the drain through /metrics alone.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let mut polls = 0;
+    let drained = loop {
+        let metrics = daemon.get("/metrics");
+        polls += 1;
+        // (The counter is absent until the first op is applied.)
+        let applied = format!("edm_serve_ops_applied_total {}\n", lines.len());
+        if metrics.contains(&applied) {
+            break renders(&metrics);
+        }
+        assert!(Instant::now() < deadline, "stream never drained");
+        std::thread::sleep(Duration::from_millis(2));
+    };
+    // One GET rendered one view, the one it named; the rest stayed at
+    // their start-up values through every batch.
+    let mut expected = before;
+    *expected.get_mut("metrics").unwrap() += polls;
+    assert_eq!(drained, expected);
+
+    // The first /stats ever rendered is the in-process world's.
+    assert_eq!(drained["stats"], 0);
+    let mut world = LiveWorld::new(scenario()).unwrap();
+    let mut recorder = ServeRecorder::new(ObsLevel::Events, Box::new(MemBackend::new()));
+    world.emit_run_meta(&mut recorder);
+    for line in &lines {
+        world.apply_line(line, &mut recorder);
+    }
+    assert_eq!(
+        daemon.get("/stats"),
+        views::render_live_stats(&world.stats(), world.now_us(), world.cluster())
+    );
+    assert_eq!(renders(&daemon.get("/metrics"))["stats"], 1);
+    daemon.shutdown();
+}
+
+#[test]
+fn polling_healthz_through_a_drain_renders_only_healthz() {
+    let daemon = Daemon::start(config(Mode::Ingest));
+    daemon.post("/ingest", &format!("{}end\n", dump_ops(&scenario())));
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let mut polls = 0;
+    while !daemon.get("/healthz").contains("\"done\":true") {
+        polls += 1;
+        assert!(Instant::now() < deadline, "stream never drained");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    for (view, n) in renders(&daemon.get("/metrics")) {
+        match view.as_str() {
+            // Reads from before the world was built found no session to ask.
+            "healthz" => assert!((1..=polls + 1).contains(&n), "{n} of {polls}"),
+            _ => assert_eq!(n, 0, "{view} was rendered unasked"),
+        }
+    }
+    daemon.shutdown();
+}
+
+#[test]
+fn paused_daemon_still_cuts_requested_checkpoints() {
+    let ckpt_dir = temp_dir("paused");
+    let mut paused = config(Mode::Ingest);
+    paused.checkpoint_dir = Some(ckpt_dir.clone());
+    let daemon = Daemon::start(paused);
+    daemon.wait_health("\"mode\"");
+    // A live session renders a view after the request for it: no polling.
+    daemon.post("/pause", "");
+    assert!(daemon.get("/healthz").contains("\"paused\":true"));
+    daemon.post("/ingest", "r 0 0 1\n");
+    daemon.post("/checkpoint", "");
+    // A paused world is a safe point: the request is not held for /resume.
+    daemon.wait_health("\"checkpoints\":1");
+    let healthz = daemon.get("/healthz");
+    assert!(healthz.contains("\"paused\":true"), "{healthz}");
+    assert!(healthz.contains("\"ingest_buffered\":1"), "{healthz}");
+    daemon.post("/resume", "");
+    daemon.wait_health("\"ingest_buffered\":0");
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&ckpt_dir);
 }
