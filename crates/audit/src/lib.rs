@@ -41,7 +41,7 @@ pub use ci::check_workflow_gate;
 pub use lexer::{lex, TokKind, Token};
 pub use pragma::{parse_pragmas, Pragma, PragmaError};
 pub use report::{AuditOutcome, Finding, Suppressed};
-pub use rules::{rule_exists, RULES};
+pub use rules::{rule_exists, PANIC_PRAGMA_BUDGETS, RULES};
 pub use source::{FileKind, SourceFile};
 pub use symgraph::SymGraph;
 

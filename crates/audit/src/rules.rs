@@ -47,6 +47,10 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     ("panic.unreachable", "unreachable! in non-test library code"),
     (
+        "panic.suppression_budget",
+        "crate exceeds its frozen panic.* pragma budget",
+    ),
+    (
         "panic.slice_index",
         "slice indexing by integer literal in non-test library code",
     ),
@@ -719,17 +723,49 @@ const DET_PRAGMA_BUDGETS: &[(&str, usize)] = &[
     ("scenario", 0),
 ];
 
-/// `det.suppression_budget`: counts `det.*`, `conc.*`, and `unit.*`
-/// pragmas under each budgeted crate's `src/` (every file kind — a
-/// suppression in a bin or test module still normalizes an escape
-/// hatch) and fires on any crate over its frozen allowance.
+/// The frozen `panic.*` pragma budget: as many panic-site suppressions
+/// as the crate carried when the budget was set. Where one decision has
+/// one definition, its "cannot fail here" justification is written once;
+/// a copy of the decision brings a copy of the pragma, and this is what
+/// notices. The number is meant only to fall — lower it when a pragma
+/// goes.
+pub const PANIC_PRAGMA_BUDGETS: &[(&str, usize)] = &[("cluster", 28)];
+
+/// `det.suppression_budget` and `panic.suppression_budget`: each counts
+/// its pragma family under each budgeted crate's `src/` (every file
+/// kind — a suppression in a bin or test module still normalizes an
+/// escape hatch) and fires on any crate over its frozen allowance.
 /// Workspace-level: the count is a property of the whole crate,
 /// reported once at its root.
 pub fn check_suppression_budget(files: &[SourceFile], findings: &mut Vec<Finding>) {
-    let budgeted = |rule: &str| {
-        rule.starts_with("det.") || rule.starts_with("conc.") || rule.starts_with("unit.")
-    };
-    for (krate, budget) in DET_PRAGMA_BUDGETS {
+    check_budget(
+        files,
+        findings,
+        "det.suppression_budget",
+        (
+            "det.*/conc.*/unit.*",
+            "DET_PRAGMA_BUDGETS",
+            DET_PRAGMA_BUDGETS,
+        ),
+        |rule| rule.starts_with("det.") || rule.starts_with("conc.") || rule.starts_with("unit."),
+    );
+    check_budget(
+        files,
+        findings,
+        "panic.suppression_budget",
+        ("panic.*", "PANIC_PRAGMA_BUDGETS", PANIC_PRAGMA_BUDGETS),
+        |rule| rule.starts_with("panic."),
+    );
+}
+
+fn check_budget(
+    files: &[SourceFile],
+    findings: &mut Vec<Finding>,
+    rule: &'static str,
+    (family, table, budgets): (&str, &str, &[(&str, usize)]),
+    budgeted: impl Fn(&str) -> bool,
+) {
+    for (krate, budget) in budgets {
         let prefix = format!("crates/{krate}/src/");
         let mut sites = Vec::new();
         for f in files.iter().filter(|f| f.rel_path.starts_with(&prefix)) {
@@ -745,13 +781,13 @@ pub fn check_suppression_budget(files: &[SourceFile], findings: &mut Vec<Finding
         }
         if sites.len() > *budget {
             findings.push(Finding {
-                rule: "det.suppression_budget",
+                rule,
                 path: format!("crates/{krate}/src/lib.rs"),
                 line: 1,
                 message: format!(
-                    "crate `{krate}` carries {} det.*/conc.*/unit.* suppressions against \
+                    "crate `{krate}` carries {} {family} suppressions against \
                      a frozen budget of {budget} [{}] — admitting a new one means raising \
-                     the budget in edm-audit's DET_PRAGMA_BUDGETS, in the same change",
+                     the budget in edm-audit's {table}, in the same change",
                     sites.len(),
                     sites.join(", ")
                 ),

@@ -207,6 +207,32 @@ pub fn f() -> Option<String> {
 }
 
 #[test]
+fn panic_budget_holds_cluster_to_its_frozen_pragma_count() {
+    let (_, budget) = edm_audit::PANIC_PRAGMA_BUDGETS[0];
+    let with_pragmas = |n: usize| {
+        let mut src = String::from("#![forbid(unsafe_code)]\n");
+        for i in 0..n {
+            src.push_str(&format!(
+                "pub fn f{i}(o: Option<u64>) -> u64 {{\n    \
+                 // edm-audit: allow(panic.unwrap, \"invariant {i}\")\n    o.unwrap()\n}}\n"
+            ));
+        }
+        src
+    };
+    let at = audit(&[("crates/cluster/src/lib.rs", &with_pragmas(budget))]);
+    assert!(at.is_clean(), "{at:?}");
+    let over = audit(&[("crates/cluster/src/lib.rs", &with_pragmas(budget + 1))]);
+    assert_eq!(
+        rules_of(&over),
+        vec!["panic.suppression_budget"],
+        "{over:?}"
+    );
+    // Crates without a panic budget are not counted.
+    let free = audit(&[("crates/core/src/lib.rs", &with_pragmas(budget + 1))]);
+    assert!(free.is_clean(), "{free:?}");
+}
+
+#[test]
 fn env_read_fires_outside_the_harness() {
     let src = "\
 #![forbid(unsafe_code)]

@@ -1,14 +1,16 @@
 //! Cluster construction: capacity sizing, file pre-creation, and the
 //! steady-state warm-up (§IV–§V.A).
 
+use edm_obs::{Event, Recorder};
 use edm_snap::{SnapReader, SnapWriter, Snapshot};
-use edm_workload::Trace;
+use edm_workload::{FileId, Trace};
 
 use crate::catalog::Catalog;
 use crate::config::ClusterConfig;
 use crate::ids::{ObjectId, OsdId};
-use crate::migrate::{ClusterView, ObjectView, OsdView};
-use crate::osd::Osd;
+use crate::migrate::{AccessEvent, AccessKind, ClusterView, MoveAction, ObjectView, OsdView};
+use crate::osd::{pages_spanned, Osd, OsdError};
+use crate::raid::ObjectIo;
 
 /// A built cluster: the metadata catalog plus its storage nodes, ready for
 /// replay. `Clone` exists for the group-sharded runner, which hands each
@@ -101,43 +103,177 @@ impl Cluster {
 
     /// Builds the policy-facing snapshot (§III.B inputs).
     pub fn view(&self, now_us: u64) -> ClusterView {
+        self.view_from(now_us, |_| self)
+    }
+
+    /// [`view`](Self::view) of a cluster whose authoritative state is
+    /// spread over several copies (the group-sharded runner): `owner`
+    /// names the copy that owns an OSD slot — and with it the location of
+    /// every object homed there, since moves never leave a component.
+    /// The file table and geometry are the same in every copy.
+    pub(crate) fn view_from<'a>(
+        &'a self,
+        now_us: u64,
+        owner: impl Fn(OsdId) -> &'a Cluster,
+    ) -> ClusterView {
         let placement = self.catalog.placement();
-        // edm-audit: allow(panic.slice_index, "ClusterConfig validation guarantees at least one OSD")
-        let page_size = self.osds[0].ssd().geometry().page_size;
-        // edm-audit: allow(panic.slice_index, "ClusterConfig validation guarantees at least one OSD")
-        let pages_per_block = self.osds[0].ssd().geometry().pages_per_block;
-        let osds = self
-            .osds
-            .iter()
-            .map(|o| OsdView {
-                osd: o.id,
-                group: placement.group_of(o.id),
-                wc_pages: o.wc_window_pages(),
-                utilization: o.utilization(),
-                measured_erases: o.ssd().wear().block_erases,
-                ewma_latency_us: o.ewma_latency_us(),
-                free_bytes: o.free_bytes(),
-                capacity_bytes: o.capacity_bytes(),
+        let geometry = self.first_osd().ssd().geometry();
+        let osds = (0..self.config.osds)
+            .map(|i| {
+                let o = owner(OsdId(i)).osd(OsdId(i));
+                OsdView {
+                    osd: o.id,
+                    group: placement.group_of(o.id),
+                    wc_pages: o.wc_window_pages(),
+                    utilization: o.utilization(),
+                    measured_erases: o.ssd().wear().block_erases,
+                    ewma_latency_us: o.ewma_latency_us(),
+                    free_bytes: o.free_bytes(),
+                    capacity_bytes: o.capacity_bytes(),
+                }
             })
             .collect();
         let mut objects = Vec::with_capacity(self.catalog.total_objects() as usize);
         for meta in self.catalog.files() {
-            for &obj in &meta.objects {
+            for (i, &obj) in meta.objects.iter().enumerate() {
+                let home = placement.home_osd(meta.file, i as u32);
+                let moved_to = owner(home).catalog.remap().lookup(obj);
                 objects.push(ObjectView {
                     object: obj,
-                    osd: self.catalog.locate(obj),
+                    osd: moved_to.unwrap_or(home),
                     size_bytes: meta.object_size,
-                    remapped: self.catalog.remap().contains(obj),
+                    remapped: moved_to.is_some(),
                 });
             }
         }
         ClusterView {
             now_us,
-            page_size,
-            pages_per_block,
+            page_size: geometry.page_size,
+            pages_per_block: geometry.pages_per_block,
             osds,
             objects,
         }
+    }
+
+    /// The devices are uniform, so any slot answers geometry and
+    /// capacity questions; this is the one place that picks it.
+    fn first_osd(&self) -> &Osd {
+        // edm-audit: allow(panic.slice_index, "ClusterConfig validation guarantees at least one OSD")
+        &self.osds[0]
+    }
+
+    /// Journals the run preamble ([`Event::RunMeta`]) the conformance
+    /// checker keys on: cluster shape and device geometry. Every journal
+    /// — batch, sharded, live replay, ingest — starts with this record.
+    pub fn emit_run_meta(&self, obs: &mut dyn Recorder) {
+        if !obs.events_on() {
+            return;
+        }
+        let first = self.first_osd();
+        obs.set_now(0);
+        obs.event(Event::RunMeta {
+            osds: self.config.osds,
+            groups: self.config.groups,
+            objects_per_file: self.config.objects_per_file,
+            capacity_bytes: first.capacity_bytes(),
+            blocks_per_osd: first.ssd().geometry().blocks as u64,
+        });
+    }
+
+    /// Fans one file read or write out into its object-level I/Os
+    /// (RAID-5 striping incl. the parity read-modify-write), each paired
+    /// with the access it presents to the policy's tracker. Every
+    /// op-service path — queued in the engine, immediate in the ingest
+    /// daemon — services exactly this sequence.
+    pub fn file_subops(
+        &self,
+        file: FileId,
+        offset: u64,
+        len: u64,
+        write: bool,
+        now_us: u64,
+    ) -> impl ExactSizeIterator<Item = (ObjectIo, AccessEvent)> {
+        let layout = self.catalog.layout();
+        let ios = if write {
+            layout.map_write(offset, len)
+        } else {
+            layout.map_read(offset, len)
+        };
+        // Object ids are a pure function of (file, stripe index) — see
+        // `Catalog::create_file` — so the file table is not consulted.
+        let placement = *self.catalog.placement();
+        let page_size = self.first_osd().ssd().geometry().page_size;
+        ios.into_iter().map(move |io| {
+            let access = AccessEvent {
+                now_us,
+                object: placement.object_id(file, io.object_index),
+                kind: if io.kind.is_write() {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                },
+                pages: pages_spanned(io.offset, io.len, page_size),
+            };
+            (io, access)
+        })
+    }
+
+    /// Starts an accepted move: allocates the destination copy and
+    /// journals `migration_start`. Returns the object's size — what the
+    /// caller now has to transfer (in queued chunks, or at once) before
+    /// [`finish_move`](Self::finish_move). `OsdError::NoSpace` means the
+    /// destination filled up since planning; nothing was changed.
+    pub fn begin_move(
+        &mut self,
+        action: MoveAction,
+        obs: &mut dyn Recorder,
+    ) -> Result<u64, OsdError> {
+        let size = self
+            .object_size(action.object)
+            .ok_or(OsdError::UnknownObject(action.object))?;
+        self.osd_mut(action.dest)
+            .create_object(action.object, size, false)?;
+        obs.counter("sim.moves_started", 1);
+        if obs.events_on() {
+            obs.event(Event::MigrationStart {
+                object: action.object.0,
+                source: action.source.0,
+                dest: action.dest.0,
+                bytes: size,
+            });
+        }
+        Ok(size)
+    }
+
+    /// Completes a transferred move: drops the source copy, points the
+    /// remapping table at the destination, and journals
+    /// `migration_finish` + `remap_update`. On error the catalog is
+    /// untouched and the destination copy is the caller's to roll back.
+    pub fn finish_move(
+        &mut self,
+        action: MoveAction,
+        obs: &mut dyn Recorder,
+    ) -> Result<u64, OsdError> {
+        let size = self
+            .object_size(action.object)
+            .ok_or(OsdError::UnknownObject(action.object))?;
+        self.osd_mut(action.source).remove_object(action.object)?;
+        self.catalog.record_move(action.object, action.dest);
+        obs.counter("sim.moved_objects", 1);
+        obs.counter("sim.moved_bytes", size);
+        if obs.events_on() {
+            obs.event(Event::MigrationFinish {
+                object: action.object.0,
+                source: action.source.0,
+                dest: action.dest.0,
+                bytes: size,
+            });
+            obs.event(Event::RemapUpdate {
+                object: action.object.0,
+                dest: action.dest.0,
+            });
+        }
+        Ok(size)
     }
 
     /// Object size lookup through the catalog.

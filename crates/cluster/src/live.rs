@@ -25,7 +25,7 @@ use crate::cluster::Cluster;
 use crate::metrics::RunReport;
 use crate::migrate::Migrator;
 use crate::pace::TimeSource;
-use crate::sim::{emit_run_meta, new_engine, Engine, Pause, SimOptions, SnapManifest};
+use crate::sim::{new_engine, resume_engine, Engine, Pause, SimOptions};
 
 /// Where [`LiveRun::step`] handed control back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,7 +62,7 @@ impl<'a> LiveRun<'a> {
         options: SimOptions,
         obs: &'a mut dyn Recorder,
     ) -> LiveRun<'a> {
-        emit_run_meta(&cluster, obs);
+        cluster.emit_run_meta(obs);
         let total_records = trace.records.len() as u64;
         let mut engine = new_engine(cluster, trace, policy, options, obs);
         engine.seed_events();
@@ -83,29 +83,8 @@ impl<'a> LiveRun<'a> {
         options: SimOptions,
         obs: &'a mut dyn Recorder,
     ) -> Result<LiveRun<'a>, SnapError> {
-        let manifest = SnapManifest::from_snapshot(snap)?;
-        if manifest.policy != policy.name() {
-            return Err(SnapError::Corrupt {
-                section: SnapManifest::SECTION.into(),
-                detail: format!(
-                    "checkpoint was cut under policy {:?}, cannot resume with {:?}",
-                    manifest.policy,
-                    policy.name()
-                ),
-            });
-        }
-        let cluster: Cluster = snap.decode("cluster")?;
-        {
-            let mut r = snap.reader("policy")?;
-            policy.load_state(&mut r);
-            r.finish("policy")?;
-        }
-        emit_run_meta(&cluster, obs);
         let total_records = trace.records.len() as u64;
-        let mut engine = new_engine(cluster, trace, policy, options, obs);
-        let mut r = snap.reader("engine")?;
-        engine.load_engine(&mut r);
-        r.finish("engine")?;
+        let engine = resume_engine(snap, trace, policy, options, obs)?;
         Ok(LiveRun {
             engine,
             total_records,
@@ -154,7 +133,7 @@ impl<'a> LiveRun<'a> {
 
     /// File operations completed so far.
     pub fn completed_ops(&self) -> u64 {
-        self.engine.completed_ops
+        self.engine.tally.completed_ops
     }
 
     /// File operations in the whole trace.

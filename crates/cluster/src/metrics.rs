@@ -4,7 +4,9 @@
 use edm_snap::{SnapReader, SnapWriter, Snapshot};
 use serde::{Deserialize, Serialize};
 
-use edm_ssd::WearStats;
+use edm_workload::Trace;
+
+use crate::cluster::Cluster;
 
 /// Mean response time of file operations completed in one reporting
 /// window (Fig. 7 plots one point per 3-minute window).
@@ -329,21 +331,138 @@ pub fn rsd(values: impl Iterator<Item = f64>) -> f64 {
     var.sqrt() / mean
 }
 
-/// Builds per-OSD wear summaries from device snapshots.
-pub fn summarize_osds<'a>(
-    snaps: impl Iterator<Item = (u32, &'a WearStats, f64, u64)>,
-) -> Vec<OsdWearSummary> {
-    snaps
-        .map(|(osd, wear, utilization, busy_us)| OsdWearSummary {
-            osd,
-            erase_count: wear.block_erases,
-            write_pages: wear.host_page_writes,
-            gc_page_moves: wear.gc_page_moves,
-            utilization,
-            busy_us,
-            peak_queue_depth: 0,
-        })
-        .collect()
+/// Everything a replay engine counts toward its [`RunReport`]. The
+/// sequential engine holds one; a group-sharded run holds one per shard
+/// and sums them ([`merge_from`](Self::merge_from)) — every field merges
+/// order-independently (integer-valued f64 sums far below 2^53, bucket
+/// counts, and per-OSD slots only their owning shard ever touches), so
+/// the summed report is bit-identical to the sequential one.
+#[derive(Debug, Clone)]
+pub(crate) struct RunTallies {
+    pub responses: ResponseSeries,
+    pub response_hist: LatencyHistogram,
+    pub response_sum: f64,
+    pub completed_ops: u64,
+    /// Time of the last request or move completion — the replay duration.
+    /// Deliberately not advanced by wear ticks: a trailing tick must not
+    /// inflate the measured duration.
+    pub last_completion_us: u64,
+    pub migrations_triggered: u64,
+    pub moved_objects: u64,
+    pub degraded_ops: u64,
+    pub lost_ops: u64,
+    pub rebuilt_objects: u64,
+    /// Accumulated service time per OSD (overhead + device, incl. GC).
+    pub busy_us: Vec<u64>,
+    /// Deepest queue ever observed per OSD.
+    pub peak_queue_depth: Vec<u64>,
+    /// OSDs that have failed so far.
+    pub failed: Vec<bool>,
+}
+
+impl RunTallies {
+    pub fn new(osds: usize, response_window_us: u64) -> Self {
+        RunTallies {
+            responses: ResponseSeries::new(response_window_us),
+            response_hist: LatencyHistogram::new(),
+            response_sum: 0.0,
+            completed_ops: 0,
+            last_completion_us: 0,
+            migrations_triggered: 0,
+            moved_objects: 0,
+            degraded_ops: 0,
+            lost_ops: 0,
+            rebuilt_objects: 0,
+            busy_us: vec![0; osds],
+            peak_queue_depth: vec![0; osds],
+            failed: vec![false; osds],
+        }
+    }
+
+    /// Adds one shard's tallies. A shard never services, queues on, or
+    /// fails an OSD outside its component, so its foreign per-OSD slots
+    /// still hold their initial zero/false and sum/max/or are exact.
+    pub fn merge_from(&mut self, other: &RunTallies) {
+        self.responses.merge_from(&other.responses);
+        self.response_hist.merge_from(&other.response_hist);
+        self.response_sum += other.response_sum;
+        self.completed_ops += other.completed_ops;
+        self.last_completion_us = self.last_completion_us.max(other.last_completion_us);
+        self.migrations_triggered += other.migrations_triggered;
+        self.moved_objects += other.moved_objects;
+        self.degraded_ops += other.degraded_ops;
+        self.lost_ops += other.lost_ops;
+        self.rebuilt_objects += other.rebuilt_objects;
+        for (dst, &busy) in self.busy_us.iter_mut().zip(&other.busy_us) {
+            *dst += busy;
+        }
+        for (dst, &peak) in self
+            .peak_queue_depth
+            .iter_mut()
+            .zip(&other.peak_queue_depth)
+        {
+            *dst = (*dst).max(peak);
+        }
+        for (dst, &failed) in self.failed.iter_mut().zip(&other.failed) {
+            *dst |= failed;
+        }
+    }
+
+    /// End-of-run invariant check and report construction over the final
+    /// state of `cluster`.
+    pub fn report(&self, trace: &Trace, policy: &str, cluster: &Cluster) -> RunReport {
+        assert_eq!(
+            self.completed_ops,
+            trace.records.len() as u64,
+            "replay finished with unserved records"
+        );
+        let per_osd = cluster
+            .osds
+            .iter()
+            .zip(self.busy_us.iter().zip(&self.peak_queue_depth))
+            .map(|(o, (&busy_us, &peak_queue_depth))| {
+                let wear = o.ssd().wear();
+                OsdWearSummary {
+                    osd: o.id.0,
+                    erase_count: wear.block_erases,
+                    write_pages: wear.host_page_writes,
+                    gc_page_moves: wear.gc_page_moves,
+                    utilization: o.utilization(),
+                    busy_us,
+                    peak_queue_depth,
+                }
+            })
+            .collect();
+        RunReport {
+            trace: trace.name.clone(),
+            policy: policy.to_string(),
+            osds: cluster.config.osds,
+            completed_ops: self.completed_ops,
+            duration_us: self.last_completion_us,
+            mean_response_us: if self.completed_ops > 0 {
+                self.response_sum / self.completed_ops as f64
+            } else {
+                0.0
+            },
+            response_percentiles_us: (
+                self.response_hist.quantile(0.50),
+                self.response_hist.quantile(0.95),
+                self.response_hist.quantile(0.99),
+            ),
+            response_windows: self.responses.windows(),
+            per_osd,
+            moved_objects: self.moved_objects,
+            remap_entries: cluster.catalog.remap().len() as u64,
+            total_objects: cluster.catalog.total_objects(),
+            migrations_triggered: self.migrations_triggered,
+            failed_osds: (0..cluster.config.osds)
+                .filter(|&i| self.failed[i as usize])
+                .collect(),
+            degraded_ops: self.degraded_ops,
+            lost_ops: self.lost_ops,
+            rebuilt_objects: self.rebuilt_objects,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -11,9 +11,13 @@
 //!   movement actions, each "indicated by a triple (oid, source_id,
 //!   dest_id)" (§III.B.5).
 
+use std::collections::HashSet;
+
+use edm_obs::Recorder;
 use edm_snap::{SnapReader, SnapWriter, Snapshot};
 use serde::{Deserialize, Serialize};
 
+use crate::cluster::Cluster;
 use crate::ids::{GroupId, ObjectId, OsdId};
 
 /// Kind of access presented to the policy's tracker.
@@ -199,14 +203,16 @@ impl Migrator for NoMigration {
 }
 
 /// Validates a plan against structural rules; the simulator refuses plans
-/// that violate them. Returns the first violation.
-pub fn validate_plan(
+/// that violate them. Returns the view entry each action's object
+/// resolved to (in plan order), or the first violation.
+pub fn validate_plan<'v>(
     plan: &[MoveAction],
-    view: &ClusterView,
+    view: &'v ClusterView,
     intra_group_only: bool,
     group_of: impl Fn(OsdId) -> GroupId,
-) -> Result<(), String> {
-    let mut seen = std::collections::HashSet::new();
+) -> Result<Vec<&'v ObjectView>, String> {
+    let mut seen = HashSet::new();
+    let mut resolved = Vec::with_capacity(plan.len());
     for (i, m) in plan.iter().enumerate() {
         if m.source == m.dest {
             return Err(format!("action {i}: source == dest ({})", m.source));
@@ -231,8 +237,103 @@ pub fn validate_plan(
                 m.source, m.dest
             ));
         }
+        resolved.push(obj);
     }
-    Ok(())
+    Ok(resolved)
+}
+
+/// A policy returned a structurally invalid plan — a policy bug. The
+/// batch engine aborts on it; a daemon drops the round and keeps serving.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct InvalidPlan {
+    pub policy: String,
+    /// Number of actions in the refused plan.
+    pub moves: usize,
+    pub reason: String,
+}
+
+impl std::fmt::Display for InvalidPlan {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "policy {} produced invalid plan: {}",
+            self.policy, self.reason
+        )
+    }
+}
+
+/// One migration round's decision — the only definition of it; the
+/// engine, the shard coordinator and the ingest daemon differ only in
+/// where `view` comes from and in how they execute what is accepted.
+///
+/// Asks `policy` for a plan against `view` (journaling its trigger, plan
+/// and assessment on `obs`), validates it, then applies the capacity
+/// sanitation of §III.B.5 ("to avoid disk saturation"): a move is
+/// accepted only while its destination's projected free space stays
+/// above `dest_free_reserve` of its capacity, earlier acceptances of the
+/// round counted. Also refused are moves of `pending` objects — queued or
+/// mid-transfer from an earlier round, which the view still shows on the
+/// source they are about to vacate — and moves touching a `failed` OSD
+/// (indexed by OSD id; policies see failed devices in the view, the
+/// caller must never route a move through one). Returns the accepted
+/// moves in plan order and the number refused; both empty/zero means the
+/// policy planned nothing.
+pub fn plan_round<P: Migrator + ?Sized>(
+    policy: &mut P,
+    view: &ClusterView,
+    dest_free_reserve: f64,
+    pending: &HashSet<ObjectId>,
+    failed: &[bool],
+    obs: &mut dyn Recorder,
+) -> Result<(Vec<MoveAction>, u64), InvalidPlan> {
+    obs.counter("sim.migration_evaluations", 1);
+    let plan = policy.plan_obs(view, obs);
+    let resolved =
+        validate_plan(&plan, view, false, |o| view.osd(o).group).map_err(|reason| InvalidPlan {
+            policy: policy.name().to_string(),
+            moves: plan.len(),
+            reason,
+        })?;
+    let mut projected_free: Vec<i64> = view.osds.iter().map(|o| o.free_bytes as i64).collect();
+    let is_failed = |osd: OsdId| failed.get(osd.0 as usize).copied().unwrap_or(false);
+    let mut accepted = Vec::new();
+    for (&action, object) in plan.iter().zip(resolved) {
+        if pending.contains(&action.object) || is_failed(action.source) || is_failed(action.dest) {
+            continue;
+        }
+        let (source, dest) = (action.source.0 as usize, action.dest.0 as usize);
+        let Some(dest_view) = view.osds.get(dest) else {
+            continue;
+        };
+        let size = object.size_bytes as i64;
+        let reserve = (dest_view.capacity_bytes as f64 * dest_free_reserve) as i64;
+        if projected_free[dest] - size < reserve {
+            continue;
+        }
+        projected_free[dest] -= size;
+        projected_free[source] += size;
+        accepted.push(action);
+    }
+    let refused = (plan.len() - accepted.len()) as u64;
+    Ok((accepted, refused))
+}
+
+/// Closes the measurement window on both sides: every OSD's `Wc` counter
+/// and the policy's own windowed state. Continuous (`every-tick`) mode
+/// calls this after each round so the policy sees per-period rates
+/// (§III.B.2 recomputes Eq. 4 every minute over that minute's writes). A
+/// sharded run passes every shard's cluster; foreign slots are reset too
+/// — they are stale clones nothing ever reads.
+pub fn close_wc_window<'a, P: Migrator + ?Sized>(
+    clusters: impl IntoIterator<Item = &'a mut Cluster>,
+    policy: &mut P,
+) {
+    for cluster in clusters {
+        for osd in &mut cluster.osds {
+            osd.reset_wc_window();
+        }
+    }
+    policy.on_window_reset();
 }
 
 #[cfg(test)]
@@ -342,6 +443,65 @@ mod tests {
         assert!(validate_plan(&plan, &view(), false, group)
             .unwrap_err()
             .contains("source == dest"));
+    }
+
+    /// Plans a fixed list of moves.
+    struct Fixed(Vec<MoveAction>);
+
+    impl Migrator for Fixed {
+        fn name(&self) -> &str {
+            "Fixed"
+        }
+        fn plan(&mut self, _view: &ClusterView) -> Vec<MoveAction> {
+            self.0.clone()
+        }
+    }
+
+    #[test]
+    fn plan_round_refuses_saturating_pending_and_failed_moves() {
+        let a = MoveAction {
+            object: ObjectId(1),
+            source: OsdId(0),
+            dest: OsdId(2),
+        };
+        let b = MoveAction {
+            object: ObjectId(2),
+            source: OsdId(1),
+            dest: OsdId(2),
+        };
+        let round = |view: &ClusterView, pending: &[ObjectId], failed: &[bool]| {
+            let pending = pending.iter().copied().collect();
+            plan_round(
+                &mut Fixed(vec![a, b]),
+                view,
+                0.25,
+                &pending,
+                failed,
+                &mut edm_obs::NoopRecorder,
+            )
+        };
+        assert_eq!(round(&view(), &[], &[]), Ok((vec![a, b], 0)));
+        // Reserve a quarter of 2 MiB: with 512 KiB + 4 KiB free the
+        // second 4 KiB object is one too many, the first acceptance
+        // counted against the destination.
+        let mut tight = view();
+        tight.osds[2].free_bytes = (1 << 19) + 4096;
+        assert_eq!(round(&tight, &[], &[]), Ok((vec![a], 1)));
+        assert_eq!(round(&view(), &[ObjectId(1)], &[]), Ok((vec![b], 1)));
+        assert_eq!(
+            round(&view(), &[], &[false, true, false, false]),
+            Ok((vec![a], 1))
+        );
+        assert_eq!(
+            round(&view(), &[], &[false, false, true, false]),
+            Ok((vec![], 2))
+        );
+        // A plan the view contradicts is refused whole, with its size.
+        let mut lost = view();
+        lost.objects.pop();
+        let err = round(&lost, &[], &[]).unwrap_err();
+        assert_eq!((err.policy.as_str(), err.moves), ("Fixed", 2));
+        assert!(err.to_string().contains("unknown object"), "{err}");
     }
 
     #[test]

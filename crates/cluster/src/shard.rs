@@ -15,15 +15,21 @@
 //! [`Engine`] (over a full clone of the cluster, mutating only the OSD
 //! slots its component owns) and runs on a worker thread until the next
 //! wear-monitor tick. At every tick all engines pause and a
-//! single-threaded coordinator runs the global tick body — replaying
-//! buffered policy accesses, sampling queue depths, firing migration
-//! against a merged view, and scheduling the next tick — in fixed
-//! component order. Because the engines only interact through that
-//! barrier and every end-of-run merge below is order-independent
-//! (integer-valued f64 sums far below 2^53, histogram buckets, per-OSD
-//! state taken from its unique owner, disjoint remap fragments), the
-//! merged [`RunReport`] is bit-identical to the sequential run's under
-//! the same [`ClientAffinity::Component`] assignment.
+//! single-threaded coordinator runs the global tick body in fixed
+//! component order: it replays buffered policy accesses, samples queue
+//! depths, and decides the migration round with the functions the
+//! sequential engine calls — `Cluster::view_from` over each slot's
+//! owning shard, [`plan_round`] with every shard's pending moves and
+//! failed OSDs, [`close_wc_window`] over every shard — then hands each
+//! accepted move to its source's shard (`queue_move`, `kick_mover`) and
+//! schedules the next tick. What is this module's own is the
+//! decomposition, the barrier and the merge. Because the engines only
+//! interact through that barrier and every end-of-run merge is
+//! order-independent (`RunTallies::merge_from`, per-OSD state taken
+//! from its unique owner, disjoint remap fragments), the merged
+//! [`RunReport`] (`RunTallies::report`) is bit-identical to the
+//! sequential run's under the same [`ClientAffinity::Component`]
+//! assignment.
 
 use std::collections::{HashMap, HashSet};
 
@@ -32,11 +38,8 @@ use edm_workload::{FileId, Trace};
 
 use crate::cluster::Cluster;
 use crate::ids::{ObjectId, OsdId};
-use crate::metrics::{summarize_osds, LatencyHistogram, ResponseSeries, RunReport};
-use crate::migrate::{
-    validate_plan, AccessEvent, ClusterView, Migrator, MoveAction, ObjectView, OsdView,
-};
-use crate::placement::Placement;
+use crate::metrics::{RunReport, RunTallies};
+use crate::migrate::{close_wc_window, plan_round, AccessEvent, ClusterView, Migrator, MoveAction};
 use crate::sim::{new_engine, ClientAffinity, Engine, MigrationSchedule, Pause, SimOptions};
 
 /// Union-find over group indices, used to build the component map.
@@ -341,156 +344,6 @@ fn run_all(engines: &mut [ShardEngine<'_>], threads: usize) {
     });
 }
 
-/// Builds the policy-facing view from the shards — field-for-field the
-/// construction of [`Cluster::view`], reading every OSD slot and every
-/// object's location from the engine that owns its component.
-fn merged_view(
-    engines: &[ShardEngine<'_>],
-    now_us: u64,
-    plan: &ShardPlan,
-    placement: &Placement,
-) -> ClusterView {
-    let comp_of_osd = |osd: OsdId| plan.comp_of_group[placement.group_of(osd).0 as usize];
-    // edm-audit: allow(panic.slice_index, "run_sharded only runs with >= 2 components, so engines is never empty")
-    let first = &engines[0].cluster;
-    // edm-audit: allow(panic.slice_index, "ClusterConfig validation guarantees at least one OSD")
-    let page_size = first.osds[0].ssd().geometry().page_size;
-    // edm-audit: allow(panic.slice_index, "ClusterConfig validation guarantees at least one OSD")
-    let pages_per_block = first.osds[0].ssd().geometry().pages_per_block;
-    let osds = (0..first.config.osds)
-        .map(|i| {
-            let o = &engines[comp_of_osd(OsdId(i))].cluster.osds[i as usize];
-            OsdView {
-                osd: o.id,
-                group: placement.group_of(o.id),
-                wc_pages: o.wc_window_pages(),
-                utilization: o.utilization(),
-                measured_erases: o.ssd().wear().block_erases,
-                ewma_latency_us: o.ewma_latency_us(),
-                free_bytes: o.free_bytes(),
-                capacity_bytes: o.capacity_bytes(),
-            }
-        })
-        .collect();
-    let mut objects = Vec::with_capacity(first.catalog.total_objects() as usize);
-    for meta in first.catalog.files() {
-        for &obj in &meta.objects {
-            // Moves stay inside a component, so the owner of the object's
-            // *home* OSD holds its authoritative location forever.
-            let owner = &engines[comp_of_osd(first.catalog.home_of(obj))]
-                .cluster
-                .catalog;
-            objects.push(ObjectView {
-                object: obj,
-                osd: owner.locate(obj),
-                size_bytes: meta.object_size,
-                remapped: owner.remap().contains(obj),
-            });
-        }
-    }
-    ClusterView {
-        now_us,
-        page_size,
-        pages_per_block,
-        osds,
-        objects,
-    }
-}
-
-/// The barrier-time mirror of the engine's `fire_migration`: plans
-/// against the merged view, applies the sequential acceptance rules over
-/// global projected free space, routes each accepted move to the
-/// source's owner engine, and kicks the per-source mover streams in
-/// ascending OSD order.
-fn fire_migration_global<P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized>(
-    engines: &mut [ShardEngine<'_>],
-    policy: &mut P,
-    obs: &mut R,
-    plan: &ShardPlan,
-    placement: &Placement,
-    migrations_triggered: &mut u64,
-) {
-    let comp_of_osd = |osd: OsdId| plan.comp_of_group[placement.group_of(osd).0 as usize];
-    // edm-audit: allow(panic.slice_index, "run_sharded only runs with >= 2 components, so engines is never empty")
-    let now = engines[0].now;
-    let view = merged_view(engines, now, plan, placement);
-    obs.counter("sim.migration_evaluations", 1);
-    let actions = policy.plan_obs(&view, obs.as_dyn_mut());
-    if actions.is_empty() {
-        return;
-    }
-    validate_plan(&actions, &view, false, |o| placement.group_of(o))
-        // edm-audit: allow(panic.panic, "plans are validated before acceptance; an invalid plan is a policy bug worth aborting on")
-        .unwrap_or_else(|e| panic!("policy {} produced invalid plan: {e}", policy.name()));
-
-    // edm-audit: allow(panic.slice_index, "run_sharded only runs with >= 2 components, so engines is never empty")
-    let osd_count = engines[0].cluster.config.osds;
-    let mut projected_free: Vec<i64> = (0..osd_count)
-        .map(|o| engines[comp_of_osd(OsdId(o))].cluster.osds[o as usize].free_bytes() as i64)
-        .collect();
-    // edm-audit: allow(panic.slice_index, "ClusterConfig validation guarantees at least one OSD")
-    let reserve = (engines[comp_of_osd(OsdId(0))].cluster.osds[0].capacity_bytes() as f64
-        * engines[0].cluster.config.dest_free_reserve) as i64; // edm-audit: allow(panic.slice_index, "run_sharded only runs with >= 2 components, so engines is never empty")
-    let pending: HashSet<ObjectId> = engines
-        .iter()
-        .flat_map(|e| {
-            e.move_routes
-                .keys()
-                .copied()
-                .chain(e.move_queues.iter().flatten().map(|a| a.object))
-        })
-        .collect();
-    let mut accepted = 0u64;
-    for action in actions {
-        let owner = comp_of_osd(action.source);
-        assert_eq!(
-            owner,
-            comp_of_osd(action.dest),
-            "parallel-safe policy {} planned a cross-component move {} -> {}",
-            policy.name(),
-            action.source,
-            action.dest
-        );
-        if pending.contains(&action.object) {
-            engines[owner].failed_moves += 1;
-            continue;
-        }
-        if engines[owner].failed[action.source.0 as usize]
-            || engines[owner].failed[action.dest.0 as usize]
-        {
-            engines[owner].failed_moves += 1;
-            continue;
-        }
-        let size = engines[owner]
-            .cluster
-            .object_size(action.object)
-            // edm-audit: allow(panic.expect, "plan validation already resolved every object against the catalog")
-            .expect("plan references unknown object") as i64;
-        let dest_free = &mut projected_free[action.dest.0 as usize];
-        if *dest_free - size < reserve {
-            engines[owner].failed_moves += 1;
-            continue;
-        }
-        *dest_free -= size;
-        projected_free[action.source.0 as usize] += size;
-        engines[owner].move_queues[action.source.0 as usize].push_back(action);
-        accepted += 1;
-    }
-    if accepted > 0 {
-        *migrations_triggered += 1;
-    }
-    for source in 0..osd_count {
-        let owner = &mut engines[comp_of_osd(OsdId(source))];
-        if owner
-            .move_routes
-            .values()
-            .all(|a| a.source != OsdId(source))
-        {
-            owner.start_next_move(OsdId(source));
-        }
-    }
-}
-
 /// Runs `trace` with one engine per placement component, synchronized at
 /// wear-monitor ticks, and merges the shards back into one report and
 /// cluster — bit-identical to the sequential run under the same options.
@@ -504,14 +357,15 @@ pub(crate) fn run_sharded<P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?S
 ) -> (RunReport, Cluster) {
     let placement = *cluster.catalog.placement();
     let comp_of_osd = |osd: OsdId| plan.comp_of_group[placement.group_of(osd).0 as usize];
-    let comp_of_file = |file: FileId| {
-        plan.comp_of_group[placement.group_of(placement.home_osd(file, 0)).0 as usize]
-    };
+    let comp_of_file = |file: FileId| comp_of_osd(placement.home_osd(file, 0));
     let n = plan.ncomponents;
-    let osd_count = cluster.config.osds as usize;
+    let osd_count = cluster.config.osds;
     let wear_tick_us = cluster.config.wear_tick_us;
-    let window_us = cluster.config.response_window_us;
+    let dest_free_reserve = cluster.config.dest_free_reserve;
     let total_records = trace.records.len() as u64;
+    // What the coordinator itself counts: the rounds it fired. The
+    // shards' tallies are added at the end.
+    let mut tally = RunTallies::new(osd_count as usize, cluster.config.response_window_us);
 
     let mut bufs: Vec<AccessBuffer> = (0..n)
         .map(|_| AccessBuffer {
@@ -551,7 +405,6 @@ pub(crate) fn run_sharded<P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?S
     // tick marker per round (seeded above, re-seeded at each barrier
     // while the replay is unfinished), so `run_all` leaves them all
     // paused at the same tick — or all done, once the markers stop.
-    let mut migrations_triggered = 0u64;
     loop {
         run_all(&mut engines, plan.threads);
         if engines.iter().all(|e| e.paused == Pause::Done) {
@@ -582,33 +435,55 @@ pub(crate) fn run_sharded<P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?S
         obs.counter("sim.ticks", 1);
         if obs.events_on() {
             for o in 0..osd_count {
-                let owner = &engines[comp_of_osd(OsdId(o as u32))];
                 obs.event(ObsEvent::QueueDepth {
-                    osd: o as u32,
-                    depth: owner.queues[o].len() as u64 + owner.current[o].is_some() as u64,
+                    osd: o,
+                    depth: engines[comp_of_osd(OsdId(o))].queue_depth(o as usize),
                 });
             }
         }
         policy.on_tick(now);
         if options.schedule == MigrationSchedule::EveryTick {
-            fire_migration_global(
-                &mut engines,
+            // The round is decided once, globally, over every slot's
+            // owner; each accepted move then runs in its source's shard,
+            // mover streams kicked in ascending OSD order as the
+            // sequential engine does.
+            let owner = |osd: OsdId| &engines[comp_of_osd(osd)].cluster;
+            let view = owner(OsdId(0)).view_from(now, owner);
+            let pending: HashSet<ObjectId> =
+                engines.iter().flat_map(|e| e.pending_moves()).collect();
+            let failed: Vec<bool> = (0..osd_count)
+                .map(|o| engines[comp_of_osd(OsdId(o))].tally.failed[o as usize])
+                .collect();
+            let (accepted, refused) = plan_round(
                 policy,
-                obs,
-                &plan,
-                &placement,
-                &mut migrations_triggered,
-            );
-            for engine in engines.iter_mut() {
-                // Foreign slots are reset too; they are stale clones that
-                // nothing ever reads.
-                for osd in &mut engine.cluster.osds {
-                    osd.reset_wc_window();
+                &view,
+                dest_free_reserve,
+                &pending,
+                &failed,
+                obs.as_dyn_mut(),
+            )
+            // edm-audit: allow(panic.panic, "plans are validated before acceptance; an invalid plan is a policy bug worth aborting on")
+            .unwrap_or_else(|e| panic!("{e}"));
+            tally.migrations_triggered += u64::from(!accepted.is_empty());
+            for action in &accepted {
+                assert_eq!(
+                    comp_of_osd(action.source),
+                    comp_of_osd(action.dest),
+                    "parallel-safe policy {} planned a cross-component move {} -> {}",
+                    policy.name(),
+                    action.source,
+                    action.dest
+                );
+                engines[comp_of_osd(action.source)].queue_move(*action);
+            }
+            if !accepted.is_empty() || refused > 0 {
+                for source in (0..osd_count).map(OsdId) {
+                    engines[comp_of_osd(source)].kick_mover(source);
                 }
             }
-            policy.on_window_reset();
+            close_wc_window(engines.iter_mut().map(|e| &mut e.cluster), policy);
         }
-        let completed: u64 = engines.iter().map(|e| e.completed_ops).sum();
+        let completed: u64 = engines.iter().map(|e| e.tally.completed_ops).sum();
         if completed < total_records {
             for engine in engines.iter_mut() {
                 engine.seed_tick(now + wear_tick_us);
@@ -623,17 +498,6 @@ pub(crate) fn run_sharded<P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?S
             policy.on_access(event);
         }
     }
-
-    // The invariants the sequential `finalize` would check, globally.
-    let completed: u64 = engines.iter().map(|e| e.completed_ops).sum();
-    assert_eq!(
-        completed, total_records,
-        "replay finished with unserved records"
-    );
-    assert!(
-        engines.iter().all(|e| e.moving.is_empty()),
-        "moves left in flight"
-    );
 
     // Fold the shard recorders into the parent. Counters, gauges, and
     // histograms are additive/idempotent merges in deterministic name
@@ -670,39 +534,16 @@ pub(crate) fn run_sharded<P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?S
         obs.set_component(None);
     }
 
-    // Merge the shards: order-independent sums for the scalar tallies
-    // (integer-valued f64s stay far below 2^53, so addition is exact),
-    // per-OSD state from each slot's unique owner.
-    let mut duration_us = 0u64;
-    let mut response_sum = 0.0f64;
-    let mut degraded_ops = 0u64;
-    let mut lost_ops = 0u64;
-    let mut rebuilt_objects = 0u64;
-    let mut moved_objects = 0u64;
-    let mut responses = ResponseSeries::new(window_us);
-    let mut response_hist = LatencyHistogram::new();
-    let mut busy_us = vec![0u64; osd_count];
-    let mut peak_queue_depth = vec![0u64; osd_count];
-    let mut failed = vec![false; osd_count];
-    let mut worlds: Vec<Cluster> = Vec::with_capacity(n);
-    for (c, engine) in engines.into_iter().enumerate() {
-        duration_us = duration_us.max(engine.last_completion_us);
-        response_sum += engine.response_sum;
-        degraded_ops += engine.degraded_ops;
-        lost_ops += engine.lost_ops;
-        rebuilt_objects += engine.rebuilt_objects;
-        moved_objects += engine.moved_objects;
-        responses.merge_from(&engine.responses);
-        response_hist.merge_from(&engine.response_hist);
-        for o in 0..osd_count {
-            if comp_of_osd(OsdId(o as u32)) == c {
-                busy_us[o] = engine.busy_us[o];
-                peak_queue_depth[o] = engine.peak_queue_depth[o];
-                failed[o] = engine.failed[o];
-            }
-        }
-        worlds.push(engine.cluster);
-    }
+    // Merge the shards: tallies sum, and every OSD slot and remap
+    // fragment comes from its unique owner.
+    let mut worlds: Vec<Cluster> = engines
+        .into_iter()
+        .map(|engine| {
+            let (shard_tally, world) = engine.into_parts();
+            tally.merge_from(&shard_tally);
+            world
+        })
+        .collect();
     let mut cluster = worlds.remove(0);
     for (idx, other) in worlds.into_iter().enumerate() {
         let c = idx + 1;
@@ -716,48 +557,7 @@ pub(crate) fn run_sharded<P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?S
             .remap_mut()
             .merge_from(other.catalog.remap());
     }
-
-    let mut per_osd = summarize_osds(cluster.osds.iter().map(|o| {
-        (
-            o.id.0,
-            o.ssd().wear(),
-            o.utilization(),
-            busy_us[o.id.0 as usize],
-        )
-    }));
-    for (summary, &peak) in per_osd.iter_mut().zip(&peak_queue_depth) {
-        summary.peak_queue_depth = peak;
-    }
-    let report = RunReport {
-        trace: trace.name.clone(),
-        policy: policy.name().to_string(),
-        osds: cluster.config.osds,
-        completed_ops: completed,
-        duration_us,
-        mean_response_us: if completed > 0 {
-            response_sum / completed as f64
-        } else {
-            0.0
-        },
-        response_percentiles_us: (
-            response_hist.quantile(0.50),
-            response_hist.quantile(0.95),
-            response_hist.quantile(0.99),
-        ),
-        response_windows: responses.windows(),
-        per_osd,
-        moved_objects,
-        remap_entries: cluster.catalog.remap().len() as u64,
-        total_objects: cluster.catalog.total_objects(),
-        migrations_triggered,
-        failed_osds: (0..cluster.config.osds)
-            .filter(|&i| failed[i as usize])
-            .collect(),
-        degraded_ops,
-        lost_ops,
-        rebuilt_objects,
-    };
-    (report, cluster)
+    (tally.report(trace, policy.name(), &cluster), cluster)
 }
 
 #[cfg(test)]

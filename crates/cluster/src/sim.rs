@@ -11,7 +11,7 @@
 //! §V.D) — so migration traffic competes with foreground I/O exactly as
 //! in the paper.
 
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 use std::path::PathBuf;
 
 use edm_obs::{AsDynRecorder, Event as ObsEvent, NoopRecorder, Recorder};
@@ -21,9 +21,9 @@ use edm_workload::{FileOp, Trace};
 use crate::cluster::Cluster;
 use crate::equeue::{CalendarQueue, EventQueue};
 use crate::ids::{ClientId, ObjectId, OsdId};
-use crate::metrics::{summarize_osds, LatencyHistogram, ResponseSeries, RunReport};
-use crate::migrate::{validate_plan, AccessEvent, AccessKind, Migrator, MoveAction};
-use crate::osd::{pages_spanned, OsdError};
+use crate::metrics::{LatencyHistogram, ResponseSeries, RunReport, RunTallies};
+use crate::migrate::{close_wc_window, plan_round, Migrator, MoveAction};
+use crate::osd::OsdError;
 use crate::pace::{SimTime, TimeSource, TimeStep};
 
 /// When the engine consults the migration policy.
@@ -201,7 +201,7 @@ enum Event {
 }
 
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Payload {
+enum Payload {
     /// Part of file operation `token`.
     FileIo {
         token: u64,
@@ -237,7 +237,7 @@ pub(crate) enum Payload {
 }
 
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct SubReq {
+struct SubReq {
     enqueued_us: u64,
     payload: Payload,
 }
@@ -475,7 +475,7 @@ pub(crate) struct Engine<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder +
     pub(crate) cluster: Cluster,
     trace: &'a Trace,
     pub(crate) policy: &'a mut P,
-    pub(crate) options: SimOptions,
+    options: SimOptions,
     /// Observability sink. The engine owns the journal clock (`set_now`
     /// on every dispatched event) and the device scope around device ops;
     /// recording is read-only so behaviour is identical at every level.
@@ -494,49 +494,29 @@ pub(crate) struct Engine<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder +
     inflight: TokenMap<Inflight>,
     next_token: u64,
 
-    pub(crate) queues: Vec<VecDeque<SubReq>>,
-    pub(crate) current: Vec<Option<SubReq>>,
-    /// Accumulated service time per OSD (overhead + device, incl. GC).
-    pub(crate) busy_us: Vec<u64>,
-    /// Deepest queue ever observed per OSD.
-    pub(crate) peak_queue_depth: Vec<u64>,
+    queues: Vec<VecDeque<SubReq>>,
+    current: Vec<Option<SubReq>>,
 
     /// Whether in-flight moves block requests (policy property).
     blocking_moves: bool,
     /// Objects whose move is in flight → parked sub-requests (always
     /// empty lists when moves are non-blocking).
-    pub(crate) moving: FlatMap<ObjectId, Vec<SubReq>>,
+    moving: FlatMap<ObjectId, Vec<SubReq>>,
     /// Source OSD and destination of each in-flight move.
-    pub(crate) move_routes: FlatMap<ObjectId, MoveAction>,
+    move_routes: FlatMap<ObjectId, MoveAction>,
     /// Pending moves per source OSD (one stream per source).
-    pub(crate) move_queues: Vec<VecDeque<MoveAction>>,
+    move_queues: Vec<VecDeque<MoveAction>>,
 
-    /// OSDs that have failed so far.
-    pub(crate) failed: Vec<bool>,
     /// In-flight rebuilds of lost objects.
     rebuilds: FlatMap<ObjectId, RebuildState>,
-    pub(crate) degraded_ops: u64,
-    pub(crate) lost_ops: u64,
-    pub(crate) rebuilt_objects: u64,
 
-    pub(crate) responses: ResponseSeries,
-    pub(crate) response_hist: LatencyHistogram,
-    pub(crate) response_sum: f64,
-    pub(crate) completed_ops: u64,
+    /// Everything counted toward the report, failed-OSD flags included.
+    pub(crate) tally: RunTallies,
     total_records: u64,
     migration_fired: bool,
-    pub(crate) migrations_triggered: u64,
-    pub(crate) moved_objects: u64,
-    pub(crate) failed_moves: u64,
-    /// Time of the last request or move completion — the replay duration.
-    /// Deliberately not advanced by Tick events: a trailing wear-monitor
-    /// tick must not inflate the measured duration.
-    pub(crate) last_completion_us: u64,
+    failed_moves: u64,
     /// Virtual time of the last checkpoint cut (0 = none yet).
     last_ckpt_us: u64,
-    /// Page size of the (uniform) devices, latched at construction so
-    /// request fan-out never depends on any particular OSD slot.
-    page_size: u64,
     /// Where the last `run_until_pause` stopped — written by the engine
     /// itself so the sharded runner needs no cross-thread channel to
     /// collect it.
@@ -610,49 +590,34 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
                 self.push(at, Event::MdsDone(token));
             }
             FileOp::Read { offset, len } | FileOp::Write { offset, len } => {
-                let write = record.op.is_write();
-                let layout = *self.cluster.catalog.layout();
-                let ios = if write {
-                    layout.map_write(offset, len)
-                } else {
-                    layout.map_read(offset, len)
-                };
-                debug_assert!(!ios.is_empty());
                 assert!(
                     self.cluster.catalog.file(record.file).is_some(),
                     "trace references unknown file {:?}",
                     record.file
                 );
-                // Object ids are a pure function of (file, stripe index) —
-                // see `Catalog::create_file` — so there is no need to clone
-                // the file's object list on every record.
-                let placement = *self.cluster.catalog.placement();
+                let subops = self.cluster.file_subops(
+                    record.file,
+                    offset,
+                    len,
+                    record.op.is_write(),
+                    self.now,
+                );
+                debug_assert!(subops.len() > 0);
                 self.inflight.insert(
                     token,
                     Inflight {
                         client,
                         issued_us: self.now,
-                        remaining: ios.len() as u32,
+                        remaining: subops.len() as u32,
                     },
                 );
-                let page_size = self.page_size;
-                for io in ios {
-                    let object = placement.object_id(record.file, io.object_index);
-                    self.policy.on_access(AccessEvent {
-                        now_us: self.now,
-                        object,
-                        kind: if io.kind.is_write() {
-                            AccessKind::Write
-                        } else {
-                            AccessKind::Read
-                        },
-                        pages: pages_spanned(io.offset, io.len, page_size),
-                    });
+                for (io, access) in subops {
+                    self.policy.on_access(access);
                     let sub = SubReq {
                         enqueued_us: self.now,
                         payload: Payload::FileIo {
                             token,
-                            object,
+                            object: access.object,
                             offset: io.offset,
                             len: io.len,
                             write: io.kind.is_write(),
@@ -683,7 +648,7 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
             }
         }
         let osd = self.cluster.catalog.locate(object);
-        if self.failed[osd.0 as usize] {
+        if self.tally.failed[osd.0 as usize] {
             self.degrade(sub);
             return;
         }
@@ -712,7 +677,7 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
         };
         if degraded {
             // Second failure on the same stripe: RAID-5 cannot recover.
-            self.lost_ops += 1;
+            self.tally.lost_ops += 1;
             self.finish_subop(token);
             return;
         }
@@ -733,15 +698,15 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
             .copied()
             .filter(|&o| {
                 let loc = self.cluster.catalog.locate(o);
-                !self.failed[loc.0 as usize]
+                !self.tally.failed[loc.0 as usize]
             })
             .collect();
         if alive.is_empty() {
-            self.lost_ops += 1;
+            self.tally.lost_ops += 1;
             self.finish_subop(token);
             return;
         }
-        self.degraded_ops += 1;
+        self.tally.degraded_ops += 1;
         // Reconstruction: read the extent on every surviving sibling; a
         // write turns the last of them into the redundancy update.
         self.inflight
@@ -769,7 +734,8 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
     fn enqueue(&mut self, osd: OsdId, sub: SubReq) {
         let o = osd.0 as usize;
         self.queues[o].push_back(sub);
-        self.peak_queue_depth[o] = self.peak_queue_depth[o].max(self.queues[o].len() as u64);
+        self.tally.peak_queue_depth[o] =
+            self.tally.peak_queue_depth[o].max(self.queues[o].len() as u64);
         self.obs.counter("sim.subops_enqueued", 1);
         if self.obs.events_on() {
             self.obs.event(ObsEvent::OpEnqueue {
@@ -853,7 +819,7 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
         .unwrap_or_else(|e| panic!("device op failed on {osd}: {e}"));
         self.obs.set_device(None);
         let service = self.cluster.config.osd_overhead_us + device.as_micros();
-        self.busy_us[o] += service;
+        self.tally.busy_us[o] += service;
         self.current[o] = Some(sub);
         self.push(self.now + service, Event::OsdDone(osd.0));
     }
@@ -886,7 +852,7 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
         // released client can enqueue straight back onto it); only start
         // the next service if the device is still idle. A failed device
         // never resumes service.
-        if !self.failed[o] && self.current[o].is_none() && !self.queues[o].is_empty() {
+        if !self.tally.failed[o] && self.current[o].is_none() && !self.queues[o].is_empty() {
             self.start_service(osd);
         }
     }
@@ -951,8 +917,8 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
                 dest: dest.0,
             });
         }
-        self.rebuilt_objects += 1;
-        self.last_completion_us = self.now;
+        self.tally.rebuilt_objects += 1;
+        self.tally.last_completion_us = self.now;
     }
 
     fn finish_subop(&mut self, token: u64) {
@@ -969,17 +935,17 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
             // edm-audit: allow(panic.expect, "same map was read two lines above; token is present")
             let inflight = self.inflight.remove(token).expect("just seen");
             let response = self.now - inflight.issued_us;
-            self.responses.record(self.now, response);
-            self.response_hist.record(response);
-            self.response_sum += response as f64;
+            self.tally.responses.record(self.now, response);
+            self.tally.response_hist.record(response);
+            self.tally.response_sum += response as f64;
             self.obs.latency("response_us", response);
             self.obs.counter("sim.ops_completed", 1);
-            self.completed_ops += 1;
-            self.last_completion_us = self.now;
+            self.tally.completed_ops += 1;
+            self.tally.last_completion_us = self.now;
             self.outstanding[inflight.client.0 as usize] -= 1;
             if self.options.schedule == MigrationSchedule::Midpoint
                 && !self.migration_fired
-                && self.completed_ops * 2 >= self.total_records
+                && self.tally.completed_ops * 2 >= self.total_records
             {
                 self.migration_fired = true;
                 self.fire_migration();
@@ -1056,27 +1022,12 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
                 }
             }
         }
-        self.cluster.osds[action.source.0 as usize]
-            .remove_object(object)
+        self.cluster
+            .finish_move(action, self.obs.as_dyn_mut())
             // edm-audit: allow(panic.expect, "move invariant: the source copy is dropped only after the move completes")
             .expect("source copy must exist until the move completes");
-        self.cluster.catalog.record_move(object, action.dest);
-        self.obs.counter("sim.moved_objects", 1);
-        self.obs.counter("sim.moved_bytes", size);
-        if self.obs.events_on() {
-            self.obs.event(ObsEvent::MigrationFinish {
-                object: object.0,
-                source: action.source.0,
-                dest: action.dest.0,
-                bytes: size,
-            });
-            self.obs.event(ObsEvent::RemapUpdate {
-                object: object.0,
-                dest: action.dest.0,
-            });
-        }
-        self.moved_objects += 1;
-        self.last_completion_us = self.now;
+        self.tally.moved_objects += 1;
+        self.tally.last_completion_us = self.now;
         self.unblock(object);
         for sub in redirected {
             match sub.payload {
@@ -1100,20 +1051,15 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
 
     /// Starts the next queued move of one source OSD, if any: allocates
     /// the destination copy and issues the first transfer chunk.
-    pub(crate) fn start_next_move(&mut self, source: OsdId) {
+    fn start_next_move(&mut self, source: OsdId) {
         // Moves are component-local work even when the kick comes from
         // the (untagged) migration-planning scope.
         self.scope_component_osd(source);
         let Some(action) = self.move_queues[source.0 as usize].pop_front() else {
             return;
         };
-        let size = self
-            .cluster
-            .object_size(action.object)
-            // edm-audit: allow(panic.expect, "move invariant: move completions only arrive for tracked moves")
-            .expect("moving unknown object");
-        match self.cluster.osds[action.dest.0 as usize].create_object(action.object, size, false) {
-            Ok(_) => {}
+        let size = match self.cluster.begin_move(action, self.obs.as_dyn_mut()) {
+            Ok(size) => size,
             Err(OsdError::NoSpace { .. }) => {
                 // Destination filled up since planning: skip this move.
                 self.failed_moves += 1;
@@ -1122,18 +1068,9 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
             }
             // edm-audit: allow(panic.panic, "a failed accepted move means corrupted simulator state; aborting beats mis-simulating")
             Err(e) => panic!("move of {} to {}: {e}", action.object, action.dest),
-        }
+        };
         self.moving.insert(action.object, Vec::new());
         self.move_routes.insert(action.object, action);
-        self.obs.counter("sim.moves_started", 1);
-        if self.obs.events_on() {
-            self.obs.event(ObsEvent::MigrationStart {
-                object: action.object.0,
-                source: action.source.0,
-                dest: action.dest.0,
-                bytes: size,
-            });
-        }
         let chunk = size.min(self.cluster.config.move_chunk_bytes).max(1);
         let sub = SubReq {
             enqueued_us: self.now,
@@ -1152,10 +1089,10 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
     /// members.
     fn on_failure(&mut self, osd: OsdId) {
         let o = osd.0 as usize;
-        if self.failed[o] {
+        if self.tally.failed[o] {
             return;
         }
-        self.failed[o] = true;
+        self.tally.failed[o] = true;
         self.obs.counter("sim.device_failures", 1);
         if self.obs.events_on() {
             self.obs.event(ObsEvent::DeviceFailed { osd: osd.0 });
@@ -1290,7 +1227,7 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
                 .collect();
             let alive: Vec<ObjectId> = siblings
                 .into_iter()
-                .filter(|&s| !self.failed[self.cluster.catalog.locate(s).0 as usize])
+                .filter(|&s| !self.tally.failed[self.cluster.catalog.locate(s).0 as usize])
                 .collect();
             if alive.is_empty() {
                 continue; // unrecoverable: left to the lost_ops accounting
@@ -1301,7 +1238,7 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
             let Some(dest) = placement
                 .group_members(group)
                 .into_iter()
-                .filter(|&m| m != osd && !self.failed[m.0 as usize])
+                .filter(|&m| m != osd && !self.tally.failed[m.0 as usize])
                 .max_by_key(|&m| self.cluster.osds[m.0 as usize].free_bytes())
             else {
                 continue; // whole group gone
@@ -1342,82 +1279,61 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
         }
     }
 
+    /// Objects already queued or mid-transfer from an earlier round. They
+    /// must not be queued again: the view still shows them on their old
+    /// source (every-tick scheduling re-plans while moves are pending), so
+    /// a second accepted move would read from a location the first move
+    /// has already vacated by the time it starts.
+    pub(crate) fn pending_moves(&self) -> impl Iterator<Item = ObjectId> + '_ {
+        self.move_routes
+            .keys()
+            .copied()
+            .chain(self.move_queues.iter().flatten().map(|a| a.object))
+    }
+
+    /// Queues an accepted move on its source's mover stream.
+    pub(crate) fn queue_move(&mut self, action: MoveAction) {
+        self.move_queues[action.source.0 as usize].push_back(action);
+    }
+
+    /// Starts `source`'s mover stream unless one of its moves is already
+    /// in flight. Each source runs one stream; streams run in parallel
+    /// across sources ("perform all the migration processes in
+    /// parallel", §III.B.5).
+    pub(crate) fn kick_mover(&mut self, source: OsdId) {
+        if self.move_routes.values().all(|a| a.source != source) {
+            self.start_next_move(source);
+        }
+    }
+
     fn fire_migration(&mut self) {
         // Planning is coordinator work in a sharded run: its journal
         // entries (wear inputs, trigger, plan, assessment) stay untagged.
         self.scope_component_none();
         let view = self.cluster.view(self.now);
-        self.obs.counter("sim.migration_evaluations", 1);
-        let plan = self.policy.plan_obs(&view, self.obs.as_dyn_mut());
-        if plan.is_empty() {
-            return;
+        let pending: HashSet<ObjectId> = self.pending_moves().collect();
+        let (accepted, refused) = plan_round(
+            self.policy,
+            &view,
+            self.cluster.config.dest_free_reserve,
+            &pending,
+            &self.tally.failed,
+            self.obs.as_dyn_mut(),
+        )
+        // edm-audit: allow(panic.panic, "plans are validated before acceptance; an invalid plan is a policy bug worth aborting on")
+        .unwrap_or_else(|e| panic!("{e}"));
+        if accepted.is_empty() && refused == 0 {
+            return; // nothing planned
         }
-        let placement = *self.cluster.catalog.placement();
-        validate_plan(&plan, &view, false, |o| placement.group_of(o))
-            // edm-audit: allow(panic.panic, "plans are validated before acceptance; an invalid plan is a policy bug worth aborting on")
-            .unwrap_or_else(|e| panic!("policy {} produced invalid plan: {e}", self.policy.name()));
-
-        // Capacity sanitation: never let a destination's free space drop
-        // below the configured reserve (§III.B.5 "to avoid disk
-        // saturation").
-        let mut projected_free: Vec<i64> = self
-            .cluster
-            .osds
-            .iter()
-            .map(|o| o.free_bytes() as i64)
-            .collect();
-        // edm-audit: allow(panic.slice_index, "ClusterConfig validation guarantees at least one OSD")
-        let reserve = (self.cluster.osds[0].capacity_bytes() as f64
-            * self.cluster.config.dest_free_reserve) as i64;
-        // Objects already queued or mid-transfer from an earlier round
-        // must not be queued again: the view still shows them on their
-        // old source (every-tick scheduling re-plans while moves are
-        // pending), so a second accepted move would read from a location
-        // the first move has already vacated by the time it starts.
-        let pending: std::collections::HashSet<ObjectId> = self
-            .move_routes
-            .keys()
-            .copied()
-            .chain(self.move_queues.iter().flatten().map(|a| a.object))
-            .collect();
-        let mut accepted = 0u64;
-        for action in plan {
-            if pending.contains(&action.object) {
-                self.failed_moves += 1;
-                continue;
-            }
-            // Policies see failed devices in the view (their last measured
-            // stats are real); the engine is responsible for never routing
-            // a move through one.
-            if self.failed[action.source.0 as usize] || self.failed[action.dest.0 as usize] {
-                self.failed_moves += 1;
-                continue;
-            }
-            let size = self
-                .cluster
-                .object_size(action.object)
-                // edm-audit: allow(panic.expect, "plan validation already resolved every object against the catalog")
-                .expect("plan references unknown object") as i64;
-            let dest_free = &mut projected_free[action.dest.0 as usize];
-            if *dest_free - size < reserve {
-                self.failed_moves += 1;
-                continue;
-            }
-            *dest_free -= size;
-            projected_free[action.source.0 as usize] += size;
-            self.move_queues[action.source.0 as usize].push_back(action);
-            accepted += 1;
+        self.failed_moves += refused;
+        if !accepted.is_empty() {
+            self.tally.migrations_triggered += 1;
         }
-        if accepted > 0 {
-            self.migrations_triggered += 1;
+        for action in accepted {
+            self.queue_move(action);
         }
         for source in 0..self.cluster.config.osds {
-            // Each source starts one mover stream; streams run in parallel
-            // across sources ("perform all the migration processes in
-            // parallel", §III.B.5).
-            if self.move_routes.values().all(|a| a.source != OsdId(source)) {
-                self.start_next_move(OsdId(source));
-            }
+            self.kick_mover(OsdId(source));
         }
     }
 
@@ -1441,32 +1357,32 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
         w.put_u64(self.next_token);
         self.queues.save(w);
         self.current.save(w);
-        self.busy_us.save(w);
-        self.peak_queue_depth.save(w);
+        self.tally.busy_us.save(w);
+        self.tally.peak_queue_depth.save(w);
         self.moving.save(w);
         self.move_routes.save(w);
         self.move_queues.save(w);
-        self.failed.save(w);
+        self.tally.failed.save(w);
         self.rebuilds.save(w);
-        w.put_u64(self.degraded_ops);
-        w.put_u64(self.lost_ops);
-        w.put_u64(self.rebuilt_objects);
-        self.responses.save(w);
-        self.response_hist.save(w);
-        w.put_f64(self.response_sum);
-        w.put_u64(self.completed_ops);
+        w.put_u64(self.tally.degraded_ops);
+        w.put_u64(self.tally.lost_ops);
+        w.put_u64(self.tally.rebuilt_objects);
+        self.tally.responses.save(w);
+        self.tally.response_hist.save(w);
+        w.put_f64(self.tally.response_sum);
+        w.put_u64(self.tally.completed_ops);
         w.put_u64(self.total_records);
         w.put_bool(self.migration_fired);
-        w.put_u64(self.migrations_triggered);
-        w.put_u64(self.moved_objects);
+        w.put_u64(self.tally.migrations_triggered);
+        w.put_u64(self.tally.moved_objects);
         w.put_u64(self.failed_moves);
-        w.put_u64(self.last_completion_us);
+        w.put_u64(self.tally.last_completion_us);
     }
 
     /// Mirror of [`save_engine`](Self::save_engine), applied to a freshly
     /// constructed engine. Derived state (`scripts`) is recomputed from
     /// the trace, so the loaded fields are cross-checked against it.
-    pub(crate) fn load_engine(&mut self, r: &mut SnapReader) {
+    fn load_engine(&mut self, r: &mut SnapReader) {
         self.options.schedule = MigrationSchedule::load(r);
         self.options.failures = Vec::load(r);
         let blocking = r.take_bool();
@@ -1485,36 +1401,36 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
         self.next_token = r.take_u64();
         self.queues = Vec::load(r);
         self.current = Vec::load(r);
-        self.busy_us = Vec::load(r);
-        self.peak_queue_depth = Vec::load(r);
+        self.tally.busy_us = Vec::load(r);
+        self.tally.peak_queue_depth = Vec::load(r);
         self.moving = FlatMap::load(r);
         self.move_routes = FlatMap::load(r);
         self.move_queues = Vec::load(r);
-        self.failed = Vec::load(r);
+        self.tally.failed = Vec::load(r);
         self.rebuilds = FlatMap::load(r);
-        self.degraded_ops = r.take_u64();
-        self.lost_ops = r.take_u64();
-        self.rebuilt_objects = r.take_u64();
-        self.responses = ResponseSeries::load(r);
-        self.response_hist = LatencyHistogram::load(r);
-        self.response_sum = r.take_f64();
-        self.completed_ops = r.take_u64();
+        self.tally.degraded_ops = r.take_u64();
+        self.tally.lost_ops = r.take_u64();
+        self.tally.rebuilt_objects = r.take_u64();
+        self.tally.responses = ResponseSeries::load(r);
+        self.tally.response_hist = LatencyHistogram::load(r);
+        self.tally.response_sum = r.take_f64();
+        self.tally.completed_ops = r.take_u64();
         self.total_records = r.take_u64();
         self.migration_fired = r.take_bool();
-        self.migrations_triggered = r.take_u64();
-        self.moved_objects = r.take_u64();
+        self.tally.migrations_triggered = r.take_u64();
+        self.tally.moved_objects = r.take_u64();
         self.failed_moves = r.take_u64();
-        self.last_completion_us = r.take_u64();
+        self.tally.last_completion_us = r.take_u64();
         if r.failed() {
             return;
         }
         let osds = self.cluster.config.osds as usize;
         let per_osd_ok = self.queues.len() == osds
             && self.current.len() == osds
-            && self.busy_us.len() == osds
-            && self.peak_queue_depth.len() == osds
+            && self.tally.busy_us.len() == osds
+            && self.tally.peak_queue_depth.len() == osds
             && self.move_queues.len() == osds
-            && self.failed.len() == osds;
+            && self.tally.failed.len() == osds;
         if !per_osd_ok {
             r.corrupt("per-OSD state length disagrees with the cluster");
             return;
@@ -1543,7 +1459,7 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
     pub(crate) fn to_snapshot(&self) -> SnapshotFile {
         let manifest = SnapManifest {
             now_us: self.now,
-            completed_ops: self.completed_ops,
+            completed_ops: self.tally.completed_ops,
             total_records: self.total_records,
             policy: self.policy.name().to_string(),
             per_osd_erases: self
@@ -1692,6 +1608,12 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
         false
     }
 
+    /// Requests waiting at OSD slot `o` plus the one in service — what the
+    /// tick body samples as `queue_depth`.
+    pub(crate) fn queue_depth(&self, o: usize) -> u64 {
+        self.queues[o].len() as u64 + self.current[o].is_some() as u64
+    }
+
     /// The wear-monitor tick body: sample queue depths, notify the policy,
     /// fire continuous-mode migration, schedule the next tick, and cut a
     /// checkpoint if one is due. Sequential runs call this between
@@ -1708,23 +1630,17 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
             for o in 0..self.queues.len() {
                 self.obs.event(ObsEvent::QueueDepth {
                     osd: o as u32,
-                    depth: self.queues[o].len() as u64 + self.current[o].is_some() as u64,
+                    depth: self.queue_depth(o),
                 });
             }
         }
         self.policy.on_tick(self.now);
         if self.options.schedule == MigrationSchedule::EveryTick {
             self.fire_migration();
-            // Continuous mode measures per-period rates: close
-            // the window on both sides (§III.B.2 recomputes
-            // Eq. 4 every minute over that minute's writes).
-            for osd in &mut self.cluster.osds {
-                osd.reset_wc_window();
-            }
-            self.policy.on_window_reset();
+            close_wc_window([&mut self.cluster], self.policy);
         }
         // Keep ticking while the replay is still in progress.
-        if self.completed_ops < self.total_records {
+        if self.tally.completed_ops < self.total_records {
             let next = self.now + self.cluster.config.wear_tick_us;
             self.push(next, Event::Tick);
         }
@@ -1747,55 +1663,17 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
         self.finalize()
     }
 
+    /// Hands back what the run counted and the cluster it ended in.
+    pub(crate) fn into_parts(self) -> (RunTallies, Cluster) {
+        assert!(self.moving.is_empty(), "moves left in flight");
+        (self.tally, self.cluster)
+    }
+
     /// End-of-run invariant checks and report construction.
     pub(crate) fn finalize(self) -> (RunReport, Cluster) {
-        assert_eq!(
-            self.completed_ops, self.total_records,
-            "replay finished with unserved records"
-        );
-        assert!(self.moving.is_empty(), "moves left in flight");
-
-        let mut per_osd = summarize_osds(self.cluster.osds.iter().map(|o| {
-            (
-                o.id.0,
-                o.ssd().wear(),
-                o.utilization(),
-                self.busy_us[o.id.0 as usize],
-            )
-        }));
-        for (summary, &peak) in per_osd.iter_mut().zip(&self.peak_queue_depth) {
-            summary.peak_queue_depth = peak;
-        }
-        let report = RunReport {
-            trace: self.trace.name.clone(),
-            policy: self.policy.name().to_string(),
-            osds: self.cluster.config.osds,
-            completed_ops: self.completed_ops,
-            duration_us: self.last_completion_us,
-            mean_response_us: if self.completed_ops > 0 {
-                self.response_sum / self.completed_ops as f64
-            } else {
-                0.0
-            },
-            response_percentiles_us: (
-                self.response_hist.quantile(0.50),
-                self.response_hist.quantile(0.95),
-                self.response_hist.quantile(0.99),
-            ),
-            response_windows: self.responses.windows(),
-            per_osd,
-            moved_objects: self.moved_objects,
-            remap_entries: self.cluster.catalog.remap().len() as u64,
-            total_objects: self.cluster.catalog.total_objects(),
-            migrations_triggered: self.migrations_triggered,
-            failed_osds: (0..self.cluster.config.osds)
-                .filter(|&i| self.failed[i as usize])
-                .collect(),
-            degraded_ops: self.degraded_ops,
-            lost_ops: self.lost_ops,
-            rebuilt_objects: self.rebuilt_objects,
-        };
-        (report, self.cluster)
+        let (trace, policy) = (self.trace, self.policy.name().to_string());
+        let (tally, cluster) = self.into_parts();
+        (tally.report(trace, &policy, &cluster), cluster)
     }
 }
 
@@ -1835,7 +1713,9 @@ pub fn run_trace_obs_keep(
     options: SimOptions,
     obs: &mut dyn Recorder,
 ) -> (RunReport, Cluster) {
-    emit_run_meta(&cluster, obs);
+    // Before the shard branch, so the sequential and sharded paths
+    // produce the same preamble.
+    cluster.emit_run_meta(obs);
     if let Some(plan) = crate::shard::plan_sharding(&cluster, trace, policy, &options) {
         return crate::shard::run_sharded(cluster, trace, policy, options, obs, plan);
     }
@@ -1874,6 +1754,19 @@ pub fn resume_trace_obs_keep(
     options: SimOptions,
     obs: &mut dyn Recorder,
 ) -> Result<(RunReport, Cluster), SnapError> {
+    Ok(resume_engine(snap, trace, policy, options, obs)?.drain())
+}
+
+/// Rebuilds the engine a checkpoint was cut from, ready to drain or
+/// step: policy check, cluster and policy state, journal preamble,
+/// engine state.
+pub(crate) fn resume_engine<'a>(
+    snap: &SnapshotFile,
+    trace: &'a Trace,
+    policy: &'a mut dyn Migrator,
+    options: SimOptions,
+    obs: &'a mut dyn Recorder,
+) -> Result<Engine<'a, dyn Migrator + 'a, dyn Recorder + 'a>, SnapError> {
     let manifest = SnapManifest::from_snapshot(snap)?;
     if manifest.policy != policy.name() {
         return Err(SnapError::Corrupt {
@@ -1891,33 +1784,12 @@ pub fn resume_trace_obs_keep(
         policy.load_state(&mut r);
         r.finish("policy")?;
     }
-    emit_run_meta(&cluster, obs);
+    cluster.emit_run_meta(obs);
     let mut engine = new_engine(cluster, trace, policy, options, obs);
     let mut r = snap.reader("engine")?;
     engine.load_engine(&mut r);
     r.finish("engine")?;
-    Ok(engine.drain())
-}
-
-/// Journals the run preamble ([`edm_obs::Event::RunMeta`]) the
-/// conformance checker keys on: cluster shape and device geometry.
-/// Emitted on the parent recorder *before* the shard branch so the
-/// sequential and sharded paths produce the same preamble.
-pub(crate) fn emit_run_meta(cluster: &Cluster, obs: &mut dyn Recorder) {
-    if !obs.events_on() {
-        return;
-    }
-    // edm-audit: allow(panic.slice_index, "ClusterConfig validation guarantees at least one OSD")
-    let geometry = cluster.osds[0].ssd().geometry();
-    obs.set_now(0);
-    obs.event(ObsEvent::RunMeta {
-        osds: cluster.config.osds,
-        groups: cluster.config.groups,
-        objects_per_file: cluster.config.objects_per_file,
-        // edm-audit: allow(panic.slice_index, "ClusterConfig validation guarantees at least one OSD")
-        capacity_bytes: cluster.osds[0].capacity_bytes(),
-        blocks_per_osd: geometry.blocks as u64,
-    });
+    Ok(engine)
 }
 
 /// Builds the client scripts for `trace` under the requested affinity.
@@ -1948,10 +1820,8 @@ pub(crate) fn new_engine<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder +
         None
     };
     let osds = cluster.config.osds as usize;
-    let window = cluster.config.response_window_us;
+    let tally = RunTallies::new(osds, cluster.config.response_window_us);
     let blocking_moves = policy.blocking_moves();
-    // edm-audit: allow(panic.slice_index, "ClusterConfig validation guarantees at least one OSD")
-    let page_size = cluster.osds[0].ssd().geometry().page_size;
     Engine {
         cluster,
         trace,
@@ -1968,29 +1838,16 @@ pub(crate) fn new_engine<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder +
         next_token: 0,
         queues: (0..osds).map(|_| VecDeque::new()).collect(),
         current: vec![None; osds],
-        busy_us: vec![0; osds],
-        peak_queue_depth: vec![0; osds],
         blocking_moves,
         moving: FlatMap::new(),
         move_routes: FlatMap::new(),
         move_queues: (0..osds).map(|_| VecDeque::new()).collect(),
-        failed: vec![false; osds],
         rebuilds: FlatMap::new(),
-        degraded_ops: 0,
-        lost_ops: 0,
-        rebuilt_objects: 0,
-        responses: ResponseSeries::new(window),
-        response_hist: LatencyHistogram::new(),
-        response_sum: 0.0,
-        completed_ops: 0,
+        tally,
         total_records: trace.records.len() as u64,
         migration_fired: false,
-        migrations_triggered: 0,
-        moved_objects: 0,
         failed_moves: 0,
-        last_completion_us: 0,
         last_ckpt_us: 0,
-        page_size,
         paused: Pause::Done,
         comp_tags,
     }

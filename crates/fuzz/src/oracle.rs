@@ -13,6 +13,7 @@
 //! | `snapshot_roundtrip` | snapshot decode→encode is byte-identical                |
 //! | `shard_digest`       | group-sharded replay digest identical to sequential     |
 //! | `journal_identity`   | group-sharded journal byte-identical to sequential      |
+//! | `ingest_equiv`       | op stream through `LiveWorld` wears devices as the engine does |
 //! | `spec_conformance`   | every journaled event is a legal edm-spec transition    |
 //! | `model_assessor`     | mean-field fast path never publishes a worsening plan   |
 //!
@@ -22,9 +23,10 @@
 
 use std::path::{Path, PathBuf};
 
-use edm_cluster::ClientAffinity;
+use edm_cluster::{ClientAffinity, MigrationSchedule, NoMigration, SimOptions};
 use edm_harness::{report_digest, resume_snapshot, Scenario};
 use edm_obs::{Event, MemoryRecorder, NoopRecorder, ObsLevel};
+use edm_serve::{dump_ops, ApplyOutcome, LiveWorld};
 use edm_snap::SnapshotFile;
 use edm_ssd::{Geometry, LatencyModel, Ssd};
 use edm_workload::FileOp;
@@ -127,6 +129,8 @@ fn check_scenario_impl(s: &Scenario, work_dir: &Path) -> Result<OracleStats, Ora
     check_ftl_equivalence(s)?;
 
     check_shard_digest(s)?;
+
+    check_ingest_equiv(s)?;
 
     check_model_assessor(s)?;
 
@@ -258,6 +262,85 @@ fn check_shard_digest(s: &Scenario) -> Result<(), OracleFailure> {
             "spec_conformance",
             format!("component-affinity journal line {}: {}", v.line, v.message),
         ));
+    }
+    Ok(())
+}
+
+/// Oracle `ingest_equiv`: the ingest daemon and the batch engine service
+/// a file op through the same `edm_cluster` functions, so the scenario's
+/// op stream must wear the devices identically either way. The scenario
+/// is re-run as a migration-free continuous run (`policy Baseline`,
+/// `schedule every-tick`, no failures): once through [`LiveWorld`], line
+/// by line as `POST /ingest` would, and once through the engine with a
+/// single closed-loop client at concurrency 1, so each device sees its
+/// sub-ops in stream order. Per OSD the host page writes and block
+/// erases must agree, and both sides must have completed every read and
+/// write. That is the whole of what is equal: the engine overlaps one
+/// op's sub-ops across devices and charges MDS latency for opens and
+/// closes, so the two clocks — hence the wear-tick instants, the `Wc`
+/// windows they close, and anything a migrating policy would plan from
+/// them — differ; `Wc` is therefore compared only while neither side
+/// has closed a window.
+fn check_ingest_equiv(s: &Scenario) -> Result<(), OracleFailure> {
+    let bad = |detail: String| fail("ingest_equiv", detail);
+    let mut s = s.clone();
+    s.policy = "Baseline".into();
+    s.schedule = MigrationSchedule::EveryTick;
+    s.failures.clear();
+
+    let mut live = LiveWorld::new(s.clone()).map_err(|e| bad(format!("live world: {e}")))?;
+    for (no, line) in dump_ops(&s).lines().enumerate() {
+        if let ApplyOutcome::Rejected(why) = live.apply_line(line, &mut NoopRecorder) {
+            return Err(bad(format!("op line {}: {line:?} rejected: {why}", no + 1)));
+        }
+    }
+
+    let trace = s.synth_trace();
+    let mut cluster = s
+        .build_cluster(&trace)
+        .map_err(|e| bad(format!("cluster build: {e}")))?;
+    cluster.config.clients = Some(1);
+    cluster.config.client_concurrency = 1;
+    let options = SimOptions {
+        schedule: s.schedule,
+        ..SimOptions::default()
+    };
+    let mut rec = MemoryRecorder::new(ObsLevel::Metrics);
+    let (report, batch) =
+        edm_cluster::run_trace_obs_keep(cluster, &trace, &mut NoMigration, options, &mut rec);
+
+    let io_records = trace
+        .records
+        .iter()
+        .filter(|r| matches!(r.op, FileOp::Read { .. } | FileOp::Write { .. }))
+        .count() as u64;
+    if live.stats().applied_ops != io_records || report.completed_ops != trace.records.len() as u64
+    {
+        return Err(bad(format!(
+            "{} of {io_records} reads/writes applied live, {} of {} records completed in batch",
+            live.stats().applied_ops,
+            report.completed_ops,
+            trace.records.len()
+        )));
+    }
+    let windows_open = live.stats().ticks == 0 && rec.counter_value("sim.ticks") == 0;
+    for (a, b) in live.cluster().osds.iter().zip(&batch.osds) {
+        let (wa, wb) = (a.ssd().wear(), b.ssd().wear());
+        if (wa.host_page_writes, wa.block_erases) != (wb.host_page_writes, wb.block_erases) {
+            return Err(bad(format!(
+                "{}: {} host page writes / {} erases live vs {} / {} in batch — \
+                 the two op-service paths issued different device calls",
+                a.id, wa.host_page_writes, wa.block_erases, wb.host_page_writes, wb.block_erases
+            )));
+        }
+        if windows_open && a.wc_window_pages() != b.wc_window_pages() {
+            return Err(bad(format!(
+                "{}: Wc {} live vs {} in batch with no window closed",
+                a.id,
+                a.wc_window_pages(),
+                b.wc_window_pages()
+            )));
+        }
     }
     Ok(())
 }

@@ -1,24 +1,25 @@
-//! Ingest mode: a live, serialized mirror of the engine's op-service
-//! path.
+//! Ingest mode: operations applied the moment they arrive.
 //!
 //! Replay mode drives the full discrete-event engine; ingest mode cannot
 //! — operations arrive from the network with no future to schedule
-//! against. [`LiveWorld`] therefore applies each operation *immediately*
-//! against the same cluster substrate (catalog, striping, OSDs, FTL),
-//! advancing a virtual clock by the service time of what it just did:
+//! against. [`LiveWorld`] therefore applies each operation *immediately*,
+//! advancing a virtual clock by the service time of what it just did.
+//! Every decision along the way is `edm_cluster`'s, the same function the
+//! batch engine calls; what this module adds is the scheduling around
+//! them and the network boundary:
 //!
-//! * file ops map through the RAID layout exactly like the engine
-//!   ([`issue`-path parity]: same `on_access` pages, same device calls,
-//!   same `Wc` accounting, same EWMA update) but execute serially, with
-//!   no queueing — virtual time advances by the summed sub-op service
-//!   times;
-//! * wear-monitor ticks fire whenever the clock crosses the scenario's
-//!   `wear_tick_us` boundary: policy tick, trigger evaluation, Algorithm
-//!   1 planning (`plan_obs`, journaling its trigger/plan/assessment
-//!   exactly as in batch runs), capacity sanitation mirroring the
-//!   engine's `fire_migration`, and instant move execution (device
-//!   read-plus-write for wear realism, `migration_start`/
-//!   `migration_finish`/`remap_update` journaled in the engine's order);
+//! * a line is parsed and bounds-checked against the file's mapped
+//!   capacity *before* anything is mapped or mutated, then fanned out by
+//!   [`Cluster::file_subops`] (RAID-5 sub-ops and the `on_access` pages
+//!   the policy sees) and serviced serially, with no queueing — virtual
+//!   time advances by the summed sub-op service times;
+//! * whenever the clock crosses the scenario's `wear_tick_us` boundary a
+//!   wear tick fires: policy tick, [`plan_round`] (trigger evaluation,
+//!   Algorithm 1, validation, capacity sanitation — with nothing pending
+//!   and nothing failed), then each accepted move at once:
+//!   [`Cluster::begin_move`], a whole-object copy charged to the devices
+//!   but not the clock, [`Cluster::finish_move`]; then
+//!   [`close_wc_window`];
 //! * no queue-depth events are emitted — there are no queues — which by
 //!   the conformance spec's rules leaves the queue model trivially
 //!   satisfied, so `edm-probe --verify` accepts ingest journals.
@@ -31,14 +32,13 @@
 //! resumed daemon therefore converges on the exact state of an
 //! uninterrupted run — the recovery property the serve gate checks.
 
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
-use edm_cluster::migrate::validate_plan;
+use edm_cluster::migrate::{close_wc_window, plan_round};
 use edm_cluster::osd::OsdError;
-use edm_cluster::{
-    AccessEvent, AccessKind, Cluster, MigrationSchedule, Migrator, MoveAction, OsdId,
-};
-use edm_obs::{Event, Recorder};
+use edm_cluster::{Cluster, MigrationSchedule, Migrator, MoveAction};
+use edm_obs::Recorder;
 use edm_scenario::Scenario;
 use edm_snap::{SnapError, SnapWriter, SnapshotFile};
 use edm_workload::{FileId, FileOp};
@@ -48,15 +48,6 @@ const SNAP_VERSION: u64 = 1;
 
 /// Snapshot section holding the live-world scalar state.
 const SECTION: &str = "serve-live";
-
-/// Pages an access `[offset, offset + len)` touches (mirror of the
-/// cluster crate's internal accounting).
-fn pages_spanned(offset: u64, len: u64, page_size: u64) -> u64 {
-    if len == 0 {
-        return 0;
-    }
-    (offset + len - 1) / page_size - offset / page_size + 1
-}
 
 /// What [`LiveWorld::apply_line`] did with one operation line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,7 +83,6 @@ pub struct LiveWorld {
     scenario: Scenario,
     cluster: Cluster,
     policy: Box<dyn Migrator>,
-    page_size: u64,
     now_us: u64,
     next_tick_us: u64,
     /// Valid operations to silently skip after a resume (dedup).
@@ -120,13 +110,11 @@ impl LiveWorld {
         let trace = scenario.synth_trace();
         let cluster = scenario.build_cluster(&trace)?;
         let policy = scenario.build_policy()?;
-        let page_size = cluster.osd(OsdId(0)).ssd().geometry().page_size;
         let next_tick_us = cluster.config.wear_tick_us;
         Ok(LiveWorld {
             scenario,
             cluster,
             policy,
-            page_size,
             now_us: 0,
             next_tick_us,
             skip_remaining: 0,
@@ -138,21 +126,9 @@ impl LiveWorld {
     }
 
     /// Emits the journal preamble (call once, right after constructing
-    /// the recorder). Mirrors the engine's `run_meta` record.
+    /// the recorder): [`Cluster::emit_run_meta`].
     pub fn emit_run_meta(&self, obs: &mut dyn Recorder) {
-        if !obs.events_on() {
-            return;
-        }
-        let geometry = self.cluster.osd(OsdId(0)).ssd().geometry();
-        let blocks = geometry.blocks as u64;
-        obs.set_now(0);
-        obs.event(Event::RunMeta {
-            osds: self.cluster.config.osds,
-            groups: self.cluster.config.groups,
-            objects_per_file: self.cluster.config.objects_per_file,
-            capacity_bytes: self.cluster.osd(OsdId(0)).capacity_bytes(),
-            blocks_per_osd: blocks,
-        });
+        self.cluster.emit_run_meta(obs);
     }
 
     // ---- accessors ------------------------------------------------------
@@ -205,6 +181,11 @@ impl LiveWorld {
 
     // ---- op application -------------------------------------------------
 
+    fn reject(&mut self, why: String) -> ApplyOutcome {
+        self.rejected_lines += 1;
+        ApplyOutcome::Rejected(why)
+    }
+
     /// Validates and applies one operation line (`r|w <file> <offset>
     /// <len>`). Validation is complete before any mutation, so a
     /// rejected line leaves the world untouched — which is also what
@@ -213,56 +194,35 @@ impl LiveWorld {
     pub fn apply_line(&mut self, line: &str, obs: &mut dyn Recorder) -> ApplyOutcome {
         let (file, op) = match parse_op_line(line) {
             Ok(parsed) => parsed,
-            Err(e) => {
-                self.rejected_lines += 1;
-                return ApplyOutcome::Rejected(e);
-            }
+            Err(e) => return self.reject(e),
         };
-        if self.cluster.catalog.file(file).is_none() {
-            self.rejected_lines += 1;
-            return ApplyOutcome::Rejected(format!("unknown file {}", file.0));
-        }
         let (offset, len, write) = match op {
             FileOp::Read { offset, len } => (offset, len, false),
             FileOp::Write { offset, len } => (offset, len, true),
             // parse_op_line only produces reads and writes.
             FileOp::Open | FileOp::Close => {
-                self.rejected_lines += 1;
-                return ApplyOutcome::Rejected("open/close are not ingestible".to_string());
+                return self.reject("open/close are not ingestible".to_string())
             }
+        };
+        let Some(meta) = self.cluster.catalog.file(file) else {
+            return self.reject(format!("unknown file {}", file.0));
         };
         if len == 0 {
-            self.rejected_lines += 1;
-            return ApplyOutcome::Rejected("zero-length I/O".to_string());
+            return self.reject("zero-length I/O".to_string());
         }
-        let layout = *self.cluster.catalog.layout();
-        let ios = if write {
-            layout.map_write(offset, len)
-        } else {
-            layout.map_read(offset, len)
-        };
-        let placement = *self.cluster.catalog.placement();
-        // Full validation pass before any mutation.
-        for io in &ios {
-            let object = placement.object_id(file, io.object_index);
-            let Some(size) = self.cluster.object_size(object) else {
-                self.rejected_lines += 1;
-                return ApplyOutcome::Rejected(format!(
-                    "file {} has no object index {}",
-                    file.0, io.object_index
-                ));
-            };
-            if io.offset + io.len > size {
-                self.rejected_lines += 1;
-                return ApplyOutcome::Rejected(format!(
-                    "I/O beyond file {}: object {} is {} bytes, sub-op wants [{}, {})",
-                    file.0,
-                    object,
-                    size,
-                    io.offset,
-                    io.offset + io.len
-                ));
-            }
+        // The numbers come off the network: bound them before striping
+        // maps them (one sub-op per 64 KiB touched). Every object of a
+        // file holds one stripe unit per row, so an I/O stays inside its
+        // objects exactly when it ends within the rows' data bytes.
+        let layout = self.cluster.catalog.layout();
+        let mapped = layout
+            .rows(meta.size)
+            .saturating_mul(layout.row_data_bytes());
+        if offset.checked_add(len).is_none_or(|end| end > mapped) {
+            return self.reject(format!(
+                "I/O beyond file {}: [{offset}, {offset} + {len}) does not fit its {mapped} mapped bytes",
+                file.0
+            ));
         }
         // The line is valid: it consumes the dedup window or applies.
         if self.skip_remaining > 0 {
@@ -272,28 +232,21 @@ impl LiveWorld {
         }
         obs.set_now(self.now_us);
         let mut service_us = 0u64;
-        for io in ios {
-            let object = placement.object_id(file, io.object_index);
-            self.policy.on_access(AccessEvent {
-                now_us: self.now_us,
-                object,
-                kind: if io.kind.is_write() {
-                    AccessKind::Write
-                } else {
-                    AccessKind::Read
-                },
-                pages: pages_spanned(io.offset, io.len, self.page_size),
-            });
-            let osd = self.cluster.catalog.locate(object);
+        for (io, access) in self
+            .cluster
+            .file_subops(file, offset, len, write, self.now_us)
+        {
+            self.policy.on_access(access);
+            let osd = self.cluster.catalog.locate(access.object);
             obs.set_device(Some(osd.0));
             let device = if io.kind.is_write() {
                 self.cluster
                     .osd_mut(osd)
-                    .write_object_obs(object, io.offset, io.len, obs)
+                    .write_object_obs(access.object, io.offset, io.len, obs)
             } else {
                 self.cluster
                     .osd_mut(osd)
-                    .read_object(object, io.offset, io.len)
+                    .read_object(access.object, io.offset, io.len)
             };
             obs.set_device(None);
             let device_us = match device {
@@ -318,10 +271,9 @@ impl LiveWorld {
             self.stats.reads += 1;
         }
         obs.counter("serve.ops_applied", 1);
-        let mut ticked = false;
-        if self.now_us >= self.next_tick_us {
-            self.run_tick(obs);
-            ticked = true;
+        let ticked = self.now_us >= self.next_tick_us;
+        if ticked {
+            self.wear_tick(obs);
             while self.next_tick_us <= self.now_us {
                 self.next_tick_us += self.cluster.config.wear_tick_us;
             }
@@ -329,168 +281,85 @@ impl LiveWorld {
         ApplyOutcome::Applied { ticked }
     }
 
-    // ---- wear-monitor tick ----------------------------------------------
-
-    /// The live tick body: mirror of the engine's `handle_tick` under the
-    /// continuous schedule, minus queue sampling (there are no queues).
-    fn run_tick(&mut self, obs: &mut dyn Recorder) {
+    /// The wear-monitor tick under the continuous schedule: one
+    /// migration round, executed at the tick instant. A structurally
+    /// invalid plan is a policy bug; the batch engine aborts on it, a
+    /// daemon drops the round and keeps serving.
+    fn wear_tick(&mut self, obs: &mut dyn Recorder) {
         obs.set_now(self.now_us);
         obs.counter("sim.ticks", 1);
         self.stats.ticks += 1;
         self.policy.on_tick(self.now_us);
-        self.fire_migration(obs);
-        for o in 0..self.cluster.config.osds {
-            self.cluster.osd_mut(OsdId(o)).reset_wc_window();
-        }
-        self.policy.on_window_reset();
-    }
-
-    /// Mirror of the engine's `fire_migration`: plan, validate, capacity-
-    /// sanitize, then (unlike the engine's queued transfer) execute each
-    /// accepted move instantly.
-    fn fire_migration(&mut self, obs: &mut dyn Recorder) {
-        let view = self.cluster.view(self.now_us);
-        obs.counter("sim.migration_evaluations", 1);
         self.stats.migration_evaluations += 1;
-        let plan = self.policy.plan_obs(&view, obs);
-        if plan.is_empty() {
-            return;
-        }
-        let placement = *self.cluster.catalog.placement();
-        if let Err(e) = validate_plan(&plan, &view, false, |o| placement.group_of(o)) {
-            // A structurally invalid plan is a policy bug; the batch
-            // engine aborts, a daemon drops the round and keeps serving.
-            self.last_error = Some(format!(
-                "policy {} produced invalid plan: {e}",
-                self.policy.name()
-            ));
-            self.stats.failed_moves += plan.len() as u64;
-            return;
-        }
-        // Capacity sanitation, exactly as in the engine (§III.B.5 "to
-        // avoid disk saturation"). No pending-move exclusion: live moves
-        // complete within the tick, so none are ever in flight here.
-        let mut projected_free: Vec<i64> = (0..self.cluster.config.osds)
-            .map(|o| self.cluster.osd(OsdId(o)).free_bytes() as i64)
-            .collect();
-        let reserve = (self.cluster.osd(OsdId(0)).capacity_bytes() as f64
-            * self.cluster.config.dest_free_reserve) as i64;
-        let mut accepted = Vec::new();
-        for action in plan {
-            let size = self.cluster.object_size(action.object).unwrap_or(0) as i64;
-            let Some(dest_free) = projected_free.get_mut(action.dest.0 as usize) else {
-                self.stats.failed_moves += 1;
-                continue;
-            };
-            if *dest_free - size < reserve {
-                self.stats.failed_moves += 1;
-                continue;
-            }
-            *dest_free -= size;
-            if let Some(source_free) = projected_free.get_mut(action.source.0 as usize) {
-                *source_free += size;
-            }
-            accepted.push(action);
-        }
-        if accepted.is_empty() {
-            return;
-        }
-        self.stats.migrations_triggered += 1;
-        for action in accepted {
-            self.execute_move(action, obs);
-        }
-    }
-
-    /// Executes one accepted move instantly: allocate at the destination,
-    /// copy through the devices (wear + `Wc` accounting), drop the
-    /// source, update the catalog — journaling the engine's exact event
-    /// sequence (`migration_start` … `migration_finish`, `remap_update`).
-    fn execute_move(&mut self, action: MoveAction, obs: &mut dyn Recorder) {
-        let Some(size) = self.cluster.object_size(action.object) else {
-            self.stats.failed_moves += 1;
-            return;
-        };
-        match self
-            .cluster
-            .osd_mut(action.dest)
-            .create_object(action.object, size, false)
-        {
-            Ok(_) => {}
-            Err(OsdError::NoSpace { .. }) => {
-                self.stats.failed_moves += 1;
-                return;
+        // Live moves complete within the tick and ingest injects no
+        // failures, so no object is ever pending and no OSD ever failed.
+        let round = plan_round(
+            self.policy.as_mut(),
+            &self.cluster.view(self.now_us),
+            self.cluster.config.dest_free_reserve,
+            &HashSet::new(),
+            &[],
+            obs,
+        );
+        match round {
+            Ok((accepted, refused)) => {
+                self.stats.failed_moves += refused;
+                self.stats.migrations_triggered += u64::from(!accepted.is_empty());
+                for action in accepted {
+                    self.move_now(action, obs);
+                }
             }
             Err(e) => {
-                self.last_error =
-                    Some(format!("move of {} to {}: {e}", action.object, action.dest));
-                self.stats.failed_moves += 1;
-                return;
+                self.stats.failed_moves += e.moves as u64;
+                self.last_error = Some(e.to_string());
             }
         }
-        obs.counter("sim.moves_started", 1);
-        if obs.events_on() {
-            obs.event(Event::MigrationStart {
-                object: action.object.0,
-                source: action.source.0,
-                dest: action.dest.0,
-                bytes: size,
+        close_wc_window([&mut self.cluster], self.policy.as_mut());
+    }
+
+    /// Executes one accepted move instantly. The copy is charged to the
+    /// devices (read wear at the source, write wear + `Wc` at the
+    /// destination) but not to the clock: the whole move lands at the
+    /// tick instant. A failed copy is rolled back so the catalog stays
+    /// coherent.
+    fn move_now(&mut self, action: MoveAction, obs: &mut dyn Recorder) {
+        let moved = self.cluster.begin_move(action, obs).and_then(|size| {
+            obs.set_device(Some(action.source.0));
+            let read = self
+                .cluster
+                .osd_mut(action.source)
+                .read_whole_object(action.object);
+            obs.set_device(Some(action.dest.0));
+            let copied = read.and_then(|_| {
+                self.cluster
+                    .osd_mut(action.dest)
+                    .write_object_obs(action.object, 0, size, obs)
             });
-        }
-        // The copy is charged to the devices (read wear at the source,
-        // write wear + Wc at the destination) but not to the clock: the
-        // whole move lands at the tick instant.
-        obs.set_device(Some(action.source.0));
-        let read = self
-            .cluster
-            .osd_mut(action.source)
-            .read_whole_object(action.object);
-        obs.set_device(Some(action.dest.0));
-        let write = read.and_then(|_| {
-            self.cluster
-                .osd_mut(action.dest)
-                .write_object_obs(action.object, 0, size, obs)
+            obs.set_device(None);
+            let finished = copied.and_then(|_| self.cluster.finish_move(action, obs));
+            if finished.is_err() {
+                let _ = self
+                    .cluster
+                    .osd_mut(action.dest)
+                    .remove_object(action.object);
+            }
+            finished
         });
-        obs.set_device(None);
-        if let Err(e) = write {
-            // Roll the half-made copy back so the catalog stays coherent.
-            self.last_error = Some(format!("move copy of {} failed: {e}", action.object));
-            let _ = self
-                .cluster
-                .osd_mut(action.dest)
-                .remove_object(action.object);
-            self.stats.failed_moves += 1;
-            return;
+        match moved {
+            Ok(size) => {
+                self.stats.moved_objects += 1;
+                self.stats.moved_bytes += size;
+            }
+            Err(e) => {
+                // A destination that filled up since planning is an
+                // ordinary skipped move; anything else is worth showing.
+                if !matches!(e, OsdError::NoSpace { .. }) {
+                    self.last_error =
+                        Some(format!("move of {} to {}: {e}", action.object, action.dest));
+                }
+                self.stats.failed_moves += 1;
+            }
         }
-        if let Err(e) = self
-            .cluster
-            .osd_mut(action.source)
-            .remove_object(action.object)
-        {
-            self.last_error = Some(format!("dropping source copy of {}: {e}", action.object));
-            let _ = self
-                .cluster
-                .osd_mut(action.dest)
-                .remove_object(action.object);
-            self.stats.failed_moves += 1;
-            return;
-        }
-        self.cluster.catalog.record_move(action.object, action.dest);
-        obs.counter("sim.moved_objects", 1);
-        obs.counter("sim.moved_bytes", size);
-        if obs.events_on() {
-            obs.event(Event::MigrationFinish {
-                object: action.object.0,
-                source: action.source.0,
-                dest: action.dest.0,
-                bytes: size,
-            });
-            obs.event(Event::RemapUpdate {
-                object: action.object.0,
-                dest: action.dest.0,
-            });
-        }
-        self.stats.moved_objects += 1;
-        self.stats.moved_bytes += size;
     }
 
     // ---- crash recovery -------------------------------------------------
@@ -585,12 +454,10 @@ impl LiveWorld {
             pr.finish("policy")
                 .map_err(|e| format!("{}: {e}", path.display()))?;
         }
-        let page_size = cluster.osd(OsdId(0)).ssd().geometry().page_size;
         Ok(LiveWorld {
             scenario,
             cluster,
             policy,
-            page_size,
             now_us,
             next_tick_us,
             skip_remaining: stats.applied_ops,
@@ -651,6 +518,7 @@ pub fn dump_ops(scenario: &Scenario) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use edm_cluster::OsdId;
     use edm_obs::{MemoryRecorder, ObsLevel};
 
     fn scenario() -> Scenario {
@@ -717,16 +585,28 @@ mod tests {
     fn invalid_lines_do_not_mutate() {
         let mut w = LiveWorld::new(scenario()).unwrap();
         let mut obs = MemoryRecorder::new(ObsLevel::Off);
-        assert!(matches!(
-            w.apply_line("w 999999999 0 1", &mut obs),
-            ApplyOutcome::Rejected(_)
-        ));
-        assert!(matches!(
-            w.apply_line("garbage", &mut obs),
-            ApplyOutcome::Rejected(_)
-        ));
+        let file = dump_ops(w.scenario())
+            .split_ascii_whitespace()
+            .nth(1)
+            .unwrap()
+            .to_string();
+        for line in [
+            "w 999999999 0 1".to_string(),
+            "garbage".to_string(),
+            // offset + len wraps u64.
+            format!("w {file} 18446744073709551615 2"),
+            // 64 GiB and 1 PiB: millions of stripe units to map, for
+            // a file a few MiB long.
+            format!("w {file} 0 68719476736"),
+            format!("r {file} 0 1125899906842624"),
+        ] {
+            assert!(
+                matches!(w.apply_line(&line, &mut obs), ApplyOutcome::Rejected(_)),
+                "{line}"
+            );
+        }
         assert_eq!(w.stats().applied_ops, 0);
-        assert_eq!(w.rejected_lines(), 2);
+        assert_eq!(w.rejected_lines(), 5);
         assert_eq!(w.now_us(), 0);
     }
 
@@ -760,6 +640,55 @@ mod tests {
             assert!(e.t_us >= last);
             last = e.t_us;
         }
+    }
+
+    /// The ingest journal, byte for byte: the op-service path is shared
+    /// with the batch engine (`edm_cluster`), and this hash — computed
+    /// before that sharing — is what holds a refactor there to "unchanged".
+    #[test]
+    fn ingest_journal_is_frozen() {
+        let mut w = LiveWorld::new(scenario()).unwrap();
+        let mut obs = MemoryRecorder::new(ObsLevel::Events);
+        w.emit_run_meta(&mut obs);
+        for line in dump_ops(w.scenario()).lines() {
+            assert!(matches!(
+                w.apply_line(line, &mut obs),
+                ApplyOutcome::Applied { .. }
+            ));
+        }
+        let mut journal = Vec::new();
+        obs.write_jsonl(&mut journal).unwrap();
+        // FNV-1a, as in `edm_scenario::report_digest`.
+        let hash = journal.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        let erases: Vec<u64> = w
+            .cluster()
+            .osds
+            .iter()
+            .map(|o| o.ssd().wear().block_erases)
+            .collect();
+        assert_eq!(
+            hash,
+            0x1182_09d3_eb29_7fd7,
+            "{} journal bytes",
+            journal.len()
+        );
+        assert_eq!(
+            w.stats(),
+            LiveStats {
+                applied_ops: 1200,
+                reads: 600,
+                writes: 600,
+                ticks: 13,
+                migration_evaluations: 13,
+                migrations_triggered: 13,
+                failed_moves: 0,
+                moved_objects: 54,
+                moved_bytes: 7_077_888,
+            }
+        );
+        assert_eq!(erases, [26, 23, 27, 31, 28, 27, 32, 26]);
     }
 
     #[test]

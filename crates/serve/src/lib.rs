@@ -15,9 +15,11 @@
 //!   ones, and the engine yields between events so the daemon can
 //!   service control traffic without perturbing the replay digest.
 //! * **ingest** — operations arrive over HTTP (`POST /ingest`, a
-//!   line-per-op text protocol) and drive [`ingest::LiveWorld`], a
-//!   serialized live mirror of the engine's op-service path over the
-//!   same cluster, policies, and FTL.
+//!   line-per-op text protocol) and drive [`ingest::LiveWorld`], which
+//!   services each op at once through the functions the batch engine
+//!   calls (`Cluster::file_subops`, `migrate::plan_round`,
+//!   `Cluster::begin_move`/`finish_move`, `migrate::close_wc_window`),
+//!   adding only line validation, a virtual clock and resume dedup.
 //!
 //! The HTTP surface ([`http`], [`server`]) is a dependency-free
 //! HTTP/1.1 subset: `GET /healthz`, `/nodes`, `/plan`, `/stats`,
