@@ -158,40 +158,14 @@ pub fn audit_sources(files: Vec<(String, String)>) -> AuditOutcome {
 /// Runs only the semantic passes — symbol-graph construction plus the
 /// interprocedural rules (`det.taint`, `conc.lock_order`,
 /// `conc.shared_state`, `unit.time`, `unit.wear`) — over
-/// already-loaded files. Public so `edm-perf` can time exactly this
-/// unit as the `audit_semantic` bench cell.
-pub fn semantic_findings(files: &[SourceFile]) -> Vec<Finding> {
+/// already-loaded files.
+fn semantic_findings(files: &[SourceFile]) -> Vec<Finding> {
     let graph = SymGraph::build(files);
     let mut raw = Vec::new();
     taint::check_taint(&graph, &mut raw);
     conc::check_conc(&graph, &mut raw);
     units::check_units(&graph, &mut raw);
     raw
-}
-
-/// Loads (lexes, parses, classifies) every auditable `.rs` file under
-/// `root` without running any rules.
-pub fn load_workspace_sources(root: &Path) -> std::io::Result<Vec<SourceFile>> {
-    let mut files = Vec::new();
-    for top in ["crates", "tests", "examples"] {
-        let dir = root.join(top);
-        if dir.is_dir() {
-            collect_rs_files(&dir, &mut files)?;
-        }
-    }
-    files
-        .into_iter()
-        .map(|p| {
-            let rel = p
-                .strip_prefix(root)
-                .unwrap_or(&p)
-                .components()
-                .map(|c| c.as_os_str().to_string_lossy())
-                .collect::<Vec<_>>()
-                .join("/");
-            std::fs::read_to_string(&p).map(|src| SourceFile::new(rel, src))
-        })
-        .collect()
 }
 
 /// Audits the workspace rooted at `root`: every `.rs` file under

@@ -184,11 +184,19 @@ pub fn f() -> Option<String> {
         "over-budget crate must fire: {out:?}"
     );
     // The same pragma in an unbudgeted tooling crate draws no finding.
-    let out = audit(&[("crates/harness/src/runner.rs", src)]);
+    let out = audit(&[("crates/fuzz/src/lib.rs", src)]);
     assert!(
         !rules_of(&out).contains(&"det.suppression_budget"),
         "tooling crates are unbudgeted: {out:?}"
     );
+    // The harness library is budgeted at its two sites: a third fires.
+    let two = [
+        ("crates/harness/src/a.rs", src),
+        ("crates/harness/src/b.rs", src),
+    ];
+    assert!(!rules_of(&audit(&two)).contains(&"det.suppression_budget"));
+    let three = [two[0], two[1], ("crates/harness/src/c.rs", src)];
+    assert!(rules_of(&audit(&three)).contains(&"det.suppression_budget"));
 }
 
 #[test]

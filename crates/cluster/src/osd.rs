@@ -187,7 +187,7 @@ impl Osd {
             .directory
             .get(&object)
             .ok_or(OsdError::UnknownObject(object))?;
-        if offset + len > extent.len {
+        if offset.checked_add(len).is_none_or(|end| end > extent.len) {
             return Err(OsdError::OutOfBounds {
                 object,
                 offset,
@@ -368,6 +368,25 @@ mod tests {
             o.write_object(ObjectId(1), 4096, 8192),
             Err(OsdError::OutOfBounds { .. })
         ));
+    }
+
+    /// `offset + len` past `u64::MAX` must not wrap back under the bound.
+    #[test]
+    fn extents_that_overflow_u64_are_out_of_bounds() {
+        let mut o = osd();
+        o.create_object(ObjectId(1), 8192, true).unwrap();
+        let wear = o.ssd().wear().clone();
+        for (offset, len) in [(u64::MAX, 2), (2, u64::MAX), (u64::MAX, u64::MAX)] {
+            assert!(matches!(
+                o.read_object(ObjectId(1), offset, len),
+                Err(OsdError::OutOfBounds { .. })
+            ));
+            assert!(matches!(
+                o.write_object(ObjectId(1), offset, len),
+                Err(OsdError::OutOfBounds { .. })
+            ));
+        }
+        assert_eq!(*o.ssd().wear(), wear);
     }
 
     #[test]

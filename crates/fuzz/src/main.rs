@@ -4,7 +4,6 @@
 //! edm-fuzz --seed 1 --runs 50            # fixed number of scenarios
 //! edm-fuzz --seed 1 --budget-secs 600    # nightly: fuzz until the budget
 //! edm-fuzz --replay fuzz/corpus/x.scn    # re-run one repro's oracle battery
-//! edm-fuzz --bench                       # fuzz_throughput cell in BENCH_edm.json
 //! ```
 //!
 //! Fuzzing is a pure function of `--seed`: the scenario stream, the
@@ -16,7 +15,6 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use edm_fuzz::{check_scenario, generate, shrink, write_repro, OracleFailure, Rng};
-use edm_harness::bench::{write_cells, BenchCell};
 use edm_harness::Scenario;
 
 struct Args {
@@ -25,11 +23,10 @@ struct Args {
     budget_secs: Option<u64>,
     replay: Option<PathBuf>,
     corpus_dir: PathBuf,
-    bench: bool,
 }
 
 const USAGE: &str = "usage: edm-fuzz [--seed N] [--runs N] [--budget-secs N] \
-                     [--replay FILE.scn] [--corpus-dir DIR] [--bench]";
+                     [--replay FILE.scn] [--corpus-dir DIR]";
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
@@ -38,7 +35,6 @@ fn parse_args() -> Result<Args, String> {
         budget_secs: None,
         replay: None,
         corpus_dir: PathBuf::from("fuzz/corpus"),
-        bench: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -68,7 +64,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--replay" => args.replay = Some(PathBuf::from(val("--replay")?)),
             "--corpus-dir" => args.corpus_dir = PathBuf::from(val("--corpus-dir")?),
-            "--bench" => args.bench = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
                 std::process::exit(0);
@@ -213,44 +208,6 @@ fn fuzz(args: &Args) -> i32 {
     }
 }
 
-/// The `fuzz_throughput` cell: scenarios/sec over a fixed smoke batch,
-/// merged into `BENCH_edm.json` next to the edm-perf cells.
-fn bench() -> i32 {
-    const BATCH: u64 = 6;
-    let dir = work_dir();
-    let mut master = Rng::new(1);
-    #[allow(clippy::disallowed_methods)] // wall-clock timing at the process boundary
-    let started = Instant::now();
-    for _ in 0..BATCH {
-        let seed = master.next_u64();
-        let scenario = generate(&mut Rng::new(seed));
-        if let Err(f) = check_scenario(&scenario, &dir) {
-            eprintln!("edm-fuzz --bench: seed {seed}: {f}");
-            let _ = std::fs::remove_dir_all(&dir);
-            return 1;
-        }
-    }
-    #[allow(clippy::disallowed_methods)] // wall-clock timing at the process boundary
-    let wall = started.elapsed().as_secs_f64();
-    let _ = std::fs::remove_dir_all(&dir);
-    let cell = BenchCell {
-        name: "fuzz_throughput".into(),
-        wall_ms: wall * 1e3,
-        ops_per_sec: BATCH as f64 / wall.max(1e-9),
-        erases: 0,
-    };
-    println!(
-        "fuzz_throughput: {BATCH} scenario batteries in {:.1} ms ({:.2} scenarios/s)",
-        cell.wall_ms, cell.ops_per_sec
-    );
-    if let Err(e) = write_cells("BENCH_edm.json", &[cell]) {
-        eprintln!("edm-fuzz --bench: writing BENCH_edm.json failed: {e}");
-        return 1;
-    }
-    println!("merged fuzz_throughput into BENCH_edm.json");
-    0
-}
-
 fn main() {
     let args = match parse_args() {
         Ok(a) => a,
@@ -265,8 +222,6 @@ fn main() {
     std::panic::set_hook(Box::new(|_| {}));
     let code = if let Some(path) = &args.replay {
         replay(path)
-    } else if args.bench {
-        bench()
     } else {
         fuzz(&args)
     };

@@ -15,10 +15,9 @@
 use std::path::Path;
 
 use edm_cluster::MigrationSchedule;
-use edm_harness::bench::{write_cells, BenchCell};
 use edm_harness::experiments::{
-    ablate, failure, fig1, fig3, fig56, fig7, fig8, model_diff, reliability, scale, table1,
-    wearout, EXPERIMENT_IDS,
+    ablate, failure, fig1, fig3, fig56, fig7, fig8, model_diff, reliability, table1, wearout,
+    EXPERIMENT_IDS,
 };
 use edm_harness::runner::RunConfig;
 
@@ -87,8 +86,8 @@ fn parse_args() -> Args {
 }
 
 /// Runs the model-vs-simulator differential gate: renders the corpus
-/// comparison, records the `model_*` bench cells, and reports whether
-/// every scenario stayed within the committed tolerances.
+/// comparison and reports whether every scenario stayed within the
+/// committed tolerances.
 fn run_model_diff() -> bool {
     let tolerances = match model_diff::Tolerances::load(Path::new("scripts/model_tolerances.json"))
     {
@@ -106,27 +105,6 @@ fn run_model_diff() -> bool {
         }
     };
     println!("{}", model_diff::render(&result));
-    let (closed_wall_s, preds_per_sec) = model_diff::closed_form_bench(5_000);
-    let cells = [
-        // Corpus differential: scenarios diffed per second of wall time.
-        BenchCell {
-            name: "model_diff_corpus".into(),
-            wall_ms: result.wall_s * 1e3,
-            ops_per_sec: result.diffs.len() as f64 / result.wall_s.max(1e-9),
-            erases: result.diffs.iter().map(|d| d.sim_erases).sum(),
-        },
-        // Closed-form evaluation alone: 64-OSD cluster predictions/s.
-        BenchCell {
-            name: "model_closed_form".into(),
-            wall_ms: closed_wall_s * 1e3,
-            ops_per_sec: preds_per_sec,
-            erases: 0,
-        },
-    ];
-    if let Err(e) = write_cells("BENCH_edm.json", &cells) {
-        eprintln!("model-diff: writing BENCH_edm.json failed: {e}");
-        return false;
-    }
     result.passed()
 }
 
@@ -162,22 +140,6 @@ fn run_one(id: &str, cfg: &RunConfig, osds: &[u32]) -> bool {
                 "{}",
                 wearout::render(&wearout::run(&cfg, osds[0].min(8), "home02"))
             );
-        }
-        "scale" => {
-            // Datacenter shape when the caller asks for >= 1024 OSDs,
-            // otherwise the seconds-scale smoke shape. Shard count
-            // follows --jobs, falling back to the available cores.
-            let shards = cfg
-                .jobs
-                .or_else(|| std::thread::available_parallelism().ok().map(|n| n.get()))
-                .unwrap_or(2)
-                .max(2) as u32;
-            let sc = if osds.iter().any(|&n| n >= 1024) {
-                scale::ScaleConfig::datacenter(cfg.scale, shards)
-            } else {
-                scale::ScaleConfig::smoke(cfg.scale, shards)
-            };
-            println!("{}", scale::render(&scale::run(&sc)));
         }
         "reliability" => {
             // An OSD count not divisible by the group count gives uneven
@@ -238,8 +200,6 @@ fn run_one(id: &str, cfg: &RunConfig, osds: &[u32]) -> bool {
 
 fn main() {
     let args = parse_args();
-    #[allow(clippy::disallowed_methods)] // wall-clock timing at the process boundary
-    let started = std::time::Instant::now();
     let mut ok = true;
     if args.experiment == "all" {
         for id in EXPERIMENT_IDS {
@@ -249,11 +209,7 @@ fn main() {
     } else {
         ok = run_one(&args.experiment, &args.cfg, &args.osds);
     }
-    eprintln!(
-        "(scale {:.3}, wall time {:.1}s)",
-        args.cfg.scale,
-        started.elapsed().as_secs_f64()
-    );
+    eprintln!("(scale {:.3})", args.cfg.scale);
     if !ok {
         std::process::exit(1);
     }

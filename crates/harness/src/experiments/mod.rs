@@ -1,7 +1,7 @@
 //! One module per paper artifact. Each experiment exposes a `run`
 //! function returning structured data plus a `render` into the ASCII
-//! rows/series the paper's table or figure reports, so the CLI, the
-//! integration tests, and the Criterion benches all share one code path.
+//! rows/series the paper's table or figure reports, so the CLI and the
+//! integration tests share one code path.
 
 pub mod ablate;
 pub mod failure;
@@ -12,12 +12,11 @@ pub mod fig7;
 pub mod fig8;
 pub mod model_diff;
 pub mod reliability;
-pub mod scale;
 pub mod table1;
 pub mod wearout;
 
 /// The canonical experiment ids accepted by `edm-exp`.
-pub const EXPERIMENT_IDS: [&str; 18] = [
+pub const EXPERIMENT_IDS: [&str; 17] = [
     "table1",
     "fig1",
     "fig3",
@@ -26,7 +25,6 @@ pub const EXPERIMENT_IDS: [&str; 18] = [
     "fig7",
     "fig8",
     "reliability",
-    "scale",
     "failure",
     "wearout",
     "ablate-sigma",

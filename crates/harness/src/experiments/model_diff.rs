@@ -21,7 +21,6 @@
 //! (transient fill-up, trim-induced utilization dips).
 
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 use edm_cluster::RunReport;
 use edm_model::{ks_statistic, max_rel_error, rel_error, ClusterPrediction, OsdLoad};
@@ -139,7 +138,6 @@ pub fn diff_report(name: &str, report: &RunReport) -> ScenarioDiff {
 pub struct ModelDiffResult {
     pub diffs: Vec<ScenarioDiff>,
     pub tolerances: Tolerances,
-    pub wall_s: f64,
 }
 
 impl ModelDiffResult {
@@ -149,8 +147,7 @@ impl ModelDiffResult {
 }
 
 /// Runs every `.scn` in `corpus_dir` (sorted by file name, so the report
-/// and the bench cell are deterministic) and diffs each against the
-/// model.
+/// is deterministic) and diffs each against the model.
 pub fn run(corpus_dir: &Path, tolerances: Tolerances) -> Result<ModelDiffResult, String> {
     let mut paths: Vec<PathBuf> = std::fs::read_dir(corpus_dir)
         .map_err(|e| format!("reading {}: {e}", corpus_dir.display()))?
@@ -162,8 +159,6 @@ pub fn run(corpus_dir: &Path, tolerances: Tolerances) -> Result<ModelDiffResult,
         return Err(format!("no .scn scenarios in {}", corpus_dir.display()));
     }
 
-    #[allow(clippy::disallowed_methods)]
-    let started = Instant::now(); // edm-audit: allow(det.wallclock, "wall-clock timing IS this experiment's measurement; it never feeds back into the simulation")
     let mut diffs = Vec::new();
     for path in &paths {
         let name = path
@@ -176,36 +171,7 @@ pub fn run(corpus_dir: &Path, tolerances: Tolerances) -> Result<ModelDiffResult,
         let report = scenario.run().map_err(|e| format!("{name}: {e}"))?;
         diffs.push(diff_report(&name, &report));
     }
-    Ok(ModelDiffResult {
-        diffs,
-        tolerances,
-        wall_s: started.elapsed().as_secs_f64(),
-    })
-}
-
-/// Microbenchmark of the closed-form evaluation itself (`model_closed_form`
-/// bench cell): full 64-OSD cluster predictions per second. This is the
-/// number that justifies the ModelAssessor fast path — it should sit
-/// orders of magnitude above any plausible planning frequency.
-pub fn closed_form_bench(reps: u32) -> (f64, f64) {
-    let model = MeanFieldModel::with_gc(32, edm_model::MODEL_SIGMA, GcPolicy::Greedy);
-    let loads: Vec<OsdLoad> = (0..64)
-        .map(|i| OsdLoad {
-            erases: (i * 37 % 101) as f64,
-            write_rate: 1_000.0 + (i * 53 % 97) as f64 * 100.0,
-            utilization: 0.3 + (i % 13) as f64 * 0.05,
-        })
-        .collect();
-    #[allow(clippy::disallowed_methods)]
-    let started = Instant::now(); // edm-audit: allow(det.wallclock, "wall-clock timing IS this experiment's measurement; it never feeds back into the simulation")
-    let mut sink = 0.0f64;
-    for _ in 0..reps {
-        let p = ClusterPrediction::predict(&model, &loads);
-        sink += p.rsd + p.gc_rate;
-    }
-    let wall_s = started.elapsed().as_secs_f64();
-    assert!(sink.is_finite());
-    (wall_s, reps as f64 / wall_s.max(1e-9))
+    Ok(ModelDiffResult { diffs, tolerances })
 }
 
 pub fn render(result: &ModelDiffResult) -> String {

@@ -14,7 +14,6 @@
 //! the [`report`] and [`scenario`] modules re-export them here so
 //! existing callers keep their paths.
 
-pub mod bench;
 pub mod experiments;
 pub mod runner;
 

@@ -104,7 +104,17 @@ impl Scenario {
                     .ok_or_else(|| format!("line {}: missing value for {what}", no + 1))
             };
             match key {
-                "trace" => s.trace = next("trace")?.to_string(),
+                "trace" => {
+                    let name = next("trace")?;
+                    if name != "random" && !harvard::TRACE_NAMES.contains(&name) {
+                        return Err(format!(
+                            "line {}: unknown trace {name:?} (random | {})",
+                            no + 1,
+                            harvard::TRACE_NAMES.join(" | ")
+                        ));
+                    }
+                    s.trace = name.to_string();
+                }
                 "scale" => {
                     s.scale = next("scale")?
                         .parse()
@@ -126,7 +136,14 @@ impl Scenario {
                 "objects_per_file" => {
                     s.objects_per_file = next("objects_per_file")?
                         .parse()
-                        .map_err(|e| format!("line {}: bad objects_per_file: {e}", no + 1))?
+                        .map_err(|e| format!("line {}: bad objects_per_file: {e}", no + 1))?;
+                    if s.objects_per_file < 2 {
+                        return Err(format!(
+                            "line {}: objects_per_file must be at least 2 \
+                             (RAID-5: k-1 data + parity)",
+                            no + 1
+                        ));
+                    }
                 }
                 "policy" => s.policy = next("policy")?.to_string(),
                 "schedule" => {
@@ -146,7 +163,10 @@ impl Scenario {
                 "lambda" => {
                     s.lambda = next("lambda")?
                         .parse()
-                        .map_err(|e| format!("line {}: bad lambda: {e}", no + 1))?
+                        .map_err(|e| format!("line {}: bad lambda: {e}", no + 1))?;
+                    if s.lambda.is_nan() || s.lambda < 0.0 {
+                        return Err(format!("line {}: lambda must be non-negative", no + 1));
+                    }
                 }
                 "force" => {
                     s.force = next("force")?
@@ -216,6 +236,13 @@ impl Scenario {
                 }
                 other => return Err(format!("line {}: unknown key {other:?}", no + 1)),
             }
+        }
+        // Cross-field, so after the last line: `fail` may precede `osds`.
+        if let Some(f) = s.failures.iter().find(|f| f.osd.0 >= s.osds) {
+            return Err(format!(
+                "fail names {} but the cluster has {} OSDs",
+                f.osd, s.osds
+            ));
         }
         Ok(s)
     }
@@ -599,6 +626,35 @@ mod tests {
         assert!(Scenario::parse("fail 100").is_err());
         assert!(Scenario::parse("fail 100 2 explode").is_err());
         assert!(Scenario::parse("trace").is_err());
+    }
+
+    /// Text the engine would panic on is refused by the parser, with the
+    /// offending key in the message.
+    #[test]
+    fn parse_rejects_what_the_engine_would_panic_on() {
+        for (text, needle) in [
+            ("lambda -1", "lambda"),
+            ("lambda nan", "lambda"),
+            ("objects_per_file 1", "objects_per_file"),
+            ("objects_per_file 0", "objects_per_file"),
+            ("fail 10 99", "osd99"),
+            ("fail 10 8\nosds 8", "osd8"),
+            ("trace nosuch", "nosuch"),
+        ] {
+            let err = Scenario::parse(text).expect_err(text);
+            assert!(err.contains(needle), "{text:?} -> {err}");
+        }
+        // The same keys at their edges still parse.
+        for text in [
+            "lambda 0",
+            "objects_per_file 2",
+            "fail 10 15",
+            "fail 10 19\nosds 20",
+            "trace random",
+            "trace lair62b",
+        ] {
+            Scenario::parse(text).expect(text);
+        }
     }
 
     #[test]

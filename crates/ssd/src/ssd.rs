@@ -97,13 +97,13 @@ impl Ssd {
 
     /// Reads `len` bytes starting at logical byte `offset`.
     pub fn read(&mut self, offset: u64, len: u64) -> Result<DeviceTime, FtlError> {
-        let (start, n) = self.page_span(offset, len);
+        let (start, n) = self.page_span(offset, len)?;
         self.ftl.read_span(start, n, &self.latency)
     }
 
     /// Writes `len` bytes starting at logical byte `offset` (out-of-place).
     pub fn write(&mut self, offset: u64, len: u64) -> Result<DeviceTime, FtlError> {
-        let (start, n) = self.page_span(offset, len);
+        let (start, n) = self.page_span(offset, len)?;
         self.ftl.write_span(start, n, &self.latency)
     }
 
@@ -115,25 +115,32 @@ impl Ssd {
         len: u64,
         obs: &mut dyn Recorder,
     ) -> Result<DeviceTime, FtlError> {
-        let (start, n) = self.page_span(offset, len);
+        let (start, n) = self.page_span(offset, len)?;
         self.ftl.write_span_obs(start, n, &self.latency, obs)
     }
 
     /// Unmaps `len` bytes starting at logical byte `offset`.
     pub fn trim(&mut self, offset: u64, len: u64) -> Result<(), FtlError> {
-        let (start, n) = self.page_span(offset, len);
+        let (start, n) = self.page_span(offset, len)?;
         self.ftl.trim_span(start, n)
     }
 
-    /// Converts a byte extent to `(first page, page count)`.
-    fn page_span(&self, offset: u64, len: u64) -> (u64, u64) {
+    /// Converts a byte extent to `(first page, page count)`. An extent
+    /// whose end does not fit in a `u64` runs past any exported capacity.
+    fn page_span(&self, offset: u64, len: u64) -> Result<(u64, u64), FtlError> {
         if len == 0 {
-            return (0, 0);
+            return Ok((0, 0));
         }
         let ps = self.geometry().page_size;
         let first = offset / ps;
-        let last = (offset + len - 1) / ps;
-        (first, last - first + 1)
+        let end = offset.checked_add(len - 1).ok_or_else(|| {
+            let exported = self.geometry().exported_pages();
+            FtlError::OutOfRange {
+                lpn: first.max(exported),
+                exported,
+            }
+        })?;
+        Ok((first, end / ps - first + 1))
     }
 
     /// Steady-state warm-up (§IV): the paper first writes dummy data equal
@@ -231,6 +238,33 @@ mod tests {
         // Zero-length I/O is free.
         assert_eq!(ssd.read(0, 0).unwrap(), DeviceTime::ZERO);
         assert_eq!(ssd.write(0, 0).unwrap(), DeviceTime::ZERO);
+    }
+
+    /// A byte extent whose end passes `u64::MAX` is out of range, not a
+    /// wrapped-around short (or empty) span.
+    #[test]
+    fn extents_that_overflow_u64_are_out_of_range() {
+        let mut ssd = small();
+        ssd.write(0, 8 * 4096).unwrap();
+        let wear = ssd.wear().clone();
+        let mapped = ssd.mapped_pages();
+        for (offset, len) in [(u64::MAX, 2), (4096, u64::MAX), (u64::MAX, u64::MAX)] {
+            let out_of_range = |r: Result<(), FtlError>| {
+                assert!(
+                    matches!(r, Err(FtlError::OutOfRange { .. })),
+                    "({offset}, {len}) -> {r:?}"
+                );
+            };
+            out_of_range(ssd.read(offset, len).map(drop));
+            out_of_range(ssd.write(offset, len).map(drop));
+            out_of_range(
+                ssd.write_obs(offset, len, &mut edm_obs::NoopRecorder)
+                    .map(drop),
+            );
+            out_of_range(ssd.trim(offset, len));
+        }
+        assert_eq!(*ssd.wear(), wear);
+        assert_eq!(ssd.mapped_pages(), mapped);
     }
 
     #[test]

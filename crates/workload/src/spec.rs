@@ -150,9 +150,9 @@ impl WorkloadSpec {
         Ok(())
     }
 
-    /// Scales the op and file counts by `factor` (for fast tests and for
-    /// Criterion benches that cannot afford full-size traces), keeping the
-    /// mean sizes and skew intact. Factor must be in (0, 1].
+    /// Scales the op and file counts by `factor` (for fast tests and
+    /// sub-full-size experiment runs), keeping the mean sizes and skew
+    /// intact. Factor must be in (0, 1].
     pub fn scaled(&self, factor: f64) -> WorkloadSpec {
         assert!(factor > 0.0 && factor <= 1.0, "scale factor in (0,1]");
         let scale = |x: u64| ((x as f64 * factor).round() as u64).max(1);

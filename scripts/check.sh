@@ -10,13 +10,13 @@
 #   check.sh audit   edm-audit static analysis
 #   check.sh build   release build
 #   check.sh test    cargo test, workspace then the benchmark package
-#   check.sh smoke   perf + obs + checkpoint/resume smokes
+#   check.sh smoke   obs + checkpoint/resume smokes
 #   check.sh scale   sharded-vs-sequential digest identity smoke
 #   check.sh spec    edm-spec conformance replay of smoke + corpus journals
 #   check.sh serve   edm-serve daemon: ingest pipeline, kill/resume, replay digest
-#   check.sh fuzz    edm-fuzz smoke batch (+ fuzz_throughput bench cell)
+#   check.sh fuzz    edm-fuzz smoke batch (seed 1, six scenarios)
 #   check.sh model   analytic-model differential gate (edm-exp model-diff
-#                    vs scripts/model_tolerances.json, + model_* bench cells)
+#                    vs scripts/model_tolerances.json)
 #   check.sh tsan    ThreadSanitizer lane over shard + serve tests and the
 #                    loopback daemon suite (advisory; skips cleanly without
 #                    a nightly toolchain + rust-src)
@@ -98,9 +98,6 @@ step_smoke() {
         echo "==> smoke skipped (EDM_CHECK_QUICK=1)"
         return 0
     fi
-    echo "==> edm-perf --smoke"
-    "$(bin edm-perf)" --smoke
-
     echo "==> obs smoke (edm-sim --obs-level events + edm-probe --journal)"
     local obs_dir
     scratch_dir; obs_dir="$SCRATCH_DIR"
@@ -427,11 +424,10 @@ step_fuzz() {
         echo "==> fuzz skipped (EDM_CHECK_QUICK=1)"
         return 0
     fi
-    echo "==> edm-fuzz --bench (oracle smoke + fuzz_throughput cell)"
-    # A fixed seed-1 batch through the full differential-oracle battery;
-    # merges the fuzz_throughput cell into BENCH_edm.json. Nightly CI
-    # runs the long-budget variant.
-    "$(bin edm-fuzz)" --bench
+    echo "==> edm-fuzz --seed 1 --runs 6 (oracle smoke)"
+    # A fixed seed-1 batch through the full differential-oracle battery.
+    # Nightly CI runs the long-budget variant.
+    "$(bin edm-fuzz)" --seed 1 --runs 6
 }
 
 step_model() {
@@ -443,8 +439,7 @@ step_model() {
     # Differential cross-validation of the analytic mean-field model
     # (edm-model) against the simulator over every fuzz-corpus scenario:
     # per-scenario KS distance, max relative erase error, and GC-rate
-    # error must stay within the committed tolerances. Also merges the
-    # model_* cells into BENCH_edm.json.
+    # error must stay within the committed tolerances.
     "$(bin edm-exp)" model-diff
 }
 
