@@ -3,6 +3,7 @@
 
 use edm_obs::{Event, Recorder};
 use edm_snap::{SnapReader, SnapWriter, Snapshot};
+use edm_ssd::Geometry;
 use edm_workload::{FileId, Trace};
 
 use crate::catalog::Catalog;
@@ -13,14 +14,23 @@ use crate::osd::{pages_spanned, Osd, OsdError};
 use crate::raid::ObjectIo;
 
 /// A built cluster: the metadata catalog plus its storage nodes, ready for
-/// replay. `Clone` exists for the group-sharded runner, which hands each
-/// shard a full copy and lets every shard mutate only the OSD slots its
-/// component owns.
+/// replay.
 #[derive(Clone)]
 pub struct Cluster {
     pub config: ClusterConfig,
     pub catalog: Catalog,
+    /// One slot per OSD id. A shard of the group-sharded runner
+    /// ([`Cluster::split`]) holds real devices only in the slots it owns.
     pub osds: Vec<Osd>,
+    /// The devices are uniform, so one geometry answers for all of them
+    /// — in a shard too, whichever slots it holds.
+    geometry: Geometry,
+}
+
+/// The geometry every device of `osds` shares.
+fn uniform_geometry(osds: &[Osd]) -> Geometry {
+    osds.first()
+        .map_or_else(Geometry::default, |o| *o.ssd().geometry())
 }
 
 impl Cluster {
@@ -80,8 +90,53 @@ impl Cluster {
         Ok(Cluster {
             config,
             catalog,
+            geometry: uniform_geometry(&osds),
             osds,
         })
+    }
+
+    /// Splits the cluster into `n` shards: shard `c` takes the devices
+    /// `shard_of` assigns it and holds a vacant slot for every other, so
+    /// indices stay OSD ids and no device exists twice. Every shard gets
+    /// its own copy of the catalog (the file table is small); remap
+    /// entries made during the run stay in the shard that made them.
+    /// [`Cluster::merge`] is the inverse.
+    pub(crate) fn split(self, n: usize, shard_of: impl Fn(OsdId) -> usize) -> Vec<Cluster> {
+        let mut shards: Vec<Cluster> = (0..n)
+            .map(|_| Cluster {
+                config: self.config.clone(),
+                catalog: self.catalog.clone(),
+                osds: self.osds.iter().map(|o| Osd::vacant(o.id)).collect(),
+                geometry: self.geometry,
+            })
+            .collect();
+        for (slot, osd) in self.osds.into_iter().enumerate() {
+            let owner = shard_of(osd.id);
+            shards[owner].osds[slot] = osd;
+        }
+        shards
+    }
+
+    /// Reassembles the shards of a [`Cluster::split`]: every device comes
+    /// from the one shard that holds it, and the shards' disjoint remap
+    /// fragments are united.
+    pub(crate) fn merge(mut shards: Vec<Cluster>) -> Cluster {
+        assert!(!shards.is_empty(), "no shards to merge");
+        let mut whole = shards.remove(0);
+        for shard in shards {
+            for (slot, osd) in whole.osds.iter_mut().zip(shard.osds) {
+                if !osd.is_vacant() {
+                    assert!(slot.is_vacant(), "two shards hold {}", osd.id);
+                    *slot = osd;
+                }
+            }
+            whole.catalog.remap_mut().merge_from(shard.catalog.remap());
+        }
+        assert!(
+            whole.osds.iter().all(|o| !o.is_vacant()),
+            "a device is missing from every shard"
+        );
+        whole
     }
 
     pub fn osd(&self, id: OsdId) -> &Osd {
@@ -106,18 +161,17 @@ impl Cluster {
         self.view_from(now_us, |_| self)
     }
 
-    /// [`view`](Self::view) of a cluster whose authoritative state is
-    /// spread over several copies (the group-sharded runner): `owner`
-    /// names the copy that owns an OSD slot — and with it the location of
-    /// every object homed there, since moves never leave a component.
-    /// The file table and geometry are the same in every copy.
+    /// [`view`](Self::view) of a cluster [`split`](Self::split) into
+    /// shards (the group-sharded runner): `owner` names the shard that
+    /// holds an OSD's device — and with it the location of every object
+    /// homed there, since moves never leave a component. The file table
+    /// and geometry are the same in every shard.
     pub(crate) fn view_from<'a>(
         &'a self,
         now_us: u64,
         owner: impl Fn(OsdId) -> &'a Cluster,
     ) -> ClusterView {
         let placement = self.catalog.placement();
-        let geometry = self.first_osd().ssd().geometry();
         let osds = (0..self.config.osds)
             .map(|i| {
                 let o = owner(OsdId(i)).osd(OsdId(i));
@@ -148,18 +202,11 @@ impl Cluster {
         }
         ClusterView {
             now_us,
-            page_size: geometry.page_size,
-            pages_per_block: geometry.pages_per_block,
+            page_size: self.geometry.page_size,
+            pages_per_block: self.geometry.pages_per_block,
             osds,
             objects,
         }
-    }
-
-    /// The devices are uniform, so any slot answers geometry and
-    /// capacity questions; this is the one place that picks it.
-    fn first_osd(&self) -> &Osd {
-        // edm-audit: allow(panic.slice_index, "ClusterConfig validation guarantees at least one OSD")
-        &self.osds[0]
     }
 
     /// Journals the run preamble ([`Event::RunMeta`]) the conformance
@@ -169,14 +216,13 @@ impl Cluster {
         if !obs.events_on() {
             return;
         }
-        let first = self.first_osd();
         obs.set_now(0);
         obs.event(Event::RunMeta {
             osds: self.config.osds,
             groups: self.config.groups,
             objects_per_file: self.config.objects_per_file,
-            capacity_bytes: first.capacity_bytes(),
-            blocks_per_osd: first.ssd().geometry().blocks as u64,
+            capacity_bytes: self.geometry.exported_bytes(),
+            blocks_per_osd: self.geometry.blocks as u64,
         });
     }
 
@@ -202,7 +248,7 @@ impl Cluster {
         // Object ids are a pure function of (file, stripe index) — see
         // `Catalog::create_file` — so the file table is not consulted.
         let placement = *self.catalog.placement();
-        let page_size = self.first_osd().ssd().geometry().page_size;
+        let page_size = self.geometry.page_size;
         ios.into_iter().map(move |io| {
             let access = AccessEvent {
                 now_us,
@@ -396,15 +442,24 @@ impl Cluster {
 
 impl Snapshot for Cluster {
     fn save(&self, w: &mut SnapWriter) {
-        self.config.save(w);
-        self.catalog.save(w);
-        self.osds.save(w);
+        // `geometry` is not stored: `load` reads it back off the devices.
+        let Cluster {
+            config,
+            catalog,
+            osds,
+            geometry: _,
+        } = self;
+        config.save(w);
+        catalog.save(w);
+        osds.save(w);
     }
     fn load(r: &mut SnapReader) -> Self {
+        let (config, catalog, osds) = (ClusterConfig::load(r), Catalog::load(r), Vec::load(r));
         let c = Cluster {
-            config: ClusterConfig::load(r),
-            catalog: Catalog::load(r),
-            osds: Vec::load(r),
+            config,
+            catalog,
+            geometry: uniform_geometry(&osds),
+            osds,
         };
         if !r.failed() && c.osds.len() != c.config.osds as usize {
             r.corrupt(format!(

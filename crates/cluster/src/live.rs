@@ -25,7 +25,7 @@ use crate::cluster::Cluster;
 use crate::metrics::RunReport;
 use crate::migrate::Migrator;
 use crate::pace::TimeSource;
-use crate::sim::{new_engine, resume_engine, Engine, Pause, SimOptions};
+use crate::sim::{new_engine, resume_engine, ClientScripts, Engine, Pause, SimOptions};
 
 /// Where [`LiveRun::step`] handed control back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,7 +64,8 @@ impl<'a> LiveRun<'a> {
     ) -> LiveRun<'a> {
         cluster.emit_run_meta(obs);
         let total_records = trace.records.len() as u64;
-        let mut engine = new_engine(cluster, trace, policy, options, obs);
+        let clients = ClientScripts::build(&cluster, trace, options.affinity);
+        let mut engine = new_engine(cluster, trace, policy, options, obs, clients);
         engine.seed_events();
         LiveRun {
             engine,

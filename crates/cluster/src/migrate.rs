@@ -322,14 +322,14 @@ pub fn plan_round<P: Migrator + ?Sized>(
 /// and the policy's own windowed state. Continuous (`every-tick`) mode
 /// calls this after each round so the policy sees per-period rates
 /// (§III.B.2 recomputes Eq. 4 every minute over that minute's writes). A
-/// sharded run passes every shard's cluster; foreign slots are reset too
-/// — they are stale clones nothing ever reads.
+/// sharded run passes every shard's cluster; each resets the devices it
+/// holds.
 pub fn close_wc_window<'a, P: Migrator + ?Sized>(
     clusters: impl IntoIterator<Item = &'a mut Cluster>,
     policy: &mut P,
 ) {
     for cluster in clusters {
-        for osd in &mut cluster.osds {
+        for osd in cluster.osds.iter_mut().filter(|o| !o.is_vacant()) {
             osd.reset_wc_window();
         }
     }

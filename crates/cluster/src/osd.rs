@@ -68,11 +68,18 @@ impl From<FtlError> for OsdError {
     }
 }
 
-/// One storage node. `Clone` exists for the group-sharded runner, which
-/// hands each shard a full copy of the cluster.
+/// One storage node — or, in a shard of the group-sharded runner, the
+/// vacant slot of a node another shard owns ([`Osd::vacant`]).
 #[derive(Clone)]
 pub struct Osd {
     pub id: OsdId,
+    /// `None` only in a vacant slot.
+    dev: Option<Device>,
+}
+
+/// Everything an [`Osd`] holds besides its id.
+#[derive(Clone)]
+struct Device {
     ssd: Ssd,
     extents: ExtentAllocator,
     directory: HashMap<ObjectId, Extent>,
@@ -97,53 +104,82 @@ impl Osd {
         let exported = ssd.geometry().exported_bytes();
         Osd {
             id,
-            ssd,
-            extents: ExtentAllocator::new(exported),
-            directory: HashMap::new(),
-            ewma_latency_us: 0.0,
-            wc_window_pages: 0,
+            dev: Some(Device {
+                ssd,
+                extents: ExtentAllocator::new(exported),
+                directory: HashMap::new(),
+                ewma_latency_us: 0.0,
+                wc_window_pages: 0,
+            }),
+        }
+    }
+
+    /// The slot of a device that lives in another shard: keeps `id` at
+    /// its index, allocates nothing, and panics on every use — a shard
+    /// engine reaching outside its component is a bug, not a question to
+    /// answer.
+    pub(crate) fn vacant(id: OsdId) -> Self {
+        Osd { id, dev: None }
+    }
+
+    pub(crate) fn is_vacant(&self) -> bool {
+        self.dev.is_none()
+    }
+
+    fn dev(&self) -> &Device {
+        match &self.dev {
+            Some(dev) => dev,
+            None => vacant_slot_touched(self.id),
+        }
+    }
+
+    fn dev_mut(&mut self) -> &mut Device {
+        match &mut self.dev {
+            Some(dev) => dev,
+            None => vacant_slot_touched(self.id),
         }
     }
 
     pub fn ssd(&self) -> &Ssd {
-        &self.ssd
+        &self.dev().ssd
     }
 
     pub fn capacity_bytes(&self) -> u64 {
-        self.extents.capacity()
+        self.dev().extents.capacity()
     }
 
     pub fn free_bytes(&self) -> u64 {
-        self.extents.free_bytes()
+        self.dev().extents.free_bytes()
     }
 
     /// Utilization by allocated extents (the `u` the wear model sees).
     pub fn utilization(&self) -> f64 {
-        self.extents.used_bytes() as f64 / self.extents.capacity() as f64
+        let extents = &self.dev().extents;
+        extents.used_bytes() as f64 / extents.capacity() as f64
     }
 
     pub fn has_object(&self, object: ObjectId) -> bool {
-        self.directory.contains_key(&object)
+        self.dev().directory.contains_key(&object)
     }
 
     pub fn object_count(&self) -> usize {
-        self.directory.len()
+        self.dev().directory.len()
     }
 
     pub fn object_size(&self, object: ObjectId) -> Option<u64> {
-        self.directory.get(&object).map(|e| e.len)
+        self.dev().directory.get(&object).map(|e| e.len)
     }
 
     pub fn ewma_latency_us(&self) -> f64 {
-        self.ewma_latency_us
+        self.dev().ewma_latency_us
     }
 
     pub fn wc_window_pages(&self) -> u64 {
-        self.wc_window_pages
+        self.dev().wc_window_pages
     }
 
     pub fn reset_wc_window(&mut self) {
-        self.wc_window_pages = 0;
+        self.dev_mut().wc_window_pages = 0;
     }
 
     /// Creates an object of `size` bytes. If `populate`, its pages are
@@ -155,17 +191,18 @@ impl Osd {
         size: u64,
         populate: bool,
     ) -> Result<DeviceTime, OsdError> {
-        if self.directory.contains_key(&object) {
+        let dev = self.dev_mut();
+        if dev.directory.contains_key(&object) {
             return Err(OsdError::DuplicateObject(object));
         }
-        let extent = self.extents.alloc(size).ok_or(OsdError::NoSpace {
+        let extent = dev.extents.alloc(size).ok_or(OsdError::NoSpace {
             needed: size,
-            free: self.extents.free_bytes(),
+            free: dev.extents.free_bytes(),
         })?;
-        self.directory.insert(object, extent);
+        dev.directory.insert(object, extent);
         if populate && size > 0 {
-            let t = self.ssd.write(extent.start, size)?;
-            self.wc_window_pages += size.div_ceil(self.ssd.geometry().page_size);
+            let t = dev.ssd.write(extent.start, size)?;
+            dev.wc_window_pages += size.div_ceil(dev.ssd.geometry().page_size);
             return Ok(t);
         }
         Ok(DeviceTime::ZERO)
@@ -173,17 +210,19 @@ impl Osd {
 
     /// Deletes an object: trims its pages and frees its extent.
     pub fn remove_object(&mut self, object: ObjectId) -> Result<(), OsdError> {
-        let extent = self
+        let dev = self.dev_mut();
+        let extent = dev
             .directory
             .remove(&object)
             .ok_or(OsdError::UnknownObject(object))?;
-        self.ssd.trim(extent.start, extent.len)?;
-        self.extents.free(extent);
+        dev.ssd.trim(extent.start, extent.len)?;
+        dev.extents.free(extent);
         Ok(())
     }
 
     fn locate(&self, object: ObjectId, offset: u64, len: u64) -> Result<u64, OsdError> {
         let extent = self
+            .dev()
             .directory
             .get(&object)
             .ok_or(OsdError::UnknownObject(object))?;
@@ -206,7 +245,7 @@ impl Osd {
         len: u64,
     ) -> Result<DeviceTime, OsdError> {
         let base = self.locate(object, offset, len)?;
-        Ok(self.ssd.read(base, len)?)
+        Ok(self.dev_mut().ssd.read(base, len)?)
     }
 
     /// Writes `len` bytes at `offset` within an object; counts toward the
@@ -230,8 +269,9 @@ impl Osd {
         obs: &mut dyn edm_obs::Recorder,
     ) -> Result<DeviceTime, OsdError> {
         let base = self.locate(object, offset, len)?;
-        let t = self.ssd.write_obs(base, len, obs)?;
-        self.wc_window_pages += pages_spanned(base, len, self.ssd.geometry().page_size);
+        let dev = self.dev_mut();
+        let t = dev.ssd.write_obs(base, len, obs)?;
+        dev.wc_window_pages += pages_spanned(base, len, dev.ssd.geometry().page_size);
         Ok(t)
     }
 
@@ -245,25 +285,28 @@ impl Osd {
 
     /// Records a serviced request latency into the EWMA load factor.
     pub fn record_service(&mut self, latency_us: u64) {
-        if self.ewma_latency_us == 0.0 {
-            self.ewma_latency_us = latency_us as f64;
+        let dev = self.dev_mut();
+        if dev.ewma_latency_us == 0.0 {
+            dev.ewma_latency_us = latency_us as f64;
         } else {
-            self.ewma_latency_us =
-                EWMA_ALPHA * latency_us as f64 + (1.0 - EWMA_ALPHA) * self.ewma_latency_us;
+            dev.ewma_latency_us =
+                EWMA_ALPHA * latency_us as f64 + (1.0 - EWMA_ALPHA) * dev.ewma_latency_us;
         }
     }
 
     /// Steady-state warm-up of the underlying device (§IV).
     pub fn warm_up(&mut self) -> Result<(), OsdError> {
-        self.ssd.warm_up()?;
-        self.wc_window_pages = 0;
+        let dev = self.dev_mut();
+        dev.ssd.warm_up()?;
+        dev.wc_window_pages = 0;
         Ok(())
     }
 
     /// Resets wear counters (between setup and measurement).
     pub fn reset_wear(&mut self) {
-        self.ssd.reset_wear();
-        self.wc_window_pages = 0;
+        let dev = self.dev_mut();
+        dev.ssd.reset_wear();
+        dev.wc_window_pages = 0;
     }
 }
 
@@ -271,16 +314,17 @@ impl Snapshot for Osd {
     /// The directory is serialized sorted by object id for canonical
     /// bytes; its hash-map iteration order is never behavior-relevant.
     fn save(&self, w: &mut SnapWriter) {
+        let dev = self.dev();
         self.id.save(w);
-        self.ssd.save(w);
-        self.extents.save(w);
+        dev.ssd.save(w);
+        dev.extents.save(w);
         let mut dir: Vec<(ObjectId, Extent)> =
             // edm-audit: allow(det.map_iter, "entries are collected and sorted by object id before serialization")
-            self.directory.iter().map(|(&o, &e)| (o, e)).collect();
+            dev.directory.iter().map(|(&o, &e)| (o, e)).collect();
         dir.sort_by_key(|(o, _)| *o);
         dir.save(w);
-        w.put_f64(self.ewma_latency_us);
-        w.put_u64(self.wc_window_pages);
+        w.put_f64(dev.ewma_latency_us);
+        w.put_u64(dev.wc_window_pages);
     }
     fn load(r: &mut SnapReader) -> Self {
         let id = OsdId::load(r);
@@ -291,8 +335,7 @@ impl Snapshot for Osd {
         if directory.len() != dir.len() {
             r.corrupt("object directory has duplicate entries");
         }
-        let osd = Osd {
-            id,
+        let dev = Device {
             ssd,
             extents,
             directory,
@@ -301,13 +344,19 @@ impl Snapshot for Osd {
         };
         if !r.failed() {
             // edm-audit: allow(det.map_iter, "summation over values is order-insensitive")
-            let dir_bytes: u64 = osd.directory.values().map(|e| e.len).sum();
-            if dir_bytes != osd.extents.used_bytes() {
+            let dir_bytes: u64 = dev.directory.values().map(|e| e.len).sum();
+            if dir_bytes != dev.extents.used_bytes() {
                 r.corrupt("object directory disagrees with the extent allocator");
             }
         }
-        osd
+        Osd { id, dev: Some(dev) }
     }
+}
+
+#[cold]
+fn vacant_slot_touched(id: OsdId) -> ! {
+    // edm-audit: allow(panic.panic, "a shard engine reached a device its component does not own; aborting beats mis-simulating")
+    panic!("{id} is vacant in this shard: its device belongs to another component")
 }
 
 /// Number of pages an access `[offset, offset + len)` touches. Shared

@@ -11,10 +11,11 @@
 //! ([`Migrator::parallel_safe`]) never plan a move across groups, let
 //! alone components.
 //!
-//! The sharded runner exploits that: each component gets its own
-//! [`Engine`] (over a full clone of the cluster, mutating only the OSD
-//! slots its component owns) and runs on a worker thread until the next
-//! wear-monitor tick. At every tick all engines pause and a
+//! The sharded runner exploits that: the cluster is split so that each
+//! component gets its own [`Engine`] over the devices it owns
+//! ([`Cluster::split`]; every other slot is vacant and panics on use),
+//! issuing only its own clients' scripts, and runs on a worker thread
+//! until the next wear-monitor tick. At every tick all engines pause and a
 //! single-threaded coordinator runs the global tick body in fixed
 //! component order: it replays buffered policy accesses, samples queue
 //! depths, and decides the migration round with the functions the
@@ -40,7 +41,10 @@ use crate::cluster::Cluster;
 use crate::ids::{ObjectId, OsdId};
 use crate::metrics::{RunReport, RunTallies};
 use crate::migrate::{close_wc_window, plan_round, AccessEvent, ClusterView, Migrator, MoveAction};
-use crate::sim::{new_engine, ClientAffinity, Engine, MigrationSchedule, Pause, SimOptions};
+use crate::placement::Placement;
+use crate::sim::{
+    new_engine, ClientAffinity, ClientScripts, Engine, MigrationSchedule, Pause, SimOptions,
+};
 
 /// Union-find over group indices, used to build the component map.
 struct UnionFind {
@@ -70,10 +74,32 @@ impl UnionFind {
     }
 }
 
-/// Computes the component id of every SSD group: files unite the groups
-/// they stripe across, users unite the groups of every file they touch.
+/// The placement components of one (cluster, trace): which component
+/// every SSD group — and through it every OSD and file — belongs to.
 /// Components are numbered in ascending order of their first group.
-pub(crate) fn component_map(cluster: &Cluster, trace: &Trace) -> (Vec<usize>, usize) {
+pub(crate) struct Components {
+    placement: Placement,
+    of_group: Vec<usize>,
+    pub(crate) count: usize,
+}
+
+impl Components {
+    pub(crate) fn of_osd(&self, osd: OsdId) -> usize {
+        self.of_group[self.placement.group_of(osd).0 as usize]
+    }
+
+    /// A file's objects all live in one component; its first names it.
+    pub(crate) fn of_file(&self, file: FileId) -> usize {
+        self.of_osd(self.placement.home_osd(file, 0))
+    }
+}
+
+/// Computes the component map in one union-find pass over the file table
+/// and the trace: files unite the groups they stripe across, users unite
+/// the groups of every file they touch.
+pub(crate) fn component_map(cluster: &Cluster, trace: &Trace) -> Components {
+    #[cfg(test)]
+    work::COMPONENT_PASSES.set(work::COMPONENT_PASSES.get() + 1);
     let placement = *cluster.catalog.placement();
     let m = placement.groups as usize;
     let mut uf = UnionFind::new(m);
@@ -113,26 +139,44 @@ pub(crate) fn component_map(cluster: &Cluster, trace: &Trace) -> (Vec<usize>, us
             c
         });
     }
-    (comp_of_group, ncomponents)
+    Components {
+        placement,
+        of_group: comp_of_group,
+        count: ncomponents,
+    }
+}
+
+/// Exact work counts of the calling thread, for the tests that pin how
+/// often a run walks the whole trace.
+#[cfg(test)]
+pub(crate) mod work {
+    use std::cell::Cell;
+    thread_local! {
+        pub(crate) static COMPONENT_PASSES: Cell<u64> = const { Cell::new(0) };
+        pub(crate) static CARVINGS: Cell<u64> = const { Cell::new(0) };
+    }
 }
 
 /// Builds the client scripts for [`ClientAffinity::Component`]: client
 /// slots are carved per component (proportional to record counts, at
 /// least one per non-empty component), then users round-robin onto their
 /// component's slots in order of first appearance. Per-user record order
-/// is trace order, exactly as in the default assignment. Both the
-/// sequential and sharded paths call this, so the replay they produce is
-/// identical.
-pub(crate) fn component_scripts(cluster: &Cluster, trace: &Trace, clients: u32) -> Vec<Vec<usize>> {
+/// is trace order, exactly as in the default assignment. The sequential
+/// engine replays all of these scripts and the sharded runner deals the
+/// same ones out to its engines, so the replay they produce is identical.
+pub(crate) fn component_scripts(
+    components: &Components,
+    trace: &Trace,
+    clients: u32,
+) -> Vec<Vec<usize>> {
+    #[cfg(test)]
+    work::CARVINGS.set(work::CARVINGS.get() + 1);
     assert!(clients > 0, "need at least one client");
-    let placement = *cluster.catalog.placement();
-    let (comp_of_group, ncomponents) = component_map(cluster, trace);
-    let comp_of_file =
-        |file: FileId| comp_of_group[placement.group_of(placement.home_osd(file, 0)).0 as usize];
+    let ncomponents = components.count;
 
     let mut comp_records = vec![0u64; ncomponents];
     for r in &trace.records {
-        comp_records[comp_of_file(r.file)] += 1;
+        comp_records[components.of_file(r.file)] += 1;
     }
     let nonempty: Vec<usize> = (0..ncomponents).filter(|&c| comp_records[c] > 0).collect();
     let total_clients = (clients as usize).max(nonempty.len());
@@ -185,7 +229,7 @@ pub(crate) fn component_scripts(cluster: &Cluster, trace: &Trace, clients: u32) 
     let mut next_in_comp = vec![0usize; ncomponents];
     for (i, r) in trace.records.iter().enumerate() {
         let slot = *user_slot.entry(r.user).or_insert_with(|| {
-            let c = comp_of_file(r.file);
+            let c = components.of_file(r.file);
             let s = start[c] + next_in_comp[c];
             next_in_comp[c] = (next_in_comp[c] + 1) % slots[c];
             s
@@ -225,65 +269,84 @@ pub fn shard_decision(
     policy: &dyn Migrator,
     options: &SimOptions,
 ) -> ShardDecision {
-    let (_, components) = component_map(cluster, trace);
-    let inactive = |reason: &'static str| ShardDecision {
+    let components = component_map(cluster, trace).count;
+    decide(
+        option_refusal(cluster, policy, options),
         components,
-        threads: 0,
-        active: false,
-        reason,
-    };
+        options,
+    )
+}
+
+/// The first requirement that (cluster, policy, options) fail on their
+/// own — everything that can be said without walking the trace.
+fn option_refusal(
+    cluster: &Cluster,
+    policy: &dyn Migrator,
+    options: &SimOptions,
+) -> Option<&'static str> {
     if options.shards == 0 {
-        return inactive("sharding disabled (shards = 0)");
+        return Some("sharding disabled (shards = 0)");
     }
     if options.affinity != ClientAffinity::Component {
-        return inactive("requires component client affinity");
+        return Some("requires component client affinity");
     }
     if options.schedule == MigrationSchedule::Midpoint {
-        return inactive("midpoint schedule counts completions globally");
+        return Some("midpoint schedule counts completions globally");
     }
     if options.checkpoint.is_some() {
-        return inactive("checkpointing requires the sequential loop");
+        return Some("checkpointing requires the sequential loop");
     }
     if !policy.parallel_safe() {
-        return inactive("policy is not parallel-safe");
+        return Some("policy is not parallel-safe");
     }
     if !cluster.catalog.remap().is_empty() {
-        return inactive("cluster starts with remapped objects");
+        return Some("cluster starts with remapped objects");
     }
-    if components < 2 {
-        return inactive("placement has a single component");
-    }
-    ShardDecision {
-        components,
-        threads: (options.shards as usize).min(components),
-        active: true,
-        reason: "ok",
+    None
+}
+
+/// The decision for a run whose options pass or fail as `refusal` says
+/// and whose placement has `components` components.
+fn decide(refusal: Option<&'static str>, components: usize, options: &SimOptions) -> ShardDecision {
+    let refusal = refusal.or((components < 2).then_some("placement has a single component"));
+    match refusal {
+        Some(reason) => ShardDecision {
+            components,
+            threads: 0,
+            active: false,
+            reason,
+        },
+        None => ShardDecision {
+            components,
+            threads: (options.shards as usize).min(components),
+            active: true,
+            reason: "ok",
+        },
     }
 }
 
 /// The data [`run_sharded`] needs, produced by [`plan_sharding`].
 pub(crate) struct ShardPlan {
-    comp_of_group: Vec<usize>,
-    ncomponents: usize,
+    components: Components,
     threads: usize,
 }
 
 /// Decides whether this run shards; `None` falls back to the sequential
-/// loop.
+/// loop. A run the options alone rule out — every `shards 0` run — is
+/// answered before any pass over the trace.
 pub(crate) fn plan_sharding(
     cluster: &Cluster,
     trace: &Trace,
     policy: &dyn Migrator,
     options: &SimOptions,
 ) -> Option<ShardPlan> {
-    let decision = shard_decision(cluster, trace, policy, options);
-    if !decision.active {
+    if option_refusal(cluster, policy, options).is_some() {
         return None;
     }
-    let (comp_of_group, ncomponents) = component_map(cluster, trace);
-    Some(ShardPlan {
-        comp_of_group,
-        ncomponents,
+    let components = component_map(cluster, trace);
+    let decision = decide(None, components.count, options);
+    decision.active.then_some(ShardPlan {
+        components,
         threads: decision.threads,
     })
 }
@@ -355,10 +418,12 @@ pub(crate) fn run_sharded<P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?S
     obs: &mut R,
     plan: ShardPlan,
 ) -> (RunReport, Cluster) {
-    let placement = *cluster.catalog.placement();
-    let comp_of_osd = |osd: OsdId| plan.comp_of_group[placement.group_of(osd).0 as usize];
-    let comp_of_file = |file: FileId| comp_of_osd(placement.home_osd(file, 0));
-    let n = plan.ncomponents;
+    let ShardPlan {
+        components,
+        threads,
+    } = plan;
+    let comp_of_osd = |osd: OsdId| components.of_osd(osd);
+    let n = components.count;
     let osd_count = cluster.config.osds;
     let wear_tick_us = cluster.config.wear_tick_us;
     let dest_free_reserve = cluster.config.dest_free_reserve;
@@ -374,26 +439,34 @@ pub(crate) fn run_sharded<P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?S
         })
         .collect();
     let mut recs: Vec<MemoryRecorder> = (0..n).map(|_| MemoryRecorder::new(obs.level())).collect();
-    let worlds = vec![cluster; n];
-    let mut engines: Vec<ShardEngine<'_>> = worlds
-        .into_iter()
-        .zip(bufs.iter_mut().zip(recs.iter_mut()))
-        .map(|(world, (buf, rec))| new_engine(world, trace, buf, options.clone(), rec))
-        .collect();
 
-    // Each engine keeps only the scripts of its own component (the slot
-    // layout is identical across engines — `new_engine` built them all
-    // from the same trace) and owns only its component's injected
-    // failures.
-    for (c, engine) in engines.iter_mut().enumerate() {
-        for script in engine.scripts.iter_mut() {
-            let mine = script
-                .first()
-                .is_some_and(|&i| comp_of_file(trace.records[i].file) == c);
-            if !mine {
-                script.clear();
-            }
+    // The carving is computed once and dealt out: every engine keeps the
+    // whole slot layout (client ids are global) but only its own
+    // component's scripts, the other slots empty.
+    let ClientScripts { scripts, tags } = ClientScripts::by_component(&components, &cluster, trace);
+    let mut dealt: Vec<Vec<Vec<usize>>> = vec![vec![Vec::new(); scripts.len()]; n];
+    for (slot, script) in scripts.into_iter().enumerate() {
+        if let Some(&first) = script.first() {
+            dealt[components.of_file(trace.records[first].file)][slot] = script;
         }
+    }
+
+    // Each engine runs over the devices of its own component and owns
+    // only its component's injected failures.
+    let mut engines: Vec<ShardEngine<'_>> = cluster
+        .split(n, comp_of_osd)
+        .into_iter()
+        .zip(dealt)
+        .zip(bufs.iter_mut().zip(recs.iter_mut()))
+        .map(|((world, scripts), (buf, rec))| {
+            let clients = ClientScripts {
+                scripts,
+                tags: tags.clone(),
+            };
+            new_engine(world, trace, buf, options.clone(), rec, clients)
+        })
+        .collect();
+    for (c, engine) in engines.iter_mut().enumerate() {
         engine.seed_clients();
         if total_records > 0 {
             engine.seed_tick(wear_tick_us);
@@ -405,8 +478,10 @@ pub(crate) fn run_sharded<P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?S
     // tick marker per round (seeded above, re-seeded at each barrier
     // while the replay is unfinished), so `run_all` leaves them all
     // paused at the same tick — or all done, once the markers stop.
+    // `now` is the tick the coordinator seeded last.
+    let mut now = wear_tick_us;
     loop {
-        run_all(&mut engines, plan.threads);
+        run_all(&mut engines, threads);
         if engines.iter().all(|e| e.paused == Pause::Done) {
             break;
         }
@@ -414,8 +489,6 @@ pub(crate) fn run_sharded<P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?S
             engines.iter().all(|e| e.paused == Pause::Tick),
             "shard engines desynchronized at a barrier"
         );
-        // edm-audit: allow(panic.slice_index, "run_sharded only runs with >= 2 components, so engines is never empty")
-        let now = engines[0].now;
         assert!(
             engines.iter().all(|e| e.now == now),
             "shard engines paused at different ticks"
@@ -485,8 +558,9 @@ pub(crate) fn run_sharded<P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?S
         }
         let completed: u64 = engines.iter().map(|e| e.tally.completed_ops).sum();
         if completed < total_records {
+            now += wear_tick_us;
             for engine in engines.iter_mut() {
-                engine.seed_tick(now + wear_tick_us);
+                engine.seed_tick(now);
             }
         }
     }
@@ -534,9 +608,9 @@ pub(crate) fn run_sharded<P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?S
         obs.set_component(None);
     }
 
-    // Merge the shards: tallies sum, and every OSD slot and remap
-    // fragment comes from its unique owner.
-    let mut worlds: Vec<Cluster> = engines
+    // Merge the shards: tallies sum, and every device and remap fragment
+    // comes from its unique owner.
+    let worlds: Vec<Cluster> = engines
         .into_iter()
         .map(|engine| {
             let (shard_tally, world) = engine.into_parts();
@@ -544,19 +618,7 @@ pub(crate) fn run_sharded<P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?S
             world
         })
         .collect();
-    let mut cluster = worlds.remove(0);
-    for (idx, other) in worlds.into_iter().enumerate() {
-        let c = idx + 1;
-        for (o, osd) in other.osds.into_iter().enumerate() {
-            if comp_of_osd(OsdId(o as u32)) == c {
-                cluster.osds[o] = osd;
-            }
-        }
-        cluster
-            .catalog
-            .remap_mut()
-            .merge_from(other.catalog.remap());
-    }
+    let cluster = Cluster::merge(worlds);
     (tally.report(trace, policy.name(), &cluster), cluster)
 }
 
@@ -687,16 +749,17 @@ mod tests {
     fn component_map_splits_disjoint_groups() {
         let trace = two_component_trace();
         let cluster = Cluster::build(two_component_config(), &trace).unwrap();
-        let (comp_of_group, n) = component_map(&cluster, &trace);
-        assert_eq!(n, 2);
-        assert_eq!(comp_of_group, vec![0, 0, 1, 1]);
+        let components = component_map(&cluster, &trace);
+        assert_eq!(components.count, 2);
+        assert_eq!(components.of_group, vec![0, 0, 1, 1]);
     }
 
     #[test]
     fn component_scripts_cover_every_record_once() {
         let trace = two_component_trace();
         let cluster = Cluster::build(two_component_config(), &trace).unwrap();
-        let scripts = component_scripts(&cluster, &trace, 4);
+        let components = component_map(&cluster, &trace);
+        let scripts = component_scripts(&components, &trace, 4);
         assert_eq!(scripts.len(), 4);
         let mut seen = vec![false; trace.records.len()];
         for s in &scripts {
@@ -710,14 +773,8 @@ mod tests {
         }
         assert!(seen.iter().all(|&s| s), "record left unassigned");
         // Each script stays inside one component.
-        let placement = *cluster.catalog.placement();
-        let (comp_of_group, _) = component_map(&cluster, &trace);
         for s in scripts.iter().filter(|s| !s.is_empty()) {
-            let comp = |i: usize| {
-                comp_of_group[placement
-                    .group_of(placement.home_osd(trace.records[i].file, 0))
-                    .0 as usize]
-            };
+            let comp = |i: usize| components.of_file(trace.records[i].file);
             let first = comp(s[0]);
             assert!(s.iter().all(|&i| comp(i) == first));
         }
@@ -728,9 +785,68 @@ mod tests {
         let trace = two_component_trace();
         let cluster = Cluster::build(two_component_config(), &trace).unwrap();
         // Fewer requested clients than components: one slot each.
-        let scripts = component_scripts(&cluster, &trace, 1);
+        let scripts = component_scripts(&component_map(&cluster, &trace), &trace, 1);
         assert_eq!(scripts.len(), 2);
         assert!(scripts.iter().all(|s| !s.is_empty()));
+    }
+
+    /// Splitting hands every device to exactly one shard and merging
+    /// untouched shards gives the input back, byte for byte.
+    #[test]
+    fn split_then_merge_is_the_identity() {
+        let trace = two_component_trace();
+        let cluster = Cluster::build(two_component_config(), &trace).unwrap();
+        let before = cluster_bytes(&cluster);
+        let components = component_map(&cluster, &trace);
+        let shards = cluster.split(components.count, |osd| components.of_osd(osd));
+        assert_eq!(shards.len(), 2);
+        for (c, shard) in shards.iter().enumerate() {
+            assert_eq!(shard.osds.len(), 8, "indices stay OSD ids");
+            for (o, osd) in shard.osds.iter().enumerate() {
+                assert_eq!(osd.id, OsdId(o as u32));
+                let mine = components.of_osd(osd.id) == c;
+                assert_eq!(osd.is_vacant(), !mine, "shard {c} slot {o}");
+                if mine {
+                    assert!(osd.object_count() > 0, "fixture populates every device");
+                }
+            }
+        }
+        assert_eq!(cluster_bytes(&Cluster::merge(shards)), before);
+    }
+
+    /// A vacant slot holds nothing and answers nothing: any use is a
+    /// shard engine reaching outside its component.
+    #[test]
+    #[should_panic(expected = "vacant in this shard")]
+    fn vacant_slot_panics_on_use() {
+        let trace = two_component_trace();
+        let cluster = Cluster::build(two_component_config(), &trace).unwrap();
+        let components = component_map(&cluster, &trace);
+        let shards = cluster.split(components.count, |osd| components.of_osd(osd));
+        // OSD 7 is in group 3, i.e. component 1: vacant in shard 0.
+        shards[0].osds[7].object_count();
+    }
+
+    /// Exact work counts: whatever the thread and component counts, a
+    /// sharded run walks the trace for the component map once and carves
+    /// the client scripts once; a run the options rule out (`shards 0`,
+    /// default affinity) walks it for neither.
+    #[test]
+    fn a_run_maps_components_and_carves_scripts_once() {
+        let counts = || (work::COMPONENT_PASSES.get(), work::CARVINGS.get());
+        let run_counted = |opts: SimOptions| {
+            let trace = two_component_trace();
+            let cluster = Cluster::build(two_component_config(), &trace).unwrap();
+            let before = counts();
+            run_trace_obs_keep(cluster, &trace, &mut GroupMover, opts, &mut NoopRecorder);
+            let after = counts();
+            (after.0 - before.0, after.1 - before.1)
+        };
+        assert_eq!(run_counted(options(1)), (1, 1));
+        assert_eq!(run_counted(options(2)), (1, 1));
+        // Sequential, component-affine: the one pass its scripts need.
+        assert_eq!(run_counted(options(0)), (1, 1));
+        assert_eq!(run_counted(SimOptions::default()), (0, 0));
     }
 
     #[test]

@@ -25,6 +25,7 @@ use crate::metrics::{LatencyHistogram, ResponseSeries, RunReport, RunTallies};
 use crate::migrate::{close_wc_window, plan_round, Migrator, MoveAction};
 use crate::osd::OsdError;
 use crate::pace::{SimTime, TimeSource, TimeStep};
+use crate::shard::{component_map, component_scripts, Components};
 
 /// When the engine consults the migration policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -425,35 +426,72 @@ impl Snapshot for RebuildState {
 }
 
 /// Component ownership tables for shard-aware journaling: which
-/// placement component each OSD and each client slot belongs to. Built
-/// only for component-affine runs with event journaling on; `None`
-/// otherwise. Derived state — a pure function of (cluster, trace,
-/// options) — so it is never snapshotted and resume rebuilds it.
-struct CompTags {
+/// placement component each OSD and each client slot belongs to. Derived
+/// state — a pure function of (cluster, trace, options) — so it is never
+/// snapshotted and resume rebuilds it.
+#[derive(Clone)]
+pub(crate) struct CompTags {
     of_osd: Vec<u32>,
     of_client: Vec<u32>,
 }
 
 impl CompTags {
-    fn build(cluster: &Cluster, trace: &Trace, scripts: &[Vec<usize>]) -> CompTags {
-        let placement = *cluster.catalog.placement();
-        let (comp_of_group, _) = crate::shard::component_map(cluster, trace);
-        let comp_of_file = |file: edm_workload::FileId| {
-            comp_of_group[placement.group_of(placement.home_osd(file, 0)).0 as usize] as u32
-        };
-        let of_osd = (0..cluster.config.osds)
-            .map(|o| comp_of_group[placement.group_of(OsdId(o)).0 as usize] as u32)
+    fn build(
+        components: &Components,
+        osds: u32,
+        trace: &Trace,
+        scripts: &[Vec<usize>],
+    ) -> CompTags {
+        let of_osd = (0..osds)
+            .map(|o| components.of_osd(OsdId(o)) as u32)
             .collect();
         // A component-affine script stays inside one component, so its
         // first record names it. Empty scripts never journal anything.
         let of_client = scripts
             .iter()
             .map(|s| match s.first() {
-                Some(&i) => comp_of_file(trace.records[i].file),
+                Some(&i) => components.of_file(trace.records[i].file) as u32,
                 None => 0,
             })
             .collect();
         CompTags { of_osd, of_client }
+    }
+}
+
+/// The client side of a replay: the trace record indices each client
+/// slot issues, in order, and — under [`ClientAffinity::Component`] —
+/// the journal tags that go with them. Built once per run, walking the
+/// whole trace; [`new_engine`] takes it as given.
+pub(crate) struct ClientScripts {
+    pub(crate) scripts: Vec<Vec<usize>>,
+    pub(crate) tags: Option<CompTags>,
+}
+
+impl ClientScripts {
+    /// The assignment `options.affinity` asks for.
+    pub(crate) fn build(cluster: &Cluster, trace: &Trace, affinity: ClientAffinity) -> Self {
+        match affinity {
+            ClientAffinity::User => ClientScripts {
+                scripts: edm_workload::replay::assign_clients(trace, cluster.config.client_count())
+                    .into_iter()
+                    .map(|s| s.record_indices)
+                    .collect(),
+                tags: None,
+            },
+            ClientAffinity::Component => {
+                Self::by_component(&component_map(cluster, trace), cluster, trace)
+            }
+        }
+    }
+
+    /// The component-affine assignment over an already computed map.
+    pub(crate) fn by_component(components: &Components, cluster: &Cluster, trace: &Trace) -> Self {
+        let scripts = component_scripts(components, trace, cluster.config.client_count());
+        let tags = CompTags::build(components, cluster.config.osds, trace, &scripts);
+        ClientScripts {
+            scripts,
+            tags: Some(tags),
+        }
     }
 }
 
@@ -485,7 +523,7 @@ pub(crate) struct Engine<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder +
     seq: u64,
     pub(crate) now: u64,
 
-    pub(crate) scripts: Vec<Vec<usize>>,
+    scripts: Vec<Vec<usize>>,
     cursors: Vec<usize>,
     /// File ops currently in flight per client (bounded by the configured
     /// concurrency — the multi-threaded replayer of §IV).
@@ -521,7 +559,8 @@ pub(crate) struct Engine<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder +
     /// itself so the sharded runner needs no cross-thread channel to
     /// collect it.
     pub(crate) paused: Pause,
-    /// Component tags for shard-aware journaling (see [`CompTags`]).
+    /// Component tags for shard-aware journaling (see [`CompTags`]);
+    /// `None` unless the run is component-affine with the journal on.
     comp_tags: Option<CompTags>,
 }
 
@@ -1206,13 +1245,12 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
             return;
         }
         let placement = *self.cluster.catalog.placement();
-        let lost: Vec<ObjectId> = self
-            .cluster
-            .view(self.now)
-            .objects
-            .iter()
-            .filter(|ov| ov.osd == osd)
-            .map(|ov| ov.object)
+        // In catalog order, which is the order a view lists objects in.
+        let catalog = &self.cluster.catalog;
+        let lost: Vec<ObjectId> = catalog
+            .files()
+            .flat_map(|meta| meta.objects.iter().copied())
+            .filter(|&object| catalog.locate(object) == osd)
             .collect();
         for object in lost {
             let (file, _) = placement.object_owner(object);
@@ -1719,7 +1757,8 @@ pub fn run_trace_obs_keep(
     if let Some(plan) = crate::shard::plan_sharding(&cluster, trace, policy, &options) {
         return crate::shard::run_sharded(cluster, trace, policy, options, obs, plan);
     }
-    let mut engine = new_engine(cluster, trace, policy, options, obs);
+    let clients = ClientScripts::build(&cluster, trace, options.affinity);
+    let mut engine = new_engine(cluster, trace, policy, options, obs, clients);
     engine.seed_events();
     engine.drain()
 }
@@ -1785,40 +1824,26 @@ pub(crate) fn resume_engine<'a>(
         r.finish("policy")?;
     }
     cluster.emit_run_meta(obs);
-    let mut engine = new_engine(cluster, trace, policy, options, obs);
+    let clients = ClientScripts::build(&cluster, trace, options.affinity);
+    let mut engine = new_engine(cluster, trace, policy, options, obs, clients);
     let mut r = snap.reader("engine")?;
     engine.load_engine(&mut r);
     r.finish("engine")?;
     Ok(engine)
 }
 
-/// Builds the client scripts for `trace` under the requested affinity.
-fn build_scripts(cluster: &Cluster, trace: &Trace, affinity: ClientAffinity) -> Vec<Vec<usize>> {
-    let clients = cluster.config.client_count();
-    match affinity {
-        ClientAffinity::User => edm_workload::replay::assign_clients(trace, clients)
-            .into_iter()
-            .map(|s| s.record_indices)
-            .collect(),
-        ClientAffinity::Component => crate::shard::component_scripts(cluster, trace, clients),
-    }
-}
-
-/// Builds a pristine engine around `cluster` — the shared front half of
-/// the fresh-run and resume paths.
+/// Builds a pristine engine around `cluster`, issuing `clients` — the
+/// one constructor of the fresh-run, resume, live and sharded paths.
 pub(crate) fn new_engine<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized>(
     cluster: Cluster,
     trace: &'a Trace,
     policy: &'a mut P,
     options: SimOptions,
     obs: &'a mut R,
+    clients: ClientScripts,
 ) -> Engine<'a, P, R> {
-    let scripts = build_scripts(&cluster, trace, options.affinity);
-    let comp_tags = if options.affinity == ClientAffinity::Component && obs.events_on() {
-        Some(CompTags::build(&cluster, trace, &scripts))
-    } else {
-        None
-    };
+    let ClientScripts { scripts, tags } = clients;
+    let comp_tags = tags.filter(|_| obs.events_on());
     let osds = cluster.config.osds as usize;
     let tally = RunTallies::new(osds, cluster.config.response_window_us);
     let blocking_moves = policy.blocking_moves();

@@ -14,7 +14,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::wear_model::WearModel;
+use crate::wear_model::{erase_count_over, WearModel};
 
 /// Tunables of Algorithm 1.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -78,13 +78,14 @@ pub fn calculate_hdf(
 ) -> MovementAmounts {
     validate_inputs(wc_pages, utilization);
     let n = wc_pages.len();
+    // HDF holds u fixed, so Eq. 3 is solved once per device and every
+    // Eq. 4 evaluation below divides by that device's denominator.
+    let free_pages = free_pages_per_erase(utilization, model);
     let mut wc = wc_pages.to_vec();
     let mut delta = vec![0.0; n];
     let mut used = 0;
     for _ in 0..cfg.iterations {
-        let ec: Vec<f64> = (0..n)
-            .map(|i| model.erase_count(wc[i], utilization[i]))
-            .collect();
+        let ec = erase_counts(&wc, &free_pages);
         if rsd(&ec) < cfg.stop_rsd {
             break;
         }
@@ -96,8 +97,8 @@ pub fn calculate_hdf(
         let mut eps = 0.0;
         while eps < 1.0 {
             let dw = wc[x] * eps;
-            let de = model.erase_count(wc[x] - dw, utilization[x])
-                - model.erase_count(wc[y] + dw, utilization[y]);
+            let de = erase_count_over(wc[x] - dw, free_pages[x])
+                - erase_count_over(wc[y] + dw, free_pages[y]);
             if de <= 0.0 {
                 shift = dw;
                 break;
@@ -113,12 +114,9 @@ pub fn calculate_hdf(
         wc[y] += shift;
         used += 1;
     }
-    let final_erases = (0..n)
-        .map(|i| model.erase_count(wc[i], utilization[i]))
-        .collect();
     MovementAmounts {
         delta,
-        final_erases,
+        final_erases: erase_counts(&wc, &free_pages),
         iterations_used: used,
     }
 }
@@ -135,12 +133,13 @@ pub fn calculate_cdf(
     validate_inputs(wc_pages, utilization);
     let n = wc_pages.len();
     let mut u = utilization.to_vec();
+    // CDF moves u, so the ε sweep re-solves Eq. 3 at every step; between
+    // sweeps only the committed pair's denominators change.
+    let mut free_pages = free_pages_per_erase(&u, model);
     let mut delta = vec![0.0; n];
     let mut used = 0;
     for _ in 0..cfg.iterations {
-        let ec: Vec<f64> = (0..n)
-            .map(|i| model.erase_count(wc_pages[i], u[i]))
-            .collect();
+        let ec = erase_counts(wc_pages, &free_pages);
         if rsd(&ec) < cfg.stop_rsd {
             break;
         }
@@ -181,16 +180,33 @@ pub fn calculate_cdf(
         delta[y] += shift;
         u[x] -= shift;
         u[y] += shift;
+        for i in [x, y] {
+            free_pages[i] = model.free_pages_per_erase(u[i]);
+        }
         used += 1;
     }
-    let final_erases = (0..n)
-        .map(|i| model.erase_count(wc_pages[i], u[i]))
-        .collect();
     MovementAmounts {
         delta,
-        final_erases,
+        final_erases: erase_counts(wc_pages, &free_pages),
         iterations_used: used,
     }
+}
+
+/// Eq. 4's denominator `Np · (1 − F(uᵢ))` per device: one Eq. 3 solve
+/// each.
+fn free_pages_per_erase(utilization: &[f64], model: &WearModel) -> Vec<f64> {
+    utilization
+        .iter()
+        .map(|&u| model.free_pages_per_erase(u))
+        .collect()
+}
+
+/// Eq. 4 per device from the precomputed denominators.
+fn erase_counts(wc: &[f64], free_pages: &[f64]) -> Vec<f64> {
+    wc.iter()
+        .zip(free_pages)
+        .map(|(&w, &f)| erase_count_over(w, f))
+        .collect()
 }
 
 fn validate_inputs(wc: &[f64], u: &[f64]) {
@@ -241,10 +257,161 @@ fn max_min_pair(ec: &[f64], source_ok: impl Fn(usize) -> bool) -> Option<(usize,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wear_model::{u_of_ur, F_OF_U_CALLS};
     use edm_cluster::metrics::rsd;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn model() -> WearModel {
         WearModel::paper(32)
+    }
+
+    /// Algorithm 1 as the paper states it: Eq. 4 through
+    /// `WearModel::erase_count` — one Eq. 3 solve — at every evaluation.
+    /// `move_u` selects the CDF variant. The functions above must match
+    /// this bit for bit.
+    fn naive(
+        move_u: bool,
+        wc_pages: &[f64],
+        utilization: &[f64],
+        m: &WearModel,
+        cfg: &Alg1Config,
+    ) -> MovementAmounts {
+        let n = wc_pages.len();
+        let (mut wc, mut u) = (wc_pages.to_vec(), utilization.to_vec());
+        let mut delta = vec![0.0; n];
+        let mut used = 0;
+        let erases = |wc: &[f64], u: &[f64]| -> Vec<f64> {
+            (0..n).map(|i| m.erase_count(wc[i], u[i])).collect()
+        };
+        for _ in 0..cfg.iterations {
+            let ec = erases(&wc, &u);
+            if super::rsd(&ec) < cfg.stop_rsd {
+                break;
+            }
+            let pair = max_min_pair(&ec, |i| {
+                !move_u
+                    || (u[i] >= cfg.min_source_utilization && -delta[i] < cfg.max_shed_per_device)
+            });
+            let Some((x, y)) = pair else {
+                break;
+            };
+            let floor = cfg
+                .min_source_utilization
+                .max(utilization[x] - cfg.max_shed_per_device);
+            let mut shift = 0.0;
+            let mut eps = 0.0;
+            while eps < 1.0 {
+                let d = if move_u { u[x] * eps } else { wc[x] * eps };
+                if move_u && (u[x] - d < floor || u[y] + d > cfg.dest_util_cap) {
+                    shift = (u[x] - floor).min(cfg.dest_util_cap - u[y]).max(0.0);
+                    break;
+                }
+                let de = if move_u {
+                    m.erase_count(wc[x], u[x] - d) - m.erase_count(wc[y], u[y] + d)
+                } else {
+                    m.erase_count(wc[x] - d, u[x]) - m.erase_count(wc[y] + d, u[y])
+                };
+                if de <= 0.0 {
+                    shift = d;
+                    break;
+                }
+                eps += cfg.eps_step;
+            }
+            if shift <= if move_u { 1e-9 } else { 0.0 } {
+                break;
+            }
+            delta[x] -= shift;
+            delta[y] += shift;
+            let moved = if move_u { &mut u } else { &mut wc };
+            moved[x] -= shift;
+            moved[y] += shift;
+            used += 1;
+        }
+        MovementAmounts {
+            delta,
+            final_erases: erases(&wc, &u),
+            iterations_used: used,
+        }
+    }
+
+    fn assert_bit_identical(got: &MovementAmounts, want: &MovementAmounts, what: &str) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got.delta), bits(&want.delta), "{what}: delta");
+        assert_eq!(
+            bits(&got.final_erases),
+            bits(&want.final_erases),
+            "{what}: final_erases"
+        );
+        assert_eq!(got.iterations_used, want.iterations_used, "{what}");
+    }
+
+    /// Seeded grid: group sizes 2–64, both σ, utilizations on both clamps
+    /// of `f_of_u` (≤ σ and ≥ `u_of_ur(0.999)`) and between, zero and
+    /// equal write counts.
+    #[test]
+    fn matches_the_naive_reference_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(0xA161);
+        let cfg = Alg1Config {
+            iterations: 40, // keeps the naive side's debug-build cost down
+            ..Alg1Config::default()
+        };
+        let high_clamp = u_of_ur(0.999);
+        let (mut hdf_moved, mut cdf_moved) = (0, 0);
+        for m in [WearModel::eq2(32), WearModel::paper(32)] {
+            for n in [2usize, 3, 4, 7, 16, 64] {
+                for case in 0..4 {
+                    let u: Vec<f64> = (0..n)
+                        .map(|i| match (case + i) % 5 {
+                            0 => m.sigma * rng.gen::<f64>(),
+                            1 => high_clamp + (1.0 - high_clamp) * rng.gen::<f64>(),
+                            _ => rng.gen_range(0.3..0.95),
+                        })
+                        .collect();
+                    let wc: Vec<f64> = (0..n)
+                        .map(|i| match (case, i % 3) {
+                            (0, _) => 25_000.0,
+                            (1, 0) => 0.0,
+                            _ => rng.gen_range(0.0..200_000.0f64).floor(),
+                        })
+                        .collect();
+                    let what = format!("σ={} n={n} case={case}", m.sigma);
+                    let hdf = calculate_hdf(&wc, &u, &m, &cfg);
+                    assert_bit_identical(
+                        &hdf,
+                        &naive(false, &wc, &u, &m, &cfg),
+                        &format!("hdf {what}"),
+                    );
+                    let cdf = calculate_cdf(&wc, &u, &m, &cfg);
+                    assert_bit_identical(
+                        &cdf,
+                        &naive(true, &wc, &u, &m, &cfg),
+                        &format!("cdf {what}"),
+                    );
+                    hdf_moved += usize::from(hdf.iterations_used > 0);
+                    cdf_moved += usize::from(cdf.iterations_used > 0);
+                }
+            }
+        }
+        // 48 inputs per variant; the grid must not be all fixed points.
+        assert!(
+            hdf_moved >= 24 && cdf_moved >= 24,
+            "{hdf_moved} {cdf_moved}"
+        );
+    }
+
+    /// Exact work count: HDF solves Eq. 3 once per device, whatever the
+    /// iteration and ε-step counts.
+    #[test]
+    fn hdf_solves_eq3_exactly_once_per_device() {
+        for n in [2usize, 16, 64] {
+            let wc: Vec<f64> = (0..n).map(|i| 1_000.0 * (1 + i * i) as f64).collect();
+            let u: Vec<f64> = (0..n).map(|i| 0.4 + 0.5 * i as f64 / n as f64).collect();
+            F_OF_U_CALLS.set(0);
+            let out = calculate_hdf(&wc, &u, &model(), &Alg1Config::default());
+            assert!(out.iterations_used > 0, "the sweep must actually run");
+            assert_eq!(F_OF_U_CALLS.get(), n as u64);
+        }
     }
 
     #[test]

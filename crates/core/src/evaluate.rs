@@ -99,8 +99,11 @@ pub fn trim_to_improvement(
     tracker: &AccessTracker,
     model: &WearModel,
 ) -> Vec<MoveAction> {
+    // Inputs and the no-plan projection are built once; every candidate
+    // length is assessed from them.
+    let baseline = Baseline::new(view, tracker, model);
     while !plan.is_empty() {
-        if assess_plan(view, &plan, tracker, model).is_improvement() {
+        if baseline.assess(&plan).is_improvement() {
             break;
         }
         plan.pop();
@@ -117,6 +120,27 @@ struct ProjectionInputs {
     live_bytes: Vec<f64>,
     rate: Vec<f64>,
     footprint: HashMap<ObjectId, (u64, u64)>,
+}
+
+impl ProjectionInputs {
+    /// Eq. 4 per device one window ahead, for the given next-window
+    /// write rates and live bytes.
+    fn project(&self, rate: &[f64], live_bytes: &[f64], model: &WearModel) -> Vec<f64> {
+        (0..self.wc.len())
+            .map(|i| {
+                model.erase_count(
+                    self.wc[i] + rate[i].max(0.0),
+                    (live_bytes[i] / self.capacity[i]).clamp(0.0, 1.0),
+                )
+            })
+            .collect()
+    }
+
+    /// (size, window write pages) of an object; zeros when the view does
+    /// not hold it.
+    fn footprint_of(&self, object: ObjectId) -> (u64, u64) {
+        self.footprint.get(&object).copied().unwrap_or((0, 0))
+    }
 }
 
 fn projection_inputs(view: &ClusterView, tracker: &AccessTracker) -> ProjectionInputs {
@@ -202,7 +226,7 @@ pub fn trim_to_improvement_model(
 
     // Apply the whole plan, then project once and walk backwards.
     for m in &plan {
-        let (size, pages) = inp.footprint.get(&m.object).copied().unwrap_or((0, 0));
+        let (size, pages) = inp.footprint_of(m.object);
         let (s, d) = (m.source.0 as usize, m.dest.0 as usize);
         inp.rate[s] -= pages as f64;
         inp.rate[d] += pages as f64;
@@ -219,7 +243,7 @@ pub fn trim_to_improvement_model(
             break;
         };
         // Undo the move: only its two endpoints re-project.
-        let (size, pages) = inp.footprint.get(&m.object).copied().unwrap_or((0, 0));
+        let (size, pages) = inp.footprint_of(m.object);
         let (s, d) = (m.source.0 as usize, m.dest.0 as usize);
         inp.rate[s] += pages as f64;
         inp.rate[d] -= pages as f64;
@@ -251,49 +275,54 @@ pub fn assess_plan(
     tracker: &AccessTracker,
     model: &WearModel,
 ) -> PlanAssessment {
-    let n = view.osds.len();
-    let ProjectionInputs {
-        wc,
-        capacity,
-        mut live_bytes,
-        mut rate,
-        footprint,
-    } = projection_inputs(view, tracker);
+    Baseline::new(view, tracker, model).assess(plan)
+}
 
-    let project = |rate: &[f64], live: &[f64]| -> Vec<f64> {
-        (0..n)
-            .map(|i| {
-                model.erase_count(
-                    wc[i] + rate[i].max(0.0),
-                    (live[i] / capacity[i]).clamp(0.0, 1.0),
-                )
-            })
-            .collect()
-    };
-    let erases_before = project(&rate, &live_bytes);
+/// The reference assessor's plan-independent half: the projection inputs
+/// of one (view, tracker) and the projection without any plan.
+struct Baseline<'a> {
+    inputs: ProjectionInputs,
+    model: &'a WearModel,
+    erases_before: Vec<f64>,
+    rsd_before: f64,
+}
 
-    let mut moved_bytes = 0u64;
-    let mut moved_write_pages = 0u64;
-    for m in plan {
-        let (size, pages) = footprint.get(&m.object).copied().unwrap_or((0, 0));
-        moved_bytes += size;
-        moved_write_pages += pages;
-        let (s, d) = (m.source.0 as usize, m.dest.0 as usize);
-        rate[s] -= pages as f64;
-        rate[d] += pages as f64;
-        live_bytes[s] -= size as f64;
-        live_bytes[d] += size as f64;
+impl<'a> Baseline<'a> {
+    fn new(view: &ClusterView, tracker: &AccessTracker, model: &'a WearModel) -> Self {
+        let inputs = projection_inputs(view, tracker);
+        let erases_before = inputs.project(&inputs.rate, &inputs.live_bytes, model);
+        Baseline {
+            rsd_before: trigger::evaluate(&erases_before, 0.0).rsd,
+            erases_before,
+            inputs,
+            model,
+        }
     }
 
-    let erases_after = project(&rate, &live_bytes);
-
-    PlanAssessment {
-        rsd_before: trigger::evaluate(&erases_before, 0.0).rsd,
-        rsd_after: trigger::evaluate(&erases_after, 0.0).rsd,
-        erases_before,
-        erases_after,
-        moved_bytes,
-        moved_write_pages,
+    fn assess(&self, plan: &[MoveAction]) -> PlanAssessment {
+        let mut rate = self.inputs.rate.clone();
+        let mut live_bytes = self.inputs.live_bytes.clone();
+        let mut moved_bytes = 0u64;
+        let mut moved_write_pages = 0u64;
+        for m in plan {
+            let (size, pages) = self.inputs.footprint_of(m.object);
+            moved_bytes += size;
+            moved_write_pages += pages;
+            let (s, d) = (m.source.0 as usize, m.dest.0 as usize);
+            rate[s] -= pages as f64;
+            rate[d] += pages as f64;
+            live_bytes[s] -= size as f64;
+            live_bytes[d] += size as f64;
+        }
+        let erases_after = self.inputs.project(&rate, &live_bytes, self.model);
+        PlanAssessment {
+            rsd_before: self.rsd_before,
+            rsd_after: trigger::evaluate(&erases_after, 0.0).rsd,
+            erases_before: self.erases_before.clone(),
+            erases_after,
+            moved_bytes,
+            moved_write_pages,
+        }
     }
 }
 

@@ -80,6 +80,8 @@ impl WearModel {
     /// corrected utilization reaches 1 clamp just below 1.
     pub fn f_of_u(&self, u: f64) -> f64 {
         assert!((0.0..=1.0).contains(&u), "utilization must be in [0, 1]");
+        #[cfg(test)]
+        F_OF_U_CALLS.set(F_OF_U_CALLS.get() + 1);
         let target = u - self.sigma;
         if target <= 0.0 {
             return 0.0;
@@ -103,9 +105,7 @@ impl WearModel {
     /// Eq. 4: estimated block erases for `wc_pages` host page writes at
     /// disk utilization `u`.
     pub fn erase_count(&self, wc_pages: f64, u: f64) -> f64 {
-        assert!(wc_pages >= 0.0, "write pages must be non-negative");
-        let ur = self.f_of_u(u);
-        wc_pages / (self.pages_per_block as f64 * (1.0 - ur))
+        erase_count_over(wc_pages, self.free_pages_per_erase(u))
     }
 
     /// Net free pages produced per erase at utilization `u` (the
@@ -113,6 +113,24 @@ impl WearModel {
     pub fn free_pages_per_erase(&self, u: f64) -> f64 {
         self.pages_per_block as f64 * (1.0 - self.f_of_u(u))
     }
+}
+
+/// Eq. 4 from its denominator: block erases for `wc_pages` host page
+/// writes on a device that nets `free_pages_per_erase` pages per erase
+/// ([`WearModel::free_pages_per_erase`]). Algorithm 1 evaluates Eq. 4
+/// thousands of times per device at a fixed utilization; it solves F(u)
+/// once and calls this, which is all [`WearModel::erase_count`] does
+/// after its own solve.
+pub(crate) fn erase_count_over(wc_pages: f64, free_pages_per_erase: f64) -> f64 {
+    assert!(wc_pages >= 0.0, "write pages must be non-negative");
+    wc_pages / free_pages_per_erase
+}
+
+#[cfg(test)]
+thread_local! {
+    /// [`WearModel::f_of_u`] calls made on this thread — an exact work
+    /// count for tests that pin how often Eq. 3 is solved.
+    pub(crate) static F_OF_U_CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 #[cfg(test)]
