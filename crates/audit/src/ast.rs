@@ -1,13 +1,11 @@
-//! The lightweight item-level AST the semantic rules run on.
+//! The item-level AST the two coverage rules read.
 //!
-//! This is deliberately *not* a full Rust grammar: items (functions,
-//! structs, enums, impls, uses, modules) are parsed with their
-//! signatures, and function bodies are reduced to a **statement
-//! skeleton** — per statement, the binding it introduces or target it
-//! assigns, the calls it makes (with per-argument identifier paths),
-//! and the identifier paths it reads. That is exactly the granularity
-//! the taint, lock-order, and unit rules need, and nothing more; full
-//! expression typing stays out of scope.
+//! This is deliberately *not* a Rust grammar: items (functions,
+//! structs, enums, impls, modules) are recognized with just the facts
+//! `snap.field_coverage` and `spec.event_coverage` consume — struct
+//! field names, enum variant names, an impl's trait and type, and each
+//! function's name and body token range. Function bodies are not
+//! parsed; every other rule runs on the token stream directly.
 //!
 //! Spans are token ranges into a file's significant-token stream
 //! ([`crate::SourceFile::sig`]). The parser is total and the top-level
@@ -41,10 +39,8 @@ pub enum ItemKind {
     Enum(EnumDecl),
     Impl(ImplBlock),
     Mod(ModDecl),
-    /// `use path::to::thing;` — the path text, `::`-joined.
-    Use(String),
-    /// Anything else, labeled: "const", "static", "type", "trait",
-    /// "macro", "extern", "attr" (stray attribute), "unparsed".
+    /// Anything else, labeled: "use", "const", "static", "type",
+    /// "trait", "macro", "extern", "attr" (stray attribute), "unparsed".
     Other(&'static str),
 }
 
@@ -52,15 +48,8 @@ pub enum ItemKind {
 #[derive(Debug, Clone)]
 pub struct StructDecl {
     pub name: String,
-    pub fields: Vec<FieldDecl>,
-}
-
-#[derive(Debug, Clone)]
-pub struct FieldDecl {
-    pub name: String,
-    /// The field's type, as whitespace-joined token text.
-    pub ty: String,
-    pub line: u32,
+    /// Field names, in declaration order.
+    pub fields: Vec<String>,
 }
 
 #[derive(Debug, Clone)]
@@ -82,96 +71,21 @@ pub struct ImplBlock {
 #[derive(Debug, Clone)]
 pub struct ModDecl {
     pub name: String,
-    /// `true` when the module carried `#[cfg(test)]`.
-    pub cfg_test: bool,
     pub items: Vec<Item>,
 }
 
-/// A function: signature plus statement skeleton.
 #[derive(Debug, Clone)]
 pub struct FnDecl {
     pub name: String,
     pub line: u32,
     /// `true` when the fn carried `#[test]` (or a `#[cfg(test)]` attr).
     pub test: bool,
-    pub params: Vec<Param>,
-    /// Return type as whitespace-joined token text (`None` = unit).
-    pub ret: Option<String>,
-    /// Statement skeleton of the body (empty for bodyless trait fns).
-    pub body: Vec<Stmt>,
-    /// Token range of the body including braces, when present.
+    /// Token range of the body including braces (`None` for bodyless
+    /// trait fns).
     pub body_range: Option<(usize, usize)>,
 }
 
-#[derive(Debug, Clone)]
-pub struct Param {
-    /// First bound identifier of the pattern (`""` for `self` receivers
-    /// and wholly unnamed patterns).
-    pub name: String,
-    /// Type text (`""` for `self` receivers).
-    pub ty: String,
-}
-
-/// One statement-skeleton entry. Statements are the maximal token runs
-/// between `;`, `{`, and `}` anywhere inside the body, so nested blocks
-/// flatten into the same list (with `depth` recording nesting).
-#[derive(Debug, Clone)]
-pub struct Stmt {
-    pub line: u32,
-    /// Significant-token range of the statement.
-    pub lo: usize,
-    pub hi: usize,
-    /// Brace depth inside the body (1 = body top level).
-    pub depth: u32,
-    pub kind: StmtKind,
-    /// Calls made anywhere in the statement, in token order.
-    pub calls: Vec<Call>,
-    /// Dotted identifier paths read (e.g. `self.now`, `x`), excluding
-    /// callee names, struct-literal field labels, and keywords.
-    pub idents: Vec<String>,
-}
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StmtKind {
-    /// `let <pat> = …;` — every identifier the pattern binds.
-    Let {
-        names: Vec<String>,
-    },
-    /// `<path> = …;` / `<path> += …;` — the dotted target path.
-    Assign {
-        target: String,
-    },
-    /// `return …;`, `break …`, or the body's tail expression.
-    Return,
-    Other,
-}
-
-/// One call site inside a statement.
-#[derive(Debug, Clone)]
-pub struct Call {
-    /// Callee path text: `Instant::now` for path calls, the bare method
-    /// name for method calls.
-    pub callee: String,
-    /// `true` for `recv.method(…)` shapes.
-    pub method: bool,
-    /// Receiver's dotted path for method calls on a named place
-    /// (`self.ingest`, `q.lines`); `None` for chained/call receivers.
-    pub recv: Option<String>,
-    pub line: u32,
-    /// Per-argument dotted identifier paths (top-level comma split).
-    pub args: Vec<Vec<String>>,
-}
-
 impl Ast {
-    /// Every function in the file, with its impl-owner type (if any) and
-    /// whether it sits inside a `#[cfg(test)]` module, recursing through
-    /// inline modules.
-    pub fn fns(&self) -> Vec<FnCtx<'_>> {
-        let mut out = Vec::new();
-        collect_fns(&self.items, None, false, &mut out);
-        out
-    }
-
     /// Every named-field struct in the file (recursing through modules).
     pub fn structs(&self) -> Vec<&StructDecl> {
         let mut out = Vec::new();
@@ -184,48 +98,6 @@ impl Ast {
         let mut out = Vec::new();
         collect_enums(&self.items, &mut out);
         out
-    }
-}
-
-/// A function together with the context the semantic rules scope on.
-#[derive(Debug, Clone, Copy)]
-pub struct FnCtx<'a> {
-    pub decl: &'a FnDecl,
-    /// The impl block's type name, for methods.
-    pub owner: Option<&'a str>,
-    /// The impl block's trait name, for trait-impl methods.
-    pub trait_name: Option<&'a str>,
-    /// Inside a `#[cfg(test)]` module (or `#[test]`-attributed).
-    pub in_test: bool,
-}
-
-fn collect_fns<'a>(
-    items: &'a [Item],
-    owner: Option<&'a str>,
-    in_test: bool,
-    out: &mut Vec<FnCtx<'a>>,
-) {
-    for item in items {
-        match &item.kind {
-            ItemKind::Fn(decl) => out.push(FnCtx {
-                decl,
-                owner,
-                trait_name: None,
-                in_test: in_test || decl.test,
-            }),
-            ItemKind::Impl(imp) => {
-                for decl in &imp.fns {
-                    out.push(FnCtx {
-                        decl,
-                        owner: Some(&imp.type_name),
-                        trait_name: imp.trait_name.as_deref(),
-                        in_test: in_test || decl.test,
-                    });
-                }
-            }
-            ItemKind::Mod(m) => collect_fns(&m.items, owner, in_test || m.cfg_test, out),
-            _ => {}
-        }
     }
 }
 

@@ -52,7 +52,6 @@ pub fn check_workflow_gate(check_sh: Option<&str>, workflow: Option<&str>) -> Ve
         path: path.to_string(),
         line: 1,
         message,
-        chain: Vec::new(),
     };
     let Some(check) = check_sh else {
         return vec![finding(

@@ -26,16 +26,12 @@
 
 pub mod ast;
 pub mod ci;
-mod conc;
 mod lexer;
 pub mod parse;
 mod pragma;
 mod report;
 mod rules;
 mod source;
-pub mod symgraph;
-mod taint;
-mod units;
 
 pub use ci::check_workflow_gate;
 pub use lexer::{lex, TokKind, Token};
@@ -43,7 +39,6 @@ pub use pragma::{parse_pragmas, Pragma, PragmaError};
 pub use report::{AuditOutcome, Finding, Suppressed};
 pub use rules::{rule_exists, PANIC_PRAGMA_BUDGETS, RULES};
 pub use source::{FileKind, SourceFile};
-pub use symgraph::SymGraph;
 
 use std::path::{Path, PathBuf};
 
@@ -75,10 +70,6 @@ pub fn audit_sources(files: Vec<(String, String)>) -> AuditOutcome {
     rules::check_spec_event_coverage(&files, &mut raw);
     rules::check_suppression_budget(&files, &mut raw);
 
-    // Semantic passes: the workspace symbol graph feeds the
-    // interprocedural rules (det.taint, conc.*, unit.*).
-    raw.append(&mut semantic_findings(&files));
-
     // Suppression: a pragma silences findings of its rule on its target
     // line. Pragma problems are findings themselves and cannot be
     // suppressed.
@@ -93,7 +84,6 @@ pub fn audit_sources(files: Vec<(String, String)>) -> AuditOutcome {
                 path: f.rel_path.clone(),
                 line: e.line,
                 message: e.detail.clone(),
-                chain: Vec::new(),
             });
         }
         for p in &f.pragmas {
@@ -103,7 +93,6 @@ pub fn audit_sources(files: Vec<(String, String)>) -> AuditOutcome {
                     path: f.rel_path.clone(),
                     line: p.line,
                     message: format!("no rule named `{}` (see edm-audit --list-rules)", p.rule),
-                    chain: Vec::new(),
                 });
             }
         }
@@ -147,25 +136,11 @@ pub fn audit_sources(files: Vec<(String, String)>) -> AuditOutcome {
                     "pragma allows `{}` but suppressed nothing on line {}",
                     p.rule, p.target_line
                 ),
-                chain: Vec::new(),
             });
         }
     }
     outcome.sort();
     outcome
-}
-
-/// Runs only the semantic passes — symbol-graph construction plus the
-/// interprocedural rules (`det.taint`, `conc.lock_order`,
-/// `conc.shared_state`, `unit.time`, `unit.wear`) — over
-/// already-loaded files.
-fn semantic_findings(files: &[SourceFile]) -> Vec<Finding> {
-    let graph = SymGraph::build(files);
-    let mut raw = Vec::new();
-    taint::check_taint(&graph, &mut raw);
-    conc::check_conc(&graph, &mut raw);
-    units::check_units(&graph, &mut raw);
-    raw
 }
 
 /// Audits the workspace rooted at `root`: every `.rs` file under

@@ -13,10 +13,6 @@ pub struct Finding {
     pub line: u32,
     pub rule: &'static str,
     pub message: String,
-    /// Source→sink chain for path-sensitive findings (`det.taint`,
-    /// `conc.*`, `unit.*`): each step is `path:line: description`.
-    /// Empty for point findings.
-    pub chain: Vec<String>,
 }
 
 /// A finding that an `edm-audit: allow` pragma silenced, kept for the
@@ -46,16 +42,12 @@ impl AuditOutcome {
         self.suppressed.sort_by_key(|s| key(&s.finding));
     }
 
-    /// The human report: one `path:line: [rule] message` per finding
-    /// (chain steps indented below it), path-sorted, plus a one-line
-    /// summary.
+    /// The human report: one `path:line: [rule] message` per finding,
+    /// path-sorted, plus a one-line summary.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         for f in &self.findings {
             let _ = writeln!(out, "{}:{}: [{}] {}", f.path, f.line, f.rule, f.message);
-            for step in &f.chain {
-                let _ = writeln!(out, "    -> {step}");
-            }
         }
         let _ = writeln!(
             out,
@@ -113,20 +105,13 @@ impl AuditOutcome {
         out.push_str("  \"findings\": [\n");
         let n = self.findings.len();
         for (i, f) in self.findings.iter().enumerate() {
-            let chain = if f.chain.is_empty() {
-                String::new()
-            } else {
-                let steps: Vec<String> = f.chain.iter().map(|s| json_str(s)).collect();
-                format!(", \"chain\": [{}]", steps.join(", "))
-            };
             let _ = writeln!(
                 out,
-                "    {{\"rule\": {}, \"path\": {}, \"line\": {}, \"message\": {}{}}}{}",
+                "    {{\"rule\": {}, \"path\": {}, \"line\": {}, \"message\": {}}}{}",
                 json_str(f.rule),
                 json_str(&f.path),
                 f.line,
                 json_str(&f.message),
-                chain,
                 if i + 1 < n { "," } else { "" }
             );
         }

@@ -216,7 +216,13 @@ pub fn f() -> Option<String> {
 
 #[test]
 fn panic_budget_holds_cluster_to_its_frozen_pragma_count() {
-    let (_, budget) = edm_audit::PANIC_PRAGMA_BUDGETS[0];
+    let budget_of = |krate: &str| {
+        let row = edm_audit::PANIC_PRAGMA_BUDGETS
+            .iter()
+            .find(|(c, _)| *c == krate);
+        row.unwrap_or_else(|| panic!("no row for {krate}")).1
+    };
+    let budget = budget_of("cluster");
     let with_pragmas = |n: usize| {
         let mut src = String::from("#![forbid(unsafe_code)]\n");
         for i in 0..n {
@@ -235,9 +241,14 @@ fn panic_budget_holds_cluster_to_its_frozen_pragma_count() {
         vec!["panic.suppression_budget"],
         "{over:?}"
     );
-    // Crates without a panic budget are not counted.
-    let free = audit(&[("crates/core/src/lib.rs", &with_pragmas(budget + 1))]);
-    assert!(free.is_clean(), "{free:?}");
+    // Every crate has a row: one frozen at zero fires on its first pragma.
+    assert_eq!(budget_of("serve"), 0);
+    let first = audit(&[("crates/serve/src/lib.rs", &with_pragmas(1))]);
+    assert_eq!(
+        rules_of(&first),
+        vec!["panic.suppression_budget"],
+        "{first:?}"
+    );
 }
 
 #[test]
@@ -357,7 +368,7 @@ pub fn f(o: Option<u64>) -> u64 {
     o.unwrap()
 }
 ";
-    let out = audit(&[("crates/snap/src/x.rs", src)]);
+    let out = audit(&[("crates/obs/src/x.rs", src)]);
     assert!(out.is_clean(), "{out:?}");
     assert_eq!(out.suppressed.len(), 1);
     assert_eq!(out.suppressed[0].finding.rule, "panic.unwrap");
@@ -373,7 +384,7 @@ pub fn f(o: Option<u64>) -> u64 {
     o.unwrap()
 }
 ";
-    let out = audit(&[("crates/snap/src/x.rs", src)]);
+    let out = audit(&[("crates/obs/src/x.rs", src)]);
     let mut rules = rules_of(&out);
     rules.sort_unstable();
     // The unwrap stays open and the pragma reports as unused.
@@ -485,4 +496,60 @@ pub fn step(ev: &Event) {
     // Without any spec sources the rule stays silent (synthetic
     // workspaces in other tests must not all fail it).
     assert!(audit(&[("crates/obs/src/event.rs", event_decl)]).is_clean());
+}
+
+/// Both coverage rules read the AST *through* inline modules: a struct
+/// and its `Snapshot` impl nested in `mod inner { … }` are still paired
+/// up and checked.
+#[test]
+fn snapshot_coverage_reads_through_an_inline_mod() {
+    let src = "\
+#![forbid(unsafe_code)]
+pub mod inner {
+    pub struct Wear {
+        pub erases: u64,
+        pub budget: u64,
+    }
+    impl Snapshot for Wear {
+        fn save(&self, w: &mut SnapWriter) {
+            self.erases.save(w);
+            self.budget.save(w);
+        }
+        fn load(r: &mut SnapReader) -> Self {
+            Self { erases: u64::load(r), b: 0 }
+        }
+    }
+}
+";
+    let out = audit(&[("crates/ssd/src/w.rs", src)]);
+    assert_eq!(rules_of(&out), vec!["snap.field_coverage"], "{out:?}");
+    assert_eq!(out.findings[0].line, 7, "should point at the impl");
+    assert!(out.findings[0].message.contains("budget"), "{out:?}");
+    let faithful = src.replace("b: 0", "budget: u64::load(r)");
+    assert!(audit(&[("crates/ssd/src/w.rs", faithful.as_str())]).is_clean());
+}
+
+#[test]
+fn spec_event_coverage_reads_through_an_inline_mod() {
+    let event_decl = "\
+#![forbid(unsafe_code)]
+pub mod journal {
+    pub enum Event {
+        RunMeta { osds: u32 },
+        QueueDepth { osd: u32, depth: u64 },
+    }
+}
+";
+    let spec_partial = "\
+#![forbid(unsafe_code)]
+pub fn step(ev: &Event) {
+    if let Event::RunMeta { .. } = ev {}
+}
+";
+    let out = audit(&[
+        ("crates/obs/src/event.rs", event_decl),
+        ("crates/spec/src/lib.rs", spec_partial),
+    ]);
+    assert_eq!(rules_of(&out), vec!["spec.event_coverage"], "{out:?}");
+    assert_eq!(out.findings[0].line, 5, "should point at QueueDepth");
 }

@@ -9,7 +9,7 @@ use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
 
-use edm_audit::ast::{Item, ItemKind};
+use edm_audit::ast::{FnDecl, Item, ItemKind};
 use edm_audit::{audit_sources, SourceFile};
 
 /// Asserts the span invariants for one parsed file.
@@ -110,8 +110,81 @@ fn workspace_item_spans_partition_every_file() {
     }
 }
 
+/// What the parser recognized in a set of files.
+#[derive(Debug, Default)]
+struct Tally {
+    fns: usize,
+    test_fns: usize,
+    structs: usize,
+    fields: usize,
+    enums: usize,
+    variants: usize,
+    impls: usize,
+    trait_impls: usize,
+}
+
+impl Tally {
+    fn add_items(&mut self, file: &SourceFile, items: &[Item]) {
+        for item in items {
+            match &item.kind {
+                ItemKind::Fn(f) => self.add_fn(file, f),
+                ItemKind::Struct(s) => {
+                    assert!(!s.name.is_empty(), "{}: unnamed struct", file.rel_path);
+                    self.structs += 1;
+                    self.fields += s.fields.len();
+                }
+                ItemKind::Enum(e) => {
+                    assert!(!e.name.is_empty(), "{}: unnamed enum", file.rel_path);
+                    self.enums += 1;
+                    self.variants += e.variants.len();
+                }
+                ItemKind::Impl(imp) => {
+                    assert!(
+                        !imp.type_name.is_empty(),
+                        "{}:{}: impl without a type",
+                        file.rel_path,
+                        item.line
+                    );
+                    self.impls += 1;
+                    self.trait_impls += usize::from(imp.trait_name.is_some());
+                    for f in &imp.fns {
+                        self.add_fn(file, f);
+                    }
+                }
+                ItemKind::Mod(m) => self.add_items(file, &m.items),
+                ItemKind::Other(_) => {}
+            }
+        }
+    }
+
+    /// A fn has a name, and its body range — what `snap.field_coverage`
+    /// reads the `save`/`load` identifiers from — is exactly one braced
+    /// block.
+    fn add_fn(&mut self, file: &SourceFile, f: &FnDecl) {
+        assert!(
+            !f.name.is_empty(),
+            "{}:{}: unnamed fn",
+            file.rel_path,
+            f.line
+        );
+        if let Some((lo, hi)) = f.body_range {
+            let text = |i: usize| file.sig[i].text(&file.src);
+            assert!(
+                lo < hi && hi <= file.sig.len() && text(lo) == "{" && text(hi - 1) == "}",
+                "{}:{}: body of `{}` is not a braced block",
+                file.rel_path,
+                f.line,
+                f.name
+            );
+        }
+        self.fns += 1;
+        self.test_fns += usize::from(f.test);
+    }
+}
+
 /// The parser recognizes real items in the workspace, it doesn't just
-/// bucket everything as `Other("unparsed")`.
+/// bucket everything as `Other("unparsed")`: a floor on everything the
+/// coverage rules read.
 #[test]
 fn workspace_parse_recognizes_items() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -120,12 +193,12 @@ fn workspace_parse_recognizes_items() {
         .expect("workspace root");
     let mut files = Vec::new();
     collect_rs(&root.join("crates"), &mut files);
-    let (mut fns, mut structs, mut unparsed, mut total) = (0usize, 0usize, 0usize, 0usize);
+    let mut tally = Tally::default();
+    let (mut unparsed, mut total) = (0usize, 0usize);
     for path in files {
         let src = std::fs::read_to_string(&path).expect("readable source");
         let file = SourceFile::new(path.to_string_lossy().into_owned(), src);
-        fns += file.ast.fns().len();
-        structs += file.ast.structs().len();
+        tally.add_items(&file, &file.ast.items);
         for item in &file.ast.items {
             total += 1;
             if matches!(item.kind, ItemKind::Other("unparsed")) {
@@ -133,8 +206,21 @@ fn workspace_parse_recognizes_items() {
             }
         }
     }
-    assert!(fns > 500, "only {fns} fns parsed across the workspace");
-    assert!(structs > 100, "only {structs} structs parsed");
+    for (what, got, floor) in [
+        ("fns", tally.fns, 1000),
+        ("#[test] fns", tally.test_fns, 300),
+        ("structs", tally.structs, 100),
+        ("struct fields", tally.fields, 400),
+        ("enums", tally.enums, 20),
+        ("enum variants", tally.variants, 80),
+        ("impls", tally.impls, 120),
+        ("trait impls", tally.trait_impls, 60),
+    ] {
+        assert!(
+            got > floor,
+            "only {got} {what} parsed across the workspace: {tally:?}"
+        );
+    }
     // Unparsed fallback items must stay a rare escape hatch.
     assert!(
         unparsed * 50 <= total,
@@ -183,8 +269,8 @@ proptest! {
         let src = parts.join("\n");
         let file = SourceFile::new("crates/cluster/src/lib.rs".to_string(), src.clone());
         assert_spans_sound(&file);
-        // And the whole engine — semantic passes included — must not
-        // panic on whatever the parser produced.
+        // And the whole engine must not panic on whatever the parser
+        // produced.
         let out = audit_sources(vec![("crates/cluster/src/lib.rs".to_string(), src)]);
         let _ = out.render_text();
         let _ = out.render_json();

@@ -86,6 +86,15 @@ impl Default for Scenario {
     }
 }
 
+/// Largest cluster scenario text may ask for. Every OSD is built with
+/// its full FTL tables before the run starts, so an unbounded count is
+/// an unbounded allocation; the largest shape in use is 1 024.
+const MAX_OSDS: u32 = 65_536;
+
+/// Largest inode stride scenario text may ask for: keeps
+/// `file id × stride` inside `u64` for every trace preset.
+const MAX_STRIDE: u64 = 65_536;
+
 impl Scenario {
     /// Parses the scenario text format. Every line is `key value...`,
     /// `#` starts a comment.
@@ -126,7 +135,10 @@ impl Scenario {
                 "osds" => {
                     s.osds = next("osds")?
                         .parse()
-                        .map_err(|e| format!("line {}: bad osds: {e}", no + 1))?
+                        .map_err(|e| format!("line {}: bad osds: {e}", no + 1))?;
+                    if s.osds > MAX_OSDS {
+                        return Err(format!("line {}: osds must be at most {MAX_OSDS}", no + 1));
+                    }
                 }
                 "groups" => {
                     s.groups = next("groups")?
@@ -210,8 +222,11 @@ impl Scenario {
                     s.stride = next("stride")?
                         .parse()
                         .map_err(|e| format!("line {}: bad stride: {e}", no + 1))?;
-                    if s.stride == 0 {
-                        return Err(format!("line {}: stride must be at least 1", no + 1));
+                    if !(1..=MAX_STRIDE).contains(&s.stride) {
+                        return Err(format!(
+                            "line {}: stride must be in 1..={MAX_STRIDE}",
+                            no + 1
+                        ));
                     }
                 }
                 "fail" => {
@@ -640,6 +655,11 @@ mod tests {
             ("fail 10 99", "osd99"),
             ("fail 10 8\nosds 8", "osd8"),
             ("trace nosuch", "nosuch"),
+            ("osds 4294967295", "osds"),
+            ("osds 100000000", "osds"),
+            ("osds 65537", "osds"),
+            ("stride 18446744073709551615", "stride"),
+            ("stride 65537", "stride"),
         ] {
             let err = Scenario::parse(text).expect_err(text);
             assert!(err.contains(needle), "{text:?} -> {err}");
@@ -652,6 +672,8 @@ mod tests {
             "fail 10 19\nosds 20",
             "trace random",
             "trace lair62b",
+            "osds 65536",
+            "stride 65536",
         ] {
             Scenario::parse(text).expect(text);
         }

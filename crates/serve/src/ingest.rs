@@ -171,14 +171,6 @@ impl LiveWorld {
         self.last_error.as_deref()
     }
 
-    /// The policy's current plan against the live cluster state,
-    /// without journaling or applying anything (the `/plan` endpoint).
-    /// Read-only by the `plan_obs` contract.
-    pub fn preview_plan(&mut self) -> Vec<MoveAction> {
-        let view = self.cluster.view(self.now_us);
-        self.policy.plan_obs(&view, &mut edm_obs::NoopRecorder)
-    }
-
     // ---- op application -------------------------------------------------
 
     fn reject(&mut self, why: String) -> ApplyOutcome {

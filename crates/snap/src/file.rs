@@ -72,10 +72,6 @@ impl SnapshotFile {
         self.sections.iter().map(|s| s.name.as_str())
     }
 
-    pub fn section_len(&self, name: &str) -> Option<usize> {
-        self.find(name).map(|s| s.body.len())
-    }
-
     fn find(&self, name: &str) -> Option<&Section> {
         self.sections.iter().find(|s| s.name == name)
     }

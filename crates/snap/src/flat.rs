@@ -126,14 +126,6 @@ impl<K: Ord, V> FlatMap<K, V> {
     pub fn retain(&mut self, mut f: impl FnMut(&K, &mut V) -> bool) {
         self.entries.retain_mut(|(k, v)| f(k, v));
     }
-
-    /// Builds from pairs already sorted ascending by unique key.
-    /// Used by bulk loads that validated order out-of-band.
-    pub fn from_sorted_unchecked(entries: Vec<(K, V)>) -> Self {
-        // edm-audit: allow(panic.slice_index, "windows(2) always yields 2-element slices")
-        debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
-        FlatMap { entries }
-    }
 }
 
 // edm-audit: allow(snap.field_coverage, "load rebuilds `entries` element-wise through the length-prefixed loop below")

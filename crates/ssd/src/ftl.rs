@@ -712,11 +712,6 @@ impl PageLevelFtl {
         self.blocks.iter().map(|b| b.erase_count()).collect()
     }
 
-    /// Number of blocks in the erased free pool.
-    pub fn free_block_count(&self) -> usize {
-        self.free_blocks.len()
-    }
-
     /// Internal consistency check used by tests and `debug_assert!` call
     /// sites: mapping tables, valid counters, and the candidate set must
     /// all agree.

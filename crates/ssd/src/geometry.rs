@@ -68,11 +68,6 @@ impl Geometry {
         self.exported_pages() * self.page_size
     }
 
-    /// Raw capacity in bytes.
-    pub fn raw_bytes(&self) -> u64 {
-        self.physical_pages() * self.page_size
-    }
-
     /// Number of pages needed to store `bytes` of data.
     pub fn pages_for(&self, bytes: u64) -> u64 {
         bytes.div_ceil(self.page_size)

@@ -61,10 +61,6 @@ impl Ssd {
         self.ftl.geometry()
     }
 
-    pub fn latency_model(&self) -> &LatencyModel {
-        &self.latency
-    }
-
     pub fn wear(&self) -> &WearStats {
         self.ftl.stats()
     }

@@ -222,6 +222,7 @@ pub fn random_spec() -> WorkloadSpec {
 pub fn parse_harvard_text(name: &str, text: &str) -> Result<Trace, String> {
     let mut trace = Trace::new(name);
     for (no, line) in text.lines().enumerate() {
+        let no = no + 1;
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
@@ -232,6 +233,13 @@ pub fn parse_harvard_text(name: &str, text: &str) -> Result<Trace, String> {
             .ok_or_else(|| format!("line {no}: missing time"))?
             .parse()
             .map_err(|e| format!("line {no}: bad time: {e}"))?;
+        // Also false for NaN; below 2^64 the cast is exact, not saturating.
+        let time_us = time * 1e6;
+        if !(0.0..u64::MAX as f64).contains(&time_us) {
+            return Err(format!(
+                "line {no}: time {time} is not a finite, non-negative number of seconds"
+            ));
+        }
         let user: u32 = it
             .next()
             .ok_or_else(|| format!("line {no}: missing user"))?
@@ -264,13 +272,15 @@ pub fn parse_harvard_text(name: &str, text: &str) -> Result<Trace, String> {
             other => return Err(format!("line {no}: unknown op {other:?}")),
         };
         let record = TraceRecord {
-            time_us: (time * 1e6) as u64,
+            time_us: time_us as u64,
             user,
             file,
             op,
         };
         let extent = match op {
-            FileOp::Read { offset, len } | FileOp::Write { offset, len } => offset + len,
+            FileOp::Read { offset, len } | FileOp::Write { offset, len } => offset
+                .checked_add(len)
+                .ok_or_else(|| format!("line {no}: offset {offset} + len {len} overflows"))?,
             _ => 0,
         };
         let size = trace.file_sizes.entry(file).or_insert(0);
@@ -365,5 +375,22 @@ mod tests {
         assert!(parse_harvard_text("x", "abc").is_err());
         assert!(parse_harvard_text("x", "0.1 0 explode 1").is_err());
         assert!(parse_harvard_text("x", "0.1 0 read 1 0").is_err());
+        // Arithmetic the importer must not trust: an extent that wraps,
+        // and times a cast would turn into 0 or u64::MAX.
+        for (text, needle) in [
+            ("0.1 0 write 1 18446744073709551615 2", "overflows"),
+            ("NaN 0 open 1", "time"),
+            ("-1 0 open 1", "time"),
+            ("inf 0 open 1", "time"),
+            ("1e300 0 open 1", "time"),
+        ] {
+            let err = parse_harvard_text("x", text).expect_err(text);
+            assert!(
+                err.starts_with("line 1: ") && err.contains(needle),
+                "{text:?} -> {err}"
+            );
+        }
+        let err = parse_harvard_text("x", "0.1 0 open 1\nabc").unwrap_err();
+        assert!(err.starts_with("line 2: "), "{err}");
     }
 }

@@ -107,10 +107,9 @@ impl Trace {
                 if len == 0 {
                     return Err(format!("record {i} has zero length"));
                 }
-                if offset + len > size {
+                if offset.checked_add(len).is_none_or(|end| end > size) {
                     return Err(format!(
-                        "record {i} accesses [{offset}, {}) beyond file size {size}",
-                        offset + len
+                        "record {i} accesses {len} bytes at {offset}, beyond file size {size}"
                     ));
                 }
             }
@@ -350,6 +349,12 @@ mod tests {
         t.records[1].op = FileOp::Write {
             offset: 99_999,
             len: 8192,
+        };
+        assert!(t.validate().unwrap_err().contains("beyond file size"));
+        // An extent that wraps past u64::MAX is beyond every file.
+        t.records[1].op = FileOp::Write {
+            offset: u64::MAX,
+            len: 2,
         };
         assert!(t.validate().unwrap_err().contains("beyond file size"));
     }

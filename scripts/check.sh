@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Repo gate, composable: `check.sh <step>` runs one stage, `check.sh all`
-# (or no argument) runs the full gate. CI invokes the same steps one by
-# one, so the gate and the workflow cannot diverge — edm-audit's
-# ci.workflow_gate rule checks the STEPS list below against
-# .github/workflows/ci.yml.
+# Repo gate, composable: `check.sh <step>...` runs the named stages in
+# order, `check.sh all` (or no argument) runs the full gate. CI invokes
+# the same steps one by one, so the gate and the workflow cannot
+# diverge — edm-audit's ci.workflow_gate rule checks the STEPS list
+# below against .github/workflows/ci.yml.
 #
 #   check.sh fmt     rustfmt --check
 #   check.sh lint    clippy, warnings denied
@@ -452,9 +452,11 @@ step_tsan() {
     # ThreadSanitizer instruments std itself, so it needs a nightly
     # toolchain with the rust-src component (-Zbuild-std). The lane is
     # advisory and environment-gated: machines without that toolchain
-    # skip cleanly instead of failing the gate. The blocking layer for
-    # concurrency bugs stays edm-audit's conc.* static rules; this lane
-    # catches the dynamic races those can't see.
+    # skip cleanly instead of failing the gate. What blocks a
+    # concurrency bug is rustc's Send/Sync bounds, edm-audit's
+    # det.thread_order pragma gate on every spawn and lock site, and
+    # the serve/state.rs hand-off tests; this lane catches the dynamic
+    # races those can't see.
     if ! command -v rustup > /dev/null 2>&1; then
         echo "tsan: rustup not available, skipping"
         return 0
@@ -509,5 +511,7 @@ run_step() {
     esac
 }
 
-run_step "${1:-all}"
-echo "check.sh: '${1:-all}' passed."
+for step in "${@:-all}"; do
+    run_step "$step"
+done
+echo "check.sh: '${*:-all}' passed."
