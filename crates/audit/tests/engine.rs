@@ -54,6 +54,14 @@ pub fn f(m: &BTreeMap<u64, u64>) -> Vec<u64> { m.values().copied().collect() }
         rules_of(&audit(&[("crates/core/src/lib.rs", hash)])),
         vec!["det.map_iter"]
     );
+    // edm-snap's fixed-hasher alias is still a hash map.
+    let id_map = hash
+        .replace("std::collections::HashMap", "edm_snap::IdMap")
+        .replace("HashMap", "IdMap");
+    assert_eq!(
+        rules_of(&audit(&[("crates/core/src/lib.rs", &id_map)])),
+        vec!["det.map_iter"]
+    );
     assert!(audit(&[("crates/core/src/lib.rs", btree)]).is_clean());
 }
 

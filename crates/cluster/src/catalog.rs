@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use edm_snap::{SnapReader, SnapWriter, Snapshot};
+use edm_snap::{IdSet, SnapReader, SnapWriter, Snapshot};
 use serde::{Deserialize, Serialize};
 
 use edm_workload::FileId;
@@ -31,6 +31,9 @@ pub struct Catalog {
     placement: Placement,
     layout: StripeLayout,
     files: BTreeMap<FileId, FileMeta>,
+    /// The keys of `files`, for the per-op existence check. Derived and
+    /// never serialized: `load` rebuilds it.
+    known: IdSet<FileId>,
     remap: RemappingTable,
 }
 
@@ -44,6 +47,7 @@ impl Catalog {
             placement,
             layout,
             files: BTreeMap::new(),
+            known: IdSet::default(),
             remap: RemappingTable::new(),
         }
     }
@@ -68,6 +72,11 @@ impl Catalog {
         self.files.get(&file)
     }
 
+    /// Whether `file` is registered; one hash probe, no tree walk.
+    pub fn has_file(&self, file: FileId) -> bool {
+        self.known.contains(&file)
+    }
+
     pub fn file_count(&self) -> usize {
         self.files.len()
     }
@@ -85,10 +94,7 @@ impl Catalog {
     /// # Panics
     /// Panics if the file already exists.
     pub fn create_file(&mut self, file: FileId, size: u64) -> &FileMeta {
-        assert!(
-            !self.files.contains_key(&file),
-            "file {file:?} already exists"
-        );
+        assert!(self.known.insert(file), "file {file:?} already exists");
         let objects: Vec<ObjectId> = (0..self.placement.objects_per_file)
             .map(|i| self.placement.object_id(file, i))
             .collect();
@@ -142,16 +148,21 @@ impl Snapshot for FileMeta {
 
 impl Snapshot for Catalog {
     fn save(&self, w: &mut SnapWriter) {
+        // `known` is not stored: `load` reads it back off `files`.
+        debug_assert_eq!(self.known.len(), self.files.len());
         self.placement.save(w);
         self.layout.save(w);
         self.files.save(w);
         self.remap.save(w);
     }
     fn load(r: &mut SnapReader) -> Self {
+        let (placement, layout) = (Placement::load(r), StripeLayout::load(r));
+        let files = BTreeMap::<FileId, FileMeta>::load(r);
         let c = Catalog {
-            placement: Placement::load(r),
-            layout: StripeLayout::load(r),
-            files: BTreeMap::load(r),
+            placement,
+            layout,
+            known: files.keys().copied().collect(),
+            files,
             remap: RemappingTable::load(r),
         };
         if !r.failed() && c.placement.objects_per_file != c.layout.k {
@@ -178,6 +189,7 @@ mod tests {
         assert_eq!(meta.object_size, c.layout().object_size(1_000_000));
         assert_eq!(c.file_count(), 1);
         assert_eq!(c.total_objects(), 4);
+        assert!(c.has_file(FileId(3)) && !c.has_file(FileId(4)));
     }
 
     #[test]

@@ -239,17 +239,12 @@ impl Cluster {
         write: bool,
         now_us: u64,
     ) -> impl ExactSizeIterator<Item = (ObjectIo, AccessEvent)> {
-        let layout = self.catalog.layout();
-        let ios = if write {
-            layout.map_write(offset, len)
-        } else {
-            layout.map_read(offset, len)
-        };
+        let ios = self.catalog.layout().map(offset, len, write);
         // Object ids are a pure function of (file, stripe index) — see
         // `Catalog::create_file` — so the file table is not consulted.
         let placement = *self.catalog.placement();
         let page_size = self.geometry.page_size;
-        ios.into_iter().map(move |io| {
+        ios.map(move |io| {
             let access = AccessEvent {
                 now_us,
                 object: placement.object_id(file, io.object_index),

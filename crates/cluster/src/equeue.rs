@@ -2,21 +2,22 @@
 //!
 //! The engine schedules events in `(at, seq, item)` order: virtual time
 //! first, then the strictly increasing issue sequence as the
-//! deterministic tie-break. [`EventQueue`] abstracts the container so two
-//! interchangeable implementations stay differential-testable:
+//! deterministic tie-break. [`EventQueue`] abstracts the container so the
+//! implementation stays differential-testable against a reference:
 //!
-//! * [`HeapQueue`] — the classic `BinaryHeap<Reverse<..>>`: O(log n) per
-//!   operation, the reference implementation;
 //! * [`CalendarQueue`] — a calendar queue (Brown, CACM 1988): a wheel of
 //!   time-bucketed slots plus a far-future overflow heap. Pushes land in
 //!   their bucket unsorted (O(1)); only the bucket currently being
 //!   drained is kept sorted, so the amortized cost per event is O(1) for
-//!   the hold-model workloads a discrete-event simulation produces.
+//!   the hold-model workloads a discrete-event simulation produces;
+//! * the classic `BinaryHeap<Reverse<..>>`, O(log n) per operation — the
+//!   reference, which lives with the tests (`HeapQueue` below and in
+//!   `tests/proptest_equeue.rs`).
 //!
 //! Both yield the *exact same total order* — `(at, seq)` pairs are unique
 //! within an engine — and both export the canonical ascending event list
-//! used by the checkpoint format, so swapping implementations cannot
-//! perturb a digest or a snapshot byte.
+//! used by the checkpoint format, so the calendar queue cannot perturb a
+//! digest or a snapshot byte.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -39,40 +40,6 @@ pub trait EventQueue<T> {
     fn to_sorted_vec(&self) -> Vec<(u64, u64, T)>
     where
         T: Clone;
-}
-
-/// The reference implementation: a plain binary min-heap.
-#[derive(Debug, Default)]
-pub struct HeapQueue<T: Ord> {
-    heap: BinaryHeap<Reverse<(u64, u64, T)>>,
-}
-
-impl<T: Ord> HeapQueue<T> {
-    pub fn new() -> Self {
-        HeapQueue {
-            heap: BinaryHeap::new(),
-        }
-    }
-}
-
-impl<T: Ord> EventQueue<T> for HeapQueue<T> {
-    fn push(&mut self, at: u64, seq: u64, item: T) {
-        self.heap.push(Reverse((at, seq, item)));
-    }
-    fn pop(&mut self) -> Option<(u64, u64, T)> {
-        self.heap.pop().map(|Reverse(t)| t)
-    }
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-    fn to_sorted_vec(&self) -> Vec<(u64, u64, T)>
-    where
-        T: Clone,
-    {
-        let mut v: Vec<(u64, u64, T)> = self.heap.iter().map(|Reverse(t)| t.clone()).collect();
-        v.sort_unstable_by_key(|a| (a.0, a.1));
-        v
-    }
 }
 
 /// Far-future overflow entry, ordered by `(at, seq)` only — the payload
@@ -283,6 +250,40 @@ impl<T> EventQueue<T> for CalendarQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The reference implementation: a plain binary min-heap.
+    #[derive(Debug, Default)]
+    struct HeapQueue<T: Ord> {
+        heap: BinaryHeap<Reverse<(u64, u64, T)>>,
+    }
+
+    impl<T: Ord> HeapQueue<T> {
+        fn new() -> Self {
+            HeapQueue {
+                heap: BinaryHeap::new(),
+            }
+        }
+    }
+
+    impl<T: Ord> EventQueue<T> for HeapQueue<T> {
+        fn push(&mut self, at: u64, seq: u64, item: T) {
+            self.heap.push(Reverse((at, seq, item)));
+        }
+        fn pop(&mut self) -> Option<(u64, u64, T)> {
+            self.heap.pop().map(|Reverse(t)| t)
+        }
+        fn len(&self) -> usize {
+            self.heap.len()
+        }
+        fn to_sorted_vec(&self) -> Vec<(u64, u64, T)>
+        where
+            T: Clone,
+        {
+            let mut v: Vec<(u64, u64, T)> = self.heap.iter().map(|Reverse(t)| t.clone()).collect();
+            v.sort_unstable_by_key(|a| (a.0, a.1));
+            v
+        }
+    }
 
     /// Deterministic pseudo-random stream for exercising both queues.
     struct Lcg(u64);

@@ -6,9 +6,7 @@
 //! that with one FIFO service queue per OSD (owned by the engine) over the
 //! byte-granular [`Ssd`].
 
-use std::collections::HashMap;
-
-use edm_snap::{SnapReader, SnapWriter, Snapshot};
+use edm_snap::{IdMap, SnapReader, SnapWriter, Snapshot};
 use edm_ssd::{DeviceTime, FtlConfig, FtlError, Geometry, LatencyModel, Ssd};
 
 use crate::extent::{Extent, ExtentAllocator};
@@ -82,7 +80,7 @@ pub struct Osd {
 struct Device {
     ssd: Ssd,
     extents: ExtentAllocator,
-    directory: HashMap<ObjectId, Extent>,
+    directory: IdMap<ObjectId, Extent>,
     /// EWMA of serviced request latency, µs (CMT's load factor).
     ewma_latency_us: f64,
     /// Host page writes since the last window reset (`Wc` of Eq. 4).
@@ -107,7 +105,7 @@ impl Osd {
             dev: Some(Device {
                 ssd,
                 extents: ExtentAllocator::new(exported),
-                directory: HashMap::new(),
+                directory: IdMap::default(),
                 ewma_latency_us: 0.0,
                 wc_window_pages: 0,
             }),
@@ -331,7 +329,7 @@ impl Snapshot for Osd {
         let ssd = Ssd::load(r);
         let extents = ExtentAllocator::load(r);
         let dir = Vec::<(ObjectId, Extent)>::load(r);
-        let directory: HashMap<ObjectId, Extent> = dir.iter().copied().collect();
+        let directory: IdMap<ObjectId, Extent> = dir.iter().copied().collect();
         if directory.len() != dir.len() {
             r.corrupt("object directory has duplicate entries");
         }

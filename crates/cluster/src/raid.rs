@@ -104,71 +104,103 @@ impl StripeLayout {
 
     /// Maps a file-level read `[offset, offset+len)` to object I/Os.
     pub fn map_read(&self, offset: u64, len: u64) -> Vec<ObjectIo> {
-        self.map(offset, len, false)
+        self.map(offset, len, false).collect()
     }
 
     /// Maps a file-level write to object I/Os including the parity
     /// read-modify-write of each touched row.
     pub fn map_write(&self, offset: u64, len: u64) -> Vec<ObjectIo> {
-        self.map(offset, len, true)
+        self.map(offset, len, true).collect()
     }
 
-    fn map(&self, offset: u64, len: u64, write: bool) -> Vec<ObjectIo> {
-        if len == 0 {
-            return Vec::new();
+    /// The object I/Os of a file-level access, in issue order, computed
+    /// as they are consumed: one per stripe-unit chunk of a read, four
+    /// (old data, old parity, data, parity) per chunk of a write.
+    pub fn map(&self, offset: u64, len: u64, write: bool) -> StripeIos {
+        StripeIos {
+            layout: *self,
+            pos: offset,
+            end: offset + len,
+            per_chunk: if write { 4 } else { 1 },
+            left: 0,
+            data: 0,
+            parity: 0,
+            offset: 0,
+            len: 0,
         }
-        let mut ios = Vec::new();
-        let row_bytes = self.row_data_bytes();
-        let mut pos = offset;
-        let end = offset + len;
-        while pos < end {
-            let row = pos / row_bytes;
-            let in_row = pos % row_bytes;
-            let d = in_row / self.unit;
-            let in_unit = in_row % self.unit;
-            let chunk = (self.unit - in_unit).min(end - pos);
-            let object_index = self.data_object(row, d);
-            // A data unit of row r lives at object offset r * unit.
-            let obj_offset = row * self.unit + in_unit;
-            if write {
-                let parity = self.parity_object(row);
-                ios.push(ObjectIo {
-                    object_index,
-                    offset: obj_offset,
-                    len: chunk,
-                    kind: IoKind::RmwRead,
-                });
-                ios.push(ObjectIo {
-                    object_index: parity,
-                    offset: obj_offset,
-                    len: chunk,
-                    kind: IoKind::ParityRead,
-                });
-                ios.push(ObjectIo {
-                    object_index,
-                    offset: obj_offset,
-                    len: chunk,
-                    kind: IoKind::DataWrite,
-                });
-                ios.push(ObjectIo {
-                    object_index: parity,
-                    offset: obj_offset,
-                    len: chunk,
-                    kind: IoKind::ParityWrite,
-                });
-            } else {
-                ios.push(ObjectIo {
-                    object_index,
-                    offset: obj_offset,
-                    len: chunk,
-                    kind: IoKind::DataRead,
-                });
-            }
-            pos += chunk;
-        }
-        ios
     }
 }
+
+/// Lazy form of [`StripeLayout::map`]'s result.
+#[derive(Debug, Clone)]
+pub struct StripeIos {
+    layout: StripeLayout,
+    /// File offset of the next chunk to start.
+    pos: u64,
+    end: u64,
+    /// I/Os per chunk: 1 for a read, the 4 RMW phases for a write.
+    per_chunk: u32,
+    /// I/Os of the current chunk still to yield.
+    left: u32,
+    /// The current chunk: its data object, its row's parity object, and
+    /// the extent (the same inside both).
+    data: u32,
+    parity: u32,
+    offset: u64,
+    len: u64,
+}
+
+impl Iterator for StripeIos {
+    type Item = ObjectIo;
+
+    fn next(&mut self) -> Option<ObjectIo> {
+        if self.left == 0 {
+            if self.pos >= self.end {
+                return None;
+            }
+            // Row/unit arithmetic, once per chunk.
+            let l = &self.layout;
+            let row_bytes = l.row_data_bytes();
+            let (row, in_row) = (self.pos / row_bytes, self.pos % row_bytes);
+            let in_unit = in_row % l.unit;
+            self.data = l.data_object(row, in_row / l.unit);
+            self.parity = l.parity_object(row);
+            // A data unit of row r lives at object offset r * unit.
+            self.offset = row * l.unit + in_unit;
+            self.len = (l.unit - in_unit).min(self.end - self.pos);
+            self.pos += self.len;
+            self.left = self.per_chunk;
+        }
+        self.left -= 1;
+        let (kind, object_index) = match (self.per_chunk, self.left) {
+            (1, _) => (IoKind::DataRead, self.data),
+            (_, 3) => (IoKind::RmwRead, self.data),
+            (_, 2) => (IoKind::ParityRead, self.parity),
+            (_, 1) => (IoKind::DataWrite, self.data),
+            _ => (IoKind::ParityWrite, self.parity),
+        };
+        Some(ObjectIo {
+            object_index,
+            offset: self.offset,
+            len: self.len,
+            kind,
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        // Unit boundaries cut what is left of the range into chunks.
+        let unit = self.layout.unit;
+        let chunks = if self.pos < self.end {
+            (self.end - 1) / unit - self.pos / unit + 1
+        } else {
+            0
+        };
+        let n = (chunks * self.per_chunk as u64 + self.left as u64) as usize;
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for StripeIos {}
 
 impl Snapshot for StripeLayout {
     fn save(&self, w: &mut SnapWriter) {
@@ -192,6 +224,74 @@ mod tests {
 
     fn layout() -> StripeLayout {
         StripeLayout::new(4, 64 * 1024)
+    }
+
+    /// The eager mapping `StripeLayout::map` used to build: the reference
+    /// the lazy iterator is checked against.
+    fn eager_map(l: &StripeLayout, offset: u64, len: u64, write: bool) -> Vec<ObjectIo> {
+        let mut ios = Vec::new();
+        let row_bytes = l.row_data_bytes();
+        let mut pos = offset;
+        let end = offset + len;
+        while pos < end {
+            let row = pos / row_bytes;
+            let in_row = pos % row_bytes;
+            let in_unit = in_row % l.unit;
+            let chunk = (l.unit - in_unit).min(end - pos);
+            let io = |object_index, kind| ObjectIo {
+                object_index,
+                offset: row * l.unit + in_unit,
+                len: chunk,
+                kind,
+            };
+            let data = l.data_object(row, in_row / l.unit);
+            let parity = l.parity_object(row);
+            if write {
+                ios.push(io(data, IoKind::RmwRead));
+                ios.push(io(parity, IoKind::ParityRead));
+                ios.push(io(data, IoKind::DataWrite));
+                ios.push(io(parity, IoKind::ParityWrite));
+            } else {
+                ios.push(io(data, IoKind::DataRead));
+            }
+            pos += chunk;
+        }
+        ios
+    }
+
+    #[test]
+    fn lazy_map_equals_the_eager_list() {
+        let mut x = 0x5EED_u64;
+        let mut next = move |bound: u64| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 33) % bound
+        };
+        for case in 0..2000 {
+            let l = StripeLayout::new(2 + next(7) as u32, [1, 512, 4096, 65536][next(4) as usize]);
+            let offset = next(4 * l.row_data_bytes() + 1);
+            let len = next(3 * l.row_data_bytes() + 2).min(40 * l.unit);
+            let write = next(2) == 1;
+            let want = eager_map(&l, offset, len, write);
+            let mut got = l.map(offset, len, write);
+            for (i, io) in want.iter().enumerate() {
+                assert_eq!(
+                    got.len(),
+                    want.len() - i,
+                    "case {case}: len() before item {i}"
+                );
+                assert_eq!(got.next().as_ref(), Some(io), "case {case}: item {i}");
+            }
+            assert_eq!(got.len(), 0);
+            assert_eq!(got.next(), None);
+            let collected = if write {
+                l.map_write(offset, len)
+            } else {
+                l.map_read(offset, len)
+            };
+            assert_eq!(collected, want);
+        }
     }
 
     #[test]

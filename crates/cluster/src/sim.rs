@@ -630,7 +630,7 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
             }
             FileOp::Read { offset, len } | FileOp::Write { offset, len } => {
                 assert!(
-                    self.cluster.catalog.file(record.file).is_some(),
+                    self.cluster.catalog.has_file(record.file),
                     "trace references unknown file {:?}",
                     record.file
                 );

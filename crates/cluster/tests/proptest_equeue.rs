@@ -4,8 +4,10 @@
 //! canonical sorted export must round-trip losslessly (the checkpoint
 //! path).
 
-use edm_cluster::equeue::{CalendarQueue, EventQueue, HeapQueue};
+use edm_cluster::equeue::{CalendarQueue, EventQueue};
 use proptest::prelude::*;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// One scripted operation: push a delta/payload, or pop.
 #[derive(Debug, Clone)]
@@ -33,7 +35,8 @@ proptest! {
     #[test]
     fn calendar_matches_heap_under_any_interleaving(ops in prop::collection::vec(op_strategy(), 1..400)) {
         let mut cal = CalendarQueue::new();
-        let mut heap = HeapQueue::new();
+        // The reference: a plain binary min-heap over (at, seq, item).
+        let mut heap = BinaryHeap::new();
         let mut seq = 0u64;
         let mut now = 0u64;
         for op in &ops {
@@ -41,11 +44,11 @@ proptest! {
                 Op::Push { delta, item } => {
                     seq += 1;
                     cal.push(now + delta, seq, item);
-                    heap.push(now + delta, seq, item);
+                    heap.push(Reverse((now + delta, seq, item)));
                 }
                 Op::Pop => {
                     let a = cal.pop();
-                    let b = heap.pop();
+                    let b = heap.pop().map(|Reverse(e)| e);
                     prop_assert_eq!(a, b);
                     if let Some((at, _, _)) = a {
                         now = at;
@@ -57,7 +60,7 @@ proptest! {
         // Drain whatever is left: tails must agree element-for-element.
         loop {
             let a = cal.pop();
-            let b = heap.pop();
+            let b = heap.pop().map(|Reverse(e)| e);
             prop_assert_eq!(a, b);
             if a.is_none() {
                 break;

@@ -18,7 +18,7 @@
 //! needs to satisfy ΔWc.
 
 use edm_cluster::{AccessEvent, AccessKind, ObjectId};
-use edm_snap::{FlatMap, SnapReader, SnapWriter, Snapshot};
+use edm_snap::{IdMap, SnapReader, SnapWriter, Snapshot};
 
 /// One object's decayed counters.
 #[derive(Debug, Clone, Copy, Default)]
@@ -66,11 +66,14 @@ impl ObjectHeat {
 #[derive(Debug, Clone)]
 pub struct AccessTracker {
     interval_us: u64,
-    /// Ordered by object id: iteration order reaches pruning, the hot
-    /// cache, and the snapshot encoding, so it must be deterministic. A
-    /// sorted vec, not a `BTreeMap`: `record` sits on the simulator's
-    /// per-I/O hot path and the flat layout keeps lookups cache-friendly.
-    heats: FlatMap<ObjectId, ObjectHeat>,
+    /// Dense, in first-access order. That order reaches nothing: pruning
+    /// and the hot cache sort by (temperature, object id) and the
+    /// snapshot encoding sorts by object id.
+    heats: Vec<(ObjectId, ObjectHeat)>,
+    /// Object → index into `heats`: `record` sits on the simulator's
+    /// per-I/O hot path, so the lookup is one hash probe. Only ever
+    /// probed, never iterated.
+    slots: IdMap<ObjectId, usize>,
     capacity: Option<usize>,
 }
 
@@ -83,7 +86,8 @@ impl AccessTracker {
         assert!(interval_us > 0, "interval must be positive");
         AccessTracker {
             interval_us,
-            heats: FlatMap::new(),
+            heats: Vec::new(),
+            slots: IdMap::default(),
             capacity: None,
         }
     }
@@ -115,8 +119,7 @@ impl AccessTracker {
         let mut temps: Vec<(ObjectId, f64)> = self
             .heats
             .iter()
-            .map(|(&o, h)| {
-                let mut h = *h;
+            .map(|&(o, mut h)| {
                 h.decay_to(now_interval);
                 (o, h.total_temp)
             })
@@ -124,7 +127,11 @@ impl AccessTracker {
         // edm-audit: allow(panic.expect, "temperatures are finite by construction (sums of decayed counters)")
         temps.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite").then(a.0.cmp(&b.0)));
         for (o, _) in temps.into_iter().take(self.heats.len() - cap) {
-            self.heats.remove(&o);
+            self.slots.remove(&o);
+        }
+        self.heats.retain(|(o, _)| self.slots.contains_key(o));
+        for (i, (o, _)) in self.heats.iter().enumerate() {
+            self.slots.insert(*o, i);
         }
     }
 
@@ -136,7 +143,11 @@ impl AccessTracker {
     /// object-level I/O).
     pub fn record(&mut self, event: AccessEvent) {
         let interval = self.interval_of(event.now_us);
-        let heat = self.heats.get_mut_or_default(event.object);
+        let slot = *self.slots.entry(event.object).or_insert_with(|| {
+            self.heats.push((event.object, ObjectHeat::default()));
+            self.heats.len() - 1
+        });
+        let heat = &mut self.heats[slot].1;
         heat.decay_to(interval);
         heat.total_temp += 1.0;
         heat.window_access_pages += event.pages;
@@ -151,7 +162,8 @@ impl AccessTracker {
     /// current interval; untouched objects are stone cold).
     pub fn heat(&self, object: ObjectId, now_us: u64) -> ObjectHeat {
         let interval = self.interval_of(now_us);
-        let mut h = self.heats.get(&object).copied().unwrap_or_default();
+        let slot = self.slots.get(&object);
+        let mut h = slot.map(|&s| self.heats[s].1).unwrap_or_default();
         h.decay_to(interval);
         h
     }
@@ -165,11 +177,11 @@ impl AccessTracker {
     /// in-memory hot cache of Fig. 4 ("we only cache the k hottest objects
     /// in memory for HDF").
     pub fn hottest_by_write(&self, n: usize, now_us: u64) -> Vec<(ObjectId, ObjectHeat)> {
-        let mut v: Vec<(ObjectId, ObjectHeat)> = self
-            .heats
-            .keys()
-            .map(|&o| (o, self.heat(o, now_us)))
-            .collect();
+        let interval = self.interval_of(now_us);
+        let mut v = self.heats.clone();
+        for (_, h) in &mut v {
+            h.decay_to(interval);
+        }
         v.sort_by(|a, b| {
             b.1.write_temp
                 .partial_cmp(&a.1.write_temp)
@@ -184,7 +196,7 @@ impl AccessTracker {
     /// Clears the per-window page counters (start of a new measurement
     /// period); temperatures persist.
     pub fn reset_window(&mut self) {
-        for h in self.heats.values_mut() {
+        for (_, h) in &mut self.heats {
             h.window_write_pages = 0;
             h.window_access_pages = 0;
         }
@@ -212,11 +224,15 @@ impl Snapshot for ObjectHeat {
 
 impl Snapshot for AccessTracker {
     fn save(&self, w: &mut SnapWriter) {
+        // `slots` is not stored: `load` reads it back off `heats`.
+        debug_assert_eq!(self.slots.len(), self.heats.len());
         w.put_u64(self.interval_us);
         self.capacity.save(w);
-        // Canonical order for free: the heat map iterates by object id.
-        w.put_u64(self.heats.len() as u64);
-        for (o, heat) in self.heats.iter() {
+        // Canonical order: ascending object id, as a `BTreeMap` encodes.
+        let mut sorted: Vec<&(ObjectId, ObjectHeat)> = self.heats.iter().collect();
+        sorted.sort_unstable_by_key(|e| e.0);
+        w.put_u64(sorted.len() as u64);
+        for (o, heat) in sorted {
             o.save(w);
             heat.save(w);
         }
@@ -224,10 +240,10 @@ impl Snapshot for AccessTracker {
     fn load(r: &mut SnapReader) -> Self {
         let interval_us = r.take_u64();
         let capacity: Option<usize> = Option::load(r);
-        let pairs = Vec::<(ObjectId, ObjectHeat)>::load(r);
-        let mut heats = FlatMap::new();
-        for (o, h) in pairs {
-            if heats.insert(o, h).is_some() {
+        let heats = Vec::<(ObjectId, ObjectHeat)>::load(r);
+        let mut slots = IdMap::default();
+        for (i, (o, _)) in heats.iter().enumerate() {
+            if slots.insert(*o, i).is_some() {
                 r.corrupt(format!("duplicate tracked object {o}"));
             }
         }
@@ -242,6 +258,7 @@ impl Snapshot for AccessTracker {
         AccessTracker {
             interval_us: interval_us.max(1),
             heats,
+            slots,
             capacity: capacity.filter(|&c| c > 0),
         }
     }

@@ -10,7 +10,7 @@
 //!
 //! * [`FlatMap`] — a sorted `Vec<(K, V)>` with binary-search lookups.
 //!   Right for small-to-medium maps with reads dominating inserts
-//!   (move routes, rebuilds, remap fragments, temperature heats).
+//!   (move routes, rebuilds, remap fragments).
 //! * [`TokenMap`] — a slab keyed by monotonically increasing `u64`
 //!   tokens: O(1) lookup by offset from a sliding base. Right for the
 //!   in-flight table, whose keys are issue tokens that arrive in order
@@ -19,9 +19,42 @@
 //! Because the snapshot bytes match `BTreeMap`'s exactly, converting an
 //! engine field between the three container types is invisible to the
 //! checkpoint format.
+//!
+//! [`IdMap`] / [`IdSet`] are the third kind: hash containers for
+//! point lookups by the simulator's own integer ids, where nothing ever
+//! depends on iteration order (whoever serializes one sorts first).
 
 use crate::{bounded_len, SnapReader, SnapWriter, Snapshot};
-use std::collections::VecDeque;
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// One multiply by a fixed odd constant per integer written — for keys
+/// that are ids this program allocated itself (`ObjectId`, `FileId`),
+/// which need neither SipHash's speed cost nor its protection against
+/// crafted collisions. Fixed, so a map's layout repeats from run to run.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+    fn finish(&self) -> u64 {
+        // The product's entropy sits in its high bits; hash tables index
+        // by the low ones.
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+/// A `HashMap` for integer-id keys, hashed by [`IdHasher`].
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+/// A `HashSet` for integer-id keys, hashed by [`IdHasher`].
+pub type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
 
 /// A sorted-vector map: ascending iteration, binary-search lookup.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,21 +118,6 @@ impl<K: Ord, V> FlatMap<K, V> {
             Ok(i) => Some(self.entries.remove(i).1),
             Err(_) => None,
         }
-    }
-
-    /// Returns the value for `key`, inserting `V::default()` first if absent.
-    pub fn get_mut_or_default(&mut self, key: K) -> &mut V
-    where
-        V: Default,
-    {
-        let i = match self.idx(&key) {
-            Ok(i) => i,
-            Err(i) => {
-                self.entries.insert(i, (key, V::default()));
-                i
-            }
-        };
-        &mut self.entries[i].1
     }
 
     /// Ascending-by-key iteration, mirroring `BTreeMap::iter`.
@@ -325,13 +343,21 @@ mod tests {
     }
 
     #[test]
-    fn flatmap_get_mut_or_default() {
-        let mut flat: FlatMap<u32, u64> = FlatMap::new();
-        *flat.get_mut_or_default(5) += 3;
-        *flat.get_mut_or_default(5) += 4;
-        *flat.get_mut_or_default(1) += 1;
-        assert_eq!(flat.get(&5), Some(&7));
-        assert_eq!(flat.iter().map(|(k, _)| *k).collect::<Vec<_>>(), vec![1, 5]);
+    fn id_hasher_spreads_strided_ids_over_low_bits() {
+        use std::hash::BuildHasher;
+        // An OSD's directory holds every n-th object id: the low bits a
+        // hash table indexes by must still differ.
+        let build = BuildHasherDefault::<IdHasher>::default();
+        for stride in [1u64, 4, 16, 64, 1024] {
+            let low: HashSet<u64> = (0..256)
+                .map(|i| build.hash_one(i * stride) & 0xFF)
+                .collect();
+            assert!(low.len() > 128, "stride {stride}: {} of 256", low.len());
+        }
+        let mut map: IdMap<u64, u64> = IdMap::default();
+        map.insert(7, 1);
+        assert_eq!(map.get(&7), Some(&1));
+        assert_eq!(map.get(&8), None);
     }
 
     #[test]

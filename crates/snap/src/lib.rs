@@ -42,7 +42,7 @@ mod writer;
 pub use crc32::crc32;
 pub use error::SnapError;
 pub use file::{SnapshotFile, FORMAT_VERSION, MAGIC};
-pub use flat::{FlatMap, TokenMap};
+pub use flat::{FlatMap, IdMap, IdSet, TokenMap};
 pub use reader::SnapReader;
 pub use writer::SnapWriter;
 

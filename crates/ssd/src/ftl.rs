@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 use crate::block::Block;
 use crate::geometry::Geometry;
 use crate::latency::{DeviceTime, LatencyModel};
-use crate::victim::VictimBuckets;
+use crate::victim::{VictimBuckets, WearIndex};
 use crate::wear::WearStats;
 use crate::wear_leveling::{FreePool, SpreadTracker, WearLevelConfig};
 
@@ -135,6 +135,10 @@ pub struct PageLevelFtl {
     /// Full blocks eligible as GC victims, bucketed by valid-page count
     /// so the per-invalidation update is O(1).
     candidates: VictimBuckets,
+    /// Candidates counted per `(erase_count, valid)`, for the
+    /// static-leveling pick. Derived from `candidates` × `blocks` and
+    /// never serialized: `load` rebuilds it.
+    wear_index: WearIndex,
     /// Retirement order of full blocks. Maintained only under the FIFO
     /// victim policy — the other policies never read it, and feeding it
     /// anyway made it grow without bound (nothing ever drained it).
@@ -175,6 +179,7 @@ impl PageLevelFtl {
             active: None,
             gc_active: None,
             candidates: VictimBuckets::new(geometry.blocks, geometry.pages_per_block),
+            wear_index: WearIndex::new(geometry.pages_per_block),
             retire_order: VecDeque::new(),
             spread: SpreadTracker::new(geometry.blocks),
             retire_seq: vec![0; geometry.blocks as usize],
@@ -215,24 +220,9 @@ impl PageLevelFtl {
         (lpn as usize) < self.l2p.len() && self.l2p[lpn as usize].is_some()
     }
 
-    /// Host read of one logical page. Unmapped pages read as erased data
-    /// and still cost a page read (the device cannot tell).
-    pub fn read(&mut self, lpn: u64, latency: &LatencyModel) -> Result<DeviceTime, FtlError> {
-        self.read_span(lpn, 1, latency)
-    }
-
-    /// Host write of one logical page (out-of-place update). Returns the
-    /// device time consumed, including any garbage collection it triggered.
-    pub fn write(&mut self, lpn: u64, latency: &LatencyModel) -> Result<DeviceTime, FtlError> {
-        self.write_span(lpn, 1, latency)
-    }
-
-    /// Unmaps a logical page (object deletion / hole punch). Free.
-    pub fn trim(&mut self, lpn: u64) -> Result<(), FtlError> {
-        self.trim_span(lpn, 1)
-    }
-
     /// Host read of `n` consecutive logical pages starting at `start`.
+    /// Unmapped pages read as erased data and still cost a page read (the
+    /// device cannot tell).
     ///
     /// Equivalent to `n` single-page reads, but validates the range once
     /// and charges the latency in one batch. On a span that runs past the
@@ -412,19 +402,24 @@ impl PageLevelFtl {
     }
 
     fn invalidate_phys(&mut self, phys: PhysPage) {
-        let block = phys.block;
+        let block = &mut self.blocks[phys.block as usize];
         // Keep the victim-candidate bucketing in sync with the new count;
         // a no-op for non-candidates (active blocks, GC victims in flight).
-        self.candidates.decrement(block);
-        self.blocks[block as usize].invalidate(phys.page);
+        if self.candidates.decrement(phys.block) {
+            let (wear, valid) = (block.erase_count(), block.valid_pages());
+            *self.wear_index.count_mut(wear, valid) -= 1;
+            *self.wear_index.count_mut(wear, valid - 1) += 1;
+        }
+        block.invalidate(phys.page);
         self.p2l[phys.linear(self.geometry.pages_per_block)] = None;
     }
 
     /// Moves a just-filled block into the victim-candidate set.
     fn retire(&mut self, block: u32) {
-        debug_assert!(self.blocks[block as usize].is_full());
-        self.candidates
-            .insert(block, self.blocks[block as usize].valid_pages());
+        let b = &self.blocks[block as usize];
+        debug_assert!(b.is_full());
+        self.candidates.insert(block, b.valid_pages());
+        *self.wear_index.count_mut(b.erase_count(), b.valid_pages()) += 1;
         if self.config.victim_policy == VictimPolicy::Fifo {
             self.retire_order.push_back(block);
         }
@@ -568,25 +563,10 @@ impl PageLevelFtl {
         if !self.spread.due(threshold) {
             return Ok(DeviceTime::ZERO);
         }
-        // Least-worn candidate block (full, not active): its content is
-        // cold by construction — hot data would have churned it. Ties
-        // break toward the smallest (valid, block), matching the first
-        // minimum of the former ordered scan.
-        let mut best: Option<(u64, u32, u32)> = None;
-        for (valid, block) in self.candidates.iter() {
-            let key = (self.blocks[block as usize].erase_count(), valid, block);
-            // edm-audit: allow(panic.expect, "short-circuit: is_none() was checked first")
-            if best.is_none() || key < best.expect("just checked") {
-                best = Some(key);
-            }
-        }
-        let Some((_, valid, victim)) = best else {
+        let Some((valid, victim)) = self.static_level_pick() else {
             return Ok(DeviceTime::ZERO);
         };
-        self.candidates.remove(victim);
-        if self.retire_order.front() == Some(&victim) {
-            self.retire_order.pop_front();
-        }
+        self.take_candidate(victim);
         obs.counter("ftl.wear_level_swaps", 1);
         if obs.events_on() {
             obs.event(Event::WearLevelSwap {
@@ -602,6 +582,34 @@ impl PageLevelFtl {
         Ok(t)
     }
 
+    /// The block static leveling would reclaim now, as (valid pages,
+    /// block): the least-worn candidate (full, not active) — its content
+    /// is cold by construction, hot data would have churned it — ties
+    /// broken toward the smallest `(valid, block)`. Read off the wear
+    /// index: only the members of the one matching bucket are visited.
+    pub fn static_level_pick(&self) -> Option<(u32, u32)> {
+        let (wear, valid) = self.wear_index.lowest(self.spread.min())?;
+        let members = self.candidates.members(valid);
+        #[cfg(test)]
+        PICK_BLOCK_READS.set(PICK_BLOCK_READS.get() + members.len() as u64);
+        let victim = members
+            .iter()
+            .copied()
+            .filter(|&b| self.blocks[b as usize].erase_count() == wear)
+            .min()?;
+        Some((valid, victim))
+    }
+
+    /// Takes a chosen victim out of the candidate set and its indexes.
+    fn take_candidate(&mut self, victim: u32) {
+        let valid = self.candidates.remove(victim);
+        let wear = self.blocks[victim as usize].erase_count();
+        *self.wear_index.count_mut(wear, valid) -= 1;
+        if self.retire_order.front() == Some(&victim) {
+            self.retire_order.pop_front();
+        }
+    }
+
     /// One greedy GC pass: pick the full block with the fewest valid pages,
     /// relocate its live pages, erase it. Returns `None` when no victim is
     /// available or reclaiming it would free nothing.
@@ -613,10 +621,7 @@ impl PageLevelFtl {
         let Some((valid, victim)) = self.select_victim() else {
             return Ok(None);
         };
-        self.candidates.remove(victim);
-        if self.retire_order.front() == Some(&victim) {
-            self.retire_order.pop_front();
-        }
+        self.take_candidate(victim);
         if obs.events_on() {
             obs.event(Event::GcVictim {
                 block: victim as u64,
@@ -706,6 +711,25 @@ impl PageLevelFtl {
         Ok(self.gc_active.expect("just ensured"))
     }
 
+    /// The GC victim candidates as `(valid pages, block)`, in no
+    /// particular order.
+    pub fn candidates(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.candidates.iter()
+    }
+
+    /// The wear index as `candidates` × `blocks` define it. Wear is
+    /// clamped to the tracked maximum — the same number in any consistent
+    /// state — so a corrupt snapshot's erase count cannot size the index
+    /// before `check_invariants` rejects it.
+    fn rebuilt_wear_index(&self) -> WearIndex {
+        let mut index = WearIndex::new(self.geometry.pages_per_block);
+        for (valid, block) in self.candidates.iter() {
+            let wear = self.blocks[block as usize].erase_count();
+            *index.count_mut(wear.min(self.spread.max()), valid) += 1;
+        }
+        index
+    }
+
     /// Per-block erase counts (wear-leveling visibility; Fig. 1 uses the
     /// aggregate, the tests use the distribution).
     pub fn block_erase_counts(&self) -> Vec<u64> {
@@ -752,6 +776,9 @@ impl PageLevelFtl {
                 return Err(format!("candidate block {block} is not full"));
             }
         }
+        if !self.wear_index.same_counts(&self.rebuilt_wear_index()) {
+            return Err("wear index disagrees with candidates × erase counts".into());
+        }
         for f in self.free_blocks.iter() {
             if !self.blocks[f as usize].is_erased() {
                 return Err(format!("free-pool block {f} is not erased"));
@@ -795,6 +822,14 @@ impl PageLevelFtl {
         }
         Ok(())
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// `Block`s read by [`PageLevelFtl::static_level_pick`] on this
+    /// thread — an exact work count for the test that pins what one pick
+    /// visits.
+    static PICK_BLOCK_READS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 impl Snapshot for PhysPage {
@@ -852,26 +887,46 @@ impl Snapshot for PageLevelFtl {
     /// Every field is serialized exactly — including derived structures
     /// whose internal order affects future decisions (free pool, victim
     /// buckets, FIFO retire queue) — so a restored FTL replays the exact
-    /// same GC and allocation sequence as the original.
+    /// same GC and allocation sequence as the original. The one exception
+    /// is `wear_index`, a pure function of `candidates` and `blocks` with
+    /// no order of its own: `load` rebuilds it.
     fn save(&self, w: &mut SnapWriter) {
-        self.geometry.save(w);
-        self.config.save(w);
-        self.blocks.save(w);
-        self.l2p.save(w);
-        self.p2l.save(w);
-        self.free_blocks.save(w);
-        self.active.save(w);
-        self.gc_active.save(w);
-        self.candidates.save(w);
-        self.retire_order.save(w);
-        self.spread.save(w);
-        self.retire_seq.save(w);
-        w.put_u64(self.next_seq);
-        w.put_u64(self.mapped_pages);
-        self.stats.save(w);
+        let PageLevelFtl {
+            geometry,
+            config,
+            blocks,
+            l2p,
+            p2l,
+            free_blocks,
+            active,
+            gc_active,
+            candidates,
+            wear_index: _,
+            retire_order,
+            spread,
+            retire_seq,
+            next_seq,
+            mapped_pages,
+            stats,
+        } = self;
+        geometry.save(w);
+        config.save(w);
+        blocks.save(w);
+        l2p.save(w);
+        p2l.save(w);
+        free_blocks.save(w);
+        active.save(w);
+        gc_active.save(w);
+        candidates.save(w);
+        retire_order.save(w);
+        spread.save(w);
+        retire_seq.save(w);
+        w.put_u64(*next_seq);
+        w.put_u64(*mapped_pages);
+        stats.save(w);
     }
     fn load(r: &mut SnapReader) -> Self {
-        let ftl = PageLevelFtl {
+        let mut ftl = PageLevelFtl {
             geometry: Geometry::load(r),
             config: FtlConfig::load(r),
             blocks: Vec::load(r),
@@ -881,6 +936,7 @@ impl Snapshot for PageLevelFtl {
             active: Option::load(r),
             gc_active: Option::load(r),
             candidates: VictimBuckets::load(r),
+            wear_index: WearIndex::new(0),
             retire_order: VecDeque::load(r),
             spread: SpreadTracker::load(r),
             retire_seq: Vec::load(r),
@@ -889,6 +945,7 @@ impl Snapshot for PageLevelFtl {
             stats: WearStats::load(r),
         };
         if !r.failed() {
+            ftl.wear_index = ftl.rebuilt_wear_index();
             if let Err(e) = ftl.check_invariants() {
                 r.corrupt(format!("FTL invariants: {e}"));
             }
@@ -916,11 +973,11 @@ mod tests {
     fn write_then_read_maps_page() {
         let mut ftl = tiny();
         let lat = LatencyModel::PAPER;
-        let t = ftl.write(0, &lat).unwrap();
+        let t = ftl.write_span(0, 1, &lat).unwrap();
         assert_eq!(t.as_micros(), 200);
         assert!(ftl.is_mapped(0));
         assert_eq!(ftl.mapped_pages(), 1);
-        let t = ftl.read(0, &lat).unwrap();
+        let t = ftl.read_span(0, 1, &lat).unwrap();
         assert_eq!(t.as_micros(), 25);
         ftl.check_invariants().unwrap();
     }
@@ -930,7 +987,7 @@ mod tests {
         let mut ftl = tiny();
         let lat = LatencyModel::INSTANT;
         for _ in 0..10 {
-            ftl.write(3, &lat).unwrap();
+            ftl.write_span(3, 1, &lat).unwrap();
         }
         assert_eq!(ftl.mapped_pages(), 1);
         assert_eq!(ftl.stats().host_page_writes, 10);
@@ -941,12 +998,12 @@ mod tests {
     fn trim_unmaps() {
         let mut ftl = tiny();
         let lat = LatencyModel::INSTANT;
-        ftl.write(5, &lat).unwrap();
-        ftl.trim(5).unwrap();
+        ftl.write_span(5, 1, &lat).unwrap();
+        ftl.trim_span(5, 1).unwrap();
         assert!(!ftl.is_mapped(5));
         assert_eq!(ftl.mapped_pages(), 0);
         // Trimming an unmapped page is a no-op.
-        ftl.trim(5).unwrap();
+        ftl.trim_span(5, 1).unwrap();
         ftl.check_invariants().unwrap();
     }
 
@@ -956,15 +1013,15 @@ mod tests {
         let lat = LatencyModel::INSTANT;
         let exported = ftl.geometry().exported_pages();
         assert!(matches!(
-            ftl.write(exported, &lat),
+            ftl.write_span(exported, 1, &lat),
             Err(FtlError::OutOfRange { .. })
         ));
         assert!(matches!(
-            ftl.read(u64::MAX, &lat),
+            ftl.read_span(u64::MAX, 1, &lat),
             Err(FtlError::OutOfRange { .. })
         ));
         assert!(matches!(
-            ftl.trim(exported),
+            ftl.trim_span(exported, 1),
             Err(FtlError::OutOfRange { .. })
         ));
     }
@@ -976,7 +1033,7 @@ mod tests {
         // Hammer a small working set far beyond physical capacity: GC must
         // keep the device making progress.
         for i in 0..1000u64 {
-            ftl.write(i % 8, &lat).unwrap();
+            ftl.write_span(i % 8, 1, &lat).unwrap();
         }
         assert!(ftl.stats().block_erases > 0, "GC never ran");
         assert_eq!(ftl.mapped_pages(), 8);
@@ -989,7 +1046,7 @@ mod tests {
         let lat = LatencyModel::PAPER;
         let mut saw_gc_charge = false;
         for i in 0..2000u64 {
-            let t = ftl.write(i % 8, &lat).unwrap();
+            let t = ftl.write_span(i % 8, 1, &lat).unwrap();
             if t.as_micros() > lat.page_write_us {
                 saw_gc_charge = true;
             }
@@ -1003,11 +1060,11 @@ mod tests {
         let lat = LatencyModel::INSTANT;
         let exported = ftl.geometry().exported_pages();
         for lpn in 0..exported {
-            ftl.write(lpn, &lat).unwrap();
+            ftl.write_span(lpn, 1, &lat).unwrap();
         }
         // Overwrites must still succeed at 100 % utilization thanks to OP.
         for lpn in 0..exported {
-            ftl.write(lpn, &lat).unwrap();
+            ftl.write_span(lpn, 1, &lat).unwrap();
         }
         assert!((ftl.utilization() - 1.0).abs() < 1e-12);
         ftl.check_invariants().unwrap();
@@ -1022,10 +1079,10 @@ mod tests {
         // should be minimal because greedy always picks emptiest victims.
         let live = exported * 6 / 10;
         for lpn in 0..live {
-            ftl.write(lpn, &lat).unwrap();
+            ftl.write_span(lpn, 1, &lat).unwrap();
         }
         for _ in 0..5000 {
-            ftl.write(0, &lat).unwrap();
+            ftl.write_span(0, 1, &lat).unwrap();
         }
         let s = ftl.stats();
         let ur = s.measured_ur(4).unwrap();
@@ -1042,8 +1099,8 @@ mod tests {
         let exported = uniform.geometry().exported_pages();
         let live = exported * 7 / 10;
         for lpn in 0..live {
-            uniform.write(lpn, &lat).unwrap();
-            skewed.write(lpn, &lat).unwrap();
+            uniform.write_span(lpn, 1, &lat).unwrap();
+            skewed.write_span(lpn, 1, &lat).unwrap();
         }
         uniform.stats_mut().reset();
         skewed.stats_mut().reset();
@@ -1053,9 +1110,9 @@ mod tests {
             rng = rng
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            uniform.write(rng % live, &lat).unwrap();
+            uniform.write_span(rng % live, 1, &lat).unwrap();
             // ...skewed overwrites hit only a tenth of it.
-            skewed.write(i % (live / 10), &lat).unwrap();
+            skewed.write_span(i % (live / 10), 1, &lat).unwrap();
         }
         let ur_uniform = uniform.stats().measured_ur(4).unwrap();
         let ur_skewed = skewed.stats().measured_ur(4).unwrap();
@@ -1087,7 +1144,7 @@ mod victim_policy_tests {
         let lat = LatencyModel::INSTANT;
         let live = g.exported_pages() * 7 / 10;
         for lpn in 0..live {
-            ftl.write(lpn, &lat).unwrap();
+            ftl.write_span(lpn, 1, &lat).unwrap();
         }
         ftl.stats_mut().reset();
         // Skewed overwrites: 90 % of writes to 10 % of pages.
@@ -1102,7 +1159,7 @@ mod victim_policy_tests {
             } else {
                 r % live
             };
-            ftl.write(lpn, &lat).unwrap();
+            ftl.write_span(lpn, 1, &lat).unwrap();
         }
         ftl.check_invariants().unwrap();
         (ftl.stats().block_erases, ftl.stats().gc_page_moves)
@@ -1153,10 +1210,10 @@ mod cost_benefit_tests {
         let lat = LatencyModel::INSTANT;
         let live = g.exported_pages() * 7 / 10;
         for lpn in 0..live {
-            ftl.write(lpn, &lat).unwrap();
+            ftl.write_span(lpn, 1, &lat).unwrap();
         }
         for i in 0..20_000u64 {
-            ftl.write(i % live, &lat).unwrap();
+            ftl.write_span(i % live, 1, &lat).unwrap();
         }
         assert!(ftl.stats().block_erases > 0);
         ftl.check_invariants().unwrap();
@@ -1185,7 +1242,7 @@ mod cost_benefit_tests {
             let lat = LatencyModel::INSTANT;
             let live = g.exported_pages() * 7 / 10;
             for lpn in 0..live {
-                ftl.write(lpn, &lat).unwrap();
+                ftl.write_span(lpn, 1, &lat).unwrap();
             }
             let mut x = 7u64;
             for _ in 0..25_000 {
@@ -1196,7 +1253,7 @@ mod cost_benefit_tests {
                 } else {
                     r % live
                 };
-                ftl.write(lpn, &lat).unwrap();
+                ftl.write_span(lpn, 1, &lat).unwrap();
             }
             ftl.check_invariants().unwrap();
             ftl.stats().gc_page_moves
@@ -1240,11 +1297,11 @@ mod wear_leveling_tests {
         let live = g.exported_pages() * 7 / 10;
         // Cold bottom half written once; hot top tenth hammered.
         for lpn in 0..live {
-            ftl.write(lpn, &lat).unwrap();
+            ftl.write_span(lpn, 1, &lat).unwrap();
         }
         let hot = live / 10;
         for i in 0..60_000u64 {
-            ftl.write(live - 1 - (i % hot), &lat).unwrap();
+            ftl.write_span(live - 1 - (i % hot), 1, &lat).unwrap();
         }
         ftl.check_invariants().unwrap();
         ftl.block_erase_counts()
@@ -1266,6 +1323,89 @@ mod wear_leveling_tests {
             (s_on.max - s_on.min) < (s_off.max - s_off.min),
             "leveling should narrow spread: off {s_off:?} vs on {s_on:?}"
         );
+    }
+
+    /// A device under GC pressure with a wide erase spread: cold bottom,
+    /// hammered hot tenth, leveling on.
+    fn pressured() -> (PageLevelFtl, u64) {
+        let g = Geometry {
+            page_size: 4096,
+            pages_per_block: 8,
+            blocks: 64,
+            over_provision_ppt: 100,
+        };
+        let mut ftl = PageLevelFtl::new(g, FtlConfig::default());
+        let lat = LatencyModel::INSTANT;
+        let live = g.exported_pages() * 7 / 10;
+        ftl.write_span(0, live, &lat).unwrap();
+        for i in 0..30_000u64 {
+            ftl.write_span(live - 1 - (i % (live / 10)), 1, &lat)
+                .unwrap();
+        }
+        (ftl, live)
+    }
+
+    /// Exact work count: one pick reads the blocks of one valid bucket
+    /// and no other, however many candidates there are.
+    #[test]
+    fn static_level_pick_visits_one_bucket() {
+        let (ftl, _) = pressured();
+        PICK_BLOCK_READS.set(0);
+        let (valid, victim) = ftl.static_level_pick().unwrap();
+        let bucket = ftl.candidates.members(valid);
+        assert!(bucket.contains(&victim));
+        assert_eq!(PICK_BLOCK_READS.get(), bucket.len() as u64);
+        assert!(bucket.len() < ftl.candidates.len());
+    }
+
+    /// The wear index is not in the snapshot: a device loaded under GC
+    /// pressure rebuilds it, picks the same next victim and then wears
+    /// exactly like the original.
+    #[test]
+    fn loaded_ftl_rebuilds_the_wear_index() {
+        let (mut ftl, live) = pressured();
+        let mut w = SnapWriter::new();
+        ftl.save(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = SnapReader::new(&bytes);
+        let mut back = PageLevelFtl::load(&mut r);
+        r.finish("ftl").unwrap();
+        assert!(back.wear_index.same_counts(&ftl.wear_index));
+        assert_eq!(back.static_level_pick(), ftl.static_level_pick());
+        let lat = LatencyModel::INSTANT;
+        for i in 0..5_000u64 {
+            let lpn = live - 1 - (i % (live / 10));
+            ftl.write_span(lpn, 1, &lat).unwrap();
+            back.write_span(lpn, 1, &lat).unwrap();
+        }
+        assert!(ftl.stats().block_erases > 0);
+        assert_eq!(back.block_erase_counts(), ftl.block_erase_counts());
+        assert_eq!(back.static_level_pick(), ftl.static_level_pick());
+        let mut w2 = SnapWriter::new();
+        back.save(&mut w2);
+        let mut w1 = SnapWriter::new();
+        ftl.save(&mut w1);
+        assert_eq!(w1.into_bytes(), w2.into_bytes());
+    }
+
+    /// A candidate block whose stored erase count is garbage is a typed
+    /// load error, not an index sized by the garbage.
+    #[test]
+    fn corrupt_erase_count_is_rejected_on_load() {
+        let (mut ftl, _) = pressured();
+        let (_, victim) = ftl.static_level_pick().unwrap();
+        let mut w = SnapWriter::new();
+        ftl.blocks[victim as usize].save(&mut w);
+        let mut block = w.into_bytes();
+        let at = block.len() - 8;
+        block[at..].copy_from_slice(&(1u64 << 60).to_le_bytes());
+        ftl.blocks[victim as usize] = Block::load(&mut SnapReader::new(&block));
+        let mut w = SnapWriter::new();
+        ftl.save(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = SnapReader::new(&bytes);
+        let _ = PageLevelFtl::load(&mut r);
+        assert!(r.finish("ftl").is_err());
     }
 
     #[test]

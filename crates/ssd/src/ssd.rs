@@ -170,8 +170,8 @@ impl Ssd {
         // bounds the live footprint while every block gets exercised.
         for lpn in 0..exported {
             if !self.ftl.is_mapped(lpn) {
-                self.ftl.write(lpn, &lat)?;
-                self.ftl.trim(lpn)?;
+                self.ftl.write_span(lpn, 1, &lat)?;
+                self.ftl.trim_span(lpn, 1)?;
             }
         }
         self.ftl.stats_mut().reset();

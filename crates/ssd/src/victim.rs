@@ -131,6 +131,12 @@ impl VictimBuckets {
         Some((self.min_valid as u32, block))
     }
 
+    /// The candidates with exactly `valid` valid pages, in no particular
+    /// order.
+    pub fn members(&self, valid: u32) -> &[u32] {
+        &self.buckets[valid as usize]
+    }
+
     /// All candidates as `(valid, block)` pairs. Ascending by valid count;
     /// order within a valid count is unspecified.
     pub fn iter(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
@@ -170,6 +176,58 @@ impl VictimBuckets {
             }
         }
         Ok(())
+    }
+}
+
+/// How many candidates sit at each `(erase_count, valid)` pair — the
+/// index static wear leveling picks its victim from. The least-worn
+/// candidate with the fewest valid pages is the first non-zero count in
+/// row-major order, so a pick costs a short scan of counts plus the
+/// members of one [`VictimBuckets`] bucket instead of a walk over every
+/// candidate block.
+///
+/// Derived state: a function of the candidate set and the blocks' erase
+/// counts, never serialized — the FTL rebuilds it on load.
+#[derive(Debug, Clone)]
+pub struct WearIndex {
+    /// Counts per wear row: one per valid count `0..=pages_per_block`.
+    stride: usize,
+    /// `counts[wear * stride + valid]`; grows by whole rows on demand.
+    counts: Vec<u32>,
+}
+
+impl WearIndex {
+    pub fn new(pages_per_block: u32) -> Self {
+        WearIndex {
+            stride: pages_per_block as usize + 1,
+            counts: Vec::new(),
+        }
+    }
+
+    /// The count at `(wear, valid)`, for the caller to bump where a
+    /// candidate enters, leaves, or loses a valid page.
+    pub fn count_mut(&mut self, wear: u64, valid: u32) -> &mut u32 {
+        let at = wear as usize * self.stride + valid as usize;
+        if self.counts.len() <= at {
+            self.counts.resize((wear as usize + 1) * self.stride, 0);
+        }
+        &mut self.counts[at]
+    }
+
+    /// The minimum `(erase_count, valid)` pair over all candidates.
+    /// `floor` is any lower bound on the candidates' erase counts (the
+    /// device-wide minimum will do); rows below it are not scanned.
+    pub fn lowest(&self, floor: u64) -> Option<(u64, u32)> {
+        let from = (floor as usize * self.stride).min(self.counts.len());
+        let at = from + self.counts[from..].iter().position(|&c| c != 0)?;
+        Some(((at / self.stride) as u64, (at % self.stride) as u32))
+    }
+
+    /// True if both hold the same counts (row capacity aside).
+    pub fn same_counts(&self, other: &WearIndex) -> bool {
+        let at = |counts: &[u32], i: usize| counts.get(i).copied().unwrap_or(0);
+        (0..self.counts.len().max(other.counts.len()))
+            .all(|i| at(&self.counts, i) == at(&other.counts, i))
     }
 }
 

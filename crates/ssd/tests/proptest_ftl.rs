@@ -2,9 +2,40 @@
 //! write/trim/read workloads the mapping tables stay consistent, data is
 //! never lost, and the GC always makes forward progress.
 
-use edm_ssd::{FtlConfig, Geometry, LatencyModel, PageLevelFtl, Ssd};
+use edm_ssd::{DeviceTime, FtlConfig, Geometry, LatencyModel, PageLevelFtl, Ssd};
 use proptest::prelude::*;
 use std::collections::HashMap;
+
+/// The per-page reference: one logical page at a time through the span
+/// entry points, which is what the FTL's per-LPN API used to be.
+trait PerPage {
+    fn write(&mut self, lpn: u64, lat: &LatencyModel) -> Result<DeviceTime, edm_ssd::FtlError>;
+    fn read(&mut self, lpn: u64, lat: &LatencyModel) -> Result<DeviceTime, edm_ssd::FtlError>;
+    fn trim(&mut self, lpn: u64) -> Result<(), edm_ssd::FtlError>;
+}
+
+impl PerPage for PageLevelFtl {
+    fn write(&mut self, lpn: u64, lat: &LatencyModel) -> Result<DeviceTime, edm_ssd::FtlError> {
+        self.write_span(lpn, 1, lat)
+    }
+    fn read(&mut self, lpn: u64, lat: &LatencyModel) -> Result<DeviceTime, edm_ssd::FtlError> {
+        self.read_span(lpn, 1, lat)
+    }
+    fn trim(&mut self, lpn: u64) -> Result<(), edm_ssd::FtlError> {
+        self.trim_span(lpn, 1)
+    }
+}
+
+/// The reference static-leveling pick: the walk over every candidate
+/// block the FTL did before it kept a wear index — the minimum
+/// `(erase_count, valid, block)`, returned as (valid, block).
+fn scanned_static_level_pick(ftl: &PageLevelFtl) -> Option<(u32, u32)> {
+    let wear = ftl.block_erase_counts();
+    ftl.candidates()
+        .map(|(valid, block)| (wear[block as usize], valid, block))
+        .min()
+        .map(|(_, valid, block)| (valid, block))
+}
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -130,7 +161,6 @@ proptest! {
 mod span_equivalence_props {
     use super::*;
     use edm_ssd::ftl::VictimPolicy;
-    use edm_ssd::DeviceTime;
 
     /// A span op: (start page, page count, kind).
     #[derive(Debug, Clone, Copy)]
@@ -262,6 +292,46 @@ mod victim_policy_props {
                 ftl.write((x >> 11) % live, &lat).unwrap();
             }
             prop_assert_eq!(ftl.mapped_pages(), live);
+            ftl.check_invariants().map_err(TestCaseError::fail)?;
+        }
+
+        /// After every op of a random write / overwrite / trim sequence,
+        /// under every victim policy and with static leveling firing, the
+        /// indexed static-leveling pick is the one the full candidate
+        /// scan finds.
+        #[test]
+        fn indexed_static_pick_matches_the_full_scan(
+            ops in prop::collection::vec((0u64..1000, 1u64..6, 0u8..8), 300..800),
+            policy_idx in 0usize..3,
+        ) {
+            let policy = [
+                VictimPolicy::Greedy,
+                VictimPolicy::Fifo,
+                VictimPolicy::CostBenefit,
+            ][policy_idx];
+            let g = geometry();
+            let mut config = FtlConfig { victim_policy: policy, ..FtlConfig::default() };
+            config.wear_leveling.static_threshold = 2;
+            let mut ftl = PageLevelFtl::new(g, config);
+            let lat = LatencyModel::INSTANT;
+            let live = g.exported_pages() * 3 / 4;
+            ftl.write_span(0, live, &lat).unwrap();
+            for (at, n, kind) in ops {
+                // Mostly overwrites of a hot tenth, so wear spreads and
+                // the leveler runs; some cold writes; some trims.
+                let (start, n) = match kind {
+                    0 => (at % live, n.min(live - at % live)),
+                    1 => (at % live, 1),
+                    _ => (at % (live / 10), 1),
+                };
+                if kind == 0 {
+                    ftl.trim_span(start, n).unwrap();
+                } else {
+                    ftl.write_span(start, n, &lat).unwrap();
+                }
+                prop_assert_eq!(ftl.static_level_pick(), scanned_static_level_pick(&ftl));
+            }
+            prop_assert!(ftl.stats().block_erases > 0);
             ftl.check_invariants().map_err(TestCaseError::fail)?;
         }
 
