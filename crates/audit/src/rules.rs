@@ -714,7 +714,7 @@ const DET_PRAGMA_BUDGETS: &[(&str, usize)] = &[
 pub const PANIC_PRAGMA_BUDGETS: &[(&str, usize)] = &[
     ("ssd", 10),
     ("cluster", 27),
-    ("core", 14),
+    ("core", 12),
     ("model", 0),
     ("workload", 11),
     ("snap", 0),

@@ -58,6 +58,6 @@ pub use raid::{IoKind, ObjectIo, StripeLayout};
 pub use remap::RemappingTable;
 pub use shard::{shard_decision, ShardDecision};
 pub use sim::{
-    resume_trace_obs, resume_trace_obs_keep, run_trace, run_trace_obs, run_trace_obs_keep,
-    CheckpointConfig, ClientAffinity, FailureSpec, MigrationSchedule, SimOptions, SnapManifest,
+    resume_trace_obs_keep, run_trace, run_trace_obs_keep, CheckpointConfig, ClientAffinity,
+    FailureSpec, MigrationSchedule, SimOptions, SnapManifest,
 };

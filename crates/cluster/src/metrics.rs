@@ -318,16 +318,16 @@ impl RunReport {
 
 /// Relative standard deviation (σ/mean) of a sequence; 0 for empty or
 /// zero-mean input.
-pub fn rsd(values: impl Iterator<Item = f64>) -> f64 {
-    let v: Vec<f64> = values.collect();
-    if v.is_empty() {
+pub fn rsd(values: impl Iterator<Item = f64> + Clone) -> f64 {
+    let n = values.clone().count();
+    if n == 0 {
         return 0.0;
     }
-    let mean = v.iter().sum::<f64>() / v.len() as f64;
+    let mean = values.clone().sum::<f64>() / n as f64;
     if mean == 0.0 {
         return 0.0;
     }
-    let var = v.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / v.len() as f64;
+    let var = values.map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
     var.sqrt() / mean
 }
 

@@ -54,7 +54,7 @@ pub struct FailureSpec {
 }
 
 /// Periodic checkpointing of the full simulation state (see
-/// [`resume_trace_obs`]).
+/// [`resume_trace_obs_keep`]).
 #[derive(Debug, Clone)]
 pub struct CheckpointConfig {
     /// Virtual-time interval between checkpoints, µs. Checkpoints are cut
@@ -1725,25 +1725,15 @@ pub fn run_trace(
     policy: &mut dyn Migrator,
     options: SimOptions,
 ) -> RunReport {
-    run_trace_obs(cluster, trace, policy, options, &mut NoopRecorder)
+    run_trace_obs_keep(cluster, trace, policy, options, &mut NoopRecorder).0
 }
 
-/// [`run_trace`] with an observability sink: the engine stamps virtual
+/// [`run_trace`] with an observability sink — the engine stamps virtual
 /// time and device scope on the recorder, journals queue/migration/remap
-/// events, and feeds latency histograms. Recording is read-only — the
-/// returned report is bit-identical at every obs level.
-pub fn run_trace_obs(
-    cluster: Cluster,
-    trace: &Trace,
-    policy: &mut dyn Migrator,
-    options: SimOptions,
-    obs: &mut dyn Recorder,
-) -> RunReport {
-    run_trace_obs_keep(cluster, trace, policy, options, obs).0
-}
-
-/// [`run_trace_obs`], additionally handing back the final [`Cluster`] so
-/// callers can inspect (or snapshot) the end state of every device.
+/// events, and feeds latency histograms; recording is read-only, so the
+/// report is bit-identical at every obs level — additionally handing back
+/// the final [`Cluster`] so callers can inspect (or snapshot) the end
+/// state of every device.
 pub fn run_trace_obs_keep(
     cluster: Cluster,
     trace: &Trace,
@@ -1774,18 +1764,8 @@ pub fn run_trace_obs_keep(
 /// fresh `checkpoint` config keeps checkpointing. Resumed runs always
 /// drain sequentially (`shards` is ignored: a checkpoint cut mid-interval
 /// has no barrier-aligned split point). The resumed run's report is
-/// bit-identical to the uninterrupted run's.
-pub fn resume_trace_obs(
-    snap: &SnapshotFile,
-    trace: &Trace,
-    policy: &mut dyn Migrator,
-    options: SimOptions,
-    obs: &mut dyn Recorder,
-) -> Result<RunReport, SnapError> {
-    resume_trace_obs_keep(snap, trace, policy, options, obs).map(|(report, _)| report)
-}
-
-/// [`resume_trace_obs`], additionally handing back the final [`Cluster`].
+/// bit-identical to the uninterrupted run's; the final [`Cluster`] comes
+/// back with it.
 pub fn resume_trace_obs_keep(
     snap: &SnapshotFile,
     trace: &Trace,
@@ -2009,7 +1989,7 @@ mod tests {
         for level in [ObsLevel::Off, ObsLevel::Metrics, ObsLevel::Events] {
             let cluster = Cluster::build(ClusterConfig::test_small(), &trace).unwrap();
             let mut rec = MemoryRecorder::new(level);
-            let report = run_trace_obs(
+            let (report, _) = run_trace_obs_keep(
                 cluster,
                 &trace,
                 &mut MoveOne,
@@ -2286,7 +2266,7 @@ mod checkpoint_tests {
         assert_eq!(manifest.extra, b"cluster-test");
         assert_eq!(manifest.policy, "Spreader");
 
-        let resumed = resume_trace_obs(
+        let (resumed, _) = resume_trace_obs_keep(
             &snap,
             &trace,
             &mut Spreader { planned: false },
@@ -2306,7 +2286,7 @@ mod checkpoint_tests {
         let early = SnapshotFile::read_from(&snaps[0]).unwrap();
         let m = SnapManifest::from_snapshot(&early).unwrap();
         assert!(m.now_us < 150_000, "first checkpoint predates the failure");
-        let resumed_early = resume_trace_obs(
+        let (resumed_early, _) = resume_trace_obs_keep(
             &early,
             &trace,
             &mut Spreader { planned: false },
@@ -2340,13 +2320,14 @@ mod checkpoint_tests {
             .collect();
         snaps.sort();
         let snap = SnapshotFile::read_from(&snaps[0]).unwrap();
-        let err = resume_trace_obs(
+        let err = resume_trace_obs_keep(
             &snap,
             &trace,
             &mut Spreader { planned: false },
             SimOptions::default(),
             &mut NoopRecorder,
         )
+        .map(|(report, _)| report)
         .unwrap_err();
         assert!(matches!(err, SnapError::Corrupt { .. }), "{err:?}");
         let _ = std::fs::remove_dir_all(&dir);

@@ -12,6 +12,7 @@
 //! migration on disk utilization is ignored for HDF"); the CDF variant
 //! symmetrically holds the write-page array fixed (§III.B.5).
 
+use edm_cluster::metrics::rsd;
 use serde::{Deserialize, Serialize};
 
 use crate::wear_model::{erase_count_over, WearModel};
@@ -86,7 +87,7 @@ pub fn calculate_hdf(
     let mut used = 0;
     for _ in 0..cfg.iterations {
         let ec = erase_counts(&wc, &free_pages);
-        if rsd(&ec) < cfg.stop_rsd {
+        if rsd(ec.iter().copied()) < cfg.stop_rsd {
             break;
         }
         let Some((x, y)) = max_min_pair(&ec, |_| true) else {
@@ -140,7 +141,7 @@ pub fn calculate_cdf(
     let mut used = 0;
     for _ in 0..cfg.iterations {
         let ec = erase_counts(wc_pages, &free_pages);
-        if rsd(&ec) < cfg.stop_rsd {
+        if rsd(ec.iter().copied()) < cfg.stop_rsd {
             break;
         }
         // A source must sit above the 50 % floor and still have round
@@ -221,19 +222,6 @@ fn validate_inputs(wc: &[f64], u: &[f64]) {
     );
 }
 
-/// Relative standard deviation of a slice (0 for empty/zero-mean input).
-fn rsd(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let mean = values.iter().sum::<f64>() / values.len() as f64;
-    if mean == 0.0 {
-        return 0.0;
-    }
-    let var = values.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / values.len() as f64;
-    var.sqrt() / mean
-}
-
 /// Indices of the devices with maximal and minimal erase count; the source
 /// must additionally satisfy `source_ok`. `None` when no distinct
 /// admissible pair with a strict gap exists.
@@ -258,7 +246,6 @@ fn max_min_pair(ec: &[f64], source_ok: impl Fn(usize) -> bool) -> Option<(usize,
 mod tests {
     use super::*;
     use crate::wear_model::{u_of_ur, F_OF_U_CALLS};
-    use edm_cluster::metrics::rsd;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -286,7 +273,7 @@ mod tests {
         };
         for _ in 0..cfg.iterations {
             let ec = erases(&wc, &u);
-            if super::rsd(&ec) < cfg.stop_rsd {
+            if rsd(ec.iter().copied()) < cfg.stop_rsd {
                 break;
             }
             let pair = max_min_pair(&ec, |i| {

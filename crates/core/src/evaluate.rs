@@ -533,7 +533,7 @@ mod tests {
     /// views they were planned against.
     #[test]
     fn hdf_plans_assess_as_improvements() {
-        use crate::policy::EdmHdf;
+        use crate::policy::{Edm, Selection};
         use edm_cluster::Migrator;
         let mut v = view();
         // Give the hot device some movable objects with real heat.
@@ -545,7 +545,7 @@ mod tests {
                 remapped: false,
             })
             .collect();
-        let mut p = EdmHdf::default();
+        let mut p = Edm::new(Selection::Hdf, crate::EdmConfig::default());
         for i in 0..8u64 {
             let writes = if i % 2 == 0 { 200 } else { 2 };
             for _ in 0..writes {

@@ -17,9 +17,10 @@
 //! * [`alg1`] — Algorithm 1: iterative max/min pairing that computes how
 //!   many page writes (HDF) or how much utilization (CDF) each device
 //!   should shed or absorb;
-//! * [`policy`] — the [`EdmHdf`] (Hot-Data-First) and [`EdmCdf`]
-//!   (Cold-Data-First) policies plus the [`Cmt`] conventional-migration
-//!   baseline, all implementing [`edm_cluster::Migrator`];
+//! * [`policy`] — the [`Edm`] policy under its Hot-Data-First or
+//!   Cold-Data-First [`Selection`] rule plus the [`Cmt`]
+//!   conventional-migration baseline, all implementing
+//!   [`edm_cluster::Migrator`];
 //! * [`plan`] — distributing selected objects over destinations "in
 //!   proportion to ΔWc" under free-space budgets;
 //! * [`config`] — the paper's tunables (λ, σ, 500 iterations, ε = 0.001,
@@ -52,7 +53,7 @@ pub use alg1::{calculate_cdf, calculate_hdf, Alg1Config, MovementAmounts};
 pub use config::{Assessor, EdmConfig};
 pub use evaluate::{assess_plan, trim_to_improvement_model, PlanAssessment};
 pub use lifetime::{DeviceLifetime, EnduranceSpec, Staggering};
-pub use policy::{Cmt, CmtConfig, EdmCdf, EdmHdf};
+pub use policy::{Cmt, CmtConfig, Edm, Selection};
 pub use temperature::{AccessTracker, ObjectHeat};
 pub use trigger::TriggerDecision;
 pub use wear_model::{u_of_ur, WearModel, PAPER_SIGMA};
@@ -63,19 +64,25 @@ use edm_cluster::{Migrator, NoMigration};
 /// EDM-CDF — in the paper's plotting order.
 pub const POLICY_NAMES: [&str; 4] = ["Baseline", "CMT", "EDM-HDF", "EDM-CDF"];
 
-/// Instantiates a policy by its evaluation name.
-///
-/// # Panics
-/// Panics on an unknown name; see [`POLICY_NAMES`].
-pub fn make_policy(name: &str) -> Box<dyn Migrator> {
-    match name {
+/// Instantiates a policy by its evaluation name ([`POLICY_NAMES`]). CMT
+/// takes its λ and `force` from `cfg`; Baseline ignores it.
+pub fn make_policy(name: &str, cfg: EdmConfig) -> Result<Box<dyn Migrator>, String> {
+    Ok(match name {
         "Baseline" => Box::new(NoMigration),
-        "CMT" => Box::new(Cmt::default()),
-        "EDM-HDF" => Box::new(EdmHdf::default()),
-        "EDM-CDF" => Box::new(EdmCdf::default()),
-        // edm-audit: allow(panic.panic, "CLI-facing parse: rejecting an unknown policy name loudly is the contract")
-        other => panic!("unknown policy {other:?}; see POLICY_NAMES"),
-    }
+        "CMT" => Box::new(Cmt::new(CmtConfig {
+            lambda: cfg.lambda,
+            force: cfg.force,
+            ..CmtConfig::default()
+        })),
+        "EDM-HDF" => Box::new(Edm::new(Selection::Hdf, cfg)),
+        "EDM-CDF" => Box::new(Edm::new(Selection::Cdf, cfg)),
+        other => {
+            return Err(format!(
+                "unknown policy {other:?} (want one of {})",
+                POLICY_NAMES.join(", ")
+            ))
+        }
+    })
 }
 
 #[cfg(test)]
@@ -85,13 +92,18 @@ mod tests {
     #[test]
     fn make_policy_covers_all_names() {
         for name in POLICY_NAMES {
-            assert_eq!(make_policy(name).name(), name);
+            let policy = make_policy(name, EdmConfig::default()).expect("evaluation name");
+            assert_eq!(policy.name(), name);
         }
     }
 
     #[test]
-    #[should_panic(expected = "unknown policy")]
-    fn unknown_policy_panics() {
-        make_policy("nope");
+    fn unknown_policy_is_an_error() {
+        for name in ["nope", "", "edm-hdf", "EDM-HDF "] {
+            let err = make_policy(name, EdmConfig::default())
+                .err()
+                .expect("not an evaluation name");
+            assert!(err.contains("unknown policy"), "{err}");
+        }
     }
 }

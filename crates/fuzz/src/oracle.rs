@@ -104,7 +104,7 @@ fn check_scenario_impl(s: &Scenario, work_dir: &Path) -> Result<OracleStats, Ora
     // Differential run: full event journal on, end-state cluster kept.
     let mut rec = MemoryRecorder::new(ObsLevel::Events);
     let (obs_report, cluster) = s
-        .run_with_obs_keep(&mut rec)
+        .run_with_obs_checkpointed_keep(&mut rec, None)
         .map_err(|e| fail("harness", format!("events run failed: {e}")))?;
     let obs_digest = report_digest(&obs_report);
     if obs_digest != base_digest {
@@ -154,7 +154,7 @@ fn check_model_assessor(s: &Scenario) -> Result<(), OracleFailure> {
     m.assessor = edm_core::Assessor::Model;
     let mut rec = MemoryRecorder::new(ObsLevel::Events);
     let (report, cluster) = m
-        .run_with_obs_keep(&mut rec)
+        .run_with_obs_checkpointed_keep(&mut rec, None)
         .map_err(|e| fail("model_assessor", format!("model-assessor run failed: {e}")))?;
     for entry in rec.journal() {
         if let Event::PlanAssessment {
@@ -473,8 +473,8 @@ fn check_resume_and_roundtrip(
         )
     })?;
 
-    let ck_report = s
-        .run_with_obs_checkpointed(&mut NoopRecorder, Some((0, ckpt_dir.clone())))
+    let (ck_report, _) = s
+        .run_with_obs_checkpointed_keep(&mut NoopRecorder, Some((0, ckpt_dir.clone())))
         .map_err(|e| fail("harness", format!("checkpointed run failed: {e}")))?;
     let ck_digest = report_digest(&ck_report);
     if ck_digest != base_digest {

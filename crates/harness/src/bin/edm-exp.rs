@@ -3,8 +3,9 @@
 //! ```text
 //! edm-exp <experiment> [--scale F] [--osds N[,N...]] [--full] [--jobs N]
 //!
-//! experiments: table1 fig1 fig3 fig5 fig6 fig7 fig8 wearout
-//!              ablate-sigma ablate-lambda ablate-groups all
+//! experiments: table1 fig1 fig3 fig5 fig6 fig7 fig8 reliability failure
+//!              wearout ablate-sigma ablate-lambda ablate-groups
+//!              ablate-continuous ablate-decay ablate-gc model-diff all
 //! --scale F    trace scale factor in (0,1]; default 0.05
 //! --full       shorthand for --scale 1.0 (the paper's full Table 1 counts)
 //! --osds N     cluster sizes (default: paper's 16,20 where applicable)
@@ -44,7 +45,6 @@ fn parse_args() -> Args {
     let mut cfg = RunConfig {
         scale: 0.05,
         schedule: MigrationSchedule::Midpoint,
-        response_window_us: None,
         jobs: None,
     };
     let mut osds: Vec<u32> = vec![16, 20];
@@ -108,23 +108,29 @@ fn run_model_diff() -> bool {
     result.passed()
 }
 
-fn run_one(id: &str, cfg: &RunConfig, osds: &[u32]) -> bool {
+/// Runs one experiment. Figs. 5–8 render from `matrix`, simulating only
+/// the cells an earlier figure of this invocation has not.
+fn run_one(id: &str, cfg: &RunConfig, osds: &[u32], matrix: &mut fig56::Matrix) -> bool {
+    let traces = &edm_workload::harvard::TRACE_NAMES;
     match id {
         "table1" => println!("{}", table1::render(&table1::run(cfg.scale))),
         "fig1" => println!("{}", fig1::render(&fig1::run(cfg, osds[0].min(8)))),
         "fig3" => println!("{}", fig3::render(&fig3::run(cfg, &fig3::default_grid()))),
         "fig5" | "fig6" => {
-            let m = fig56::run(cfg, osds, &edm_workload::harvard::TRACE_NAMES);
+            matrix.ensure(cfg, &fig56::cells(osds, traces));
             if id == "fig5" {
-                println!("{}", fig56::render_fig5(&m));
+                println!("{}", fig56::render_fig5(matrix, osds, traces));
             } else {
-                println!("{}", fig56::render_fig6(&m));
+                println!("{}", fig56::render_fig6(matrix, osds, traces));
             }
         }
-        "fig7" => println!("{}", fig7::render(&fig7::run(cfg, osds[0]))),
+        "fig7" => {
+            matrix.ensure(cfg, &fig7::cells(osds[0]));
+            println!("{}", fig7::render(matrix, osds[0]));
+        }
         "fig8" => {
-            let traces: Vec<&str> = edm_workload::harvard::TRACE_NAMES.to_vec();
-            println!("{}", fig8::render(&fig8::run(cfg, osds[0], &traces)))
+            matrix.ensure(cfg, &fig8::cells(osds[0], traces));
+            println!("{}", fig8::render(matrix, osds[0], traces));
         }
         "failure" => {
             println!("{}", failure::render(&failure::run(cfg, osds[0], "home02")));
@@ -201,13 +207,14 @@ fn run_one(id: &str, cfg: &RunConfig, osds: &[u32]) -> bool {
 fn main() {
     let args = parse_args();
     let mut ok = true;
+    let mut matrix = fig56::Matrix::default();
     if args.experiment == "all" {
         for id in EXPERIMENT_IDS {
             eprintln!("== {id} ==");
-            ok &= run_one(id, &args.cfg, &args.osds);
+            ok &= run_one(id, &args.cfg, &args.osds, &mut matrix);
         }
     } else {
-        ok = run_one(&args.experiment, &args.cfg, &args.osds);
+        ok = run_one(&args.experiment, &args.cfg, &args.osds, &mut matrix);
     }
     eprintln!("(scale {:.3})", args.cfg.scale);
     if !ok {

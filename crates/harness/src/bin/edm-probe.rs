@@ -29,7 +29,7 @@
 //! simulator builds. Exits nonzero on a corrupt or truncated file.
 
 use edm_cluster::{run_trace, Cluster, ClusterConfig, SimOptions, SnapManifest};
-use edm_core::make_policy;
+use edm_core::{make_policy, EdmConfig};
 use edm_harness::SnapMeta;
 use edm_obs::json::{self, JsonValue};
 use edm_snap::SnapshotFile;
@@ -345,6 +345,10 @@ fn journal_mode(path: &str) {
 fn run_mode(first: Option<String>, mut args: impl Iterator<Item = String>) {
     let trace_name = first.unwrap_or_else(|| "home02".into());
     let policy_name = args.next().unwrap_or_else(|| "EDM-HDF".into());
+    let mut policy = make_policy(&policy_name, EdmConfig::default()).unwrap_or_else(|e| {
+        eprintln!("{e}\nusage: edm-probe <trace> <policy> [scale] [osds]");
+        std::process::exit(2);
+    });
     let scale: f64 = args
         .next()
         .map(|s| s.parse().expect("scale"))
@@ -356,8 +360,8 @@ fn run_mode(first: Option<String>, mut args: impl Iterator<Item = String>) {
     // Scale the 3-minute reporting window with the trace scale so the
     // series has a useful number of points at any scale.
     config.response_window_us = ((180e6 * scale) as u64).max(50_000);
+    let window_us = config.response_window_us;
     let cluster = Cluster::build(config, &trace).expect("build");
-    let mut policy = make_policy(&policy_name);
     let report = run_trace(cluster, &trace, policy.as_mut(), SimOptions::default());
 
     println!(
@@ -371,7 +375,7 @@ fn run_mode(first: Option<String>, mut args: impl Iterator<Item = String>) {
     );
     let (p50, p95, p99) = report.response_percentiles_us;
     println!("response percentiles: p50={p50}us p95={p95}us p99={p99}us");
-    println!("-- response windows ({}us each) --", 180_000_000 / 40);
+    println!("-- response windows ({window_us}us each) --");
     for w in &report.response_windows {
         if w.completed_ops == 0 {
             continue;

@@ -178,8 +178,9 @@ fn main() {
             }
         }
         scenario
-            .run_with_obs_checkpointed(obs, checkpoint)
+            .run_with_obs_checkpointed_keep(obs, checkpoint)
             .unwrap_or_else(|e| fail(&format!("scenario failed: {e}")))
+            .0
     };
     print!("{}", render_report(&report));
     println!("determinism digest {:#018x}", report_digest(&report));

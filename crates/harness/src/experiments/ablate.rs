@@ -4,7 +4,7 @@
 
 use edm_cluster::{run_trace, Cluster, ClusterConfig, NoMigration, RunReport, SimOptions};
 use edm_cluster::{MigrationSchedule, Migrator};
-use edm_core::{EdmConfig, EdmHdf, WearModel};
+use edm_core::{Edm, EdmConfig, Selection, WearModel};
 use edm_ssd::ftl::VictimPolicy;
 use edm_workload::harvard;
 use edm_workload::synth::synthesize;
@@ -66,11 +66,14 @@ pub fn lambda_sweep(cfg: &RunConfig, osds: u32, lambdas: &[f64]) -> Vec<(f64, Ru
             let cluster =
                 // edm-audit: allow(panic.expect, "experiment setup with a pinned valid config; abort is the harness failure mode")
                 Cluster::build(ClusterConfig::paper(osds), &trace).expect("cluster build");
-            let mut policy = EdmHdf::new(EdmConfig {
-                lambda,
-                force: false,
-                ..EdmConfig::default()
-            });
+            let mut policy = Edm::new(
+                Selection::Hdf,
+                EdmConfig {
+                    lambda,
+                    force: false,
+                    ..EdmConfig::default()
+                },
+            );
             let report = run_trace(
                 cluster,
                 &trace,
@@ -117,7 +120,7 @@ pub fn group_sweep(cfg: &RunConfig, osds: u32, groups: &[u32]) -> Vec<(u32, RunR
             cluster_cfg.objects_per_file = m.min(4);
             // edm-audit: allow(panic.expect, "experiment setup with a pinned valid config; abort is the harness failure mode")
             let cluster = Cluster::build(cluster_cfg, &trace).expect("cluster build");
-            let mut policy = EdmHdf::default();
+            let mut policy = Edm::new(Selection::Hdf, EdmConfig::default());
             let report = run_trace(
                 cluster,
                 &trace,
@@ -180,10 +183,13 @@ pub fn continuous_sweep(cfg: &RunConfig, osds: u32) -> Vec<(&'static str, RunRep
             ((cluster_cfg.wear_tick_us as f64 * cfg.scale) as u64).max(100_000);
         // edm-audit: allow(panic.expect, "experiment setup with a pinned valid config; abort is the harness failure mode")
         let cluster = Cluster::build(cluster_cfg, &trace).expect("cluster build");
-        let mut policy = EdmHdf::new(EdmConfig {
-            force,
-            ..EdmConfig::default()
-        });
+        let mut policy = Edm::new(
+            Selection::Hdf,
+            EdmConfig {
+                force,
+                ..EdmConfig::default()
+            },
+        );
         let report = run_trace(
             cluster,
             &trace,
@@ -286,11 +292,14 @@ pub fn decay_sweep(cfg: &RunConfig, osds: u32) -> Vec<(&'static str, RunReport)>
         cluster_cfg.wear_tick_us = tick_us;
         // edm-audit: allow(panic.expect, "experiment setup with a pinned valid config; abort is the harness failure mode")
         let cluster = Cluster::build(cluster_cfg, &trace).expect("cluster build");
-        let mut policy = EdmHdf::new(EdmConfig {
-            force: false,
-            temperature_interval_us: interval_us,
-            ..EdmConfig::default()
-        });
+        let mut policy = Edm::new(
+            Selection::Hdf,
+            EdmConfig {
+                force: false,
+                temperature_interval_us: interval_us,
+                ..EdmConfig::default()
+            },
+        );
         let report = run_trace(
             cluster,
             &trace,

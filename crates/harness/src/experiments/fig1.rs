@@ -88,7 +88,6 @@ mod tests {
         RunConfig {
             scale: 0.002,
             schedule: MigrationSchedule::Never,
-            response_window_us: None,
             jobs: None,
         }
     }

@@ -2,7 +2,8 @@
 //! erase count for all seven traces under the four systems (Baseline,
 //! CMT, EDM-HDF, EDM-CDF) at 16 and 20 OSDs.
 //!
-//! The two figures come from the same runs, so one sweep feeds both.
+//! The two figures come from the same runs — as do Figs. 7 and 8, which
+//! read sub-matrices of this one — so one [`Matrix`] feeds all four.
 //! Expected shape (§V.B–C): migration lifts throughput 15–40 % over
 //! Baseline with HDF ≈ CMT ≳ CDF; HDF cuts aggregate erases in every
 //! case (up to ~40 % vs CMT) while CMT often *increases* them.
@@ -11,19 +12,33 @@ use std::collections::HashMap;
 
 use edm_cluster::RunReport;
 use edm_core::POLICY_NAMES;
-use edm_workload::harvard::TRACE_NAMES;
 
 use crate::report::{grouped, render_table, signed_pct};
 use crate::runner::{run_matrix, Cell, RunConfig};
 
-/// All runs of the Fig. 5/6 matrix, keyed by cell.
+/// The reports of the evaluation matrix, keyed by cell. Figs. 5–8 are
+/// four renderings of it (DESIGN.md §4): each figure names the cells it
+/// reads (`cells`) and renders from here, so a cell that several figures
+/// share is simulated once.
+#[derive(Default)]
 pub struct Matrix {
-    pub osds_list: Vec<u32>,
-    pub traces: Vec<String>,
-    pub reports: HashMap<Cell, RunReport>,
+    reports: HashMap<Cell, RunReport>,
 }
 
 impl Matrix {
+    /// Simulates those of `cells` that have no report yet.
+    pub fn ensure(&mut self, cfg: &RunConfig, cells: &[Cell]) {
+        let mut missing: Vec<Cell> = Vec::new();
+        for cell in cells {
+            if !self.reports.contains_key(cell) && !missing.contains(cell) {
+                missing.push(cell.clone());
+            }
+        }
+        if !missing.is_empty() {
+            self.reports.extend(run_matrix(&missing, cfg));
+        }
+    }
+
     pub fn report(&self, trace: &str, policy: &str, osds: u32) -> &RunReport {
         &self.reports[&Cell::new(trace, policy, osds)]
     }
@@ -46,40 +61,29 @@ impl Matrix {
     }
 }
 
-/// Runs the full (trace × policy × osds) sweep.
-pub fn run(cfg: &RunConfig, osds_list: &[u32], traces: &[&str]) -> Matrix {
-    let cells: Vec<Cell> = osds_list
+/// The cells Figs. 5 and 6 read: the full (trace × policy × osds) sweep.
+pub fn cells(osds_list: &[u32], traces: &[&str]) -> Vec<Cell> {
+    osds_list
         .iter()
         .flat_map(|&n| {
             traces
                 .iter()
                 .flat_map(move |t| POLICY_NAMES.iter().map(move |p| Cell::new(t, p, n)))
         })
-        .collect();
-    Matrix {
-        osds_list: osds_list.to_vec(),
-        traces: traces.iter().map(|t| t.to_string()).collect(),
-        reports: run_matrix(&cells, cfg),
-    }
-}
-
-/// The paper's full matrix: all seven traces, 16 and 20 OSDs.
-pub fn run_paper(cfg: &RunConfig) -> Matrix {
-    run(cfg, &[16, 20], &TRACE_NAMES)
+        .collect()
 }
 
 /// Figure 5 rendering: aggregate throughput (file ops per second).
-pub fn render_fig5(m: &Matrix) -> String {
+pub fn render_fig5(m: &Matrix, osds_list: &[u32], traces: &[&str]) -> String {
     let mut out = String::new();
-    for &osds in &m.osds_list {
+    for &osds in osds_list {
         out.push_str(&format!(
             "Figure 5 ({osds}-OSDs): aggregate throughput [ops/s]\n"
         ));
-        let rows: Vec<Vec<String>> = m
-            .traces
+        let rows: Vec<Vec<String>> = traces
             .iter()
             .map(|t| {
-                let mut row = vec![t.clone()];
+                let mut row = vec![t.to_string()];
                 for p in POLICY_NAMES {
                     let r = m.report(t, p, osds);
                     row.push(format!("{:.0}", r.throughput_ops_per_sec()));
@@ -110,17 +114,16 @@ pub fn render_fig5(m: &Matrix) -> String {
 
 /// Figure 6 rendering: aggregate erase count among all OSDs, with the
 /// percentage deltas vs Baseline the paper prints above the bars.
-pub fn render_fig6(m: &Matrix) -> String {
+pub fn render_fig6(m: &Matrix, osds_list: &[u32], traces: &[&str]) -> String {
     let mut out = String::new();
-    for &osds in &m.osds_list {
+    for &osds in osds_list {
         out.push_str(&format!(
             "Figure 6 ({osds}-OSDs): aggregate erase count among all OSDs\n"
         ));
-        let rows: Vec<Vec<String>> = m
-            .traces
+        let rows: Vec<Vec<String>> = traces
             .iter()
             .map(|t| {
-                let mut row = vec![t.clone()];
+                let mut row = vec![t.to_string()];
                 for p in POLICY_NAMES {
                     row.push(grouped(m.report(t, p, osds).aggregate_erases()));
                 }
@@ -151,20 +154,28 @@ pub fn render_fig6(m: &Matrix) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::{fig7, fig8};
+    use crate::runner::RUN_CELL_LOG;
     use edm_cluster::MigrationSchedule;
+    use edm_workload::harvard::MOTIVATION_TRACES;
 
     fn tiny() -> RunConfig {
         RunConfig {
             scale: 0.002,
             schedule: MigrationSchedule::Midpoint,
-            response_window_us: None,
             jobs: None,
         }
     }
 
+    fn deasna_on_8() -> Matrix {
+        let mut m = Matrix::default();
+        m.ensure(&tiny(), &cells(&[8], &["deasna"]));
+        m
+    }
+
     #[test]
     fn matrix_is_complete() {
-        let m = run(&tiny(), &[8], &["deasna"]);
+        let m = deasna_on_8();
         assert_eq!(m.reports.len(), 4);
         for p in POLICY_NAMES {
             assert!(m.report("deasna", p, 8).completed_ops > 0);
@@ -173,12 +184,56 @@ mod tests {
 
     #[test]
     fn renders_include_deltas() {
-        let m = run(&tiny(), &[8], &["deasna"]);
-        let f5 = render_fig5(&m);
-        let f6 = render_fig6(&m);
+        let m = deasna_on_8();
+        let f5 = render_fig5(&m, &[8], &["deasna"]);
+        let f6 = render_fig6(&m, &[8], &["deasna"]);
         assert!(f5.contains("Figure 5 (8-OSDs)"));
         assert!(f6.contains("Figure 6 (8-OSDs)"));
         assert!(f5.contains('%'));
         assert!(f6.contains('%'));
+    }
+
+    /// Exact work count: rendering all four figures simulates each
+    /// distinct cell of the matrix once, not once per figure that reads
+    /// it. 12 OSDs is this test's own: no other test in the crate runs a
+    /// 12-OSD cell, so the process-wide log can be filtered by it.
+    #[test]
+    fn figs_5_to_8_simulate_each_distinct_cell_once() {
+        let (cfg, osds) = (
+            RunConfig {
+                scale: 0.001,
+                ..tiny()
+            },
+            12,
+        );
+        let mut m = Matrix::default();
+        let sweep = cells(&[osds], &MOTIVATION_TRACES);
+        m.ensure(&cfg, &sweep);
+        let fig5 = render_fig5(&m, &[osds], &MOTIVATION_TRACES);
+        m.ensure(&cfg, &sweep);
+        let fig6 = render_fig6(&m, &[osds], &MOTIVATION_TRACES);
+        m.ensure(&cfg, &fig7::cells(osds));
+        let fig7 = fig7::render(&m, osds);
+        m.ensure(&cfg, &fig8::cells(osds, &MOTIVATION_TRACES));
+        let fig8 = fig8::render(&m, osds, &MOTIVATION_TRACES);
+        for (text, title) in [
+            (fig5, "Figure 5"),
+            (fig6, "Figure 6"),
+            (fig7, "Figure 7"),
+            (fig8, "Figure 8"),
+        ] {
+            assert!(text.contains(title), "{title} not rendered");
+        }
+
+        let log = RUN_CELL_LOG.lock().expect("log poisoned");
+        let simulated: Vec<&Cell> = log.iter().filter(|c| c.osds == osds).collect();
+        assert_eq!(simulated.len(), sweep.len(), "{simulated:?}");
+        for cell in &sweep {
+            assert_eq!(
+                simulated.iter().filter(|c| **c == cell).count(),
+                1,
+                "{cell:?}"
+            );
+        }
     }
 }

@@ -1,87 +1,57 @@
 //! Figure 7 — mean response time of file operations served during data
 //! migration, per 3-minute window, for home02, deasna and lair62 under
-//! Baseline, EDM-HDF and EDM-CDF.
+//! Baseline, EDM-HDF and EDM-CDF. The series is bucketed by
+//! [`run_cell`](crate::runner::run_cell)'s response window — a tenth of
+//! the paper's, scaled with the trace — so the spike and recovery around
+//! the midpoint are visible at any scale.
 //!
 //! Expected shape (§V.D): HDF spikes when migration starts (requests to
 //! in-flight objects block) and then settles *below* the pre-migration
 //! level; CDF barely perturbs the series because the objects it moves are
 //! rarely accessed.
 
-use edm_cluster::{ResponseWindow, RunReport};
+use edm_cluster::RunReport;
 use edm_workload::harvard::MOTIVATION_TRACES;
 
+use super::fig56::Matrix;
 use crate::report::render_table;
-use crate::runner::{run_matrix, Cell, RunConfig};
+use crate::runner::Cell;
 
 /// The policies Fig. 7 compares.
 pub const FIG7_POLICIES: [&str; 3] = ["Baseline", "EDM-HDF", "EDM-CDF"];
 
-/// One trace's response-time series per policy.
-#[derive(Debug, Clone)]
-pub struct TraceSeries {
-    pub trace: String,
-    /// (policy name, series, whole-run mean µs, moved objects).
-    pub series: Vec<(String, Vec<ResponseWindow>, f64, u64)>,
-}
-
-pub fn run(cfg: &RunConfig, osds: u32) -> Vec<TraceSeries> {
-    // Fig. 7 needs a time *series*: use a window one tenth of the scaled
-    // default so the spike and recovery around the midpoint are visible.
-    let cfg = &RunConfig {
-        response_window_us: Some(
-            cfg.response_window_us
-                .unwrap_or(((180e6 * cfg.scale) as u64 / 10).max(20_000)),
-        ),
-        ..*cfg
-    };
-    let cells: Vec<Cell> = MOTIVATION_TRACES
-        .iter()
-        .flat_map(|t| FIG7_POLICIES.iter().map(move |p| Cell::new(t, p, osds)))
-        .collect();
-    let reports = run_matrix(&cells, cfg);
+/// The cells Fig. 7 reads.
+pub fn cells(osds: u32) -> Vec<Cell> {
     MOTIVATION_TRACES
         .iter()
-        .map(|t| TraceSeries {
-            trace: t.to_string(),
-            series: FIG7_POLICIES
-                .iter()
-                .map(|p| {
-                    let r: &RunReport = &reports[&Cell::new(t, p, osds)];
-                    (
-                        p.to_string(),
-                        r.response_windows.clone(),
-                        r.mean_response_us,
-                        r.moved_objects,
-                    )
-                })
-                .collect(),
-        })
+        .flat_map(|t| FIG7_POLICIES.iter().map(move |p| Cell::new(t, p, osds)))
         .collect()
 }
 
-pub fn render(results: &[TraceSeries]) -> String {
+pub fn render(m: &Matrix, osds: u32) -> String {
     let mut out = String::new();
-    for ts in results {
+    for trace in MOTIVATION_TRACES {
         out.push_str(&format!(
-            "Figure 7: mean response time during migration — {}\n",
-            ts.trace
+            "Figure 7: mean response time during migration — {trace}\n"
         ));
+        let reports: Vec<&RunReport> = FIG7_POLICIES
+            .iter()
+            .map(|p| m.report(trace, p, osds))
+            .collect();
         // Align windows across policies (series can differ in length
         // because migration changes the run's duration).
-        let max_windows = ts
-            .series
+        let max_windows = reports
             .iter()
-            .map(|(_, w, _, _)| w.len())
+            .map(|r| r.response_windows.len())
             .max()
             .unwrap_or(0);
-        let mut headers: Vec<String> = vec!["window".into()];
-        headers.extend(ts.series.iter().map(|(p, _, _, _)| p.clone()));
-        let header_refs: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
+        let mut headers = vec!["window"];
+        headers.extend(FIG7_POLICIES);
         let rows: Vec<Vec<String>> = (0..max_windows)
             .map(|w| {
                 let mut row = vec![format!("t{w}")];
-                for (_, windows, _, _) in &ts.series {
-                    row.push(match windows.get(w) {
+                for r in &reports {
+                    row.push(match r.response_windows.get(w) {
                         Some(win) if win.completed_ops > 0 => {
                             format!("{:.0}us", win.mean_response_us)
                         }
@@ -91,10 +61,11 @@ pub fn render(results: &[TraceSeries]) -> String {
                 row
             })
             .collect();
-        out.push_str(&render_table(&header_refs, &rows));
-        for (p, _, mean, moved) in &ts.series {
+        out.push_str(&render_table(&headers, &rows));
+        for (p, r) in FIG7_POLICIES.iter().zip(&reports) {
             out.push_str(&format!(
-                "  {p}: whole-run mean {mean:.0}us, moved objects {moved}\n"
+                "  {p}: whole-run mean {:.0}us, moved objects {}\n",
+                r.mean_response_us, r.moved_objects
             ));
         }
         out.push('\n');
@@ -105,33 +76,35 @@ pub fn render(results: &[TraceSeries]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::RunConfig;
     use edm_cluster::MigrationSchedule;
 
-    fn tiny() -> RunConfig {
-        RunConfig {
+    fn run_on_8() -> Matrix {
+        let cfg = RunConfig {
             scale: 0.002,
             schedule: MigrationSchedule::Midpoint,
-            response_window_us: None,
             jobs: None,
-        }
+        };
+        let mut m = Matrix::default();
+        m.ensure(&cfg, &cells(8));
+        m
     }
 
     #[test]
     fn produces_series_for_each_trace_and_policy() {
-        let results = run(&tiny(), 8);
-        assert_eq!(results.len(), 3);
-        for ts in &results {
-            assert_eq!(ts.series.len(), 3);
-            for (p, windows, mean, _) in &ts.series {
-                assert!(!windows.is_empty(), "{p} empty series");
-                assert!(*mean > 0.0);
-            }
+        let m = run_on_8();
+        let cells = cells(8);
+        assert_eq!(cells.len(), 9);
+        for c in &cells {
+            let r = m.report(&c.trace, &c.policy, c.osds);
+            assert!(!r.response_windows.is_empty(), "{c:?} empty series");
+            assert!(r.mean_response_us > 0.0);
         }
     }
 
     #[test]
     fn render_lists_policies_and_windows() {
-        let text = render(&run(&tiny(), 8));
+        let text = render(&run_on_8(), 8);
         assert!(text.contains("home02"));
         assert!(text.contains("EDM-HDF"));
         assert!(text.contains("moved objects"));

@@ -5,77 +5,43 @@
 //! (it balances load *and* storage usage and is read/write agnostic),
 //! then CDF, then HDF.
 
-use std::collections::HashMap;
-
-use edm_cluster::RunReport;
-use edm_workload::harvard::TRACE_NAMES;
-
+use super::fig56::Matrix;
 use crate::report::{grouped, render_table};
-use crate::runner::{run_matrix, Cell, RunConfig};
+use crate::runner::Cell;
 
 /// The migrating policies Fig. 8 compares (Baseline moves nothing).
 pub const FIG8_POLICIES: [&str; 3] = ["CMT", "EDM-CDF", "EDM-HDF"];
 
-/// Moved-object counts per trace and policy.
-pub struct MovedObjects {
-    pub osds: u32,
-    pub traces: Vec<String>,
-    pub reports: HashMap<Cell, RunReport>,
-}
-
-impl MovedObjects {
-    pub fn moved(&self, trace: &str, policy: &str) -> u64 {
-        self.reports[&Cell::new(trace, policy, self.osds)].moved_objects
-    }
-
-    pub fn moved_fraction(&self, trace: &str, policy: &str) -> f64 {
-        self.reports[&Cell::new(trace, policy, self.osds)].moved_fraction()
-    }
-
-    pub fn remap_entries(&self, trace: &str, policy: &str) -> u64 {
-        self.reports[&Cell::new(trace, policy, self.osds)].remap_entries
-    }
-}
-
-pub fn run(cfg: &RunConfig, osds: u32, traces: &[&str]) -> MovedObjects {
-    let cells: Vec<Cell> = traces
+/// The cells Fig. 8 reads (the paper's setup: all seven traces on 16
+/// OSDs).
+pub fn cells(osds: u32, traces: &[&str]) -> Vec<Cell> {
+    traces
         .iter()
         .flat_map(|t| FIG8_POLICIES.iter().map(move |p| Cell::new(t, p, osds)))
-        .collect();
-    MovedObjects {
-        osds,
-        traces: traces.iter().map(|t| t.to_string()).collect(),
-        reports: run_matrix(&cells, cfg),
-    }
+        .collect()
 }
 
-/// The paper's setup: all seven traces on 16 OSDs.
-pub fn run_paper(cfg: &RunConfig) -> MovedObjects {
-    run(cfg, 16, &TRACE_NAMES)
-}
-
-pub fn render(m: &MovedObjects) -> String {
-    let rows: Vec<Vec<String>> = m
-        .traces
+pub fn render(m: &Matrix, osds: u32, traces: &[&str]) -> String {
+    let rows: Vec<Vec<String>> = traces
         .iter()
         .map(|t| {
-            let mut row = vec![t.clone()];
+            let mut row = vec![t.to_string()];
             for p in FIG8_POLICIES {
+                let r = m.report(t, p, osds);
                 row.push(format!(
                     "{} ({:.2}%)",
-                    grouped(m.moved(t, p)),
-                    m.moved_fraction(t, p) * 100.0
+                    grouped(r.moved_objects),
+                    r.moved_fraction() * 100.0
                 ));
             }
             for p in FIG8_POLICIES {
-                row.push(grouped(m.remap_entries(t, p)));
+                row.push(grouped(m.report(t, p, osds).remap_entries));
             }
             row
         })
         .collect();
     format!(
-        "Figure 8 ({}-OSDs): total moved objects (and % of all objects)\n{}",
-        m.osds,
+        "Figure 8 ({osds}-OSDs): total moved objects (and % of all objects)\n{}",
         render_table(
             &[
                 "trace",
@@ -94,23 +60,26 @@ pub fn render(m: &MovedObjects) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::RunConfig;
     use edm_cluster::MigrationSchedule;
 
-    fn tiny() -> RunConfig {
-        RunConfig {
+    fn home02_on_8() -> Matrix {
+        let cfg = RunConfig {
             scale: 0.002,
             schedule: MigrationSchedule::Midpoint,
-            response_window_us: None,
             jobs: None,
-        }
+        };
+        let mut m = Matrix::default();
+        m.ensure(&cfg, &cells(8, &["home02"]));
+        m
     }
 
     #[test]
     fn migrating_policies_move_objects() {
-        let m = run(&tiny(), 8, &["home02"]);
+        let m = home02_on_8();
         for p in FIG8_POLICIES {
             assert!(
-                m.moved("home02", p) > 0,
+                m.report("home02", p, 8).moved_objects > 0,
                 "{p} moved nothing on a skewed trace"
             );
         }
@@ -118,16 +87,16 @@ mod tests {
 
     #[test]
     fn remap_entries_bounded_by_moved() {
-        let m = run(&tiny(), 8, &["home02"]);
+        let m = home02_on_8();
         for p in FIG8_POLICIES {
-            assert!(m.remap_entries("home02", p) <= m.moved("home02", p));
+            let r = m.report("home02", p, 8);
+            assert!(r.remap_entries <= r.moved_objects);
         }
     }
 
     #[test]
     fn render_includes_percentages() {
-        let m = run(&tiny(), 8, &["home02"]);
-        let text = render(&m);
+        let text = render(&home02_on_8(), 8, &["home02"]);
         assert!(text.contains("Figure 8"));
         assert!(text.contains('%'));
     }

@@ -16,7 +16,7 @@
 use edm_cluster::metrics::rsd;
 use edm_cluster::{run_trace, Cluster, ClusterConfig, GroupId, SimOptions};
 use edm_core::lifetime::{project, EnduranceSpec};
-use edm_core::EdmHdf;
+use edm_core::{Edm, EdmConfig, Selection};
 
 use crate::report::render_table;
 use crate::runner::{trace_for, RunConfig};
@@ -88,7 +88,7 @@ pub fn run(cfg: &RunConfig, osds: u32, trace_name: &str) -> Reliability {
     let placement = config.placement();
     // edm-audit: allow(panic.expect, "experiment setup with a pinned valid config; abort is the harness failure mode")
     let cluster = Cluster::build(config, &trace).expect("cluster build");
-    let mut policy = EdmHdf::default();
+    let mut policy = Edm::new(Selection::Hdf, EdmConfig::default());
     let report = run_trace(
         cluster,
         &trace,
@@ -174,7 +174,6 @@ mod tests {
         RunConfig {
             scale: 0.003,
             schedule: MigrationSchedule::Midpoint,
-            response_window_us: None,
             jobs: None,
         }
     }

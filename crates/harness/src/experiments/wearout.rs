@@ -80,8 +80,8 @@ pub fn run(cfg: &RunConfig, osds: u32, trace: &str) -> WearoutResult {
     let dir = wearout_dir();
     let _ = std::fs::remove_dir_all(&dir);
     // every_us = 0: cut a checkpoint at every wear tick.
-    let report = scenario
-        .run_with_obs_checkpointed(&mut NoopRecorder, Some((0, dir.clone())))
+    let (report, _) = scenario
+        .run_with_obs_checkpointed_keep(&mut NoopRecorder, Some((0, dir.clone())))
         // edm-audit: allow(panic.expect, "experiment harness: a failed run should abort the experiment loudly")
         .expect("wearout run failed");
     let digest = report_digest(&report);

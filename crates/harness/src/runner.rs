@@ -9,7 +9,7 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 
 use edm_cluster::{run_trace, Cluster, ClusterConfig, MigrationSchedule, RunReport, SimOptions};
-use edm_core::make_policy;
+use edm_core::{make_policy, EdmConfig};
 use edm_workload::synth::synthesize;
 use edm_workload::{harvard, Trace};
 
@@ -37,9 +37,6 @@ pub struct RunConfig {
     /// Trace scale factor in (0, 1]; 1.0 replays the full Table 1 counts.
     pub scale: f64,
     pub schedule: MigrationSchedule,
-    /// Response-window override, µs. `None` scales the paper's 3-minute
-    /// window by `scale`.
-    pub response_window_us: Option<u64>,
     /// Worker-thread cap for [`run_matrix`]. `None` falls back to the
     /// `EDM_JOBS` environment variable, then to the available cores.
     pub jobs: Option<usize>,
@@ -50,7 +47,6 @@ impl Default for RunConfig {
         RunConfig {
             scale: 0.05,
             schedule: MigrationSchedule::Midpoint,
-            response_window_us: None,
             jobs: None,
         }
     }
@@ -94,17 +90,23 @@ pub fn trace_for(name: &str, scale: f64) -> Trace {
 
 /// Runs one cell end to end: synthesize → build → warm up → replay.
 ///
-/// The response-time reporting window scales with the trace so a scaled
-/// run still yields a usable Fig. 7 series (3 minutes at full scale).
+/// The response-time reporting window is one tenth of the paper's
+/// 3-minute window scaled with the trace — fine enough for Fig. 7 to
+/// show the spike and recovery around the midpoint. It only buckets the
+/// report's series, so every other reader of the cell is indifferent.
 pub fn run_cell(cell: &Cell, cfg: &RunConfig) -> RunReport {
+    #[cfg(test)]
+    if let Ok(mut log) = RUN_CELL_LOG.lock() {
+        log.push(cell.clone());
+    }
     let trace = trace_for(&cell.trace, cfg.scale);
     let mut config = ClusterConfig::paper(cell.osds);
-    config.response_window_us = cfg
-        .response_window_us
-        .unwrap_or(((config.response_window_us as f64 * cfg.scale) as u64).max(50_000));
-    // edm-audit: allow(panic.expect, "experiment setup with a pinned valid config; abort is the harness failure mode")
-    let cluster = Cluster::build(config, &trace).expect("cluster build failed");
-    let mut policy = make_policy(&cell.policy);
+    config.response_window_us =
+        ((config.response_window_us as f64 * cfg.scale) as u64 / 10).max(20_000);
+    let (cluster, mut policy) = Cluster::build(config, &trace)
+        .and_then(|cluster| Ok((cluster, make_policy(&cell.policy, EdmConfig::default())?)))
+        // edm-audit: allow(panic.expect, "experiment setup with a pinned valid config and an evaluation policy name; abort is the harness failure mode")
+        .expect("cell setup failed");
     run_trace(
         cluster,
         &trace,
@@ -145,6 +147,12 @@ pub fn run_matrix(cells: &[Cell], cfg: &RunConfig) -> HashMap<Cell, RunReport> {
     // edm-audit: allow(panic.expect, "a poisoned results lock means a worker already panicked; propagate the abort")
     results.into_inner().expect("results poisoned")
 }
+
+/// Every cell [`run_cell`] has simulated, process-wide (matrix workers
+/// are their own threads) — an exact work count for tests that pin how
+/// often a cell is simulated.
+#[cfg(test)]
+pub(crate) static RUN_CELL_LOG: Mutex<Vec<Cell>> = Mutex::new(Vec::new());
 
 #[cfg(test)]
 mod tests {

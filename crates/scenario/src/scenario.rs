@@ -21,12 +21,12 @@
 
 use std::path::{Path, PathBuf};
 
-use edm_cluster::NoMigration;
 use edm_cluster::{
-    resume_trace_obs, run_trace_obs_keep, CheckpointConfig, ClientAffinity, Cluster, ClusterConfig,
-    FailureSpec, MigrationSchedule, Migrator, OsdId, RunReport, SimOptions, SnapManifest,
+    resume_trace_obs_keep, run_trace_obs_keep, CheckpointConfig, ClientAffinity, Cluster,
+    ClusterConfig, FailureSpec, MigrationSchedule, Migrator, OsdId, RunReport, SimOptions,
+    SnapManifest,
 };
-use edm_core::{Assessor, Cmt, CmtConfig, EdmCdf, EdmConfig, EdmHdf};
+use edm_core::{make_policy, Assessor, EdmConfig};
 use edm_snap::{SnapError, SnapReader, SnapWriter, SnapshotFile};
 use edm_workload::harvard;
 use edm_workload::synth::synthesize;
@@ -266,23 +266,15 @@ impl Scenario {
     /// settings. Public so live hosts can build the same policy a batch
     /// run would.
     pub fn build_policy(&self) -> Result<Box<dyn Migrator>, String> {
-        let edm = EdmConfig {
-            lambda: self.lambda,
-            force: self.force,
-            assessor: self.assessor,
-            ..EdmConfig::default()
-        };
-        Ok(match self.policy.as_str() {
-            "Baseline" => Box::new(NoMigration),
-            "CMT" => Box::new(Cmt::new(CmtConfig {
+        make_policy(
+            &self.policy,
+            EdmConfig {
                 lambda: self.lambda,
                 force: self.force,
-                ..CmtConfig::default()
-            })),
-            "EDM-HDF" => Box::new(EdmHdf::new(edm)),
-            "EDM-CDF" => Box::new(EdmCdf::new(edm)),
-            other => return Err(format!("unknown policy {other:?}")),
-        })
+                assessor: self.assessor,
+                ..EdmConfig::default()
+            },
+        )
     }
 
     /// Renders the scenario back to its text format, canonically.
@@ -401,11 +393,8 @@ impl Scenario {
             &trace,
             policy.as_ref(),
             &SimOptions {
-                schedule: self.schedule,
-                failures: self.failures.clone(),
                 shards: self.shards,
-                affinity: self.affinity,
-                ..SimOptions::default()
+                ..self.sim_options()
             },
         ))
     }
@@ -430,34 +419,17 @@ impl Scenario {
     /// [`run`](Self::run) with an observability sink. Recording is
     /// read-only: the report is identical at every obs level.
     pub fn run_with_obs(&self, obs: &mut dyn edm_obs::Recorder) -> Result<RunReport, String> {
-        self.run_with_obs_checkpointed(obs, None)
-    }
-
-    /// [`run_with_obs`](Self::run_with_obs), additionally handing back
-    /// the final [`Cluster`] so callers — the fuzzer's differential
-    /// oracles — can inspect end-of-run device and catalog state.
-    pub fn run_with_obs_keep(
-        &self,
-        obs: &mut dyn edm_obs::Recorder,
-    ) -> Result<(RunReport, Cluster), String> {
         self.run_with_obs_checkpointed_keep(obs, None)
-    }
-
-    /// [`run_with_obs`](Self::run_with_obs), optionally cutting periodic
-    /// checkpoints (`every_us` of virtual time, written under `dir`).
-    /// Each checkpoint embeds the scenario text and the trace fingerprint
-    /// so [`resume_snapshot`] can rebuild the run from the file alone.
-    pub fn run_with_obs_checkpointed(
-        &self,
-        obs: &mut dyn edm_obs::Recorder,
-        checkpoint: Option<(u64, PathBuf)>,
-    ) -> Result<RunReport, String> {
-        self.run_with_obs_checkpointed_keep(obs, checkpoint)
             .map(|(report, _)| report)
     }
 
-    /// [`run_with_obs_checkpointed`](Self::run_with_obs_checkpointed),
-    /// additionally handing back the final [`Cluster`].
+    /// The full-signature entry: [`run_with_obs`](Self::run_with_obs),
+    /// optionally cutting periodic checkpoints (`every_us` of virtual
+    /// time, written under `dir`), and handing back the final [`Cluster`]
+    /// so callers — the fuzzer's differential oracles — can inspect
+    /// end-of-run device and catalog state. Each checkpoint embeds the
+    /// scenario text and the trace fingerprint so [`resume_snapshot`] can
+    /// rebuild the run from the file alone.
     pub fn run_with_obs_checkpointed_keep(
         &self,
         obs: &mut dyn edm_obs::Recorder,
@@ -480,11 +452,9 @@ impl Scenario {
             &trace,
             policy.as_mut(),
             SimOptions {
-                schedule: self.schedule,
-                failures: self.failures.clone(),
                 checkpoint,
                 shards: self.shards,
-                affinity: self.affinity,
+                ..self.sim_options()
             },
             obs,
         ))
@@ -521,7 +491,7 @@ impl SnapMeta {
 }
 
 /// Resumes a checkpoint written by
-/// [`Scenario::run_with_obs_checkpointed`]: reads the snapshot, rebuilds
+/// [`Scenario::run_with_obs_checkpointed_keep`]: reads the snapshot, rebuilds
 /// the scenario and trace from the embedded metadata, verifies the trace
 /// fingerprint, and drives the run to completion. Returns the scenario
 /// alongside the report so callers can label their output.
@@ -553,13 +523,8 @@ pub fn resume_snapshot(
     // affinity in particular changes the user→client assignment. Sharding
     // is always off here: checkpointing already forces the sequential
     // path, and a resumed run continues it.
-    let options = SimOptions {
-        schedule: scenario.schedule,
-        failures: scenario.failures.clone(),
-        affinity: scenario.affinity,
-        ..SimOptions::default()
-    };
-    let report = resume_trace_obs(&snap, &trace, policy.as_mut(), options, obs)
+    let options = scenario.sim_options();
+    let (report, _) = resume_trace_obs_keep(&snap, &trace, policy.as_mut(), options, obs)
         .map_err(|e| format!("{}: resume failed: {e}", path.display()))?;
     Ok((scenario, report))
 }

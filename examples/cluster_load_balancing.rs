@@ -7,7 +7,7 @@
 //! ```
 
 use edm_cluster::{run_trace, Cluster, ClusterConfig, NoMigration, SimOptions};
-use edm_core::EdmHdf;
+use edm_core::{Edm, EdmConfig, Selection};
 use edm_workload::harvard;
 use edm_workload::synth::synthesize;
 
@@ -35,7 +35,7 @@ fn main() {
                 run_trace(cluster, &trace, &mut p, SimOptions::default())
             }
             _ => {
-                let mut p = EdmHdf::default();
+                let mut p = Edm::new(Selection::Hdf, EdmConfig::default());
                 run_trace(cluster, &trace, &mut p, SimOptions::default())
             }
         };

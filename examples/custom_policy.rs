@@ -17,7 +17,7 @@ use edm_cluster::{
     run_trace, AccessEvent, AccessKind, Cluster, ClusterConfig, ClusterView, Migrator, MoveAction,
     ObjectId, SimOptions,
 };
-use edm_core::EdmHdf;
+use edm_core::{Edm, EdmConfig, Selection};
 use edm_workload::harvard;
 use edm_workload::synth::synthesize;
 
@@ -101,7 +101,7 @@ fn main() {
 
     // ...against the real thing.
     let cluster = Cluster::build(ClusterConfig::paper(16), &trace).expect("build");
-    let mut hdf = EdmHdf::default();
+    let mut hdf = Edm::new(Selection::Hdf, EdmConfig::default());
     let r2 = run_trace(cluster, &trace, &mut hdf, SimOptions::default());
     println!(
         "{:<15} {:>10.0} {:>9} {:>8} {:>10.3}",

@@ -8,7 +8,7 @@
 //! ```
 
 use edm_cluster::{run_trace, Cluster, ClusterConfig, SimOptions};
-use edm_core::{make_policy, POLICY_NAMES};
+use edm_core::{make_policy, EdmConfig, POLICY_NAMES};
 use edm_workload::synth::synthesize;
 use edm_workload::transform::merge;
 use edm_workload::{harvard, profile};
@@ -39,7 +39,7 @@ fn main() {
     let mut base_tp = 0.0;
     for name in POLICY_NAMES {
         let cluster = Cluster::build(ClusterConfig::paper(16), &combined).expect("build");
-        let mut policy = make_policy(name);
+        let mut policy = make_policy(name, EdmConfig::default()).expect("evaluation name");
         let r = run_trace(cluster, &combined, policy.as_mut(), SimOptions::default());
         if name == "Baseline" {
             base_tp = r.throughput_ops_per_sec();

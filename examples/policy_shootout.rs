@@ -9,7 +9,7 @@
 //! ```
 
 use edm_cluster::{run_trace, Cluster, ClusterConfig, SimOptions};
-use edm_core::{make_policy, POLICY_NAMES};
+use edm_core::{make_policy, EdmConfig, POLICY_NAMES};
 use edm_workload::harvard;
 use edm_workload::synth::synthesize;
 
@@ -31,7 +31,7 @@ fn main() {
     let mut rows = Vec::new();
     for name in POLICY_NAMES {
         let cluster = Cluster::build(ClusterConfig::paper(16), &trace).expect("build");
-        let mut policy = make_policy(name);
+        let mut policy = make_policy(name, EdmConfig::default()).expect("evaluation name");
         let r = run_trace(cluster, &trace, policy.as_mut(), SimOptions::default());
         rows.push(r);
     }

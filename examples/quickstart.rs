@@ -6,7 +6,7 @@
 //! ```
 
 use edm_cluster::{run_trace, Cluster, ClusterConfig, SimOptions};
-use edm_core::EdmHdf;
+use edm_core::{Edm, EdmConfig, Selection};
 use edm_workload::harvard;
 use edm_workload::synth::synthesize;
 
@@ -33,7 +33,7 @@ fn main() {
     );
 
     // 3. Replay under EDM-HDF: migration fires at the trace midpoint.
-    let mut policy = EdmHdf::default();
+    let mut policy = Edm::new(Selection::Hdf, EdmConfig::default());
     let report = run_trace(cluster, &trace, &mut policy, SimOptions::default());
 
     println!("== {} ==", report.policy);

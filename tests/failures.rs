@@ -6,7 +6,7 @@ use edm_cluster::sim::FailureSpec;
 use edm_cluster::{
     run_trace, Cluster, ClusterConfig, MigrationSchedule, NoMigration, OsdId, RunReport, SimOptions,
 };
-use edm_core::EdmHdf;
+use edm_core::{Edm, EdmConfig, Selection};
 use edm_workload::synth::synthesize;
 use edm_workload::{harvard, Trace};
 
@@ -154,7 +154,7 @@ fn failure_during_migration_aborts_cleanly() {
     // else completes.
     let t = trace(0.004);
     let cluster = Cluster::build(ClusterConfig::paper(8), &t).expect("build");
-    let mut policy = EdmHdf::default();
+    let mut policy = Edm::new(Selection::Hdf, EdmConfig::default());
     let r = run_trace(
         cluster,
         &t,

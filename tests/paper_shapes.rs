@@ -4,14 +4,20 @@
 //! numbers.
 
 use edm_cluster::MigrationSchedule;
-use edm_harness::experiments::{fig1, fig3, fig56, fig8};
+use edm_harness::experiments::{fig1, fig3, fig56, fig7, fig8};
 use edm_harness::runner::RunConfig;
+
+/// The reports of `cells` at `scale`.
+fn matrix(scale: f64, cells: &[edm_harness::Cell]) -> fig56::Matrix {
+    let mut m = fig56::Matrix::default();
+    m.ensure(&cfg(scale), cells);
+    m
+}
 
 fn cfg(scale: f64) -> RunConfig {
     RunConfig {
         scale,
         schedule: MigrationSchedule::Midpoint,
-        response_window_us: None,
         jobs: None,
     }
 }
@@ -76,7 +82,7 @@ fn fig56_shape_migration_improves_throughput_and_hdf_saves_erases() {
     // seven-trace matrix is the harness/bench job. At this scale the
     // migration transient is a visible fraction of the run, so the
     // weaker policies are only required not to regress materially.
-    let m = fig56::run(&cfg(0.02), &[16], &["home02"]);
+    let m = matrix(0.02, &fig56::cells(&[16], &["home02"]));
 
     // Fig. 5 shape: HDF clearly beats Baseline; CMT and CDF at worst sit
     // within transient noise of it.
@@ -115,10 +121,10 @@ fn fig56_shape_migration_improves_throughput_and_hdf_saves_erases() {
 
 #[test]
 fn fig8_shape_moved_object_ordering() {
-    let m = fig8::run(&cfg(0.006), 8, &["home02"]);
-    let cmt = m.moved("home02", "CMT");
-    let cdf = m.moved("home02", "EDM-CDF");
-    let hdf = m.moved("home02", "EDM-HDF");
+    let m = matrix(0.006, &fig8::cells(8, &["home02"]));
+    let cmt = m.report("home02", "CMT", 8).moved_objects;
+    let cdf = m.report("home02", "EDM-CDF", 8).moved_objects;
+    let hdf = m.report("home02", "EDM-HDF", 8).moved_objects;
     assert!(
         cmt > hdf,
         "CMT ({cmt}) must move more objects than HDF ({hdf})"
@@ -129,27 +135,15 @@ fn fig8_shape_moved_object_ordering() {
     );
     // §V.E: the percentage of total moved objects is relatively small.
     for p in ["CMT", "EDM-CDF", "EDM-HDF"] {
-        let frac = m.moved_fraction("home02", p);
+        let frac = m.report("home02", p, 8).moved_fraction();
         assert!(frac < 0.25, "{p} moved an implausible fraction {frac}");
     }
 }
 
 #[test]
 fn fig7_shape_hdf_recovers_below_baseline_cdf_stays_flat() {
-    use edm_harness::experiments::fig7;
-    let results = fig7::run(&cfg(0.02), 16);
-    let home02 = results
-        .iter()
-        .find(|t| t.trace == "home02")
-        .expect("home02 present");
-    let mean_of = |policy: &str| {
-        home02
-            .series
-            .iter()
-            .find(|(p, _, _, _)| p == policy)
-            .map(|(_, _, mean, _)| *mean)
-            .expect("policy present")
-    };
+    let m = matrix(0.02, &fig7::cells(16));
+    let mean_of = |policy: &str| m.report("home02", policy, 16).mean_response_us;
     let base = mean_of("Baseline");
     let hdf = mean_of("EDM-HDF");
     let cdf = mean_of("EDM-CDF");

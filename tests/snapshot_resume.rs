@@ -22,8 +22,8 @@ fn ckpt_dir(tag: &str) -> PathBuf {
 /// report's digest and the sorted checkpoint paths.
 fn checkpointed_run(scenario: &Scenario, tag: &str) -> (u64, Vec<PathBuf>) {
     let dir = ckpt_dir(tag);
-    let report = scenario
-        .run_with_obs_checkpointed(&mut NoopRecorder, Some((0, dir.clone())))
+    let (report, _) = scenario
+        .run_with_obs_checkpointed_keep(&mut NoopRecorder, Some((0, dir.clone())))
         .expect("checkpointed run failed");
     let mut snaps: Vec<PathBuf> = std::fs::read_dir(&dir)
         .expect("checkpoint dir unreadable")
