@@ -721,7 +721,7 @@ pub const PANIC_PRAGMA_BUDGETS: &[(&str, usize)] = &[
     ("obs", 3),
     ("spec", 2),
     ("scenario", 1),
-    ("harness", 22),
+    ("harness", 5),
     ("serve", 0),
     ("fuzz", 0),
     ("audit", 0),

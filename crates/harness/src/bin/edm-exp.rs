@@ -12,10 +12,16 @@
 //! --jobs N     worker threads for matrix sweeps (default: EDM_JOBS env,
 //!              then available cores)
 //! ```
+//!
+//! Every experiment is a list of `runner::Run`s (Fig. 3: of device
+//! measurements) on the runner's one pool, plus a renderer; one
+//! invocation simulates a Fig. 5–8 cell once and measures Fig. 3's points
+//! once, whichever experiments read them. Exit status: 0; 1 when a run
+//! cannot be built (`edm-exp: <id>: <why>` on stderr) or the model-diff
+//! gate fails; 2 for unparseable arguments.
 
 use std::path::Path;
 
-use edm_cluster::MigrationSchedule;
 use edm_harness::experiments::{
     ablate, failure, fig1, fig3, fig56, fig7, fig8, model_diff, reliability, table1, wearout,
     EXPERIMENT_IDS,
@@ -44,7 +50,6 @@ fn parse_args() -> Args {
     };
     let mut cfg = RunConfig {
         scale: 0.05,
-        schedule: MigrationSchedule::Midpoint,
         jobs: None,
     };
     let mut osds: Vec<u32> = vec![16, 20];
@@ -108,113 +113,94 @@ fn run_model_diff() -> bool {
     result.passed()
 }
 
-/// Runs one experiment. Figs. 5–8 render from `matrix`, simulating only
-/// the cells an earlier figure of this invocation has not.
-fn run_one(id: &str, cfg: &RunConfig, osds: &[u32], matrix: &mut fig56::Matrix) -> bool {
+/// What one invocation has simulated or measured so far and a later
+/// experiment reads again: Figs. 5–8 render from one matrix, simulating
+/// only the cells an earlier figure has not; `ablate-sigma` fits the
+/// home02 points Fig. 3 measured.
+#[derive(Default)]
+struct Held {
+    matrix: fig56::Matrix,
+    fig3: Option<Vec<fig3::Series>>,
+}
+
+/// Runs one experiment and prints its section. `Ok(false)` is a gate
+/// that ran and failed (model-diff); `Err` a run that cannot be built.
+fn run_one(id: &str, cfg: &RunConfig, osds: &[u32], held: &mut Held) -> Result<bool, String> {
     let traces = &edm_workload::harvard::TRACE_NAMES;
-    match id {
-        "table1" => println!("{}", table1::render(&table1::run(cfg.scale))),
-        "fig1" => println!("{}", fig1::render(&fig1::run(cfg, osds[0].min(8)))),
-        "fig3" => println!("{}", fig3::render(&fig3::run(cfg, &fig3::default_grid()))),
+    let section = match id {
+        "table1" => table1::render(&table1::run(cfg.scale)),
+        "fig1" => fig1::render(&fig1::run(cfg, osds[0].min(8))?),
+        "fig3" => {
+            let grid = fig3::default_grid();
+            let series = held
+                .fig3
+                .insert(fig3::run(cfg, &fig3::FIG3_WORKLOADS, &grid)?);
+            fig3::render(series)
+        }
         "fig5" | "fig6" => {
-            matrix.ensure(cfg, &fig56::cells(osds, traces));
+            held.matrix.ensure(cfg, &fig56::cells(osds, traces))?;
             if id == "fig5" {
-                println!("{}", fig56::render_fig5(matrix, osds, traces));
+                fig56::render_fig5(&held.matrix, osds, traces)
             } else {
-                println!("{}", fig56::render_fig6(matrix, osds, traces));
+                fig56::render_fig6(&held.matrix, osds, traces)
             }
         }
         "fig7" => {
-            matrix.ensure(cfg, &fig7::cells(osds[0]));
-            println!("{}", fig7::render(matrix, osds[0]));
+            held.matrix.ensure(cfg, &fig7::cells(osds[0]))?;
+            fig7::render(&held.matrix, osds[0])
         }
         "fig8" => {
-            matrix.ensure(cfg, &fig8::cells(osds[0], traces));
-            println!("{}", fig8::render(matrix, osds[0], traces));
+            held.matrix.ensure(cfg, &fig8::cells(osds[0], traces))?;
+            fig8::render(&held.matrix, osds[0], traces)
         }
-        "failure" => {
-            println!("{}", failure::render(&failure::run(cfg, osds[0], "home02")));
-        }
-        "wearout" => {
-            // EveryTick gives the checkpointed trajectory migration work
-            // to capture; cap the cluster so `all` stays quick.
-            let cfg = RunConfig {
-                schedule: MigrationSchedule::EveryTick,
-                ..*cfg
-            };
-            println!(
-                "{}",
-                wearout::render(&wearout::run(&cfg, osds[0].min(8), "home02"))
-            );
-        }
+        "failure" => failure::render(&failure::run(cfg, osds[0], "home02")?),
+        // Cap the cluster so `all` stays quick.
+        "wearout" => wearout::render(&wearout::run(cfg, osds[0].min(8), "home02")?),
         "reliability" => {
             // An OSD count not divisible by the group count gives uneven
             // groups (the SIII.D design); 18 -> groups of 5,5,4,4.
             let n = osds.iter().copied().find(|n| n % 4 != 0).unwrap_or(18);
-            println!(
-                "{}",
-                reliability::render(&reliability::run(cfg, n, "lair62"))
-            );
+            reliability::render(&reliability::run(cfg, n, "lair62")?)
         }
         "ablate-sigma" => {
             let sigmas: Vec<f64> = (0..=8).map(|i| i as f64 * 0.05).collect();
-            println!(
-                "{}",
-                ablate::render_sigma(&ablate::sigma_sweep(cfg, &sigmas))
-            );
+            ablate::render_sigma(&ablate::sigma_sweep(cfg, &sigmas, held.fig3.as_deref())?)
         }
         "ablate-lambda" => {
             let lambdas = [0.02, 0.05, 0.10, 0.20, 0.40, 0.80];
-            println!(
-                "{}",
-                ablate::render_lambda(&ablate::lambda_sweep(cfg, osds[0], &lambdas))
-            );
+            ablate::render_lambda(&ablate::lambda_sweep(cfg, osds[0], &lambdas)?)
         }
-        "ablate-gc" => {
-            println!(
-                "{}",
-                ablate::render_gc_policy(&ablate::gc_policy_sweep(cfg, osds[0]))
-            );
-        }
-        "ablate-decay" => {
-            println!(
-                "{}",
-                ablate::render_decay(&ablate::decay_sweep(cfg, osds[0]))
-            );
-        }
-        "ablate-continuous" => {
-            println!(
-                "{}",
-                ablate::render_continuous(&ablate::continuous_sweep(cfg, osds[0]))
-            );
-        }
-        "ablate-groups" => {
-            let groups = [2, 4, 8];
-            println!(
-                "{}",
-                ablate::render_groups(&ablate::group_sweep(cfg, osds[0], &groups))
-            );
-        }
-        "model-diff" => return run_model_diff(),
+        "ablate-gc" => ablate::render_gc_policy(&ablate::gc_policy_sweep(cfg, osds[0])?),
+        "ablate-decay" => ablate::render_decay(&ablate::decay_sweep(cfg, osds[0])?),
+        "ablate-continuous" => ablate::render_continuous(&ablate::continuous_sweep(cfg, osds[0])?),
+        "ablate-groups" => ablate::render_groups(&ablate::group_sweep(cfg, osds[0], &[2, 4, 8])?),
+        "model-diff" => return Ok(run_model_diff()),
         other => {
             eprintln!("unknown experiment {other:?}");
             usage();
         }
-    }
-    true
+    };
+    println!("{section}");
+    Ok(true)
 }
 
 fn main() {
     let args = parse_args();
-    let mut ok = true;
-    let mut matrix = fig56::Matrix::default();
-    if args.experiment == "all" {
-        for id in EXPERIMENT_IDS {
-            eprintln!("== {id} ==");
-            ok &= run_one(id, &args.cfg, &args.osds, &mut matrix);
-        }
+    let ids: &[&str] = if args.experiment == "all" {
+        &EXPERIMENT_IDS
     } else {
-        ok = run_one(&args.experiment, &args.cfg, &args.osds, &mut matrix);
+        &[args.experiment.as_str()]
+    };
+    let mut ok = true;
+    let mut held = Held::default();
+    for id in ids {
+        if ids.len() > 1 {
+            eprintln!("== {id} ==");
+        }
+        ok &= run_one(id, &args.cfg, &args.osds, &mut held).unwrap_or_else(|why| {
+            eprintln!("edm-exp: {id}: {why}");
+            false
+        });
     }
     eprintln!("(scale {:.3})", args.cfg.scale);
     if !ok {

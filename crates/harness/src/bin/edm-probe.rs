@@ -28,13 +28,11 @@
 //! simulator, so it is safe to point at checkpoints from newer or older
 //! simulator builds. Exits nonzero on a corrupt or truncated file.
 
-use edm_cluster::{run_trace, Cluster, ClusterConfig, SimOptions, SnapManifest};
-use edm_core::{make_policy, EdmConfig};
+use edm_cluster::SnapManifest;
+use edm_harness::runner::{run_one, Run};
 use edm_harness::SnapMeta;
 use edm_obs::json::{self, JsonValue};
 use edm_snap::SnapshotFile;
-use edm_workload::harvard;
-use edm_workload::synth::synthesize;
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -343,26 +341,24 @@ fn journal_mode(path: &str) {
 }
 
 fn run_mode(first: Option<String>, mut args: impl Iterator<Item = String>) {
+    fn usage(why: &str) -> ! {
+        eprintln!("edm-probe: {why}\nusage: edm-probe <trace> <policy> [scale] [osds]");
+        std::process::exit(2);
+    }
     let trace_name = first.unwrap_or_else(|| "home02".into());
     let policy_name = args.next().unwrap_or_else(|| "EDM-HDF".into());
-    let mut policy = make_policy(&policy_name, EdmConfig::default()).unwrap_or_else(|e| {
-        eprintln!("{e}\nusage: edm-probe <trace> <policy> [scale] [osds]");
-        std::process::exit(2);
+    let scale: f64 = args.next().map_or(0.01, |s| {
+        s.parse()
+            .unwrap_or_else(|e| usage(&format!("bad scale {s:?}: {e}")))
     });
-    let scale: f64 = args
-        .next()
-        .map(|s| s.parse().expect("scale"))
-        .unwrap_or(0.01);
-    let osds: u32 = args.next().map(|s| s.parse().expect("osds")).unwrap_or(16);
+    let osds: u32 = args.next().map_or(16, |s| {
+        s.parse()
+            .unwrap_or_else(|e| usage(&format!("bad osds {s:?}: {e}")))
+    });
 
-    let trace = synthesize(&harvard::spec(&trace_name).scaled(scale));
-    let mut config = ClusterConfig::paper(osds);
-    // Scale the 3-minute reporting window with the trace scale so the
-    // series has a useful number of points at any scale.
-    config.response_window_us = ((180e6 * scale) as u64).max(50_000);
-    let window_us = config.response_window_us;
-    let cluster = Cluster::build(config, &trace).expect("build");
-    let report = run_trace(cluster, &trace, policy.as_mut(), SimOptions::default());
+    let run = Run::paper(&trace_name, &policy_name, osds, scale);
+    let window_us = run.cluster.response_window_us;
+    let report = run_one(&run).unwrap_or_else(|why| usage(&why));
 
     println!(
         "{} on {} (scale {scale}, {osds} OSDs): {:.0} ops/s, mean {:.0}us, moved {}, {} erases",

@@ -23,9 +23,8 @@
 
 use std::path::{Path, PathBuf};
 
-use edm_harness::report::report_digest;
-use edm_harness::scenario::{render_report, resume_snapshot, Scenario};
 use edm_obs::{MemoryRecorder, NoopRecorder, ObsLevel, Recorder};
+use edm_scenario::{render_report, report_digest, resume_snapshot, Scenario};
 
 const EXAMPLE: &str = "\
 # Example edm-sim scenario: lair62 under EDM-HDF with one failure.

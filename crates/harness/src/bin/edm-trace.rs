@@ -109,12 +109,12 @@ fn main() {
                     _ => usage(),
                 }
             }
-            let mut spec = if preset == "random" {
-                harvard::random_spec()
-            } else {
-                harvard::spec(preset)
+            if !(scale > 0.0 && scale <= 1.0) {
+                usage();
             }
-            .scaled(scale);
+            let mut spec = harvard::named(preset)
+                .unwrap_or_else(|| usage())
+                .scaled(scale);
             if let Some(seed) = seed {
                 spec.seed = seed;
             }

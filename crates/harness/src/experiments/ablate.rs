@@ -2,27 +2,46 @@
 //! the reproduction to σ (wear-model fit), λ (trigger threshold), and the
 //! group count m (intra-group constraint).
 
-use edm_cluster::{run_trace, Cluster, ClusterConfig, NoMigration, RunReport, SimOptions};
-use edm_cluster::{MigrationSchedule, Migrator};
-use edm_core::{Edm, EdmConfig, Selection, WearModel};
+use edm_cluster::{MigrationSchedule, RunReport};
+use edm_core::WearModel;
+use edm_scenario::render_table;
 use edm_ssd::ftl::VictimPolicy;
-use edm_workload::harvard;
-use edm_workload::synth::synthesize;
 
 use crate::experiments::fig3;
-use crate::report::render_table;
-use crate::runner::{trace_for, RunConfig};
+use crate::runner::{run_labelled, Run, RunConfig};
+
+/// The run every EDM sweep below varies: the paper's EDM-HDF on home02.
+fn hdf_on_home02(cfg: &RunConfig, osds: u32) -> Run {
+    Run::paper("home02", "EDM-HDF", osds, cfg.scale)
+}
 
 /// σ sweep: how well Eq. 3 with each σ fits the measured uᵣ of a skewed
-/// trace, reported as mean absolute error over the utilization grid.
-pub fn sigma_sweep(cfg: &RunConfig, sigmas: &[f64]) -> Vec<(f64, f64)> {
-    let trace = synthesize(&harvard::spec("home02").scaled(cfg.scale));
-    let grid: Vec<f64> = (6..=17).map(|i| i as f64 * 0.05).collect();
-    let measured: Vec<(f64, f64)> = grid
+/// trace (home02), reported as mean absolute error over 30–85 %
+/// utilization — the range §III.B.1 claims the fit for. The measured
+/// points are Fig. 3's own: read from `fig3` when the caller already holds
+/// that measurement, measured here (the same way) when it does not.
+pub fn sigma_sweep(
+    cfg: &RunConfig,
+    sigmas: &[f64],
+    fig3: Option<&[fig3::Series]>,
+) -> Result<Vec<(f64, f64)>, String> {
+    let grid = fig3::default_grid();
+    let grid = &grid[..12]; // 30–85 % of Fig. 3's 30–95 %
+    let own;
+    let series = match fig3 {
+        Some(series) => series,
+        None => {
+            own = fig3::run(cfg, &["home02"], grid)?;
+            &own
+        }
+    };
+    let measured: Vec<&fig3::Point> = series
         .iter()
-        .filter_map(|&u| fig3::measure_ur(&trace, u).map(|m| (u, m)))
+        .filter(|s| s.workload == "home02")
+        .flat_map(|s| &s.points)
+        .filter(|p| grid.contains(&p.utilization))
         .collect();
-    sigmas
+    Ok(sigmas
         .iter()
         .map(|&sigma| {
             let model = WearModel {
@@ -31,12 +50,12 @@ pub fn sigma_sweep(cfg: &RunConfig, sigmas: &[f64]) -> Vec<(f64, f64)> {
             };
             let mae = measured
                 .iter()
-                .map(|&(u, m)| (model.f_of_u(u) - m).abs())
+                .map(|p| (model.f_of_u(p.utilization) - p.measured_ur).abs())
                 .sum::<f64>()
                 / measured.len().max(1) as f64;
             (sigma, mae)
         })
-        .collect()
+        .collect())
 }
 
 pub fn render_sigma(rows: &[(f64, f64)]) -> String {
@@ -58,36 +77,18 @@ pub fn render_sigma(rows: &[(f64, f64)]) -> String {
 
 /// λ sweep: trigger threshold vs moved objects and erase savings under
 /// EDM-HDF with the trigger check enabled (not forced).
-pub fn lambda_sweep(cfg: &RunConfig, osds: u32, lambdas: &[f64]) -> Vec<(f64, RunReport)> {
-    let trace = trace_for("home02", cfg.scale);
-    lambdas
-        .iter()
-        .map(|&lambda| {
-            let cluster =
-                // edm-audit: allow(panic.expect, "experiment setup with a pinned valid config; abort is the harness failure mode")
-                Cluster::build(ClusterConfig::paper(osds), &trace).expect("cluster build");
-            let mut policy = Edm::new(
-                Selection::Hdf,
-                EdmConfig {
-                    lambda,
-                    force: false,
-                    ..EdmConfig::default()
-                },
-            );
-            let report = run_trace(
-                cluster,
-                &trace,
-                &mut policy,
-                SimOptions {
-                    schedule: MigrationSchedule::Midpoint,
-                    failures: Vec::new(),
-                    checkpoint: None,
-                    ..SimOptions::default()
-                },
-            );
-            (lambda, report)
-        })
-        .collect()
+pub fn lambda_sweep(
+    cfg: &RunConfig,
+    osds: u32,
+    lambdas: &[f64],
+) -> Result<Vec<(f64, RunReport)>, String> {
+    let runs = lambdas.iter().map(|&lambda| {
+        let mut run = hdf_on_home02(cfg, osds);
+        run.edm.lambda = lambda;
+        run.edm.force = false;
+        (lambda, run)
+    });
+    run_labelled(runs.collect(), cfg.jobs)
 }
 
 pub fn render_lambda(rows: &[(f64, RunReport)]) -> String {
@@ -110,31 +111,18 @@ pub fn render_lambda(rows: &[(f64, RunReport)]) -> String {
 
 /// Group-count sweep: the intra-group constraint narrows the destination
 /// choice; more groups = smaller groups = tighter constraint.
-pub fn group_sweep(cfg: &RunConfig, osds: u32, groups: &[u32]) -> Vec<(u32, RunReport)> {
-    let trace = trace_for("home02", cfg.scale);
-    groups
-        .iter()
-        .map(|&m| {
-            let mut cluster_cfg = ClusterConfig::paper(osds);
-            cluster_cfg.groups = m;
-            cluster_cfg.objects_per_file = m.min(4);
-            // edm-audit: allow(panic.expect, "experiment setup with a pinned valid config; abort is the harness failure mode")
-            let cluster = Cluster::build(cluster_cfg, &trace).expect("cluster build");
-            let mut policy = Edm::new(Selection::Hdf, EdmConfig::default());
-            let report = run_trace(
-                cluster,
-                &trace,
-                &mut policy,
-                SimOptions {
-                    schedule: MigrationSchedule::Midpoint,
-                    failures: Vec::new(),
-                    checkpoint: None,
-                    ..SimOptions::default()
-                },
-            );
-            (m, report)
-        })
-        .collect()
+pub fn group_sweep(
+    cfg: &RunConfig,
+    osds: u32,
+    groups: &[u32],
+) -> Result<Vec<(u32, RunReport)>, String> {
+    let runs = groups.iter().map(|&m| {
+        let mut run = hdf_on_home02(cfg, osds);
+        run.cluster.groups = m;
+        run.cluster.objects_per_file = m.min(4);
+        (m, run)
+    });
+    run_labelled(runs.collect(), cfg.jobs)
 }
 
 pub fn render_groups(rows: &[(u32, RunReport)]) -> String {
@@ -158,94 +146,56 @@ pub fn render_groups(rows: &[(u32, RunReport)]) -> String {
     )
 }
 
-/// Check that `policy` as a trait object still reports its proper name
-/// (used by the CLI to label ablation output).
-pub fn policy_label(policy: &dyn Migrator) -> &str {
-    policy.name()
-}
-
 /// Continuous-migration ablation (extension): the paper forces one
 /// migration at the trace midpoint (§V.A); in deployment the wear monitor
 /// re-evaluates the trigger every minute (§III.B.2). This compares three
 /// operating modes of EDM-HDF on one trace:
 /// never migrate, one forced midpoint round, and continuous trigger-gated
 /// rounds at every (scaled) wear tick.
-pub fn continuous_sweep(cfg: &RunConfig, osds: u32) -> Vec<(&'static str, RunReport)> {
-    let trace = trace_for("home02", cfg.scale);
-    let run_mode = |label: &'static str,
-                    schedule: MigrationSchedule,
-                    force: bool|
-     -> (&'static str, RunReport) {
-        let mut cluster_cfg = ClusterConfig::paper(osds);
-        // Scale the 1-minute wear tick with the trace so continuous mode
-        // gets multiple evaluation rounds within the scaled replay.
-        cluster_cfg.wear_tick_us =
-            ((cluster_cfg.wear_tick_us as f64 * cfg.scale) as u64).max(100_000);
-        // edm-audit: allow(panic.expect, "experiment setup with a pinned valid config; abort is the harness failure mode")
-        let cluster = Cluster::build(cluster_cfg, &trace).expect("cluster build");
-        let mut policy = Edm::new(
-            Selection::Hdf,
-            EdmConfig {
-                force,
-                ..EdmConfig::default()
-            },
-        );
-        let report = run_trace(
-            cluster,
-            &trace,
-            &mut policy,
-            SimOptions {
-                schedule,
-                failures: Vec::new(),
-                checkpoint: None,
-                ..SimOptions::default()
-            },
-        );
-        (label, report)
-    };
-    vec![
-        run_mode("never", MigrationSchedule::Never, false),
-        run_mode("forced midpoint", MigrationSchedule::Midpoint, true),
-        run_mode(
+pub fn continuous_sweep(
+    cfg: &RunConfig,
+    osds: u32,
+) -> Result<Vec<(&'static str, RunReport)>, String> {
+    let runs = [
+        ("never", MigrationSchedule::Never, false),
+        ("forced midpoint", MigrationSchedule::Midpoint, true),
+        (
             "continuous (trigger-gated)",
             MigrationSchedule::EveryTick,
             false,
         ),
     ]
+    .into_iter()
+    .map(|(label, schedule, force)| {
+        let mut run = hdf_on_home02(cfg, osds).with_scaled_wear_tick();
+        run.options.schedule = schedule;
+        run.edm.force = force;
+        (label, run)
+    });
+    run_labelled(runs.collect(), cfg.jobs)
 }
 
 /// GC victim-policy ablation (extension): the wear model (Eq. 1) is
 /// derived for *greedy* reclamation; this runs the whole cluster under
 /// each victim policy and reports what the choice costs in erases and
 /// throughput.
-pub fn gc_policy_sweep(cfg: &RunConfig, osds: u32) -> Vec<(&'static str, RunReport)> {
-    let trace = trace_for("home02", cfg.scale);
-    [
+pub fn gc_policy_sweep(
+    cfg: &RunConfig,
+    osds: u32,
+) -> Result<Vec<(&'static str, RunReport)>, String> {
+    let runs = [
         ("greedy (paper)", VictimPolicy::Greedy),
         ("cost-benefit", VictimPolicy::CostBenefit),
         ("fifo", VictimPolicy::Fifo),
     ]
     .into_iter()
-    .map(|(label, policy)| {
-        let mut cluster_cfg = ClusterConfig::paper(osds);
-        cluster_cfg.ftl.victim_policy = policy;
-        // edm-audit: allow(panic.expect, "experiment setup with a pinned valid config; abort is the harness failure mode")
-        let cluster = Cluster::build(cluster_cfg, &trace).expect("cluster build");
-        let mut noop = NoMigration;
-        let report = run_trace(
-            cluster,
-            &trace,
-            &mut noop,
-            SimOptions {
-                schedule: MigrationSchedule::Never,
-                failures: Vec::new(),
-                checkpoint: None,
-                ..SimOptions::default()
-            },
-        );
-        (label, report)
-    })
-    .collect()
+    .map(|(label, victim_policy)| {
+        let mut run = Run::paper("home02", "Baseline", osds, cfg.scale);
+        run.options.schedule = MigrationSchedule::Never;
+        run.cluster.ftl.victim_policy = victim_policy;
+        (label, run)
+    });
+    run_labelled(runs.collect(), cfg.jobs)
 }
 
 pub fn render_gc_policy(rows: &[(&'static str, RunReport)]) -> String {
@@ -282,41 +232,22 @@ pub fn render_gc_policy(rows: &[(&'static str, RunReport)]) -> String {
 /// no-decay variant (one interval spanning the whole run, so temperature
 /// degenerates to a cumulative access count). Continuous trigger-gated
 /// migration, where stale rankings have repeated chances to mislead.
-pub fn decay_sweep(cfg: &RunConfig, osds: u32) -> Vec<(&'static str, RunReport)> {
-    let mut spec = harvard::spec("home02").scaled(cfg.scale);
-    spec.skew.phases = 4;
-    let trace = synthesize(&spec);
-    let tick_us = ((60e6 * cfg.scale) as u64).max(100_000);
-    let run_mode = |label: &'static str, interval_us: u64| -> (&'static str, RunReport) {
-        let mut cluster_cfg = ClusterConfig::paper(osds);
-        cluster_cfg.wear_tick_us = tick_us;
-        // edm-audit: allow(panic.expect, "experiment setup with a pinned valid config; abort is the harness failure mode")
-        let cluster = Cluster::build(cluster_cfg, &trace).expect("cluster build");
-        let mut policy = Edm::new(
-            Selection::Hdf,
-            EdmConfig {
-                force: false,
-                temperature_interval_us: interval_us,
-                ..EdmConfig::default()
-            },
-        );
-        let report = run_trace(
-            cluster,
-            &trace,
-            &mut policy,
-            SimOptions {
-                schedule: MigrationSchedule::EveryTick,
-                failures: Vec::new(),
-                checkpoint: None,
-                ..SimOptions::default()
-            },
-        );
-        (label, report)
-    };
-    vec![
-        run_mode("decay (scaled minute)", tick_us),
-        run_mode("no decay (one interval)", u64::MAX / 4),
+pub fn decay_sweep(cfg: &RunConfig, osds: u32) -> Result<Vec<(&'static str, RunReport)>, String> {
+    let mut drifting = hdf_on_home02(cfg, osds).with_scaled_wear_tick();
+    drifting.options.schedule = MigrationSchedule::EveryTick;
+    drifting.trace.phases = 4;
+    drifting.edm.force = false;
+    let runs = [
+        ("decay (scaled minute)", drifting.cluster.wear_tick_us),
+        ("no decay (one interval)", u64::MAX / 4),
     ]
+    .into_iter()
+    .map(|(label, interval_us)| {
+        let mut run = drifting.clone();
+        run.edm.temperature_interval_us = interval_us;
+        (label, run)
+    });
+    run_labelled(runs.collect(), cfg.jobs)
 }
 
 pub fn render_decay(rows: &[(&'static str, RunReport)]) -> String {
@@ -375,7 +306,7 @@ mod tests {
 
     #[test]
     fn sigma_sweep_prefers_positive_sigma_on_skewed_trace() {
-        let rows = sigma_sweep(&tiny(), &[0.0, 0.28]);
+        let rows = sigma_sweep(&tiny(), &[0.0, 0.28], None).expect("valid");
         assert_eq!(rows.len(), 2);
         let (mae0, mae28) = (rows[0].1, rows[1].1);
         assert!(
@@ -386,7 +317,7 @@ mod tests {
 
     #[test]
     fn lambda_sweep_monotone_moves() {
-        let rows = lambda_sweep(&tiny(), 8, &[0.05, 10.0]);
+        let rows = lambda_sweep(&tiny(), 8, &[0.05, 10.0]).expect("valid");
         // An absurdly high λ never triggers ⇒ no moves.
         assert_eq!(rows[1].1.moved_objects, 0);
         assert!(rows[0].1.moved_objects >= rows[1].1.moved_objects);
@@ -394,7 +325,7 @@ mod tests {
 
     #[test]
     fn group_sweep_runs_each_m() {
-        let rows = group_sweep(&tiny(), 8, &[2, 4]);
+        let rows = group_sweep(&tiny(), 8, &[2, 4]).expect("valid");
         assert_eq!(rows.len(), 2);
         for (_, r) in &rows {
             assert!(r.completed_ops > 0);
@@ -403,7 +334,7 @@ mod tests {
 
     #[test]
     fn gc_policy_sweep_orders_sanely() {
-        let rows = gc_policy_sweep(&tiny(), 8);
+        let rows = gc_policy_sweep(&tiny(), 8).expect("valid");
         assert_eq!(rows.len(), 3);
         let erases = |label: &str| {
             rows.iter()
@@ -418,7 +349,7 @@ mod tests {
 
     #[test]
     fn decay_sweep_runs_both_modes() {
-        let rows = decay_sweep(&tiny(), 8);
+        let rows = decay_sweep(&tiny(), 8).expect("valid");
         assert_eq!(rows.len(), 2);
         for (label, r) in &rows {
             assert!(r.completed_ops > 0, "{label} did not run");
@@ -430,7 +361,7 @@ mod tests {
 
     #[test]
     fn continuous_mode_migrates_repeatedly() {
-        let rows = continuous_sweep(&tiny(), 8);
+        let rows = continuous_sweep(&tiny(), 8).expect("valid");
         assert_eq!(rows.len(), 3);
         let by = |label: &str| {
             &rows
@@ -449,13 +380,13 @@ mod tests {
 
     #[test]
     fn renders_are_nonempty() {
-        let s = sigma_sweep(&tiny(), &[0.0, 0.28]);
+        let s = sigma_sweep(&tiny(), &[0.0, 0.28], None).expect("valid");
         assert!(render_sigma(&s).contains("sigma"));
-        let l = lambda_sweep(&tiny(), 8, &[0.1]);
+        let l = lambda_sweep(&tiny(), 8, &[0.1]).expect("valid");
         assert!(render_lambda(&l).contains("lambda"));
-        let g = group_sweep(&tiny(), 8, &[4]);
+        let g = group_sweep(&tiny(), 8, &[4]).expect("valid");
         assert!(render_groups(&g).contains("groups"));
-        let c = continuous_sweep(&tiny(), 8);
+        let c = continuous_sweep(&tiny(), 8).expect("valid");
         assert!(render_continuous(&c).contains("schedule"));
     }
 }

@@ -3,86 +3,54 @@
 //! §III.D fault-independence check (same-group double failure loses
 //! nothing; cross-group double failure loses stripes).
 
-use edm_cluster::{
-    run_trace, Cluster, ClusterConfig, FailureSpec, MigrationSchedule, NoMigration, OsdId,
-    RunReport, SimOptions,
-};
+use edm_cluster::{FailureSpec, MigrationSchedule, OsdId, RunReport};
+use edm_scenario::{render_table, signed_pct};
 
-use crate::report::{render_table, signed_pct};
-use crate::runner::{trace_for, RunConfig};
+use crate::runner::{run_labelled, Run, RunConfig};
 
-/// One scenario of the failure study.
-#[derive(Debug, Clone)]
-pub struct Scenario {
-    pub label: String,
-    pub report: RunReport,
-}
-
-fn run_one(cfg: &RunConfig, osds: u32, trace_name: &str, failures: Vec<FailureSpec>) -> RunReport {
-    let trace = trace_for(trace_name, cfg.scale);
-    // edm-audit: allow(panic.expect, "experiment setup with a pinned valid config; abort is the harness failure mode")
-    let cluster = Cluster::build(ClusterConfig::paper(osds), &trace).expect("build");
-    let mut policy = NoMigration;
-    run_trace(
-        cluster,
-        &trace,
-        &mut policy,
-        SimOptions {
-            schedule: MigrationSchedule::Never,
-            failures,
-            checkpoint: None,
-            ..SimOptions::default()
-        },
-    )
-}
-
-/// Runs the four scenarios: healthy, one failure (degraded only), one
+/// Runs the five scenarios: healthy, one failure (degraded only), one
 /// failure with rebuild, same-group double failure, cross-group double
-/// failure.
-pub fn run(cfg: &RunConfig, osds: u32, trace_name: &str) -> Vec<Scenario> {
-    assert!(osds > 4, "need at least two groups' worth of OSDs");
+/// failure — each a Baseline replay that never migrates. OSDs 1, 2 and 5
+/// must exist, so a cluster of fewer than six is an `Err`.
+pub fn run(
+    cfg: &RunConfig,
+    osds: u32,
+    trace_name: &str,
+) -> Result<Vec<(&'static str, RunReport)>, String> {
     let at = 1_000; // fail early so most of the run is degraded
     let mk = |osd: u32, rebuild: bool| FailureSpec {
         at_us: at,
         osd: OsdId(osd),
         rebuild,
     };
-    vec![
-        Scenario {
-            label: "healthy".into(),
-            report: run_one(cfg, osds, trace_name, vec![]),
-        },
-        Scenario {
-            label: "1 failure, degraded".into(),
-            report: run_one(cfg, osds, trace_name, vec![mk(1, false)]),
-        },
-        Scenario {
-            label: "1 failure, rebuild".into(),
-            report: run_one(cfg, osds, trace_name, vec![mk(1, true)]),
-        },
-        Scenario {
-            label: "2 failures, same group".into(),
-            // Group of OSD j is j mod 4: 1 and 5 share group 1.
-            report: run_one(cfg, osds, trace_name, vec![mk(1, false), mk(5, false)]),
-        },
-        Scenario {
-            label: "2 failures, cross group".into(),
-            report: run_one(cfg, osds, trace_name, vec![mk(1, false), mk(2, false)]),
-        },
+    let runs = [
+        ("healthy", vec![]),
+        ("1 failure, degraded", vec![mk(1, false)]),
+        ("1 failure, rebuild", vec![mk(1, true)]),
+        // Group of OSD j is j mod 4: 1 and 5 share group 1.
+        ("2 failures, same group", vec![mk(1, false), mk(5, false)]),
+        ("2 failures, cross group", vec![mk(1, false), mk(2, false)]),
     ]
+    .into_iter()
+    .map(|(label, failures)| {
+        let mut run = Run::paper(trace_name, "Baseline", osds, cfg.scale);
+        run.options.schedule = MigrationSchedule::Never;
+        run.options.failures = failures;
+        (label, run)
+    });
+    run_labelled(runs.collect(), cfg.jobs)
 }
 
-pub fn render(scenarios: &[Scenario]) -> String {
+pub fn render(scenarios: &[(&'static str, RunReport)]) -> String {
     let healthy_tp = scenarios
         .first()
-        .map(|s| s.report.throughput_ops_per_sec())
+        .map(|(_, r)| r.throughput_ops_per_sec())
         .unwrap_or(0.0);
     let rows: Vec<Vec<String>> = scenarios
         .iter()
-        .map(|s| {
-            let r = &s.report;
+        .map(|(label, r)| {
             vec![
-                s.label.clone(),
+                label.to_string(),
                 format!("{:.0}", r.throughput_ops_per_sec()),
                 signed_pct(r.throughput_ops_per_sec() / healthy_tp - 1.0),
                 r.degraded_ops.to_string(),
@@ -114,20 +82,19 @@ mod tests {
     fn tiny() -> RunConfig {
         RunConfig {
             scale: 0.002,
-            schedule: MigrationSchedule::Never,
             jobs: None,
         }
     }
 
     #[test]
     fn scenarios_have_expected_shape() {
-        let s = run(&tiny(), 8, "home02");
+        let s = run(&tiny(), 8, "home02").expect("valid");
         assert_eq!(s.len(), 5);
         let by = |label: &str| {
             &s.iter()
-                .find(|x| x.label.starts_with(label))
+                .find(|x| x.0.starts_with(label))
                 .expect("scenario present")
-                .report
+                .1
         };
         assert_eq!(by("healthy").degraded_ops, 0);
         assert!(by("1 failure, degraded").degraded_ops > 0);
@@ -138,15 +105,15 @@ mod tests {
 
     #[test]
     fn degraded_run_is_slower_than_healthy() {
-        let s = run(&tiny(), 8, "home02");
-        let healthy = s[0].report.throughput_ops_per_sec();
-        let degraded = s[1].report.throughput_ops_per_sec();
+        let s = run(&tiny(), 8, "home02").expect("valid");
+        let healthy = s[0].1.throughput_ops_per_sec();
+        let degraded = s[1].1.throughput_ops_per_sec();
         assert!(degraded <= healthy, "{degraded} vs {healthy}");
     }
 
     #[test]
     fn render_lists_all_scenarios() {
-        let text = render(&run(&tiny(), 8, "home02"));
+        let text = render(&run(&tiny(), 8, "home02").expect("valid"));
         for label in ["healthy", "rebuild", "same group", "cross group"] {
             assert!(text.contains(label), "missing {label}");
         }

@@ -7,10 +7,10 @@
 
 use edm_cluster::metrics::rsd;
 use edm_cluster::MigrationSchedule;
+use edm_scenario::{grouped, render_table};
 use edm_workload::harvard::MOTIVATION_TRACES;
 
-use crate::report::{grouped, render_table};
-use crate::runner::{run_cell, Cell, RunConfig};
+use crate::runner::{run_all, Run, RunConfig};
 
 /// Per-trace outcome: per-OSD wear under Baseline.
 #[derive(Debug, Clone)]
@@ -32,23 +32,26 @@ impl TraceWear {
     }
 }
 
-/// Runs the motivation experiment on `osds` devices at the given scale.
-pub fn run(cfg: &RunConfig, osds: u32) -> Vec<TraceWear> {
-    let cfg = RunConfig {
-        schedule: MigrationSchedule::Never,
-        ..*cfg
-    };
-    MOTIVATION_TRACES
+/// Runs the motivation experiment — each trace under Baseline, never
+/// migrating — on `osds` devices at the given scale.
+pub fn run(cfg: &RunConfig, osds: u32) -> Result<Vec<TraceWear>, String> {
+    let runs: Vec<Run> = MOTIVATION_TRACES
         .iter()
         .map(|trace| {
-            let report = run_cell(&Cell::new(trace, "Baseline", osds), &cfg);
-            TraceWear {
-                trace: trace.to_string(),
-                erase_counts: report.per_osd.iter().map(|o| o.erase_count).collect(),
-                write_pages: report.per_osd.iter().map(|o| o.write_pages).collect(),
-            }
+            let mut run = Run::paper(trace, "Baseline", osds, cfg.scale);
+            run.options.schedule = MigrationSchedule::Never;
+            run
         })
-        .collect()
+        .collect();
+    Ok(MOTIVATION_TRACES
+        .iter()
+        .zip(run_all(&runs, cfg.jobs)?)
+        .map(|(trace, report)| TraceWear {
+            trace: trace.to_string(),
+            erase_counts: report.per_osd.iter().map(|o| o.erase_count).collect(),
+            write_pages: report.per_osd.iter().map(|o| o.write_pages).collect(),
+        })
+        .collect())
 }
 
 pub fn render(results: &[TraceWear]) -> String {
@@ -87,14 +90,13 @@ mod tests {
     fn tiny() -> RunConfig {
         RunConfig {
             scale: 0.002,
-            schedule: MigrationSchedule::Never,
             jobs: None,
         }
     }
 
     #[test]
     fn covers_the_three_motivation_traces() {
-        let results = run(&tiny(), 8);
+        let results = run(&tiny(), 8).expect("valid");
         assert_eq!(results.len(), 3);
         for r in &results {
             assert_eq!(r.erase_counts.len(), 8);
@@ -106,7 +108,7 @@ mod tests {
     #[test]
     fn wear_variance_exists_under_baseline() {
         // §II's claim: the per-SSD erase counts vary widely.
-        let results = run(&tiny(), 8);
+        let results = run(&tiny(), 8).expect("valid");
         for r in &results {
             assert!(
                 r.erase_rsd() > 0.05,
@@ -119,7 +121,7 @@ mod tests {
 
     #[test]
     fn render_contains_panels_and_traces() {
-        let results = run(&tiny(), 8);
+        let results = run(&tiny(), 8).expect("valid");
         let text = render(&results);
         assert!(text.contains("(a) erase count"));
         assert!(text.contains("(b) write pages"));

@@ -9,12 +9,11 @@
 //! uᵣ for the skewed real-world traces; Eq. 3 fits those well at least up
 //! to u ≈ 85 %.
 
+use edm_scenario::render_table;
 use edm_ssd::{Geometry, LatencyModel, Ssd};
-use edm_workload::synth::synthesize;
-use edm_workload::{harvard, FileId, FileOp, Trace};
+use edm_workload::{FileId, FileOp, Trace};
 
-use crate::report::render_table;
-use crate::runner::RunConfig;
+use crate::runner::{par_map, RunConfig, TraceKey};
 
 /// Minimum GC victims before we trust a measured uᵣ sample.
 const MIN_VICTIMS: u64 = 200;
@@ -56,6 +55,11 @@ fn flat_layout(trace: &Trace) -> (std::collections::BTreeMap<FileId, u64>, u64) 
 /// Measures uᵣ for one trace at one target utilization.
 pub fn measure_ur(trace: &Trace, utilization: f64) -> Option<f64> {
     assert!((0.0..1.0).contains(&utilization) && utilization > 0.0);
+    #[cfg(test)]
+    crate::runner::log(crate::runner::Work::Measured(
+        trace.name.clone(),
+        trace.records.len(),
+    ));
     let (offsets, footprint) = flat_layout(trace);
     if footprint == 0 {
         return None;
@@ -90,36 +94,45 @@ pub fn measure_ur(trace: &Trace, utilization: f64) -> Option<f64> {
     ssd.snapshot().measured_ur
 }
 
-/// Runs the sweep: `utilizations` defaults to 30–95 % in 5 % steps.
-pub fn run(cfg: &RunConfig, utilizations: &[f64]) -> Vec<Series> {
+/// Measures the uᵣ(u) series of each of `workloads` (Fig. 3 plots
+/// [`FIG3_WORKLOADS`]) over `utilizations` (Fig. 3: [`default_grid`]): one
+/// trace per workload, every (workload × utilization) device measurement
+/// a piece of work on the runner's pool.
+pub fn run(
+    cfg: &RunConfig,
+    workloads: &[&str],
+    utilizations: &[f64],
+) -> Result<Vec<Series>, String> {
     let eq2 = edm_core::WearModel::eq2(32);
     let eq3 = edm_core::WearModel::paper(32);
-    FIG3_WORKLOADS
+    let traces: Vec<Trace> = par_map(workloads, cfg.jobs, |name| {
+        TraceKey::preset(name, cfg.scale).synthesize()
+    })
+    .into_iter()
+    .collect::<Result<_, _>>()?;
+    let grid: Vec<(&Trace, f64)> = traces
         .iter()
-        .map(|name| {
-            let spec = if *name == "random" {
-                harvard::random_spec()
-            } else {
-                harvard::spec(name)
-            };
-            let trace = synthesize(&spec.scaled(cfg.scale));
-            let points = utilizations
+        .flat_map(|trace| utilizations.iter().map(move |&u| (trace, u)))
+        .collect();
+    let mut measured = par_map(&grid, cfg.jobs, |&(trace, u)| measure_ur(trace, u)).into_iter();
+    Ok(workloads
+        .iter()
+        .map(|name| Series {
+            workload: name.to_string(),
+            points: utilizations
                 .iter()
-                .filter_map(|&u| {
-                    measure_ur(&trace, u).map(|measured_ur| Point {
+                .zip(measured.by_ref())
+                .filter_map(|(&u, measured_ur)| {
+                    Some(Point {
                         utilization: u,
-                        measured_ur,
+                        measured_ur: measured_ur?,
                         eq2_ur: eq2.f_of_u(u),
                         eq3_ur: eq3.f_of_u(u),
                     })
                 })
-                .collect();
-            Series {
-                workload: name.to_string(),
-                points,
-            }
+                .collect(),
         })
-        .collect()
+        .collect())
 }
 
 /// The default utilization grid.
@@ -155,6 +168,8 @@ pub fn render(series: &[Series]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use edm_workload::harvard;
+    use edm_workload::synth::synthesize;
 
     fn tiny() -> RunConfig {
         RunConfig {
@@ -165,7 +180,7 @@ mod tests {
 
     #[test]
     fn sweep_produces_points_for_all_workloads() {
-        let series = run(&tiny(), &[0.5, 0.8]);
+        let series = run(&tiny(), &FIG3_WORKLOADS, &[0.5, 0.8]).expect("presets");
         assert_eq!(series.len(), 4);
         for s in &series {
             assert_eq!(s.points.len(), 2, "{}", s.workload);
@@ -216,7 +231,7 @@ mod tests {
 
     #[test]
     fn render_has_all_four_workloads() {
-        let text = render(&run(&tiny(), &[0.6]));
+        let text = render(&run(&tiny(), &FIG3_WORKLOADS, &[0.6]).expect("presets"));
         for w in FIG3_WORKLOADS {
             assert!(text.contains(w));
         }

@@ -12,9 +12,9 @@ use std::collections::HashMap;
 
 use edm_cluster::RunReport;
 use edm_core::POLICY_NAMES;
+use edm_scenario::{grouped, render_table, signed_pct};
 
-use crate::report::{grouped, render_table, signed_pct};
-use crate::runner::{run_matrix, Cell, RunConfig};
+use crate::runner::{run_all, Cell, Run, RunConfig};
 
 /// The reports of the evaluation matrix, keyed by cell. Figs. 5–8 are
 /// four renderings of it (DESIGN.md §4): each figure names the cells it
@@ -27,16 +27,20 @@ pub struct Matrix {
 
 impl Matrix {
     /// Simulates those of `cells` that have no report yet.
-    pub fn ensure(&mut self, cfg: &RunConfig, cells: &[Cell]) {
-        let mut missing: Vec<Cell> = Vec::new();
+    pub fn ensure(&mut self, cfg: &RunConfig, cells: &[Cell]) -> Result<(), String> {
+        let mut missing: Vec<&Cell> = Vec::new();
         for cell in cells {
-            if !self.reports.contains_key(cell) && !missing.contains(cell) {
-                missing.push(cell.clone());
+            if !self.reports.contains_key(cell) && !missing.contains(&cell) {
+                missing.push(cell);
             }
         }
         if !missing.is_empty() {
-            self.reports.extend(run_matrix(&missing, cfg));
+            let runs: Vec<Run> = missing.iter().map(|cell| cell.run(cfg.scale)).collect();
+            let reports = run_all(&runs, cfg.jobs)?;
+            self.reports
+                .extend(missing.into_iter().cloned().zip(reports));
         }
+        Ok(())
     }
 
     pub fn report(&self, trace: &str, policy: &str, osds: u32) -> &RunReport {
@@ -73,24 +77,29 @@ pub fn cells(osds_list: &[u32], traces: &[&str]) -> Vec<Cell> {
         .collect()
 }
 
-/// Figure 5 rendering: aggregate throughput (file ops per second).
-pub fn render_fig5(m: &Matrix, osds_list: &[u32], traces: &[&str]) -> String {
+/// One table per cluster size: each trace's value under the four systems,
+/// then the three migrating systems' deltas vs Baseline.
+fn render_bars(
+    m: &Matrix,
+    osds_list: &[u32],
+    traces: &[&str],
+    title: &str,
+    value: impl Fn(&RunReport) -> String,
+    delta: impl Fn(&Matrix, &str, &str, u32) -> f64,
+) -> String {
     let mut out = String::new();
     for &osds in osds_list {
-        out.push_str(&format!(
-            "Figure 5 ({osds}-OSDs): aggregate throughput [ops/s]\n"
-        ));
+        out.push_str(&title.replace("{osds}", &osds.to_string()));
         let rows: Vec<Vec<String>> = traces
             .iter()
             .map(|t| {
                 let mut row = vec![t.to_string()];
-                for p in POLICY_NAMES {
-                    let r = m.report(t, p, osds);
-                    row.push(format!("{:.0}", r.throughput_ops_per_sec()));
-                }
-                for p in &POLICY_NAMES[1..] {
-                    row.push(signed_pct(m.throughput_gain(t, p, osds)));
-                }
+                row.extend(POLICY_NAMES.iter().map(|p| value(m.report(t, p, osds))));
+                row.extend(
+                    POLICY_NAMES[1..]
+                        .iter()
+                        .map(|p| signed_pct(delta(m, t, p, osds))),
+                );
                 row
             })
             .collect();
@@ -112,64 +121,48 @@ pub fn render_fig5(m: &Matrix, osds_list: &[u32], traces: &[&str]) -> String {
     out
 }
 
+/// Figure 5 rendering: aggregate throughput (file ops per second).
+pub fn render_fig5(m: &Matrix, osds_list: &[u32], traces: &[&str]) -> String {
+    render_bars(
+        m,
+        osds_list,
+        traces,
+        "Figure 5 ({osds}-OSDs): aggregate throughput [ops/s]\n",
+        |r| format!("{:.0}", r.throughput_ops_per_sec()),
+        Matrix::throughput_gain,
+    )
+}
+
 /// Figure 6 rendering: aggregate erase count among all OSDs, with the
 /// percentage deltas vs Baseline the paper prints above the bars.
 pub fn render_fig6(m: &Matrix, osds_list: &[u32], traces: &[&str]) -> String {
-    let mut out = String::new();
-    for &osds in osds_list {
-        out.push_str(&format!(
-            "Figure 6 ({osds}-OSDs): aggregate erase count among all OSDs\n"
-        ));
-        let rows: Vec<Vec<String>> = traces
-            .iter()
-            .map(|t| {
-                let mut row = vec![t.to_string()];
-                for p in POLICY_NAMES {
-                    row.push(grouped(m.report(t, p, osds).aggregate_erases()));
-                }
-                for p in &POLICY_NAMES[1..] {
-                    row.push(signed_pct(m.erase_delta(t, p, osds)));
-                }
-                row
-            })
-            .collect();
-        out.push_str(&render_table(
-            &[
-                "trace",
-                "Baseline",
-                "CMT",
-                "EDM-HDF",
-                "EDM-CDF",
-                "CMT vs base",
-                "HDF vs base",
-                "CDF vs base",
-            ],
-            &rows,
-        ));
-        out.push('\n');
-    }
-    out
+    render_bars(
+        m,
+        osds_list,
+        traces,
+        "Figure 6 ({osds}-OSDs): aggregate erase count among all OSDs\n",
+        |r| grouped(r.aggregate_erases()),
+        Matrix::erase_delta,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::experiments::{fig7, fig8};
-    use crate::runner::RUN_CELL_LOG;
-    use edm_cluster::MigrationSchedule;
+    use crate::runner::{Work, WORK_LOG};
     use edm_workload::harvard::MOTIVATION_TRACES;
 
     fn tiny() -> RunConfig {
         RunConfig {
             scale: 0.002,
-            schedule: MigrationSchedule::Midpoint,
             jobs: None,
         }
     }
 
     fn deasna_on_8() -> Matrix {
         let mut m = Matrix::default();
-        m.ensure(&tiny(), &cells(&[8], &["deasna"]));
+        m.ensure(&tiny(), &cells(&[8], &["deasna"])).expect("valid");
         m
     }
 
@@ -196,7 +189,7 @@ mod tests {
     /// Exact work count: rendering all four figures simulates each
     /// distinct cell of the matrix once, not once per figure that reads
     /// it. 12 OSDs is this test's own: no other test in the crate runs a
-    /// 12-OSD cell, so the process-wide log can be filtered by it.
+    /// 12-OSD cluster, so the process-wide log can be filtered by it.
     #[test]
     fn figs_5_to_8_simulate_each_distinct_cell_once() {
         let (cfg, osds) = (
@@ -208,13 +201,14 @@ mod tests {
         );
         let mut m = Matrix::default();
         let sweep = cells(&[osds], &MOTIVATION_TRACES);
-        m.ensure(&cfg, &sweep);
+        m.ensure(&cfg, &sweep).expect("valid");
         let fig5 = render_fig5(&m, &[osds], &MOTIVATION_TRACES);
-        m.ensure(&cfg, &sweep);
+        m.ensure(&cfg, &sweep).expect("valid");
         let fig6 = render_fig6(&m, &[osds], &MOTIVATION_TRACES);
-        m.ensure(&cfg, &fig7::cells(osds));
+        m.ensure(&cfg, &fig7::cells(osds)).expect("valid");
         let fig7 = fig7::render(&m, osds);
-        m.ensure(&cfg, &fig8::cells(osds, &MOTIVATION_TRACES));
+        m.ensure(&cfg, &fig8::cells(osds, &MOTIVATION_TRACES))
+            .expect("valid");
         let fig8 = fig8::render(&m, osds, &MOTIVATION_TRACES);
         for (text, title) in [
             (fig5, "Figure 5"),
@@ -225,12 +219,20 @@ mod tests {
             assert!(text.contains(title), "{title} not rendered");
         }
 
-        let log = RUN_CELL_LOG.lock().expect("log poisoned");
-        let simulated: Vec<&Cell> = log.iter().filter(|c| c.osds == osds).collect();
+        let log = WORK_LOG.lock().expect("log poisoned");
+        let simulated: Vec<Cell> = log
+            .iter()
+            .filter_map(|work| match work {
+                Work::Executed(run) if run.cluster.osds == osds => {
+                    Some(Cell::new(&run.trace.name, &run.policy, osds))
+                }
+                _ => None,
+            })
+            .collect();
         assert_eq!(simulated.len(), sweep.len(), "{simulated:?}");
         for cell in &sweep {
             assert_eq!(
-                simulated.iter().filter(|c| **c == cell).count(),
+                simulated.iter().filter(|c| *c == cell).count(),
                 1,
                 "{cell:?}"
             );

@@ -1,9 +1,9 @@
 //! Figure 7 — mean response time of file operations served during data
 //! migration, per 3-minute window, for home02, deasna and lair62 under
 //! Baseline, EDM-HDF and EDM-CDF. The series is bucketed by
-//! [`run_cell`](crate::runner::run_cell)'s response window — a tenth of
-//! the paper's, scaled with the trace — so the spike and recovery around
-//! the midpoint are visible at any scale.
+//! [`Run::paper`](crate::runner::Run::paper)'s response window — a tenth
+//! of the paper's, scaled with the trace — so the spike and recovery
+//! around the midpoint are visible at any scale.
 //!
 //! Expected shape (§V.D): HDF spikes when migration starts (requests to
 //! in-flight objects block) and then settles *below* the pre-migration
@@ -11,10 +11,10 @@
 //! rarely accessed.
 
 use edm_cluster::RunReport;
+use edm_scenario::render_table;
 use edm_workload::harvard::MOTIVATION_TRACES;
 
 use super::fig56::Matrix;
-use crate::report::render_table;
 use crate::runner::Cell;
 
 /// The policies Fig. 7 compares.
@@ -77,16 +77,14 @@ pub fn render(m: &Matrix, osds: u32) -> String {
 mod tests {
     use super::*;
     use crate::runner::RunConfig;
-    use edm_cluster::MigrationSchedule;
 
     fn run_on_8() -> Matrix {
         let cfg = RunConfig {
             scale: 0.002,
-            schedule: MigrationSchedule::Midpoint,
             jobs: None,
         };
         let mut m = Matrix::default();
-        m.ensure(&cfg, &cells(8));
+        m.ensure(&cfg, &cells(8)).expect("valid");
         m
     }
 

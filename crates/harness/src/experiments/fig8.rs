@@ -5,8 +5,9 @@
 //! (it balances load *and* storage usage and is read/write agnostic),
 //! then CDF, then HDF.
 
+use edm_scenario::{grouped, render_table};
+
 use super::fig56::Matrix;
-use crate::report::{grouped, render_table};
 use crate::runner::Cell;
 
 /// The migrating policies Fig. 8 compares (Baseline moves nothing).
@@ -61,16 +62,14 @@ pub fn render(m: &Matrix, osds: u32, traces: &[&str]) -> String {
 mod tests {
     use super::*;
     use crate::runner::RunConfig;
-    use edm_cluster::MigrationSchedule;
 
     fn home02_on_8() -> Matrix {
         let cfg = RunConfig {
             scale: 0.002,
-            schedule: MigrationSchedule::Midpoint,
             jobs: None,
         };
         let mut m = Matrix::default();
-        m.ensure(&cfg, &cells(8, &["home02"]));
+        m.ensure(&cfg, &cells(8, &["home02"])).expect("valid");
         m
     }
 

@@ -27,8 +27,8 @@ use edm_model::{ks_statistic, max_rel_error, rel_error, ClusterPrediction, OsdLo
 use edm_model::{GcPolicy, MeanFieldModel};
 use edm_obs::json::{parse, JsonValue};
 
-use crate::report::render_table;
-use crate::scenario::Scenario;
+use edm_scenario::render_table;
+use edm_scenario::Scenario;
 
 /// Erase-count floor for relative errors. Corpus scenarios are small
 /// (tens of erases per OSD), so on a device with single-digit erases a

@@ -14,12 +14,11 @@
 //! the spread of the per-group means.
 
 use edm_cluster::metrics::rsd;
-use edm_cluster::{run_trace, Cluster, ClusterConfig, GroupId, SimOptions};
+use edm_cluster::GroupId;
 use edm_core::lifetime::{project, EnduranceSpec};
-use edm_core::{Edm, EdmConfig, Selection};
+use edm_scenario::render_table;
 
-use crate::report::render_table;
-use crate::runner::{trace_for, RunConfig};
+use crate::runner::{run_one, Run, RunConfig};
 
 /// Per-group wear summary.
 #[derive(Debug, Clone)]
@@ -80,26 +79,14 @@ impl Reliability {
     }
 }
 
-/// Runs EDM-HDF on `osds` devices (pick a count not divisible by 4, e.g.
-/// 18, for uneven groups) and summarizes wear per group.
-pub fn run(cfg: &RunConfig, osds: u32, trace_name: &str) -> Reliability {
-    let trace = trace_for(trace_name, cfg.scale);
-    let config = ClusterConfig::paper(osds);
-    let placement = config.placement();
-    // edm-audit: allow(panic.expect, "experiment setup with a pinned valid config; abort is the harness failure mode")
-    let cluster = Cluster::build(config, &trace).expect("cluster build");
-    let mut policy = Edm::new(Selection::Hdf, EdmConfig::default());
-    let report = run_trace(
-        cluster,
-        &trace,
-        &mut policy,
-        SimOptions {
-            schedule: cfg.schedule,
-            failures: Vec::new(),
-            checkpoint: None,
-            ..SimOptions::default()
-        },
-    );
+/// Runs EDM-HDF with the paper's forced midpoint migration on `osds`
+/// devices (pick a count not divisible by 4, e.g. 18, for uneven groups)
+/// and summarizes wear per group.
+pub fn run(cfg: &RunConfig, osds: u32, trace_name: &str) -> Result<Reliability, String> {
+    let run = Run::paper(trace_name, "EDM-HDF", osds, cfg.scale);
+    let report = run_one(&run)?;
+    // Valid: the cluster was just built from this configuration.
+    let placement = run.cluster.placement();
     // Lifetime projection on a nominal 3 000 P/E-cycle, 4 096-block
     // device: the projection only needs erases-per-period and a budget.
     let spec = EnduranceSpec {
@@ -127,11 +114,11 @@ pub fn run(cfg: &RunConfig, osds: u32, trace_name: &str) -> Reliability {
             }
         })
         .collect();
-    Reliability {
+    Ok(Reliability {
         osds,
         groups,
         periods_to_wearout,
-    }
+    })
 }
 
 pub fn render(r: &Reliability) -> String {
@@ -168,19 +155,17 @@ pub fn render(r: &Reliability) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use edm_cluster::MigrationSchedule;
 
     fn tiny() -> RunConfig {
         RunConfig {
             scale: 0.003,
-            schedule: MigrationSchedule::Midpoint,
             jobs: None,
         }
     }
 
     #[test]
     fn uneven_osd_count_gives_uneven_groups() {
-        let r = run(&tiny(), 10, "lair62");
+        let r = run(&tiny(), 10, "lair62").expect("valid");
         assert_eq!(r.groups.len(), 4);
         let sizes: Vec<usize> = r.groups.iter().map(|g| g.members).collect();
         assert_eq!(sizes, vec![3, 3, 2, 2]);
@@ -193,7 +178,7 @@ mod tests {
     fn group_wear_speeds_differ() {
         // With uneven member counts, per-SSD wear speed differs between
         // groups — the §III.D mechanism.
-        let r = run(&tiny(), 10, "lair62");
+        let r = run(&tiny(), 10, "lair62").expect("valid");
         assert!(
             r.between_group_rsd() > 0.0,
             "group wear speeds should differ: {:?}",
@@ -203,7 +188,7 @@ mod tests {
 
     #[test]
     fn render_mentions_both_spreads() {
-        let text = render(&run(&tiny(), 10, "lair62"));
+        let text = render(&run(&tiny(), 10, "lair62").expect("valid"));
         assert!(text.contains("between-group"));
         assert!(text.contains("within-group"));
     }

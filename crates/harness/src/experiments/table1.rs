@@ -9,7 +9,7 @@ use edm_workload::harvard;
 use edm_workload::synth::synthesize;
 use edm_workload::TraceStats;
 
-use crate::report::{grouped, render_table};
+use edm_scenario::{grouped, render_table};
 
 /// One row: paper target vs. measured synthesis.
 #[derive(Debug, Clone)]

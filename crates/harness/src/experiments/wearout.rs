@@ -14,13 +14,13 @@
 
 use std::path::PathBuf;
 
-use edm_cluster::{RunReport, SnapManifest};
+use edm_cluster::metrics::rsd;
+use edm_cluster::{MigrationSchedule, RunReport, SnapManifest};
 use edm_obs::NoopRecorder;
+use edm_scenario::{render_table, report_digest, resume_snapshot, Scenario};
 use edm_snap::SnapshotFile;
 
-use crate::report::{render_table, report_digest};
 use crate::runner::RunConfig;
-use crate::scenario::{resume_snapshot, Scenario};
 
 /// Wear state at one checkpoint.
 #[derive(Debug, Clone)]
@@ -38,21 +38,7 @@ impl WearoutPoint {
     /// Relative standard deviation of the per-OSD erase counts (the
     /// paper's wear-balance metric).
     pub fn erase_rsd(&self) -> f64 {
-        let n = self.per_osd_erases.len() as f64;
-        if n == 0.0 {
-            return 0.0;
-        }
-        let mean = self.aggregate() as f64 / n;
-        if mean == 0.0 {
-            return 0.0;
-        }
-        let var = self
-            .per_osd_erases
-            .iter()
-            .map(|&e| (e as f64 - mean).powi(2))
-            .sum::<f64>()
-            / n;
-        var.sqrt() / mean
+        rsd(self.per_osd_erases.iter().map(|&e| e as f64))
     }
 }
 
@@ -68,61 +54,59 @@ pub struct WearoutResult {
     pub resumed_digest: u64,
 }
 
-/// Runs the checkpointed trajectory and the resume-determinism check.
-pub fn run(cfg: &RunConfig, osds: u32, trace: &str) -> WearoutResult {
+/// Runs the checkpointed trajectory and the resume-determinism check,
+/// migrating on every wear tick so the trajectory has migration work to
+/// capture. The run goes through [`Scenario`], not a `Run`: checkpoints
+/// that resume from their embedded scenario text are what it demonstrates.
+pub fn run(cfg: &RunConfig, osds: u32, trace: &str) -> Result<WearoutResult, String> {
     let scenario = Scenario {
         trace: trace.into(),
         scale: cfg.scale,
         osds,
-        schedule: cfg.schedule,
+        schedule: MigrationSchedule::EveryTick,
         ..Scenario::default()
     };
     let dir = wearout_dir();
     let _ = std::fs::remove_dir_all(&dir);
     // every_us = 0: cut a checkpoint at every wear tick.
-    let (report, _) = scenario
-        .run_with_obs_checkpointed_keep(&mut NoopRecorder, Some((0, dir.clone())))
-        // edm-audit: allow(panic.expect, "experiment harness: a failed run should abort the experiment loudly")
-        .expect("wearout run failed");
+    let (report, _) =
+        scenario.run_with_obs_checkpointed_keep(&mut NoopRecorder, Some((0, dir.clone())))?;
     let digest = report_digest(&report);
 
-    let mut snaps: Vec<PathBuf> = std::fs::read_dir(&dir)
-        // edm-audit: allow(panic.expect, "experiment harness: scratch dir was just created by this process")
-        .expect("checkpoint dir unreadable")
-        // edm-audit: allow(panic.expect, "experiment harness: scratch dir was just created by this process")
-        .map(|e| e.expect("dir entry").path())
-        .filter(|p| p.extension().is_some_and(|x| x == "snap"))
-        .collect();
+    let unreadable = |e: &dyn std::fmt::Display| format!("checkpoints in {}: {e}", dir.display());
+    let mut snaps: Vec<PathBuf> = Vec::new();
+    for entry in std::fs::read_dir(&dir).map_err(|e| unreadable(&e))? {
+        let path = entry.map_err(|e| unreadable(&e))?.path();
+        if path.extension().is_some_and(|x| x == "snap") {
+            snaps.push(path);
+        }
+    }
     snaps.sort();
-    assert!(!snaps.is_empty(), "run produced no checkpoints");
 
-    let points: Vec<WearoutPoint> = snaps
-        .iter()
-        .map(|p| {
-            // edm-audit: allow(panic.expect, "experiment harness: reading back a checkpoint this run just wrote")
-            let snap = SnapshotFile::read_from(p).expect("checkpoint unreadable");
-            // edm-audit: allow(panic.expect, "experiment harness: reading back a checkpoint this run just wrote")
-            let m = SnapManifest::from_snapshot(&snap).expect("checkpoint has no manifest");
-            WearoutPoint {
-                now_us: m.now_us,
-                completed_ops: m.completed_ops,
-                per_osd_erases: m.per_osd_erases,
-            }
-        })
-        .collect();
+    let mut points = Vec::with_capacity(snaps.len());
+    for path in &snaps {
+        let snap = SnapshotFile::read_from(path).map_err(|e| unreadable(&e))?;
+        let m = SnapManifest::from_snapshot(&snap).map_err(|e| unreadable(&e))?;
+        points.push(WearoutPoint {
+            now_us: m.now_us,
+            completed_ops: m.completed_ops,
+            per_osd_erases: m.per_osd_erases,
+        });
+    }
 
-    let (_, resumed) = resume_snapshot(&snaps[snaps.len() / 2], &mut NoopRecorder)
-        // edm-audit: allow(panic.expect, "experiment harness: resume from a checkpoint this run just wrote")
-        .expect("resume from mid checkpoint failed");
+    let mid = snaps
+        .get(snaps.len() / 2)
+        .ok_or_else(|| unreadable(&"the run cut none"))?;
+    let (_, resumed) = resume_snapshot(mid, &mut NoopRecorder)?;
     let _ = std::fs::remove_dir_all(&dir);
 
-    WearoutResult {
+    Ok(WearoutResult {
         scenario,
         points,
         report,
         digest,
         resumed_digest: report_digest(&resumed),
-    }
+    })
 }
 
 fn wearout_dir() -> PathBuf {
@@ -175,16 +159,14 @@ pub fn render(r: &WearoutResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use edm_cluster::MigrationSchedule;
 
     #[test]
     fn wearout_trajectory_and_resume_match() {
         let cfg = RunConfig {
             scale: 0.002,
-            schedule: MigrationSchedule::EveryTick,
             ..RunConfig::default()
         };
-        let r = run(&cfg, 8, "home02");
+        let r = run(&cfg, 8, "home02").expect("valid");
         assert!(r.points.len() >= 2, "want a trajectory, got {:?}", r.points);
         // Erase totals are monotone over checkpoints.
         for w in r.points.windows(2) {

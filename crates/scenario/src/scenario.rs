@@ -115,7 +115,7 @@ impl Scenario {
             match key {
                 "trace" => {
                     let name = next("trace")?;
-                    if name != "random" && !harvard::TRACE_NAMES.contains(&name) {
+                    if harvard::named(name).is_none() {
                         return Err(format!(
                             "line {}: unknown trace {name:?} (random | {})",
                             no + 1,
@@ -331,12 +331,7 @@ impl Scenario {
     /// seed, so every call yields a byte-identical trace), then applies
     /// the inode-stride transform.
     pub fn synth_trace(&self) -> Trace {
-        let spec = if self.trace == "random" {
-            harvard::random_spec()
-        } else {
-            harvard::spec(&self.trace)
-        };
-        let mut trace = synthesize(&spec.scaled(self.scale));
+        let mut trace = synthesize(&harvard::spec(&self.trace).scaled(self.scale));
         if self.stride > 1 {
             trace.file_sizes = trace
                 .file_sizes

@@ -55,15 +55,24 @@ fn base(
     }
 }
 
-/// Returns the spec for one of the seven Table 1 workloads.
+/// Returns the spec of a preset whose name is a literal or was already
+/// checked against [`named`].
 ///
 /// # Panics
-/// Panics on an unknown name; use [`TRACE_NAMES`] to enumerate.
+/// Panics on an unknown name; names that arrive from outside the program
+/// go through [`named`].
 pub fn spec(name: &str) -> WorkloadSpec {
+    // edm-audit: allow(panic.panic, "contract for literal or already-checked preset names; outside input goes through `named`")
+    named(name).unwrap_or_else(|| panic!("unknown Harvard workload {name:?}; see TRACE_NAMES"))
+}
+
+/// The one preset lookup: the seven Table 1 workloads ([`TRACE_NAMES`])
+/// and the `random` workload of Fig. 3, or `None` for any other name.
+pub fn named(name: &str) -> Option<WorkloadSpec> {
     // Skew profiles (write θ, read θ, hot-set overlap) are our documented
     // reconstruction, chosen so that relative wear variance across traces
     // matches Fig. 1: home02/lair62 widest, deasna/deasna2 narrowest.
-    match name {
+    Some(match name {
         "home02" => base(
             name,
             10_931,
@@ -176,9 +185,9 @@ pub fn spec(name: &str) -> WorkloadSpec {
             },
             0xED07,
         ),
-        // edm-audit: allow(panic.panic, "CLI-facing parse: rejecting an unknown trace name loudly is the contract")
-        other => panic!("unknown Harvard workload {other:?}; see TRACE_NAMES"),
-    }
+        "random" => random_spec(),
+        _ => return None,
+    })
 }
 
 /// All seven Table 1 specs, in paper order.
@@ -333,6 +342,17 @@ mod tests {
     #[should_panic(expected = "unknown Harvard workload")]
     fn unknown_name_panics() {
         spec("nope");
+    }
+
+    #[test]
+    fn named_knows_the_seven_and_random_and_nothing_else() {
+        for name in TRACE_NAMES {
+            assert_eq!(named(name).map(|s| s.name).as_deref(), Some(name));
+        }
+        assert_eq!(named("random").map(|s| s.seed), Some(random_spec().seed));
+        for name in ["nope", "", "HOME02", "home02 "] {
+            assert!(named(name).is_none(), "{name:?}");
+        }
     }
 
     #[test]

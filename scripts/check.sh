@@ -10,7 +10,7 @@
 #   check.sh audit   edm-audit static analysis
 #   check.sh build   release build
 #   check.sh test    cargo test, workspace then the benchmark package
-#   check.sh smoke   obs + checkpoint/resume smokes
+#   check.sh smoke   obs + checkpoint/resume smokes, edm-exp all at a tiny scale
 #   check.sh scale   sharded-vs-sequential digest identity smoke
 #   check.sh spec    edm-spec conformance replay of smoke + corpus journals
 #   check.sh serve   edm-serve daemon: ingest pipeline, kill/resume, replay digest
@@ -162,6 +162,38 @@ EOF
     echo "$probe_snap" | grep -q "policy          EDM-CDF" \
         || { echo "ckpt smoke: probe manifest missing policy"; exit 1; }
     echo "ckpt smoke: $snap_count checkpoints, resume digest matches OK"
+
+    echo "==> paper-record smoke (edm-exp all at a tiny scale + refused invocations)"
+    # edm-exp is the paper record's only entry point: every experiment
+    # must build, run and print its section, and a run that cannot be
+    # built must be a one-line error with the documented exit code
+    # (1 = cannot be built, 2 = unparseable arguments), not a backtrace.
+    local exp_dir
+    scratch_dir; exp_dir="$SCRATCH_DIR"
+    "$(bin edm-exp)" all --scale 0.004 --osds 16,20 \
+        > "$exp_dir/all.txt" 2> "$exp_dir/all.log" \
+        || { echo "exp smoke: edm-exp all failed"; tail -n 20 "$exp_dir/all.log"; exit 1; }
+    local ids sections title
+    ids="$(grep -c '^== .* ==$' "$exp_dir/all.log")"
+    sections=0
+    for title in "Table 1:" "Figure 1(a)" "Figure 3:" "Figure 5 (16-OSDs)" \
+        "Figure 6 (16-OSDs)" "Figure 7:" "Figure 8 (16-OSDs)" "Reliability (SIII.D)" \
+        "Failure study" "wear-out trajectory" "Ablation: sigma sweep" \
+        "Ablation: lambda sweep" "Ablation: group-count sweep" \
+        "Ablation: migration schedule" "Ablation: temperature decay" \
+        "Ablation: GC victim policy" "Differential:"; do
+        grep -q "^$title" "$exp_dir/all.txt" \
+            || { echo "exp smoke: no '$title' section on stdout"; exit 1; }
+        sections=$((sections + 1))
+    done
+    [ "$ids" -eq "$sections" ] \
+        || { echo "exp smoke: EXPERIMENT_IDS has $ids entries, $sections sections checked"; exit 1; }
+    local code
+    code=0; "$(bin edm-probe)" nosuch EDM-HDF > /dev/null 2>&1 || code=$?
+    [ "$code" -eq 2 ] || { echo "exp smoke: edm-probe on an unknown trace exited $code, want 2"; exit 1; }
+    code=0; "$(bin edm-exp)" fig1 --osds 2 --scale 0.001 > /dev/null 2>&1 || code=$?
+    [ "$code" -eq 1 ] || { echo "exp smoke: edm-exp on an unbuildable cluster exited $code, want 1"; exit 1; }
+    echo "exp smoke: $sections sections, refused invocations exit 2 / 1 OK"
 }
 
 step_scale() {

@@ -315,7 +315,7 @@ fn write_only_and_read_only_traces_replay() {
 
 #[test]
 fn observability_levels_do_not_change_the_run() {
-    use edm_harness::scenario::Scenario;
+    use edm_harness::Scenario;
     use edm_obs::{MemoryRecorder, NoopRecorder, ObsLevel};
     let scenario = Scenario::parse(
         "trace home02\nscale 0.002\nosds 8\ngroups 4\npolicy EDM-HDF\n\

@@ -3,28 +3,23 @@
 //! scaled traces, so they assert directions and orderings, not absolute
 //! numbers.
 
-use edm_cluster::MigrationSchedule;
 use edm_harness::experiments::{fig1, fig3, fig56, fig7, fig8};
 use edm_harness::runner::RunConfig;
 
 /// The reports of `cells` at `scale`.
 fn matrix(scale: f64, cells: &[edm_harness::Cell]) -> fig56::Matrix {
     let mut m = fig56::Matrix::default();
-    m.ensure(&cfg(scale), cells);
+    m.ensure(&cfg(scale), cells).expect("paper-sized cells");
     m
 }
 
 fn cfg(scale: f64) -> RunConfig {
-    RunConfig {
-        scale,
-        schedule: MigrationSchedule::Midpoint,
-        jobs: None,
-    }
+    RunConfig { scale, jobs: None }
 }
 
 #[test]
 fn fig1_shape_wear_variance_under_baseline() {
-    let results = fig1::run(&cfg(0.004), 8);
+    let results = fig1::run(&cfg(0.004), 8).expect("paper-sized runs");
     for r in &results {
         assert!(
             r.erase_rsd() > 0.05,
@@ -52,7 +47,12 @@ fn fig1_shape_wear_variance_under_baseline() {
 
 #[test]
 fn fig3_shape_eq3_fits_skewed_traces_better_than_eq2() {
-    let series = fig3::run(&cfg(0.004), &[0.55, 0.65, 0.75, 0.85]);
+    let series = fig3::run(
+        &cfg(0.004),
+        &fig3::FIG3_WORKLOADS,
+        &[0.55, 0.65, 0.75, 0.85],
+    )
+    .expect("presets");
     for s in &series {
         let (mut eq2_err, mut eq3_err) = (0.0, 0.0);
         for p in &s.points {
