@@ -8,8 +8,8 @@
 //! with a small hand-rolled lexer and runs a rule engine over the token
 //! stream, flagging the classic determinism killers (hash-map
 //! iteration in simulation state, wall-clock reads, ambient RNG),
-//! panic-hygiene violations, lossy numeric patterns in wear accounting,
-//! and `Snapshot` impls whose save/load paths drift apart.
+//! panic-hygiene violations, and lossy numeric patterns in wear
+//! accounting.
 //!
 //! Findings are suppressible only via an inline pragma with a mandatory
 //! reason:
@@ -24,10 +24,8 @@
 //! §8. The `vendor/` stand-ins are deliberately out of scope — they
 //! model *external* crates.
 
-pub mod ast;
 pub mod ci;
 mod lexer;
-pub mod parse;
 mod pragma;
 mod report;
 mod rules;
@@ -51,23 +49,13 @@ pub fn audit_sources(files: Vec<(String, String)>) -> AuditOutcome {
         .collect();
     files.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
 
-    // Pass A: struct shapes, workspace-wide (field coverage needs them).
-    let mut table = rules::StructTable::new();
-    for f in &files {
-        rules::collect_structs(f, &mut table);
-    }
-
     let mut raw: Vec<Finding> = Vec::new();
     for f in &files {
         rules::check_file(f, &mut raw);
-        rules::check_snapshot_coverage(f, &table, &mut raw);
         rules::check_forbid_unsafe(f, &mut raw);
     }
-    // Workspace-level: the edm-spec transition function must match every
-    // journal Event variant (needs both crates' sources at once), and
-    // the deterministic core must stay inside its frozen det.* pragma
-    // budget (needs every crate's pragmas at once).
-    rules::check_spec_event_coverage(&files, &mut raw);
+    // Workspace-level: every crate must stay inside its frozen det.* and
+    // panic.* pragma budgets (needs every crate's pragmas at once).
     rules::check_suppression_budget(&files, &mut raw);
 
     // Suppression: a pragma silences findings of its rule on its target

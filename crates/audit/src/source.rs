@@ -2,9 +2,7 @@
 //! belongs to, whether it is library / binary / test / bench / example
 //! code, and which line ranges sit inside `#[cfg(test)]` modules.
 
-use crate::ast::Ast;
 use crate::lexer::{lex, TokKind, Token};
-use crate::parse;
 use crate::pragma::{parse_pragmas, Pragma, PragmaError};
 
 /// How a file participates in the build — rules scope on this.
@@ -33,8 +31,6 @@ pub struct SourceFile {
     pub sig: Vec<Token>,
     pub pragmas: Vec<Pragma>,
     pub pragma_errors: Vec<PragmaError>,
-    /// Item-level AST over `sig` (total parse; see [`crate::parse`]).
-    pub ast: Ast,
     /// Line ranges (inclusive) of `#[cfg(test)] mod … { … }` bodies.
     cfg_test_ranges: Vec<(u32, u32)>,
 }
@@ -50,7 +46,6 @@ impl SourceFile {
             .copied()
             .collect();
         let cfg_test_ranges = cfg_test_ranges(&src, &sig);
-        let ast = parse::parse(&src, &sig);
         SourceFile {
             rel_path,
             crate_name,
@@ -59,7 +54,6 @@ impl SourceFile {
             sig,
             pragmas,
             pragma_errors,
-            ast,
             cfg_test_ranges,
         }
     }

@@ -1,5 +1,5 @@
 //! End-to-end rule-engine tests over synthetic workspaces fed through
-//! `audit_sources`: each determinism/panic/numeric/snapshot rule fires
+//! `audit_sources`: each determinism/panic/numeric rule fires
 //! on a seeded violation with the right id, scoping exempts the right
 //! file kinds, and the suppression pragma machinery (unknown rule,
 //! unused pragma) behaves.
@@ -332,35 +332,6 @@ pub fn f(x: u64, y: f64) -> bool {
 }
 
 #[test]
-fn snapshot_field_missing_from_load_fires() {
-    let src = "\
-#![forbid(unsafe_code)]
-pub struct Wear {
-    pub erases: u64,
-    pub budget: u64,
-}
-impl Snapshot for Wear {
-    fn save(&self, w: &mut SnapWriter) {
-        self.erases.save(w);
-        self.budget.save(w);
-    }
-    fn load(r: &mut SnapReader) -> Self {
-        Wear { erases: u64::load(r), budget: 0 }
-    }
-}
-";
-    // `budget` appears in load as a field name, so seed a real drift:
-    let drifted = src
-        .replace("budget: 0", "b: 0")
-        .replace("Wear { erases", "Self { erases");
-    let out = audit(&[("crates/ssd/src/w.rs", drifted.as_str())]);
-    assert_eq!(rules_of(&out), vec!["snap.field_coverage"], "{out:?}");
-    assert!(out.findings[0].message.contains("budget"), "{out:?}");
-    // The faithful impl is clean.
-    assert!(audit(&[("crates/ssd/src/w.rs", src)]).is_clean());
-}
-
-#[test]
 fn missing_forbid_unsafe_in_crate_root_fires() {
     let out = audit(&[("crates/core/src/lib.rs", "pub fn ok() {}\n")]);
     assert_eq!(rules_of(&out), vec!["unsafe.forbid_missing"]);
@@ -439,125 +410,4 @@ pub fn f(o: Option<u64>) -> u64 { o.unwrap() }
     assert!(json.contains("\"open\""), "{json}");
     // Rendering twice is byte-identical (no ambient state).
     assert_eq!(json, out.render_json());
-}
-
-#[test]
-fn spec_event_coverage_fires_on_an_unmatched_variant() {
-    let event_decl = "\
-#![forbid(unsafe_code)]
-pub enum Event {
-    RunMeta { osds: u32 },
-    BlockErase { block: u64, erase_count: u64 },
-    QueueDepth { osd: u32, depth: u64 },
-}
-";
-    let spec_partial = "\
-#![forbid(unsafe_code)]
-pub fn step(ev: &Event) {
-    match ev {
-        Event::RunMeta { .. } => {}
-        Event::BlockErase { .. } => {}
-        _ => {}
-    }
-}
-";
-    let out = audit(&[
-        ("crates/obs/src/event.rs", event_decl),
-        ("crates/spec/src/lib.rs", spec_partial),
-    ]);
-    assert_eq!(rules_of(&out), vec!["spec.event_coverage"], "{out:?}");
-    assert_eq!(out.findings[0].path, "crates/obs/src/event.rs");
-    assert_eq!(
-        out.findings[0].line, 5,
-        "should point at the QueueDepth variant"
-    );
-    assert!(
-        out.findings[0].message.contains("Event::QueueDepth"),
-        "{}",
-        out.findings[0].message
-    );
-}
-
-#[test]
-fn spec_event_coverage_is_satisfied_by_full_matching() {
-    let event_decl = "\
-#![forbid(unsafe_code)]
-pub enum Event {
-    RunMeta { osds: u32 },
-    QueueDepth { osd: u32, depth: u64 },
-}
-";
-    let spec_full = "\
-#![forbid(unsafe_code)]
-pub fn step(ev: &Event) {
-    match ev {
-        Event::RunMeta { .. } => {}
-        Event::QueueDepth { .. } => {}
-    }
-}
-";
-    assert!(audit(&[
-        ("crates/obs/src/event.rs", event_decl),
-        ("crates/spec/src/lib.rs", spec_full),
-    ])
-    .is_clean());
-    // Without any spec sources the rule stays silent (synthetic
-    // workspaces in other tests must not all fail it).
-    assert!(audit(&[("crates/obs/src/event.rs", event_decl)]).is_clean());
-}
-
-/// Both coverage rules read the AST *through* inline modules: a struct
-/// and its `Snapshot` impl nested in `mod inner { … }` are still paired
-/// up and checked.
-#[test]
-fn snapshot_coverage_reads_through_an_inline_mod() {
-    let src = "\
-#![forbid(unsafe_code)]
-pub mod inner {
-    pub struct Wear {
-        pub erases: u64,
-        pub budget: u64,
-    }
-    impl Snapshot for Wear {
-        fn save(&self, w: &mut SnapWriter) {
-            self.erases.save(w);
-            self.budget.save(w);
-        }
-        fn load(r: &mut SnapReader) -> Self {
-            Self { erases: u64::load(r), b: 0 }
-        }
-    }
-}
-";
-    let out = audit(&[("crates/ssd/src/w.rs", src)]);
-    assert_eq!(rules_of(&out), vec!["snap.field_coverage"], "{out:?}");
-    assert_eq!(out.findings[0].line, 7, "should point at the impl");
-    assert!(out.findings[0].message.contains("budget"), "{out:?}");
-    let faithful = src.replace("b: 0", "budget: u64::load(r)");
-    assert!(audit(&[("crates/ssd/src/w.rs", faithful.as_str())]).is_clean());
-}
-
-#[test]
-fn spec_event_coverage_reads_through_an_inline_mod() {
-    let event_decl = "\
-#![forbid(unsafe_code)]
-pub mod journal {
-    pub enum Event {
-        RunMeta { osds: u32 },
-        QueueDepth { osd: u32, depth: u64 },
-    }
-}
-";
-    let spec_partial = "\
-#![forbid(unsafe_code)]
-pub fn step(ev: &Event) {
-    if let Event::RunMeta { .. } = ev {}
-}
-";
-    let out = audit(&[
-        ("crates/obs/src/event.rs", event_decl),
-        ("crates/spec/src/lib.rs", spec_partial),
-    ]);
-    assert_eq!(rules_of(&out), vec!["spec.event_coverage"], "{out:?}");
-    assert_eq!(out.findings[0].line, 5, "should point at QueueDepth");
 }

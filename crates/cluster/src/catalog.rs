@@ -131,10 +131,16 @@ impl Catalog {
 
 impl Snapshot for FileMeta {
     fn save(&self, w: &mut SnapWriter) {
-        self.file.save(w);
-        w.put_u64(self.size);
-        self.objects.save(w);
-        w.put_u64(self.object_size);
+        let Self {
+            file,
+            size,
+            objects,
+            object_size,
+        } = self;
+        file.save(w);
+        w.put_u64(*size);
+        objects.save(w);
+        w.put_u64(*object_size);
     }
     fn load(r: &mut SnapReader) -> Self {
         FileMeta {
@@ -149,11 +155,17 @@ impl Snapshot for FileMeta {
 impl Snapshot for Catalog {
     fn save(&self, w: &mut SnapWriter) {
         // `known` is not stored: `load` reads it back off `files`.
-        debug_assert_eq!(self.known.len(), self.files.len());
-        self.placement.save(w);
-        self.layout.save(w);
-        self.files.save(w);
-        self.remap.save(w);
+        let Self {
+            known: _,
+            files,
+            placement,
+            layout,
+            remap,
+        } = self;
+        placement.save(w);
+        layout.save(w);
+        files.save(w);
+        remap.save(w);
     }
     fn load(r: &mut SnapReader) -> Self {
         let (placement, layout) = (Placement::load(r), StripeLayout::load(r));

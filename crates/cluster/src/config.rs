@@ -134,22 +134,40 @@ impl ClusterConfig {
 
 impl Snapshot for ClusterConfig {
     fn save(&self, w: &mut SnapWriter) {
-        w.put_u32(self.osds);
-        w.put_u32(self.groups);
-        w.put_u32(self.objects_per_file);
-        w.put_u64(self.stripe_unit);
-        self.clients.save(w);
-        w.put_u32(self.client_concurrency);
-        w.put_f64(self.target_max_utilization);
-        self.latency.save(w);
-        self.ftl.save(w);
-        w.put_u64(self.osd_overhead_us);
-        w.put_u64(self.mds_latency_us);
-        w.put_u64(self.wear_tick_us);
-        w.put_u64(self.response_window_us);
-        w.put_bool(self.skip_warm_up);
-        w.put_f64(self.dest_free_reserve);
-        w.put_u64(self.move_chunk_bytes);
+        let Self {
+            osds,
+            groups,
+            objects_per_file,
+            stripe_unit,
+            clients,
+            client_concurrency,
+            target_max_utilization,
+            latency,
+            ftl,
+            osd_overhead_us,
+            mds_latency_us,
+            wear_tick_us,
+            response_window_us,
+            skip_warm_up,
+            dest_free_reserve,
+            move_chunk_bytes,
+        } = self;
+        w.put_u32(*osds);
+        w.put_u32(*groups);
+        w.put_u32(*objects_per_file);
+        w.put_u64(*stripe_unit);
+        clients.save(w);
+        w.put_u32(*client_concurrency);
+        w.put_f64(*target_max_utilization);
+        latency.save(w);
+        ftl.save(w);
+        w.put_u64(*osd_overhead_us);
+        w.put_u64(*mds_latency_us);
+        w.put_u64(*wear_tick_us);
+        w.put_u64(*response_window_us);
+        w.put_bool(*skip_warm_up);
+        w.put_f64(*dest_free_reserve);
+        w.put_u64(*move_chunk_bytes);
     }
     fn load(r: &mut SnapReader) -> Self {
         let c = ClusterConfig {

@@ -120,8 +120,9 @@ impl ExtentAllocator {
 
 impl Snapshot for Extent {
     fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(self.start);
-        w.put_u64(self.len);
+        let Self { start, len } = self;
+        w.put_u64(*start);
+        w.put_u64(*len);
     }
     fn load(r: &mut SnapReader) -> Self {
         Extent {
@@ -133,8 +134,9 @@ impl Snapshot for Extent {
 
 impl Snapshot for ExtentAllocator {
     fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(self.capacity);
-        self.free.save(w);
+        let Self { capacity, free } = self;
+        w.put_u64(*capacity);
+        free.save(w);
     }
     fn load(r: &mut SnapReader) -> Self {
         let a = ExtentAllocator {

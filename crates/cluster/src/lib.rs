@@ -29,7 +29,6 @@
 pub mod catalog;
 pub mod cluster;
 pub mod config;
-pub mod equeue;
 pub mod extent;
 pub mod ids;
 pub mod live;

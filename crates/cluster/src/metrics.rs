@@ -186,8 +186,9 @@ impl Default for LatencyHistogram {
 
 impl Snapshot for ResponseSeries {
     fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(self.window_us);
-        self.buckets.save(w);
+        let Self { window_us, buckets } = self;
+        w.put_u64(*window_us);
+        buckets.save(w);
     }
     fn load(r: &mut SnapReader) -> Self {
         let window_us = r.take_u64();
@@ -208,9 +209,14 @@ impl Snapshot for ResponseSeries {
 
 impl Snapshot for LatencyHistogram {
     fn save(&self, w: &mut SnapWriter) {
-        self.buckets.save(w);
-        w.put_u64(self.count);
-        w.put_u64(self.max_us);
+        let Self {
+            buckets,
+            count,
+            max_us,
+        } = self;
+        buckets.save(w);
+        w.put_u64(*count);
+        w.put_u64(*max_us);
     }
     fn load(r: &mut SnapReader) -> Self {
         let h = LatencyHistogram {

@@ -171,9 +171,14 @@ pub trait Migrator {
 
 impl Snapshot for MoveAction {
     fn save(&self, w: &mut SnapWriter) {
-        self.object.save(w);
-        self.source.save(w);
-        self.dest.save(w);
+        let Self {
+            object,
+            source,
+            dest,
+        } = self;
+        object.save(w);
+        source.save(w);
+        dest.save(w);
     }
     fn load(r: &mut SnapReader) -> Self {
         MoveAction {

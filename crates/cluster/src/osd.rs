@@ -312,17 +312,25 @@ impl Snapshot for Osd {
     /// The directory is serialized sorted by object id for canonical
     /// bytes; its hash-map iteration order is never behavior-relevant.
     fn save(&self, w: &mut SnapWriter) {
-        let dev = self.dev();
-        self.id.save(w);
-        dev.ssd.save(w);
-        dev.extents.save(w);
+        // `dev` is read through `dev()`, which refuses a vacant slot.
+        let Self { id, dev: _ } = self;
+        let Device {
+            ssd,
+            extents,
+            directory,
+            ewma_latency_us,
+            wc_window_pages,
+        } = self.dev();
+        id.save(w);
+        ssd.save(w);
+        extents.save(w);
         let mut dir: Vec<(ObjectId, Extent)> =
             // edm-audit: allow(det.map_iter, "entries are collected and sorted by object id before serialization")
-            dev.directory.iter().map(|(&o, &e)| (o, e)).collect();
+            directory.iter().map(|(&o, &e)| (o, e)).collect();
         dir.sort_by_key(|(o, _)| *o);
         dir.save(w);
-        w.put_f64(dev.ewma_latency_us);
-        w.put_u64(dev.wc_window_pages);
+        w.put_f64(*ewma_latency_us);
+        w.put_u64(*wc_window_pages);
     }
     fn load(r: &mut SnapReader) -> Self {
         let id = OsdId::load(r);

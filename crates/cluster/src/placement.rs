@@ -130,9 +130,14 @@ impl Placement {
 
 impl Snapshot for Placement {
     fn save(&self, w: &mut SnapWriter) {
-        w.put_u32(self.osds);
-        w.put_u32(self.groups);
-        w.put_u32(self.objects_per_file);
+        let Self {
+            osds,
+            groups,
+            objects_per_file,
+        } = self;
+        w.put_u32(*osds);
+        w.put_u32(*groups);
+        w.put_u32(*objects_per_file);
     }
     fn load(r: &mut SnapReader) -> Self {
         let p = Placement {

@@ -204,8 +204,9 @@ impl ExactSizeIterator for StripeIos {}
 
 impl Snapshot for StripeLayout {
     fn save(&self, w: &mut SnapWriter) {
-        w.put_u32(self.k);
-        w.put_u64(self.unit);
+        let Self { k, unit } = self;
+        w.put_u32(*k);
+        w.put_u64(*unit);
     }
     fn load(r: &mut SnapReader) -> Self {
         let k = r.take_u32();

@@ -107,8 +107,12 @@ impl Snapshot for RemappingTable {
     /// Entries are serialized sorted by object id (the map's natural
     /// order) so two equal tables always produce the same bytes.
     fn save(&self, w: &mut SnapWriter) {
-        self.map.save(w);
-        w.put_u64(self.moves_recorded);
+        let Self {
+            map,
+            moves_recorded,
+        } = self;
+        map.save(w);
+        w.put_u64(*moves_recorded);
     }
     fn load(r: &mut SnapReader) -> Self {
         let entries = Vec::<(ObjectId, OsdId)>::load(r);

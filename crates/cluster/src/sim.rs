@@ -11,7 +11,8 @@
 //! §V.D) — so migration traffic competes with foreground I/O exactly as
 //! in the paper.
 
-use std::collections::{HashSet, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashSet, VecDeque};
 use std::path::PathBuf;
 
 use edm_obs::{AsDynRecorder, Event as ObsEvent, NoopRecorder, Recorder};
@@ -19,7 +20,6 @@ use edm_snap::{FlatMap, SnapError, SnapReader, SnapWriter, Snapshot, SnapshotFil
 use edm_workload::{FileOp, Trace};
 
 use crate::cluster::Cluster;
-use crate::equeue::{CalendarQueue, EventQueue};
 use crate::ids::{ClientId, ObjectId, OsdId};
 use crate::metrics::{LatencyHistogram, ResponseSeries, RunReport, RunTallies};
 use crate::migrate::{close_wc_window, plan_round, Migrator, MoveAction};
@@ -134,12 +134,20 @@ impl SnapManifest {
 
 impl Snapshot for SnapManifest {
     fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(self.now_us);
-        w.put_u64(self.completed_ops);
-        w.put_u64(self.total_records);
-        self.policy.save(w);
-        self.per_osd_erases.save(w);
-        self.extra.save(w);
+        let Self {
+            now_us,
+            completed_ops,
+            total_records,
+            policy,
+            per_osd_erases,
+            extra,
+        } = self;
+        w.put_u64(*now_us);
+        w.put_u64(*completed_ops);
+        w.put_u64(*total_records);
+        policy.save(w);
+        per_osd_erases.save(w);
+        extra.save(w);
     }
     fn load(r: &mut SnapReader) -> Self {
         SnapManifest {
@@ -176,9 +184,14 @@ impl Snapshot for MigrationSchedule {
 
 impl Snapshot for FailureSpec {
     fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(self.at_us);
-        self.osd.save(w);
-        w.put_bool(self.rebuild);
+        let Self {
+            at_us,
+            osd,
+            rebuild,
+        } = self;
+        w.put_u64(*at_us);
+        osd.save(w);
+        w.put_bool(*rebuild);
     }
     fn load(r: &mut SnapReader) -> Self {
         FailureSpec {
@@ -384,8 +397,12 @@ impl Snapshot for Payload {
 
 impl Snapshot for SubReq {
     fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(self.enqueued_us);
-        self.payload.save(w);
+        let Self {
+            enqueued_us,
+            payload,
+        } = self;
+        w.put_u64(*enqueued_us);
+        payload.save(w);
     }
     fn load(r: &mut SnapReader) -> Self {
         SubReq {
@@ -397,9 +414,14 @@ impl Snapshot for SubReq {
 
 impl Snapshot for Inflight {
     fn save(&self, w: &mut SnapWriter) {
-        self.client.save(w);
-        w.put_u64(self.issued_us);
-        w.put_u32(self.remaining);
+        let Self {
+            client,
+            issued_us,
+            remaining,
+        } = self;
+        client.save(w);
+        w.put_u64(*issued_us);
+        w.put_u32(*remaining);
     }
     fn load(r: &mut SnapReader) -> Self {
         Inflight {
@@ -412,9 +434,14 @@ impl Snapshot for Inflight {
 
 impl Snapshot for RebuildState {
     fn save(&self, w: &mut SnapWriter) {
-        self.dest.save(w);
-        w.put_u32(self.pending_reads);
-        w.put_u64(self.size);
+        let Self {
+            dest,
+            pending_reads,
+            size,
+        } = self;
+        dest.save(w);
+        w.put_u32(*pending_reads);
+        w.put_u64(*size);
     }
     fn load(r: &mut SnapReader) -> Self {
         RebuildState {
@@ -519,7 +546,9 @@ pub(crate) struct Engine<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder +
     /// recording is read-only so behaviour is identical at every level.
     pub(crate) obs: &'a mut R,
 
-    queue: CalendarQueue<Event>,
+    /// Pending events, popped in `(at, seq)` order; `seq` is strictly
+    /// increasing, so the order is total.
+    queue: BinaryHeap<Reverse<(u64, u64, Event)>>,
     seq: u64,
     pub(crate) now: u64,
 
@@ -567,7 +596,7 @@ pub(crate) struct Engine<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder +
 impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, P, R> {
     fn push(&mut self, at: u64, ev: Event) {
         self.seq += 1;
-        self.queue.push(at, self.seq, ev);
+        self.queue.push(Reverse((at, self.seq, ev)));
     }
 
     /// Tags subsequent journal entries with the component that owns
@@ -1382,10 +1411,11 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
         self.options.schedule.save(w);
         self.options.failures.save(w);
         w.put_bool(self.blocking_moves);
-        // The calendar queue has unspecified internal order; canonicalize
-        // as the ascending (at, seq, event) list — the exact bytes the old
-        // binary-heap encoding produced.
-        self.queue.to_sorted_vec().save(w);
+        // A heap's internal order depends on its history; canonicalize
+        // as the ascending (at, seq, event) list.
+        let mut pending: Vec<(u64, u64, Event)> = self.queue.iter().map(|e| e.0).collect();
+        pending.sort_unstable();
+        pending.save(w);
         w.put_u64(self.seq);
         w.put_u64(self.now);
         w.put_u64(self.last_ckpt_us);
@@ -1427,9 +1457,8 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
         if !r.failed() && blocking != self.blocking_moves {
             r.corrupt("policy blocking-moves mode differs from checkpoint");
         }
-        for (at, seq, ev) in Vec::<(u64, u64, Event)>::load(r) {
-            self.queue.push(at, seq, ev);
-        }
+        self.queue
+            .extend(Vec::<(u64, u64, Event)>::load(r).into_iter().map(Reverse));
         self.seq = r.take_u64();
         self.now = r.take_u64();
         self.last_ckpt_us = r.take_u64();
@@ -1606,16 +1635,16 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
     /// consulted, and on [`TimeStep::Yield`] the event is re-enqueued
     /// under its original `(time, seq)` key and control returns to the
     /// caller with `true` ("yielded"; `self.paused` is untouched). The
-    /// re-push is order-safe: [`CalendarQueue`] clamps a past-time push
-    /// into the current bucket's sorted run, so the next pop sees the
-    /// exact event it would have seen without the yield. This is what
-    /// lets a live daemon pace the same deterministic engine against a
-    /// dilated wall clock without perturbing the replay digest.
+    /// re-push is order-safe: the key is the one just popped, still the
+    /// smallest pending, so the next pop sees the exact event it would
+    /// have seen without the yield. This is what lets a live daemon pace
+    /// the same deterministic engine against a dilated wall clock
+    /// without perturbing the replay digest.
     pub(crate) fn run_paced(&mut self, pace: &mut dyn TimeSource) -> bool {
-        while let Some((at, seq, ev)) = self.queue.pop() {
+        while let Some(Reverse((at, seq, ev))) = self.queue.pop() {
             debug_assert!(at >= self.now, "time went backwards");
             if pace.wait_until(at) == TimeStep::Yield {
-                self.queue.push(at, seq, ev);
+                self.queue.push(Reverse((at, seq, ev)));
                 return true;
             }
             self.now = at;
@@ -1833,7 +1862,7 @@ pub(crate) fn new_engine<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder +
         policy,
         options,
         obs,
-        queue: CalendarQueue::new(),
+        queue: BinaryHeap::new(),
         seq: 0,
         now: 0,
         cursors: vec![0; scripts.len()],

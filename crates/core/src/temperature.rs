@@ -205,11 +205,18 @@ impl AccessTracker {
 
 impl Snapshot for ObjectHeat {
     fn save(&self, w: &mut SnapWriter) {
-        w.put_f64(self.write_temp);
-        w.put_f64(self.total_temp);
-        w.put_u64(self.last_interval);
-        w.put_u64(self.window_write_pages);
-        w.put_u64(self.window_access_pages);
+        let Self {
+            write_temp,
+            total_temp,
+            last_interval,
+            window_write_pages,
+            window_access_pages,
+        } = self;
+        w.put_f64(*write_temp);
+        w.put_f64(*total_temp);
+        w.put_u64(*last_interval);
+        w.put_u64(*window_write_pages);
+        w.put_u64(*window_access_pages);
     }
     fn load(r: &mut SnapReader) -> Self {
         ObjectHeat {
@@ -225,11 +232,16 @@ impl Snapshot for ObjectHeat {
 impl Snapshot for AccessTracker {
     fn save(&self, w: &mut SnapWriter) {
         // `slots` is not stored: `load` reads it back off `heats`.
-        debug_assert_eq!(self.slots.len(), self.heats.len());
-        w.put_u64(self.interval_us);
-        self.capacity.save(w);
+        let Self {
+            slots: _,
+            heats,
+            interval_us,
+            capacity,
+        } = self;
+        w.put_u64(*interval_us);
+        capacity.save(w);
         // Canonical order: ascending object id, as a `BTreeMap` encodes.
-        let mut sorted: Vec<&(ObjectId, ObjectHeat)> = self.heats.iter().collect();
+        let mut sorted: Vec<&(ObjectId, ObjectHeat)> = heats.iter().collect();
         sorted.sort_unstable_by_key(|e| e.0);
         w.put_u64(sorted.len() as u64);
         for (o, heat) in sorted {

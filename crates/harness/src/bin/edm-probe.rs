@@ -125,7 +125,7 @@ fn verify_mode(path: &str) {
         report.kinds_seen(),
         edm_spec::SpecReport::kinds_known()
     );
-    for kind in edm_spec::EVENT_KINDS {
+    for kind in edm_obs::Event::KINDS {
         let n = report.kind_counts.get(kind).copied().unwrap_or(0);
         let mark = if n > 0 { ' ' } else { '-' };
         println!("{mark} {kind:<18} {n}");

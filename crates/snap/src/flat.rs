@@ -146,11 +146,11 @@ impl<K: Ord, V> FlatMap<K, V> {
     }
 }
 
-// edm-audit: allow(snap.field_coverage, "load rebuilds `entries` element-wise through the length-prefixed loop below")
 impl<K: Snapshot + Ord, V: Snapshot> Snapshot for FlatMap<K, V> {
     fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(self.entries.len() as u64);
-        for (k, v) in &self.entries {
+        let Self { entries } = self;
+        w.put_u64(entries.len() as u64);
+        for (k, v) in entries {
             k.save(w);
             v.save(w);
         }
@@ -262,10 +262,16 @@ impl<V> TokenMap<V> {
     }
 }
 
-// edm-audit: allow(snap.field_coverage, "save/load serialize occupied (token, value) pairs; `base`, `slots`, and `len` are all reconstructed by insert")
 impl<V: Snapshot> Snapshot for TokenMap<V> {
     fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(self.len as u64);
+        // `base` and `slots` are written as the occupied (token, value)
+        // pairs `iter` yields; `load` re-inserts them, which rebuilds both.
+        let Self {
+            base: _,
+            slots: _,
+            len,
+        } = self;
+        w.put_u64(*len as u64);
         for (token, v) in self.iter() {
             w.put_u64(token);
             v.save(w);

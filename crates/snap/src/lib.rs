@@ -55,6 +55,65 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 /// [`SnapError`] when the enclosing section is finished — corruption is
 /// detected by the per-section CRC *before* `load` runs, so `load` only
 /// sees either a valid body or a reader that is already poisoned.
+///
+/// # Every field, checked by the compiler
+///
+/// `save` of a named-field struct opens with an exhaustive destructure
+/// of `self` — no `..` — and `load` builds a struct literal. A field
+/// added to the struct then fails the build until both sides handle it
+/// (E0027 in `save`, E0063 in `load`), a field that is named but never
+/// written is an `unused_variables` warning (`scripts/check.sh lint`
+/// denies warnings), and one that is saved but not loaded fails every
+/// round trip with [`SnapError::TrailingData`]. A derived field that
+/// `load` rebuilds instead of reading is spelled `field: _`, with the
+/// reason beside it.
+///
+/// ```
+/// use edm_snap::{SnapReader, SnapWriter, Snapshot};
+///
+/// struct Wear {
+///     erases: u64,
+///     budget: u64,
+/// }
+///
+/// impl Snapshot for Wear {
+///     fn save(&self, w: &mut SnapWriter) {
+///         let Self { erases, budget } = self;
+///         w.put_u64(*erases);
+///         w.put_u64(*budget);
+///     }
+///     fn load(r: &mut SnapReader) -> Self {
+///         Wear {
+///             erases: r.take_u64(),
+///             budget: r.take_u64(),
+///         }
+///     }
+/// }
+/// ```
+///
+/// The same `save` with `budget` forgotten does not build:
+///
+/// ```compile_fail,E0027
+/// use edm_snap::{SnapReader, SnapWriter, Snapshot};
+///
+/// struct Wear {
+///     erases: u64,
+///     budget: u64,
+/// }
+///
+/// impl Snapshot for Wear {
+///     fn save(&self, w: &mut SnapWriter) {
+///         let Self { erases } = self;
+///         w.put_u64(*erases);
+///     }
+///     fn load(r: &mut SnapReader) -> Self {
+///         Wear {
+///             erases: r.take_u64(),
+///             budget: r.take_u64(),
+///         }
+///     }
+/// }
+/// ```
 pub trait Snapshot: Sized {
     fn save(&self, w: &mut SnapWriter);
     fn load(r: &mut SnapReader) -> Self;

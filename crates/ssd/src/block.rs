@@ -154,10 +154,16 @@ impl Snapshot for PageState {
 
 impl Snapshot for Block {
     fn save(&self, w: &mut SnapWriter) {
-        self.pages.save(w);
-        w.put_u32(self.write_ptr);
-        w.put_u32(self.valid);
-        w.put_u64(self.erase_count);
+        let Self {
+            pages,
+            write_ptr,
+            valid,
+            erase_count,
+        } = self;
+        pages.save(w);
+        w.put_u32(*write_ptr);
+        w.put_u32(*valid);
+        w.put_u64(*erase_count);
     }
     fn load(r: &mut SnapReader) -> Self {
         let pages = Vec::<PageState>::load(r);

@@ -834,8 +834,9 @@ thread_local! {
 
 impl Snapshot for PhysPage {
     fn save(&self, w: &mut SnapWriter) {
-        w.put_u32(self.block);
-        w.put_u32(self.page);
+        let Self { block, page } = self;
+        w.put_u32(*block);
+        w.put_u32(*page);
     }
     fn load(r: &mut SnapReader) -> Self {
         PhysPage {
@@ -868,10 +869,16 @@ impl Snapshot for VictimPolicy {
 
 impl Snapshot for FtlConfig {
     fn save(&self, w: &mut SnapWriter) {
-        w.put_u32(self.gc_low_watermark);
-        w.put_u32(self.gc_high_watermark);
-        self.victim_policy.save(w);
-        self.wear_leveling.save(w);
+        let Self {
+            gc_low_watermark,
+            gc_high_watermark,
+            victim_policy,
+            wear_leveling,
+        } = self;
+        w.put_u32(*gc_low_watermark);
+        w.put_u32(*gc_high_watermark);
+        victim_policy.save(w);
+        wear_leveling.save(w);
     }
     fn load(r: &mut SnapReader) -> Self {
         FtlConfig {

@@ -105,10 +105,16 @@ impl Default for Geometry {
 
 impl Snapshot for Geometry {
     fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(self.page_size);
-        w.put_u32(self.pages_per_block);
-        w.put_u32(self.blocks);
-        w.put_u32(self.over_provision_ppt);
+        let Self {
+            page_size,
+            pages_per_block,
+            blocks,
+            over_provision_ppt,
+        } = self;
+        w.put_u64(*page_size);
+        w.put_u32(*pages_per_block);
+        w.put_u32(*blocks);
+        w.put_u32(*over_provision_ppt);
     }
     fn load(r: &mut SnapReader) -> Self {
         let g = Geometry {

@@ -122,9 +122,14 @@ impl Snapshot for DeviceTime {
 
 impl Snapshot for LatencyModel {
     fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(self.page_read_us);
-        w.put_u64(self.page_write_us);
-        w.put_u64(self.block_erase_us);
+        let Self {
+            page_read_us,
+            page_write_us,
+            block_erase_us,
+        } = self;
+        w.put_u64(*page_read_us);
+        w.put_u64(*page_write_us);
+        w.put_u64(*block_erase_us);
     }
     fn load(r: &mut SnapReader) -> Self {
         LatencyModel {

@@ -192,8 +192,9 @@ impl Ssd {
 
 impl Snapshot for Ssd {
     fn save(&self, w: &mut SnapWriter) {
-        self.ftl.save(w);
-        self.latency.save(w);
+        let Self { ftl, latency } = self;
+        ftl.save(w);
+        latency.save(w);
     }
     fn load(r: &mut SnapReader) -> Self {
         Ssd {

@@ -237,10 +237,16 @@ impl Snapshot for VictimBuckets {
     /// slot updates), so a bit-identical restore must preserve it. The
     /// `slot` index is derivable and rebuilt on load.
     fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(self.slot.len() as u64);
-        self.buckets.save(w);
-        w.put_u64(self.min_valid as u64);
-        w.put_u64(self.len as u64);
+        let Self {
+            slot,
+            buckets,
+            min_valid,
+            len,
+        } = self;
+        w.put_u64(slot.len() as u64);
+        buckets.save(w);
+        w.put_u64(*min_valid as u64);
+        w.put_u64(*len as u64);
     }
     fn load(r: &mut SnapReader) -> Self {
         let mut blocks = r.take_usize();

@@ -67,12 +67,20 @@ impl WearStats {
 
 impl Snapshot for WearStats {
     fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(self.host_page_writes);
-        w.put_u64(self.host_page_reads);
-        w.put_u64(self.gc_page_moves);
-        w.put_u64(self.block_erases);
-        w.put_u64(self.gc_victims);
-        w.put_u64(self.victim_valid_pages);
+        let Self {
+            host_page_writes,
+            host_page_reads,
+            gc_page_moves,
+            block_erases,
+            gc_victims,
+            victim_valid_pages,
+        } = self;
+        w.put_u64(*host_page_writes);
+        w.put_u64(*host_page_reads);
+        w.put_u64(*gc_page_moves);
+        w.put_u64(*block_erases);
+        w.put_u64(*gc_victims);
+        w.put_u64(*victim_valid_pages);
     }
     fn load(r: &mut SnapReader) -> Self {
         WearStats {

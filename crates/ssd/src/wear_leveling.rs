@@ -188,8 +188,12 @@ impl SpreadTracker {
 
 impl Snapshot for WearLevelConfig {
     fn save(&self, w: &mut SnapWriter) {
-        w.put_bool(self.dynamic);
-        w.put_u64(self.static_threshold);
+        let Self {
+            dynamic,
+            static_threshold,
+        } = self;
+        w.put_bool(*dynamic);
+        w.put_u64(*static_threshold);
     }
     fn load(r: &mut SnapReader) -> Self {
         WearLevelConfig {
@@ -203,9 +207,14 @@ impl Snapshot for FreePool {
     /// FIFO order is behaviour-relevant, so the deque is serialized as-is;
     /// the wear-ordered set round-trips through its sorted iteration.
     fn save(&self, w: &mut SnapWriter) {
-        self.fifo.save(w);
-        self.by_wear.save(w);
-        w.put_bool(self.dynamic);
+        let Self {
+            fifo,
+            by_wear,
+            dynamic,
+        } = self;
+        fifo.save(w);
+        by_wear.save(w);
+        w.put_bool(*dynamic);
     }
     fn load(r: &mut SnapReader) -> Self {
         let fifo = std::collections::VecDeque::<u32>::load(r);
@@ -224,9 +233,10 @@ impl Snapshot for FreePool {
 
 impl Snapshot for SpreadTracker {
     fn save(&self, w: &mut SnapWriter) {
-        self.hist.save(w);
-        w.put_u64(self.min);
-        w.put_u64(self.max);
+        let Self { hist, min, max } = self;
+        hist.save(w);
+        w.put_u64(*min);
+        w.put_u64(*max);
     }
     fn load(r: &mut SnapReader) -> Self {
         let hist = Vec::<u64>::load(r);

@@ -173,11 +173,18 @@ impl WorkloadSpec {
 
 impl Snapshot for SkewProfile {
     fn save(&self, w: &mut SnapWriter) {
-        w.put_f64(self.write_theta);
-        w.put_f64(self.read_theta);
-        w.put_f64(self.hot_overlap);
-        w.put_f64(self.size_coupling);
-        w.put_u32(self.phases);
+        let Self {
+            write_theta,
+            read_theta,
+            hot_overlap,
+            size_coupling,
+            phases,
+        } = self;
+        w.put_f64(*write_theta);
+        w.put_f64(*read_theta);
+        w.put_f64(*hot_overlap);
+        w.put_f64(*size_coupling);
+        w.put_u32(*phases);
     }
     fn load(r: &mut SnapReader) -> Self {
         SkewProfile {
@@ -192,8 +199,12 @@ impl Snapshot for SkewProfile {
 
 impl Snapshot for FileSizeModel {
     fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(self.min_bytes);
-        w.put_u64(self.max_bytes);
+        let Self {
+            min_bytes,
+            max_bytes,
+        } = self;
+        w.put_u64(*min_bytes);
+        w.put_u64(*max_bytes);
     }
     fn load(r: &mut SnapReader) -> Self {
         FileSizeModel {
@@ -209,16 +220,28 @@ impl Snapshot for WorkloadSpec {
     /// trace body; synthesis consumes the seeded RNG completely, so "every
     /// RNG position" reduces to this value.
     fn save(&self, w: &mut SnapWriter) {
-        self.name.save(w);
-        w.put_u64(self.file_cnt);
-        w.put_u64(self.write_cnt);
-        w.put_u64(self.avg_write_size);
-        w.put_u64(self.read_cnt);
-        w.put_u64(self.avg_read_size);
-        self.skew.save(w);
-        self.file_sizes.save(w);
-        w.put_u32(self.users);
-        w.put_u64(self.seed);
+        let Self {
+            name,
+            file_cnt,
+            write_cnt,
+            avg_write_size,
+            read_cnt,
+            avg_read_size,
+            skew,
+            file_sizes,
+            users,
+            seed,
+        } = self;
+        name.save(w);
+        w.put_u64(*file_cnt);
+        w.put_u64(*write_cnt);
+        w.put_u64(*avg_write_size);
+        w.put_u64(*read_cnt);
+        w.put_u64(*avg_read_size);
+        skew.save(w);
+        file_sizes.save(w);
+        w.put_u32(*users);
+        w.put_u64(*seed);
     }
     fn load(r: &mut SnapReader) -> Self {
         let spec = WorkloadSpec {

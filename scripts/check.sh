@@ -6,7 +6,8 @@
 # below against .github/workflows/ci.yml.
 #
 #   check.sh fmt     rustfmt --check
-#   check.sh lint    clippy, warnings denied
+#   check.sh lint    clippy, warnings denied (what fails on a snapshot field that a
+#                    `save` destructure names but never writes: unused_variables)
 #   check.sh audit   edm-audit static analysis
 #   check.sh build   release build
 #   check.sh test    cargo test, workspace then the benchmark package
