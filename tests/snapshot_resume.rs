@@ -168,3 +168,57 @@ fn snap_meta_round_trips() {
         scenario
     );
 }
+
+/// FNV-1a, as in `edm_scenario::report_digest`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The checkpoint format is whatever the `Snapshot` impls write, so its
+/// bytes are pinned the way `frozen_behaviour.rs` pins digests and
+/// journals (scenario texts copied from there): the first and last
+/// checkpoint of the `ckpt` gate scenario cut at every tick, and one
+/// `LiveWorld::checkpoint_now` file of the `live` one. A row that moves
+/// means old checkpoints no longer resume; if that is the point of the
+/// change, bump `FORMAT_VERSION` / `SNAP_VERSION` and paste the table
+/// the failure prints.
+#[test]
+fn checkpoint_bytes_are_frozen() {
+    const GOLDEN: [(&str, u64, usize); 3] = [
+        ("ckpt first", 0x199e_b038_cc05_5699, 289_843),
+        ("ckpt last", 0xb851_e5d5_38cf_709a, 285_006),
+        ("live", 0xb658_4bae_9f56_a27f, 36_678),
+    ];
+
+    let (_, snaps) = checkpointed_run(&faulted_scenario(), "frozen");
+    let live_dir = ckpt_dir("frozen-live");
+    let live = Scenario::parse("trace random\nscale 0.002\nschedule every-tick\nlambda 0.05\n")
+        .expect("scenario");
+    let ops = edm_serve::dump_ops(&live);
+    let mut world = edm_serve::LiveWorld::new(live).expect("live world");
+    for line in ops.lines().take(1000) {
+        world.apply_line(line, &mut NoopRecorder);
+    }
+    let live_snap = world.checkpoint_now(&live_dir).expect("live checkpoint");
+
+    let files = [&snaps[0], &snaps[snaps.len() - 1], &live_snap];
+    let mut moved = false;
+    let mut table = String::new();
+    for (&(name, hash, len), path) in GOLDEN.iter().zip(files) {
+        let bytes = std::fs::read(path).expect("read checkpoint");
+        moved |= (fnv1a(&bytes), bytes.len()) != (hash, len);
+        table.push_str(&format!(
+            "(\"{name}\", {:#018x}, {}),\n",
+            fnv1a(&bytes),
+            bytes.len()
+        ));
+    }
+    cleanup(&snaps);
+    let _ = std::fs::remove_dir_all(&live_dir);
+    assert!(
+        !moved,
+        "checkpoint bytes moved; the files now give:\n{table}"
+    );
+}
