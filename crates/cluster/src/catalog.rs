@@ -3,8 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use edm_snap::{IdSet, SnapReader, SnapWriter, Snapshot};
-use serde::{Deserialize, Serialize};
+use edm_snap::{snapshot_struct, IdSet, SnapReader, SnapWriter, Snapshot};
 
 use edm_workload::FileId;
 
@@ -14,7 +13,7 @@ use crate::raid::StripeLayout;
 use crate::remap::RemappingTable;
 
 /// Metadata of one file.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FileMeta {
     pub file: FileId,
     pub size: u64,
@@ -129,28 +128,12 @@ impl Catalog {
     }
 }
 
-impl Snapshot for FileMeta {
-    fn save(&self, w: &mut SnapWriter) {
-        let Self {
-            file,
-            size,
-            objects,
-            object_size,
-        } = self;
-        file.save(w);
-        w.put_u64(*size);
-        objects.save(w);
-        w.put_u64(*object_size);
-    }
-    fn load(r: &mut SnapReader) -> Self {
-        FileMeta {
-            file: FileId::load(r),
-            size: r.take_u64(),
-            objects: Vec::load(r),
-            object_size: r.take_u64(),
-        }
-    }
-}
+snapshot_struct!(FileMeta {
+    file,
+    size,
+    objects,
+    object_size
+});
 
 impl Snapshot for Catalog {
     fn save(&self, w: &mut SnapWriter) {

@@ -1,7 +1,6 @@
 //! Cluster simulation configuration (§IV–§V.A defaults).
 
-use edm_snap::{SnapReader, SnapWriter, Snapshot};
-use serde::{Deserialize, Serialize};
+use edm_snap::snapshot_struct;
 
 use edm_ssd::{FtlConfig, LatencyModel};
 
@@ -9,7 +8,7 @@ use crate::placement::Placement;
 use crate::raid::StripeLayout;
 
 /// Everything needed to build and drive one cluster run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Number of OSDs (`n`); the paper evaluates 16 and 20.
     pub osds: u32,
@@ -132,70 +131,27 @@ impl ClusterConfig {
     }
 }
 
-impl Snapshot for ClusterConfig {
-    fn save(&self, w: &mut SnapWriter) {
-        let Self {
-            osds,
-            groups,
-            objects_per_file,
-            stripe_unit,
-            clients,
-            client_concurrency,
-            target_max_utilization,
-            latency,
-            ftl,
-            osd_overhead_us,
-            mds_latency_us,
-            wear_tick_us,
-            response_window_us,
-            skip_warm_up,
-            dest_free_reserve,
-            move_chunk_bytes,
-        } = self;
-        w.put_u32(*osds);
-        w.put_u32(*groups);
-        w.put_u32(*objects_per_file);
-        w.put_u64(*stripe_unit);
-        clients.save(w);
-        w.put_u32(*client_concurrency);
-        w.put_f64(*target_max_utilization);
-        latency.save(w);
-        ftl.save(w);
-        w.put_u64(*osd_overhead_us);
-        w.put_u64(*mds_latency_us);
-        w.put_u64(*wear_tick_us);
-        w.put_u64(*response_window_us);
-        w.put_bool(*skip_warm_up);
-        w.put_f64(*dest_free_reserve);
-        w.put_u64(*move_chunk_bytes);
-    }
-    fn load(r: &mut SnapReader) -> Self {
-        let c = ClusterConfig {
-            osds: r.take_u32(),
-            groups: r.take_u32(),
-            objects_per_file: r.take_u32(),
-            stripe_unit: r.take_u64(),
-            clients: Option::load(r),
-            client_concurrency: r.take_u32(),
-            target_max_utilization: r.take_f64(),
-            latency: LatencyModel::load(r),
-            ftl: FtlConfig::load(r),
-            osd_overhead_us: r.take_u64(),
-            mds_latency_us: r.take_u64(),
-            wear_tick_us: r.take_u64(),
-            response_window_us: r.take_u64(),
-            skip_warm_up: r.take_bool(),
-            dest_free_reserve: r.take_f64(),
-            move_chunk_bytes: r.take_u64(),
-        };
-        if !r.failed() {
-            if let Err(e) = c.validate() {
-                r.corrupt(format!("cluster config: {e}"));
-            }
-        }
-        c
-    }
-}
+snapshot_struct!(
+    ClusterConfig {
+        osds,
+        groups,
+        objects_per_file,
+        stripe_unit,
+        clients,
+        client_concurrency,
+        target_max_utilization,
+        latency,
+        ftl,
+        osd_overhead_us,
+        mds_latency_us,
+        wear_tick_us,
+        response_window_us,
+        skip_warm_up,
+        dest_free_reserve,
+        move_chunk_bytes,
+    },
+    check = "cluster config": ClusterConfig::validate
+);
 
 #[cfg(test)]
 mod tests {

@@ -5,11 +5,10 @@
 //! list with coalescing on free — simple, deterministic, and fragmentation
 //! behaviour good enough for object-sized allocations.
 
-use edm_snap::{SnapReader, SnapWriter, Snapshot};
-use serde::{Deserialize, Serialize};
+use edm_snap::snapshot_struct;
 
 /// A contiguous byte range `[start, start + len)` of logical space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Extent {
     pub start: u64,
     pub len: u64,
@@ -118,44 +117,19 @@ impl ExtentAllocator {
     }
 }
 
-impl Snapshot for Extent {
-    fn save(&self, w: &mut SnapWriter) {
-        let Self { start, len } = self;
-        w.put_u64(*start);
-        w.put_u64(*len);
-    }
-    fn load(r: &mut SnapReader) -> Self {
-        Extent {
-            start: r.take_u64(),
-            len: r.take_u64(),
-        }
-    }
-}
+snapshot_struct!(Extent { start, len });
 
-impl Snapshot for ExtentAllocator {
-    fn save(&self, w: &mut SnapWriter) {
-        let Self { capacity, free } = self;
-        w.put_u64(*capacity);
-        free.save(w);
+snapshot_struct!(
+    ExtentAllocator { capacity, free },
+    // The free list's invariants (sorted, non-overlapping, non-adjacent,
+    // in bounds) are what `free()` relies on.
+    check = "extent free list": |a| {
+        let ok = a.free.iter().all(|e| e.len > 0 && e.end() <= a.capacity)
+            // edm-audit: allow(panic.slice_index, "windows(2) yields exactly two elements per window")
+            && a.free.windows(2).all(|p| p[0].end() < p[1].start);
+        if ok { Ok(()) } else { Err("violates its invariants".into()) }
     }
-    fn load(r: &mut SnapReader) -> Self {
-        let a = ExtentAllocator {
-            capacity: r.take_u64(),
-            free: Vec::load(r),
-        };
-        if !r.failed() {
-            // The free list's invariants (sorted, non-overlapping,
-            // non-adjacent, in bounds) are what `free()` relies on.
-            let ok = a.free.iter().all(|e| e.len > 0 && e.end() <= a.capacity)
-                // edm-audit: allow(panic.slice_index, "windows(2) yields exactly two elements per window")
-                && a.free.windows(2).all(|p| p[0].end() < p[1].start);
-            if !ok {
-                r.corrupt("extent free list violates its invariants");
-            }
-        }
-        a
-    }
-}
+);
 
 #[cfg(test)]
 mod tests {

@@ -1,25 +1,24 @@
 //! Strongly typed identifiers used across the cluster simulator.
 
 use edm_snap::{SnapReader, SnapWriter, Snapshot};
-use serde::{Deserialize, Serialize};
 
 /// Index of an OSD (object-based storage device) in the cluster; the paper
 /// numbers the `n` OSDs 0..n and derives placement from `inode mod n`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct OsdId(pub u32);
 
 /// Index of an SSD group (§III.A): group *i* contains OSDs
 /// `{i, m+i, 2m+i, ...}`; migration is restricted to within a group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GroupId(pub u32);
 
 /// Cluster-wide object identifier. The paper allocates object numbers
 /// continuously (§V intro); we use `inode * k + object_index`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ObjectId(pub u64);
 
 /// A load-generating replay client.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ClientId(pub u32);
 
 impl std::fmt::Display for OsdId {

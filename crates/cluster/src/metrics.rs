@@ -1,8 +1,7 @@
 //! Run metrics: aggregate throughput (Fig. 5), windowed mean response
 //! time (Fig. 7), and per-OSD wear summaries (Fig. 1, Fig. 6).
 
-use edm_snap::{SnapReader, SnapWriter, Snapshot};
-use serde::{Deserialize, Serialize};
+use edm_snap::{snapshot_struct, SnapReader, SnapWriter, Snapshot};
 
 use edm_workload::Trace;
 
@@ -10,7 +9,7 @@ use crate::cluster::Cluster;
 
 /// Mean response time of file operations completed in one reporting
 /// window (Fig. 7 plots one point per 3-minute window).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResponseWindow {
     /// Window start, µs of virtual time.
     pub start_us: u64,
@@ -105,7 +104,7 @@ impl ResponseSeries {
 /// Log-scale latency histogram: ~5 % relative precision from 1 µs to
 /// ~18 minutes in a fixed 512-bucket footprint, good enough for the
 /// response-time percentiles a run reports.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LatencyHistogram {
     /// bucket i covers [floor^i, floor^(i+1)) µs with floor = 2^(1/16).
     buckets: Vec<u64>,
@@ -207,36 +206,21 @@ impl Snapshot for ResponseSeries {
     }
 }
 
-impl Snapshot for LatencyHistogram {
-    fn save(&self, w: &mut SnapWriter) {
-        let Self {
-            buckets,
-            count,
-            max_us,
-        } = self;
-        buckets.save(w);
-        w.put_u64(*count);
-        w.put_u64(*max_us);
-    }
-    fn load(r: &mut SnapReader) -> Self {
-        let h = LatencyHistogram {
-            buckets: Vec::load(r),
-            count: r.take_u64(),
-            max_us: r.take_u64(),
-        };
-        if !r.failed() {
-            if h.buckets.len() != Self::BUCKETS {
-                r.corrupt(format!("latency histogram has {} buckets", h.buckets.len()));
-            } else if h.buckets.iter().sum::<u64>() != h.count {
-                r.corrupt("latency histogram count disagrees with its buckets");
-            }
+snapshot_struct!(
+    LatencyHistogram { buckets, count, max_us },
+    check = "latency histogram": |h| {
+        if h.buckets.len() != LatencyHistogram::BUCKETS {
+            return Err(format!("has {} buckets", h.buckets.len()));
         }
-        h
+        if h.buckets.iter().sum::<u64>() != h.count {
+            return Err("count disagrees with its buckets".into());
+        }
+        Ok(())
     }
-}
+);
 
 /// Wear summary of one OSD at the end of a run (Fig. 1's two panels).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OsdWearSummary {
     pub osd: u32,
     pub erase_count: u64,
@@ -251,7 +235,7 @@ pub struct OsdWearSummary {
 }
 
 /// Everything a simulation run reports.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunReport {
     pub trace: String,
     pub policy: String,

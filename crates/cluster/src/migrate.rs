@@ -14,21 +14,20 @@
 use std::collections::HashSet;
 
 use edm_obs::Recorder;
-use edm_snap::{SnapReader, SnapWriter, Snapshot};
-use serde::{Deserialize, Serialize};
+use edm_snap::{snapshot_struct, SnapReader, SnapWriter};
 
 use crate::cluster::Cluster;
 use crate::ids::{GroupId, ObjectId, OsdId};
 
 /// Kind of access presented to the policy's tracker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessKind {
     Read,
     Write,
 }
 
 /// One object access, as seen by the access tracker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessEvent {
     pub now_us: u64,
     pub object: ObjectId,
@@ -38,7 +37,7 @@ pub struct AccessEvent {
 }
 
 /// Per-OSD state exposed to policies at planning time.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OsdView {
     pub osd: OsdId,
     pub group: GroupId,
@@ -59,7 +58,7 @@ pub struct OsdView {
 }
 
 /// Per-object state exposed to policies at planning time.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ObjectView {
     pub object: ObjectId,
     /// Where the object currently lives (after any prior remapping).
@@ -71,7 +70,7 @@ pub struct ObjectView {
 }
 
 /// Snapshot handed to [`Migrator::plan`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClusterView {
     pub now_us: u64,
     pub page_size: u64,
@@ -93,7 +92,7 @@ impl ClusterView {
 }
 
 /// One migration action — the paper's `(oid, source_id, dest_id)` triple.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MoveAction {
     pub object: ObjectId,
     pub source: OsdId,
@@ -169,25 +168,11 @@ pub trait Migrator {
     fn load_state(&mut self, _r: &mut SnapReader) {}
 }
 
-impl Snapshot for MoveAction {
-    fn save(&self, w: &mut SnapWriter) {
-        let Self {
-            object,
-            source,
-            dest,
-        } = self;
-        object.save(w);
-        source.save(w);
-        dest.save(w);
-    }
-    fn load(r: &mut SnapReader) -> Self {
-        MoveAction {
-            object: ObjectId::load(r),
-            source: OsdId::load(r),
-            dest: OsdId::load(r),
-        }
-    }
-}
+snapshot_struct!(MoveAction {
+    object,
+    source,
+    dest
+});
 
 /// The paper's baseline: hash placement, never migrates.
 #[derive(Debug, Default, Clone)]

@@ -7,14 +7,13 @@
 //! any two objects of a file in different groups whenever `k ≤ m`. Data
 //! migration is intra-group only, preserving that property (§III.D).
 
-use edm_snap::{SnapReader, SnapWriter, Snapshot};
-use serde::{Deserialize, Serialize};
+use edm_snap::snapshot_struct;
 
 use crate::ids::{GroupId, ObjectId, OsdId};
 use edm_workload::FileId;
 
 /// Placement parameters of the cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Placement {
     /// Total number of OSDs (`n`).
     pub osds: u32,
@@ -128,31 +127,10 @@ impl Placement {
     }
 }
 
-impl Snapshot for Placement {
-    fn save(&self, w: &mut SnapWriter) {
-        let Self {
-            osds,
-            groups,
-            objects_per_file,
-        } = self;
-        w.put_u32(*osds);
-        w.put_u32(*groups);
-        w.put_u32(*objects_per_file);
-    }
-    fn load(r: &mut SnapReader) -> Self {
-        let p = Placement {
-            osds: r.take_u32(),
-            groups: r.take_u32(),
-            objects_per_file: r.take_u32(),
-        };
-        if !r.failed() {
-            if let Err(e) = p.validate() {
-                r.corrupt(format!("placement: {e}"));
-            }
-        }
-        p
-    }
-}
+snapshot_struct!(
+    Placement { osds, groups, objects_per_file },
+    check = "placement": Placement::validate
+);
 
 #[cfg(test)]
 mod tests {

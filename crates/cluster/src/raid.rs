@@ -12,10 +12,9 @@
 //! RAID-5 to SSD wear.
 
 use edm_snap::{SnapReader, SnapWriter, Snapshot};
-use serde::{Deserialize, Serialize};
 
 /// What a sub-operation does to an object.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IoKind {
     DataRead,
     DataWrite,
@@ -32,7 +31,7 @@ impl IoKind {
 }
 
 /// One object-level I/O produced by striping a file request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObjectIo {
     /// Index of the target object within the file (0..k).
     pub object_index: u32,
@@ -43,7 +42,7 @@ pub struct ObjectIo {
 }
 
 /// RAID-5 stripe layout of one file over `k` objects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StripeLayout {
     /// Objects per file, k ≥ 2 (k−1 data + 1 rotating parity per row).
     pub k: u32,

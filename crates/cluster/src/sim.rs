@@ -16,7 +16,9 @@ use std::collections::{BinaryHeap, HashSet, VecDeque};
 use std::path::PathBuf;
 
 use edm_obs::{AsDynRecorder, Event as ObsEvent, NoopRecorder, Recorder};
-use edm_snap::{FlatMap, SnapError, SnapReader, SnapWriter, Snapshot, SnapshotFile, TokenMap};
+use edm_snap::{
+    snapshot_struct, FlatMap, SnapError, SnapReader, SnapWriter, Snapshot, SnapshotFile, TokenMap,
+};
 use edm_workload::{FileOp, Trace};
 
 use crate::cluster::Cluster;
@@ -132,75 +134,22 @@ impl SnapManifest {
     }
 }
 
-impl Snapshot for SnapManifest {
-    fn save(&self, w: &mut SnapWriter) {
-        let Self {
-            now_us,
-            completed_ops,
-            total_records,
-            policy,
-            per_osd_erases,
-            extra,
-        } = self;
-        w.put_u64(*now_us);
-        w.put_u64(*completed_ops);
-        w.put_u64(*total_records);
-        policy.save(w);
-        per_osd_erases.save(w);
-        extra.save(w);
-    }
-    fn load(r: &mut SnapReader) -> Self {
-        SnapManifest {
-            now_us: r.take_u64(),
-            completed_ops: r.take_u64(),
-            total_records: r.take_u64(),
-            policy: String::load(r),
-            per_osd_erases: Vec::load(r),
-            extra: Vec::load(r),
-        }
-    }
-}
+snapshot_struct!(SnapManifest {
+    now_us,
+    completed_ops,
+    total_records,
+    policy,
+    per_osd_erases,
+    extra
+});
 
-impl Snapshot for MigrationSchedule {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_u8(match self {
-            MigrationSchedule::Never => 0,
-            MigrationSchedule::Midpoint => 1,
-            MigrationSchedule::EveryTick => 2,
-        });
-    }
-    fn load(r: &mut SnapReader) -> Self {
-        match r.take_u8() {
-            0 => MigrationSchedule::Never,
-            1 => MigrationSchedule::Midpoint,
-            2 => MigrationSchedule::EveryTick,
-            tag => {
-                r.corrupt(format!("migration schedule tag {tag}"));
-                MigrationSchedule::Never
-            }
-        }
-    }
-}
+snapshot_struct!(MigrationSchedule { 0 = Never, 1 = Midpoint, 2 = EveryTick });
 
-impl Snapshot for FailureSpec {
-    fn save(&self, w: &mut SnapWriter) {
-        let Self {
-            at_us,
-            osd,
-            rebuild,
-        } = self;
-        w.put_u64(*at_us);
-        osd.save(w);
-        w.put_bool(*rebuild);
-    }
-    fn load(r: &mut SnapReader) -> Self {
-        FailureSpec {
-            at_us: r.take_u64(),
-            osd: OsdId::load(r),
-            rebuild: r.take_bool(),
-        }
-    }
-}
+snapshot_struct!(FailureSpec {
+    at_us,
+    osd,
+    rebuild
+});
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Event {
@@ -302,155 +251,30 @@ impl Snapshot for Event {
     }
 }
 
-impl Snapshot for Payload {
-    fn save(&self, w: &mut SnapWriter) {
-        match *self {
-            Payload::FileIo {
-                token,
-                object,
-                offset,
-                len,
-                write,
-                degraded,
-            } => {
-                w.put_u8(0);
-                w.put_u64(token);
-                object.save(w);
-                w.put_u64(offset);
-                w.put_u64(len);
-                w.put_bool(write);
-                w.put_bool(degraded);
-            }
-            Payload::MoveRead {
-                object,
-                offset,
-                len,
-            } => {
-                w.put_u8(1);
-                object.save(w);
-                w.put_u64(offset);
-                w.put_u64(len);
-            }
-            Payload::MoveWrite {
-                object,
-                offset,
-                len,
-            } => {
-                w.put_u8(2);
-                object.save(w);
-                w.put_u64(offset);
-                w.put_u64(len);
-            }
-            Payload::RebuildRead { lost, sibling } => {
-                w.put_u8(3);
-                lost.save(w);
-                sibling.save(w);
-            }
-            Payload::RebuildWrite { lost, offset, len } => {
-                w.put_u8(4);
-                lost.save(w);
-                w.put_u64(offset);
-                w.put_u64(len);
-            }
-        }
-    }
-    fn load(r: &mut SnapReader) -> Self {
-        match r.take_u8() {
-            0 => Payload::FileIo {
-                token: r.take_u64(),
-                object: ObjectId::load(r),
-                offset: r.take_u64(),
-                len: r.take_u64(),
-                write: r.take_bool(),
-                degraded: r.take_bool(),
-            },
-            1 => Payload::MoveRead {
-                object: ObjectId::load(r),
-                offset: r.take_u64(),
-                len: r.take_u64(),
-            },
-            2 => Payload::MoveWrite {
-                object: ObjectId::load(r),
-                offset: r.take_u64(),
-                len: r.take_u64(),
-            },
-            3 => Payload::RebuildRead {
-                lost: ObjectId::load(r),
-                sibling: ObjectId::load(r),
-            },
-            4 => Payload::RebuildWrite {
-                lost: ObjectId::load(r),
-                offset: r.take_u64(),
-                len: r.take_u64(),
-            },
-            tag => {
-                r.corrupt(format!("payload tag {tag}"));
-                Payload::MoveRead {
-                    object: ObjectId(0),
-                    offset: 0,
-                    len: 0,
-                }
-            }
-        }
-    }
-}
+snapshot_struct!(Payload {
+    0 = FileIo { token, object, offset, len, write, degraded },
+    1 = MoveRead { object, offset, len },
+    2 = MoveWrite { object, offset, len },
+    3 = RebuildRead { lost, sibling },
+    4 = RebuildWrite { lost, offset, len },
+});
 
-impl Snapshot for SubReq {
-    fn save(&self, w: &mut SnapWriter) {
-        let Self {
-            enqueued_us,
-            payload,
-        } = self;
-        w.put_u64(*enqueued_us);
-        payload.save(w);
-    }
-    fn load(r: &mut SnapReader) -> Self {
-        SubReq {
-            enqueued_us: r.take_u64(),
-            payload: Payload::load(r),
-        }
-    }
-}
+snapshot_struct!(SubReq {
+    enqueued_us,
+    payload
+});
 
-impl Snapshot for Inflight {
-    fn save(&self, w: &mut SnapWriter) {
-        let Self {
-            client,
-            issued_us,
-            remaining,
-        } = self;
-        client.save(w);
-        w.put_u64(*issued_us);
-        w.put_u32(*remaining);
-    }
-    fn load(r: &mut SnapReader) -> Self {
-        Inflight {
-            client: ClientId::load(r),
-            issued_us: r.take_u64(),
-            remaining: r.take_u32(),
-        }
-    }
-}
+snapshot_struct!(Inflight {
+    client,
+    issued_us,
+    remaining
+});
 
-impl Snapshot for RebuildState {
-    fn save(&self, w: &mut SnapWriter) {
-        let Self {
-            dest,
-            pending_reads,
-            size,
-        } = self;
-        dest.save(w);
-        w.put_u32(*pending_reads);
-        w.put_u64(*size);
-    }
-    fn load(r: &mut SnapReader) -> Self {
-        RebuildState {
-            dest: OsdId::load(r),
-            pending_reads: r.take_u32(),
-            size: r.take_u64(),
-        }
-    }
-}
+snapshot_struct!(RebuildState {
+    dest,
+    pending_reads,
+    size
+});
 
 /// Component ownership tables for shard-aware journaling: which
 /// placement component each OSD and each client slot belongs to. Derived

@@ -13,12 +13,11 @@
 //! symmetrically holds the write-page array fixed (§III.B.5).
 
 use edm_cluster::metrics::rsd;
-use serde::{Deserialize, Serialize};
 
 use crate::wear_model::{erase_count_over, WearModel};
 
 /// Tunables of Algorithm 1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Alg1Config {
     /// Outer iteration count ("total iteration step is set to 500").
     pub iterations: usize,
@@ -58,7 +57,7 @@ impl Default for Alg1Config {
 }
 
 /// Result of the movement calculation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MovementAmounts {
     /// Per-device delta. HDF: ΔWc in pages (negative ⇒ shift that many
     /// page writes away). CDF: Δu as a utilization fraction (negative ⇒

@@ -1,13 +1,11 @@
 //! Configuration of the EDM policies.
 
-use serde::{Deserialize, Serialize};
-
 use crate::alg1::Alg1Config;
 use crate::temperature::AccessTracker;
 use crate::wear_model::PAPER_SIGMA;
 
 /// Which engine vets a plan before the policy publishes it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Assessor {
     /// The one-window projection loop over every object footprint — the
     /// reference semantics (default).
@@ -38,7 +36,7 @@ impl Assessor {
 }
 
 /// Tunables shared by EDM-HDF and EDM-CDF.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EdmConfig {
     /// Wear-imbalance trigger threshold λ (§III.B.2: "the threshold λ can
     /// be adjusted in real cases").

@@ -22,14 +22,13 @@
 use std::collections::HashMap;
 
 use edm_cluster::{ClusterView, MoveAction, ObjectId};
-use serde::{Deserialize, Serialize};
 
 use crate::temperature::AccessTracker;
 use crate::trigger;
 use crate::wear_model::WearModel;
 
 /// Predicted effect of a plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlanAssessment {
     /// Projected model erase counts per OSD one window ahead, without the
     /// plan: `Ec(wc + resident write rate, u)`.

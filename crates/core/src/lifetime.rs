@@ -8,10 +8,8 @@
 //! a measurement period, when each device exhausts its endurance, and
 //! quantifies the staggering margin between groups.
 
-use serde::{Deserialize, Serialize};
-
 /// Endurance parameters of one SSD model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnduranceSpec {
     /// Rated program/erase cycles per block (MLC-era NAND: ~3 000).
     pub pe_cycles: u64,
@@ -28,7 +26,7 @@ impl EnduranceSpec {
 }
 
 /// Lifetime projection of one device.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceLifetime {
     pub device: u32,
     /// Erases consumed during the measurement period.
@@ -65,7 +63,7 @@ pub fn project(
 }
 
 /// Staggering analysis: how far apart in time device wear-outs land.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Staggering {
     /// Projected wear-out times, ascending (periods).
     pub wearout_order: Vec<f64>,

@@ -9,7 +9,6 @@
 
 use edm_cluster::{AccessEvent, ClusterView, Migrator, MoveAction};
 use edm_snap::{SnapReader, SnapWriter, Snapshot};
-use serde::{Deserialize, Serialize};
 
 use crate::plan::{dest_budget_bytes, distribute, Destination, Selected};
 use crate::policy::emit_plan_chosen;
@@ -17,7 +16,7 @@ use crate::temperature::AccessTracker;
 use crate::trigger;
 
 /// CMT tunables.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CmtConfig {
     /// Load-imbalance threshold (RSD of EWMA latencies).
     pub lambda: f64,

@@ -18,7 +18,7 @@
 //! needs to satisfy ΔWc.
 
 use edm_cluster::{AccessEvent, AccessKind, ObjectId};
-use edm_snap::{IdMap, SnapReader, SnapWriter, Snapshot};
+use edm_snap::{snapshot_struct, IdMap, SnapReader, SnapWriter, Snapshot};
 
 /// One object's decayed counters.
 #[derive(Debug, Clone, Copy, Default)]
@@ -203,31 +203,13 @@ impl AccessTracker {
     }
 }
 
-impl Snapshot for ObjectHeat {
-    fn save(&self, w: &mut SnapWriter) {
-        let Self {
-            write_temp,
-            total_temp,
-            last_interval,
-            window_write_pages,
-            window_access_pages,
-        } = self;
-        w.put_f64(*write_temp);
-        w.put_f64(*total_temp);
-        w.put_u64(*last_interval);
-        w.put_u64(*window_write_pages);
-        w.put_u64(*window_access_pages);
-    }
-    fn load(r: &mut SnapReader) -> Self {
-        ObjectHeat {
-            write_temp: r.take_f64(),
-            total_temp: r.take_f64(),
-            last_interval: r.take_u64(),
-            window_write_pages: r.take_u64(),
-            window_access_pages: r.take_u64(),
-        }
-    }
-}
+snapshot_struct!(ObjectHeat {
+    write_temp,
+    total_temp,
+    last_interval,
+    window_write_pages,
+    window_access_pages
+});
 
 impl Snapshot for AccessTracker {
     fn save(&self, w: &mut SnapWriter) {

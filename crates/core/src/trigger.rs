@@ -6,10 +6,8 @@
 //! `Ecᵢ − Ēc > Ēc · λ` are migration sources; devices below the
 //! cluster-wide average form the destination set.
 
-use serde::{Deserialize, Serialize};
-
 /// The trigger verdict and the source/destination partition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TriggerDecision {
     /// Relative standard deviation σₑ/Ēc of the per-device erase counts.
     pub rsd: f64,

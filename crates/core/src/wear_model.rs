@@ -21,8 +21,6 @@
 //!
 //! > Ec(Wc, u) = Wc / (Np · (1 − F(u)))                (Eq. 4)
 
-use serde::{Deserialize, Serialize};
-
 /// The paper's empirical impact factor σ (§III.B.1, Fig. 3).
 pub const PAPER_SIGMA: f64 = 0.28;
 
@@ -46,7 +44,7 @@ pub fn u_of_ur(ur: f64) -> f64 {
 }
 
 /// The SSD wear model: Eq. 4 with a configurable σ.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WearModel {
     /// Pages per erase block (`Np`); the paper's geometry gives 32.
     pub pages_per_block: u32,

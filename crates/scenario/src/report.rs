@@ -1,7 +1,7 @@
 //! ASCII table/series rendering for experiment output, plus the
 //! determinism digest used to compare runs bit-for-bit.
 
-use edm_cluster::RunReport;
+use edm_cluster::{OsdWearSummary, ResponseWindow, RunReport};
 use edm_snap::SnapWriter;
 
 /// FNV-1a over a byte slice.
@@ -19,43 +19,78 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// this is the "resume equals uninterrupted" acceptance check in one
 /// number (printed by `edm-sim`, asserted by `scripts/check.sh`).
 pub fn report_digest(r: &RunReport) -> u64 {
+    // Exhaustive destructures (no `..`): a field added to the report
+    // fails the build here until the digest covers it.
+    let RunReport {
+        trace,
+        policy,
+        osds,
+        completed_ops,
+        duration_us,
+        mean_response_us,
+        response_percentiles_us: (p50, p95, p99),
+        response_windows,
+        per_osd,
+        moved_objects,
+        remap_entries,
+        total_objects,
+        migrations_triggered,
+        failed_osds,
+        degraded_ops,
+        lost_ops,
+        rebuilt_objects,
+    } = r;
     let mut w = SnapWriter::new();
-    w.put_str(&r.trace);
-    w.put_str(&r.policy);
-    w.put_u32(r.osds);
-    w.put_u64(r.completed_ops);
-    w.put_u64(r.duration_us);
-    w.put_f64(r.mean_response_us);
-    w.put_u64(r.response_percentiles_us.0);
-    w.put_u64(r.response_percentiles_us.1);
-    w.put_u64(r.response_percentiles_us.2);
-    w.put_u64(r.response_windows.len() as u64);
-    for win in &r.response_windows {
-        w.put_u64(win.start_us);
-        w.put_u64(win.completed_ops);
-        w.put_f64(win.mean_response_us);
+    w.put_str(trace);
+    w.put_str(policy);
+    w.put_u32(*osds);
+    w.put_u64(*completed_ops);
+    w.put_u64(*duration_us);
+    w.put_f64(*mean_response_us);
+    w.put_u64(*p50);
+    w.put_u64(*p95);
+    w.put_u64(*p99);
+    w.put_u64(response_windows.len() as u64);
+    for win in response_windows {
+        let ResponseWindow {
+            start_us,
+            completed_ops,
+            mean_response_us,
+        } = win;
+        w.put_u64(*start_us);
+        w.put_u64(*completed_ops);
+        w.put_f64(*mean_response_us);
     }
-    w.put_u64(r.per_osd.len() as u64);
-    for o in &r.per_osd {
-        w.put_u32(o.osd);
-        w.put_u64(o.erase_count);
-        w.put_u64(o.write_pages);
-        w.put_u64(o.gc_page_moves);
-        w.put_f64(o.utilization);
-        w.put_u64(o.busy_us);
-        w.put_u64(o.peak_queue_depth);
+    w.put_u64(per_osd.len() as u64);
+    for o in per_osd {
+        let OsdWearSummary {
+            osd,
+            erase_count,
+            write_pages,
+            gc_page_moves,
+            utilization,
+            busy_us,
+            peak_queue_depth,
+        } = o;
+        w.put_u32(*osd);
+        w.put_u64(*erase_count);
+        w.put_u64(*write_pages);
+        w.put_u64(*gc_page_moves);
+        w.put_f64(*utilization);
+        w.put_u64(*busy_us);
+        w.put_u64(*peak_queue_depth);
     }
-    w.put_u64(r.moved_objects);
-    w.put_u64(r.remap_entries);
-    w.put_u64(r.total_objects);
-    w.put_u64(r.migrations_triggered);
-    w.put_u64(r.failed_osds.len() as u64);
-    for f in &r.failed_osds {
+    w.put_u64(*moved_objects);
+    w.put_u64(*remap_entries);
+    w.put_u64(*total_objects);
+    w.put_u64(*migrations_triggered);
+    w.put_u64(failed_osds.len() as u64);
+    for f in failed_osds {
         w.put_u32(*f);
     }
-    w.put_u64(r.degraded_ops);
-    w.put_u64(r.lost_ops);
-    w.put_u64(r.rebuilt_objects);
+    w.put_u64(*degraded_ops);
+    w.put_u64(*lost_ops);
+    w.put_u64(*rebuilt_objects);
     fnv1a(&w.into_bytes())
 }
 

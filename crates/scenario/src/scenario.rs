@@ -27,7 +27,7 @@ use edm_cluster::{
     SnapManifest,
 };
 use edm_core::{make_policy, Assessor, EdmConfig};
-use edm_snap::{SnapError, SnapReader, SnapWriter, SnapshotFile};
+use edm_snap::{snapshot_struct, SnapError, SnapReader, SnapWriter, Snapshot, SnapshotFile};
 use edm_workload::harvard;
 use edm_workload::synth::synthesize;
 use edm_workload::{FileId, Trace};
@@ -465,23 +465,23 @@ pub struct SnapMeta {
     pub trace_fingerprint: u64,
 }
 
+snapshot_struct!(SnapMeta {
+    scenario,
+    trace_fingerprint
+});
+
 impl SnapMeta {
     pub fn encode(&self) -> Vec<u8> {
         let mut w = SnapWriter::new();
-        w.put_str(&self.scenario);
-        w.put_u64(self.trace_fingerprint);
+        self.save(&mut w);
         w.into_bytes()
     }
 
     pub fn decode(bytes: &[u8]) -> Result<SnapMeta, SnapError> {
         let mut r = SnapReader::new(bytes);
-        let scenario = r.take_string();
-        let trace_fingerprint = r.take_u64();
+        let meta = SnapMeta::load(&mut r);
         r.finish("snap-meta")?;
-        Ok(SnapMeta {
-            scenario,
-            trace_fingerprint,
-        })
+        Ok(meta)
     }
 }
 

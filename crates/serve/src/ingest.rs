@@ -40,7 +40,7 @@ use edm_cluster::osd::OsdError;
 use edm_cluster::{Cluster, MigrationSchedule, Migrator, MoveAction};
 use edm_obs::Recorder;
 use edm_scenario::Scenario;
-use edm_snap::{SnapError, SnapWriter, SnapshotFile};
+use edm_snap::{snapshot_struct, SnapError, SnapWriter, Snapshot, SnapshotFile};
 use edm_workload::{FileId, FileOp};
 
 /// Layout version of the `serve-live` snapshot section.
@@ -77,6 +77,18 @@ pub struct LiveStats {
     pub moved_objects: u64,
     pub moved_bytes: u64,
 }
+
+snapshot_struct!(LiveStats {
+    applied_ops,
+    reads,
+    writes,
+    ticks,
+    migration_evaluations,
+    migrations_triggered,
+    failed_moves,
+    moved_objects,
+    moved_bytes,
+});
 
 /// The ingest-mode world: cluster + policy + virtual clock.
 pub struct LiveWorld {
@@ -373,15 +385,7 @@ impl LiveWorld {
         w.put_str(self.policy.name());
         w.put_u64(self.now_us);
         w.put_u64(self.next_tick_us);
-        w.put_u64(self.stats.applied_ops);
-        w.put_u64(self.stats.reads);
-        w.put_u64(self.stats.writes);
-        w.put_u64(self.stats.ticks);
-        w.put_u64(self.stats.migration_evaluations);
-        w.put_u64(self.stats.migrations_triggered);
-        w.put_u64(self.stats.failed_moves);
-        w.put_u64(self.stats.moved_objects);
-        w.put_u64(self.stats.moved_bytes);
+        self.stats.save(&mut w);
         snap.push_section(SECTION, w);
         snap.push("cluster", &self.cluster);
         let mut pw = SnapWriter::new();
@@ -412,17 +416,7 @@ impl LiveWorld {
         let policy_name = r.take_string();
         let now_us = r.take_u64();
         let next_tick_us = r.take_u64();
-        let stats = LiveStats {
-            applied_ops: r.take_u64(),
-            reads: r.take_u64(),
-            writes: r.take_u64(),
-            ticks: r.take_u64(),
-            migration_evaluations: r.take_u64(),
-            migrations_triggered: r.take_u64(),
-            failed_moves: r.take_u64(),
-            moved_objects: r.take_u64(),
-            moved_bytes: r.take_u64(),
-        };
+        let stats = LiveStats::load(&mut r);
         r.finish(SECTION)
             .map_err(|e| format!("{}: {e}", path.display()))?;
         let scenario = Scenario::parse(&scenario_text)

@@ -14,7 +14,7 @@
 //! incarnation-local bookkeeping (skips, buffered lines, checkpoint
 //! counts) lives in `/healthz`, which makes no such promise.
 
-use edm_cluster::{Cluster, OsdId};
+use edm_cluster::Cluster;
 use edm_obs::json::{field_bool, field_f64, field_raw, field_str, field_u64};
 use edm_obs::{Event, JournalEntry};
 
@@ -287,13 +287,6 @@ pub fn render_model(cluster: &Cluster, now_us: u64) -> String {
     field_raw(&mut out, "osds", &osds);
     out.push('}');
     out
-}
-
-/// Aggregate erase count, for the quick health line the daemon logs.
-pub fn total_erases(cluster: &Cluster) -> u64 {
-    (0..cluster.config.osds)
-        .map(|o| cluster.osd(OsdId(o)).ssd().wear().block_erases)
-        .sum()
 }
 
 #[cfg(test)]

@@ -56,60 +56,68 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 /// detected by the per-section CRC *before* `load` runs, so `load` only
 /// sees either a valid body or a reader that is already poisoned.
 ///
-/// # Every field, checked by the compiler
+/// # Every field, stated once or checked by the compiler
 ///
-/// `save` of a named-field struct opens with an exhaustive destructure
-/// of `self` — no `..` — and `load` builds a struct literal. A field
-/// added to the struct then fails the build until both sides handle it
-/// (E0027 in `save`, E0063 in `load`), a field that is named but never
-/// written is an `unused_variables` warning (`scripts/check.sh lint`
-/// denies warnings), and one that is saved but not loaded fails every
-/// round trip with [`SnapError::TrailingData`]. A derived field that
-/// `load` rebuilds instead of reading is spelled `field: _`, with the
-/// reason beside it.
+/// A type whose encoding is its fields in declaration order — most of
+/// them — gets its impl from [`snapshot_struct!`](crate::snapshot_struct),
+/// which names each field once. A type with a derived field that `load`
+/// rebuilds, a canonical ordering, or a safe fallback value writes the
+/// impl by hand, in one idiom: `save` opens with an exhaustive
+/// destructure of `self` — no `..` — and `load` builds a struct literal.
+/// A field added to the struct then fails the build until both sides
+/// handle it (E0027 in `save`, E0063 in `load`), a field that is named
+/// but never written is an `unused_variables` warning (`scripts/check.sh
+/// lint` denies warnings), and one that is saved but not loaded fails
+/// every round trip with [`SnapError::TrailingData`]. The derived field
+/// is spelled `field: _`, with the reason beside it.
 ///
 /// ```
 /// use edm_snap::{SnapReader, SnapWriter, Snapshot};
 ///
-/// struct Wear {
-///     erases: u64,
-///     budget: u64,
+/// struct Tracker {
+///     heats: Vec<(u64, f64)>,
+///     index: Vec<usize>,
 /// }
 ///
-/// impl Snapshot for Wear {
+/// fn index_of(heats: &[(u64, f64)]) -> Vec<usize> {
+///     (0..heats.len()).collect()
+/// }
+///
+/// impl Snapshot for Tracker {
 ///     fn save(&self, w: &mut SnapWriter) {
-///         let Self { erases, budget } = self;
-///         w.put_u64(*erases);
-///         w.put_u64(*budget);
+///         // `index` is not stored: `load` reads it back off `heats`.
+///         let Self { heats, index: _ } = self;
+///         heats.save(w);
 ///     }
 ///     fn load(r: &mut SnapReader) -> Self {
-///         Wear {
-///             erases: r.take_u64(),
-///             budget: r.take_u64(),
+///         let heats = Vec::load(r);
+///         Tracker {
+///             index: index_of(&heats),
+///             heats,
 ///         }
 ///     }
 /// }
 /// ```
 ///
-/// The same `save` with `budget` forgotten does not build:
+/// The same `save` with `index` forgotten does not build:
 ///
 /// ```compile_fail,E0027
 /// use edm_snap::{SnapReader, SnapWriter, Snapshot};
 ///
-/// struct Wear {
-///     erases: u64,
-///     budget: u64,
+/// struct Tracker {
+///     heats: Vec<(u64, f64)>,
+///     index: Vec<usize>,
 /// }
 ///
-/// impl Snapshot for Wear {
+/// impl Snapshot for Tracker {
 ///     fn save(&self, w: &mut SnapWriter) {
-///         let Self { erases } = self;
-///         w.put_u64(*erases);
+///         let Self { heats } = self;
+///         heats.save(w);
 ///     }
 ///     fn load(r: &mut SnapReader) -> Self {
-///         Wear {
-///             erases: r.take_u64(),
-///             budget: r.take_u64(),
+///         Tracker {
+///             heats: Vec::load(r),
+///             index: Vec::new(),
 ///         }
 ///     }
 /// }
@@ -119,12 +127,111 @@ pub trait Snapshot: Sized {
     fn load(r: &mut SnapReader) -> Self;
 }
 
+/// Implements [`Snapshot`] for a type whose encoding is its fields in
+/// list order, naming each field once.
+///
+/// `snapshot_struct!(Type { a, b, c })` expands to the hand-written
+/// idiom: `save` destructures `self` exhaustively (no `..`) and saves
+/// each field in list order, `load` builds a struct literal of
+/// `Snapshot::load(r)` in the same order. A field missing from the list
+/// therefore fails the build — E0063 names it, and the destructure is
+/// rejected for leaving it out — and a listed field cannot go unwritten.
+///
+/// An optional `check = "what": f` runs `f: fn(&Type) -> Result<(),
+/// String>` on the loaded value (only if the reader has not already
+/// failed) and latches an `Err(e)` as `r.corrupt("what: e")`.
+///
+/// The second form covers tag enums with unit or named-field variants:
+/// `snapshot_struct!(Kind { 0 = Unit, 1 = Named { x, y } })` writes the
+/// `u8` tag, then the variant's fields in list order. An unknown tag
+/// latches `r.corrupt` and yields the first variant.
+///
+/// ```
+/// use edm_snap::snapshot_struct;
+///
+/// struct Wear {
+///     erases: u64,
+///     budget: u64,
+/// }
+/// snapshot_struct!(Wear { erases, budget });
+/// ```
+///
+/// A list that omits a field does not build:
+///
+/// ```compile_fail,E0063
+/// use edm_snap::snapshot_struct;
+///
+/// struct Wear {
+///     erases: u64,
+///     budget: u64,
+/// }
+/// snapshot_struct!(Wear { erases });
+/// ```
+#[macro_export]
+macro_rules! snapshot_struct {
+    ($T:ident { $($f:ident),* $(,)? } $(, check = $what:literal : $check:expr)?) => {
+        impl $crate::Snapshot for $T {
+            fn save(&self, w: &mut $crate::SnapWriter) {
+                let Self { $($f),* } = self;
+                $($crate::Snapshot::save($f, w);)*
+            }
+            fn load(r: &mut $crate::SnapReader) -> Self {
+                let loaded = Self { $($f: $crate::Snapshot::load(r)),* };
+                $(
+                    let check: fn(&Self) -> Result<(), String> = $check;
+                    if !r.failed() {
+                        if let Err(e) = check(&loaded) {
+                            r.corrupt(format!("{}: {e}", $what));
+                        }
+                    }
+                )?
+                loaded
+            }
+        }
+    };
+    ($T:ident {
+        $tag0:literal = $V0:ident $({ $($f0:ident),* $(,)? })?
+        $(, $tag:literal = $V:ident $({ $($f:ident),* $(,)? })?)* $(,)?
+    }) => {
+        impl $crate::Snapshot for $T {
+            fn save(&self, w: &mut $crate::SnapWriter) {
+                // One `put_u8` of a matched tag, not one per arm: a unit
+                // enum then saves as a plain byte store.
+                w.put_u8(match self {
+                    Self::$V0 { .. } => $tag0,
+                    $(Self::$V { .. } => $tag,)*
+                });
+                match self {
+                    Self::$V0 $({ $($f0),* })? => { $($($crate::Snapshot::save($f0, w);)*)? }
+                    $(Self::$V $({ $($f),* })? => { $($($crate::Snapshot::save($f, w);)*)? })*
+                }
+            }
+            fn load(r: &mut $crate::SnapReader) -> Self {
+                match r.take_u8() {
+                    $($tag => Self::$V $({ $($f: $crate::Snapshot::load(r)),* })?,)*
+                    tag => {
+                        if tag != $tag0 {
+                            r.corrupt(format!("{} tag {tag}", stringify!($T)));
+                        }
+                        Self::$V0 $({ $($f0: $crate::Snapshot::load(r)),* })?
+                    }
+                }
+            }
+        }
+    };
+}
+
+// The primitive impls only forward to one `SnapWriter` / `SnapReader`
+// call. `#[inline]` lets them dissolve across the crate boundary, so a
+// `snapshot_struct!` field costs what a hand-written `w.put_u64(..)` did.
 macro_rules! int_snapshot {
     ($($t:ty, $put:ident, $take:ident;)*) => {$(
         impl Snapshot for $t {
+            #[inline]
             fn save(&self, w: &mut SnapWriter) {
                 w.$put(*self);
             }
+            #[inline]
             fn load(r: &mut SnapReader) -> Self {
                 r.$take()
             }
@@ -140,27 +247,33 @@ int_snapshot! {
 }
 
 impl Snapshot for bool {
+    #[inline]
     fn save(&self, w: &mut SnapWriter) {
         w.put_bool(*self);
     }
+    #[inline]
     fn load(r: &mut SnapReader) -> Self {
         r.take_bool()
     }
 }
 
 impl Snapshot for f64 {
+    #[inline]
     fn save(&self, w: &mut SnapWriter) {
         w.put_f64(*self);
     }
+    #[inline]
     fn load(r: &mut SnapReader) -> Self {
         r.take_f64()
     }
 }
 
 impl Snapshot for usize {
+    #[inline]
     fn save(&self, w: &mut SnapWriter) {
         w.put_u64(*self as u64);
     }
+    #[inline]
     fn load(r: &mut SnapReader) -> Self {
         r.take_usize()
     }
@@ -359,6 +472,88 @@ mod tests {
         let v = Vec::<u64>::load(&mut r);
         assert!(v.is_empty());
         assert!(r.finish("vec").is_err());
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Window {
+        lo: u64,
+        hi: u64,
+        label: String,
+    }
+    snapshot_struct!(
+        Window { lo, hi, label },
+        check = "window": |w| if w.lo <= w.hi { Ok(()) } else { Err(format!("{} > {}", w.lo, w.hi)) }
+    );
+
+    #[derive(Debug, PartialEq)]
+    enum Step {
+        Idle,
+        Move { from: u32, to: u32 },
+        Done,
+    }
+    snapshot_struct!(Step { 0 = Idle, 1 = Move { from, to }, 2 = Done });
+
+    fn bytes_of<T: Snapshot>(v: &T) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        v.save(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn snapshot_struct_round_trips_and_reencodes_identically() {
+        let window = Window {
+            lo: 3,
+            hi: 9,
+            label: "w".into(),
+        };
+        roundtrip(&window);
+        // Fields in list order, nothing else: u64, u64, length-prefixed str.
+        let mut w = SnapWriter::new();
+        w.put_u64(3);
+        w.put_u64(9);
+        w.put_str("w");
+        assert_eq!(bytes_of(&window), w.into_bytes());
+
+        for step in [Step::Idle, Step::Move { from: 1, to: 2 }, Step::Done] {
+            roundtrip(&step);
+            let bytes = bytes_of(&step);
+            let back = Step::load(&mut SnapReader::new(&bytes));
+            assert_eq!(bytes_of(&back), bytes);
+        }
+        assert_eq!(
+            bytes_of(&Step::Move { from: 1, to: 2 }),
+            [1, 1, 0, 0, 0, 2, 0, 0, 0]
+        );
+    }
+
+    #[test]
+    fn failing_check_is_corrupt_and_names_what() {
+        let bytes = bytes_of(&Window {
+            lo: 9,
+            hi: 3,
+            label: String::new(),
+        });
+        let mut r = SnapReader::new(&bytes);
+        let _ = Window::load(&mut r);
+        match r.finish("sec") {
+            Err(SnapError::Corrupt { detail, .. }) => assert_eq!(detail, "window: 9 > 3"),
+            other => panic!("want Corrupt, got {other:?}"),
+        }
+        // A truncated body stays `Truncated`: the check only runs on a
+        // value that decoded.
+        let mut r = SnapReader::new(&bytes[..bytes.len() - 1]);
+        let _ = Window::load(&mut r);
+        assert!(matches!(r.finish("sec"), Err(SnapError::Truncated { .. })));
+    }
+
+    #[test]
+    fn unknown_enum_tag_is_corrupt() {
+        let mut r = SnapReader::new(&[7]);
+        assert_eq!(Step::load(&mut r), Step::Idle);
+        match r.finish("sec") {
+            Err(SnapError::Corrupt { detail, .. }) => assert_eq!(detail, "Step tag 7"),
+            other => panic!("want Corrupt, got {other:?}"),
+        }
     }
 
     #[test]

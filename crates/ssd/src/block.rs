@@ -4,11 +4,10 @@
 //! (NAND constraint), individually invalidated by out-of-place updates,
 //! and reclaimed all at once by an erase.
 
-use edm_snap::{SnapReader, SnapWriter, Snapshot};
-use serde::{Deserialize, Serialize};
+use edm_snap::snapshot_struct;
 
 /// State of one physical page inside a block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PageState {
     /// Erased and programmable.
     Free,
@@ -19,7 +18,7 @@ pub enum PageState {
 }
 
 /// One physical erase block: page states plus wear bookkeeping.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Block {
     pages: Vec<PageState>,
     /// Next page to program (NAND programs pages sequentially in a block).
@@ -131,57 +130,18 @@ impl Block {
     }
 }
 
-impl Snapshot for PageState {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_u8(match self {
-            PageState::Free => 0,
-            PageState::Valid => 1,
-            PageState::Invalid => 2,
-        });
-    }
-    fn load(r: &mut SnapReader) -> Self {
-        match r.take_u8() {
-            0 => PageState::Free,
-            1 => PageState::Valid,
-            2 => PageState::Invalid,
-            _ => {
-                r.corrupt("PageState tag");
-                PageState::Free
-            }
-        }
-    }
-}
+snapshot_struct!(PageState { 0 = Free, 1 = Valid, 2 = Invalid });
 
-impl Snapshot for Block {
-    fn save(&self, w: &mut SnapWriter) {
-        let Self {
-            pages,
-            write_ptr,
-            valid,
-            erase_count,
-        } = self;
-        pages.save(w);
-        w.put_u32(*write_ptr);
-        w.put_u32(*valid);
-        w.put_u64(*erase_count);
-    }
-    fn load(r: &mut SnapReader) -> Self {
-        let pages = Vec::<PageState>::load(r);
-        let write_ptr = r.take_u32();
-        let valid = r.take_u32();
-        let erase_count = r.take_u64();
-        let counted = pages.iter().filter(|p| **p == PageState::Valid).count() as u32;
-        if counted != valid || write_ptr as usize > pages.len() {
-            r.corrupt("block page-state bookkeeping disagrees with counters");
+snapshot_struct!(
+    Block { pages, write_ptr, valid, erase_count },
+    check = "block": |b| {
+        let counted = b.pages.iter().filter(|p| **p == PageState::Valid).count() as u32;
+        if counted != b.valid || b.write_ptr as usize > b.pages.len() {
+            return Err("page-state bookkeeping disagrees with counters".into());
         }
-        Block {
-            pages,
-            write_ptr,
-            valid,
-            erase_count,
-        }
+        Ok(())
     }
-}
+);
 
 #[cfg(test)]
 mod tests {

@@ -13,8 +13,7 @@
 use std::collections::VecDeque;
 
 use edm_obs::{Event, NoopRecorder, Recorder};
-use edm_snap::{SnapReader, SnapWriter, Snapshot};
-use serde::{Deserialize, Serialize};
+use edm_snap::{snapshot_struct, SnapReader, SnapWriter, Snapshot};
 
 use crate::block::Block;
 use crate::geometry::Geometry;
@@ -24,7 +23,7 @@ use crate::wear::WearStats;
 use crate::wear_leveling::{FreePool, SpreadTracker, WearLevelConfig};
 
 /// A physical page address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PhysPage {
     pub block: u32,
     pub page: u32,
@@ -59,7 +58,7 @@ impl std::fmt::Display for FtlError {
 impl std::error::Error for FtlError {}
 
 /// Victim-selection policy of the garbage collector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum VictimPolicy {
     /// The paper's choice \[6\]: reclaim the full block with the fewest
     /// valid pages.
@@ -88,7 +87,7 @@ impl VictimPolicy {
 }
 
 /// Tunables of the FTL's garbage collector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FtlConfig {
     /// GC starts when the free-block pool drops below this.
     pub gc_low_watermark: u32,
@@ -832,63 +831,16 @@ thread_local! {
     static PICK_BLOCK_READS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-impl Snapshot for PhysPage {
-    fn save(&self, w: &mut SnapWriter) {
-        let Self { block, page } = self;
-        w.put_u32(*block);
-        w.put_u32(*page);
-    }
-    fn load(r: &mut SnapReader) -> Self {
-        PhysPage {
-            block: r.take_u32(),
-            page: r.take_u32(),
-        }
-    }
-}
+snapshot_struct!(PhysPage { block, page });
 
-impl Snapshot for VictimPolicy {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_u8(match self {
-            VictimPolicy::Greedy => 0,
-            VictimPolicy::Fifo => 1,
-            VictimPolicy::CostBenefit => 2,
-        });
-    }
-    fn load(r: &mut SnapReader) -> Self {
-        match r.take_u8() {
-            0 => VictimPolicy::Greedy,
-            1 => VictimPolicy::Fifo,
-            2 => VictimPolicy::CostBenefit,
-            _ => {
-                r.corrupt("VictimPolicy tag");
-                VictimPolicy::Greedy
-            }
-        }
-    }
-}
+snapshot_struct!(VictimPolicy { 0 = Greedy, 1 = Fifo, 2 = CostBenefit });
 
-impl Snapshot for FtlConfig {
-    fn save(&self, w: &mut SnapWriter) {
-        let Self {
-            gc_low_watermark,
-            gc_high_watermark,
-            victim_policy,
-            wear_leveling,
-        } = self;
-        w.put_u32(*gc_low_watermark);
-        w.put_u32(*gc_high_watermark);
-        victim_policy.save(w);
-        wear_leveling.save(w);
-    }
-    fn load(r: &mut SnapReader) -> Self {
-        FtlConfig {
-            gc_low_watermark: r.take_u32(),
-            gc_high_watermark: r.take_u32(),
-            victim_policy: VictimPolicy::load(r),
-            wear_leveling: WearLevelConfig::load(r),
-        }
-    }
-}
+snapshot_struct!(FtlConfig {
+    gc_low_watermark,
+    gc_high_watermark,
+    victim_policy,
+    wear_leveling
+});
 
 impl Snapshot for PageLevelFtl {
     /// Every field is serialized exactly — including derived structures

@@ -4,8 +4,7 @@
 //! i.e. 32 pages per block. Reads and writes operate on pages; erases
 //! operate on whole blocks ("out-of-place update", §I).
 
-use edm_snap::{SnapReader, SnapWriter, Snapshot};
-use serde::{Deserialize, Serialize};
+use edm_snap::snapshot_struct;
 
 /// Default page size used in the paper: 4 KB.
 pub const DEFAULT_PAGE_SIZE: u64 = 4 * 1024;
@@ -17,7 +16,7 @@ pub const DEFAULT_BLOCK_SIZE: u64 = 128 * 1024;
 /// The device exposes `exported_pages()` logical pages to the host; the
 /// remainder of the raw capacity is over-provisioned space that the
 /// garbage collector uses as headroom (§I, §II).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Geometry {
     /// Bytes per flash page (unit of read/program).
     pub page_size: u64,
@@ -103,32 +102,10 @@ impl Default for Geometry {
     }
 }
 
-impl Snapshot for Geometry {
-    fn save(&self, w: &mut SnapWriter) {
-        let Self {
-            page_size,
-            pages_per_block,
-            blocks,
-            over_provision_ppt,
-        } = self;
-        w.put_u64(*page_size);
-        w.put_u32(*pages_per_block);
-        w.put_u32(*blocks);
-        w.put_u32(*over_provision_ppt);
-    }
-    fn load(r: &mut SnapReader) -> Self {
-        let g = Geometry {
-            page_size: r.take_u64(),
-            pages_per_block: r.take_u32(),
-            blocks: r.take_u32(),
-            over_provision_ppt: r.take_u32(),
-        };
-        if let Err(e) = g.validate() {
-            r.corrupt(format!("geometry: {e}"));
-        }
-        g
-    }
-}
+snapshot_struct!(
+    Geometry { page_size, pages_per_block, blocks, over_provision_ppt },
+    check = "geometry": Geometry::validate
+);
 
 #[cfg(test)]
 mod tests {

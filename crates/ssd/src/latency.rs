@@ -5,16 +5,13 @@
 //! erase a block. Every operation on [`crate::Ssd`] returns the simulated
 //! device time it consumed, built from these constants.
 
-use edm_snap::{SnapReader, SnapWriter, Snapshot};
-use serde::{Deserialize, Serialize};
+use edm_snap::{snapshot_struct, SnapReader, SnapWriter, Snapshot};
 
 /// Simulated device time, in microseconds.
 ///
 /// A thin newtype so that callers cannot confuse device time with other
 /// `u64` quantities (page numbers, byte counts, ...). Device times add up.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct DeviceTime(pub u64);
 
 impl DeviceTime {
@@ -60,7 +57,7 @@ impl std::iter::Sum for DeviceTime {
 }
 
 /// Per-operation latencies of the flash device, in microseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatencyModel {
     /// Time to read one page.
     pub page_read_us: u64,
@@ -120,25 +117,11 @@ impl Snapshot for DeviceTime {
     }
 }
 
-impl Snapshot for LatencyModel {
-    fn save(&self, w: &mut SnapWriter) {
-        let Self {
-            page_read_us,
-            page_write_us,
-            block_erase_us,
-        } = self;
-        w.put_u64(*page_read_us);
-        w.put_u64(*page_write_us);
-        w.put_u64(*block_erase_us);
-    }
-    fn load(r: &mut SnapReader) -> Self {
-        LatencyModel {
-            page_read_us: r.take_u64(),
-            page_write_us: r.take_u64(),
-            block_erase_us: r.take_u64(),
-        }
-    }
-}
+snapshot_struct!(LatencyModel {
+    page_read_us,
+    page_write_us,
+    block_erase_us
+});
 
 #[cfg(test)]
 mod tests {

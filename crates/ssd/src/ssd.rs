@@ -2,8 +2,7 @@
 //! FTL, plus the steady-state warm-up procedure of §IV.
 
 use edm_obs::Recorder;
-use edm_snap::{SnapReader, SnapWriter, Snapshot};
-use serde::{Deserialize, Serialize};
+use edm_snap::snapshot_struct;
 
 use crate::ftl::{FtlConfig, FtlError, PageLevelFtl};
 use crate::geometry::Geometry;
@@ -12,7 +11,7 @@ use crate::wear::WearStats;
 
 /// Snapshot of an SSD's externally observable state, cheap to copy out of
 /// the simulation for reporting.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SsdSnapshot {
     pub wear: WearStats,
     pub utilization: f64,
@@ -190,19 +189,7 @@ impl Ssd {
     }
 }
 
-impl Snapshot for Ssd {
-    fn save(&self, w: &mut SnapWriter) {
-        let Self { ftl, latency } = self;
-        ftl.save(w);
-        latency.save(w);
-    }
-    fn load(r: &mut SnapReader) -> Self {
-        Ssd {
-            ftl: PageLevelFtl::load(r),
-            latency: LatencyModel::load(r),
-        }
-    }
-}
+snapshot_struct!(Ssd { ftl, latency });
 
 #[cfg(test)]
 mod tests {

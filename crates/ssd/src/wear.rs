@@ -5,11 +5,10 @@
 //! valid-page ratio of GC victim blocks, uᵣ, which the wear model of
 //! §III.B.1 estimates from utilization (Fig. 3).
 
-use edm_snap::{SnapReader, SnapWriter, Snapshot};
-use serde::{Deserialize, Serialize};
+use edm_snap::snapshot_struct;
 
 /// Cumulative wear counters of one SSD.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WearStats {
     /// Pages written by the host (`Wc` in the paper, Eq. 1). Excludes GC
     /// relocation writes, which are accounted separately as amplification.
@@ -65,34 +64,14 @@ impl WearStats {
     }
 }
 
-impl Snapshot for WearStats {
-    fn save(&self, w: &mut SnapWriter) {
-        let Self {
-            host_page_writes,
-            host_page_reads,
-            gc_page_moves,
-            block_erases,
-            gc_victims,
-            victim_valid_pages,
-        } = self;
-        w.put_u64(*host_page_writes);
-        w.put_u64(*host_page_reads);
-        w.put_u64(*gc_page_moves);
-        w.put_u64(*block_erases);
-        w.put_u64(*gc_victims);
-        w.put_u64(*victim_valid_pages);
-    }
-    fn load(r: &mut SnapReader) -> Self {
-        WearStats {
-            host_page_writes: r.take_u64(),
-            host_page_reads: r.take_u64(),
-            gc_page_moves: r.take_u64(),
-            block_erases: r.take_u64(),
-            gc_victims: r.take_u64(),
-            victim_valid_pages: r.take_u64(),
-        }
-    }
-}
+snapshot_struct!(WearStats {
+    host_page_writes,
+    host_page_reads,
+    gc_page_moves,
+    block_erases,
+    gc_victims,
+    victim_valid_pages
+});
 
 #[cfg(test)]
 mod tests {

@@ -17,11 +17,10 @@
 
 use std::collections::BTreeSet;
 
-use edm_snap::{SnapReader, SnapWriter, Snapshot};
-use serde::{Deserialize, Serialize};
+use edm_snap::snapshot_struct;
 
 /// Wear-leveling configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WearLevelConfig {
     /// Pick the least-worn free block instead of FIFO.
     pub dynamic: bool,
@@ -186,68 +185,32 @@ impl SpreadTracker {
     }
 }
 
-impl Snapshot for WearLevelConfig {
-    fn save(&self, w: &mut SnapWriter) {
-        let Self {
-            dynamic,
-            static_threshold,
-        } = self;
-        w.put_bool(*dynamic);
-        w.put_u64(*static_threshold);
-    }
-    fn load(r: &mut SnapReader) -> Self {
-        WearLevelConfig {
-            dynamic: r.take_bool(),
-            static_threshold: r.take_u64(),
-        }
-    }
-}
+snapshot_struct!(WearLevelConfig {
+    dynamic,
+    static_threshold
+});
 
-impl Snapshot for FreePool {
-    /// FIFO order is behaviour-relevant, so the deque is serialized as-is;
-    /// the wear-ordered set round-trips through its sorted iteration.
-    fn save(&self, w: &mut SnapWriter) {
-        let Self {
-            fifo,
-            by_wear,
-            dynamic,
-        } = self;
-        fifo.save(w);
-        by_wear.save(w);
-        w.put_bool(*dynamic);
-    }
-    fn load(r: &mut SnapReader) -> Self {
-        let fifo = std::collections::VecDeque::<u32>::load(r);
-        let by_wear = BTreeSet::<(u64, u32)>::load(r);
-        let dynamic = r.take_bool();
-        if dynamic && !fifo.is_empty() || !dynamic && !by_wear.is_empty() {
-            r.corrupt("free pool holds blocks in the inactive ordering");
+// FIFO order is behaviour-relevant, so the deque is serialized as-is; the
+// wear-ordered set round-trips through its sorted iteration.
+snapshot_struct!(
+    FreePool { fifo, by_wear, dynamic },
+    check = "free pool": |p| {
+        if p.dynamic && !p.fifo.is_empty() || !p.dynamic && !p.by_wear.is_empty() {
+            return Err("holds blocks in the inactive ordering".into());
         }
-        FreePool {
-            fifo,
-            by_wear,
-            dynamic,
-        }
+        Ok(())
     }
-}
+);
 
-impl Snapshot for SpreadTracker {
-    fn save(&self, w: &mut SnapWriter) {
-        let Self { hist, min, max } = self;
-        hist.save(w);
-        w.put_u64(*min);
-        w.put_u64(*max);
-    }
-    fn load(r: &mut SnapReader) -> Self {
-        let hist = Vec::<u64>::load(r);
-        let min = r.take_u64();
-        let max = r.take_u64();
-        if min > max || max as usize >= hist.len().max(1) {
-            r.corrupt("spread tracker extremes out of histogram range");
+snapshot_struct!(
+    SpreadTracker { hist, min, max },
+    check = "spread tracker": |t| {
+        if t.min > t.max || t.max as usize >= t.hist.len().max(1) {
+            return Err("extremes out of histogram range".into());
         }
-        SpreadTracker { hist, min, max }
+        Ok(())
     }
-}
+);
 
 /// Static-leveling trigger: true when the per-block erase spread warrants
 /// relocating cold data off the least-worn blocks.
@@ -263,7 +226,7 @@ pub fn static_leveling_due(erase_counts: &[u64], threshold: u64) -> bool {
 }
 
 /// Spread statistics of per-block erase counts (for reporting and tests).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WearSpread {
     pub min: u64,
     pub max: u64,

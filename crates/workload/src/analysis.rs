@@ -5,13 +5,11 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::op::{FileId, FileOp};
 use crate::trace::Trace;
 
 /// Skew and locality profile measured from a trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadProfile {
     /// Gini coefficient of per-file write bytes (0 = uniform, →1 = all
     /// writes on one file).

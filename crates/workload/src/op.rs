@@ -5,15 +5,14 @@
 //! record carries.
 
 use edm_snap::{SnapReader, SnapWriter, Snapshot};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a file in a trace (maps to an inode number in the
 /// cluster; the paper places objects by `inode mod n`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FileId(pub u64);
 
 /// One file operation, as extracted from an NFS trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileOp {
     Open,
     Close,
@@ -62,7 +61,7 @@ impl FileOp {
 }
 
 /// One record of a trace: a timestamped operation by one user on one file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceRecord {
     /// Arrival time in microseconds from trace start. Records in a trace
     /// are sorted by this field.

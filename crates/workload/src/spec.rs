@@ -6,12 +6,9 @@
 //! popularity exponents, the overlap between the read-hot and write-hot
 //! file sets, and the file-size distribution.
 
-use edm_snap::{SnapReader, SnapWriter, Snapshot};
-use serde::{Deserialize, Serialize};
-
 /// Skew profile of a workload: how concentrated accesses are and how much
 /// the read-hot and write-hot sets overlap.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SkewProfile {
     /// Zipf exponent of write popularity over files. Higher ⇒ writes
     /// concentrate on fewer files ⇒ more wear variance across SSDs (§II).
@@ -77,7 +74,7 @@ impl SkewProfile {
 
 /// File-size distribution: log-uniform between `min_bytes` and `max_bytes`
 /// — "heavily skewed object size distribution" (§II).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FileSizeModel {
     pub min_bytes: u64,
     pub max_bytes: u64,
@@ -99,7 +96,7 @@ impl FileSizeModel {
 
 /// Full specification of one synthetic workload (one row of Table 1 plus
 /// skew knobs).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
     /// Trace name, e.g. `home02`.
     pub name: String,
@@ -168,100 +165,6 @@ impl WorkloadSpec {
     /// Total payload bytes this workload will read plus write (expected).
     pub fn expected_bytes(&self) -> u64 {
         self.write_cnt * self.avg_write_size + self.read_cnt * self.avg_read_size
-    }
-}
-
-impl Snapshot for SkewProfile {
-    fn save(&self, w: &mut SnapWriter) {
-        let Self {
-            write_theta,
-            read_theta,
-            hot_overlap,
-            size_coupling,
-            phases,
-        } = self;
-        w.put_f64(*write_theta);
-        w.put_f64(*read_theta);
-        w.put_f64(*hot_overlap);
-        w.put_f64(*size_coupling);
-        w.put_u32(*phases);
-    }
-    fn load(r: &mut SnapReader) -> Self {
-        SkewProfile {
-            write_theta: r.take_f64(),
-            read_theta: r.take_f64(),
-            hot_overlap: r.take_f64(),
-            size_coupling: r.take_f64(),
-            phases: r.take_u32(),
-        }
-    }
-}
-
-impl Snapshot for FileSizeModel {
-    fn save(&self, w: &mut SnapWriter) {
-        let Self {
-            min_bytes,
-            max_bytes,
-        } = self;
-        w.put_u64(*min_bytes);
-        w.put_u64(*max_bytes);
-    }
-    fn load(r: &mut SnapReader) -> Self {
-        FileSizeModel {
-            min_bytes: r.take_u64(),
-            max_bytes: r.take_u64(),
-        }
-    }
-}
-
-impl Snapshot for WorkloadSpec {
-    /// The spec (including its seed) is enough to regenerate the entire
-    /// trace deterministically, so a snapshot records it instead of the
-    /// trace body; synthesis consumes the seeded RNG completely, so "every
-    /// RNG position" reduces to this value.
-    fn save(&self, w: &mut SnapWriter) {
-        let Self {
-            name,
-            file_cnt,
-            write_cnt,
-            avg_write_size,
-            read_cnt,
-            avg_read_size,
-            skew,
-            file_sizes,
-            users,
-            seed,
-        } = self;
-        name.save(w);
-        w.put_u64(*file_cnt);
-        w.put_u64(*write_cnt);
-        w.put_u64(*avg_write_size);
-        w.put_u64(*read_cnt);
-        w.put_u64(*avg_read_size);
-        skew.save(w);
-        file_sizes.save(w);
-        w.put_u32(*users);
-        w.put_u64(*seed);
-    }
-    fn load(r: &mut SnapReader) -> Self {
-        let spec = WorkloadSpec {
-            name: String::load(r),
-            file_cnt: r.take_u64(),
-            write_cnt: r.take_u64(),
-            avg_write_size: r.take_u64(),
-            read_cnt: r.take_u64(),
-            avg_read_size: r.take_u64(),
-            skew: SkewProfile::load(r),
-            file_sizes: FileSizeModel::load(r),
-            users: r.take_u32(),
-            seed: r.take_u64(),
-        };
-        if !r.failed() {
-            if let Err(e) = spec.validate() {
-                r.corrupt(format!("workload spec: {e}"));
-            }
-        }
-        spec
     }
 }
 

@@ -9,12 +9,10 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::op::{FileId, FileOp, TraceRecord};
 
 /// Aggregate statistics of a trace — the columns of Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceStats {
     pub file_cnt: u64,
     pub write_cnt: u64,
@@ -28,7 +26,7 @@ pub struct TraceStats {
 }
 
 /// A complete workload trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     pub name: String,
     /// Records sorted by `time_us`.

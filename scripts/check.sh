@@ -7,7 +7,8 @@
 #
 #   check.sh fmt     rustfmt --check
 #   check.sh lint    clippy, warnings denied (what fails on a snapshot field that a
-#                    `save` destructure names but never writes: unused_variables)
+#                    hand-written `save` destructure names but never writes:
+#                    unused_variables; a snapshot_struct! list cannot do that)
 #   check.sh audit   edm-audit static analysis
 #   check.sh build   release build
 #   check.sh test    cargo test, workspace then the benchmark package
