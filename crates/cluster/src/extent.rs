@@ -125,8 +125,7 @@ snapshot_struct!(
     // in bounds) are what `free()` relies on.
     check = "extent free list": |a| {
         let ok = a.free.iter().all(|e| e.len > 0 && e.end() <= a.capacity)
-            // edm-audit: allow(panic.slice_index, "windows(2) yields exactly two elements per window")
-            && a.free.windows(2).all(|p| p[0].end() < p[1].start);
+            && a.free.iter().zip(a.free.iter().skip(1)).all(|(p, q)| p.end() < q.start);
         if ok { Ok(()) } else { Err("violates its invariants".into()) }
     }
 );

@@ -324,9 +324,11 @@ impl Snapshot for Osd {
         id.save(w);
         ssd.save(w);
         extents.save(w);
-        let mut dir: Vec<(ObjectId, Extent)> =
-            // edm-audit: allow(det.map_iter, "entries are collected and sorted by object id before serialization")
-            directory.iter().map(|(&o, &e)| (o, e)).collect();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "entries are collected and sorted by object id before serialization"
+        )]
+        let mut dir: Vec<(ObjectId, Extent)> = directory.iter().map(|(&o, &e)| (o, e)).collect();
         dir.sort_by_key(|(o, _)| *o);
         dir.save(w);
         w.put_f64(*ewma_latency_us);
@@ -349,7 +351,10 @@ impl Snapshot for Osd {
             wc_window_pages: r.take_u64(),
         };
         if !r.failed() {
-            // edm-audit: allow(det.map_iter, "summation over values is order-insensitive")
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "summation over values is order-insensitive"
+            )]
             let dir_bytes: u64 = dev.directory.values().map(|e| e.len).sum();
             if dir_bytes != dev.extents.used_bytes() {
                 r.corrupt("object directory disagrees with the extent allocator");
@@ -359,9 +364,12 @@ impl Snapshot for Osd {
     }
 }
 
+#[expect(
+    clippy::panic,
+    reason = "a shard engine reached a device its component does not own; aborting beats mis-simulating"
+)]
 #[cold]
 fn vacant_slot_touched(id: OsdId) -> ! {
-    // edm-audit: allow(panic.panic, "a shard engine reached a device its component does not own; aborting beats mis-simulating")
     panic!("{id} is vacant in this shard: its device belongs to another component")
 }
 

@@ -30,7 +30,10 @@ impl Placement {
             groups,
             objects_per_file,
         };
-        // edm-audit: allow(panic.expect, "constructor contract: callers pass validated parameters; a bad config is a programming error")
+        #[expect(
+            clippy::expect_used,
+            reason = "constructor contract: callers pass validated parameters; a bad config is a programming error"
+        )]
         p.validate().expect("invalid placement parameters");
         p
     }
@@ -194,6 +197,10 @@ mod tests {
             let osds: std::collections::HashSet<OsdId> =
                 (0..4).map(|i| p.home_osd(FileId(inode), i)).collect();
             assert_eq!(osds.len(), 4, "inode {inode}");
+            #[expect(
+                clippy::iter_over_hash_type,
+                reason = "one assertion per element; order cannot matter"
+            )]
             for o in &osds {
                 assert!(o.0 < 18);
             }

@@ -196,12 +196,15 @@ pub(crate) fn component_scripts(
     }
     let mut assigned: usize = slots.iter().sum();
     while assigned > total_clients {
+        #[expect(
+            clippy::expect_used,
+            reason = "assigned > total_clients >= nonempty count, so some component holds more than one slot"
+        )]
         let c = nonempty
             .iter()
             .copied()
             .filter(|&c| slots[c] > 1)
             .max_by_key(|&c| (slots[c], c))
-            // edm-audit: allow(panic.expect, "assigned > total_clients >= nonempty count, so some component holds more than one slot")
             .expect("overshoot implies a multi-slot component");
         slots[c] -= 1;
         assigned -= 1;
@@ -397,7 +400,10 @@ fn run_all(engines: &mut [ShardEngine<'_>], threads: usize) {
     }
     std::thread::scope(|s| {
         for bin in bins {
-            // edm-audit: allow(det.thread_order, "workers mutate disjoint `&mut` engine slots; results are read back from the engines slice in component index order after the scope joins, so no scheduler-ordered aggregation exists")
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "workers mutate disjoint `&mut` engine slots; results are read back from the engines slice in component index order after the scope joins, so no scheduler-ordered aggregation exists"
+            )]
             s.spawn(move || {
                 for engine in bin {
                     engine.run_until_pause();
@@ -527,6 +533,10 @@ pub(crate) fn run_sharded<P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?S
             let failed: Vec<bool> = (0..osd_count)
                 .map(|o| engines[comp_of_osd(OsdId(o))].tally.failed[o as usize])
                 .collect();
+            #[expect(
+                clippy::panic,
+                reason = "plans are validated before acceptance; an invalid plan is a policy bug worth aborting on"
+            )]
             let (accepted, refused) = plan_round(
                 policy,
                 &view,
@@ -535,7 +545,6 @@ pub(crate) fn run_sharded<P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?S
                 &failed,
                 obs.as_dyn_mut(),
             )
-            // edm-audit: allow(panic.panic, "plans are validated before acceptance; an invalid plan is a policy bug worth aborting on")
             .unwrap_or_else(|e| panic!("{e}"));
             tally.migrations_triggered += u64::from(!accepted.is_empty());
             for action in &accepted {

@@ -530,7 +530,10 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
         let object = match sub.payload {
             Payload::FileIo { object, .. } => object,
             // Move I/Os carry explicit endpoints and are enqueued directly.
-            // edm-audit: allow(panic.unreachable, "routing invariant: mover payloads are enqueued directly, never routed")
+            #[expect(
+                clippy::unreachable,
+                reason = "routing invariant: mover payloads are enqueued directly, never routed"
+            )]
             _ => unreachable!("move I/O must not be routed"),
         };
         if self.blocking_moves {
@@ -553,6 +556,10 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
     /// every object of the file). A write additionally updates one
     /// surviving sibling (the row's redundancy). A degraded op that hits a
     /// *second* failed device is data loss: it completes immediately and
+    #[expect(
+        clippy::unreachable,
+        reason = "degraded handling is only reached from the FileIo dispatch arm"
+    )]
     /// is counted in `lost_ops`.
     fn degrade(&mut self, sub: SubReq) {
         let Payload::FileIo {
@@ -564,7 +571,6 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
             degraded,
         } = sub.payload
         else {
-            // edm-audit: allow(panic.unreachable, "degraded handling is only reached from the FileIo dispatch arm")
             unreachable!("only file I/O can be degraded");
         };
         if degraded {
@@ -574,11 +580,14 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
             return;
         }
         let (file, _) = self.cluster.catalog.placement().object_owner(object);
+        #[expect(
+            clippy::expect_used,
+            reason = "catalog invariant: every placed object belongs to a cataloged file"
+        )]
         let siblings: Vec<ObjectId> = self
             .cluster
             .catalog
             .file(file)
-            // edm-audit: allow(panic.expect, "catalog invariant: every placed object belongs to a cataloged file")
             .expect("degraded object has a file")
             .objects
             .iter()
@@ -601,11 +610,15 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
         self.tally.degraded_ops += 1;
         // Reconstruction: read the extent on every surviving sibling; a
         // write turns the last of them into the redundancy update.
-        self.inflight
+        #[expect(
+            clippy::expect_used,
+            reason = "engine invariant: sub-ops outlive their parent op until the last completion"
+        )]
+        let op = self
+            .inflight
             .get_mut(token)
-            // edm-audit: allow(panic.expect, "engine invariant: sub-ops outlive their parent op until the last completion")
-            .expect("degraded sub-op has an op")
-            .remaining += alive.len() as u32 - 1;
+            .expect("degraded sub-op has an op");
+        op.remaining += alive.len() as u32 - 1;
         let last = alive.len() - 1;
         for (i, sibling) in alive.into_iter().enumerate() {
             let sub = SubReq {
@@ -678,6 +691,10 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
         self.obs.set_device(Some(osd.0));
         let obs = self.obs.as_dyn_mut();
         let dev = &mut self.cluster.osds[o];
+        #[expect(
+            clippy::panic,
+            reason = "a failed device op means corrupted simulator state; aborting beats mis-simulating"
+        )]
         let device = match sub.payload {
             Payload::FileIo {
                 object,
@@ -707,7 +724,6 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
                 dev.write_object_obs(lost, offset, len, obs)
             }
         }
-        // edm-audit: allow(panic.panic, "a failed device op means corrupted simulator state; aborting beats mis-simulating")
         .unwrap_or_else(|e| panic!("device op failed on {osd}: {e}"));
         self.obs.set_device(None);
         let service = self.cluster.config.osd_overhead_us + device.as_micros();
@@ -718,7 +734,10 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
 
     fn on_osd_done(&mut self, osd: OsdId) {
         let o = osd.0 as usize;
-        // edm-audit: allow(panic.expect, "engine invariant: a completion event implies a request in service")
+        #[expect(
+            clippy::expect_used,
+            reason = "engine invariant: a completion event implies a request in service"
+        )]
         let sub = self.current[o].take().expect("completion without service");
         let sojourn = self.now - sub.enqueued_us;
         self.cluster.osds[o].record_service(sojourn);
@@ -815,16 +834,22 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
 
     fn finish_subop(&mut self, token: u64) {
         let done = {
+            #[expect(
+                clippy::expect_used,
+                reason = "engine invariant: sub-op tokens are removed only at the final completion"
+            )]
             let inflight = self
                 .inflight
                 .get_mut(token)
-                // edm-audit: allow(panic.expect, "engine invariant: sub-op tokens are removed only at the final completion")
                 .expect("sub-op for unknown file op");
             inflight.remaining -= 1;
             inflight.remaining == 0
         };
         if done {
-            // edm-audit: allow(panic.expect, "same map was read two lines above; token is present")
+            #[expect(
+                clippy::expect_used,
+                reason = "same map was read two lines above; token is present"
+            )]
             let inflight = self.inflight.remove(token).expect("just seen");
             let response = self.now - inflight.issued_us;
             self.tally.responses.record(self.now, response);
@@ -868,10 +893,13 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
         let Some(&action) = self.move_routes.get(&object) else {
             return; // move aborted by a failure mid-chunk
         };
+        #[expect(
+            clippy::expect_used,
+            reason = "move invariant: move completions only arrive for tracked moves"
+        )]
         let size = self
             .cluster
             .object_size(object)
-            // edm-audit: allow(panic.expect, "move invariant: move completions only arrive for tracked moves")
             .expect("moving unknown object");
         let next = offset + len;
         if next < size {
@@ -907,16 +935,22 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
                     Payload::RebuildRead { sibling, .. } if sibling == object
                 );
                 if matches {
-                    // edm-audit: allow(panic.expect, "index comes from position() on the same queue")
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "index comes from position() on the same queue"
+                    )]
                     redirected.push(queue.remove(i).expect("index checked"));
                 } else {
                     i += 1;
                 }
             }
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "move invariant: the source copy is dropped only after the move completes"
+        )]
         self.cluster
             .finish_move(action, self.obs.as_dyn_mut())
-            // edm-audit: allow(panic.expect, "move invariant: the source copy is dropped only after the move completes")
             .expect("source copy must exist until the move completes");
         self.tally.moved_objects += 1;
         self.tally.last_completion_us = self.now;
@@ -958,7 +992,10 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
                 self.start_next_move(source);
                 return;
             }
-            // edm-audit: allow(panic.panic, "a failed accepted move means corrupted simulator state; aborting beats mis-simulating")
+            #[expect(
+                clippy::panic,
+                reason = "a failed accepted move means corrupted simulator state; aborting beats mis-simulating"
+            )]
             Err(e) => panic!("move of {} to {}: {e}", action.object, action.dest),
         };
         self.moving.insert(action.object, Vec::new());
@@ -1001,25 +1038,31 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
             .map(|(&obj, _)| obj)
             .collect();
         for obj in touched {
-            let action = *self
-                .move_routes
-                .get(&obj)
-                // edm-audit: allow(panic.expect, "key collected from the same map two lines above")
-                .expect("aborted move is tracked");
+            #[expect(
+                clippy::expect_used,
+                reason = "key collected from the same map two lines above"
+            )]
+            let action = *self.move_routes.get(&obj).expect("aborted move is tracked");
             // Drop the half-written destination copy (unless the dest
             // itself is the dead device, whose state no longer matters).
             if action.dest != osd && self.cluster.osds[action.dest.0 as usize].has_object(obj) {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "guarded by has_object on the line above"
+                )]
                 self.cluster.osds[action.dest.0 as usize]
                     .remove_object(obj)
-                    // edm-audit: allow(panic.expect, "guarded by has_object on the line above")
                     .expect("partial move copy exists");
             }
             self.obs.counter("sim.aborted_moves", 1);
             if self.obs.events_on() {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "move invariant: in-flight moves track cataloged objects"
+                )]
                 let bytes = self
                     .cluster
                     .object_size(obj)
-                    // edm-audit: allow(panic.expect, "move invariant: in-flight moves track cataloged objects")
                     .expect("aborted move's object is cataloged");
                 self.obs.event(ObsEvent::MigrationAbort {
                     object: obj.0,
@@ -1069,9 +1112,12 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
                 continue;
             };
             if state.dest != osd && self.cluster.osds[state.dest.0 as usize].has_object(lost) {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "guarded by has_object on the line above"
+                )]
                 self.cluster.osds[state.dest.0 as usize]
                     .remove_object(lost)
-                    // edm-audit: allow(panic.expect, "guarded by has_object on the line above")
                     .expect("partial rebuild copy exists");
             }
             self.obs.counter("sim.aborted_rebuilds", 1);
@@ -1107,7 +1153,10 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
             .collect();
         for object in lost {
             let (file, _) = placement.object_owner(object);
-            // edm-audit: allow(panic.expect, "catalog invariant: every lost object belongs to a cataloged file")
+            #[expect(
+                clippy::expect_used,
+                reason = "catalog invariant: every lost object belongs to a cataloged file"
+            )]
             let meta = self.cluster.catalog.file(file).expect("lost object's file");
             let size = meta.object_size;
             let siblings: Vec<ObjectId> = meta
@@ -1137,7 +1186,10 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
             match self.cluster.osds[dest.0 as usize].create_object(object, size, false) {
                 Ok(_) => {}
                 Err(OsdError::NoSpace { .. }) => continue,
-                // edm-audit: allow(panic.panic, "rebuild allocation is pre-sized against free space; failure is corrupted state")
+                #[expect(
+                    clippy::panic,
+                    reason = "rebuild allocation is pre-sized against free space; failure is corrupted state"
+                )]
                 Err(e) => panic!("rebuild allocation on {dest}: {e}"),
             }
             self.rebuilds.insert(
@@ -1203,6 +1255,10 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
         self.scope_component_none();
         let view = self.cluster.view(self.now);
         let pending: HashSet<ObjectId> = self.pending_moves().collect();
+        #[expect(
+            clippy::panic,
+            reason = "plans are validated before acceptance; an invalid plan is a policy bug worth aborting on"
+        )]
         let (accepted, refused) = plan_round(
             self.policy,
             &view,
@@ -1211,7 +1267,6 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
             &self.tally.failed,
             self.obs.as_dyn_mut(),
         )
-        // edm-audit: allow(panic.panic, "plans are validated before acceptance; an invalid plan is a policy bug worth aborting on")
         .unwrap_or_else(|e| panic!("{e}"));
         if accepted.is_empty() && refused == 0 {
             return; // nothing planned
@@ -1391,9 +1446,12 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
         let path = ck.dir.join(format!("ckpt_{:020}.snap", self.now));
         let _ = std::fs::create_dir_all(&ck.dir);
         self.obs.counter("sim.checkpoints", 1);
+        #[expect(
+            clippy::panic,
+            reason = "checkpoint I/O failure is unrecoverable for the run; abort with the path in the message"
+        )]
         self.to_snapshot()
             .write_to(&path)
-            // edm-audit: allow(panic.panic, "checkpoint I/O failure is unrecoverable for the run; abort with the path in the message")
             .unwrap_or_else(|e| panic!("checkpoint write to {} failed: {e}", path.display()));
     }
 
@@ -2046,6 +2104,10 @@ mod checkpoint_tests {
         }
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test scratch directory; its location never reaches simulation state"
+    )]
     fn ckpt_dir(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("edm-sim-{tag}-{}", std::process::id()))
     }

@@ -82,12 +82,15 @@ pub fn staggering(lifetimes: &[DeviceLifetime]) -> Staggering {
         .map(|l| l.periods_to_wearout)
         .filter(|p| p.is_finite())
         .collect();
-    // edm-audit: allow(panic.expect, "erase counts come from wear stats and are always finite")
+    #[expect(
+        clippy::expect_used,
+        reason = "erase counts come from wear stats and are always finite"
+    )]
     order.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     let min_gap = order
-        .windows(2)
-        // edm-audit: allow(panic.slice_index, "windows(2) yields exactly two elements per window")
-        .map(|w| w[1] - w[0])
+        .iter()
+        .zip(order.iter().skip(1))
+        .map(|(a, b)| b - a)
         .fold(f64::INFINITY, f64::min);
     let total_span = match (order.first(), order.last()) {
         (Some(first), Some(last)) if order.len() > 1 => last - first,
@@ -110,7 +113,10 @@ pub fn max_simultaneous_wearouts(lifetimes: &[DeviceLifetime], window: f64) -> u
         .map(|l| l.periods_to_wearout)
         .filter(|p| p.is_finite())
         .collect();
-    // edm-audit: allow(panic.expect, "erase counts come from wear stats and are always finite")
+    #[expect(
+        clippy::expect_used,
+        reason = "erase counts come from wear stats and are always finite"
+    )]
     order.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     let mut best = usize::from(!order.is_empty());
     for i in 0..order.len() {

@@ -29,10 +29,13 @@ pub struct Destination {
 pub fn distribute(selected: &[Selected], dests: &mut [Destination]) -> Vec<MoveAction> {
     let mut plan = Vec::with_capacity(selected.len());
     for s in selected {
+        #[expect(
+            clippy::expect_used,
+            reason = "demand values are sums of finite page counts"
+        )]
         let Some(best) = dests
             .iter_mut()
             .filter(|d| d.osd != s.source && d.budget_bytes >= s.size_bytes as i64)
-            // edm-audit: allow(panic.expect, "demand values are sums of finite page counts")
             .max_by(|a, b| a.demand.partial_cmp(&b.demand).expect("finite demand"))
         else {
             continue;

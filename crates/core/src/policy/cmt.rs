@@ -107,8 +107,11 @@ impl Cmt {
         }
         // Hottest objects first (total temperature, read/write agnostic).
         heats.sort_by(|a, b| {
+            #[expect(
+                clippy::expect_used,
+                reason = "temperatures are finite by construction (sums of decayed counters)"
+            )]
             b.1.partial_cmp(&a.1)
-                // edm-audit: allow(panic.expect, "temperatures are finite by construction (sums of decayed counters)")
                 .expect("finite")
                 .then(a.0.object.cmp(&b.0.object))
         });
@@ -123,9 +126,9 @@ impl Cmt {
                 continue; // source no longer overloaded
             }
             // Destination: smallest projected load with byte budget left.
+            #[expect(clippy::expect_used, reason = "page tallies are finite counters")]
             let Some(dst) = (0..pages.len())
                 .filter(|&d| d != src && budgets[d] >= s.size_bytes as i64)
-                // edm-audit: allow(panic.expect, "page tallies are finite counters")
                 .min_by(|&a, &b| pages[a].partial_cmp(&pages[b]).expect("finite"))
             else {
                 break;
@@ -271,6 +274,7 @@ impl Migrator for Cmt {
             .iter()
             .map(|o| {
                 let by_free = dest_budget_bytes(view, o.osd, self.cfg.dest_free_reserve);
+                #[expect(clippy::cast_possible_truncation, reason = "a utilization margin of magnitude below 2 times a byte capacity far below i64::MAX; `as` saturates")]
                 let by_util = ((mean_util + self.cfg.storage_margin - o.utilization)
                     * o.capacity_bytes as f64) as i64;
                 by_free.min(by_util)

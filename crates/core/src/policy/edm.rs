@@ -111,7 +111,10 @@ pub struct Edm {
 
 impl Edm {
     pub fn new(selection: Selection, cfg: EdmConfig) -> Self {
-        // edm-audit: allow(panic.expect, "constructor contract: callers pass validated EDM configuration")
+        #[expect(
+            clippy::expect_used,
+            reason = "constructor contract: callers pass validated EDM configuration"
+        )]
         cfg.validate().expect("invalid EDM configuration");
         let tracker = match cfg.tracker_capacity {
             Some(cap) => AccessTracker::with_capacity(cfg.temperature_interval_us, cap),
@@ -243,8 +246,8 @@ impl Migrator for Edm {
                     })
                     .collect();
                 candidates.sort_by(|a, b| {
+                    #[expect(clippy::expect_used, reason = "ranks are finite by construction (sums of decayed counters, or byte sizes)")]
                     b.1.partial_cmp(&a.1)
-                        // edm-audit: allow(panic.expect, "ranks are finite by construction (sums of decayed counters, or byte sizes)")
                         .expect("ranks are finite")
                         .then(b.2.cmp(&a.2))
                         .then(a.0.object.cmp(&b.0.object))

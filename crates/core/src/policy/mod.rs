@@ -1,6 +1,8 @@
 //! The migration policies: EDM under its HDF or CDF selection rule
 //! (§III.B) and the Sorrento-derived conventional migration technique CMT
 //! (§V intro).
+#![warn(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+#![warn(clippy::float_cmp)]
 
 mod cmt;
 mod edm;
@@ -92,14 +94,25 @@ pub(crate) mod testutil {
                 .iter()
                 .enumerate()
                 .map(|(i, &(wc, u, ewma))| OsdView {
-                    // edm-audit: allow(num.lossy_cast, "OSD index is bounded by the validated u32 OSD count")
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "OSD index is bounded by the validated u32 OSD count"
+                    )]
                     osd: OsdId(i as u32),
-                    // edm-audit: allow(num.lossy_cast, "OSD index is bounded by the validated u32 OSD count")
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "OSD index is bounded by the validated u32 OSD count"
+                    )]
                     group: GroupId(i as u32 % m),
                     wc_pages: wc,
                     utilization: u,
                     measured_erases: 0,
                     ewma_latency_us: ewma,
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        clippy::cast_sign_loss,
+                        reason = "test fixture: utilization in [0, 1] times a 1 GiB capacity"
+                    )]
                     free_bytes: ((1.0 - u) * capacity as f64) as u64,
                     capacity_bytes: capacity,
                 })

@@ -16,6 +16,8 @@
 //! §III.B.5). The tracker maintains both, plus the per-object page-write
 //! tally of the current measurement window that HDF's object selection
 //! needs to satisfy ΔWc.
+#![warn(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+#![warn(clippy::float_cmp)]
 
 use edm_cluster::{AccessEvent, AccessKind, ObjectId};
 use edm_snap::{snapshot_struct, IdMap, SnapReader, SnapWriter, Snapshot};
@@ -46,7 +48,10 @@ impl ObjectHeat {
             let factor = if elapsed >= 1075 {
                 0.0
             } else {
-                // edm-audit: allow(num.lossy_cast, "explicitly clamped to i32::MAX on the same expression")
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "explicitly clamped to i32::MAX on the same expression"
+                )]
                 (0.5f64).powi(elapsed.min(i32::MAX as u64) as i32)
             };
             self.write_temp *= factor;
@@ -124,7 +129,10 @@ impl AccessTracker {
                 (o, h.total_temp)
             })
             .collect();
-        // edm-audit: allow(panic.expect, "temperatures are finite by construction (sums of decayed counters)")
+        #[expect(
+            clippy::expect_used,
+            reason = "temperatures are finite by construction (sums of decayed counters)"
+        )]
         temps.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite").then(a.0.cmp(&b.0)));
         for (o, _) in temps.into_iter().take(self.heats.len() - cap) {
             self.slots.remove(&o);
@@ -183,9 +191,12 @@ impl AccessTracker {
             h.decay_to(interval);
         }
         v.sort_by(|a, b| {
+            #[expect(
+                clippy::expect_used,
+                reason = "temperatures are finite by construction (sums of decayed counters)"
+            )]
             b.1.write_temp
                 .partial_cmp(&a.1.write_temp)
-                // edm-audit: allow(panic.expect, "temperatures are finite by construction (sums of decayed counters)")
                 .expect("temperatures are finite")
                 .then(a.0.cmp(&b.0))
         });
@@ -260,6 +271,11 @@ impl Snapshot for AccessTracker {
 
 #[cfg(test)]
 mod tests {
+    #![expect(
+        clippy::float_cmp,
+        reason = "the expected temperatures are small dyadic rationals, exact in f64"
+    )]
+
     use super::*;
 
     fn ev(now_us: u64, object: u64, kind: AccessKind, pages: u64) -> AccessEvent {

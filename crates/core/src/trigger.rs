@@ -113,16 +113,16 @@ pub fn evaluate(erase_counts: &[f64], lambda: f64) -> TriggerDecision {
         .filter(|&i| erase_counts[i] - mean > mean * lambda)
         .collect();
     sources.sort_by(|&a, &b| {
+        #[expect(clippy::expect_used, reason = "wear values are finite by construction")]
         erase_counts[b]
             .partial_cmp(&erase_counts[a])
-            // edm-audit: allow(panic.expect, "wear values are finite by construction")
             .expect("finite")
     });
     let mut destinations: Vec<usize> = (0..n).filter(|&i| erase_counts[i] < mean).collect();
     destinations.sort_by(|&a, &b| {
+        #[expect(clippy::expect_used, reason = "wear values are finite by construction")]
         erase_counts[a]
             .partial_cmp(&erase_counts[b])
-            // edm-audit: allow(panic.expect, "wear values are finite by construction")
             .expect("finite")
     });
     TriggerDecision {

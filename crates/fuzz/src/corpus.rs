@@ -135,6 +135,10 @@ mod tests {
 
     #[test]
     fn repro_file_replays_and_stays_small() {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test scratch directory; its location never reaches simulation state"
+        )]
         let dir = std::env::temp_dir().join(format!("edm-fuzz-corpus-{}", std::process::id()));
         let failure = OracleFailure {
             oracle: "policy_invariants",

@@ -1,4 +1,7 @@
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::todo, clippy::unimplemented, clippy::unreachable)]
+#![warn(clippy::iter_over_hash_type)]
 //! # edm-fuzz — deterministic scenario fuzzing with differential oracles
 //!
 //! The repo's correctness story (PRs 1–4) is built on redundancy: the

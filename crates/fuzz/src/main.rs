@@ -36,6 +36,10 @@ fn parse_args() -> Result<Args, String> {
         replay: None,
         corpus_dir: PathBuf::from("fuzz/corpus"),
     };
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "CLI entry point: arguments are the fuzzer's configuration, not simulation input"
+    )]
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         let mut val = |what: &str| {
@@ -74,6 +78,10 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "scratch directory for scenario artifacts; its location never reaches simulation state"
+)]
 fn work_dir() -> PathBuf {
     std::env::temp_dir().join(format!("edm-fuzz-{}", std::process::id()))
 }
@@ -166,7 +174,10 @@ fn fuzz(args: &Args) -> i32 {
         (None, Some(_)) => u64::MAX,
         (None, None) => 100,
     };
-    #[allow(clippy::disallowed_methods)] // wall-clock budget at the process boundary
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-clock budget at the process boundary"
+    )]
     let started = Instant::now();
     let mut master = Rng::new(args.seed);
     let mut totals = Totals::default();
@@ -174,7 +185,6 @@ fn fuzz(args: &Args) -> i32 {
     let mut executed = 0u64;
     while executed < runs_limit {
         if let Some(budget) = args.budget_secs {
-            #[allow(clippy::disallowed_methods)] // wall-clock budget at the process boundary
             let elapsed = started.elapsed().as_secs();
             if elapsed >= budget {
                 break;
@@ -186,7 +196,6 @@ fn fuzz(args: &Args) -> i32 {
         }
         executed += 1;
     }
-    #[allow(clippy::disallowed_methods)] // wall-clock budget at the process boundary
     let wall = started.elapsed().as_secs_f64();
     println!(
         "edm-fuzz: {executed} scenarios in {wall:.1}s ({:.2}/s), {failures} oracle failures",

@@ -626,6 +626,10 @@ fn check_ftl_equivalence(s: &Scenario) -> Result<(), OracleFailure> {
 mod tests {
     use super::*;
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test scratch directory; its location never reaches simulation state"
+    )]
     fn tmp_dir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("edm-fuzz-test-{tag}-{}", std::process::id()));
         let _ = std::fs::create_dir_all(&d);

@@ -44,6 +44,10 @@ struct Args {
 }
 
 fn parse_args() -> Args {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "CLI entry point: arguments are the tool's configuration, not simulation input"
+    )]
     let mut args = std::env::args().skip(1);
     let Some(experiment) = args.next() else {
         usage();

@@ -35,6 +35,10 @@ use edm_obs::json::{self, JsonValue};
 use edm_snap::SnapshotFile;
 
 fn main() {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "CLI entry point: arguments are the tool's configuration, not simulation input"
+    )]
     let mut args = std::env::args().skip(1);
     match args.next().as_deref() {
         Some("--journal") => {

@@ -51,6 +51,10 @@ fn fail(msg: &str) -> ! {
 }
 
 fn main() {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "CLI entry point: arguments are the tool's configuration, not simulation input"
+    )]
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--example") {
         print!("{EXAMPLE}");

@@ -78,6 +78,10 @@ fn print_stats(trace: &Trace) {
 }
 
 fn main() {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "CLI entry point: arguments are the tool's configuration, not simulation input"
+    )]
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(|s| s.as_str()) {
         Some("list") => {

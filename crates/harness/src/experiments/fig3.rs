@@ -72,10 +72,16 @@ pub fn measure_ur(trace: &Trace, utilization: f64) -> Option<f64> {
     // Pre-create all files, then reach steady state.
     for (&file, &base) in &offsets {
         let size = trace.file_sizes[&file];
-        // edm-audit: allow(panic.expect, "writes stay inside the exported capacity by construction")
+        #[expect(
+            clippy::expect_used,
+            reason = "writes stay inside the exported capacity by construction"
+        )]
         ssd.write(base, size).expect("populate");
     }
-    // edm-audit: allow(panic.expect, "warm-up of a freshly built SSD cannot fail")
+    #[expect(
+        clippy::expect_used,
+        reason = "warm-up of a freshly built SSD cannot fail"
+    )]
     ssd.warm_up().expect("warm-up");
     // Replay the write stream (reads cannot touch uᵣ) until the GC has
     // reclaimed enough victims for a stable average.
@@ -83,7 +89,10 @@ pub fn measure_ur(trace: &Trace, utilization: f64) -> Option<f64> {
         for r in &trace.records {
             if let FileOp::Write { offset, len } = r.op {
                 let base = offsets[&r.file];
-                // edm-audit: allow(panic.expect, "writes stay inside the exported capacity by construction")
+                #[expect(
+                    clippy::expect_used,
+                    reason = "writes stay inside the exported capacity by construction"
+                )]
                 ssd.write(base + offset, len).expect("replay write");
             }
         }

@@ -65,7 +65,10 @@ impl Reliability {
             .collect();
         let window = finite.iter().copied().fold(0.0_f64, f64::max) * 0.01;
         let mut order = finite;
-        // edm-audit: allow(panic.expect, "erase counts come from wear stats and are always finite")
+        #[expect(
+            clippy::expect_used,
+            reason = "erase counts come from wear stats and are always finite"
+        )]
         order.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         let mut best = usize::from(!order.is_empty());
         for i in 0..order.len() {

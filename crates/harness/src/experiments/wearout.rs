@@ -110,7 +110,10 @@ pub fn run(cfg: &RunConfig, osds: u32, trace: &str) -> Result<WearoutResult, Str
 }
 
 fn wearout_dir() -> PathBuf {
-    // edm-audit: allow(det.env_read, "scratch directory for experiment checkpoints; its location never reaches simulation state")
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "scratch directory for experiment checkpoints; its location never reaches simulation state"
+    )]
     std::env::temp_dir().join(format!("edm-wearout-{}", std::process::id()))
 }
 

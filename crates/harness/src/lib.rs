@@ -1,4 +1,7 @@
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::todo, clippy::unimplemented, clippy::unreachable)]
+#![warn(clippy::iter_over_hash_type)]
 //! # edm-harness — regenerating the paper's tables and figures
 //!
 //! One module per evaluation artifact of the paper (Table 1, Figures 1,

@@ -197,7 +197,7 @@ impl Run {
 /// parallelism; always at least 1 and at most the number of items.
 fn resolve_jobs(jobs: Option<usize>, items: usize) -> usize {
     let requested = jobs.or_else(|| {
-        // edm-audit: allow(det.env_read, "operator override for sweep parallelism; the job count never affects per-run results")
+        #[expect(clippy::disallowed_methods, reason = "operator override for sweep parallelism; the job count never affects per-run results")]
         std::env::var("EDM_JOBS")
             .ok()
             .and_then(|v| match v.trim().parse::<usize>() {
@@ -233,6 +233,10 @@ pub fn par_map<T: Sync, R: Send>(
         items.get(i).map(|item| (i, item))
     };
     let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "workers return (index, result) pairs that are sorted by index after the joins; scheduling order never reaches the output"
+        )]
         let workers: Vec<_> = (0..resolve_jobs(jobs, items.len()))
             .map(|_| {
                 scope.spawn(|| {
@@ -318,6 +322,10 @@ pub(crate) enum Work {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "test-only work log: tests count its entries after the pool has joined and never read their order"
+)]
 pub(crate) static WORK_LOG: std::sync::Mutex<Vec<Work>> = std::sync::Mutex::new(Vec::new());
 
 #[cfg(test)]

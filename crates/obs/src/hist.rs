@@ -83,6 +83,10 @@ impl Histogram {
     /// nearest-rank definition used by `RunReport` percentiles). The true
     /// quantile is guaranteed to lie within these bounds; `hi` is
     /// additionally clamped to the observed maximum.
+    #[expect(
+        clippy::unreachable,
+        reason = "rank <= count is checked by the caller; bucket sums cover every observation"
+    )]
     pub fn quantile_bounds(&self, q: f64) -> (u64, u64) {
         if self.count == 0 {
             return (0, 0);
@@ -96,7 +100,6 @@ impl Histogram {
                 return (lo, hi.min(self.max));
             }
         }
-        // edm-audit: allow(panic.unreachable, "rank <= count is checked by the caller; bucket sums cover every observation")
         unreachable!("rank <= count implies a bucket is found");
     }
 

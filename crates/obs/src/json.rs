@@ -191,7 +191,10 @@ fn parse_num(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     while *pos < b.len() && matches!(b[*pos], b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9') {
         *pos += 1;
     }
-    // edm-audit: allow(panic.expect, "slice bounds come from an ASCII-only scan of the same buffer")
+    #[expect(
+        clippy::expect_used,
+        reason = "slice bounds come from an ASCII-only scan of the same buffer"
+    )]
     let text = std::str::from_utf8(&b[start..*pos]).expect("ascii slice");
     text.parse::<f64>()
         .map(JsonValue::Num)
@@ -239,7 +242,10 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
             Some(_) => {
                 // Consume one UTF-8 scalar (multi-byte safe).
                 let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                // edm-audit: allow(panic.expect, "guarded by the emptiness check in the enclosing loop condition")
+                #[expect(
+                    clippy::expect_used,
+                    reason = "guarded by the emptiness check in the enclosing loop condition"
+                )]
                 let c = rest.chars().next().expect("non-empty");
                 out.push(c);
                 *pos += c.len_utf8();

@@ -106,7 +106,10 @@ impl Scenario {
                 continue;
             }
             let mut it = line.split_ascii_whitespace();
-            // edm-audit: allow(panic.expect, "split_whitespace on a line checked non-empty always yields a token")
+            #[expect(
+                clippy::expect_used,
+                reason = "split_whitespace on a line checked non-empty always yields a token"
+            )]
             let key = it.next().expect("non-empty line");
             let mut next = |what: &str| -> Result<&str, String> {
                 it.next()

@@ -200,6 +200,10 @@ mod tests {
 
     #[test]
     fn dir_backend_moves_files() {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test scratch directory; its location never reaches simulation state"
+        )]
         let root =
             std::env::temp_dir().join(format!("edm-serve-dirbackend-{}", std::process::id()));
         let _ = fs::remove_dir_all(&root);

@@ -55,7 +55,10 @@ fn read_scenario(path: &str) -> Scenario {
 }
 
 fn main() {
-    // edm-audit: allow(det.env_read, "CLI entry point: arguments are the daemon's configuration, not simulation input")
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "CLI entry point: arguments are the daemon's configuration, not simulation input"
+    )]
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
         fail(USAGE);

@@ -679,6 +679,10 @@ mod tests {
 
     #[test]
     fn checkpoint_resume_converges_with_uninterrupted_run() {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test scratch directory; its location never reaches simulation state"
+        )]
         let dir = std::env::temp_dir().join(format!("edm-serve-live-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let ops = dump_ops(&scenario());

@@ -5,9 +5,9 @@
 //! [`FlatOut`] dispatches as fast as possible but still yields
 //! periodically. Both uphold the [`TimeSource`] contract: they only
 //! delay or hand back control, never reorder — so the replay digest is
-//! independent of the wall clock, which is also why the wall-clock reads
-//! here are the only ones in the crate and carry the audit pragmas
-//! arguing exactly that.
+//! independent of the wall clock, which is also why the wall-clock read
+//! here is the only one in the crate and carries an `#[expect]` arguing
+//! exactly that.
 
 use std::time::{Duration, Instant};
 
@@ -19,9 +19,11 @@ use edm_cluster::{TimeSource, TimeStep};
 const SLICE: Duration = Duration::from_millis(2);
 
 /// The crate's one wall-clock read, shared by both pacers.
-#[allow(clippy::disallowed_methods)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "pacing only: the wall clock dilates event timing, never event order or content"
+)]
 fn wall_now() -> Instant {
-    // edm-audit: allow(det.wallclock, "pacing only: the wall clock dilates event timing, never event order or content")
     Instant::now()
 }
 

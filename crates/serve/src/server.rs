@@ -39,7 +39,10 @@ pub fn serve(listener: TcpListener, ctrl: &Ctrl) {
 /// Spawns the server thread. The handle joins once a shutdown request
 /// is observed.
 pub fn spawn_server(listener: TcpListener, ctrl: Arc<Ctrl>) -> std::thread::JoinHandle<()> {
-    // edm-audit: allow(det.thread_order, "server thread shares only the Ctrl control block, never simulation state")
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "server thread shares only the Ctrl control block, never simulation state"
+    )]
     std::thread::spawn(move || serve(listener, &ctrl))
 }
 

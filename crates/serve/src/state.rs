@@ -21,7 +21,10 @@ use std::time::Duration;
 
 // Shared state is confined to this control block; the session thread owns
 // all simulation state and only rendered strings / queued text cross over.
-// edm-audit: allow(det.thread_order, "control-plane handoff only; no simulation state is shared")
+#[expect(
+    clippy::disallowed_types,
+    reason = "control-plane handoff only; no simulation state is shared"
+)]
 type Lock<T> = std::sync::Mutex<T>;
 
 /// Cap on buffered, not-yet-applied ingest lines. `POST /ingest` returns
@@ -397,8 +400,12 @@ mod tests {
     #[test]
     fn fetch_on_a_live_session_blocks_until_that_view_is_rendered() {
         let c = &Ctrl::new();
-        let seen = c.serve_views(|_| unreachable!("nobody asked yet"));
+        let seen = c.serve_views(|_| panic!("nobody asked yet"));
         std::thread::scope(|scope| {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the test forces the interleaving it checks through Ctrl's own park/serve hand-off"
+            )]
             let reader = scope.spawn(|| c.fetch(View::Stats));
             // The request is what wakes the session.
             c.park(seen);
@@ -427,7 +434,11 @@ mod tests {
     fn fetch_serves_the_last_body_when_the_bound_expires() {
         let c = &Ctrl::new();
         std::thread::scope(|scope| {
-            let seen = c.serve_views(|_| unreachable!());
+            let seen = c.serve_views(|_| panic!("nobody asked yet"));
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the test forces the interleaving it checks through Ctrl's own park/serve hand-off"
+            )]
             let first = scope.spawn(|| c.fetch(View::Plan));
             c.park(seen);
             c.serve_views(|_| "old".to_string());
@@ -440,10 +451,14 @@ mod tests {
     #[test]
     fn ending_the_session_releases_every_waiter() {
         let c = &Ctrl::new();
-        let mut seen = c.serve_views(|_| unreachable!());
+        let mut seen = c.serve_views(|_| panic!("nobody asked yet"));
         let views = [View::Healthz, View::Stats, View::Stats];
         std::thread::scope(|scope| {
             let all_waiting = seen + views.len() as u64;
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the test forces the interleaving it checks through Ctrl's own park/serve hand-off"
+            )]
             let readers = views.map(|view| scope.spawn(move || c.fetch(view)));
             // A reader bumps the epoch under the lock it then waits on, so
             // once every bump is visible every reader is parked.

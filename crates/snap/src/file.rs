@@ -294,6 +294,10 @@ mod tests {
 
     #[test]
     fn atomic_write_roundtrip() {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test scratch directory; its location never reaches simulation state"
+        )]
         let dir = std::env::temp_dir().join(format!("edmsnap-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.edmsnap");

@@ -1,4 +1,7 @@
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::todo, clippy::unimplemented, clippy::unreachable)]
+#![warn(clippy::iter_over_hash_type)]
 //! # edm-snap — deterministic checkpoint/restore for the EDM simulator
 //!
 //! A snapshot captures the complete simulator state — FTL page maps and

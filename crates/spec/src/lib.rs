@@ -1,4 +1,7 @@
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::todo, clippy::unimplemented, clippy::unreachable)]
+#![warn(clippy::iter_over_hash_type)]
 //! edm-spec: an abstract EDM state machine replayed against the edm-obs
 //! JSONL journal.
 //!
@@ -288,17 +291,19 @@ impl Spec {
         let triggered = rsd > lambda;
         let mut sources: Vec<usize> = (0..n).filter(|&i| ecs[i] - mean > mean * lambda).collect();
         sources.sort_by(|&a, &b| {
-            ecs[b]
-                .partial_cmp(&ecs[a])
-                // edm-audit: allow(panic.expect, "erase estimates are checked finite before recomputation")
-                .expect("finite")
+            #[expect(
+                clippy::expect_used,
+                reason = "erase estimates are checked finite before recomputation"
+            )]
+            ecs[b].partial_cmp(&ecs[a]).expect("finite")
         });
         let mut destinations: Vec<usize> = (0..n).filter(|&i| ecs[i] < mean).collect();
         destinations.sort_by(|&a, &b| {
-            ecs[a]
-                .partial_cmp(&ecs[b])
-                // edm-audit: allow(panic.expect, "erase estimates are checked finite before recomputation")
-                .expect("finite")
+            #[expect(
+                clippy::expect_used,
+                reason = "erase estimates are checked finite before recomputation"
+            )]
+            ecs[a].partial_cmp(&ecs[b]).expect("finite")
         });
         (
             rsd,

@@ -154,7 +154,10 @@ pub struct PageLevelFtl {
 
 impl PageLevelFtl {
     pub fn new(geometry: Geometry, config: FtlConfig) -> Self {
-        // edm-audit: allow(panic.expect, "constructor contract: callers pass validated geometry")
+        #[expect(
+            clippy::expect_used,
+            reason = "constructor contract: callers pass validated geometry"
+        )]
         geometry.validate().expect("invalid flash geometry");
         assert!(
             config.gc_low_watermark >= 2,
@@ -327,7 +330,10 @@ impl PageLevelFtl {
                     break;
                 }
             }
-            // edm-audit: allow(panic.expect, "ensure_host_active on the previous line installs an active block")
+            #[expect(
+                clippy::expect_used,
+                reason = "ensure_host_active on the previous line installs an active block"
+            )]
             let active = self.active.expect("ensure_host_active provides a block");
             let run = (end - lpn).min(self.blocks[active as usize].free_pages() as u64);
             for _ in 0..run {
@@ -649,12 +655,15 @@ impl PageLevelFtl {
         let mut cursor = 0u32;
         while let Some(page) = self.blocks[victim as usize].next_valid_page(cursor) {
             cursor = page + 1;
+            #[expect(
+                clippy::expect_used,
+                reason = "FTL invariant: reverse map covers every valid page"
+            )]
             let lpn = self.p2l[PhysPage {
                 block: victim,
                 page,
             }
             .linear(self.geometry.pages_per_block)]
-            // edm-audit: allow(panic.expect, "FTL invariant: reverse map covers every valid page")
             .expect("valid page must have an owner");
             let dest = self.ensure_gc_active()?;
             let dest_page = self.program_into(dest, lpn);
@@ -706,7 +715,10 @@ impl PageLevelFtl {
             let block = self.free_blocks.pop().ok_or(FtlError::DeviceFull)?;
             self.gc_active = Some(block);
         }
-        // edm-audit: allow(panic.expect, "ensure_gc_active on the previous line installs a GC block")
+        #[expect(
+            clippy::expect_used,
+            reason = "ensure_gc_active on the previous line installs a GC block"
+        )]
         Ok(self.gc_active.expect("just ensured"))
     }
 

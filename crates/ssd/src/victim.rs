@@ -79,9 +79,12 @@ impl VictimBuckets {
     /// # Panics
     /// Panics if the block is not a candidate.
     pub fn remove(&mut self, block: u32) -> u32 {
+        #[expect(
+            clippy::expect_used,
+            reason = "bucket invariant: a block is always removed from the bucket it was filed under"
+        )]
         let (valid, pos) = self.slot[block as usize]
             .take()
-            // edm-audit: allow(panic.expect, "bucket invariant: a block is always removed from the bucket it was filed under")
             .expect("removing a non-candidate block");
         self.remove_at(valid, pos);
         self.len -= 1;
@@ -122,11 +125,14 @@ impl VictimBuckets {
         while self.buckets[self.min_valid].is_empty() {
             self.min_valid += 1;
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "pop only runs after the scan found this bucket non-empty"
+        )]
         let block = self.buckets[self.min_valid]
             .iter()
             .copied()
             .min()
-            // edm-audit: allow(panic.expect, "pop only runs after the scan found this bucket non-empty")
             .expect("bucket is non-empty");
         Some((self.min_valid as u32, block))
     }

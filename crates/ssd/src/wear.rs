@@ -4,6 +4,8 @@
 //! erase count and write pages per SSD (Fig. 1, Fig. 6), plus the average
 //! valid-page ratio of GC victim blocks, uᵣ, which the wear model of
 //! §III.B.1 estimates from utilization (Fig. 3).
+#![warn(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+#![warn(clippy::float_cmp)]
 
 use edm_snap::snapshot_struct;
 

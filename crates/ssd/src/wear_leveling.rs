@@ -218,9 +218,15 @@ pub fn static_leveling_due(erase_counts: &[u64], threshold: u64) -> bool {
     if threshold == 0 || erase_counts.is_empty() {
         return false;
     }
-    // edm-audit: allow(panic.expect, "geometry validation guarantees at least one block")
+    #[expect(
+        clippy::expect_used,
+        reason = "geometry validation guarantees at least one block"
+    )]
     let max = erase_counts.iter().copied().max().expect("non-empty");
-    // edm-audit: allow(panic.expect, "geometry validation guarantees at least one block")
+    #[expect(
+        clippy::expect_used,
+        reason = "geometry validation guarantees at least one block"
+    )]
     let min = erase_counts.iter().copied().min().expect("non-empty");
     max - min > threshold
 }
@@ -242,9 +248,15 @@ pub fn wear_spread(erase_counts: &[u64]) -> WearSpread {
         };
     }
     WearSpread {
-        // edm-audit: allow(panic.expect, "geometry validation guarantees at least one block")
+        #[expect(
+            clippy::expect_used,
+            reason = "geometry validation guarantees at least one block"
+        )]
         min: erase_counts.iter().copied().min().expect("non-empty"),
-        // edm-audit: allow(panic.expect, "geometry validation guarantees at least one block")
+        #[expect(
+            clippy::expect_used,
+            reason = "geometry validation guarantees at least one block"
+        )]
         max: erase_counts.iter().copied().max().expect("non-empty"),
         mean: erase_counts.iter().sum::<u64>() as f64 / erase_counts.len() as f64,
     }

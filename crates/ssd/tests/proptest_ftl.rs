@@ -89,6 +89,7 @@ proptest! {
         }
 
         prop_assert_eq!(ftl.mapped_pages(), model.len() as u64);
+        #[expect(clippy::disallowed_methods, reason = "one assertion per key; order cannot matter")]
         for &lpn in model.keys() {
             prop_assert!(ftl.is_mapped(lpn));
         }

@@ -3,7 +3,7 @@
 //! HDF/CDF split rides on the divergence between the read-hot and
 //! write-hot sets).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use crate::op::{FileId, FileOp};
 use crate::trace::Trace;
@@ -31,9 +31,10 @@ pub struct WorkloadProfile {
     pub sequential_fraction: f64,
 }
 
-/// Per-file byte tallies.
-fn per_file_bytes(trace: &Trace, want_write: bool) -> HashMap<FileId, u64> {
-    let mut m = HashMap::new();
+/// Per-file byte tallies, in file-id order: `profile` feeds them to
+/// float sums, whose bits must not depend on a per-process hash order.
+fn per_file_bytes(trace: &Trace, want_write: bool) -> BTreeMap<FileId, u64> {
+    let mut m = BTreeMap::new();
     for r in &trace.records {
         let add = match r.op {
             FileOp::Write { len, .. } if want_write => len,
@@ -84,9 +85,8 @@ pub fn top_share(values: &[u64], fraction: f64) -> f64 {
 }
 
 /// Jaccard similarity of the top-`fraction` hot sets of two tallies.
-fn hot_overlap(a: &HashMap<FileId, u64>, b: &HashMap<FileId, u64>, fraction: f64) -> f64 {
-    let top = |m: &HashMap<FileId, u64>| -> std::collections::HashSet<FileId> {
-        // edm-audit: allow(det.map_iter, "entries are sorted (count desc, id asc) immediately after collection")
+fn hot_overlap(a: &BTreeMap<FileId, u64>, b: &BTreeMap<FileId, u64>, fraction: f64) -> f64 {
+    let top = |m: &BTreeMap<FileId, u64>| -> std::collections::HashSet<FileId> {
         let mut v: Vec<(FileId, u64)> = m.iter().map(|(&f, &x)| (f, x)).collect();
         v.sort_by(|x, y| y.1.cmp(&x.1).then(x.0.cmp(&y.0)));
         let k = ((v.len() as f64 * fraction).ceil() as usize).max(1);
@@ -214,6 +214,27 @@ mod tests {
         assert!(p.size_write_correlation > 0.1, "{p:?}");
         // Sessions are sequential inside.
         assert!(p.sequential_fraction > 0.3, "{p:?}");
+    }
+
+    #[test]
+    fn profile_bits_do_not_depend_on_hash_order() {
+        // Every `HashMap::new()` draws fresh hash keys, so two calls in
+        // one process already see two iteration orders.
+        let t = synthesize(&harvard::spec("home02").scaled(0.01));
+        let (a, b) = (profile(&t), profile(&t));
+        let bits = |p: &WorkloadProfile| {
+            [
+                p.write_gini,
+                p.read_gini,
+                p.write_top_decile_share,
+                p.read_top_decile_share,
+                p.hot_set_overlap,
+                p.size_write_correlation,
+                p.sequential_fraction,
+            ]
+            .map(f64::to_bits)
+        };
+        assert_eq!(bits(&a), bits(&b));
     }
 
     #[test]

@@ -1,4 +1,7 @@
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::todo, clippy::unimplemented, clippy::unreachable)]
+#![warn(clippy::iter_over_hash_type)]
 //! # edm-workload — trace substrate for the EDM reproduction
 //!
 //! The paper (Ou et al., IPDPS 2014) evaluates EDM by replaying seven NFS

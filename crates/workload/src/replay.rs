@@ -52,7 +52,10 @@ pub fn assignment_imbalance(scripts: &[ClientScript]) -> f64 {
         return 1.0;
     }
     let mean = total as f64 / counts.len() as f64;
-    // edm-audit: allow(panic.expect, "guarded by the is_empty early-return above")
+    #[expect(
+        clippy::expect_used,
+        reason = "guarded by the is_empty early-return above"
+    )]
     let max = *counts.iter().max().expect("non-empty") as f64;
     max / mean
 }

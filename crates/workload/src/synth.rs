@@ -24,7 +24,10 @@ const MEAN_GAP_US: u64 = 1_000;
 /// Generates the trace described by `spec`. Deterministic: the same spec
 /// (including its seed) always yields the identical trace.
 pub fn synthesize(spec: &WorkloadSpec) -> Trace {
-    // edm-audit: allow(panic.expect, "constructor contract: callers pass validated workload specs")
+    #[expect(
+        clippy::expect_used,
+        reason = "constructor contract: callers pass validated workload specs"
+    )]
     spec.validate().expect("invalid workload spec");
     let mut rng = StdRng::seed_from_u64(spec.seed);
     let mut trace = Trace::new(spec.name.clone());
@@ -249,6 +252,10 @@ mod tests {
                 *per_file.entry(r.file).or_insert(0u64) += 1;
             }
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "counts are sorted on the next line"
+        )]
         let mut counts: Vec<u64> = per_file.values().copied().collect();
         counts.sort_unstable_by(|a, b| b.cmp(a));
         // Top 10 % of written files should carry well over 10 % of writes.
@@ -271,6 +278,10 @@ mod tests {
                 *per_file.entry(r.file).or_insert(0u64) += 1;
             }
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "counts are sorted on the next line"
+        )]
         let mut counts: Vec<u64> = per_file.values().copied().collect();
         counts.sort_unstable_by(|a, b| b.cmp(a));
         let top = counts.iter().take(counts.len() / 10).sum::<u64>();

@@ -85,15 +85,11 @@ impl Trace {
     /// Checks structural well-formedness: records sorted by time, every
     /// referenced file has a size, every access fits inside its file.
     pub fn validate(&self) -> Result<(), String> {
-        for w in self.records.windows(2) {
-            // edm-audit: allow(panic.slice_index, "windows(2) yields exactly two elements per window")
-            if w[0].time_us > w[1].time_us {
+        for (a, b) in self.records.iter().zip(self.records.iter().skip(1)) {
+            if a.time_us > b.time_us {
                 return Err(format!(
                     "records out of order: {} then {}",
-                    // edm-audit: allow(panic.slice_index, "windows(2) yields exactly two elements per window")
-                    w[0].time_us,
-                    // edm-audit: allow(panic.slice_index, "windows(2) yields exactly two elements per window")
-                    w[1].time_us
+                    a.time_us, b.time_us
                 ));
             }
         }
@@ -165,13 +161,14 @@ impl Trace {
     pub fn to_text(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        // edm-audit: allow(panic.expect, "write! into a String is infallible")
+        #[expect(clippy::expect_used, reason = "write! into a String is infallible")]
         writeln!(out, "# edm-trace v1 {}", self.name).expect("string write");
         for (f, size) in &self.file_sizes {
-            // edm-audit: allow(panic.expect, "write! into a String is infallible")
+            #[expect(clippy::expect_used, reason = "write! into a String is infallible")]
             writeln!(out, "F {} {}", f.0, size).expect("string write");
         }
         for r in &self.records {
+            #[expect(clippy::expect_used, reason = "write! into a String is infallible")]
             match r.op {
                 FileOp::Open | FileOp::Close => writeln!(
                     out,
@@ -192,7 +189,6 @@ impl Trace {
                     len
                 ),
             }
-            // edm-audit: allow(panic.expect, "write! into a String is infallible")
             .expect("string write");
         }
         out

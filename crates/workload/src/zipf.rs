@@ -41,8 +41,12 @@ impl Zipf {
             *c /= total;
         }
         // Guard against floating-point shortfall at the tail.
-        // edm-audit: allow(panic.expect, "constructor asserts n > 0, so the cdf is non-empty")
-        *cdf.last_mut().expect("n > 0") = 1.0;
+        #[expect(
+            clippy::expect_used,
+            reason = "constructor asserts n > 0, so the cdf is non-empty"
+        )]
+        let last = cdf.last_mut().expect("n > 0");
+        *last = 1.0;
         Zipf { cdf }
     }
 
@@ -58,12 +62,8 @@ impl Zipf {
 
     /// Probability mass of a given rank.
     pub fn pmf(&self, rank: usize) -> f64 {
-        if rank == 0 {
-            // edm-audit: allow(panic.slice_index, "constructor asserts n > 0, so the cdf is non-empty")
-            self.cdf[0]
-        } else {
-            self.cdf[rank] - self.cdf[rank - 1]
-        }
+        let below = if rank == 0 { 0.0 } else { self.cdf[rank - 1] };
+        self.cdf[rank] - below
     }
 }
 

@@ -14,6 +14,10 @@ use edm_workload::harvard;
 use edm_workload::synth::synthesize;
 
 fn main() {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "CLI entry point: arguments are the tool's configuration, not simulation input"
+    )]
     let mut args = std::env::args().skip(1);
     let trace_name = args.next().unwrap_or_else(|| "home02".into());
     let scale: f64 = args

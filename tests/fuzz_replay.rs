@@ -26,6 +26,10 @@ fn corpus_scenarios_pass_all_oracles() {
         "fuzz/corpus must hold at least 3 seed scenarios, found {}",
         files.len()
     );
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test scratch directory; its location never reaches simulation state"
+    )]
     let work = std::env::temp_dir().join(format!("edm-fuzz-replay-{}", std::process::id()));
     std::fs::create_dir_all(&work).unwrap();
     for path in &files {

@@ -9,7 +9,10 @@
 //! These tests race a real daemon against wall-clock deadlines, so they
 //! legitimately read `Instant::now` at the process boundary — the
 //! simulation state they assert on stays virtual-time-deterministic.
-#![allow(clippy::disallowed_methods)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "races a real daemon against wall-clock deadlines and spawns its session thread; asserted state stays virtual-time-deterministic"
+)]
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};

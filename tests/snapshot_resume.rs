@@ -13,6 +13,10 @@ use edm_obs::NoopRecorder;
 use edm_snap::{SnapError, SnapshotFile};
 
 fn ckpt_dir(tag: &str) -> PathBuf {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test scratch directory; its location never reaches simulation state"
+    )]
     let dir = std::env::temp_dir().join(format!("edm-snapres-{}-{}", tag, std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
