@@ -28,10 +28,13 @@
 //! simulator, so it is safe to point at checkpoints from newer or older
 //! simulator builds. Exits nonzero on a corrupt or truncated file.
 
+use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet};
+
 use edm_cluster::SnapManifest;
 use edm_harness::runner::{run_one, Run};
 use edm_harness::SnapMeta;
-use edm_obs::json::{self, JsonValue};
+use edm_obs::json::{Raw, Record};
 use edm_snap::SnapshotFile;
 
 fn main() {
@@ -143,16 +146,197 @@ fn verify_mode(path: &str) {
     }
 }
 
-fn get_u64(v: &JsonValue, key: &str) -> u64 {
-    v.get(key).and_then(JsonValue::as_u64).unwrap_or(0)
+fn get_u64(r: &Record<'_>, key: &str) -> u64 {
+    r.get(key).and_then(Raw::as_u64).unwrap_or(0)
 }
 
-fn get_f64(v: &JsonValue, key: &str) -> f64 {
-    v.get(key).and_then(JsonValue::as_f64).unwrap_or(f64::NAN)
+fn get_f64(r: &Record<'_>, key: &str) -> f64 {
+    r.get(key).and_then(Raw::as_f64).unwrap_or(f64::NAN)
 }
 
-fn get_str<'a>(v: &'a JsonValue, key: &str) -> &'a str {
-    v.get(key).and_then(JsonValue::as_str).unwrap_or("?")
+fn get_str<'a>(r: &Record<'a>, key: &str) -> Cow<'a, str> {
+    r.get(key)
+        .and_then(Raw::as_str)
+        .unwrap_or(Cow::Borrowed("?"))
+}
+
+/// One component tag's share of a sharded journal.
+#[derive(Default)]
+struct Comp {
+    events: u64,
+    erase_times: Vec<u64>,
+    osds: BTreeSet<u64>,
+}
+
+/// Everything `--journal` prints, gathered in one pass over the records
+/// so no record outlives its line.
+#[derive(Default)]
+struct Summary {
+    records: usize,
+    trailers: usize,
+    max_t: u64,
+    /// `(t_us, osd)` of every `block_erase`.
+    erases: Vec<(u64, u64)>,
+    comps: BTreeMap<u64, Comp>,
+    triggers: Vec<String>,
+    plans: Vec<String>,
+    counters: Vec<String>,
+    hists: Vec<String>,
+}
+
+impl Summary {
+    fn add(&mut self, r: &Record<'_>) {
+        let kind = get_str(r, "kind");
+        let t_us = get_u64(r, "t_us");
+        self.records += 1;
+        self.max_t = self.max_t.max(t_us);
+        if matches!(&*kind, "counter" | "gauge" | "hist") {
+            self.trailers += 1;
+        }
+        if kind == "block_erase" {
+            self.erases.push((t_us, get_u64(r, "osd")));
+        }
+        if r.get("comp").is_some() {
+            let comp = self.comps.entry(get_u64(r, "comp")).or_default();
+            comp.events += 1;
+            if kind == "block_erase" {
+                comp.erase_times.push(t_us);
+            }
+            if let Some(o) = r.get("osd").and_then(Raw::as_u64) {
+                comp.osds.insert(o);
+            }
+        }
+        let len = |key: &str| r.get(key).and_then(Raw::items).map_or(0, |v| v.len());
+        match &*kind {
+            "trigger_eval" => self.triggers.push(format!(
+                "{:>10.3}  {:<8} {:<16} {:>8.4} {:>8.4}  {:<5}  {:>3} {:>3}",
+                t_us as f64 / 1e6,
+                get_str(r, "policy"),
+                get_str(r, "metric"),
+                get_f64(r, "rsd"),
+                get_f64(r, "lambda"),
+                r.get("triggered").and_then(Raw::as_bool) == Some(true),
+                len("sources"),
+                len("destinations"),
+            )),
+            "plan_chosen" => self.plans.push(format!(
+                "plan at {:.3}s: {} moves {} objects / {} bytes",
+                t_us as f64 / 1e6,
+                get_str(r, "policy"),
+                get_u64(r, "moves"),
+                get_u64(r, "moved_bytes"),
+            )),
+            "plan_assessment" => self.plans.push(format!(
+                "  predicted RSD {:.4} -> {:.4} for {} bytes / {} write pages shifted",
+                get_f64(r, "rsd_before"),
+                get_f64(r, "rsd_after"),
+                get_u64(r, "moved_bytes"),
+                get_u64(r, "moved_write_pages"),
+            )),
+            "counter" => self.counters.push(format!(
+                "{:<28} {}",
+                get_str(r, "name"),
+                get_u64(r, "value")
+            )),
+            "hist" => self.hists.push(format!(
+                "{:<20} n={:<9} p50={} p95={} p99={} max={}",
+                get_str(r, "name"),
+                get_u64(r, "count"),
+                get_u64(r, "p50"),
+                get_u64(r, "p95"),
+                get_u64(r, "p99"),
+                get_u64(r, "max"),
+            )),
+            _ => {}
+        }
+    }
+
+    fn print(&self, path: &str) {
+        println!(
+            "{path}: {} records ({} events, {} trailers, {} components)",
+            self.records,
+            self.records - self.trailers,
+            self.trailers,
+            self.comps.len()
+        );
+
+        // Per-OSD erase timeline: block_erase events bucketed over the run.
+        const COLS: usize = 12;
+        if !self.erases.is_empty() {
+            let max_t = self.erases.iter().map(|&(t, _)| t).max().unwrap_or(0);
+            let max_osd = self.erases.iter().map(|&(_, o)| o).max().unwrap_or(0) as usize;
+            let width = max_t / COLS as u64 + 1;
+            let mut counts = vec![[0u64; COLS]; max_osd + 1];
+            for &(t, o) in &self.erases {
+                counts[o as usize][(t / width) as usize] += 1;
+            }
+            println!(
+                "-- per-OSD erase timeline ({COLS} x {:.2}s buckets) --",
+                width as f64 / 1e6
+            );
+            for (o, row) in counts.iter().enumerate() {
+                let total: u64 = row.iter().sum();
+                if total == 0 {
+                    continue;
+                }
+                let cells: Vec<String> = row.iter().map(|c| format!("{c:>5}")).collect();
+                println!("osd{o:<3} |{}| total {total}", cells.join(" "));
+            }
+        }
+
+        // Per-component sections for sharded runs: each worker's share of
+        // the event stream and its erase timeline. Triggers and plans stay
+        // in the global tables below — planning runs on the coordinator and
+        // its events carry no component tag.
+        if !self.comps.is_empty() {
+            let width = self.max_t / COLS as u64 + 1;
+            println!(
+                "-- per-component erase timelines ({} workers, {COLS} x {:.2}s buckets) --",
+                self.comps.len(),
+                width as f64 / 1e6
+            );
+            for (c, comp) in &self.comps {
+                let mut row = [0u64; COLS];
+                for &t in &comp.erase_times {
+                    row[(t / width) as usize] += 1;
+                }
+                let cells: Vec<String> = row.iter().map(|n| format!("{n:>5}")).collect();
+                println!(
+                    "comp{c:<3} |{}| {} erases / {} events on {} OSDs",
+                    cells.join(" "),
+                    comp.erase_times.len(),
+                    comp.events,
+                    comp.osds.len()
+                );
+            }
+        }
+
+        // Migration-decision trace: trigger verdicts, plans, predictions.
+        if !self.triggers.is_empty() {
+            println!("-- trigger evaluations --");
+            println!(
+                "{:>10}  {:<8} {:<16} {:>8} {:>8}  fired  src dst",
+                "t(s)", "policy", "metric", "rsd", "lambda"
+            );
+        }
+        for line in self.triggers.iter().chain(&self.plans) {
+            println!("{line}");
+        }
+
+        // Counter and histogram trailer records.
+        if !self.counters.is_empty() {
+            println!("-- counters --");
+        }
+        for line in &self.counters {
+            println!("{line}");
+        }
+        if !self.hists.is_empty() {
+            println!("-- latency histograms (us) --");
+        }
+        for line in &self.hists {
+            println!("{line}");
+        }
+    }
 }
 
 fn journal_mode(path: &str) {
@@ -160,188 +344,19 @@ fn journal_mode(path: &str) {
         eprintln!("cannot read {path}: {e}");
         std::process::exit(1);
     });
-    let mut records = Vec::new();
+    let mut rec = Record::default();
+    let mut summary = Summary::default();
     for (no, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        match json::parse(line) {
-            Ok(v) => records.push(v),
-            Err(e) => {
-                eprintln!("{path}:{}: bad journal line: {e}", no + 1);
-                std::process::exit(1);
-            }
+        if let Err(e) = rec.read(line) {
+            eprintln!("{path}:{}: bad journal line: {e}", no + 1);
+            std::process::exit(1);
         }
+        summary.add(&rec);
     }
-    let trailers = records
-        .iter()
-        .filter(|r| matches!(get_str(r, "kind"), "counter" | "gauge" | "hist"))
-        .count();
-    let events = records.len() - trailers;
-    let mut comps: Vec<u64> = records
-        .iter()
-        .filter(|r| r.get("comp").is_some())
-        .map(|r| get_u64(r, "comp"))
-        .collect();
-    comps.sort_unstable();
-    comps.dedup();
-    println!(
-        "{path}: {} records ({events} events, {trailers} trailers, {} components)",
-        records.len(),
-        comps.len()
-    );
-
-    // Per-OSD erase timeline: block_erase events bucketed over the run.
-    let erases: Vec<(u64, u64)> = records
-        .iter()
-        .filter(|r| get_str(r, "kind") == "block_erase")
-        .map(|r| (get_u64(r, "t_us"), get_u64(r, "osd")))
-        .collect();
-    if !erases.is_empty() {
-        let max_t = erases.iter().map(|&(t, _)| t).max().unwrap_or(0);
-        let max_osd = erases.iter().map(|&(_, o)| o).max().unwrap_or(0) as usize;
-        const COLS: usize = 12;
-        let width = max_t / COLS as u64 + 1;
-        let mut counts = vec![[0u64; COLS]; max_osd + 1];
-        for &(t, o) in &erases {
-            counts[o as usize][(t / width) as usize] += 1;
-        }
-        println!(
-            "-- per-OSD erase timeline ({COLS} x {:.2}s buckets) --",
-            width as f64 / 1e6
-        );
-        for (o, row) in counts.iter().enumerate() {
-            let total: u64 = row.iter().sum();
-            if total == 0 {
-                continue;
-            }
-            let cells: Vec<String> = row.iter().map(|c| format!("{c:>5}")).collect();
-            println!("osd{o:<3} |{}| total {total}", cells.join(" "));
-        }
-    }
-
-    // Per-component sections for sharded runs: each worker's share of
-    // the event stream and its erase timeline. Triggers and plans stay
-    // in the global tables below — planning runs on the coordinator and
-    // its events carry no component tag.
-    if !comps.is_empty() {
-        const COLS: usize = 12;
-        let max_t = records
-            .iter()
-            .map(|r| get_u64(r, "t_us"))
-            .max()
-            .unwrap_or(0);
-        let width = max_t / COLS as u64 + 1;
-        println!(
-            "-- per-component erase timelines ({} workers, {COLS} x {:.2}s buckets) --",
-            comps.len(),
-            width as f64 / 1e6
-        );
-        for &c in &comps {
-            let mut row = [0u64; COLS];
-            let mut comp_events = 0u64;
-            let mut comp_erases = 0u64;
-            let mut osds: Vec<u64> = Vec::new();
-            for r in records
-                .iter()
-                .filter(|r| r.get("comp").is_some() && get_u64(r, "comp") == c)
-            {
-                comp_events += 1;
-                if get_str(r, "kind") == "block_erase" {
-                    comp_erases += 1;
-                    row[(get_u64(r, "t_us") / width) as usize] += 1;
-                }
-                if let Some(o) = r.get("osd").and_then(JsonValue::as_u64) {
-                    osds.push(o);
-                }
-            }
-            osds.sort_unstable();
-            osds.dedup();
-            let cells: Vec<String> = row.iter().map(|n| format!("{n:>5}")).collect();
-            println!(
-                "comp{c:<3} |{}| {comp_erases} erases / {comp_events} events on {} OSDs",
-                cells.join(" "),
-                osds.len()
-            );
-        }
-    }
-
-    // Migration-decision trace: trigger verdicts, plans, predictions.
-    let triggers: Vec<&JsonValue> = records
-        .iter()
-        .filter(|r| get_str(r, "kind") == "trigger_eval")
-        .collect();
-    if !triggers.is_empty() {
-        println!("-- trigger evaluations --");
-        println!(
-            "{:>10}  {:<8} {:<16} {:>8} {:>8}  fired  src dst",
-            "t(s)", "policy", "metric", "rsd", "lambda"
-        );
-        for t in &triggers {
-            let srcs = t.get("sources").and_then(JsonValue::as_arr);
-            let dsts = t.get("destinations").and_then(JsonValue::as_arr);
-            println!(
-                "{:>10.3}  {:<8} {:<16} {:>8.4} {:>8.4}  {:<5}  {:>3} {:>3}",
-                get_u64(t, "t_us") as f64 / 1e6,
-                get_str(t, "policy"),
-                get_str(t, "metric"),
-                get_f64(t, "rsd"),
-                get_f64(t, "lambda"),
-                t.get("triggered").and_then(JsonValue::as_bool) == Some(true),
-                srcs.map_or(0, <[JsonValue]>::len),
-                dsts.map_or(0, <[JsonValue]>::len),
-            );
-        }
-    }
-    for r in &records {
-        match get_str(r, "kind") {
-            "plan_chosen" => println!(
-                "plan at {:.3}s: {} moves {} objects / {} bytes",
-                get_u64(r, "t_us") as f64 / 1e6,
-                get_str(r, "policy"),
-                get_u64(r, "moves"),
-                get_u64(r, "moved_bytes"),
-            ),
-            "plan_assessment" => println!(
-                "  predicted RSD {:.4} -> {:.4} for {} bytes / {} write pages shifted",
-                get_f64(r, "rsd_before"),
-                get_f64(r, "rsd_after"),
-                get_u64(r, "moved_bytes"),
-                get_u64(r, "moved_write_pages"),
-            ),
-            _ => {}
-        }
-    }
-
-    // Counter and histogram trailer records.
-    let counters: Vec<&JsonValue> = records
-        .iter()
-        .filter(|r| get_str(r, "kind") == "counter")
-        .collect();
-    if !counters.is_empty() {
-        println!("-- counters --");
-        for c in counters {
-            println!("{:<28} {}", get_str(c, "name"), get_u64(c, "value"));
-        }
-    }
-    let hists: Vec<&JsonValue> = records
-        .iter()
-        .filter(|r| get_str(r, "kind") == "hist")
-        .collect();
-    if !hists.is_empty() {
-        println!("-- latency histograms (us) --");
-        for h in hists {
-            println!(
-                "{:<20} n={:<9} p50={} p95={} p99={} max={}",
-                get_str(h, "name"),
-                get_u64(h, "count"),
-                get_u64(h, "p50"),
-                get_u64(h, "p95"),
-                get_u64(h, "p99"),
-                get_u64(h, "max"),
-            );
-        }
-    }
+    summary.print(path);
 }
 
 fn run_mode(first: Option<String>, mut args: impl Iterator<Item = String>) {

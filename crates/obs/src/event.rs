@@ -9,15 +9,15 @@
 //! The `events!` table below is the journal schema: each event is stated
 //! there once — variant, `kind` string, fields and their types — and the
 //! enum, [`Event::KINDS`], [`Event::kind`], [`Event::write_fields`] and
-//! [`Event::from_json`] are generated from it. To add an event, add a
+//! [`Event::from_record`] are generated from it. To add an event, add a
 //! row; `edm-spec`'s transition match is exhaustive, so the compiler
 //! then names what the state machine is missing.
 
 use crate::json;
-use crate::json::JsonValue;
+use crate::json::{Raw, Record};
 
 /// The `&'static str` labels that may appear in journal events. The
-/// JSON parser interns against this list so a parsed [`Event`] is
+/// record decoder interns against this list so a parsed [`Event`] is
 /// field-for-field the same type as an emitted one; an unknown label is
 /// a parse error (the journal vocabulary is closed, like the event set).
 const KNOWN_LABELS: &[&str] = &[
@@ -50,17 +50,17 @@ trait Field: Sized {
     fn write(&self, out: &mut String, key: &str);
     /// Reads `key` of the `kind` record `rec`; `Err` when it is missing
     /// or ill-typed.
-    fn read(rec: &JsonValue, kind: &str, key: &str) -> Result<Self, String>;
+    fn read(rec: &Record<'_>, kind: &str, key: &str) -> Result<Self, String>;
 }
 
 impl Field for u64 {
     fn write(&self, out: &mut String, key: &str) {
         json::field_u64(out, key, *self);
     }
-    fn read(rec: &JsonValue, kind: &str, key: &str) -> Result<u64, String> {
+    fn read(rec: &Record<'_>, kind: &str, key: &str) -> Result<u64, String> {
         rec.get(key)
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| format!("{kind}: missing or non-integer {key:?}"))
+            .and_then(Raw::as_u64)
+            .ok_or_else(|| format!("{kind}: missing or non-u64 {key:?}"))
     }
 }
 
@@ -68,7 +68,7 @@ impl Field for u32 {
     fn write(&self, out: &mut String, key: &str) {
         json::field_u64(out, key, u64::from(*self));
     }
-    fn read(rec: &JsonValue, kind: &str, key: &str) -> Result<u32, String> {
+    fn read(rec: &Record<'_>, kind: &str, key: &str) -> Result<u32, String> {
         u32::try_from(u64::read(rec, kind, key)?)
             .map_err(|_| format!("{kind}: {key:?} exceeds u32"))
     }
@@ -81,9 +81,9 @@ impl Field for f64 {
     /// Non-finite floats are journaled as null; read them back as NaN
     /// so the record still decodes (NaN != NaN keeps them visible to
     /// the spec's consistency checks).
-    fn read(rec: &JsonValue, kind: &str, key: &str) -> Result<f64, String> {
+    fn read(rec: &Record<'_>, kind: &str, key: &str) -> Result<f64, String> {
         match rec.get(key) {
-            Some(JsonValue::Null) => Ok(f64::NAN),
+            Some(Raw::Null) => Ok(f64::NAN),
             Some(n) => n
                 .as_f64()
                 .ok_or_else(|| format!("{kind}: non-numeric {key:?}")),
@@ -96,9 +96,9 @@ impl Field for bool {
     fn write(&self, out: &mut String, key: &str) {
         json::field_bool(out, key, *self);
     }
-    fn read(rec: &JsonValue, kind: &str, key: &str) -> Result<bool, String> {
+    fn read(rec: &Record<'_>, kind: &str, key: &str) -> Result<bool, String> {
         rec.get(key)
-            .and_then(JsonValue::as_bool)
+            .and_then(Raw::as_bool)
             .ok_or_else(|| format!("{kind}: missing or non-boolean {key:?}"))
     }
 }
@@ -108,12 +108,12 @@ impl Field for &'static str {
     fn write(&self, out: &mut String, key: &str) {
         json::field_str(out, key, self);
     }
-    fn read(rec: &JsonValue, kind: &str, key: &str) -> Result<&'static str, String> {
+    fn read(rec: &Record<'_>, kind: &str, key: &str) -> Result<&'static str, String> {
         let raw = rec
             .get(key)
-            .and_then(JsonValue::as_str)
+            .and_then(Raw::as_str)
             .ok_or_else(|| format!("{kind}: missing or non-string {key:?}"))?;
-        intern(raw).map_err(|e| format!("{kind}: {key}: {e}"))
+        intern(&raw).map_err(|e| format!("{kind}: {key}: {e}"))
     }
 }
 
@@ -121,14 +121,14 @@ impl Field for Vec<u64> {
     fn write(&self, out: &mut String, key: &str) {
         json::field_arr_u64(out, key, self);
     }
-    fn read(rec: &JsonValue, kind: &str, key: &str) -> Result<Vec<u64>, String> {
+    fn read(rec: &Record<'_>, kind: &str, key: &str) -> Result<Vec<u64>, String> {
         rec.get(key)
-            .and_then(JsonValue::as_arr)
+            .and_then(Raw::items)
             .ok_or_else(|| format!("{kind}: missing or non-array {key:?}"))?
-            .iter()
+            .into_iter()
             .map(|it| {
                 it.as_u64()
-                    .ok_or_else(|| format!("{kind}: non-integer element in {key:?}"))
+                    .ok_or_else(|| format!("{kind}: non-u64 element in {key:?}"))
             })
             .collect()
     }
@@ -172,21 +172,22 @@ macro_rules! events {
                 }
             }
 
-            /// Parses a journal record (one JSONL line parsed to a [`JsonValue`])
-            /// back into the event it was written from — the conformance spec's
-            /// input contract. Inverse of [`Event::kind`] + [`Event::write_fields`]:
-            /// `from_json(parse(written)) == original` for every variant whose
-            /// float fields are finite and whose integers fit in 53 bits (the
-            /// JSON number domain). Returns `Err` for trailer records (`counter`,
-            /// `gauge`, `hist`), unknown kinds, and missing or ill-typed fields.
-            pub fn from_json(v: &JsonValue) -> Result<Event, String> {
-                let kind = v
+            /// Decodes a journal record (one JSONL line read into a
+            /// [`Record`]) back into the event it was written from — the
+            /// conformance spec's input contract. Inverse of [`Event::kind`] +
+            /// [`Event::write_fields`]: `from_record(read(written)) == original`
+            /// for every variant whose float fields are finite. Returns `Err`
+            /// for trailer records (`counter`, `gauge`, `hist`), unknown kinds,
+            /// and missing or ill-typed fields.
+            pub fn from_record(rec: &Record<'_>) -> Result<Event, String> {
+                let kind = rec
                     .get("kind")
-                    .and_then(JsonValue::as_str)
+                    .and_then(Raw::as_str)
                     .ok_or("missing kind")?;
+                let kind = &*kind;
                 Ok(match kind {
                     $( $kind => Event::$variant {
-                        $( $field: Field::read(v, kind, stringify!($field))? ),+
+                        $( $field: Field::read(rec, kind, stringify!($field))? ),+
                     }, )+
                     other => return Err(format!("unknown event kind {other:?}")),
                 })
@@ -302,9 +303,6 @@ mod arb {
         }
     }
 
-    /// Integers in the JSON-safe domain: our parser stores numbers as
-    /// `f64`, so exact round-trips hold for values below 2^53 (the
-    /// journal's ids, depths, and byte counts all live far below that).
     impl Arb for u64 {
         fn sample() -> u64 {
             1 << 21
@@ -312,9 +310,9 @@ mod arb {
         fn strategy() -> Boxed<u64> {
             Box::new(prop_oneof![
                 Just(0u64),
-                Just(1u64),
-                Just((1u64 << 53) - 1),
-                0..=(1u64 << 53) - 1,
+                Just(u64::MAX),
+                Just((1u64 << 53) + 1),
+                any::<u64>(),
             ])
         }
     }
@@ -379,6 +377,13 @@ mod tests {
         line
     }
 
+    /// Reads and decodes one line, as `verify_journal` does.
+    pub(super) fn decode(line: &str) -> Result<Event, String> {
+        let mut rec = Record::default();
+        rec.read(line)?;
+        Event::from_record(&rec)
+    }
+
     #[test]
     fn every_event_emits_parseable_fields() {
         let events = Event::samples();
@@ -391,13 +396,13 @@ mod tests {
             let line = line_of(&e);
             let v = json::parse(&line).unwrap_or_else(|err| panic!("{line}: {err}"));
             assert_eq!(v.get("kind").unwrap().as_str(), Some(e.kind()));
-            let back = Event::from_json(&v).unwrap_or_else(|err| panic!("{line}: {err}"));
+            let back = decode(&line).unwrap_or_else(|err| panic!("{line}: {err}"));
             assert_eq!(back, e, "{line}");
         }
     }
 
     #[test]
-    fn from_json_rejects_bad_records() {
+    fn from_record_rejects_bad_records() {
         let cases = [
             ("{\"t_us\":0}", "missing kind"),
             (
@@ -406,7 +411,18 @@ mod tests {
             ),
             ("{\"kind\":\"no_such_event\"}", "unknown"),
             ("{\"kind\":\"device_failed\"}", "osd"),
+            (
+                "{\"kind\":\"device_failed\",\"osd\":4294967296}",
+                "exceeds u32",
+            ),
             ("{\"kind\":\"block_erase\",\"block\":-1}", "block"),
+            ("{\"kind\":\"block_erase\",\"block\":1e300}", "block"),
+            (
+                "{\"kind\":\"block_erase\",\"block\":18446744073709551616}",
+                "block",
+            ),
+            ("{\"kind\":\"block_erase\",\"block\":-0}", "block"),
+            ("{\"kind\":\"block_erase\",\"block\":1.0}", "block"),
             (
                 "{\"kind\":\"gc_victim\",\"block\":1,\"valid_pages\":0,\"policy\":\"mystery\"}",
                 "unknown label",
@@ -419,8 +435,7 @@ mod tests {
             ),
         ];
         for (line, needle) in cases {
-            let v = json::parse(line).unwrap_or_else(|e| panic!("{line}: {e}"));
-            let err = Event::from_json(&v).expect_err(line);
+            let err = decode(line).expect_err(line);
             assert!(err.contains(needle), "{line}: {err}");
         }
     }
@@ -435,8 +450,7 @@ mod tests {
         };
         let line = line_of(&e);
         assert!(line.contains("\"rsd_before\":null"));
-        let back = Event::from_json(&json::parse(&line).unwrap()).unwrap();
-        match back {
+        match decode(&line).unwrap() {
             Event::PlanAssessment {
                 rsd_before,
                 rsd_after,
@@ -453,7 +467,70 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::json::JsonValue;
     use proptest::prelude::*;
+
+    /// Whether a value the record reader read says what the tree says:
+    /// floats bitwise, integers below 2^53 exactly, containers member
+    /// by member.
+    fn agree(raw: Raw<'_>, tree: &JsonValue) -> bool {
+        match (raw, tree) {
+            (Raw::Null, JsonValue::Null) => true,
+            (Raw::Bool(a), JsonValue::Bool(b)) => a == *b,
+            (Raw::Num(_), JsonValue::Num(f)) => {
+                raw.as_f64().map(f64::to_bits) == Some(f.to_bits())
+                    && raw
+                        .as_u64()
+                        .is_none_or(|n| n >= 1 << 53 || tree.as_u64() == Some(n))
+            }
+            (Raw::Str(_), JsonValue::Str(s)) => raw.as_str().as_deref() == Some(s.as_str()),
+            (Raw::Arr(_), JsonValue::Arr(items)) => raw.items().is_some_and(|raws| {
+                raws.len() == items.len() && raws.into_iter().zip(items).all(|(r, t)| agree(r, t))
+            }),
+            (Raw::Obj(text), JsonValue::Obj(_)) => record_agrees(text, tree),
+            _ => false,
+        }
+    }
+
+    fn record_agrees(text: &str, tree: &JsonValue) -> bool {
+        let mut rec = Record::default();
+        if rec.read(text).is_err() {
+            return false;
+        }
+        let JsonValue::Obj(fields) = tree else {
+            return rec.fields().count() == 0;
+        };
+        rec.fields().count() == fields.len()
+            && rec
+                .fields()
+                .zip(fields)
+                .all(|((k, raw), (key, value))| k == key && agree(raw, value))
+    }
+
+    /// One byte-level edit: flip, insert, delete, or truncate at `at`.
+    fn edit(bytes: &mut Vec<u8>, (op, at, byte): (u8, usize, u8)) {
+        if bytes.is_empty() {
+            return;
+        }
+        let at = at % bytes.len();
+        match op % 4 {
+            0 => bytes[at] ^= byte | 1,
+            1 => bytes.insert(at, byte),
+            2 => {
+                bytes.remove(at);
+            }
+            _ => bytes.truncate(at),
+        }
+    }
+
+    /// Bytes that steer an insert or flip into the grammar's corners.
+    fn hostile_byte() -> impl Strategy<Value = u8> {
+        const CORNERS: &[u8] = b"{}[],:\"\\-+.eE0123456789 untrlfsa";
+        prop_oneof![
+            (0..CORNERS.len() as u64).prop_map(|i| CORNERS[i as usize]),
+            any::<u8>(),
+        ]
+    }
 
     proptest! {
         /// The spec's input contract: every event the recorder can write
@@ -461,15 +538,41 @@ mod proptests {
         #[test]
         fn event_round_trips_through_json(e in Event::strategy()) {
             let line = tests::line_of(&e);
-            let v = json::parse(&line).map_err(|err| {
-                TestCaseError::fail(format!("{line}: {err}"))
-            })?;
-            let back = Event::from_json(&v).map_err(|err| {
+            prop_assert!(json::parse(&line).is_ok(), "{}", line);
+            let back = tests::decode(&line).map_err(|err| {
                 TestCaseError::fail(format!("{line}: {err}"))
             })?;
             // NaN never round-trips by equality; the f64 strategy keeps
             // floats finite, so bit-for-bit equality is the contract here.
             prop_assert_eq!(back, e, "{}", line);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// Hostile bytes: both builders accept and reject the same
+        /// mutated lines, agree on every field where they accept, and
+        /// decoding never panics.
+        #[test]
+        fn record_reader_and_tree_agree_on_mutated_lines(
+            e in Event::strategy(),
+            edits in proptest::collection::vec((any::<u8>(), any::<usize>(), hostile_byte()), 1..4),
+        ) {
+            let mut bytes = tests::line_of(&e).into_bytes();
+            for ed in edits {
+                edit(&mut bytes, ed);
+            }
+            let line = String::from_utf8_lossy(&bytes);
+            let mut rec = Record::default();
+            match (json::parse(&line), rec.read(&line)) {
+                (Ok(tree), Ok(())) => {
+                    prop_assert!(record_agrees(&line, &tree), "{}", line);
+                    let _ = Event::from_record(&rec);
+                }
+                (Err(a), Err(b)) => prop_assert_eq!(a, b, "{}", line),
+                (a, b) => prop_assert!(false, "{line}: parse {a:?} vs record {b:?}"),
+            }
         }
     }
 }

@@ -58,7 +58,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use edm_obs::json::{self, JsonValue};
+use edm_obs::json::{Raw, Record};
 use edm_obs::Event;
 
 pub mod mutate;
@@ -1110,10 +1110,13 @@ fn is_sorted_strict(v: &[u64]) -> bool {
 }
 
 /// Replays a JSONL journal through the state machine, stopping at the
-/// first violation.
+/// first violation. Each line is read in place into one reused
+/// [`Record`], so the replay allocates nothing per line beyond what an
+/// event's own fields hold.
 pub fn verify_journal(text: &str) -> SpecReport {
     let mut spec = Spec::new();
     let mut report = SpecReport::default();
+    let mut rec = Record::default();
     let mut last_line = 0usize;
     for (i, raw) in text.lines().enumerate() {
         let line = i + 1;
@@ -1129,34 +1132,33 @@ pub fn verify_journal(text: &str) -> SpecReport {
                 return report;
             }};
         }
-        let v = match json::parse(raw) {
-            Ok(v) => v,
-            Err(e) => fail!("unparseable JSON: {e}"),
-        };
-        let Some(kind) = v.get("kind").and_then(JsonValue::as_str) else {
+        if let Err(e) = rec.read(raw) {
+            fail!("unparseable JSON: {e}");
+        }
+        let Some(kind) = rec.get("kind").and_then(Raw::as_str) else {
             fail!("record without a \"kind\" field");
         };
-        if TRAILER_KINDS.contains(&kind) {
+        if TRAILER_KINDS.contains(&&*kind) {
             report.trailers += 1;
             continue;
         }
         if report.trailers > 0 {
             fail!("event record after the metric trailer section");
         }
-        let Some(t_us) = v.get("t_us").and_then(JsonValue::as_u64) else {
+        let Some(t_us) = rec.get("t_us").and_then(Raw::as_u64) else {
             fail!("event without a t_us timestamp");
         };
-        let scope_osd = match v.get("osd").map(JsonValue::as_u64) {
+        let scope_osd = match rec.get("osd").map(Raw::as_u64) {
             None => None,
             Some(Some(o)) if o <= u32::MAX as u64 => Some(o as u32),
             _ => fail!("malformed device scope \"osd\""),
         };
-        let comp = match v.get("comp").map(JsonValue::as_u64) {
+        let comp = match rec.get("comp").map(Raw::as_u64) {
             None => None,
             Some(Some(c)) if c <= u32::MAX as u64 => Some(c as u32),
             _ => fail!("malformed component tag \"comp\""),
         };
-        let ev = match Event::from_json(&v) {
+        let ev = match Event::from_record(&rec) {
             Ok(ev) => ev,
             Err(e) => fail!("malformed {kind} event: {e}"),
         };

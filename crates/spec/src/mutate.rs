@@ -5,8 +5,10 @@
 //! journal from a legal one, one deterministic seeded edit per
 //! mutation class, and the caller asserts [`crate::verify_journal`]
 //! reports a line-numbered violation for each class in [`MUTATIONS`].
+//! [`mangle`] is the byte-level counterpart: hostile bytes the replay
+//! must reject or accept, never panic on.
 
-use edm_obs::json::{self, JsonValue};
+use edm_obs::json::{self, Raw, Record};
 
 /// Every mutation class the self-test must prove rejected.
 pub const MUTATIONS: &[&str] = &[
@@ -43,22 +45,21 @@ impl Rng {
 pub fn mutate(journal: &str, class: &str, seed: u64) -> Option<String> {
     let mut rng = Rng(seed);
     let mut lines: Vec<String> = journal.lines().map(str::to_string).collect();
-    let parsed: Vec<Option<JsonValue>> = lines.iter().map(|l| json::parse(l).ok()).collect();
+    let parsed: Vec<Option<Record>> = journal
+        .lines()
+        .map(|l| {
+            let mut rec = Record::default();
+            rec.read(l).ok().map(|()| rec)
+        })
+        .collect();
 
-    let kind_of = |v: &JsonValue| {
-        v.get("kind")
-            .and_then(JsonValue::as_str)
-            .map(str::to_string)
-    };
+    let field = |i: usize, key: &str| -> Option<Raw> { parsed[i].as_ref()?.get(key) };
     let of_kind = |kind: &str| -> Vec<usize> {
-        parsed
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.as_ref().and_then(&kind_of).as_deref() == Some(kind))
-            .map(|(i, _)| i)
+        (0..parsed.len())
+            .filter(|&i| field(i, "kind").and_then(Raw::as_str).as_deref() == Some(kind))
             .collect()
     };
-    let u64_field = |i: usize, key: &str| -> Option<u64> { parsed[i].as_ref()?.get(key)?.as_u64() };
+    let u64_field = |i: usize, key: &str| -> Option<u64> { field(i, key)?.as_u64() };
     let osds = of_kind("run_meta")
         .first()
         .and_then(|&i| u64_field(i, "osds"))
@@ -107,7 +108,7 @@ pub fn mutate(journal: &str, class: &str, seed: u64) -> Option<String> {
             }
             let i = sites[rng.pick(sites.len())];
             let dest = u64_field(i, "dest")?;
-            lines[i] = rewrite_u64(parsed[i].as_ref()?, "dest", (dest + 1) % osds)?;
+            lines[i] = rewrite(parsed[i].as_ref()?, "dest", (dest + 1) % osds)?;
         }
         "retarget_migration" => {
             let sites = of_kind("migration_start");
@@ -121,7 +122,7 @@ pub fn mutate(journal: &str, class: &str, seed: u64) -> Option<String> {
             if new_dest == source {
                 new_dest = (new_dest + 1) % osds;
             }
-            lines[i] = rewrite_u64(parsed[i].as_ref()?, "dest", new_dest)?;
+            lines[i] = rewrite(parsed[i].as_ref()?, "dest", new_dest)?;
         }
         "corrupt_trigger" => {
             let sites = of_kind("trigger_eval");
@@ -129,12 +130,8 @@ pub fn mutate(journal: &str, class: &str, seed: u64) -> Option<String> {
                 return None;
             }
             let i = sites[rng.pick(sites.len())];
-            let triggered = parsed[i].as_ref()?.get("triggered")?.as_bool()?;
-            lines[i] = rewrite(
-                parsed[i].as_ref()?,
-                "triggered",
-                JsonValue::Bool(!triggered),
-            )?;
+            let triggered = field(i, "triggered")?.as_bool()?;
+            lines[i] = rewrite(parsed[i].as_ref()?, "triggered", !triggered)?;
         }
         "skip_erase" => {
             let sites = of_kind("block_erase");
@@ -156,11 +153,11 @@ pub fn mutate(journal: &str, class: &str, seed: u64) -> Option<String> {
             match repeat {
                 Some(i) => {
                     let count = u64_field(i, "erase_count")?;
-                    lines[i] = rewrite_u64(parsed[i].as_ref()?, "erase_count", count + 1)?;
+                    lines[i] = rewrite(parsed[i].as_ref()?, "erase_count", count + 1)?;
                 }
                 None => {
                     let i = sites[rng.pick(sites.len())];
-                    lines[i] = rewrite_u64(parsed[i].as_ref()?, "erase_count", 0)?;
+                    lines[i] = rewrite(parsed[i].as_ref()?, "erase_count", 0)?;
                 }
             }
         }
@@ -182,86 +179,43 @@ pub fn mutate(journal: &str, class: &str, seed: u64) -> Option<String> {
     Some(out)
 }
 
-fn rewrite_u64(v: &JsonValue, key: &str, value: u64) -> Option<String> {
-    rewrite(v, key, JsonValue::Num(value as f64))
-}
-
-/// Re-renders an object line with one field replaced, preserving field
-/// order.
-fn rewrite(v: &JsonValue, key: &str, value: JsonValue) -> Option<String> {
-    let JsonValue::Obj(fields) = v else {
-        return None;
-    };
-    if !fields.iter().any(|(k, _)| k == key) {
-        return None;
+/// Re-renders an object line with every `key` field set to `value`,
+/// the other fields verbatim and in order.
+fn rewrite(rec: &Record, key: &str, value: impl std::fmt::Display) -> Option<String> {
+    rec.get(key)?;
+    let mut out = String::from("{");
+    for (k, v) in rec.fields() {
+        let v = if k == key {
+            value.to_string()
+        } else {
+            v.to_string()
+        };
+        json::field_raw(&mut out, k, &v);
     }
-    let fields: Vec<(String, JsonValue)> = fields
-        .iter()
-        .map(|(k, old)| {
-            let v = if k == key { value.clone() } else { old.clone() };
-            (k.clone(), v)
-        })
-        .collect();
-    Some(render(&JsonValue::Obj(fields)))
+    out.push('}');
+    Some(out)
 }
 
-/// Minimal JSON writer for mutated lines. Integer-valued numbers print
-/// without a fraction (f64 `Display` is exact for journal magnitudes).
-fn render(v: &JsonValue) -> String {
-    let mut out = String::new();
-    render_into(v, &mut out);
-    out
-}
-
-fn render_into(v: &JsonValue, out: &mut String) {
-    match v {
-        JsonValue::Null => out.push_str("null"),
-        JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        JsonValue::Num(n) => {
-            use std::fmt::Write as _;
-            let _ = write!(out, "{n}");
+/// Applies one to three seeded byte edits — flips, inserts, deletes, a
+/// truncation — anywhere in `journal`. Bytes that are no longer UTF-8
+/// come back as U+FFFD, so the result is still text for the replay.
+pub fn mangle(journal: &str, seed: u64) -> String {
+    const CORNERS: &[u8] = b"{}[],:\"\\-+.eE0123456789 \n";
+    let mut rng = Rng(seed);
+    let mut bytes = journal.as_bytes().to_vec();
+    for _ in 0..=rng.pick(3) {
+        if bytes.is_empty() {
+            break;
         }
-        JsonValue::Str(s) => render_str(s, out),
-        JsonValue::Arr(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                render_into(item, out);
+        let at = rng.pick(bytes.len());
+        match rng.pick(8) {
+            0..=2 => bytes[at] ^= rng.next() as u8 | 1,
+            3..=5 => bytes.insert(at, CORNERS[rng.pick(CORNERS.len())]),
+            6 => {
+                bytes.remove(at);
             }
-            out.push(']');
-        }
-        JsonValue::Obj(fields) => {
-            out.push('{');
-            for (i, (k, val)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                render_str(k, out);
-                out.push(':');
-                render_into(val, out);
-            }
-            out.push('}');
+            _ => bytes.truncate(at),
         }
     }
-}
-
-fn render_str(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    String::from_utf8_lossy(&bytes).into_owned()
 }

@@ -198,13 +198,27 @@ fn sample_journal_is_conformant_and_covers_every_kind() {
     );
 }
 
+/// The violation line each class reports for seeds 0..4 — pinned so a
+/// change to the reader or the mutator cannot move a self-test verdict.
+const MUTATION_LINES: &[(&str, [usize; 4])] = &[
+    ("drop_finish", [15, 15, 15, 15]),
+    ("duplicate_start", [25, 25, 15, 25]),
+    ("reorder_events", [24, 24, 1, 14]),
+    ("retarget_remap", [30, 30, 16, 30]),
+    ("retarget_migration", [24, 24, 14, 24]),
+    ("corrupt_trigger", [21, 21, 11, 21]),
+    ("skip_erase", [31, 31, 31, 31]),
+    ("orphan_finish", [17, 17, 17, 17]),
+];
+
 #[test]
 fn every_mutation_class_is_rejected_with_a_line_number() {
     let journal = sample_journal();
     assert_ok(&verify_journal(&journal));
-    let total = journal.lines().count();
-    for &class in mutate::MUTATIONS {
-        for seed in 0..4u64 {
+    let classes: Vec<&str> = MUTATION_LINES.iter().map(|&(c, _)| c).collect();
+    assert_eq!(classes, mutate::MUTATIONS);
+    for &(class, lines) in MUTATION_LINES {
+        for (seed, want) in (0..4u64).zip(lines) {
             let mutated = mutate::mutate(&journal, class, seed)
                 .unwrap_or_else(|| panic!("no mutation site for class {class}"));
             assert_ne!(mutated, journal, "{class} seed {seed} was a no-op");
@@ -212,14 +226,64 @@ fn every_mutation_class_is_rejected_with_a_line_number() {
             let v = report
                 .violation
                 .unwrap_or_else(|| panic!("mutated journal accepted: {class} seed {seed}"));
-            assert!(
-                v.line >= 1 && v.line <= total + 1,
-                "{class} seed {seed}: violation line {} out of range ({})",
-                v.line,
-                v.message
-            );
+            assert_eq!(v.line, want, "{class} seed {seed}: {}", v.message);
         }
     }
+}
+
+/// Hostile bytes (ROADMAP 5(c) for the journal reader): the replay of a
+/// byte-mangled journal returns a report, and the record reader and the
+/// tree parser accept and reject exactly the same lines.
+#[test]
+fn mangled_journals_are_rejected_or_replayed_never_a_panic() {
+    let journal = sample_journal();
+    let mut rejected = 0;
+    for seed in 0..3000u64 {
+        let mangled = mutate::mangle(&journal, seed);
+        let mut rec = edm_obs::json::Record::default();
+        rejected += usize::from(verify_journal(&mangled).violation.is_some());
+        for line in mangled.lines() {
+            let tree = edm_obs::json::parse(line).map(|_| ());
+            assert_eq!(rec.read(line), tree, "seed {seed}: {line}");
+        }
+    }
+    assert!(
+        rejected > 1500,
+        "only {rejected} of 3000 mangled journals rejected"
+    );
+}
+
+#[test]
+fn deep_nesting_is_a_line_numbered_violation() {
+    let journal = "[".repeat(200_000) + "\n" + &sample_journal();
+    let v = verify_journal(&journal).violation.expect("must reject");
+    assert_eq!(v.line, 1);
+    assert!(v.message.contains("nesting deeper than"), "{}", v.message);
+}
+
+#[test]
+fn integers_past_2_pow_53_are_reported_exactly() {
+    let mut r = MemoryRecorder::new(ObsLevel::Events);
+    r.set_now(0);
+    r.event(meta_event());
+    r.set_now(10);
+    r.set_device(Some(0));
+    r.event(Event::BlockErase {
+        block: (1 << 53) + 1,
+        erase_count: 1,
+        moved_pages: 0,
+    });
+    let journal = jsonl(&r);
+    assert!(journal.contains("\"block\":9007199254740993"), "{journal}");
+    let v = verify_journal(&journal).violation.expect("must reject");
+    assert!(
+        v.message.contains("block 9007199254740993 out of range"),
+        "{}",
+        v.message
+    );
+    let past_u64 = journal.replace("9007199254740993", "18446744073709551616");
+    let v = verify_journal(&past_u64).violation.expect("must reject");
+    assert!(v.message.contains("malformed block_erase"), "{}", v.message);
 }
 
 #[test]

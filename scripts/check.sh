@@ -287,6 +287,25 @@ EOF
     "$(bin edm-probe)" --verify "$spec_dir/dc-par.jsonl" > /dev/null \
         || { echo "spec: 1024-OSD sharded journal violates the EDM spec"; exit 1; }
     echo "spec: 1024-OSD sharded journal byte-identical and conformant"
+
+    echo "==> spec hostile journals (200 000-deep nesting, an integer past 2^53)"
+    # Each must be a line-numbered violation and exit 1: an abort (a
+    # recursive reader's stack overflow) or a rounded integer fails here.
+    printf '%*s\n' 200000 '' | tr ' ' '[' > "$spec_dir/deep.jsonl"
+    cat > "$spec_dir/bigint.jsonl" <<'EOF'
+{"t_us":0,"kind":"run_meta","osds":4,"groups":2,"objects_per_file":2,"capacity_bytes":1073741824,"blocks_per_osd":8}
+{"t_us":10,"osd":0,"kind":"block_erase","block":9007199254740993,"erase_count":1,"moved_pages":0}
+EOF
+    local rc err
+    for name in deep bigint; do
+        rc=0
+        err="$("$(bin edm-probe)" --verify "$spec_dir/$name.jsonl" 2>&1 > /dev/null)" || rc=$?
+        [ "$rc" -eq 1 ] && grep -q "violation:" <<< "$err" \
+            || { echo "spec: $name journal exited $rc, want 1 with a violation: $err"; exit 1; }
+    done
+    grep -q "block 9007199254740993 out of range" <<< "$err" \
+        || { echo "spec: integer past 2^53 not reported verbatim: $err"; exit 1; }
+    echo "spec: hostile journals rejected with line-numbered violations"
 }
 
 # --- serve helpers: raw HTTP over bash /dev/tcp (no curl dependency) ---

@@ -17,7 +17,7 @@ const BUDGETS: &[(&str, usize, usize)] = &[
     ("fuzz", 0, 5),
     ("harness", 5, 8),
     ("model", 0, 0),
-    ("obs", 3, 0),
+    ("obs", 1, 0),
     ("scenario", 1, 0),
     ("serve", 0, 9),
     ("snap", 0, 1),
