@@ -571,7 +571,7 @@ impl PageLevelFtl {
         let Some((valid, victim)) = self.static_level_pick() else {
             return Ok(DeviceTime::ZERO);
         };
-        self.take_candidate(victim);
+        self.take_candidate(valid, victim);
         obs.counter("ftl.wear_level_swaps", 1);
         if obs.events_on() {
             obs.event(Event::WearLevelSwap {
@@ -591,23 +591,27 @@ impl PageLevelFtl {
     /// block): the least-worn candidate (full, not active) — its content
     /// is cold by construction, hot data would have churned it — ties
     /// broken toward the smallest `(valid, block)`. Read off the wear
-    /// index: only the members of the one matching bucket are visited.
+    /// index: the victim is the first member of the one matching bucket,
+    /// in ascending block id, whose erase count matches.
     pub fn static_level_pick(&self) -> Option<(u32, u32)> {
         let (wear, valid) = self.wear_index.lowest(self.spread.min())?;
-        let members = self.candidates.members(valid);
-        #[cfg(test)]
-        PICK_BLOCK_READS.set(PICK_BLOCK_READS.get() + members.len() as u64);
-        let victim = members
-            .iter()
-            .copied()
-            .filter(|&b| self.blocks[b as usize].erase_count() == wear)
-            .min()?;
+        let victim = self.candidates.members(valid).find(|&b| {
+            #[cfg(test)]
+            PICK_BLOCK_READS.set(PICK_BLOCK_READS.get() + 1);
+            self.blocks[b as usize].erase_count() == wear
+        })?;
         Some((valid, victim))
     }
 
-    /// Takes a chosen victim out of the candidate set and its indexes.
-    fn take_candidate(&mut self, victim: u32) {
-        let valid = self.candidates.remove(victim);
+    /// Takes a chosen `(valid, victim)` pair out of the candidate set and
+    /// its indexes.
+    fn take_candidate(&mut self, valid: u32, victim: u32) {
+        let removed = self.candidates.remove(victim);
+        debug_assert_eq!(
+            removed,
+            Some(valid),
+            "victim {victim} was not filed at {valid}"
+        );
         let wear = self.blocks[victim as usize].erase_count();
         *self.wear_index.count_mut(wear, valid) -= 1;
         if self.retire_order.front() == Some(&victim) {
@@ -626,7 +630,7 @@ impl PageLevelFtl {
         let Some((valid, victim)) = self.select_victim() else {
             return Ok(None);
         };
-        self.take_candidate(victim);
+        self.take_candidate(valid, victim);
         if obs.events_on() {
             obs.event(Event::GcVictim {
                 block: victim as u64,
@@ -722,8 +726,7 @@ impl PageLevelFtl {
         Ok(self.gc_active.expect("just ensured"))
     }
 
-    /// The GC victim candidates as `(valid pages, block)`, in no
-    /// particular order.
+    /// The GC victim candidates as `(valid pages, block)`, ascending.
     pub fn candidates(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
         self.candidates.iter()
     }
@@ -837,9 +840,9 @@ impl PageLevelFtl {
 
 #[cfg(test)]
 thread_local! {
-    /// `Block`s read by [`PageLevelFtl::static_level_pick`] on this
-    /// thread — an exact work count for the test that pins what one pick
-    /// visits.
+    /// `Block`s read by [`PageLevelFtl::static_level_pick`]'s ascending
+    /// scan on this thread — an exact work count for the test that pins
+    /// what one pick visits.
     static PICK_BLOCK_READS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
@@ -856,11 +859,12 @@ snapshot_struct!(FtlConfig {
 
 impl Snapshot for PageLevelFtl {
     /// Every field is serialized exactly — including derived structures
-    /// whose internal order affects future decisions (free pool, victim
-    /// buckets, FIFO retire queue) — so a restored FTL replays the exact
-    /// same GC and allocation sequence as the original. The one exception
-    /// is `wear_index`, a pure function of `candidates` and `blocks` with
-    /// no order of its own: `load` rebuilds it.
+    /// whose internal order affects future decisions (free pool, FIFO
+    /// retire queue) — so a restored FTL replays the exact same GC and
+    /// allocation sequence as the original. The victim candidates are
+    /// written in their canonical ascending order; `wear_index`, a pure
+    /// function of `candidates` and `blocks`, is not written at all:
+    /// `load` rebuilds it.
     fn save(&self, w: &mut SnapWriter) {
         let PageLevelFtl {
             geometry,
@@ -1317,16 +1321,17 @@ mod wear_leveling_tests {
     }
 
     /// Exact work count: one pick reads the blocks of one valid bucket
-    /// and no other, however many candidates there are.
+    /// in ascending id and stops at the victim, however many candidates
+    /// there are.
     #[test]
     fn static_level_pick_visits_one_bucket() {
         let (ftl, _) = pressured();
         PICK_BLOCK_READS.set(0);
         let (valid, victim) = ftl.static_level_pick().unwrap();
-        let bucket = ftl.candidates.members(valid);
-        assert!(bucket.contains(&victim));
-        assert_eq!(PICK_BLOCK_READS.get(), bucket.len() as u64);
-        assert!(bucket.len() < ftl.candidates.len());
+        let rank = ftl.candidates.members(valid).position(|b| b == victim);
+        let rank = rank.unwrap() as u64;
+        assert!(PICK_BLOCK_READS.get() <= rank + 1);
+        assert!(ftl.candidates.members(valid).count() < ftl.candidates.len());
     }
 
     /// The wear index is not in the snapshot: a device loaded under GC

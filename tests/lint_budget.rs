@@ -22,7 +22,7 @@ const BUDGETS: &[(&str, usize, usize)] = &[
     ("serve", 0, 9),
     ("snap", 0, 1),
     ("spec", 2, 0),
-    ("ssd", 10, 0),
+    ("ssd", 8, 0),
     ("workload", 7, 2),
 ];
 

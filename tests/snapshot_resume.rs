@@ -157,6 +157,31 @@ fn bit_flipped_snapshot_fails_with_typed_error() {
     cleanup(&snaps);
 }
 
+/// Version 1 wrote the victim candidates in swap-remove order; a v1 file
+/// is refused by its header, before any section is decoded.
+#[test]
+fn v1_checkpoint_is_an_unsupported_version() {
+    let scenario = plain_scenario();
+    let (_, snaps) = checkpointed_run(&scenario, "v1");
+    let mut bytes = std::fs::read(&snaps[0]).expect("read checkpoint");
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    assert_eq!(
+        SnapshotFile::from_bytes(&bytes).unwrap_err(),
+        SnapError::UnsupportedVersion {
+            found: 1,
+            supported: 2
+        }
+    );
+    let path = snaps[0].with_extension("v1");
+    std::fs::write(&path, &bytes).expect("write v1 file");
+    let err = resume_snapshot(&path, &mut NoopRecorder).expect_err("v1 file resumed");
+    assert!(
+        err.contains("unsupported snapshot format version 1"),
+        "{err}"
+    );
+    cleanup(&snaps);
+}
+
 #[test]
 fn snap_meta_round_trips() {
     let scenario = faulted_scenario();
@@ -191,9 +216,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 #[test]
 fn checkpoint_bytes_are_frozen() {
     const GOLDEN: [(&str, u64, usize); 3] = [
-        ("ckpt first", 0x199e_b038_cc05_5699, 289_843),
-        ("ckpt last", 0xb851_e5d5_38cf_709a, 285_006),
-        ("live", 0xb658_4bae_9f56_a27f, 36_678),
+        ("ckpt first", 0x2be1_f5d0_0ff2_ca1e, 289_715),
+        ("ckpt last", 0xfbf3_7f71_9c0d_74a8, 284_878),
+        ("live", 0x9dbb_b1b0_7579_c7c8, 36_422),
     ];
 
     let (_, snaps) = checkpointed_run(&faulted_scenario(), "frozen");
