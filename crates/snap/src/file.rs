@@ -16,11 +16,20 @@
 //!
 //! Section CRCs are verified lazily — when a section's reader is first
 //! requested — so an inspector that only reads the manifest section pays
-//! only that section's checksum. `from_bytes` still validates the full
+//! only that section's checksum. Parsing still validates the full
 //! structural frame (magic, version, every name/length within bounds,
-//! no trailing garbage), so any single-byte corruption is caught either
-//! structurally at parse time or by the CRC at decode time.
+//! unique names, no trailing garbage), so any single-byte corruption is
+//! caught either structurally at parse time or by the CRC at decode time.
+//!
+//! One serializer and one parser, both streaming: `write_to` writes
+//! straight into the file and `to_bytes` runs the same writer into a
+//! `Vec`; `read_from` and `from_bytes` run one parser over a file or a
+//! slice of known length. Every length field is checked against the
+//! bytes left before anything is allocated or read, so no allocation is
+//! sized by the input beyond the input's own length.
 
+use std::fs::File;
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 use crate::{crc32, SnapError, SnapReader, SnapWriter, Snapshot};
@@ -98,80 +107,68 @@ impl SnapshotFile {
         Ok(value)
     }
 
+    /// The one serializer: streams the on-disk byte layout into `out`.
+    fn write_frame(&self, out: &mut impl Write) -> io::Result<()> {
+        out.write_all(&MAGIC)?;
+        out.write_all(&FORMAT_VERSION.to_le_bytes())?;
+        out.write_all(&(self.sections.len() as u32).to_le_bytes())?;
+        for s in &self.sections {
+            out.write_all(&(s.name.len() as u32).to_le_bytes())?;
+            out.write_all(s.name.as_bytes())?;
+            out.write_all(&(s.body.len() as u64).to_le_bytes())?;
+            out.write_all(&s.crc.to_le_bytes())?;
+            out.write_all(&s.body)?;
+        }
+        Ok(())
+    }
+
     /// Serialize the container to its on-disk byte layout.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
-        for s in &self.sections {
-            out.extend_from_slice(&(s.name.len() as u32).to_le_bytes());
-            out.extend_from_slice(s.name.as_bytes());
-            out.extend_from_slice(&(s.body.len() as u64).to_le_bytes());
-            out.extend_from_slice(&s.crc.to_le_bytes());
-            out.extend_from_slice(&s.body);
-        }
+        // Writing into a `Vec` cannot fail.
+        let _ = self.write_frame(&mut out);
         out
     }
 
-    /// Parse the structural frame. Section CRCs are deferred to
+    /// The one parser: the structural frame of a `len`-byte container
+    /// read from `src`. Section CRCs are deferred to
     /// [`SnapshotFile::reader`] / [`SnapshotFile::decode`].
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapError> {
-        let truncated = |context: &str| SnapError::Truncated {
-            context: context.to_string(),
-        };
-        if bytes.len() < MAGIC.len() {
+    fn parse(src: impl Read, len: u64) -> Result<Self, SnapError> {
+        if len < MAGIC.len() as u64 {
             return Err(SnapError::BadMagic);
         }
-        if bytes[..MAGIC.len()] != MAGIC {
+        let mut frame = Frame { src, left: len };
+        if frame.array("magic")? != MAGIC {
             return Err(SnapError::BadMagic);
         }
-        let mut pos = MAGIC.len();
-        let take_u32 = |pos: &mut usize, what: &str| -> Result<u32, SnapError> {
-            let end = pos.checked_add(4).filter(|&e| e <= bytes.len());
-            let end = end.ok_or_else(|| truncated(what))?;
-            let arr: [u8; 4] = bytes[*pos..end].try_into().map_err(|_| truncated(what))?;
-            *pos = end;
-            Ok(u32::from_le_bytes(arr))
-        };
-        let take_u64 = |pos: &mut usize, what: &str| -> Result<u64, SnapError> {
-            let end = pos.checked_add(8).filter(|&e| e <= bytes.len());
-            let end = end.ok_or_else(|| truncated(what))?;
-            let arr: [u8; 8] = bytes[*pos..end].try_into().map_err(|_| truncated(what))?;
-            *pos = end;
-            Ok(u64::from_le_bytes(arr))
-        };
-        let version = take_u32(&mut pos, "format version")?;
+        let version = u32::from_le_bytes(frame.array("format version")?);
         if version != FORMAT_VERSION {
             return Err(SnapError::UnsupportedVersion {
                 found: version,
                 supported: FORMAT_VERSION,
             });
         }
-        let count = take_u32(&mut pos, "section count")?;
-        let mut sections = Vec::new();
+        let count = u32::from_le_bytes(frame.array("section count")?);
+        let mut sections: Vec<Section> = Vec::new();
         for i in 0..count {
-            let name_len = take_u32(&mut pos, "section name length")? as usize;
-            if name_len > bytes.len() - pos {
-                return Err(truncated("section name"));
+            let name_len = u32::from_le_bytes(frame.array("section name length")?);
+            let name = frame.bytes(name_len.into(), "section name")?;
+            let name = String::from_utf8(name).map_err(|_| SnapError::Corrupt {
+                section: format!("#{i}"),
+                detail: "section name is not UTF-8".to_string(),
+            })?;
+            if sections.iter().any(|s| s.name == name) {
+                return Err(SnapError::Corrupt {
+                    section: name,
+                    detail: "duplicate section name".to_string(),
+                });
             }
-            let name = std::str::from_utf8(&bytes[pos..pos + name_len])
-                .map_err(|_| SnapError::Corrupt {
-                    section: format!("#{i}"),
-                    detail: "section name is not UTF-8".to_string(),
-                })?
-                .to_string();
-            pos += name_len;
-            let body_len = take_u64(&mut pos, "section body length")?;
-            let crc = take_u32(&mut pos, "section crc")?;
-            if body_len > (bytes.len() - pos) as u64 {
-                return Err(truncated("section body"));
-            }
-            let body = bytes[pos..pos + body_len as usize].to_vec();
-            pos += body_len as usize;
+            let body_len = u64::from_le_bytes(frame.array("section body length")?);
+            let crc = u32::from_le_bytes(frame.array("section crc")?);
+            let body = frame.bytes(body_len, "section body")?;
             sections.push(Section { name, crc, body });
         }
-        if pos != bytes.len() {
+        if frame.left != 0 {
             return Err(SnapError::TrailingData {
                 section: "<container>".to_string(),
             });
@@ -179,21 +176,64 @@ impl SnapshotFile {
         Ok(Self { sections })
     }
 
-    /// Write atomically: serialize to `<path>.tmp` then rename over
+    /// Parse a container held in memory.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapError> {
+        Self::parse(bytes, bytes.len() as u64)
+    }
+
+    /// Write atomically: stream to `<path>.tmp` then rename over
     /// `path`, so a process killed mid-checkpoint never leaves a partial
     /// snapshot under the final name.
     pub fn write_to(&self, path: &Path) -> Result<(), SnapError> {
         let mut tmp = path.as_os_str().to_os_string();
         tmp.push(".tmp");
         let tmp = std::path::PathBuf::from(tmp);
-        std::fs::write(&tmp, self.to_bytes())?;
+        let mut out = BufWriter::new(File::create(&tmp)?);
+        self.write_frame(&mut out)?;
+        out.into_inner().map_err(io::IntoInnerError::into_error)?;
         std::fs::rename(&tmp, path)?;
         Ok(())
     }
 
     pub fn read_from(path: &Path) -> Result<Self, SnapError> {
-        let bytes = std::fs::read(path)?;
-        Self::from_bytes(&bytes)
+        let file = File::open(path)?;
+        let len = file.metadata()?.len();
+        Self::parse(BufReader::new(file), len)
+    }
+}
+
+/// A container being parsed: where its bytes come from and how many of
+/// them are left.
+struct Frame<R> {
+    src: R,
+    left: u64,
+}
+
+impl<R: Read> Frame<R> {
+    /// Takes `n` of the bytes left, or is `Truncated` naming `what` —
+    /// before anything is allocated or read.
+    fn claim(&mut self, n: u64, what: &str) -> Result<usize, SnapError> {
+        let len = usize::try_from(n)
+            .ok()
+            .filter(|_| n <= self.left)
+            .ok_or_else(|| SnapError::Truncated {
+                context: what.to_string(),
+            })?;
+        self.left -= n;
+        Ok(len)
+    }
+
+    fn array<const N: usize>(&mut self, what: &str) -> Result<[u8; N], SnapError> {
+        let mut buf = [0; N];
+        self.claim(N as u64, what)?;
+        self.src.read_exact(&mut buf)?;
+        Ok(buf)
+    }
+
+    fn bytes(&mut self, n: u64, what: &str) -> Result<Vec<u8>, SnapError> {
+        let mut buf = vec![0; self.claim(n, what)?];
+        self.src.read_exact(&mut buf)?;
+        Ok(buf)
     }
 }
 
@@ -290,6 +330,29 @@ mod tests {
             SnapshotFile::from_bytes(&bytes).unwrap_err(),
             SnapError::TrailingData { .. }
         ));
+    }
+
+    #[test]
+    fn duplicate_section_name_is_corrupt() {
+        // Two sections named "manifest", written field by field.
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&2u32.to_le_bytes());
+        for value in [42u64, 7] {
+            let body = value.to_le_bytes();
+            bytes.extend_from_slice(&8u32.to_le_bytes());
+            bytes.extend_from_slice(b"manifest");
+            bytes.extend_from_slice(&8u64.to_le_bytes());
+            bytes.extend_from_slice(&crc32(&body).to_le_bytes());
+            bytes.extend_from_slice(&body);
+        }
+        assert_eq!(
+            SnapshotFile::from_bytes(&bytes).unwrap_err(),
+            SnapError::Corrupt {
+                section: "manifest".to_string(),
+                detail: "duplicate section name".to_string(),
+            }
+        );
     }
 
     #[test]

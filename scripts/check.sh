@@ -58,6 +58,36 @@ scratch_dir() {
     CLEANUP_DIRS+=("$SCRATCH_DIR")
 }
 
+# Offset of the first body byte of section <name> in snapshot <file>:
+# walks the section headers (u32 name length, name, u64 body length,
+# u32 CRC) after the 16-byte file header, as crates/snap/src/file.rs
+# lays them out.
+snap_body_offset() { # <file> <name>
+    local pos=16 count name_len name body_len
+    count=$(( $(od -An -tu4 --endian=little -j12 -N4 "$1") ))
+    while [ "$count" -gt 0 ]; do
+        name_len=$(( $(od -An -tu4 --endian=little -j"$pos" -N4 "$1") ))
+        name="$(dd if="$1" bs=1 skip=$((pos + 4)) count="$name_len" 2> /dev/null)"
+        body_len=$(( $(od -An -tu8 --endian=little -j$((pos + 4 + name_len)) -N8 "$1") ))
+        pos=$((pos + 4 + name_len + 12))
+        if [ "$name" = "$2" ]; then
+            echo "$pos"
+            return 0
+        fi
+        pos=$((pos + body_len))
+        count=$((count - 1))
+    done
+    echo "snap_body_offset: no section '$2' in $1" >&2
+    return 1
+}
+
+flip_byte() { # <file> <offset>
+    local b
+    b=$(( $(od -An -tu1 -j"$2" -N1 "$1") ^ 0xFF ))
+    printf '%b' "$(printf '\\0%03o' "$b")" \
+        | dd of="$1" bs=1 seek="$2" count=1 conv=notrunc 2> /dev/null
+}
+
 step_fmt() {
     echo "==> cargo fmt --check"
     cargo fmt --all -- --check
@@ -153,6 +183,23 @@ EOF
         || { echo "ckpt smoke: resumed run diverged from uninterrupted run"; exit 1; }
     grep -q "determinism digest 0x" "$ckpt_dir/resumed.txt" \
         || { echo "ckpt smoke: no determinism digest printed"; exit 1; }
+    # A damaged checkpoint is refused through the CLI with its typed
+    # error and exit 1, never a panic (101): one copy a byte short, one
+    # with a byte of its `cluster` body flipped.
+    local body_at damaged want code err
+    cp "$mid_snap" "$ckpt_dir/short.snap"
+    truncate -s -1 "$ckpt_dir/short.snap"
+    cp "$mid_snap" "$ckpt_dir/flipped.snap"
+    body_at="$(snap_body_offset "$ckpt_dir/flipped.snap" cluster)"
+    flip_byte "$ckpt_dir/flipped.snap" "$body_at"
+    for damaged in "short:snapshot truncated" "flipped:failed its CRC-32 check"; do
+        want="${damaged#*:}"
+        damaged="${damaged%%:*}"
+        code=0
+        err="$("$(bin edm-sim)" --resume "$ckpt_dir/$damaged.snap" 2>&1 > /dev/null)" || code=$?
+        [ "$code" -eq 1 ] && grep -q "$want" <<< "$err" \
+            || { echo "ckpt smoke: $damaged checkpoint exited $code, want 1 and '$want': $err"; exit 1; }
+    done
     local probe_snap
     probe_snap="$("$(bin edm-probe)" --snapshot "$mid_snap")"
     echo "$probe_snap" | grep -q "embedded scenario" \
