@@ -20,40 +20,6 @@ pub struct TriggerDecision {
     pub destinations: Vec<usize>,
 }
 
-impl TriggerDecision {
-    /// Internal-consistency check of a decision against the λ it was
-    /// evaluated with — the fuzzer's trigger oracle. §III.B.2 fixes the
-    /// semantics: `triggered ⇔ rsd > λ`, sources sit strictly above the
-    /// λ-margin (so never below the mean), destinations strictly below
-    /// the mean, and the two sets cannot overlap.
-    pub fn validate(&self, lambda: f64) -> Result<(), String> {
-        if !(self.rsd.is_finite() && self.rsd >= 0.0) {
-            return Err(format!(
-                "rsd {} is not a finite non-negative value",
-                self.rsd
-            ));
-        }
-        if !(self.mean.is_finite() && self.mean >= 0.0) {
-            return Err(format!(
-                "mean {} is not a finite non-negative value",
-                self.mean
-            ));
-        }
-        if self.triggered != (self.rsd > lambda) {
-            return Err(format!(
-                "triggered = {} but rsd {} vs lambda {lambda}",
-                self.triggered, self.rsd
-            ));
-        }
-        if let Some(overlap) = self.sources.iter().find(|s| self.destinations.contains(s)) {
-            return Err(format!(
-                "device {overlap} is both a migration source and a destination"
-            ));
-        }
-        Ok(())
-    }
-}
-
 /// [`evaluate`] with an observability sink: journals the evaluation as a
 /// [`edm_obs::Event::TriggerEval`] (policy and metric label the caller)
 /// before returning the identical decision. Recording is read-only.

@@ -13,66 +13,19 @@ use edm_harness::Scenario;
 
 use crate::oracle::OracleFailure;
 
-/// Renders only the keys that differ from the default scenario. Parsing
-/// the result reproduces `s` exactly (asserted in tests), because
-/// [`Scenario::parse`] starts from the same default.
+/// Renders only the keys that differ from the default scenario: the
+/// lines of [`Scenario::to_text`] that the default's rendering lacks.
+/// Every key line is unique and optional keys are written only off their
+/// default, so parsing the result reproduces `s` exactly (asserted in
+/// tests), because [`Scenario::parse`] starts from the same default.
 pub fn minimal_text(s: &Scenario) -> String {
-    let d = Scenario::default();
-    let mut out = String::new();
-    if s.trace != d.trace {
-        out.push_str(&format!("trace {}\n", s.trace));
-    }
-    if s.scale != d.scale {
-        out.push_str(&format!("scale {}\n", s.scale));
-    }
-    if s.osds != d.osds {
-        out.push_str(&format!("osds {}\n", s.osds));
-    }
-    if s.groups != d.groups {
-        out.push_str(&format!("groups {}\n", s.groups));
-    }
-    if s.objects_per_file != d.objects_per_file {
-        out.push_str(&format!("objects_per_file {}\n", s.objects_per_file));
-    }
-    if s.policy != d.policy {
-        out.push_str(&format!("policy {}\n", s.policy));
-    }
-    if s.schedule != d.schedule {
-        out.push_str(&format!(
-            "schedule {}\n",
-            match s.schedule {
-                edm_cluster::MigrationSchedule::Never => "never",
-                edm_cluster::MigrationSchedule::Midpoint => "midpoint",
-                edm_cluster::MigrationSchedule::EveryTick => "every-tick",
-            }
-        ));
-    }
-    if s.lambda != d.lambda {
-        out.push_str(&format!("lambda {}\n", s.lambda));
-    }
-    if s.force != d.force {
-        out.push_str(&format!("force {}\n", s.force));
-    }
-    if let Some(cc) = s.client_concurrency {
-        out.push_str(&format!("client_concurrency {cc}\n"));
-    }
-    if s.shards != d.shards {
-        out.push_str(&format!("shards {}\n", s.shards));
-    }
-    if s.affinity != d.affinity {
-        out.push_str("affinity component\n");
-    }
-    if s.stride != d.stride {
-        out.push_str(&format!("stride {}\n", s.stride));
-    }
-    for f in &s.failures {
-        out.push_str(&format!("fail {} {}", f.at_us, f.osd.0));
-        if f.rebuild {
-            out.push_str(" rebuild");
-        }
-        out.push('\n');
-    }
-    out
+    let default = Scenario::default().to_text();
+    let default_lines: Vec<&str> = default.lines().collect();
+    s.to_text()
+        .lines()
+        .filter(|l| !default_lines.contains(l))
+        .map(|l| format!("{l}\n"))
+        .collect()
 }
 
 /// First line of `detail`, bounded, so the repro header stays one line.
@@ -124,6 +77,7 @@ mod tests {
              force false\nclient_concurrency 16\nfail 100000 3 rebuild\nfail 200000 1\n",
             "groups 2\nobjects_per_file 2\n",
             "groups 4\nobjects_per_file 2\nstride 2\nshards 2\naffinity component\n",
+            "assessor model\n",
         ];
         for t in texts {
             let s = Scenario::parse(t).expect("parse");

@@ -4,8 +4,9 @@
 //! (`objects_per_file ≤ groups ≤ osds`, `Placement::validate`) and keeps
 //! failure injections on distinct, existing OSDs — the fuzzer explores
 //! *behaviour*, not input validation. Scales are kept small so one
-//! scenario's full oracle battery (four end-to-end runs plus a resume)
-//! lands in well under a second.
+//! scenario's full oracle battery (seven end-to-end runs — plain, events,
+//! checkpointed, sequential and sharded, ingest and its batch twin — plus
+//! a resume) lands in well under a second.
 
 use edm_cluster::{ClientAffinity, FailureSpec, MigrationSchedule, OsdId};
 use edm_core::{Assessor, POLICY_NAMES};
@@ -59,9 +60,9 @@ pub fn generate(rng: &mut Rng) -> Scenario {
         s.lambda = l;
     }
     // A share of draws plan with the analytic mean-field assessor
-    // (edm-model) instead of the projection loop, so the fast path's
-    // guardrail — never publish a plan the projection rejects — is
-    // fuzzed directly as well as via the `model_assessor` oracle.
+    // (edm-model) instead of the projection loop; the whole battery then
+    // runs on that path, and `spec_conformance` holds its guardrail —
+    // never publish a plan whose projected RSD worsens.
     if rng.below(4) == 0 {
         s.assessor = Assessor::Model;
     }

@@ -13,9 +13,11 @@
 #                    destructure names but never writes: unused_variables
 #   check.sh build   release build
 #   check.sh test    cargo test, workspace then the benchmark package
-#   check.sh smoke   obs + checkpoint/resume smokes, edm-exp all at a tiny scale
+#   check.sh smoke   obs smoke (journal verified by edm-spec), checkpoint/resume
+#                    smoke, edm-exp all at a tiny scale
 #   check.sh scale   sharded-vs-sequential digest identity smoke
-#   check.sh spec    edm-spec conformance replay of smoke + corpus journals
+#   check.sh spec    edm-spec on a 1024-OSD sharded journal and two hostile ones
+#                    (the corpus journals are verified by `test`, in fuzz_replay)
 #   check.sh serve   edm-serve daemon: ingest pipeline, kill/resume, replay digest
 #   check.sh fuzz    edm-fuzz smoke batch (seed 1, six scenarios)
 #   check.sh model   analytic-model differential gate (edm-exp model-diff
@@ -126,7 +128,7 @@ step_smoke() {
         echo "==> smoke skipped (EDM_CHECK_QUICK=1)"
         return 0
     fi
-    echo "==> obs smoke (edm-sim --obs-level events + edm-probe --journal)"
+    echo "==> obs smoke (edm-sim --obs-level events + edm-probe --journal / --verify)"
     local obs_dir
     scratch_dir; obs_dir="$SCRATCH_DIR"
     cat > "$obs_dir/smoke.scn" <<'EOF'
@@ -154,7 +156,10 @@ EOF
     local event_count
     event_count="$(wc -l < "$obs_dir/smoke.jsonl")"
     [ "$event_count" -gt 0 ] || { echo "obs smoke: empty journal"; exit 1; }
-    echo "obs smoke: $event_count journal lines OK"
+    # edm-probe --verify exits nonzero on the first illegal transition.
+    "$(bin edm-probe)" --verify "$obs_dir/smoke.jsonl" | grep -q "conformant" \
+        || { echo "obs smoke: journal violates the EDM spec"; exit 1; }
+    echo "obs smoke: $event_count journal lines, spec-conformant OK"
 
     echo "==> checkpoint/resume smoke (edm-sim --checkpoint-* / --resume / edm-probe --snapshot)"
     # An uninterrupted run and a run resumed from a mid-run checkpoint
@@ -283,33 +288,10 @@ step_spec() {
         echo "==> spec skipped (EDM_CHECK_QUICK=1)"
         return 0
     fi
-    echo "==> spec conformance (edm-sim --obs + edm-probe --verify)"
-    # The obs smoke shape plus every corpus scenario: each run's event
-    # journal must replay cleanly through the edm-spec state machine
-    # (edm-probe --verify exits nonzero on the first illegal transition).
+    # The smoke journal is verified by `smoke`, and every corpus journal
+    # by the fuzz battery that `test` runs (tests/fuzz_replay.rs).
     local spec_dir
     scratch_dir; spec_dir="$SCRATCH_DIR"
-    cat > "$spec_dir/smoke.scn" <<'EOF'
-trace home02
-scale 0.004
-osds 8
-groups 4
-policy EDM-HDF
-schedule midpoint
-force true
-EOF
-    local n=0 scn name
-    for scn in "$spec_dir/smoke.scn" fuzz/corpus/*.scn; do
-        name="$(basename "$scn" .scn)"
-        "$(bin edm-sim)" "$scn" \
-            --obs "$spec_dir/$name.jsonl" --obs-level events > /dev/null
-        "$(bin edm-probe)" --verify "$spec_dir/$name.jsonl" \
-            | grep -q "conformant" \
-            || { echo "spec: $name journal violates the EDM spec"; exit 1; }
-        n=$((n + 1))
-    done
-    echo "spec: $n scenario journals conformant"
-
     echo "==> spec sharded-journal identity (1024 OSDs, sequential vs sharded)"
     # Shard-aware journaling contract: per-shard buffers merge in fixed
     # component order, so the sharded journal is byte-identical to the

@@ -14,7 +14,7 @@ const DET_LINTS: &str = "disallowed_methods disallowed_types iter_over_hash_type
 const BUDGETS: &[(&str, usize, usize)] = &[
     ("cluster", 24, 5),
     ("core", 11, 0),
-    ("fuzz", 0, 5),
+    ("fuzz", 0, 4),
     ("harness", 5, 8),
     ("model", 0, 0),
     ("obs", 1, 0),
