@@ -17,7 +17,7 @@
 
 use std::path::{Path, PathBuf};
 
-use edm_obs::Recorder;
+use edm_obs::{AsDynRecorder, Recorder};
 use edm_snap::{SnapError, SnapshotFile};
 use edm_workload::Trace;
 
@@ -44,13 +44,14 @@ pub enum StepPause {
 /// A replay engine suspended between legs, owned by a host that decides
 /// when to step it. Borrows the trace, policy, and recorder from the
 /// caller — the host thread keeps them on its stack for the lifetime of
-/// the run, exactly like the batch entry points do internally.
-pub struct LiveRun<'a> {
-    engine: Engine<'a, dyn Migrator + 'a, dyn Recorder + 'a>,
-    total_records: u64,
+/// the run, exactly like the batch entry points do internally. Generic
+/// over the recorder, like the engine, so the host gets its own recorder
+/// type back from [`recorder`](Self::recorder) between steps.
+pub struct LiveRun<'a, R: Recorder + AsDynRecorder + ?Sized> {
+    engine: Engine<'a, dyn Migrator + 'a, R>,
 }
 
-impl<'a> LiveRun<'a> {
+impl<'a, R: Recorder + AsDynRecorder + ?Sized> LiveRun<'a, R> {
     /// Builds a fresh, seeded run (the live analogue of
     /// [`crate::sim::run_trace_obs_keep`], minus the drain). Live runs
     /// are always sequential: pacing is per-event, which has no meaning
@@ -60,17 +61,13 @@ impl<'a> LiveRun<'a> {
         trace: &'a Trace,
         policy: &'a mut dyn Migrator,
         options: SimOptions,
-        obs: &'a mut dyn Recorder,
-    ) -> LiveRun<'a> {
-        cluster.emit_run_meta(obs);
-        let total_records = trace.records.len() as u64;
+        obs: &'a mut R,
+    ) -> LiveRun<'a, R> {
+        cluster.emit_run_meta(obs.as_dyn_mut());
         let clients = ClientScripts::build(&cluster, trace, options.affinity);
         let mut engine = new_engine(cluster, trace, policy, options, obs, clients);
         engine.seed_events();
-        LiveRun {
-            engine,
-            total_records,
-        }
+        LiveRun { engine }
     }
 
     /// Rebuilds a run from a wear-tick checkpoint (the live analogue of
@@ -82,14 +79,9 @@ impl<'a> LiveRun<'a> {
         trace: &'a Trace,
         policy: &'a mut dyn Migrator,
         options: SimOptions,
-        obs: &'a mut dyn Recorder,
-    ) -> Result<LiveRun<'a>, SnapError> {
-        let total_records = trace.records.len() as u64;
-        let engine = resume_engine(snap, trace, policy, options, obs)?;
-        Ok(LiveRun {
-            engine,
-            total_records,
-        })
+        obs: &'a mut R,
+    ) -> Result<LiveRun<'a, R>, SnapError> {
+        resume_engine(snap, trace, policy, options, obs).map(|engine| LiveRun { engine })
     }
 
     /// Runs one leg: dispatches events under `pace` until the source
@@ -115,16 +107,7 @@ impl<'a> LiveRun<'a> {
     /// events the engine holds mid-decision state that the snapshot
     /// format deliberately cannot represent.
     pub fn checkpoint_now(&mut self, dir: &Path) -> Result<PathBuf, SnapError> {
-        let path = dir.join(format!("ckpt_{:020}.snap", self.engine.now));
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            return Err(SnapError::Io(format!(
-                "creating checkpoint dir {}: {e}",
-                dir.display()
-            )));
-        }
-        self.engine.obs.counter("sim.checkpoints", 1);
-        self.engine.to_snapshot().write_to(&path)?;
-        Ok(path)
+        self.engine.write_checkpoint(dir)
     }
 
     /// Virtual time of the last dispatched event.
@@ -139,12 +122,17 @@ impl<'a> LiveRun<'a> {
 
     /// File operations in the whole trace.
     pub fn total_ops(&self) -> u64 {
-        self.total_records
+        self.engine.total_records
     }
 
     /// Read access to the simulated cluster mid-run.
     pub fn cluster(&self) -> &Cluster {
         &self.engine.cluster
+    }
+
+    /// Read access to the recorder between steps.
+    pub fn recorder(&self) -> &R {
+        self.engine.obs
     }
 
     /// Finalizes a drained run: invariant checks + report construction.

@@ -199,7 +199,9 @@ impl Osd {
         })?;
         dev.directory.insert(object, extent);
         if populate && size > 0 {
-            let t = dev.ssd.write(extent.start, size)?;
+            let t = dev
+                .ssd
+                .write(extent.start, size, &mut edm_obs::NoopRecorder)?;
             dev.wc_window_pages += size.div_ceil(dev.ssd.geometry().page_size);
             return Ok(t);
         }
@@ -268,7 +270,7 @@ impl Osd {
     ) -> Result<DeviceTime, OsdError> {
         let base = self.locate(object, offset, len)?;
         let dev = self.dev_mut();
-        let t = dev.ssd.write_obs(base, len, obs)?;
+        let t = dev.ssd.write(base, len, obs)?;
         dev.wc_window_pages += pages_spanned(base, len, dev.ssd.geometry().page_size);
         Ok(t)
     }

@@ -13,7 +13,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet, VecDeque};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use edm_obs::{AsDynRecorder, Event as ObsEvent, NoopRecorder, Recorder};
 use edm_snap::{
@@ -114,6 +114,8 @@ pub struct SnapManifest {
     /// Virtual time at which the checkpoint was cut.
     pub now_us: u64,
     pub completed_ops: u64,
+    /// Trace records the run replays; for an open-ended ingest stream,
+    /// the operations applied so far.
     pub total_records: u64,
     /// `Migrator::name()` of the policy that was driving the run.
     pub policy: String,
@@ -142,6 +144,78 @@ snapshot_struct!(SnapManifest {
     per_osd_erases,
     extra
 });
+
+/// One checkpoint about to be cut, in the one container every checkpoint
+/// uses: `manifest`, `cluster`, the host's own section (`engine` for the
+/// replay engine, `serve-live` for the ingest world), `policy`.
+/// [`restore_world`] reads back everything but the host's section.
+pub struct CheckpointCut<'c, P: Migrator + ?Sized> {
+    pub now_us: u64,
+    pub completed_ops: u64,
+    pub total_records: u64,
+    /// Caller bytes for [`SnapManifest::extra`].
+    pub extra: Vec<u8>,
+    pub cluster: &'c Cluster,
+    pub policy: &'c P,
+    /// Name and body of the host's own section.
+    pub host: (&'static str, SnapWriter),
+}
+
+impl<P: Migrator + ?Sized> CheckpointCut<'_, P> {
+    /// Writes the checkpoint as `dir/ckpt_<now_us>.snap`, creating `dir`
+    /// first, and returns the path: the one writer of checkpoint files.
+    pub fn write(self, dir: &Path) -> Result<PathBuf, SnapError> {
+        let manifest = SnapManifest {
+            now_us: self.now_us,
+            completed_ops: self.completed_ops,
+            total_records: self.total_records,
+            policy: self.policy.name().to_string(),
+            per_osd_erases: self
+                .cluster
+                .osds
+                .iter()
+                .map(|o| o.ssd().wear().block_erases)
+                .collect(),
+            extra: self.extra,
+        };
+        let mut file = SnapshotFile::new();
+        file.push(SnapManifest::SECTION, &manifest);
+        file.push("cluster", self.cluster);
+        file.push_section(self.host.0, self.host.1);
+        let mut w = SnapWriter::new();
+        self.policy.save_state(&mut w);
+        file.push_section("policy", w);
+        std::fs::create_dir_all(dir).map_err(|e| {
+            SnapError::Io(format!("creating checkpoint dir {}: {e}", dir.display()))
+        })?;
+        let path = dir.join(format!("ckpt_{:020}.snap", self.now_us));
+        file.write_to(&path)?;
+        Ok(path)
+    }
+}
+
+/// Restores the world a checkpoint was cut in: checks that `policy` is
+/// the one the manifest names, decodes the `cluster` section, and loads
+/// the `policy` section into `policy`. The host's own section is the
+/// caller's to read.
+pub fn restore_world(snap: &SnapshotFile, policy: &mut dyn Migrator) -> Result<Cluster, SnapError> {
+    let manifest = SnapManifest::from_snapshot(snap)?;
+    if manifest.policy != policy.name() {
+        return Err(SnapError::Corrupt {
+            section: SnapManifest::SECTION.into(),
+            detail: format!(
+                "checkpoint was cut under policy {:?}, cannot resume with {:?}",
+                manifest.policy,
+                policy.name()
+            ),
+        });
+    }
+    let cluster = snap.decode("cluster")?;
+    let mut r = snap.reader("policy")?;
+    policy.load_state(&mut r);
+    r.finish("policy")?;
+    Ok(cluster)
+}
 
 snapshot_struct!(MigrationSchedule { 0 = Never, 1 = Midpoint, 2 = EveryTick });
 
@@ -403,7 +477,7 @@ pub(crate) struct Engine<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder +
 
     /// Everything counted toward the report, failed-OSD flags included.
     pub(crate) tally: RunTallies,
-    total_records: u64,
+    pub(crate) total_records: u64,
     migration_fired: bool,
     failed_moves: u64,
     /// Virtual time of the last checkpoint cut (0 = none yet).
@@ -1401,36 +1475,27 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
         }
     }
 
-    /// Captures the complete simulation state as a snapshot file.
-    pub(crate) fn to_snapshot(&self) -> SnapshotFile {
-        let manifest = SnapManifest {
+    /// Cuts a checkpoint of the complete simulation state into `dir` and
+    /// returns its path.
+    pub(crate) fn write_checkpoint(&mut self, dir: &Path) -> Result<PathBuf, SnapError> {
+        self.obs.counter("sim.checkpoints", 1);
+        let mut engine = SnapWriter::new();
+        self.save_engine(&mut engine);
+        CheckpointCut {
             now_us: self.now,
             completed_ops: self.tally.completed_ops,
             total_records: self.total_records,
-            policy: self.policy.name().to_string(),
-            per_osd_erases: self
-                .cluster
-                .osds
-                .iter()
-                .map(|o| o.ssd().wear().block_erases)
-                .collect(),
             extra: self
                 .options
                 .checkpoint
                 .as_ref()
                 .map(|c| c.meta.clone())
                 .unwrap_or_default(),
-        };
-        let mut file = SnapshotFile::new();
-        file.push(SnapManifest::SECTION, &manifest);
-        file.push("cluster", &self.cluster);
-        let mut w = SnapWriter::new();
-        self.save_engine(&mut w);
-        file.push_section("engine", w);
-        let mut w = SnapWriter::new();
-        self.policy.save_state(&mut w);
-        file.push_section("policy", w);
-        file
+            cluster: &self.cluster,
+            policy: &*self.policy,
+            host: ("engine", engine),
+        }
+        .write(dir)
     }
 
     /// Cuts a checkpoint if one is due. Called at wear-monitor ticks —
@@ -1443,16 +1508,13 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
             return;
         }
         self.last_ckpt_us = self.now;
-        let path = ck.dir.join(format!("ckpt_{:020}.snap", self.now));
-        let _ = std::fs::create_dir_all(&ck.dir);
-        self.obs.counter("sim.checkpoints", 1);
+        let dir = ck.dir.clone();
         #[expect(
             clippy::panic,
             reason = "checkpoint I/O failure is unrecoverable for the run; abort with the path in the message"
         )]
-        self.to_snapshot()
-            .write_to(&path)
-            .unwrap_or_else(|e| panic!("checkpoint write to {} failed: {e}", path.display()));
+        self.write_checkpoint(&dir)
+            .unwrap_or_else(|e| panic!("checkpoint write to {} failed: {e}", dir.display()));
     }
 
     /// Fills every client's concurrency window — the first third of
@@ -1688,36 +1750,19 @@ pub fn resume_trace_obs_keep(
 }
 
 /// Rebuilds the engine a checkpoint was cut from, ready to drain or
-/// step: policy check, cluster and policy state, journal preamble,
-/// engine state.
-pub(crate) fn resume_engine<'a>(
+/// step: the restored world, journal preamble, engine state.
+pub(crate) fn resume_engine<'a, R: Recorder + AsDynRecorder + ?Sized>(
     snap: &SnapshotFile,
     trace: &'a Trace,
     policy: &'a mut dyn Migrator,
     options: SimOptions,
-    obs: &'a mut dyn Recorder,
-) -> Result<Engine<'a, dyn Migrator + 'a, dyn Recorder + 'a>, SnapError> {
-    let manifest = SnapManifest::from_snapshot(snap)?;
-    if manifest.policy != policy.name() {
-        return Err(SnapError::Corrupt {
-            section: SnapManifest::SECTION.into(),
-            detail: format!(
-                "checkpoint was cut under policy {:?}, cannot resume with {:?}",
-                manifest.policy,
-                policy.name()
-            ),
-        });
-    }
-    let cluster: Cluster = snap.decode("cluster")?;
-    {
-        let mut r = snap.reader("policy")?;
-        policy.load_state(&mut r);
-        r.finish("policy")?;
-    }
-    cluster.emit_run_meta(obs);
+    obs: &'a mut R,
+) -> Result<Engine<'a, dyn Migrator + 'a, R>, SnapError> {
+    let cluster = restore_world(snap, policy)?;
+    let mut r = snap.reader("engine")?;
+    cluster.emit_run_meta(obs.as_dyn_mut());
     let clients = ClientScripts::build(&cluster, trace, options.affinity);
     let mut engine = new_engine(cluster, trace, policy, options, obs, clients);
-    let mut r = snap.reader("engine")?;
     engine.load_engine(&mut r);
     r.finish("engine")?;
     Ok(engine)

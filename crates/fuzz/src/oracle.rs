@@ -509,11 +509,11 @@ fn check_ftl_equivalence(s: &Scenario) -> Result<(), OracleFailure> {
         let span_pages = (len / ps).clamp(1, 8);
         let start = (r.file.0.wrapping_mul(2654435761).wrapping_add(offset / ps))
             % (live_pages - span_pages + 1);
-        span.write(start * ps, span_pages * ps)
+        span.write(start * ps, span_pages * ps, &mut NoopRecorder)
             .map_err(|e| fail("ftl_equiv", format!("span write failed: {e}")))?;
         for p in 0..span_pages {
             pages
-                .write((start + p) * ps, ps)
+                .write((start + p) * ps, ps, &mut NoopRecorder)
                 .map_err(|e| fail("ftl_equiv", format!("per-page write failed: {e}")))?;
         }
         extents += 1;

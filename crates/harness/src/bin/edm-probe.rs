@@ -35,7 +35,7 @@ use edm_cluster::SnapManifest;
 use edm_harness::runner::{run_one, Run};
 use edm_harness::SnapMeta;
 use edm_obs::json::{Raw, Record};
-use edm_snap::SnapshotFile;
+use edm_snap::{SnapshotFile, FORMAT_VERSION};
 
 fn main() {
     #[expect(
@@ -75,7 +75,7 @@ fn snapshot_mode(path: &str) {
         std::process::exit(1);
     });
     let size: u64 = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-    println!("{path}: edm-snap v1, {size} bytes");
+    println!("{path}: edm-snap v{FORMAT_VERSION}, {size} bytes");
     println!("-- sections --");
     for name in snap.section_names() {
         let len = snap.reader(name).map(|r| r.remaining()).unwrap_or(0);

@@ -9,6 +9,7 @@
 //! uᵣ for the skewed real-world traces; Eq. 3 fits those well at least up
 //! to u ≈ 85 %.
 
+use edm_obs::NoopRecorder;
 use edm_scenario::render_table;
 use edm_ssd::{Geometry, LatencyModel, Ssd};
 use edm_workload::{FileId, FileOp, Trace};
@@ -76,7 +77,7 @@ pub fn measure_ur(trace: &Trace, utilization: f64) -> Option<f64> {
             clippy::expect_used,
             reason = "writes stay inside the exported capacity by construction"
         )]
-        ssd.write(base, size).expect("populate");
+        ssd.write(base, size, &mut NoopRecorder).expect("populate");
     }
     #[expect(
         clippy::expect_used,
@@ -93,7 +94,8 @@ pub fn measure_ur(trace: &Trace, utilization: f64) -> Option<f64> {
                     clippy::expect_used,
                     reason = "writes stay inside the exported capacity by construction"
                 )]
-                ssd.write(base + offset, len).expect("replay write");
+                ssd.write(base + offset, len, &mut NoopRecorder)
+                    .expect("replay write");
             }
         }
         if ssd.wear().gc_victims >= MIN_VICTIMS {

@@ -17,35 +17,15 @@ use std::path::PathBuf;
 use edm_cluster::metrics::rsd;
 use edm_cluster::{MigrationSchedule, RunReport, SnapManifest};
 use edm_obs::NoopRecorder;
-use edm_scenario::{render_table, report_digest, resume_snapshot, Scenario};
-use edm_snap::SnapshotFile;
+use edm_scenario::{render_table, report_digest, resume_snapshot, Checkpoint, Scenario};
 
 use crate::runner::RunConfig;
-
-/// Wear state at one checkpoint.
-#[derive(Debug, Clone)]
-pub struct WearoutPoint {
-    pub now_us: u64,
-    pub completed_ops: u64,
-    pub per_osd_erases: Vec<u64>,
-}
-
-impl WearoutPoint {
-    pub fn aggregate(&self) -> u64 {
-        self.per_osd_erases.iter().sum()
-    }
-
-    /// Relative standard deviation of the per-OSD erase counts (the
-    /// paper's wear-balance metric).
-    pub fn erase_rsd(&self) -> f64 {
-        rsd(self.per_osd_erases.iter().map(|&e| e as f64))
-    }
-}
 
 #[derive(Debug)]
 pub struct WearoutResult {
     pub scenario: Scenario,
-    pub points: Vec<WearoutPoint>,
+    /// Each checkpoint's manifest: clock, progress, per-OSD erases.
+    pub points: Vec<SnapManifest>,
     pub report: RunReport,
     /// Digest of the uninterrupted run's report.
     pub digest: u64,
@@ -85,13 +65,7 @@ pub fn run(cfg: &RunConfig, osds: u32, trace: &str) -> Result<WearoutResult, Str
 
     let mut points = Vec::with_capacity(snaps.len());
     for path in &snaps {
-        let snap = SnapshotFile::read_from(path).map_err(|e| unreadable(&e))?;
-        let m = SnapManifest::from_snapshot(&snap).map_err(|e| unreadable(&e))?;
-        points.push(WearoutPoint {
-            now_us: m.now_us,
-            completed_ops: m.completed_ops,
-            per_osd_erases: m.per_osd_erases,
-        });
+        points.push(Checkpoint::open(path)?.manifest);
     }
 
     let mid = snaps
@@ -122,13 +96,15 @@ pub fn render(r: &WearoutResult) -> String {
         .points
         .iter()
         .map(|p| {
-            let max = p.per_osd_erases.iter().max().copied().unwrap_or(0);
-            let min = p.per_osd_erases.iter().min().copied().unwrap_or(0);
+            let erases = &p.per_osd_erases;
+            let max = erases.iter().max().copied().unwrap_or(0);
+            let min = erases.iter().min().copied().unwrap_or(0);
             vec![
                 format!("{:.2}", p.now_us as f64 / 1e6),
                 p.completed_ops.to_string(),
-                p.aggregate().to_string(),
-                format!("{:.3}", p.erase_rsd()),
+                erases.iter().sum::<u64>().to_string(),
+                // The paper's wear-balance metric.
+                format!("{:.3}", rsd(erases.iter().map(|&e| e as f64))),
                 format!("{}", max - min),
             ]
         })
@@ -173,7 +149,8 @@ mod tests {
         assert!(r.points.len() >= 2, "want a trajectory, got {:?}", r.points);
         // Erase totals are monotone over checkpoints.
         for w in r.points.windows(2) {
-            assert!(w[0].aggregate() <= w[1].aggregate());
+            let aggregate = |m: &SnapManifest| m.per_osd_erases.iter().sum::<u64>();
+            assert!(aggregate(&w[0]) <= aggregate(&w[1]));
             assert!(w[0].now_us < w[1].now_us);
         }
         assert_eq!(r.digest, r.resumed_digest, "resume diverged");

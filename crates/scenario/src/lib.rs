@@ -8,7 +8,8 @@
 //! format ([`Scenario`]), deterministic trace synthesis and cluster
 //! construction from it, batch runs with optional wear-tick
 //! checkpoints, snapshot-embedded metadata ([`SnapMeta`]) for
-//! self-contained resume, and the determinism [`report_digest`] that
+//! self-contained resume, the one checkpoint opener ([`Checkpoint`]),
+//! and the determinism [`report_digest`] that
 //! turns "two runs are bit-identical" into one comparable number.
 //!
 //! Historically part of `edm-harness`; split out so long-running hosts
@@ -21,4 +22,4 @@ pub mod report;
 pub mod scenario;
 
 pub use report::{grouped, render_table, report_digest, signed_pct};
-pub use scenario::{render_report, resume_snapshot, Scenario, SnapMeta};
+pub use scenario::{render_report, resume_snapshot, Checkpoint, Scenario, SnapMeta};

@@ -436,15 +436,8 @@ impl Scenario {
         let trace = self.synth_trace();
         let cluster = self.build_cluster(&trace)?;
         let mut policy = self.build_policy()?;
-        let checkpoint = checkpoint.map(|(every_us, dir)| CheckpointConfig {
-            every_us,
-            dir,
-            meta: SnapMeta {
-                scenario: self.to_text(),
-                trace_fingerprint: trace.fingerprint(),
-            }
-            .encode(),
-        });
+        let checkpoint =
+            checkpoint.map(|(every_us, dir)| self.checkpoint_config(&trace, every_us, dir));
         Ok(run_trace_obs_keep(
             cluster,
             &trace,
@@ -456,6 +449,26 @@ impl Scenario {
             },
             obs,
         ))
+    }
+
+    /// Checkpoints every `every_us` of virtual time into `dir`, each
+    /// embedding this scenario's text and `trace`'s fingerprint so that
+    /// [`Checkpoint::open`] can rebuild the run from the file alone.
+    pub fn checkpoint_config(
+        &self,
+        trace: &Trace,
+        every_us: u64,
+        dir: PathBuf,
+    ) -> CheckpointConfig {
+        CheckpointConfig {
+            every_us,
+            dir,
+            meta: SnapMeta {
+                scenario: self.to_text(),
+                trace_fingerprint: trace.fingerprint(),
+            }
+            .encode(),
+        }
     }
 }
 
@@ -488,43 +501,76 @@ impl SnapMeta {
     }
 }
 
+/// A checkpoint opened for resume: the container, its manifest, and the
+/// scenario and trace fingerprint the manifest embeds. Every resume path
+/// — batch, live replay, ingest — opens its file here.
+pub struct Checkpoint {
+    pub path: PathBuf,
+    pub snap: SnapshotFile,
+    pub manifest: SnapManifest,
+    pub scenario: Scenario,
+    pub trace_fingerprint: u64,
+}
+
+impl Checkpoint {
+    /// Reads the file, decodes the manifest and its [`SnapMeta`], and
+    /// parses the embedded scenario.
+    pub fn open(path: &Path) -> Result<Checkpoint, String> {
+        let snap = SnapshotFile::read_from(path)
+            .map_err(|e| format!("{}: cannot read snapshot: {e}", path.display()))?;
+        let manifest = SnapManifest::from_snapshot(&snap)
+            .map_err(|e| format!("{}: bad manifest: {e}", path.display()))?;
+        let meta = SnapMeta::decode(&manifest.extra)
+            .map_err(|e| format!("{}: bad scenario metadata: {e}", path.display()))?;
+        let scenario = Scenario::parse(&meta.scenario)
+            .map_err(|e| format!("{}: embedded scenario: {e}", path.display()))?;
+        Ok(Checkpoint {
+            path: path.to_path_buf(),
+            snap,
+            manifest,
+            scenario,
+            trace_fingerprint: meta.trace_fingerprint,
+        })
+    }
+
+    /// Re-synthesizes the embedded scenario's trace and checks it against
+    /// the fingerprint the checkpoint was cut over: what a resume that
+    /// replays the trace needs first.
+    pub fn trace(&self) -> Result<Trace, String> {
+        let trace = self.scenario.synth_trace();
+        if trace.fingerprint() != self.trace_fingerprint {
+            return Err(format!(
+                "{}: re-synthesized trace fingerprint {:#018x} does not match \
+                 the checkpoint's {:#018x} — workload generator changed?",
+                self.path.display(),
+                trace.fingerprint(),
+                self.trace_fingerprint
+            ));
+        }
+        Ok(trace)
+    }
+}
+
 /// Resumes a checkpoint written by
-/// [`Scenario::run_with_obs_checkpointed_keep`]: reads the snapshot, rebuilds
-/// the scenario and trace from the embedded metadata, verifies the trace
-/// fingerprint, and drives the run to completion. Returns the scenario
-/// alongside the report so callers can label their output.
+/// [`Scenario::run_with_obs_checkpointed_keep`] and drives the run to
+/// completion. Returns the scenario alongside the report so callers can
+/// label their output.
 pub fn resume_snapshot(
     path: &Path,
     obs: &mut dyn edm_obs::Recorder,
 ) -> Result<(Scenario, RunReport), String> {
-    let snap = SnapshotFile::read_from(path)
-        .map_err(|e| format!("{}: cannot read snapshot: {e}", path.display()))?;
-    let manifest = SnapManifest::from_snapshot(&snap)
-        .map_err(|e| format!("{}: bad manifest: {e}", path.display()))?;
-    let meta = SnapMeta::decode(&manifest.extra)
-        .map_err(|e| format!("{}: bad scenario metadata: {e}", path.display()))?;
-    let scenario = Scenario::parse(&meta.scenario)
-        .map_err(|e| format!("{}: embedded scenario: {e}", path.display()))?;
-    let trace = scenario.synth_trace();
-    if trace.fingerprint() != meta.trace_fingerprint {
-        return Err(format!(
-            "{}: re-synthesized trace fingerprint {:#018x} does not match \
-             the checkpoint's {:#018x} — workload generator changed?",
-            path.display(),
-            trace.fingerprint(),
-            meta.trace_fingerprint
-        ));
-    }
-    let mut policy = scenario.build_policy()?;
+    let ckpt = Checkpoint::open(path)?;
+    let trace = ckpt.trace()?;
+    let mut policy = ckpt.scenario.build_policy()?;
     // The original run's replay-shaping options must be reproduced for
     // the rebuilt scripts to line up with the checkpointed cursors —
     // affinity in particular changes the user→client assignment. Sharding
     // is always off here: checkpointing already forces the sequential
     // path, and a resumed run continues it.
-    let options = scenario.sim_options();
-    let (report, _) = resume_trace_obs_keep(&snap, &trace, policy.as_mut(), options, obs)
+    let options = ckpt.scenario.sim_options();
+    let (report, _) = resume_trace_obs_keep(&ckpt.snap, &trace, policy.as_mut(), options, obs)
         .map_err(|e| format!("{}: resume failed: {e}", path.display()))?;
-    Ok((scenario, report))
+    Ok((ckpt.scenario, report))
 }
 
 /// Renders a run summary for the CLI.

@@ -8,23 +8,18 @@
 //! boundary, wear tick, replay step return, wake-up from a park) the
 //! session renders the views a reader is waiting for — none, when nobody
 //! reads — and with nothing to do it parks on the block's condvar
-//! instead of polling. In replay mode the recorder
-//! sits in a `RefCell` because the [`LiveRun`] engine holds an exclusive
-//! borrow of its recorder for the whole run; the cell lets the session
-//! loop read journals and counters between steps, when the engine is
-//! suspended and provably not borrowing.
+//! instead of polling. In replay mode the [`LiveRun`] engine holds the
+//! recorder for the whole run and lends it out read-only between steps
+//! ([`LiveRun::recorder`]); the session gets it back when the run is
+//! finished or dropped.
 
-use std::cell::RefCell;
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use edm_cluster::{
-    CheckpointConfig, Cluster, LiveRun, SimOptions, SnapManifest, StepPause, TimeSource,
-};
-use edm_obs::{render_prometheus, Histogram, ObsLevel, Recorder};
-use edm_scenario::{render_report, report_digest, Scenario, SnapMeta};
-use edm_snap::SnapshotFile;
+use edm_cluster::{Cluster, LiveRun, SimOptions, StepPause, TimeSource};
+use edm_obs::{render_prometheus, ObsLevel};
+use edm_scenario::{render_report, report_digest, Checkpoint, Scenario};
 
 use crate::backend::{Backend, DirBackend, MemBackend};
 use crate::ingest::{ApplyOutcome, LiveWorld};
@@ -80,15 +75,15 @@ pub fn run_daemon_on(listener: TcpListener, config: DaemonConfig) -> Result<(), 
         BackendKind::Mem => Box::new(MemBackend::new()),
         BackendKind::Dir(root) => Box::new(DirBackend::open(root.clone())?),
     };
-    let recorder = RefCell::new(ServeRecorder::new(config.obs_level, backend));
+    let mut recorder = ServeRecorder::new(config.obs_level, backend);
     let ctrl = Arc::new(Ctrl::new());
     let addr = listener
         .local_addr()
         .map_err(|e| format!("listener has no local address: {e}"))?;
     let server = spawn_server(listener, Arc::clone(&ctrl));
     let session = match config.mode {
-        Mode::Ingest => run_ingest_session(&config, &ctrl, &recorder),
-        Mode::Replay => run_replay_session(&config, &ctrl, &recorder),
+        Mode::Ingest => run_ingest_session(&config, &ctrl, &mut recorder),
+        Mode::Replay => run_replay_session(&config, &ctrl, &mut recorder),
     };
     // Whatever happened, release any waiting reader and the server
     // thread (which may be blocked in `accept`) before returning.
@@ -103,7 +98,6 @@ pub fn run_daemon_on(listener: TcpListener, config: DaemonConfig) -> Result<(), 
             .map_err(|e| format!("creating journal {}: {e}", path.display()))?;
         let mut w = std::io::BufWriter::new(file);
         recorder
-            .borrow()
             .inner()
             .write_jsonl(&mut w)
             .map_err(|e| format!("writing journal {}: {e}", path.display()))?;
@@ -118,16 +112,13 @@ pub fn run_daemon_on(listener: TcpListener, config: DaemonConfig) -> Result<(), 
 fn run_ingest_session(
     config: &DaemonConfig,
     ctrl: &Ctrl,
-    recorder: &RefCell<ServeRecorder>,
+    recorder: &mut ServeRecorder,
 ) -> Result<(), String> {
     let mut world = match &config.resume {
         Some(path) => LiveWorld::resume(path)?,
         None => LiveWorld::new(config.scenario.clone())?,
     };
-    {
-        let mut rec = recorder.borrow_mut();
-        world.emit_run_meta(&mut *rec);
-    }
+    world.emit_run_meta(recorder);
     let mut checkpoints = 0u64;
     let mut last_ckpt_us = world.now_us();
     let mut batch = Vec::new();
@@ -154,11 +145,7 @@ fn run_ingest_session(
             continue;
         }
         for line in &batch {
-            let outcome = {
-                let mut rec = recorder.borrow_mut();
-                world.apply_line(line, &mut *rec)
-            };
-            if let ApplyOutcome::Applied { ticked: true } = outcome {
+            if let ApplyOutcome::Applied { ticked: true } = world.apply_line(line, recorder) {
                 let due = config
                     .checkpoint_every_us
                     .is_some_and(|every| world.now_us() >= last_ckpt_us.saturating_add(every));
@@ -247,19 +234,18 @@ fn render_ingest(
     view: View,
     ctrl: &Ctrl,
     world: &LiveWorld,
-    recorder: &RefCell<ServeRecorder>,
+    rec: &ServeRecorder,
     checkpoints: u64,
     done: bool,
 ) -> String {
-    let rec = recorder.borrow();
     let (policy, now_us) = (world.policy_name(), world.now_us());
     let health = HealthInfo {
         skipped_ops: world.skipped_ops(),
         rejected_lines: world.rejected_lines(),
         last_error: world.last_error().or(rec.last_backend_error()),
-        ..health(ctrl, &rec, "ingest", &policy, now_us, checkpoints, done)
+        ..health(ctrl, rec, "ingest", &policy, now_us, checkpoints, done)
     };
-    render_view(view, ctrl, &rec, world.cluster(), &health, || {
+    render_view(view, ctrl, rec, world.cluster(), &health, || {
         views::render_live_stats(&world.stats(), now_us, world.cluster())
     })
 }
@@ -268,105 +254,39 @@ fn render_ingest(
 // Replay mode
 // ---------------------------------------------------------------------------
 
-/// Forwards every recorder hook into the shared cell. The engine holds
-/// this for the whole run; the session loop reads the cell only while
-/// the engine is suspended between steps, so the borrows never overlap.
-struct TapRef<'r>(&'r RefCell<ServeRecorder>);
-
-impl Recorder for TapRef<'_> {
-    fn level(&self) -> ObsLevel {
-        self.0.borrow().level()
-    }
-    fn set_now(&mut self, now_us: u64) {
-        self.0.borrow_mut().set_now(now_us);
-    }
-    fn set_device(&mut self, device: Option<u32>) {
-        self.0.borrow_mut().set_device(device);
-    }
-    fn set_component(&mut self, component: Option<u32>) {
-        self.0.borrow_mut().set_component(component);
-    }
-    fn counter(&mut self, name: &'static str, delta: u64) {
-        self.0.borrow_mut().counter(name, delta);
-    }
-    fn gauge(&mut self, name: &'static str, value: f64) {
-        self.0.borrow_mut().gauge(name, value);
-    }
-    fn latency(&mut self, name: &'static str, us: u64) {
-        self.0.borrow_mut().latency(name, us);
-    }
-    fn event(&mut self, event: edm_obs::Event) {
-        self.0.borrow_mut().event(event);
-    }
-    fn merge_histogram(&mut self, name: &'static str, hist: &Histogram) {
-        self.0.borrow_mut().merge_histogram(name, hist);
-    }
-    fn events_on(&self) -> bool {
-        self.0.borrow().events_on()
-    }
-}
-
 fn run_replay_session(
     config: &DaemonConfig,
     ctrl: &Ctrl,
-    recorder: &RefCell<ServeRecorder>,
+    recorder: &mut ServeRecorder,
 ) -> Result<(), String> {
-    // Resolve the scenario: a resume takes it from the checkpoint's own
-    // manifest (mirroring the batch tool), a fresh run from the config.
-    let (scenario, snap) = match &config.resume {
-        Some(path) => {
-            let snap = SnapshotFile::read_from(path)
-                .map_err(|e| format!("{}: cannot read snapshot: {e}", path.display()))?;
-            let manifest = SnapManifest::from_snapshot(&snap)
-                .map_err(|e| format!("{}: bad manifest: {e}", path.display()))?;
-            let meta = SnapMeta::decode(&manifest.extra)
-                .map_err(|e| format!("{}: bad scenario metadata: {e}", path.display()))?;
-            let scenario = Scenario::parse(&meta.scenario)
-                .map_err(|e| format!("{}: embedded scenario: {e}", path.display()))?;
-            (scenario, Some((snap, meta.trace_fingerprint)))
-        }
-        None => (config.scenario.clone(), None),
+    // A resume takes the scenario from the checkpoint (mirroring the
+    // batch tool), a fresh run from the config.
+    let ckpt = config.resume.as_deref().map(Checkpoint::open).transpose()?;
+    let scenario = ckpt.as_ref().map_or(&config.scenario, |c| &c.scenario);
+    let trace = match &ckpt {
+        Some(c) => c.trace()?,
+        None => scenario.synth_trace(),
     };
-    let trace = scenario.synth_trace();
-    if let Some((_, fingerprint)) = &snap {
-        if trace.fingerprint() != *fingerprint {
-            return Err(format!(
-                "re-synthesized trace fingerprint {:#018x} does not match the \
-                 checkpoint's {:#018x} — workload generator changed?",
-                trace.fingerprint(),
-                fingerprint
-            ));
-        }
-    }
     let mut policy = scenario.build_policy()?;
     let policy_name = policy.name().to_string();
     // Always attach a checkpoint config when a dir is given: the engine
     // takes the snapshot's embedded metadata from it, so even purely
     // on-demand checkpoints stay resumable. Without a cadence the
     // interval is effectively infinite (saturating add in the engine).
-    let checkpoint = config.checkpoint_dir.as_ref().map(|dir| CheckpointConfig {
-        every_us: config.checkpoint_every_us.unwrap_or(u64::MAX),
-        dir: dir.clone(),
-        meta: SnapMeta {
-            scenario: scenario.to_text(),
-            trace_fingerprint: trace.fingerprint(),
-        }
-        .encode(),
+    let checkpoint = config.checkpoint_dir.as_ref().map(|dir| {
+        let every_us = config.checkpoint_every_us.unwrap_or(u64::MAX);
+        scenario.checkpoint_config(&trace, every_us, dir.clone())
     });
     let options = SimOptions {
-        schedule: scenario.schedule,
-        failures: scenario.failures.clone(),
-        affinity: scenario.affinity,
         checkpoint,
-        ..SimOptions::default()
+        ..scenario.sim_options()
     };
-    let mut tap = TapRef(recorder);
-    let mut live = match &snap {
-        Some((snap, _)) => LiveRun::resume(snap, &trace, policy.as_mut(), options, &mut tap)
+    let mut live = match &ckpt {
+        Some(c) => LiveRun::resume(&c.snap, &trace, policy.as_mut(), options, recorder)
             .map_err(|e| format!("resume failed: {e}"))?,
         None => {
             let cluster = scenario.build_cluster(&trace)?;
-            LiveRun::new(cluster, &trace, policy.as_mut(), options, &mut tap)
+            LiveRun::new(cluster, &trace, policy.as_mut(), options, recorder)
         }
     };
     let mut dilated = config.speed.map(|s| DilatedPacer::new(s, live.now_us()));
@@ -374,8 +294,7 @@ fn run_replay_session(
     let mut checkpoints = 0u64;
     let mut was_paused = false;
     let done = loop {
-        let seen = ctrl
-            .serve_views(|v| render_replay(v, ctrl, &live, recorder, &policy_name, checkpoints));
+        let seen = ctrl.serve_views(|v| render_replay(v, ctrl, &live, &policy_name, checkpoints));
         if ctrl.shutdown_requested() {
             break false;
         }
@@ -415,24 +334,20 @@ fn run_replay_session(
     }
     let (report, cluster) = live.finish();
     let digest = report_digest(&report);
-    {
-        let rec = recorder.borrow();
-        let now_us = report.duration_us;
-        let health = health(
-            ctrl,
-            &rec,
-            "replay",
-            &policy_name,
-            now_us,
-            checkpoints,
-            true,
-        );
-        ctrl.freeze_views(|view| {
-            render_view(view, ctrl, &rec, &cluster, &health, || {
-                views::render_replay_final(&render_report(&report), digest)
-            })
-        });
-    }
+    let health = health(
+        ctrl,
+        recorder,
+        "replay",
+        &policy_name,
+        report.duration_us,
+        checkpoints,
+        true,
+    );
+    ctrl.freeze_views(|view| {
+        render_view(view, ctrl, recorder, &cluster, &health, || {
+            views::render_replay_final(&render_report(&report), digest)
+        })
+    });
     // Keep serving the final views until the client says shutdown.
     ctrl.park_until_shutdown();
     Ok(())
@@ -441,23 +356,14 @@ fn run_replay_session(
 fn render_replay(
     view: View,
     ctrl: &Ctrl,
-    live: &LiveRun<'_>,
-    recorder: &RefCell<ServeRecorder>,
+    live: &LiveRun<'_, ServeRecorder>,
     policy_name: &str,
     checkpoints: u64,
 ) -> String {
-    let rec = recorder.borrow();
+    let rec = live.recorder();
     let now_us = live.now_us();
-    let health = health(
-        ctrl,
-        &rec,
-        "replay",
-        policy_name,
-        now_us,
-        checkpoints,
-        false,
-    );
-    render_view(view, ctrl, &rec, live.cluster(), &health, || {
+    let health = health(ctrl, rec, "replay", policy_name, now_us, checkpoints, false);
+    render_view(view, ctrl, rec, live.cluster(), &health, || {
         views::render_replay_progress(now_us, live.completed_ops(), live.total_ops())
     })
 }

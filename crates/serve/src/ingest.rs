@@ -24,27 +24,33 @@
 //!   the conformance spec's rules leaves the queue model trivially
 //!   satisfied, so `edm-probe --verify` accepts ingest journals.
 //!
-//! Crash recovery: [`LiveWorld::checkpoint_now`] snapshots the scenario
-//! text, clock, counters, cluster, and policy state at a tick boundary;
-//! [`LiveWorld::resume`] rebuilds the world and then *replays the dedup*:
+//! Crash recovery: [`LiveWorld::checkpoint_now`] cuts the one checkpoint
+//! container ([`CheckpointCut`]) at a tick boundary — the manifest with
+//! the scenario text, clock and applied-op count, the cluster, the
+//! policy, and a `serve-live` section with the next tick and the
+//! counters. [`LiveWorld::resume`] opens it like every other checkpoint
+//! ([`Checkpoint::open`], [`restore_world`]) and then *replays the dedup*:
 //! the first `applied_ops` valid operations of a re-fed stream are
 //! skipped without touching state. Feeding the full op stream to a
 //! resumed daemon therefore converges on the exact state of an
 //! uninterrupted run — the recovery property the serve gate checks.
 
+use std::cell::OnceCell;
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
 use edm_cluster::migrate::{close_wc_window, plan_round};
 use edm_cluster::osd::OsdError;
-use edm_cluster::{Cluster, MigrationSchedule, Migrator, MoveAction};
+use edm_cluster::{restore_world, CheckpointCut, Cluster, MigrationSchedule, Migrator, MoveAction};
 use edm_obs::Recorder;
-use edm_scenario::Scenario;
-use edm_snap::{snapshot_struct, SnapError, SnapWriter, Snapshot, SnapshotFile};
+use edm_scenario::{Checkpoint, Scenario, SnapMeta};
+use edm_snap::{snapshot_struct, SnapError, SnapWriter, Snapshot};
 use edm_workload::{FileId, FileOp};
 
-/// Layout version of the `serve-live` snapshot section.
-const SNAP_VERSION: u64 = 1;
+/// Layout version of the `serve-live` snapshot section. Version 1 was a
+/// container of its own, with the scenario, policy and clock in this
+/// section and no manifest.
+const SNAP_VERSION: u64 = 2;
 
 /// Snapshot section holding the live-world scalar state.
 const SECTION: &str = "serve-live";
@@ -93,6 +99,10 @@ snapshot_struct!(LiveStats {
 /// The ingest-mode world: cluster + policy + virtual clock.
 pub struct LiveWorld {
     scenario: Scenario,
+    /// Fingerprint of the scenario's synthesized trace, for the manifest.
+    /// Worked out at the first checkpoint, not in [`new`](Self::new), so
+    /// a daemon that never checkpoints never hashes the whole trace.
+    trace_fingerprint: OnceCell<u64>,
     cluster: Cluster,
     policy: Box<dyn Migrator>,
     now_us: u64,
@@ -125,6 +135,7 @@ impl LiveWorld {
         let next_tick_us = cluster.config.wear_tick_us;
         Ok(LiveWorld {
             scenario,
+            trace_fingerprint: OnceCell::new(),
             cluster,
             policy,
             now_us: 0,
@@ -372,79 +383,52 @@ impl LiveWorld {
     /// daemon does so on `Applied { ticked: true }` or between ops) —
     /// the world holds no mid-decision state there by construction.
     pub fn checkpoint_now(&self, dir: &Path) -> Result<PathBuf, SnapError> {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            return Err(SnapError::Io(format!(
-                "creating checkpoint dir {}: {e}",
-                dir.display()
-            )));
-        }
-        let mut snap = SnapshotFile::new();
         let mut w = SnapWriter::new();
         w.put_u64(SNAP_VERSION);
-        w.put_str(&self.scenario.to_text());
-        w.put_str(self.policy.name());
-        w.put_u64(self.now_us);
         w.put_u64(self.next_tick_us);
         self.stats.save(&mut w);
-        snap.push_section(SECTION, w);
-        snap.push("cluster", &self.cluster);
-        let mut pw = SnapWriter::new();
-        self.policy.save_state(&mut pw);
-        snap.push_section("policy", pw);
-        let path = dir.join(format!("ckpt_{:020}.snap", self.now_us));
-        snap.write_to(&path)?;
-        Ok(path)
+        CheckpointCut {
+            now_us: self.now_us,
+            completed_ops: self.stats.applied_ops,
+            total_records: self.stats.applied_ops,
+            extra: SnapMeta {
+                scenario: self.scenario.to_text(),
+                trace_fingerprint: *self
+                    .trace_fingerprint
+                    .get_or_init(|| self.scenario.synth_trace().fingerprint()),
+            }
+            .encode(),
+            cluster: &self.cluster,
+            policy: self.policy.as_ref(),
+            host: (SECTION, w),
+        }
+        .write(dir)
     }
 
     /// Rebuilds a world from a checkpoint. The resumed world skips the
     /// first `applied_ops` valid operations it is fed, so the host can
     /// (and the gate does) re-feed the entire op stream.
     pub fn resume(path: &Path) -> Result<LiveWorld, String> {
-        let snap = SnapshotFile::read_from(path)
-            .map_err(|e| format!("{}: cannot read checkpoint: {e}", path.display()))?;
-        let mut r = snap
-            .reader(SECTION)
-            .map_err(|e| format!("{}: {e}", path.display()))?;
+        let ckpt = Checkpoint::open(path)?;
+        let at = |e: SnapError| format!("{}: {e}", path.display());
+        let mut r = ckpt.snap.reader(SECTION).map_err(at)?;
         let version = r.take_u64();
         if version != SNAP_VERSION {
-            return Err(format!(
-                "{}: serve-live snapshot version {version}, expected {SNAP_VERSION}",
-                path.display()
+            r.corrupt(format!(
+                "layout version {version}, this build reads version {SNAP_VERSION}"
             ));
         }
-        let scenario_text = r.take_string();
-        let policy_name = r.take_string();
-        let now_us = r.take_u64();
         let next_tick_us = r.take_u64();
         let stats = LiveStats::load(&mut r);
-        r.finish(SECTION)
-            .map_err(|e| format!("{}: {e}", path.display()))?;
-        let scenario = Scenario::parse(&scenario_text)
-            .map_err(|e| format!("{}: embedded scenario: {e}", path.display()))?;
-        let mut policy = scenario.build_policy()?;
-        if policy.name() != policy_name {
-            return Err(format!(
-                "{}: checkpoint was cut under policy {policy_name:?}, scenario builds {:?}",
-                path.display(),
-                policy.name()
-            ));
-        }
-        let cluster: Cluster = snap
-            .decode("cluster")
-            .map_err(|e| format!("{}: cluster section: {e}", path.display()))?;
-        {
-            let mut pr = snap
-                .reader("policy")
-                .map_err(|e| format!("{}: {e}", path.display()))?;
-            policy.load_state(&mut pr);
-            pr.finish("policy")
-                .map_err(|e| format!("{}: {e}", path.display()))?;
-        }
+        r.finish(SECTION).map_err(at)?;
+        let mut policy = ckpt.scenario.build_policy()?;
+        let cluster = restore_world(&ckpt.snap, policy.as_mut()).map_err(at)?;
         Ok(LiveWorld {
-            scenario,
+            scenario: ckpt.scenario,
+            trace_fingerprint: OnceCell::from(ckpt.trace_fingerprint),
             cluster,
             policy,
-            now_us,
+            now_us: ckpt.manifest.now_us,
             next_tick_us,
             skip_remaining: stats.applied_ops,
             skipped_ops: 0,

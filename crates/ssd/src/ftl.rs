@@ -12,7 +12,7 @@
 
 use std::collections::VecDeque;
 
-use edm_obs::{Event, NoopRecorder, Recorder};
+use edm_obs::{Event, Recorder};
 use edm_snap::{snapshot_struct, SnapReader, SnapWriter, Snapshot};
 
 use crate::block::Block;
@@ -268,20 +268,11 @@ impl PageLevelFtl {
     /// error (device full, or the span running past the exported range)
     /// leaves the successfully written prefix in place, as the per-page
     /// loop did.
+    ///
+    /// GC invocations, victim picks, erases, and wear-leveling swaps the
+    /// span triggers are reported to `obs`. Recording is read-only —
+    /// behaviour and device time are identical for every recorder.
     pub fn write_span(
-        &mut self,
-        start: u64,
-        n: u64,
-        latency: &LatencyModel,
-    ) -> Result<DeviceTime, FtlError> {
-        self.write_span_obs(start, n, latency, &mut NoopRecorder)
-    }
-
-    /// [`write_span`](Self::write_span) with an observability sink: GC
-    /// invocations, victim picks, erases, and wear-leveling swaps the span
-    /// triggers are reported to `obs`. Recording is read-only — behaviour
-    /// and device time are identical for every recorder.
-    pub fn write_span_obs(
         &mut self,
         start: u64,
         n: u64,
@@ -932,6 +923,7 @@ impl Snapshot for PageLevelFtl {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use edm_obs::NoopRecorder;
 
     fn tiny() -> PageLevelFtl {
         // 16 blocks × 4 pages, 8 % OP.
@@ -948,7 +940,7 @@ mod tests {
     fn write_then_read_maps_page() {
         let mut ftl = tiny();
         let lat = LatencyModel::PAPER;
-        let t = ftl.write_span(0, 1, &lat).unwrap();
+        let t = ftl.write_span(0, 1, &lat, &mut NoopRecorder).unwrap();
         assert_eq!(t.as_micros(), 200);
         assert!(ftl.is_mapped(0));
         assert_eq!(ftl.mapped_pages(), 1);
@@ -962,7 +954,7 @@ mod tests {
         let mut ftl = tiny();
         let lat = LatencyModel::INSTANT;
         for _ in 0..10 {
-            ftl.write_span(3, 1, &lat).unwrap();
+            ftl.write_span(3, 1, &lat, &mut NoopRecorder).unwrap();
         }
         assert_eq!(ftl.mapped_pages(), 1);
         assert_eq!(ftl.stats().host_page_writes, 10);
@@ -973,7 +965,7 @@ mod tests {
     fn trim_unmaps() {
         let mut ftl = tiny();
         let lat = LatencyModel::INSTANT;
-        ftl.write_span(5, 1, &lat).unwrap();
+        ftl.write_span(5, 1, &lat, &mut NoopRecorder).unwrap();
         ftl.trim_span(5, 1).unwrap();
         assert!(!ftl.is_mapped(5));
         assert_eq!(ftl.mapped_pages(), 0);
@@ -988,7 +980,7 @@ mod tests {
         let lat = LatencyModel::INSTANT;
         let exported = ftl.geometry().exported_pages();
         assert!(matches!(
-            ftl.write_span(exported, 1, &lat),
+            ftl.write_span(exported, 1, &lat, &mut NoopRecorder),
             Err(FtlError::OutOfRange { .. })
         ));
         assert!(matches!(
@@ -1008,7 +1000,7 @@ mod tests {
         // Hammer a small working set far beyond physical capacity: GC must
         // keep the device making progress.
         for i in 0..1000u64 {
-            ftl.write_span(i % 8, 1, &lat).unwrap();
+            ftl.write_span(i % 8, 1, &lat, &mut NoopRecorder).unwrap();
         }
         assert!(ftl.stats().block_erases > 0, "GC never ran");
         assert_eq!(ftl.mapped_pages(), 8);
@@ -1021,7 +1013,7 @@ mod tests {
         let lat = LatencyModel::PAPER;
         let mut saw_gc_charge = false;
         for i in 0..2000u64 {
-            let t = ftl.write_span(i % 8, 1, &lat).unwrap();
+            let t = ftl.write_span(i % 8, 1, &lat, &mut NoopRecorder).unwrap();
             if t.as_micros() > lat.page_write_us {
                 saw_gc_charge = true;
             }
@@ -1035,11 +1027,11 @@ mod tests {
         let lat = LatencyModel::INSTANT;
         let exported = ftl.geometry().exported_pages();
         for lpn in 0..exported {
-            ftl.write_span(lpn, 1, &lat).unwrap();
+            ftl.write_span(lpn, 1, &lat, &mut NoopRecorder).unwrap();
         }
         // Overwrites must still succeed at 100 % utilization thanks to OP.
         for lpn in 0..exported {
-            ftl.write_span(lpn, 1, &lat).unwrap();
+            ftl.write_span(lpn, 1, &lat, &mut NoopRecorder).unwrap();
         }
         assert!((ftl.utilization() - 1.0).abs() < 1e-12);
         ftl.check_invariants().unwrap();
@@ -1054,10 +1046,10 @@ mod tests {
         // should be minimal because greedy always picks emptiest victims.
         let live = exported * 6 / 10;
         for lpn in 0..live {
-            ftl.write_span(lpn, 1, &lat).unwrap();
+            ftl.write_span(lpn, 1, &lat, &mut NoopRecorder).unwrap();
         }
         for _ in 0..5000 {
-            ftl.write_span(0, 1, &lat).unwrap();
+            ftl.write_span(0, 1, &lat, &mut NoopRecorder).unwrap();
         }
         let s = ftl.stats();
         let ur = s.measured_ur(4).unwrap();
@@ -1074,8 +1066,8 @@ mod tests {
         let exported = uniform.geometry().exported_pages();
         let live = exported * 7 / 10;
         for lpn in 0..live {
-            uniform.write_span(lpn, 1, &lat).unwrap();
-            skewed.write_span(lpn, 1, &lat).unwrap();
+            uniform.write_span(lpn, 1, &lat, &mut NoopRecorder).unwrap();
+            skewed.write_span(lpn, 1, &lat, &mut NoopRecorder).unwrap();
         }
         uniform.stats_mut().reset();
         skewed.stats_mut().reset();
@@ -1085,9 +1077,13 @@ mod tests {
             rng = rng
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            uniform.write_span(rng % live, 1, &lat).unwrap();
+            uniform
+                .write_span(rng % live, 1, &lat, &mut NoopRecorder)
+                .unwrap();
             // ...skewed overwrites hit only a tenth of it.
-            skewed.write_span(i % (live / 10), 1, &lat).unwrap();
+            skewed
+                .write_span(i % (live / 10), 1, &lat, &mut NoopRecorder)
+                .unwrap();
         }
         let ur_uniform = uniform.stats().measured_ur(4).unwrap();
         let ur_skewed = skewed.stats().measured_ur(4).unwrap();
@@ -1101,6 +1097,7 @@ mod tests {
 #[cfg(test)]
 mod victim_policy_tests {
     use super::*;
+    use edm_obs::NoopRecorder;
 
     fn run_with(policy: VictimPolicy) -> (u64, u64) {
         let g = Geometry {
@@ -1119,7 +1116,7 @@ mod victim_policy_tests {
         let lat = LatencyModel::INSTANT;
         let live = g.exported_pages() * 7 / 10;
         for lpn in 0..live {
-            ftl.write_span(lpn, 1, &lat).unwrap();
+            ftl.write_span(lpn, 1, &lat, &mut NoopRecorder).unwrap();
         }
         ftl.stats_mut().reset();
         // Skewed overwrites: 90 % of writes to 10 % of pages.
@@ -1134,7 +1131,7 @@ mod victim_policy_tests {
             } else {
                 r % live
             };
-            ftl.write_span(lpn, 1, &lat).unwrap();
+            ftl.write_span(lpn, 1, &lat, &mut NoopRecorder).unwrap();
         }
         ftl.check_invariants().unwrap();
         (ftl.stats().block_erases, ftl.stats().gc_page_moves)
@@ -1166,6 +1163,7 @@ mod victim_policy_tests {
 #[cfg(test)]
 mod cost_benefit_tests {
     use super::*;
+    use edm_obs::NoopRecorder;
 
     #[test]
     fn cost_benefit_sustains_pressure_and_keeps_invariants() {
@@ -1185,10 +1183,11 @@ mod cost_benefit_tests {
         let lat = LatencyModel::INSTANT;
         let live = g.exported_pages() * 7 / 10;
         for lpn in 0..live {
-            ftl.write_span(lpn, 1, &lat).unwrap();
+            ftl.write_span(lpn, 1, &lat, &mut NoopRecorder).unwrap();
         }
         for i in 0..20_000u64 {
-            ftl.write_span(i % live, 1, &lat).unwrap();
+            ftl.write_span(i % live, 1, &lat, &mut NoopRecorder)
+                .unwrap();
         }
         assert!(ftl.stats().block_erases > 0);
         ftl.check_invariants().unwrap();
@@ -1217,7 +1216,7 @@ mod cost_benefit_tests {
             let lat = LatencyModel::INSTANT;
             let live = g.exported_pages() * 7 / 10;
             for lpn in 0..live {
-                ftl.write_span(lpn, 1, &lat).unwrap();
+                ftl.write_span(lpn, 1, &lat, &mut NoopRecorder).unwrap();
             }
             let mut x = 7u64;
             for _ in 0..25_000 {
@@ -1228,7 +1227,7 @@ mod cost_benefit_tests {
                 } else {
                     r % live
                 };
-                ftl.write_span(lpn, 1, &lat).unwrap();
+                ftl.write_span(lpn, 1, &lat, &mut NoopRecorder).unwrap();
             }
             ftl.check_invariants().unwrap();
             ftl.stats().gc_page_moves
@@ -1253,6 +1252,7 @@ mod cost_benefit_tests {
 mod wear_leveling_tests {
     use super::*;
     use crate::wear_leveling::{wear_spread, WearLevelConfig};
+    use edm_obs::NoopRecorder;
 
     fn run(config: WearLevelConfig) -> Vec<u64> {
         let g = Geometry {
@@ -1272,11 +1272,12 @@ mod wear_leveling_tests {
         let live = g.exported_pages() * 7 / 10;
         // Cold bottom half written once; hot top tenth hammered.
         for lpn in 0..live {
-            ftl.write_span(lpn, 1, &lat).unwrap();
+            ftl.write_span(lpn, 1, &lat, &mut NoopRecorder).unwrap();
         }
         let hot = live / 10;
         for i in 0..60_000u64 {
-            ftl.write_span(live - 1 - (i % hot), 1, &lat).unwrap();
+            ftl.write_span(live - 1 - (i % hot), 1, &lat, &mut NoopRecorder)
+                .unwrap();
         }
         ftl.check_invariants().unwrap();
         ftl.block_erase_counts()
@@ -1312,9 +1313,9 @@ mod wear_leveling_tests {
         let mut ftl = PageLevelFtl::new(g, FtlConfig::default());
         let lat = LatencyModel::INSTANT;
         let live = g.exported_pages() * 7 / 10;
-        ftl.write_span(0, live, &lat).unwrap();
+        ftl.write_span(0, live, &lat, &mut NoopRecorder).unwrap();
         for i in 0..30_000u64 {
-            ftl.write_span(live - 1 - (i % (live / 10)), 1, &lat)
+            ftl.write_span(live - 1 - (i % (live / 10)), 1, &lat, &mut NoopRecorder)
                 .unwrap();
         }
         (ftl, live)
@@ -1351,8 +1352,8 @@ mod wear_leveling_tests {
         let lat = LatencyModel::INSTANT;
         for i in 0..5_000u64 {
             let lpn = live - 1 - (i % (live / 10));
-            ftl.write_span(lpn, 1, &lat).unwrap();
-            back.write_span(lpn, 1, &lat).unwrap();
+            ftl.write_span(lpn, 1, &lat, &mut NoopRecorder).unwrap();
+            back.write_span(lpn, 1, &lat, &mut NoopRecorder).unwrap();
         }
         assert!(ftl.stats().block_erases > 0);
         assert_eq!(back.block_erase_counts(), ftl.block_erase_counts());

@@ -34,7 +34,7 @@
 //!     Geometry::for_exported_capacity(16 * 1024 * 1024),
 //!     LatencyModel::PAPER,
 //! );
-//! let t = ssd.write(0, 8192).unwrap(); // two 4 KB pages
+//! let t = ssd.write(0, 8192, &mut edm_obs::NoopRecorder).unwrap(); // two 4 KB pages
 //! assert_eq!(t.as_micros(), 400);
 //! assert_eq!(ssd.wear().host_page_writes, 2);
 //! ```

@@ -1,7 +1,7 @@
 //! The SSD device façade: byte-granular host interface over the page-level
 //! FTL, plus the steady-state warm-up procedure of §IV.
 
-use edm_obs::Recorder;
+use edm_obs::{NoopRecorder, Recorder};
 use edm_snap::snapshot_struct;
 
 use crate::ftl::{FtlConfig, FtlError, PageLevelFtl};
@@ -96,22 +96,17 @@ impl Ssd {
         self.ftl.read_span(start, n, &self.latency)
     }
 
-    /// Writes `len` bytes starting at logical byte `offset` (out-of-place).
-    pub fn write(&mut self, offset: u64, len: u64) -> Result<DeviceTime, FtlError> {
-        let (start, n) = self.page_span(offset, len)?;
-        self.ftl.write_span(start, n, &self.latency)
-    }
-
-    /// [`write`](Self::write) with an observability sink for the FTL
-    /// events (GC, erases, wear leveling) the write triggers.
-    pub fn write_obs(
+    /// Writes `len` bytes starting at logical byte `offset` (out-of-place),
+    /// reporting the FTL events (GC, erases, wear leveling) the write
+    /// triggers to `obs`.
+    pub fn write(
         &mut self,
         offset: u64,
         len: u64,
         obs: &mut dyn Recorder,
     ) -> Result<DeviceTime, FtlError> {
         let (start, n) = self.page_span(offset, len)?;
-        self.ftl.write_span_obs(start, n, &self.latency, obs)
+        self.ftl.write_span(start, n, &self.latency, obs)
     }
 
     /// Unmaps `len` bytes starting at logical byte `offset`.
@@ -158,7 +153,8 @@ impl Ssd {
             match (run_start, mapped) {
                 (None, true) => run_start = Some(lpn),
                 (Some(start), false) => {
-                    self.ftl.write_span(start, lpn - start, &lat)?;
+                    self.ftl
+                        .write_span(start, lpn - start, &lat, &mut NoopRecorder)?;
                     run_start = None;
                 }
                 _ => {}
@@ -169,7 +165,7 @@ impl Ssd {
         // bounds the live footprint while every block gets exercised.
         for lpn in 0..exported {
             if !self.ftl.is_mapped(lpn) {
-                self.ftl.write_span(lpn, 1, &lat)?;
+                self.ftl.write_span(lpn, 1, &lat, &mut NoopRecorder)?;
                 self.ftl.trim_span(lpn, 1)?;
             }
         }
@@ -211,17 +207,20 @@ mod tests {
     fn byte_ops_round_to_pages() {
         let mut ssd = small();
         // 1 byte still programs a whole page.
-        let t = ssd.write(0, 1).unwrap();
+        let t = ssd.write(0, 1, &mut NoopRecorder).unwrap();
         assert_eq!(t.as_micros(), 200);
         // 4097 bytes spans two pages.
-        let t = ssd.write(8192, 4097).unwrap();
+        let t = ssd.write(8192, 4097, &mut NoopRecorder).unwrap();
         assert_eq!(t.as_micros(), 400);
         // An unaligned 8 KB starting mid-page touches three pages.
         let t = ssd.read(100, 8192).unwrap();
         assert_eq!(t.as_micros(), 3 * 25);
         // Zero-length I/O is free.
         assert_eq!(ssd.read(0, 0).unwrap(), DeviceTime::ZERO);
-        assert_eq!(ssd.write(0, 0).unwrap(), DeviceTime::ZERO);
+        assert_eq!(
+            ssd.write(0, 0, &mut NoopRecorder).unwrap(),
+            DeviceTime::ZERO
+        );
     }
 
     /// A byte extent whose end passes `u64::MAX` is out of range, not a
@@ -229,7 +228,7 @@ mod tests {
     #[test]
     fn extents_that_overflow_u64_are_out_of_range() {
         let mut ssd = small();
-        ssd.write(0, 8 * 4096).unwrap();
+        ssd.write(0, 8 * 4096, &mut NoopRecorder).unwrap();
         let wear = ssd.wear().clone();
         let mapped = ssd.mapped_pages();
         for (offset, len) in [(u64::MAX, 2), (4096, u64::MAX), (u64::MAX, u64::MAX)] {
@@ -240,11 +239,7 @@ mod tests {
                 );
             };
             out_of_range(ssd.read(offset, len).map(drop));
-            out_of_range(ssd.write(offset, len).map(drop));
-            out_of_range(
-                ssd.write_obs(offset, len, &mut edm_obs::NoopRecorder)
-                    .map(drop),
-            );
+            out_of_range(ssd.write(offset, len, &mut NoopRecorder).map(drop));
             out_of_range(ssd.trim(offset, len));
         }
         assert_eq!(*ssd.wear(), wear);
@@ -255,7 +250,7 @@ mod tests {
     fn trim_releases_capacity() {
         let mut ssd = small();
         let before = ssd.free_bytes();
-        ssd.write(0, 16 * 4096).unwrap();
+        ssd.write(0, 16 * 4096, &mut NoopRecorder).unwrap();
         assert_eq!(ssd.free_bytes(), before - 16 * 4096);
         ssd.trim(0, 16 * 4096).unwrap();
         assert_eq!(ssd.free_bytes(), before);
@@ -264,7 +259,7 @@ mod tests {
     #[test]
     fn warm_up_preserves_utilization_and_resets_wear() {
         let mut ssd = small();
-        ssd.write(0, 64 * 4096).unwrap();
+        ssd.write(0, 64 * 4096, &mut NoopRecorder).unwrap();
         let util_before = ssd.utilization();
         ssd.warm_up().unwrap();
         assert!((ssd.utilization() - util_before).abs() < 1e-12);
@@ -276,7 +271,7 @@ mod tests {
     #[test]
     fn warm_up_exercises_gc() {
         let mut ssd = small();
-        ssd.write(0, 32 * 4096).unwrap();
+        ssd.write(0, 32 * 4096, &mut NoopRecorder).unwrap();
         // Warm-up writes ≈ exported capacity: that exceeds raw space, so
         // the GC must have run at least once during it. We can't observe
         // the reset counters, so run it twice and check invariants hold.
@@ -288,7 +283,7 @@ mod tests {
     #[test]
     fn snapshot_reflects_state() {
         let mut ssd = small();
-        ssd.write(0, 10 * 4096).unwrap();
+        ssd.write(0, 10 * 4096, &mut NoopRecorder).unwrap();
         let snap = ssd.snapshot();
         assert_eq!(snap.mapped_pages, 10);
         assert_eq!(snap.wear.host_page_writes, 10);

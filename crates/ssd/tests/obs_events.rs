@@ -20,7 +20,7 @@ fn run(config: FtlConfig, obs: &mut dyn Recorder) -> PageLevelFtl {
     let lat = LatencyModel::PAPER;
     let mut ftl = PageLevelFtl::new(g, config);
     let live = g.exported_pages() * 3 / 4;
-    ftl.write_span_obs(0, live, &lat, obs).unwrap();
+    ftl.write_span(0, live, &lat, obs).unwrap();
     let mut x = 7u64;
     for _ in 0..4000 {
         x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -30,7 +30,7 @@ fn run(config: FtlConfig, obs: &mut dyn Recorder) -> PageLevelFtl {
         } else {
             r % live
         };
-        ftl.write_span_obs(lpn, 1, &lat, obs).unwrap();
+        ftl.write_span(lpn, 1, &lat, obs).unwrap();
     }
     ftl
 }

@@ -2,6 +2,7 @@
 //! write/trim/read workloads the mapping tables stay consistent, data is
 //! never lost, and the GC always makes forward progress.
 
+use edm_obs::NoopRecorder;
 use edm_ssd::{DeviceTime, FtlConfig, Geometry, LatencyModel, PageLevelFtl, Ssd};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -16,7 +17,7 @@ trait PerPage {
 
 impl PerPage for PageLevelFtl {
     fn write(&mut self, lpn: u64, lat: &LatencyModel) -> Result<DeviceTime, edm_ssd::FtlError> {
-        self.write_span(lpn, 1, lat)
+        self.write_span(lpn, 1, lat, &mut NoopRecorder)
     }
     fn read(&mut self, lpn: u64, lat: &LatencyModel) -> Result<DeviceTime, edm_ssd::FtlError> {
         self.read_span(lpn, 1, lat)
@@ -130,7 +131,7 @@ proptest! {
             let start = start.min(exported - 1);
             let pages = pages.min(exported - start);
             if is_write {
-                ssd.write(start * page, pages * page).unwrap();
+                ssd.write(start * page, pages * page, &mut NoopRecorder).unwrap();
                 for p in start..start + pages { mapped[p as usize] = true; }
             } else {
                 ssd.trim(start * page, pages * page).unwrap();
@@ -213,7 +214,7 @@ mod span_equivalence_props {
                 match op {
                     SpanOp::Write(start, n) => {
                         let n = n.min(exported - start);
-                        span_time += span_ftl.write_span(start, n, &lat).unwrap();
+                        span_time += span_ftl.write_span(start, n, &lat, &mut NoopRecorder).unwrap();
                         for lpn in start..start + n {
                             page_time += page_ftl.write(lpn, &lat).unwrap();
                         }
@@ -316,7 +317,7 @@ mod victim_policy_props {
             let mut ftl = PageLevelFtl::new(g, config);
             let lat = LatencyModel::INSTANT;
             let live = g.exported_pages() * 3 / 4;
-            ftl.write_span(0, live, &lat).unwrap();
+            ftl.write_span(0, live, &lat, &mut NoopRecorder).unwrap();
             for (at, n, kind) in ops {
                 // Mostly overwrites of a hot tenth, so wear spreads and
                 // the leveler runs; some cold writes; some trims.
@@ -328,7 +329,7 @@ mod victim_policy_props {
                 if kind == 0 {
                     ftl.trim_span(start, n).unwrap();
                 } else {
-                    ftl.write_span(start, n, &lat).unwrap();
+                    ftl.write_span(start, n, &lat, &mut NoopRecorder).unwrap();
                 }
                 prop_assert_eq!(ftl.static_level_pick(), scanned_static_level_pick(&ftl));
             }

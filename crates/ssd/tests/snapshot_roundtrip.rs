@@ -2,6 +2,7 @@
 //! must restore bit-identically (same re-encoding, same invariants) and
 //! continue producing the exact same behaviour as the original.
 
+use edm_obs::NoopRecorder;
 use edm_snap::{SnapReader, SnapWriter, Snapshot};
 use edm_ssd::{FtlConfig, Geometry, LatencyModel, Ssd, VictimPolicy, WearLevelConfig};
 
@@ -35,7 +36,8 @@ fn churned_ssd(policy: VictimPolicy, leveling: WearLevelConfig, ops: u64) -> Ssd
                 ssd.read(offset, 8192).unwrap();
             }
             _ => {
-                ssd.write(offset, 4096 * (1 + r % 4)).unwrap();
+                ssd.write(offset, 4096 * (1 + r % 4), &mut NoopRecorder)
+                    .unwrap();
             }
         }
     }
@@ -93,8 +95,8 @@ fn restored_ssd_continues_identically() {
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
         let offset = ((x >> 17) % 300) * 4096;
-        let t_orig = original.write(offset, 4096).unwrap();
-        let t_rest = restored.write(offset, 4096).unwrap();
+        let t_orig = original.write(offset, 4096, &mut NoopRecorder).unwrap();
+        let t_rest = restored.write(offset, 4096, &mut NoopRecorder).unwrap();
         assert_eq!(t_orig, t_rest, "device time diverged after restore");
     }
     assert_eq!(snapshot_bytes(&original), snapshot_bytes(&restored));

@@ -10,6 +10,7 @@
 //! ```
 
 use edm_core::{u_of_ur, WearModel};
+use edm_obs::NoopRecorder;
 use edm_ssd::{Geometry, LatencyModel, Ssd};
 
 /// Measures uᵣ on a real simulated SSD at a given live-data utilization,
@@ -23,7 +24,8 @@ fn measure(utilization: f64, skewed: bool) -> f64 {
     let page = ssd.geometry().page_size;
     let live_pages = (ssd.geometry().exported_pages() as f64 * utilization) as u64;
     for p in 0..live_pages {
-        ssd.write(p * page, page).expect("populate");
+        ssd.write(p * page, page, &mut NoopRecorder)
+            .expect("populate");
     }
     ssd.warm_up().expect("warm-up");
     // Overwrite traffic: either uniform over the live set, or 90 % of
@@ -44,7 +46,8 @@ fn measure(utilization: f64, skewed: bool) -> f64 {
         } else {
             r % live_pages
         };
-        ssd.write(p * page, page).expect("overwrite");
+        ssd.write(p * page, page, &mut NoopRecorder)
+            .expect("overwrite");
     }
     ssd.snapshot().measured_ur.unwrap_or(0.0)
 }

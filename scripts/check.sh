@@ -480,6 +480,19 @@ EOF
     local snap
     snap="$(ls "$serve_dir"/ckpts/*.snap | tail -n1)"
     [ -n "$snap" ] || { echo "serve: no checkpoint survived the kill"; exit 1; }
+    # An ingest checkpoint is the same container as a replay one: the
+    # probe reads its manifest and embedded scenario, and edm-sim refuses
+    # it (no engine section) with a one-line error and exit 1.
+    local probe_live code err
+    probe_live="$("$(bin edm-probe)" --snapshot "$snap")" \
+        || { echo "serve: edm-probe --snapshot failed on the ingest checkpoint"; exit 1; }
+    grep -q "^policy " <<< "$probe_live" && grep -q -- "-- embedded scenario --" <<< "$probe_live" \
+        || { echo "serve: ingest checkpoint manifest incomplete"; echo "$probe_live"; exit 1; }
+    code=0
+    err="$("$(bin edm-sim)" --resume "$snap" 2>&1 > /dev/null)" || code=$?
+    err="$(grep -v '^resuming ' <<< "$err" || true)"
+    [ "$code" -eq 1 ] && [ "$(wc -l <<< "$err")" -eq 1 ] && grep -q "no 'engine' section" <<< "$err" \
+        || { echo "serve: edm-sim --resume of an ingest checkpoint exited $code, want 1 and one line: $err"; exit 1; }
     "$(bin edm-serve)" --resume "$snap" --mode ingest \
         --port-file "$serve_dir/c.port" > /dev/null &
     local c_pid=$!

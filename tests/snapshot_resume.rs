@@ -8,8 +8,10 @@
 
 use std::path::PathBuf;
 
+use edm_cluster::resume_trace_obs_keep;
 use edm_harness::{report_digest, resume_snapshot, Scenario, SnapMeta};
 use edm_obs::NoopRecorder;
+use edm_serve::LiveWorld;
 use edm_snap::{SnapError, SnapshotFile};
 
 fn ckpt_dir(tag: &str) -> PathBuf {
@@ -182,6 +184,92 @@ fn v1_checkpoint_is_an_unsupported_version() {
     cleanup(&snaps);
 }
 
+/// One `LiveWorld::checkpoint_now` file of the serve gate's `live`
+/// scenario, cut after 1 000 ops into a directory of its own.
+fn live_checkpoint(tag: &str) -> PathBuf {
+    let live = Scenario::parse("trace random\nscale 0.002\nschedule every-tick\nlambda 0.05\n")
+        .expect("scenario");
+    let ops = edm_serve::dump_ops(&live);
+    let mut world = LiveWorld::new(live).expect("live world");
+    for line in ops.lines().take(1000) {
+        world.apply_line(line, &mut NoopRecorder);
+    }
+    world
+        .checkpoint_now(&ckpt_dir(tag))
+        .expect("live checkpoint")
+}
+
+/// An ingest checkpoint has the manifest, cluster and policy of a replay
+/// checkpoint but no `engine` section: the replay resume refuses it by
+/// that name, at the engine layer and through the harness.
+#[test]
+fn ingest_checkpoint_is_refused_by_replay_resume() {
+    let path = live_checkpoint("live-as-replay");
+    let missing = SnapError::MissingSection {
+        section: "engine".to_string(),
+    };
+    let snap = SnapshotFile::read_from(&path).expect("read checkpoint");
+    let scenario = Scenario::parse("trace random\nscale 0.002\nschedule every-tick\nlambda 0.05\n")
+        .expect("scenario");
+    let trace = scenario.synth_trace();
+    let mut policy = scenario.build_policy().expect("policy");
+    let resumed = resume_trace_obs_keep(
+        &snap,
+        &trace,
+        policy.as_mut(),
+        scenario.sim_options(),
+        &mut NoopRecorder,
+    );
+    assert_eq!(resumed.err(), Some(missing.clone()));
+    let err = resume_snapshot(&path, &mut NoopRecorder).expect_err("ingest checkpoint resumed");
+    assert!(err.ends_with(&missing.to_string()), "{err}");
+    cleanup(&[path]);
+}
+
+/// A replay checkpoint has no `serve-live` section: the ingest resume
+/// refuses it by that name.
+#[test]
+fn replay_checkpoint_is_refused_by_ingest_resume() {
+    let (_, snaps) = checkpointed_run(&plain_scenario(), "replay-as-live");
+    let missing = SnapError::MissingSection {
+        section: "serve-live".to_string(),
+    };
+    let err = LiveWorld::resume(&snaps[0])
+        .err()
+        .expect("replay checkpoint resumed as an ingest world");
+    assert!(err.ends_with(&missing.to_string()), "{err}");
+    cleanup(&snaps);
+}
+
+/// Layout 1 of the `serve-live` section came in a container of its own;
+/// a section that says 1 is refused by its version, never misread.
+#[test]
+fn serve_live_v1_checkpoint_is_an_unsupported_version() {
+    let path = live_checkpoint("live-v1");
+    let mut bytes = std::fs::read(&path).expect("read checkpoint");
+    // Name, u64 body length, u32 CRC, body; the body opens with the
+    // layout version.
+    let name = bytes
+        .windows(10)
+        .position(|w| w == b"serve-live")
+        .expect("serve-live section");
+    let (len_at, crc_at, body_at) = (name + 10, name + 18, name + 22);
+    let len = u64::from_le_bytes(bytes[len_at..crc_at].try_into().unwrap()) as usize;
+    bytes[body_at..body_at + 8].copy_from_slice(&1u64.to_le_bytes());
+    let crc = edm_snap::crc32(&bytes[body_at..body_at + len]);
+    bytes[crc_at..body_at].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(&path, &bytes).expect("write v1 file");
+    let err = LiveWorld::resume(&path)
+        .err()
+        .expect("v1 ingest checkpoint resumed");
+    let want = SnapError::Corrupt {
+        section: "serve-live".to_string(),
+        detail: "layout version 1, this build reads version 2".to_string(),
+    };
+    assert!(err.ends_with(&want.to_string()), "{err}");
+    cleanup(&[path]);
+}
+
 #[test]
 fn snap_meta_round_trips() {
     let scenario = faulted_scenario();
@@ -218,19 +306,11 @@ fn checkpoint_bytes_are_frozen() {
     const GOLDEN: [(&str, u64, usize); 3] = [
         ("ckpt first", 0x2be1_f5d0_0ff2_ca1e, 289_715),
         ("ckpt last", 0xfbf3_7f71_9c0d_74a8, 284_878),
-        ("live", 0x9dbb_b1b0_7579_c7c8, 36_422),
+        ("live", 0x4149_9f4f_9504_5c02, 36_614),
     ];
 
     let (_, snaps) = checkpointed_run(&faulted_scenario(), "frozen");
-    let live_dir = ckpt_dir("frozen-live");
-    let live = Scenario::parse("trace random\nscale 0.002\nschedule every-tick\nlambda 0.05\n")
-        .expect("scenario");
-    let ops = edm_serve::dump_ops(&live);
-    let mut world = edm_serve::LiveWorld::new(live).expect("live world");
-    for line in ops.lines().take(1000) {
-        world.apply_line(line, &mut NoopRecorder);
-    }
-    let live_snap = world.checkpoint_now(&live_dir).expect("live checkpoint");
+    let live_snap = live_checkpoint("frozen-live");
 
     let files = [&snaps[0], &snaps[snaps.len() - 1], &live_snap];
     let mut moved = false;
@@ -245,7 +325,7 @@ fn checkpoint_bytes_are_frozen() {
         ));
     }
     cleanup(&snaps);
-    let _ = std::fs::remove_dir_all(&live_dir);
+    cleanup(&[live_snap]);
     assert!(
         !moved,
         "checkpoint bytes moved; the files now give:\n{table}"
