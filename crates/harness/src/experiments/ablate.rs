@@ -59,10 +59,9 @@ pub fn sigma_sweep(
 }
 
 pub fn render_sigma(rows: &[(f64, f64)]) -> String {
-    #[expect(clippy::expect_used, reason = "per-OSD means of finite latencies")]
     let best = rows
         .iter()
-        .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
+        .min_by(|a, b| a.1.total_cmp(&b.1))
         .map(|r| r.0)
         .unwrap_or(f64::NAN);
     let table: Vec<Vec<String>> = rows

@@ -2,14 +2,14 @@
 //! the baseline system (the motivation experiment of §II).
 //!
 //! Replays home02, deasna and lair62 with no migration and reports the
-//! per-OSD block erasure counts and written pages; the paper's point is
-//! the wide wear variance, especially for home02 and lair62.
+//! per-OSD block erasure counts and written pages. Claims: `fig1.*`.
 
 use edm_cluster::metrics::rsd;
 use edm_cluster::MigrationSchedule;
 use edm_scenario::{grouped, render_table};
 use edm_workload::harvard::MOTIVATION_TRACES;
 
+use super::claims::{self, Record};
 use crate::runner::{run_all, Run, RunConfig};
 
 /// Per-trace outcome: per-OSD wear under Baseline.
@@ -80,7 +80,7 @@ pub fn render(results: &[TraceWear]) -> String {
         out.push_str(&render_table(&header_refs, &rows));
         out.push('\n');
     }
-    out
+    out + &claims::render("fig1", Record::Fig1(results))
 }
 
 #[cfg(test)]
@@ -102,20 +102,6 @@ mod tests {
             assert_eq!(r.erase_counts.len(), 8);
             assert_eq!(r.write_pages.len(), 8);
             assert!(r.write_pages.iter().sum::<u64>() > 0);
-        }
-    }
-
-    #[test]
-    fn wear_variance_exists_under_baseline() {
-        // §II's claim: the per-SSD erase counts vary widely.
-        let results = run(&tiny(), 8).expect("valid");
-        for r in &results {
-            assert!(
-                r.erase_rsd() > 0.05,
-                "{} unexpectedly balanced: RSD {}",
-                r.trace,
-                r.erase_rsd()
-            );
         }
     }
 

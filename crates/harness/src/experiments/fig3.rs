@@ -4,16 +4,14 @@
 //! a single SSD is sized so the trace's footprint lands at each target
 //! utilization; the write stream is replayed and the measured victim
 //! valid-page ratio uᵣ is compared against the estimates of Eq. 2 (no
-//! correction) and Eq. 3 (σ = 0.28, "EDM"). The paper's findings, which
-//! this experiment reproduces: Eq. 2 matches `random` but overestimates
-//! uᵣ for the skewed real-world traces; Eq. 3 fits those well at least up
-//! to u ≈ 85 %.
+//! correction) and Eq. 3 (σ = 0.28, "EDM"). Claims: `fig3.*`.
 
 use edm_obs::NoopRecorder;
 use edm_scenario::render_table;
 use edm_ssd::{Geometry, LatencyModel, Ssd};
 use edm_workload::{FileId, FileOp, Trace};
 
+use super::claims::{self, Record};
 use crate::runner::{par_map, RunConfig, TraceKey};
 
 /// Minimum GC victims before we trust a measured uᵣ sample.
@@ -173,7 +171,7 @@ pub fn render(series: &[Series]) -> String {
         ));
         out.push('\n');
     }
-    out
+    out + &claims::render("fig3", Record::Fig3(series))
 }
 
 #[cfg(test)]

@@ -4,9 +4,7 @@
 //!
 //! The two figures come from the same runs — as do Figs. 7 and 8, which
 //! read sub-matrices of this one — so one [`Matrix`] feeds all four.
-//! Expected shape (§V.B–C): migration lifts throughput 15–40 % over
-//! Baseline with HDF ≈ CMT ≳ CDF; HDF cuts aggregate erases in every
-//! case (up to ~40 % vs CMT) while CMT often *increases* them.
+//! Claims: `fig5.*`, `fig6.*`.
 
 use std::collections::HashMap;
 
@@ -14,6 +12,7 @@ use edm_cluster::RunReport;
 use edm_core::POLICY_NAMES;
 use edm_scenario::{grouped, render_table, signed_pct};
 
+use super::claims::{self, Record};
 use crate::runner::{run_all, Cell, Run, RunConfig};
 
 /// The reports of the evaluation matrix, keyed by cell. Figs. 5–8 are
@@ -46,23 +45,6 @@ impl Matrix {
     pub fn report(&self, trace: &str, policy: &str, osds: u32) -> &RunReport {
         &self.reports[&Cell::new(trace, policy, osds)]
     }
-
-    /// Throughput ratio of `policy` over Baseline for one cell.
-    pub fn throughput_gain(&self, trace: &str, policy: &str, osds: u32) -> f64 {
-        let base = self
-            .report(trace, "Baseline", osds)
-            .throughput_ops_per_sec();
-        let p = self.report(trace, policy, osds).throughput_ops_per_sec();
-        p / base - 1.0
-    }
-
-    /// Erase-count delta of `policy` vs Baseline (the numbers above the
-    /// bars in Fig. 6).
-    pub fn erase_delta(&self, trace: &str, policy: &str, osds: u32) -> f64 {
-        let base = self.report(trace, "Baseline", osds).aggregate_erases() as f64;
-        let p = self.report(trace, policy, osds).aggregate_erases() as f64;
-        p / base - 1.0
-    }
 }
 
 /// The cells Figs. 5 and 6 read: the full (trace × policy × osds) sweep.
@@ -78,14 +60,16 @@ pub fn cells(osds_list: &[u32], traces: &[&str]) -> Vec<Cell> {
 }
 
 /// One table per cluster size: each trace's value under the four systems,
-/// then the three migrating systems' deltas vs Baseline.
+/// then the three migrating systems' `metric` deltas vs Baseline (the
+/// percentages the paper prints above the bars).
 fn render_bars(
     m: &Matrix,
     osds_list: &[u32],
     traces: &[&str],
+    figure: &str,
     title: &str,
     value: impl Fn(&RunReport) -> String,
-    delta: impl Fn(&Matrix, &str, &str, u32) -> f64,
+    metric: fn(&RunReport) -> f64,
 ) -> String {
     let mut out = String::new();
     for &osds in osds_list {
@@ -95,10 +79,11 @@ fn render_bars(
             .map(|t| {
                 let mut row = vec![t.to_string()];
                 row.extend(POLICY_NAMES.iter().map(|p| value(m.report(t, p, osds))));
+                let base = metric(m.report(t, "Baseline", osds));
                 row.extend(
                     POLICY_NAMES[1..]
                         .iter()
-                        .map(|p| signed_pct(delta(m, t, p, osds))),
+                        .map(|p| signed_pct(metric(m.report(t, p, osds)) / base - 1.0)),
                 );
                 row
             })
@@ -118,7 +103,7 @@ fn render_bars(
         ));
         out.push('\n');
     }
-    out
+    out + &claims::render(figure, Record::Matrix(m, &cells(osds_list, traces)))
 }
 
 /// Figure 5 rendering: aggregate throughput (file ops per second).
@@ -127,22 +112,28 @@ pub fn render_fig5(m: &Matrix, osds_list: &[u32], traces: &[&str]) -> String {
         m,
         osds_list,
         traces,
+        "fig5",
         "Figure 5 ({osds}-OSDs): aggregate throughput [ops/s]\n",
         |r| format!("{:.0}", r.throughput_ops_per_sec()),
-        Matrix::throughput_gain,
+        RunReport::throughput_ops_per_sec,
     )
 }
 
-/// Figure 6 rendering: aggregate erase count among all OSDs, with the
-/// percentage deltas vs Baseline the paper prints above the bars.
+/// Figure 6 rendering: aggregate erase count among all OSDs, each with
+/// its GC page copies per host-written page (write amplification − 1).
 pub fn render_fig6(m: &Matrix, osds_list: &[u32], traces: &[&str]) -> String {
     render_bars(
         m,
         osds_list,
         traces,
-        "Figure 6 ({osds}-OSDs): aggregate erase count among all OSDs\n",
-        |r| grouped(r.aggregate_erases()),
-        Matrix::erase_delta,
+        "fig6",
+        "Figure 6 ({osds}-OSDs): aggregate erase count among all OSDs (GC copies per host-written page)\n",
+        |r| {
+            let gc: u64 = r.per_osd.iter().map(|o| o.gc_page_moves).sum();
+            let host: u64 = r.per_osd.iter().map(|o| o.write_pages).sum();
+            format!("{} ({:.3})", grouped(r.aggregate_erases()), gc as f64 / host.max(1) as f64)
+        },
+        |r| r.aggregate_erases() as f64,
     )
 }
 

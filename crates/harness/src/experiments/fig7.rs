@@ -3,17 +3,13 @@
 //! Baseline, EDM-HDF and EDM-CDF. The series is bucketed by
 //! [`Run::paper`](crate::runner::Run::paper)'s response window — a tenth
 //! of the paper's, scaled with the trace — so the spike and recovery
-//! around the midpoint are visible at any scale.
-//!
-//! Expected shape (§V.D): HDF spikes when migration starts (requests to
-//! in-flight objects block) and then settles *below* the pre-migration
-//! level; CDF barely perturbs the series because the objects it moves are
-//! rarely accessed.
+//! around the midpoint are visible at any scale. Claims: `fig7.*`.
 
 use edm_cluster::RunReport;
 use edm_scenario::render_table;
 use edm_workload::harvard::MOTIVATION_TRACES;
 
+use super::claims::{self, Record};
 use super::fig56::Matrix;
 use crate::runner::Cell;
 
@@ -70,7 +66,7 @@ pub fn render(m: &Matrix, osds: u32) -> String {
         }
         out.push('\n');
     }
-    out
+    out + &claims::render("fig7", Record::Matrix(m, &cells(osds)))
 }
 
 #[cfg(test)]

@@ -1,12 +1,10 @@
 //! Figure 8 — the total number of moved objects per trace for CMT,
-//! EDM-CDF and EDM-HDF (remapping-table overhead, §V.E).
-//!
-//! Expected shape: at most ~1 % of all objects move; CMT moves the most
-//! (it balances load *and* storage usage and is read/write agnostic),
-//! then CDF, then HDF.
+//! EDM-CDF and EDM-HDF (remapping-table overhead, §V.E). Claims:
+//! `fig8.*`.
 
 use edm_scenario::{grouped, render_table};
 
+use super::claims::{self, Record};
 use super::fig56::Matrix;
 use crate::runner::Cell;
 
@@ -55,7 +53,7 @@ pub fn render(m: &Matrix, osds: u32, traces: &[&str]) -> String {
             ],
             &rows,
         )
-    )
+    ) + &claims::render("fig8", Record::Matrix(m, &cells(osds, traces)))
 }
 
 #[cfg(test)]

@@ -3,8 +3,11 @@
 //! (or `*_sweep`) function, `Err` when a run cannot be built — plus a
 //! `render` into the ASCII rows/series the paper's table or figure
 //! reports, so the CLI and the integration tests share one code path.
+//! What the paper says a figure must show is its entries in
+//! [`claims::CLAIMS`].
 
 pub mod ablate;
+pub mod claims;
 pub mod failure;
 pub mod fig1;
 pub mod fig3;

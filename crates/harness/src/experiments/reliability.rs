@@ -10,14 +10,14 @@
 //! This experiment replays a write-heavy trace under EDM-HDF on a cluster
 //! whose OSD count is not a multiple of the group count (uneven groups)
 //! and reports, per group: members, mean per-SSD erase count, and the
-//! within-group RSD. The shape to observe: within-group RSD well below
-//! the spread of the per-group means.
+//! within-group RSD. Claims: `reliability.*`.
 
 use edm_cluster::metrics::rsd;
 use edm_cluster::GroupId;
 use edm_core::lifetime::{project, EnduranceSpec};
 use edm_scenario::render_table;
 
+use super::claims::{self, Record};
 use crate::runner::{run_one, Run, RunConfig};
 
 /// Per-group wear summary.
@@ -65,11 +65,7 @@ impl Reliability {
             .collect();
         let window = finite.iter().copied().fold(0.0_f64, f64::max) * 0.01;
         let mut order = finite;
-        #[expect(
-            clippy::expect_used,
-            reason = "erase counts come from wear stats and are always finite"
-        )]
-        order.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        order.sort_by(f64::total_cmp);
         let mut best = usize::from(!order.is_empty());
         for i in 0..order.len() {
             let cohort = order[i..]
@@ -152,7 +148,7 @@ pub fn render(r: &Reliability) -> String {
         "largest 1%-window simultaneous-wearout cohort: {} of {} devices\n",
         r.simultaneous_wearouts(),
         r.osds
-    )
+    ) + &claims::render("reliability", Record::Reliability(r))
 }
 
 #[cfg(test)]

@@ -238,12 +238,18 @@ EOF
     done
     [ "$ids" -eq "$sections" ] \
         || { echo "exp smoke: EXPERIMENT_IDS has $ids entries, $sections sections checked"; exit 1; }
+    # Every entry of the claim list prints one `claim <id>: held k of n`.
+    local claims printed
+    claims="$(grep -c '^        id: "' crates/harness/src/experiments/claims.rs)"
+    printed="$(grep -c '^claim ' "$exp_dir/all.txt")"
+    [ "$claims" -gt 0 ] && [ "$printed" -eq "$claims" ] \
+        || { echo "exp smoke: CLAIMS has $claims entries, stdout $printed claim lines"; exit 1; }
     local code
     code=0; "$(bin edm-probe)" nosuch EDM-HDF > /dev/null 2>&1 || code=$?
     [ "$code" -eq 2 ] || { echo "exp smoke: edm-probe on an unknown trace exited $code, want 2"; exit 1; }
     code=0; "$(bin edm-exp)" fig1 --osds 2 --scale 0.001 > /dev/null 2>&1 || code=$?
     [ "$code" -eq 1 ] || { echo "exp smoke: edm-exp on an unbuildable cluster exited $code, want 1"; exit 1; }
-    echo "exp smoke: $sections sections, refused invocations exit 2 / 1 OK"
+    echo "exp smoke: $sections sections, $printed claims, refused invocations exit 2 / 1 OK"
 }
 
 step_scale() {

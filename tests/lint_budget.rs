@@ -15,7 +15,7 @@ const BUDGETS: &[(&str, usize, usize)] = &[
     ("cluster", 24, 5),
     ("core", 11, 0),
     ("fuzz", 0, 4),
-    ("harness", 5, 8),
+    ("harness", 3, 8),
     ("model", 0, 0),
     ("obs", 1, 0),
     ("scenario", 1, 0),
