@@ -11,7 +11,7 @@ use crate::config::ClusterConfig;
 use crate::ids::{ObjectId, OsdId};
 use crate::migrate::{AccessEvent, AccessKind, ClusterView, MoveAction, ObjectView, OsdView};
 use crate::osd::{pages_spanned, Osd, OsdError};
-use crate::raid::ObjectIo;
+use crate::raid::{ObjectIo, StripeLayout};
 
 /// A built cluster: the metadata catalog plus its storage nodes, ready for
 /// replay.
@@ -33,12 +33,16 @@ fn uniform_geometry(osds: &[Osd]) -> Geometry {
         .map_or_else(Geometry::default, |o| *o.ssd().geometry())
 }
 
+/// Utilization of the *most* utilized SSD once the dataset is placed:
+/// "the maximum utilization among all SSDs is about 70 percent" (§IV).
+const TARGET_MAX_UTILIZATION: f64 = 0.70;
+
 impl Cluster {
     /// Builds the cluster for one trace:
     ///
     /// 1. registers every file of the trace (k objects each, hash placed);
     /// 2. sizes every SSD identically so the *most* utilized one sits at
-    ///    `target_max_utilization` ("the capacity of each SSD is set the
+    ///    [`TARGET_MAX_UTILIZATION`] ("the capacity of each SSD is set the
     ///    same dynamically before running each trace-replaying program,
     ///    which allows the maximum utilization among all SSDs is about 70
     ///    percent", §IV);
@@ -46,7 +50,10 @@ impl Cluster {
     /// 4. runs the steady-state warm-up and zeroes wear counters.
     pub fn build(config: ClusterConfig, trace: &Trace) -> Result<Cluster, String> {
         config.validate()?;
-        let mut catalog = Catalog::new(config.placement(), config.stripe_layout());
+        let mut catalog = Catalog::new(
+            config.placement(),
+            StripeLayout::paper(config.objects_per_file),
+        );
         for (&file, &size) in &trace.file_sizes {
             catalog.create_file(file, size);
         }
@@ -61,7 +68,7 @@ impl Cluster {
             }
         }
         let max_footprint = footprint.iter().copied().max().unwrap_or(0).max(1);
-        let capacity = (max_footprint as f64 / config.target_max_utilization) as u64;
+        let capacity = (max_footprint as f64 / TARGET_MAX_UTILIZATION) as u64;
 
         let mut osds: Vec<Osd> = (0..config.osds)
             .map(|i| Osd::with_ftl(OsdId(i), capacity, config.latency, config.ftl))
@@ -535,7 +542,7 @@ mod tests {
     #[test]
     fn invalid_config_is_reported() {
         let mut cfg = ClusterConfig::test_small();
-        cfg.target_max_utilization = 0.0;
+        cfg.groups = cfg.osds + 1;
         assert!(Cluster::build(cfg, &small_trace()).is_err());
     }
 }

@@ -53,6 +53,7 @@ pub use live::{LiveRun, StepPause};
 pub use metrics::{OsdWearSummary, ResponseWindow, RunReport};
 pub use migrate::{
     AccessEvent, AccessKind, ClusterView, Migrator, MoveAction, NoMigration, ObjectView, OsdView,
+    DEST_FREE_RESERVE,
 };
 pub use pace::{SimTime, TimeSource, TimeStep};
 pub use placement::Placement;
@@ -62,4 +63,5 @@ pub use shard::{shard_decision, ShardDecision};
 pub use sim::{
     restore_world, resume_trace_obs_keep, run_trace, run_trace_obs_keep, CheckpointConfig,
     CheckpointCut, ClientAffinity, FailureSpec, MigrationSchedule, SimOptions, SnapManifest,
+    OSD_OVERHEAD_US,
 };

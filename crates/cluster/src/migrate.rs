@@ -252,6 +252,12 @@ impl std::fmt::Display for InvalidPlan {
     }
 }
 
+/// Share of a destination's capacity that must stay free through
+/// migration: "we guarantee that the free space in each destination
+/// device does not exceed a predefined threshold" (§III.B.5). Read here
+/// at acceptance and by the policies' planning budgets.
+pub const DEST_FREE_RESERVE: f64 = 0.05;
+
 /// One migration round's decision — the only definition of it; the
 /// engine, the shard coordinator and the ingest daemon differ only in
 /// where `view` comes from and in how they execute what is accepted.
@@ -260,7 +266,7 @@ impl std::fmt::Display for InvalidPlan {
 /// and assessment on `obs`), validates it, then applies the capacity
 /// sanitation of §III.B.5 ("to avoid disk saturation"): a move is
 /// accepted only while its destination's projected free space stays
-/// above `dest_free_reserve` of its capacity, earlier acceptances of the
+/// above [`DEST_FREE_RESERVE`] of its capacity, earlier acceptances of the
 /// round counted. Also refused are moves of `pending` objects — queued or
 /// mid-transfer from an earlier round, which the view still shows on the
 /// source they are about to vacate — and moves touching a `failed` OSD
@@ -271,7 +277,6 @@ impl std::fmt::Display for InvalidPlan {
 pub fn plan_round<P: Migrator + ?Sized>(
     policy: &mut P,
     view: &ClusterView,
-    dest_free_reserve: f64,
     pending: &HashSet<ObjectId>,
     failed: &[bool],
     obs: &mut dyn Recorder,
@@ -296,7 +301,7 @@ pub fn plan_round<P: Migrator + ?Sized>(
             continue;
         };
         let size = object.size_bytes as i64;
-        let reserve = (dest_view.capacity_bytes as f64 * dest_free_reserve) as i64;
+        let reserve = (dest_view.capacity_bytes as f64 * DEST_FREE_RESERVE) as i64;
         if projected_free[dest] - size < reserve {
             continue;
         }
@@ -464,18 +469,17 @@ mod tests {
             plan_round(
                 &mut Fixed(vec![a, b]),
                 view,
-                0.25,
                 &pending,
                 failed,
                 &mut edm_obs::NoopRecorder,
             )
         };
         assert_eq!(round(&view(), &[], &[]), Ok((vec![a, b], 0)));
-        // Reserve a quarter of 2 MiB: with 512 KiB + 4 KiB free the
-        // second 4 KiB object is one too many, the first acceptance
-        // counted against the destination.
+        // With the reserve plus 4 KiB free the second 4 KiB object is one
+        // too many, the first acceptance counted against the destination.
         let mut tight = view();
-        tight.osds[2].free_bytes = (1 << 19) + 4096;
+        let reserve = (tight.osds[2].capacity_bytes as f64 * DEST_FREE_RESERVE) as u64;
+        tight.osds[2].free_bytes = reserve + 4096;
         assert_eq!(round(&tight, &[], &[]), Ok((vec![a], 1)));
         assert_eq!(round(&view(), &[ObjectId(1)], &[]), Ok((vec![b], 1)));
         assert_eq!(

@@ -432,7 +432,6 @@ pub(crate) fn run_sharded<P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?S
     let n = components.count;
     let osd_count = cluster.config.osds;
     let wear_tick_us = cluster.config.wear_tick_us;
-    let dest_free_reserve = cluster.config.dest_free_reserve;
     let total_records = trace.records.len() as u64;
     // What the coordinator itself counts: the rounds it fired. The
     // shards' tallies are added at the end.
@@ -537,15 +536,9 @@ pub(crate) fn run_sharded<P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?S
                 clippy::panic,
                 reason = "plans are validated before acceptance; an invalid plan is a policy bug worth aborting on"
             )]
-            let (accepted, refused) = plan_round(
-                policy,
-                &view,
-                dest_free_reserve,
-                &pending,
-                &failed,
-                obs.as_dyn_mut(),
-            )
-            .unwrap_or_else(|e| panic!("{e}"));
+            let (accepted, refused) =
+                plan_round(policy, &view, &pending, &failed, obs.as_dyn_mut())
+                    .unwrap_or_else(|e| panic!("{e}"));
             tally.migrations_triggered += u64::from(!accepted.is_empty());
             for action in &accepted {
                 assert_eq!(

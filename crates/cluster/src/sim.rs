@@ -430,6 +430,21 @@ pub(crate) enum Pause {
     Done,
 }
 
+/// Fixed cost of one sub-request at an OSD on top of its device time,
+/// µs: the network hop and request processing of the §IV pNFS/osc-osd
+/// testbed, which the simulator does not model otherwise. Read by
+/// `Engine::start_service` (and the ingest daemon's serialized service).
+pub const OSD_OVERHEAD_US: u64 = 30;
+
+/// Service time of a metadata (open/close) operation at the MDS, µs
+/// (§II.A's pNFS metadata server). Read by `Engine::issue_next`.
+const MDS_LATENCY_US: u64 = 200;
+
+/// Transfer chunk of the data mover of Fig. 4, bytes: moves and rebuilds
+/// stream through the OSD queues chunk by chunk so a large object does
+/// not hold a destination's head of line for its whole transfer.
+const MOVE_CHUNK_BYTES: u64 = 256 * 1024;
+
 /// The replay engine, generic over its policy and observability sinks so
 /// the group-sharded runner can instantiate it with owned, `Send` types
 /// (an access buffer + a memory recorder) while the public entry points
@@ -479,7 +494,6 @@ pub(crate) struct Engine<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder +
     pub(crate) tally: RunTallies,
     pub(crate) total_records: u64,
     migration_fired: bool,
-    failed_moves: u64,
     /// Virtual time of the last checkpoint cut (0 = none yet).
     last_ckpt_us: u64,
     /// Where the last `run_until_pause` stopped — written by the engine
@@ -552,7 +566,7 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
                         remaining: 1,
                     },
                 );
-                let at = self.now + self.cluster.config.mds_latency_us;
+                let at = self.now + MDS_LATENCY_US;
                 self.push(at, Event::MdsDone(token));
             }
             FileOp::Read { offset, len } | FileOp::Write { offset, len } => {
@@ -800,7 +814,7 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
         }
         .unwrap_or_else(|e| panic!("device op failed on {osd}: {e}"));
         self.obs.set_device(None);
-        let service = self.cluster.config.osd_overhead_us + device.as_micros();
+        let service = OSD_OVERHEAD_US + device.as_micros();
         self.tally.busy_us[o] += service;
         self.current[o] = Some(sub);
         self.push(self.now + service, Event::OsdDone(osd.0));
@@ -855,7 +869,7 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
             return;
         }
         let (dest, size) = (state.dest, state.size);
-        let chunk = size.min(self.cluster.config.move_chunk_bytes).max(1);
+        let chunk = size.clamp(1, MOVE_CHUNK_BYTES);
         let sub = SubReq {
             enqueued_us: self.now,
             payload: Payload::RebuildWrite {
@@ -876,7 +890,7 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
         let (dest, size) = (state.dest, state.size);
         let next = offset + len;
         if next < size {
-            let chunk = (size - next).min(self.cluster.config.move_chunk_bytes);
+            let chunk = (size - next).min(MOVE_CHUNK_BYTES);
             let sub = SubReq {
                 enqueued_us: self.now,
                 payload: Payload::RebuildWrite {
@@ -977,7 +991,7 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
             .expect("moving unknown object");
         let next = offset + len;
         if next < size {
-            let chunk = (size - next).min(self.cluster.config.move_chunk_bytes);
+            let chunk = (size - next).min(MOVE_CHUNK_BYTES);
             let sub = SubReq {
                 enqueued_us: self.now,
                 payload: Payload::MoveRead {
@@ -1062,7 +1076,6 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
             Ok(size) => size,
             Err(OsdError::NoSpace { .. }) => {
                 // Destination filled up since planning: skip this move.
-                self.failed_moves += 1;
                 self.start_next_move(source);
                 return;
             }
@@ -1074,7 +1087,7 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
         };
         self.moving.insert(action.object, Vec::new());
         self.move_routes.insert(action.object, action);
-        let chunk = size.min(self.cluster.config.move_chunk_bytes).max(1);
+        let chunk = size.clamp(1, MOVE_CHUNK_BYTES);
         let sub = SubReq {
             enqueued_us: self.now,
             payload: Payload::MoveRead {
@@ -1145,7 +1158,6 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
                     bytes,
                 });
             }
-            self.failed_moves += 1;
             self.unblock(obj);
         }
         self.move_queues[o].clear();
@@ -1336,7 +1348,6 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
         let (accepted, refused) = plan_round(
             self.policy,
             &view,
-            self.cluster.config.dest_free_reserve,
             &pending,
             &self.tally.failed,
             self.obs.as_dyn_mut(),
@@ -1345,7 +1356,6 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
         if accepted.is_empty() && refused == 0 {
             return; // nothing planned
         }
-        self.failed_moves += refused;
         if !accepted.is_empty() {
             self.tally.migrations_triggered += 1;
         }
@@ -1396,7 +1406,6 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
         w.put_bool(self.migration_fired);
         w.put_u64(self.tally.migrations_triggered);
         w.put_u64(self.tally.moved_objects);
-        w.put_u64(self.failed_moves);
         w.put_u64(self.tally.last_completion_us);
     }
 
@@ -1439,7 +1448,6 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
         self.migration_fired = r.take_bool();
         self.tally.migrations_triggered = r.take_u64();
         self.tally.moved_objects = r.take_u64();
-        self.failed_moves = r.take_u64();
         self.tally.last_completion_us = r.take_u64();
         if r.failed() {
             return;
@@ -1807,7 +1815,6 @@ pub(crate) fn new_engine<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder +
         tally,
         total_records: trace.records.len() as u64,
         migration_fired: false,
-        failed_moves: 0,
         last_ckpt_us: 0,
         paused: Pause::Done,
         comp_tags,

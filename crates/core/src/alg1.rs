@@ -16,7 +16,8 @@ use edm_cluster::metrics::rsd;
 
 use crate::wear_model::{erase_count_over, WearModel};
 
-/// Tunables of Algorithm 1.
+/// Tunables of Algorithm 1. `Default` holds the values every policy run
+/// uses (`Edm` passes it); other values are for this module's tests.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Alg1Config {
     /// Outer iteration count ("total iteration step is set to 500").

@@ -26,8 +26,9 @@
 //!   [`edm_cluster::Migrator`];
 //! * [`plan`] — distributing selected objects over destinations "in
 //!   proportion to ΔWc" under free-space budgets;
-//! * [`config`] — the paper's tunables (λ, σ, 500 iterations, ε = 0.001,
-//!   the 50 % CDF floor).
+//! * [`config`] — the tunables a run may set (λ, forced planning, the
+//!   temperature interval, the plan assessor); σ = 0.28 and Algorithm 1's
+//!   500 iterations, ε = 0.001 and 50 % CDF floor are fixed.
 //!
 //! The remapping-table manager and data mover of Fig. 4 live in
 //! `edm-cluster` (`remap`, `sim`), where the moved objects are actually
@@ -75,7 +76,6 @@ pub fn make_policy(name: &str, cfg: EdmConfig) -> Result<Box<dyn Migrator>, Stri
         "CMT" => Box::new(Cmt::new(CmtConfig {
             lambda: cfg.lambda,
             force: cfg.force,
-            ..CmtConfig::default()
         })),
         "EDM-HDF" => Box::new(Edm::new(Selection::Hdf, cfg)),
         "EDM-CDF" => Box::new(Edm::new(Selection::Cdf, cfg)),

@@ -2,7 +2,7 @@
 //! selected objects over destination devices "in proportion to ΔWc"
 //! (§III.B.5) while respecting destination free space.
 
-use edm_cluster::{ClusterView, MoveAction, ObjectId, OsdId};
+use edm_cluster::{ClusterView, MoveAction, ObjectId, OsdId, DEST_FREE_RESERVE};
 
 /// A selected object with the weight it removes from its source (pages
 /// for HDF, bytes for CDF/CMT).
@@ -56,10 +56,11 @@ pub fn distribute(selected: &[Selected], dests: &mut [Destination]) -> Vec<MoveA
 }
 
 /// Builds the free-space budget of a destination from the view: free bytes
-/// minus the configured reserve fraction of capacity.
-pub fn dest_budget_bytes(view: &ClusterView, osd: OsdId, reserve: f64) -> i64 {
+/// minus the [`DEST_FREE_RESERVE`] share of capacity that `plan_round`
+/// will refuse to fill.
+pub fn dest_budget_bytes(view: &ClusterView, osd: OsdId) -> i64 {
     let o = view.osd(osd);
-    o.free_bytes as i64 - (o.capacity_bytes as f64 * reserve) as i64
+    o.free_bytes as i64 - (o.capacity_bytes as f64 * DEST_FREE_RESERVE) as i64
 }
 
 #[cfg(test)]

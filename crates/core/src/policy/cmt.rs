@@ -23,12 +23,6 @@ pub struct CmtConfig {
     /// Skip the trigger check (forced shuffle at the trace midpoint,
     /// matching how the experiments drive every policy).
     pub force: bool,
-    /// Temperature interval of the access tracker.
-    pub temperature_interval_us: u64,
-    /// Storage-usage balancing kicks in above `mean + margin` utilization.
-    pub storage_margin: f64,
-    /// Planning-time free-space reserve on destinations.
-    pub dest_free_reserve: f64,
 }
 
 impl Default for CmtConfig {
@@ -36,12 +30,15 @@ impl Default for CmtConfig {
         CmtConfig {
             lambda: 0.10,
             force: true,
-            temperature_interval_us: AccessTracker::DEFAULT_INTERVAL_US,
-            storage_margin: 0.005,
-            dest_free_reserve: 0.05,
         }
     }
 }
+
+/// Utilization margin of CMT's storage-usage balancing (Sorrento's
+/// "storage usage" weight, §V intro): a device above the cluster mean
+/// plus this sheds, and a destination fills up to at most that line.
+/// Read by [`Cmt::plan_storage`] and the budgets of `plan_obs`.
+const STORAGE_MARGIN: f64 = 0.005;
 
 /// The conventional (Sorrento-style) migration technique.
 pub struct Cmt {
@@ -52,9 +49,8 @@ pub struct Cmt {
 impl Cmt {
     pub fn new(cfg: CmtConfig) -> Self {
         assert!(cfg.lambda >= 0.0, "lambda must be non-negative");
-        assert!(cfg.temperature_interval_us > 0);
         Cmt {
-            tracker: AccessTracker::new(cfg.temperature_interval_us),
+            tracker: AccessTracker::new(AccessTracker::DEFAULT_INTERVAL_US),
             cfg,
         }
     }
@@ -166,7 +162,7 @@ impl Cmt {
         let mean = utils.iter().sum::<f64>() / utils.len().max(1) as f64;
         let mut plan = Vec::new();
         for (i, &u) in utils.iter().enumerate() {
-            if u <= mean + self.cfg.storage_margin {
+            if u <= mean + STORAGE_MARGIN {
                 continue;
             }
             let source = view.osds[i].osd;
@@ -273,9 +269,9 @@ impl Migrator for Cmt {
             .osds
             .iter()
             .map(|o| {
-                let by_free = dest_budget_bytes(view, o.osd, self.cfg.dest_free_reserve);
+                let by_free = dest_budget_bytes(view, o.osd);
                 #[expect(clippy::cast_possible_truncation, reason = "a utilization margin of magnitude below 2 times a byte capacity far below i64::MAX; `as` saturates")]
-                let by_util = ((mean_util + self.cfg.storage_margin - o.utilization)
+                let by_util = ((mean_util + STORAGE_MARGIN - o.utilization)
                     * o.capacity_bytes as f64) as i64;
                 by_free.min(by_util)
             })

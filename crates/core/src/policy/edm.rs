@@ -20,7 +20,7 @@
 use edm_cluster::{AccessEvent, ClusterView, Migrator, MoveAction, ObjectView, OsdId, OsdView};
 use edm_snap::{SnapReader, SnapWriter, Snapshot};
 
-use crate::alg1::{calculate_cdf, calculate_hdf, MovementAmounts};
+use crate::alg1::{calculate_cdf, calculate_hdf, Alg1Config, MovementAmounts};
 use crate::config::{Assessor, EdmConfig};
 use crate::evaluate::{assess_plan_obs, trim_to_improvement, trim_to_improvement_model};
 use crate::plan::{dest_budget_bytes, distribute, Destination, Selected};
@@ -28,6 +28,12 @@ use crate::policy::{emit_plan_chosen, emit_wear_inputs, members_by_group};
 use crate::temperature::{AccessTracker, ObjectHeat};
 use crate::trigger;
 use crate::wear_model::WearModel;
+
+/// CDF's cold line: an object whose total temperature (Eq. 5, reads and
+/// writes) is below this is a cold candidate — "target objects which meet
+/// Tₖ(O) less than a threshold" (§III.B.5). Read by
+/// [`Selection::candidate`].
+const COLD_THRESHOLD: f64 = 1.0;
 
 /// The object-selection rule: everything the paper lets differ between
 /// EDM-HDF and EDM-CDF.
@@ -50,10 +56,10 @@ impl Selection {
 
     /// Algorithm 1 in this rule's currency: how many page writes (HDF)
     /// or how much utilization (CDF) each group member sheds or absorbs.
-    fn amounts(self, wc: &[f64], u: &[f64], model: &WearModel, cfg: &EdmConfig) -> MovementAmounts {
+    fn amounts(self, wc: &[f64], u: &[f64], model: &WearModel) -> MovementAmounts {
         match self {
-            Selection::Hdf => calculate_hdf(wc, u, model, &cfg.alg1),
-            Selection::Cdf => calculate_cdf(wc, u, model, &cfg.alg1),
+            Selection::Hdf => calculate_hdf(wc, u, model, &Alg1Config::default()),
+            Selection::Cdf => calculate_cdf(wc, u, model, &Alg1Config::default()),
         }
     }
 
@@ -69,17 +75,17 @@ impl Selection {
     /// Whether `source` may shed at all. CDF never migrates cold data off
     /// a device below 50 % utilization (§III.B.5); Algorithm 1 already
     /// respects this, so the check is a belt-and-braces guard.
-    fn may_shed(self, source: &OsdView, cfg: &EdmConfig) -> bool {
+    fn may_shed(self, source: &OsdView) -> bool {
         match self {
             Selection::Hdf => true,
-            Selection::Cdf => source.utilization >= cfg.alg1.min_source_utilization,
+            Selection::Cdf => source.utilization >= Alg1Config::default().min_source_utilization,
         }
     }
 
     /// `(weight, rank)` of an object this rule would move — the weight
     /// counts toward the source's demand, the highest rank leaves first —
     /// or `None` if the rule leaves the object where it is.
-    fn candidate(self, o: &ObjectView, heat: &ObjectHeat, cfg: &EdmConfig) -> Option<(f64, f64)> {
+    fn candidate(self, o: &ObjectView, heat: &ObjectHeat) -> Option<(f64, f64)> {
         match self {
             // Objects that actually received writes this window, hottest
             // (write temperature) first.
@@ -92,7 +98,7 @@ impl Selection {
             // Total temperature below the threshold, largest first to
             // minimize the number of moved objects.
             Selection::Cdf => {
-                if heat.total_temp >= cfg.cold_threshold {
+                if heat.total_temp >= COLD_THRESHOLD {
                     return None;
                 }
                 let size = o.size_bytes as f64;
@@ -116,13 +122,9 @@ impl Edm {
             reason = "constructor contract: callers pass validated EDM configuration"
         )]
         cfg.validate().expect("invalid EDM configuration");
-        let tracker = match cfg.tracker_capacity {
-            Some(cap) => AccessTracker::with_capacity(cfg.temperature_interval_us, cap),
-            None => AccessTracker::new(cfg.temperature_interval_us),
-        };
         Edm {
+            tracker: AccessTracker::new(cfg.temperature_interval_us),
             cfg,
-            tracker,
             selection,
         }
     }
@@ -146,12 +148,10 @@ impl Migrator for Edm {
     }
 
     fn parallel_safe(&self) -> bool {
-        // Plans only intra-group moves (§III.A) and the unbounded tracker's
+        // Plans only intra-group moves (§III.A) and the tracker's
         // per-object counters commute across placement components, so
-        // component-ordered replay reproduces the sequential state. A
-        // capacity-bounded tracker does not qualify: its eviction points
-        // depend on the global arrival order of accesses.
-        self.cfg.tracker_capacity.is_none()
+        // component-ordered replay reproduces the sequential state.
+        true
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
@@ -168,10 +168,7 @@ impl Migrator for Edm {
 
     fn plan_obs(&mut self, view: &ClusterView, obs: &mut dyn edm_obs::Recorder) -> Vec<MoveAction> {
         let rule = self.selection;
-        let model = WearModel {
-            pages_per_block: view.pages_per_block,
-            sigma: self.cfg.sigma,
-        };
+        let model = WearModel::paper(view.pages_per_block);
         // Cluster-wide wear-imbalance trigger (§III.B.2), computed from the
         // model, not from device-internal counters the MDS cannot see.
         let ecs: Vec<f64> = view
@@ -202,7 +199,7 @@ impl Migrator for Edm {
                 .map(|&m| view.osd(m).wc_pages as f64)
                 .collect();
             let u: Vec<f64> = members.iter().map(|&m| view.osd(m).utilization).collect();
-            let amounts = rule.amounts(&wc, &u, &model, &self.cfg);
+            let amounts = rule.amounts(&wc, &u, &model);
 
             let mut dests: Vec<Destination> = members
                 .iter()
@@ -211,7 +208,7 @@ impl Migrator for Edm {
                 .map(|(&m, &d)| Destination {
                     osd: m,
                     demand: rule.demand(d, view.osd(m)),
-                    budget_bytes: dest_budget_bytes(view, m, self.cfg.dest_free_reserve),
+                    budget_bytes: dest_budget_bytes(view, m),
                 })
                 .collect();
             if dests.is_empty() {
@@ -219,10 +216,7 @@ impl Migrator for Edm {
             }
 
             for (&source, &delta) in members.iter().zip(&amounts.delta) {
-                if delta >= 0.0
-                    || !is_source(&source)
-                    || !rule.may_shed(view.osd(source), &self.cfg)
-                {
+                if delta >= 0.0 || !is_source(&source) || !rule.may_shed(view.osd(source)) {
                     continue;
                 }
                 let needed = rule.demand(-delta, view.osd(source));
@@ -232,7 +226,7 @@ impl Migrator for Edm {
                     .objects_on(source)
                     .filter_map(|o| {
                         let heat = self.tracker.heat(o.object, view.now_us);
-                        let (weight, rank) = rule.candidate(o, &heat, &self.cfg)?;
+                        let (weight, rank) = rule.candidate(o, &heat)?;
                         Some((
                             Selected {
                                 object: o.object,

@@ -478,12 +478,9 @@ mod cdf {
 
         #[test]
         fn moves_stop_at_needed_bytes() {
-            // A tight per-round shed cap (0.5 % of 1 GiB ≈ 5.4 MB) bounds the
-            // demand, so the largest cold object alone covers it.
-            let mut cfg = EdmConfig::default();
-            cfg.alg1.stop_rsd = 0.0;
-            cfg.alg1.max_shed_per_device = 0.005;
-            let mut p = Edm::new(Selection::Cdf, cfg);
+            // Algorithm 1's per-round shed cap (1.5 % of 1 GiB ≈ 16.1 MB)
+            // bounds the demand, so the largest cold object alone covers it.
+            let mut p = cdf();
             let v = view(
                 2,
                 &[
@@ -492,7 +489,7 @@ mod cdf {
                     (20_000, 0.55, 0.0),
                     (20_000, 0.60, 0.0),
                 ],
-                &[(0, 8 << 20), (0, 4 << 20), (0, 1 << 20), (2, 1 << 20)],
+                &[(0, 24 << 20), (0, 12 << 20), (0, 3 << 20), (2, 3 << 20)],
             );
             let plan = p.plan(&v);
             assert_eq!(plan.len(), 1, "{plan:?}");

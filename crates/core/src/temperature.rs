@@ -62,24 +62,18 @@ impl ObjectHeat {
 }
 
 /// The EDM access tracker: updates temperatures on every object access.
-///
-/// Optionally memory-bounded: §IV reduces memory consumption by caching
-/// "only part of the objects' metadata in memory, for example ... the k
-/// hottest objects". With a capacity set, the tracker prunes its coldest
-/// entries once it overflows 25 % past the cap (amortized O(n) per prune,
-/// O(1) per access).
+/// It tracks every object it has seen; §IV's "k hottest objects" memory
+/// bound is not modelled (DESIGN.md §2).
 #[derive(Debug, Clone)]
 pub struct AccessTracker {
     interval_us: u64,
-    /// Dense, in first-access order. That order reaches nothing: pruning
-    /// and the hot cache sort by (temperature, object id) and the
+    /// Dense, in first-access order. That order reaches nothing: the
     /// snapshot encoding sorts by object id.
     heats: Vec<(ObjectId, ObjectHeat)>,
     /// Object → index into `heats`: `record` sits on the simulator's
     /// per-I/O hot path, so the lookup is one hash probe. Only ever
     /// probed, never iterated.
     slots: IdMap<ObjectId, usize>,
-    capacity: Option<usize>,
 }
 
 impl AccessTracker {
@@ -93,53 +87,6 @@ impl AccessTracker {
             interval_us,
             heats: Vec::new(),
             slots: IdMap::default(),
-            capacity: None,
-        }
-    }
-
-    /// A tracker that keeps at most ~`capacity` object entries, evicting
-    /// the coldest (by total temperature) when it overflows.
-    pub fn with_capacity(interval_us: u64, capacity: usize) -> Self {
-        assert!(capacity > 0, "capacity must be positive");
-        AccessTracker {
-            capacity: Some(capacity),
-            ..AccessTracker::new(interval_us)
-        }
-    }
-
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
-    }
-
-    /// Evicts the coldest entries down to the capacity. Called once the
-    /// map overflows 25 % past the cap so the amortized per-access cost
-    /// stays constant.
-    fn prune(&mut self, now_interval: u64) {
-        let Some(cap) = self.capacity else {
-            return;
-        };
-        if self.heats.len() <= cap + cap / 4 {
-            return;
-        }
-        let mut temps: Vec<(ObjectId, f64)> = self
-            .heats
-            .iter()
-            .map(|&(o, mut h)| {
-                h.decay_to(now_interval);
-                (o, h.total_temp)
-            })
-            .collect();
-        #[expect(
-            clippy::expect_used,
-            reason = "temperatures are finite by construction (sums of decayed counters)"
-        )]
-        temps.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite").then(a.0.cmp(&b.0)));
-        for (o, _) in temps.into_iter().take(self.heats.len() - cap) {
-            self.slots.remove(&o);
-        }
-        self.heats.retain(|(o, _)| self.slots.contains_key(o));
-        for (i, (o, _)) in self.heats.iter().enumerate() {
-            self.slots.insert(*o, i);
         }
     }
 
@@ -163,7 +110,6 @@ impl AccessTracker {
             heat.write_temp += 1.0;
             heat.window_write_pages += event.pages;
         }
-        self.prune(interval);
     }
 
     /// Temperature snapshot of one object at `now_us` (decayed to the
@@ -179,29 +125,6 @@ impl AccessTracker {
     /// Number of objects ever seen.
     pub fn tracked_objects(&self) -> usize {
         self.heats.len()
-    }
-
-    /// The `n` hottest objects by write temperature, hottest first — the
-    /// in-memory hot cache of Fig. 4 ("we only cache the k hottest objects
-    /// in memory for HDF").
-    pub fn hottest_by_write(&self, n: usize, now_us: u64) -> Vec<(ObjectId, ObjectHeat)> {
-        let interval = self.interval_of(now_us);
-        let mut v = self.heats.clone();
-        for (_, h) in &mut v {
-            h.decay_to(interval);
-        }
-        v.sort_by(|a, b| {
-            #[expect(
-                clippy::expect_used,
-                reason = "temperatures are finite by construction (sums of decayed counters)"
-            )]
-            b.1.write_temp
-                .partial_cmp(&a.1.write_temp)
-                .expect("temperatures are finite")
-                .then(a.0.cmp(&b.0))
-        });
-        v.truncate(n);
-        v
     }
 
     /// Clears the per-window page counters (start of a new measurement
@@ -229,10 +152,8 @@ impl Snapshot for AccessTracker {
             slots: _,
             heats,
             interval_us,
-            capacity,
         } = self;
         w.put_u64(*interval_us);
-        capacity.save(w);
         // Canonical order: ascending object id, as a `BTreeMap` encodes.
         let mut sorted: Vec<&(ObjectId, ObjectHeat)> = heats.iter().collect();
         sorted.sort_unstable_by_key(|e| e.0);
@@ -244,7 +165,6 @@ impl Snapshot for AccessTracker {
     }
     fn load(r: &mut SnapReader) -> Self {
         let interval_us = r.take_u64();
-        let capacity: Option<usize> = Option::load(r);
         let heats = Vec::<(ObjectId, ObjectHeat)>::load(r);
         let mut slots = IdMap::default();
         for (i, (o, _)) in heats.iter().enumerate() {
@@ -252,19 +172,13 @@ impl Snapshot for AccessTracker {
                 r.corrupt(format!("duplicate tracked object {o}"));
             }
         }
-        if !r.failed() {
-            if interval_us == 0 {
-                r.corrupt("tracker interval must be positive");
-            }
-            if capacity == Some(0) {
-                r.corrupt("tracker capacity must be positive");
-            }
+        if !r.failed() && interval_us == 0 {
+            r.corrupt("tracker interval must be positive");
         }
         AccessTracker {
             interval_us: interval_us.max(1),
             heats,
             slots,
-            capacity: capacity.filter(|&c| c > 0),
         }
     }
 }
@@ -362,50 +276,6 @@ mod tests {
     }
 
     #[test]
-    fn hottest_by_write_ranks_correctly() {
-        let mut t = AccessTracker::new(1000);
-        for _ in 0..5 {
-            t.record(ev(0, 1, AccessKind::Write, 1));
-        }
-        for _ in 0..2 {
-            t.record(ev(0, 2, AccessKind::Write, 1));
-        }
-        for _ in 0..9 {
-            t.record(ev(0, 3, AccessKind::Read, 1)); // read-hot, write-cold
-        }
-        let top = t.hottest_by_write(2, 0);
-        assert_eq!(top.len(), 2);
-        assert_eq!(top[0].0, ObjectId(1));
-        assert_eq!(top[1].0, ObjectId(2));
-    }
-
-    #[test]
-    fn bounded_tracker_keeps_the_hot_and_evicts_the_cold() {
-        let mut t = AccessTracker::with_capacity(1000, 8);
-        assert_eq!(t.capacity(), Some(8));
-        // Heat objects 0..4 heavily, then stream 100 cold one-shot objects.
-        for hot in 0..4u64 {
-            for _ in 0..50 {
-                t.record(ev(0, hot, AccessKind::Write, 1));
-            }
-        }
-        for cold in 100..200u64 {
-            t.record(ev(0, cold, AccessKind::Read, 1));
-        }
-        assert!(
-            t.tracked_objects() <= 10,
-            "tracker exceeded its cap: {}",
-            t.tracked_objects()
-        );
-        for hot in 0..4u64 {
-            assert!(
-                t.heat(ObjectId(hot), 0).write_temp > 0.0,
-                "hot object {hot} was evicted"
-            );
-        }
-    }
-
-    #[test]
     fn unbounded_tracker_never_evicts() {
         let mut t = AccessTracker::new(1000);
         for o in 0..500u64 {
@@ -416,7 +286,7 @@ mod tests {
 
     #[test]
     fn tracker_snapshot_roundtrip_is_byte_identical() {
-        let mut t = AccessTracker::with_capacity(1000, 64);
+        let mut t = AccessTracker::new(1000);
         for o in 0..20u64 {
             let kind = if o % 3 == 0 {
                 AccessKind::Read
@@ -439,7 +309,6 @@ mod tests {
         assert_eq!(bytes, w2.into_bytes(), "re-encode must be byte-identical");
 
         assert_eq!(t.tracked_objects(), back.tracked_objects());
-        assert_eq!(t.capacity(), back.capacity());
         for o in 0..20u64 {
             let (a, b) = (t.heat(ObjectId(o), 5000), back.heat(ObjectId(o), 5000));
             assert_eq!(a.write_temp.to_bits(), b.write_temp.to_bits());

@@ -184,23 +184,5 @@ mod temperature_props {
                 prop_assert!(h.write_temp <= h.total_temp);
             }
         }
-
-        /// A bounded tracker never exceeds ~1.25× its cap.
-        #[test]
-        fn bounded_tracker_respects_cap(
-            cap in 4usize..64,
-            objects in prop::collection::vec(0u64..10_000, 1..500),
-        ) {
-            let mut t = AccessTracker::with_capacity(1_000, cap);
-            for (i, obj) in objects.iter().enumerate() {
-                t.record(AccessEvent {
-                    now_us: i as u64,
-                    object: ObjectId(*obj),
-                    kind: AccessKind::Read,
-                    pages: 1,
-                });
-                prop_assert!(t.tracked_objects() <= cap + cap / 4 + 1);
-            }
-        }
     }
 }

@@ -9,8 +9,8 @@
 //! --scale F    trace scale factor in (0,1]; default 0.05
 //! --full       shorthand for --scale 1.0 (the paper's full Table 1 counts)
 //! --osds N     cluster sizes (default: paper's 16,20 where applicable)
-//! --jobs N     worker threads for matrix sweeps (default: EDM_JOBS env,
-//!              then available cores)
+//! --jobs N     worker threads for matrix sweeps (default: available
+//!              cores)
 //! ```
 //!
 //! Every experiment is a list of `runner::Run`s (Fig. 3: of device

@@ -25,8 +25,8 @@ use edm_workload::{harvard, Trace, WorkloadSpec};
 pub struct RunConfig {
     /// Trace scale factor in (0, 1]; 1.0 replays the full Table 1 counts.
     pub scale: f64,
-    /// Worker-thread cap for [`par_map`]. `None` falls back to the
-    /// `EDM_JOBS` environment variable, then to the available cores.
+    /// Worker-thread cap for [`par_map`] (`edm-exp --jobs`). `None` uses
+    /// the available cores.
     pub jobs: Option<usize>,
 }
 
@@ -193,28 +193,15 @@ impl Run {
 }
 
 /// Resolves the worker count for `items` pieces of work: an explicit
-/// request wins, then the `EDM_JOBS` environment variable, then available
-/// parallelism; always at least 1 and at most the number of items.
+/// request wins, then available parallelism; always at least 1 and at
+/// most the number of items.
 fn resolve_jobs(jobs: Option<usize>, items: usize) -> usize {
-    let requested = jobs.or_else(|| {
-        #[expect(clippy::disallowed_methods, reason = "operator override for sweep parallelism; the job count never affects per-run results")]
-        std::env::var("EDM_JOBS")
-            .ok()
-            .and_then(|v| match v.trim().parse::<usize>() {
-                Ok(n) if n > 0 => Some(n),
-                _ => {
-                    eprintln!("runner: ignoring invalid EDM_JOBS={v:?} (want a positive integer)");
-                    None
-                }
-            })
-    });
-    requested
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        })
-        .clamp(1, items.max(1))
+    jobs.unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
+    })
+    .clamp(1, items.max(1))
 }
 
 /// `items.iter().map(f)`, computed on scoped worker threads that pull

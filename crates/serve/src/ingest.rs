@@ -41,7 +41,9 @@ use std::path::{Path, PathBuf};
 
 use edm_cluster::migrate::{close_wc_window, plan_round};
 use edm_cluster::osd::OsdError;
-use edm_cluster::{restore_world, CheckpointCut, Cluster, MigrationSchedule, Migrator, MoveAction};
+use edm_cluster::{
+    restore_world, CheckpointCut, Cluster, MigrationSchedule, Migrator, MoveAction, OSD_OVERHEAD_US,
+};
 use edm_obs::Recorder;
 use edm_scenario::{Checkpoint, Scenario, SnapMeta};
 use edm_snap::{snapshot_struct, SnapError, SnapWriter, Snapshot};
@@ -273,7 +275,7 @@ impl LiveWorld {
                     0
                 }
             };
-            let sub_service = self.cluster.config.osd_overhead_us + device_us;
+            let sub_service = OSD_OVERHEAD_US + device_us;
             self.cluster.osd_mut(osd).record_service(sub_service);
             obs.latency("subop_sojourn_us", sub_service);
             service_us += sub_service;
@@ -311,7 +313,6 @@ impl LiveWorld {
         let round = plan_round(
             self.policy.as_mut(),
             &self.cluster.view(self.now_us),
-            self.cluster.config.dest_free_reserve,
             &HashSet::new(),
             &[],
             obs,

@@ -20,7 +20,7 @@ use crate::geometry::Geometry;
 use crate::latency::{DeviceTime, LatencyModel};
 use crate::victim::{VictimBuckets, WearIndex};
 use crate::wear::WearStats;
-use crate::wear_leveling::{FreePool, SpreadTracker, WearLevelConfig};
+use crate::wear_leveling::{FreePool, SpreadTracker};
 
 /// A physical page address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -89,27 +89,30 @@ impl VictimPolicy {
 /// Tunables of the FTL's garbage collector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FtlConfig {
-    /// GC starts when the free-block pool drops below this.
-    pub gc_low_watermark: u32,
-    /// GC keeps reclaiming until the pool is back at this level.
-    pub gc_high_watermark: u32,
     /// How GC picks its victim blocks.
     pub victim_policy: VictimPolicy,
-    /// Device-internal wear leveling (dynamic least-worn allocation and
-    /// the static-leveling trigger).
-    pub wear_leveling: WearLevelConfig,
+    /// Static wear leveling fires when `max_erase - min_erase` over all
+    /// blocks exceeds this; 0 disables it. (Dynamic leveling, least-worn
+    /// free block first, is always on.)
+    pub static_threshold: u64,
 }
 
 impl Default for FtlConfig {
     fn default() -> Self {
         FtlConfig {
-            gc_low_watermark: 2,
-            gc_high_watermark: 4,
             victim_policy: VictimPolicy::Greedy,
-            wear_leveling: WearLevelConfig::DEFAULT,
+            static_threshold: 32,
         }
     }
 }
+
+/// GC starts when the free-block pool drops below this many blocks: two
+/// spares, one each for the host and the GC write target (the greedy
+/// reclaiming of §III.B.1 on the §IV page-level FTL).
+const GC_LOW_WATERMARK: u32 = 2;
+
+/// GC keeps reclaiming until the free pool is back at this many blocks.
+const GC_HIGH_WATERMARK: u32 = 4;
 
 /// Page-level FTL over a set of erase blocks. `Clone` exists for the
 /// cluster simulator's group-sharded runner, which duplicates whole
@@ -123,8 +126,8 @@ pub struct PageLevelFtl {
     l2p: Vec<Option<PhysPage>>,
     /// Physical → logical back-map for GC relocation.
     p2l: Vec<Option<u64>>,
-    /// Fully erased blocks ready to become write targets (wear-ordered
-    /// under dynamic leveling).
+    /// Fully erased blocks ready to become write targets, least-worn
+    /// first (dynamic leveling).
     free_blocks: FreePool,
     /// Current target of host writes.
     active: Option<u32>,
@@ -160,16 +163,8 @@ impl PageLevelFtl {
         )]
         geometry.validate().expect("invalid flash geometry");
         assert!(
-            config.gc_low_watermark >= 2,
-            "GC needs at least two spare blocks (host active + GC active)"
-        );
-        assert!(
-            config.gc_high_watermark > config.gc_low_watermark,
-            "high watermark must exceed low watermark"
-        );
-        assert!(
-            geometry.blocks > config.gc_high_watermark + 2,
-            "device too small for the configured GC watermarks"
+            geometry.blocks > GC_HIGH_WATERMARK + 2,
+            "device too small for the GC watermarks"
         );
         let blocks: Vec<Block> = (0..geometry.blocks)
             .map(|_| Block::new(geometry.pages_per_block))
@@ -177,7 +172,7 @@ impl PageLevelFtl {
         PageLevelFtl {
             l2p: vec![None; geometry.exported_pages() as usize],
             p2l: vec![None; geometry.physical_pages() as usize],
-            free_blocks: FreePool::new(0..geometry.blocks, config.wear_leveling.dynamic),
+            free_blocks: FreePool::new(0..geometry.blocks),
             active: None,
             gc_active: None,
             candidates: VictimBuckets::new(geometry.blocks, geometry.pages_per_block),
@@ -497,7 +492,7 @@ impl PageLevelFtl {
     ) -> Result<DeviceTime, FtlError> {
         let mut elapsed = DeviceTime::ZERO;
         if self.active.is_none() {
-            if self.free_blocks.len() < self.config.gc_low_watermark as usize {
+            if self.free_blocks.len() < GC_LOW_WATERMARK as usize {
                 elapsed += self.collect_garbage(latency, obs)?;
             }
             let block = self.free_blocks.pop().ok_or(FtlError::DeviceFull)?;
@@ -517,8 +512,8 @@ impl PageLevelFtl {
         if obs.events_on() {
             obs.event(Event::GcInvoked {
                 free_blocks: self.free_blocks.len() as u64,
-                low_watermark: self.config.gc_low_watermark as u64,
-                high_watermark: self.config.gc_high_watermark as u64,
+                low_watermark: GC_LOW_WATERMARK as u64,
+                high_watermark: GC_HIGH_WATERMARK as u64,
             });
         }
         let mut elapsed = DeviceTime::ZERO;
@@ -527,8 +522,7 @@ impl PageLevelFtl {
         // reclaimable block, so 2× that means no progress is possible.
         let mut passes = 0usize;
         let max_passes = 2 * self.geometry.blocks as usize;
-        while self.free_blocks.len() < self.config.gc_high_watermark as usize && passes < max_passes
-        {
+        while self.free_blocks.len() < GC_HIGH_WATERMARK as usize && passes < max_passes {
             match self.gc_pass(latency, obs)? {
                 Some(t) => elapsed += t,
                 None => break, // nothing reclaimable right now
@@ -552,7 +546,7 @@ impl PageLevelFtl {
         latency: &LatencyModel,
         obs: &mut dyn Recorder,
     ) -> Result<DeviceTime, FtlError> {
-        let threshold = self.config.wear_leveling.static_threshold;
+        let threshold = self.config.static_threshold;
         if threshold == 0 || self.free_blocks.len() < 2 {
             return Ok(DeviceTime::ZERO);
         }
@@ -842,10 +836,8 @@ snapshot_struct!(PhysPage { block, page });
 snapshot_struct!(VictimPolicy { 0 = Greedy, 1 = Fifo, 2 = CostBenefit });
 
 snapshot_struct!(FtlConfig {
-    gc_low_watermark,
-    gc_high_watermark,
     victim_policy,
-    wear_leveling
+    static_threshold
 });
 
 impl Snapshot for PageLevelFtl {
@@ -1251,10 +1243,10 @@ mod cost_benefit_tests {
 #[cfg(test)]
 mod wear_leveling_tests {
     use super::*;
-    use crate::wear_leveling::{wear_spread, WearLevelConfig};
+    use crate::wear_leveling::wear_spread;
     use edm_obs::NoopRecorder;
 
-    fn run(config: WearLevelConfig) -> Vec<u64> {
+    fn run(static_threshold: u64) -> Vec<u64> {
         let g = Geometry {
             page_size: 4096,
             pages_per_block: 8,
@@ -1264,7 +1256,7 @@ mod wear_leveling_tests {
         let mut ftl = PageLevelFtl::new(
             g,
             FtlConfig {
-                wear_leveling: config,
+                static_threshold,
                 ..FtlConfig::default()
             },
         );
@@ -1285,15 +1277,13 @@ mod wear_leveling_tests {
 
     #[test]
     fn static_leveling_narrows_block_wear_spread() {
-        let off = run(WearLevelConfig::OFF);
-        let on = run(WearLevelConfig {
-            dynamic: true,
-            static_threshold: 8,
-        });
+        let off = run(0);
+        let on = run(8);
         let s_off = wear_spread(&off);
         let s_on = wear_spread(&on);
-        // With cold data pinned in place and leveling off, the least-worn
-        // blocks stay at zero while hot blocks churn; leveling must close
+        // With cold data pinned in place and static leveling off, the
+        // least-worn blocks stay at zero while hot blocks churn (dynamic
+        // leveling only rotates the free pool); static leveling must close
         // that gap.
         assert!(
             (s_on.max - s_on.min) < (s_off.max - s_off.min),
@@ -1387,17 +1377,14 @@ mod wear_leveling_tests {
 
     #[test]
     fn leveling_preserves_data_and_invariants() {
-        // Same workload under all three settings: mapped data identical.
-        for cfg in [
-            WearLevelConfig::OFF,
-            WearLevelConfig::DEFAULT,
-            WearLevelConfig {
-                dynamic: true,
-                static_threshold: 4,
-            },
-        ] {
-            let counts = run(cfg);
-            assert!(counts.iter().sum::<u64>() > 0, "{cfg:?} never erased");
+        // Same workload with static leveling off, at the default
+        // threshold and at a tight one.
+        for threshold in [0, FtlConfig::default().static_threshold, 4] {
+            let counts = run(threshold);
+            assert!(
+                counts.iter().sum::<u64>() > 0,
+                "threshold {threshold} never erased"
+            );
         }
     }
 }

@@ -55,4 +55,4 @@ pub use latency::{DeviceTime, LatencyModel};
 pub use ssd::{Ssd, SsdSnapshot};
 pub use victim::VictimBuckets;
 pub use wear::WearStats;
-pub use wear_leveling::{FreePool, SpreadTracker, WearLevelConfig};
+pub use wear_leveling::{FreePool, SpreadTracker};

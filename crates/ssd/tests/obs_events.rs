@@ -83,8 +83,10 @@ fn journal_counters_match_wear_stats() {
 
 #[test]
 fn static_leveling_swaps_are_journaled() {
-    let mut config = FtlConfig::default();
-    config.wear_leveling.static_threshold = 2;
+    let config = FtlConfig {
+        static_threshold: 2,
+        ..FtlConfig::default()
+    };
     let mut rec = MemoryRecorder::new(ObsLevel::Events);
     run(config, &mut rec);
     let swaps = rec.counter_value("ftl.wear_level_swaps");

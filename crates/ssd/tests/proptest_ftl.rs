@@ -200,8 +200,7 @@ mod span_equivalence_props {
                 VictimPolicy::CostBenefit,
             ][policy_idx];
             let g = tiny_geometry();
-            let mut config = FtlConfig { victim_policy: policy, ..FtlConfig::default() };
-            config.wear_leveling.static_threshold = threshold;
+            let config = FtlConfig { victim_policy: policy, static_threshold: threshold };
             let lat = LatencyModel::PAPER;
             let exported = g.exported_pages();
 
@@ -312,8 +311,7 @@ mod victim_policy_props {
                 VictimPolicy::CostBenefit,
             ][policy_idx];
             let g = geometry();
-            let mut config = FtlConfig { victim_policy: policy, ..FtlConfig::default() };
-            config.wear_leveling.static_threshold = 2;
+            let config = FtlConfig { victim_policy: policy, static_threshold: 2 };
             let mut ftl = PageLevelFtl::new(g, config);
             let lat = LatencyModel::INSTANT;
             let live = g.exported_pages() * 3 / 4;

@@ -4,9 +4,9 @@
 
 use edm_obs::NoopRecorder;
 use edm_snap::{SnapReader, SnapWriter, Snapshot};
-use edm_ssd::{FtlConfig, Geometry, LatencyModel, Ssd, VictimPolicy, WearLevelConfig};
+use edm_ssd::{FtlConfig, Geometry, LatencyModel, Ssd, VictimPolicy};
 
-fn churned_ssd(policy: VictimPolicy, leveling: WearLevelConfig, ops: u64) -> Ssd {
+fn churned_ssd(policy: VictimPolicy, static_threshold: u64, ops: u64) -> Ssd {
     let g = Geometry {
         page_size: 4096,
         pages_per_block: 8,
@@ -18,8 +18,7 @@ fn churned_ssd(policy: VictimPolicy, leveling: WearLevelConfig, ops: u64) -> Ssd
         LatencyModel::PAPER,
         FtlConfig {
             victim_policy: policy,
-            wear_leveling: leveling,
-            ..FtlConfig::default()
+            static_threshold,
         },
     );
     let live = g.exported_bytes() * 7 / 10;
@@ -52,18 +51,12 @@ fn snapshot_bytes(ssd: &Ssd) -> Vec<u8> {
 
 #[test]
 fn save_load_save_is_byte_identical_across_configs() {
-    for (policy, leveling) in [
-        (VictimPolicy::Greedy, WearLevelConfig::DEFAULT),
-        (VictimPolicy::Fifo, WearLevelConfig::OFF),
-        (
-            VictimPolicy::CostBenefit,
-            WearLevelConfig {
-                dynamic: true,
-                static_threshold: 8,
-            },
-        ),
+    for (policy, threshold) in [
+        (VictimPolicy::Greedy, FtlConfig::default().static_threshold),
+        (VictimPolicy::Fifo, 0),
+        (VictimPolicy::CostBenefit, 8),
     ] {
-        let ssd = churned_ssd(policy, leveling, 3_000);
+        let ssd = churned_ssd(policy, threshold, 3_000);
         let bytes = snapshot_bytes(&ssd);
         let mut r = SnapReader::new(&bytes);
         let restored = Ssd::load(&mut r);
@@ -72,7 +65,7 @@ fn save_load_save_is_byte_identical_across_configs() {
         assert_eq!(
             snapshot_bytes(&restored),
             bytes,
-            "{policy:?}/{leveling:?}: restored SSD re-encodes differently"
+            "{policy:?}/threshold {threshold}: restored SSD re-encodes differently"
         );
         assert_eq!(restored.wear(), ssd.wear());
         assert_eq!(restored.mapped_pages(), ssd.mapped_pages());
@@ -81,7 +74,11 @@ fn save_load_save_is_byte_identical_across_configs() {
 
 #[test]
 fn restored_ssd_continues_identically() {
-    let mut original = churned_ssd(VictimPolicy::Greedy, WearLevelConfig::DEFAULT, 2_000);
+    let mut original = churned_ssd(
+        VictimPolicy::Greedy,
+        FtlConfig::default().static_threshold,
+        2_000,
+    );
     let bytes = snapshot_bytes(&original);
     let mut r = SnapReader::new(&bytes);
     let mut restored = Ssd::load(&mut r);
@@ -106,7 +103,11 @@ fn restored_ssd_continues_identically() {
 
 #[test]
 fn truncated_ssd_snapshot_fails_cleanly() {
-    let ssd = churned_ssd(VictimPolicy::Greedy, WearLevelConfig::DEFAULT, 500);
+    let ssd = churned_ssd(
+        VictimPolicy::Greedy,
+        FtlConfig::default().static_threshold,
+        500,
+    );
     let bytes = snapshot_bytes(&ssd);
     for keep in [0, 1, 7, bytes.len() / 3, bytes.len() - 1] {
         let mut r = SnapReader::new(&bytes[..keep]);

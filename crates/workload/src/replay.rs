@@ -43,23 +43,6 @@ pub fn assign_clients(trace: &Trace, clients: u32) -> Vec<ClientScript> {
     scripts
 }
 
-/// Spread metric of an assignment: max client record count divided by the
-/// mean. 1.0 is perfectly even.
-pub fn assignment_imbalance(scripts: &[ClientScript]) -> f64 {
-    let counts: Vec<usize> = scripts.iter().map(|s| s.record_indices.len()).collect();
-    let total: usize = counts.iter().sum();
-    if total == 0 {
-        return 1.0;
-    }
-    let mean = total as f64 / counts.len() as f64;
-    #[expect(
-        clippy::expect_used,
-        reason = "guarded by the is_empty early-return above"
-    )]
-    let max = *counts.iter().max().expect("non-empty") as f64;
-    max / mean
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -68,6 +51,17 @@ mod tests {
 
     fn small_trace() -> Trace {
         synthesize(&harvard::spec("deasna").scaled(0.002))
+    }
+
+    /// Max client record count over the mean; 1.0 is perfectly even.
+    fn imbalance(scripts: &[ClientScript]) -> f64 {
+        let counts: Vec<usize> = scripts.iter().map(|s| s.record_indices.len()).collect();
+        let total: usize = counts.iter().sum();
+        if total == 0 {
+            return 1.0;
+        }
+        let max = counts.iter().copied().max().unwrap_or(0);
+        max as f64 / (total as f64 / counts.len() as f64)
     }
 
     #[test]
@@ -114,7 +108,7 @@ mod tests {
     fn assignment_is_roughly_even() {
         let t = small_trace();
         let scripts = assign_clients(&t, 8);
-        let imb = assignment_imbalance(&scripts);
+        let imb = imbalance(&scripts);
         assert!(imb < 2.0, "imbalance {imb}");
     }
 
@@ -124,7 +118,7 @@ mod tests {
         let scripts = assign_clients(&t, 1);
         assert_eq!(scripts.len(), 1);
         assert_eq!(scripts[0].record_indices.len(), t.records.len());
-        assert!((assignment_imbalance(&scripts) - 1.0).abs() < 1e-12);
+        assert!((imbalance(&scripts) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -132,7 +126,7 @@ mod tests {
         let t = Trace::new("empty");
         let scripts = assign_clients(&t, 3);
         assert!(scripts.iter().all(|s| s.record_indices.is_empty()));
-        assert_eq!(assignment_imbalance(&scripts), 1.0);
+        assert_eq!(imbalance(&scripts), 1.0);
     }
 
     #[test]

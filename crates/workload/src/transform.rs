@@ -1,7 +1,5 @@
-//! Trace transformations: merge, time-dilate, and truncate — the
-//! operations trace-driven studies need when composing workloads (e.g.
-//! overlaying two tenant workloads on one cluster, or compressing a trace
-//! to stress the wear monitor's per-minute window).
+//! Trace transformations: merging traces, the operation trace-driven
+//! studies need to overlay two tenant workloads on one cluster.
 
 use std::collections::BTreeMap;
 
@@ -40,36 +38,6 @@ pub fn merge(name: impl Into<String>, traces: &[&Trace]) -> Trace {
     }
     relabeled.sort_by_key(|r| r.time_us);
     out.records = relabeled;
-    out
-}
-
-/// Scales every timestamp by `factor` (0.5 = twice as fast). Ordering is
-/// preserved; equal timestamps may collapse under heavy compression.
-pub fn dilate(trace: &Trace, factor: f64) -> Trace {
-    assert!(
-        factor > 0.0 && factor.is_finite(),
-        "factor must be positive"
-    );
-    let mut out = trace.clone();
-    for r in &mut out.records {
-        r.time_us = (r.time_us as f64 * factor) as u64;
-    }
-    out
-}
-
-/// Keeps only the first `count` records (plus every referenced file's
-/// size entry; unreferenced files are dropped so the footprint matches).
-pub fn truncate(trace: &Trace, count: usize) -> Trace {
-    let mut out = Trace::new(trace.name.clone());
-    out.records = trace.records.iter().take(count).copied().collect();
-    let referenced: std::collections::BTreeSet<FileId> =
-        out.records.iter().map(|r| r.file).collect();
-    out.file_sizes = trace
-        .file_sizes
-        .iter()
-        .filter(|(f, _)| referenced.contains(f))
-        .map(|(&f, &s)| (f, s))
-        .collect();
     out
 }
 
@@ -116,42 +84,6 @@ mod tests {
         for w in m.records.windows(2) {
             assert!(w[0].time_us <= w[1].time_us);
         }
-    }
-
-    #[test]
-    fn dilate_scales_duration() {
-        let t = small("deasna");
-        let fast = dilate(&t, 0.5);
-        let last = t.records.last().unwrap().time_us;
-        let fast_last = fast.records.last().unwrap().time_us;
-        assert_eq!(fast_last, (last as f64 * 0.5) as u64);
-        fast.validate().unwrap();
-    }
-
-    #[test]
-    #[should_panic(expected = "factor must be positive")]
-    fn dilate_rejects_zero() {
-        dilate(&small("deasna"), 0.0);
-    }
-
-    #[test]
-    fn truncate_keeps_prefix_and_prunes_files() {
-        let t = small("home04");
-        let cut = truncate(&t, 10);
-        assert_eq!(cut.records.len(), 10);
-        cut.validate().unwrap();
-        // Only referenced files remain.
-        for r in &cut.records {
-            assert!(cut.file_sizes.contains_key(&r.file));
-        }
-        assert!(cut.file_sizes.len() <= t.file_sizes.len());
-    }
-
-    #[test]
-    fn truncate_beyond_len_is_identity_on_records() {
-        let t = small("deasna");
-        let cut = truncate(&t, usize::MAX);
-        assert_eq!(cut.records.len(), t.records.len());
     }
 
     #[test]

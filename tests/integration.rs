@@ -158,7 +158,7 @@ fn cdf_and_hdf_policies_are_configurable() {
     let mut cdf = Edm::new(
         Selection::Cdf,
         EdmConfig {
-            cold_threshold: 2.5,
+            temperature_interval_us: 10_000_000,
             ..EdmConfig::default()
         },
     );
@@ -215,35 +215,6 @@ fn noop_policy_trait_object_roundtrip() {
 }
 
 #[test]
-fn memory_bounded_tracker_policy_still_balances() {
-    // §IV: EDM caches only the hottest objects' metadata; a tightly
-    // bounded tracker must still find the write-hot movers.
-    let trace = scaled_trace("lair62", 0.004);
-    let run = |capacity: Option<usize>| {
-        let cluster = Cluster::build(ClusterConfig::paper(8), &trace).expect("build");
-        let mut policy = Edm::new(
-            Selection::Hdf,
-            EdmConfig {
-                tracker_capacity: capacity,
-                ..EdmConfig::default()
-            },
-        );
-        run_trace(cluster, &trace, &mut policy, SimOptions::default())
-    };
-    let unbounded = run(None);
-    let bounded = run(Some(64));
-    assert!(bounded.moved_objects > 0, "bounded tracker moved nothing");
-    // The hot cache keeps the movers: wear balance stays in the same
-    // ballpark as full tracking.
-    assert!(
-        bounded.erase_rsd() <= unbounded.erase_rsd() * 2.0 + 0.05,
-        "bounded {} vs unbounded {}",
-        bounded.erase_rsd(),
-        unbounded.erase_rsd()
-    );
-}
-
-#[test]
 fn every_tick_schedule_completes_and_migrates() {
     let trace = scaled_trace("home02", 0.004);
     let mut config = ClusterConfig::paper(8);
@@ -273,13 +244,12 @@ fn every_tick_schedule_completes_and_migrates() {
 
 #[test]
 fn small_cluster_and_alternate_geometry_work() {
-    // k = m = 2 on 4 OSDs with a small stripe unit: the placement and
-    // RAID layout still hold together end to end.
+    // k = m = 2 on 4 OSDs: the placement and RAID layout still hold
+    // together end to end.
     let trace = scaled_trace("deasna", 0.002);
     let mut config = ClusterConfig::paper(4);
     config.groups = 2;
     config.objects_per_file = 2;
-    config.stripe_unit = 16 * 1024;
     let cluster = Cluster::build(config, &trace).expect("build");
     let mut policy = Edm::new(Selection::Hdf, EdmConfig::default());
     let r = run_trace(cluster, &trace, &mut policy, SimOptions::default());

@@ -13,9 +13,9 @@ const DET_LINTS: &str = "disallowed_methods disallowed_types iter_over_hash_type
 /// review sees it; a removed one is a number lowered.
 const BUDGETS: &[(&str, usize, usize)] = &[
     ("cluster", 24, 5),
-    ("core", 11, 0),
+    ("core", 9, 0),
     ("fuzz", 0, 4),
-    ("harness", 3, 8),
+    ("harness", 3, 7),
     ("model", 0, 0),
     ("obs", 1, 0),
     ("scenario", 1, 0),
@@ -23,7 +23,7 @@ const BUDGETS: &[(&str, usize, usize)] = &[
     ("snap", 0, 1),
     ("spec", 2, 0),
     ("ssd", 8, 0),
-    ("workload", 7, 2),
+    ("workload", 6, 2),
 ];
 
 const LIB_HEADER: &str = "#![forbid(unsafe_code)]

@@ -12,7 +12,7 @@ use edm_cluster::resume_trace_obs_keep;
 use edm_harness::{report_digest, resume_snapshot, Scenario, SnapMeta};
 use edm_obs::NoopRecorder;
 use edm_serve::LiveWorld;
-use edm_snap::{SnapError, SnapshotFile};
+use edm_snap::{SnapError, SnapshotFile, FORMAT_VERSION};
 
 fn ckpt_dir(tag: &str) -> PathBuf {
     #[expect(
@@ -159,28 +159,33 @@ fn bit_flipped_snapshot_fails_with_typed_error() {
     cleanup(&snaps);
 }
 
-/// Version 1 wrote the victim candidates in swap-remove order; a v1 file
-/// is refused by its header, before any section is decoded.
+/// Every older format version is refused by its header, before any
+/// section is decoded: version 1 wrote the victim candidates in
+/// swap-remove order, version 2 still carried the configuration values
+/// that are now constants.
 #[test]
 fn v1_checkpoint_is_an_unsupported_version() {
     let scenario = plain_scenario();
     let (_, snaps) = checkpointed_run(&scenario, "v1");
-    let mut bytes = std::fs::read(&snaps[0]).expect("read checkpoint");
-    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-    assert_eq!(
-        SnapshotFile::from_bytes(&bytes).unwrap_err(),
-        SnapError::UnsupportedVersion {
-            found: 1,
-            supported: 2
-        }
-    );
-    let path = snaps[0].with_extension("v1");
-    std::fs::write(&path, &bytes).expect("write v1 file");
-    let err = resume_snapshot(&path, &mut NoopRecorder).expect_err("v1 file resumed");
-    assert!(
-        err.contains("unsupported snapshot format version 1"),
-        "{err}"
-    );
+    let current = std::fs::read(&snaps[0]).expect("read checkpoint");
+    for version in 1..FORMAT_VERSION {
+        let mut bytes = current.clone();
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
+        assert_eq!(
+            SnapshotFile::from_bytes(&bytes).unwrap_err(),
+            SnapError::UnsupportedVersion {
+                found: version,
+                supported: FORMAT_VERSION
+            }
+        );
+        let path = snaps[0].with_extension(format!("v{version}"));
+        std::fs::write(&path, &bytes).expect("write old-version file");
+        let err = resume_snapshot(&path, &mut NoopRecorder).expect_err("old-version file resumed");
+        assert!(
+            err.contains(&format!("unsupported snapshot format version {version}")),
+            "{err}"
+        );
+    }
     cleanup(&snaps);
 }
 
@@ -304,9 +309,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 #[test]
 fn checkpoint_bytes_are_frozen() {
     const GOLDEN: [(&str, u64, usize); 3] = [
-        ("ckpt first", 0x2be1_f5d0_0ff2_ca1e, 289_715),
-        ("ckpt last", 0xfbf3_7f71_9c0d_74a8, 284_878),
-        ("live", 0x4149_9f4f_9504_5c02, 36_614),
+        ("ckpt first", 0xe333_469a_8c63_e5ae, 289_505),
+        ("ckpt last", 0xff46_d98c_6afa_3f4e, 284_668),
+        ("live", 0x266d_c82c_c870_ef1b, 36_268),
     ];
 
     let (_, snaps) = checkpointed_run(&faulted_scenario(), "frozen");
