@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use edm_snap::{snapshot_struct, IdSet, SnapReader, SnapWriter, Snapshot};
+use edm_snap::snapshot_struct;
 
 use edm_workload::FileId;
 
@@ -30,9 +30,6 @@ pub struct Catalog {
     placement: Placement,
     layout: StripeLayout,
     files: BTreeMap<FileId, FileMeta>,
-    /// The keys of `files`, for the per-op existence check. Derived and
-    /// never serialized: `load` rebuilds it.
-    known: IdSet<FileId>,
     remap: RemappingTable,
 }
 
@@ -46,7 +43,6 @@ impl Catalog {
             placement,
             layout,
             files: BTreeMap::new(),
-            known: IdSet::default(),
             remap: RemappingTable::new(),
         }
     }
@@ -71,11 +67,6 @@ impl Catalog {
         self.files.get(&file)
     }
 
-    /// Whether `file` is registered; one hash probe, no tree walk.
-    pub fn has_file(&self, file: FileId) -> bool {
-        self.known.contains(&file)
-    }
-
     pub fn file_count(&self) -> usize {
         self.files.len()
     }
@@ -93,7 +84,10 @@ impl Catalog {
     /// # Panics
     /// Panics if the file already exists.
     pub fn create_file(&mut self, file: FileId, size: u64) -> &FileMeta {
-        assert!(self.known.insert(file), "file {file:?} already exists");
+        assert!(
+            !self.files.contains_key(&file),
+            "file {file:?} already exists"
+        );
         let objects: Vec<ObjectId> = (0..self.placement.objects_per_file)
             .map(|i| self.placement.object_id(file, i))
             .collect();
@@ -135,37 +129,15 @@ snapshot_struct!(FileMeta {
     object_size
 });
 
-impl Snapshot for Catalog {
-    fn save(&self, w: &mut SnapWriter) {
-        // `known` is not stored: `load` reads it back off `files`.
-        let Self {
-            known: _,
-            files,
-            placement,
-            layout,
-            remap,
-        } = self;
-        placement.save(w);
-        layout.save(w);
-        files.save(w);
-        remap.save(w);
-    }
-    fn load(r: &mut SnapReader) -> Self {
-        let (placement, layout) = (Placement::load(r), StripeLayout::load(r));
-        let files = BTreeMap::<FileId, FileMeta>::load(r);
-        let c = Catalog {
-            placement,
-            layout,
-            known: files.keys().copied().collect(),
-            files,
-            remap: RemappingTable::load(r),
-        };
-        if !r.failed() && c.placement.objects_per_file != c.layout.k {
-            r.corrupt("placement and stripe layout disagree on k");
+snapshot_struct!(
+    Catalog { placement, layout, files, remap },
+    check = "catalog": |c| {
+        if c.placement.objects_per_file != c.layout.k {
+            return Err("placement and stripe layout disagree on k".into());
         }
-        c
+        Ok(())
     }
-}
+);
 
 #[cfg(test)]
 mod tests {
@@ -184,7 +156,7 @@ mod tests {
         assert_eq!(meta.object_size, c.layout().object_size(1_000_000));
         assert_eq!(c.file_count(), 1);
         assert_eq!(c.total_objects(), 4);
-        assert!(c.has_file(FileId(3)) && !c.has_file(FileId(4)));
+        assert!(c.file(FileId(3)).is_some() && c.file(FileId(4)).is_none());
     }
 
     #[test]

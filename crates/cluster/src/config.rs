@@ -6,6 +6,10 @@ use edm_ssd::{FtlConfig, LatencyModel};
 
 use crate::placement::Placement;
 
+/// OSD ids the replay engine's event keys can carry (22 bits, see
+/// `EventQueue` in sim.rs); [`ClusterConfig::validate`] refuses more.
+pub(crate) const MAX_OSDS: u32 = 1 << 22;
+
 /// Everything needed to build and drive one cluster run.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -76,6 +80,9 @@ impl ClusterConfig {
             objects_per_file: self.objects_per_file,
         }
         .validate()?;
+        if self.osds >= MAX_OSDS {
+            return Err(format!("{} OSDs overflow the event queue's key", self.osds));
+        }
         if self.wear_tick_us == 0 || self.response_window_us == 0 {
             return Err("tick and window intervals must be positive".into());
         }
@@ -141,6 +148,15 @@ mod tests {
         c.groups = 64; // more groups than OSDs? no — more than osds is invalid
         c.osds = 8;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn osd_count_must_fit_the_event_key() {
+        let mut c = ClusterConfig::paper(MAX_OSDS - 4);
+        c.validate().unwrap();
+        c.osds = MAX_OSDS;
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("event queue's key"), "{err}");
     }
 
     #[test]

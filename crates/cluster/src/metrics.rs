@@ -125,12 +125,20 @@ impl LatencyHistogram {
         }
     }
 
+    /// Bucket of `us`: `floor(16 · log2 us)`, capped at the last bucket.
+    /// The octave is the position of the top bit; the bucket within it
+    /// counts the octave's [`bucket_floors`] that `us` reaches, so no
+    /// logarithm runs per sample.
     fn index(us: u64) -> usize {
         if us <= 1 {
             return 0;
         }
-        let idx = ((us as f64).log2() * Self::PER_OCTAVE) as usize;
-        idx.min(Self::BUCKETS - 1)
+        let base = (63 - us.leading_zeros() as usize) * 16;
+        if base >= Self::BUCKETS {
+            return Self::BUCKETS - 1;
+        }
+        let floors = &bucket_floors()[base + 1..base + 16];
+        base + floors.iter().filter(|&&t| us >= t).count()
     }
 
     pub fn record(&mut self, us: u64) {
@@ -175,6 +183,35 @@ impl LatencyHistogram {
         }
         self.max_us
     }
+}
+
+/// The bucket formula, `floor(16 · log2 us)` in floating point. It
+/// defines [`bucket_floors`], and so every bucket a report counts.
+fn log_index(us: u64) -> usize {
+    ((us as f64).log2() * LatencyHistogram::PER_OCTAVE) as usize
+}
+
+/// `floors[i]`: the smallest latency [`log_index`] puts in bucket `i` or
+/// above. Derived once, from the exact edge `2^(i/16)` nudged until the
+/// float formula agrees, so [`LatencyHistogram::index`] reproduces it bit
+/// for bit.
+fn bucket_floors() -> &'static [u64; LatencyHistogram::BUCKETS] {
+    static FLOORS: std::sync::OnceLock<[u64; LatencyHistogram::BUCKETS]> =
+        std::sync::OnceLock::new();
+    FLOORS.get_or_init(|| {
+        let mut floors = [0u64; LatencyHistogram::BUCKETS];
+        for (i, floor) in floors.iter_mut().enumerate().skip(1) {
+            let mut t = 2f64.powf(i as f64 / LatencyHistogram::PER_OCTAVE) as u64;
+            while log_index(t) >= i {
+                t -= 1;
+            }
+            while log_index(t) < i {
+                t += 1;
+            }
+            *floor = t;
+        }
+        floors
+    })
 }
 
 impl Default for LatencyHistogram {
@@ -590,6 +627,37 @@ mod tests {
         assert_eq!(h.count(), 2);
         assert_eq!(h.quantile(1.0), u64::MAX);
         assert!(h.quantile(0.1) <= 2);
+    }
+
+    /// The reference `index` must equal: `floor(16 · log2 us)` in
+    /// floating point, capped.
+    fn float_index(us: u64) -> usize {
+        if us <= 1 {
+            return 0;
+        }
+        log_index(us).min(LatencyHistogram::BUCKETS - 1)
+    }
+
+    #[test]
+    fn bucket_index_equals_the_float_formula() {
+        for &t in bucket_floors().iter() {
+            for us in [t.saturating_sub(1), t, t + 1] {
+                assert_eq!(LatencyHistogram::index(us), float_index(us), "us = {us}");
+            }
+        }
+        // splitmix64, each draw shifted into every one of the 64 octaves.
+        let mut state = 0x5eed_u64;
+        for _ in 0..4096 {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^= z >> 31;
+            for octave in 0..64 {
+                let us = (z >> octave) | (1 << (63 - octave));
+                assert_eq!(LatencyHistogram::index(us), float_index(us), "us = {us}");
+            }
+        }
     }
 
     #[test]

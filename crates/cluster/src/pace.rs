@@ -12,16 +12,17 @@
 //!
 //! The contract that keeps the two modes bit-identical: a `TimeSource`
 //! only ever delays or hands back control — it never reorders, drops,
-//! or injects events. On [`TimeStep::Yield`] the engine re-enqueues the
-//! not-yet-dispatched event under its original `(time, seq)` key, so a
-//! later leg pops the exact same sequence the flat-out run would have.
+//! or injects events. On [`TimeStep::Yield`] the engine leaves the
+//! not-yet-dispatched event queued under its original `(time, seq)` key,
+//! so a later leg pops the exact same sequence the flat-out run would
+//! have.
 
 /// Verdict of a [`TimeSource`] for one event about to be dispatched.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TimeStep {
     /// Dispatch the event now.
     Proceed,
-    /// Do not dispatch yet: the engine re-enqueues the event unchanged
+    /// Do not dispatch yet: the engine leaves the event queued unchanged
     /// and returns control to the caller, which is expected to call
     /// back in (after sleeping, or after servicing control traffic).
     Yield,
@@ -29,9 +30,9 @@ pub enum TimeStep {
 
 /// Decides when the engine may dispatch the event stamped `virtual_us`.
 pub trait TimeSource {
-    /// Called once per event pop, *before* virtual time advances.
+    /// Called once per event dispatch, *before* virtual time advances.
     /// Returning [`TimeStep::Yield`] leaves the engine state exactly as
-    /// if the pop never happened.
+    /// if the event had never been looked at.
     fn wait_until(&mut self, virtual_us: u64) -> TimeStep;
 }
 

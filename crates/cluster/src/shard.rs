@@ -35,7 +35,8 @@
 use std::collections::{HashMap, HashSet};
 
 use edm_obs::{AsDynRecorder, Event as ObsEvent, MemoryRecorder, Recorder};
-use edm_workload::{FileId, Trace};
+use edm_snap::IdMap;
+use edm_workload::{FileId, Trace, TraceRecord};
 
 use crate::cluster::Cluster;
 use crate::ids::{ObjectId, OsdId};
@@ -43,7 +44,8 @@ use crate::metrics::{RunReport, RunTallies};
 use crate::migrate::{close_wc_window, plan_round, AccessEvent, ClusterView, Migrator, MoveAction};
 use crate::placement::Placement;
 use crate::sim::{
-    new_engine, ClientAffinity, ClientScripts, Engine, MigrationSchedule, Pause, SimOptions,
+    new_engine, ClientAffinity, ClientScripts, Engine, MigrationSchedule, Pause, ScriptOp,
+    SimOptions,
 };
 
 /// Union-find over group indices, used to build the component map.
@@ -157,18 +159,20 @@ pub(crate) mod work {
     }
 }
 
-/// Builds the client scripts for [`ClientAffinity::Component`]: client
-/// slots are carved per component (proportional to record counts, at
-/// least one per non-empty component), then users round-robin onto their
-/// component's slots in order of first appearance. Per-user record order
-/// is trace order, exactly as in the default assignment. The sequential
-/// engine replays all of these scripts and the sharded runner deals the
-/// same ones out to its engines, so the replay they produce is identical.
-pub(crate) fn component_scripts(
-    components: &Components,
-    trace: &Trace,
+/// The client assignment of [`ClientAffinity::Component`]: client slots
+/// are carved per component (proportional to record counts, at least one
+/// per non-empty component), then users round-robin onto their
+/// component's slots in order of first appearance. Returns the slot count
+/// and every record with its slot, in trace order, so per-user record
+/// order is trace order, exactly as in the default assignment. The
+/// sequential engine replays all of the scripts carved from it and the
+/// sharded runner deals the same ones out to its engines, so the replay
+/// they produce is identical.
+pub(crate) fn component_scripts<'t>(
+    components: &'t Components,
+    trace: &'t Trace,
     clients: u32,
-) -> Vec<Vec<usize>> {
+) -> (usize, impl Iterator<Item = (u32, &'t TraceRecord)> + 't) {
     #[cfg(test)]
     work::CARVINGS.set(work::CARVINGS.get() + 1);
     assert!(clients > 0, "need at least one client");
@@ -180,9 +184,6 @@ pub(crate) fn component_scripts(
     }
     let nonempty: Vec<usize> = (0..ncomponents).filter(|&c| comp_records[c] > 0).collect();
     let total_clients = (clients as usize).max(nonempty.len());
-    if nonempty.is_empty() {
-        return vec![Vec::new(); total_clients];
-    }
 
     // Slot allocation: floor of the proportional share, floored at one,
     // then corrected to the exact total — overshoot trimmed from the
@@ -212,7 +213,8 @@ pub(crate) fn component_scripts(
     let mut by_weight = nonempty.clone();
     by_weight.sort_by_key(|&c| (std::cmp::Reverse(comp_records[c]), c));
     let mut i = 0;
-    while assigned < total_clients {
+    // An empty trace has no component to hand slots to.
+    while assigned < total_clients && !by_weight.is_empty() {
         slots[by_weight[i % by_weight.len()]] += 1;
         assigned += 1;
         i += 1;
@@ -227,19 +229,18 @@ pub(crate) fn component_scripts(
     }
     debug_assert_eq!(acc, total_clients);
 
-    let mut scripts: Vec<Vec<usize>> = vec![Vec::new(); total_clients];
-    let mut user_slot: HashMap<u32, usize> = HashMap::new();
+    let mut user_slot: IdMap<u32, u32> = IdMap::default();
     let mut next_in_comp = vec![0usize; ncomponents];
-    for (i, r) in trace.records.iter().enumerate() {
+    let records = trace.records.iter().map(move |r| {
         let slot = *user_slot.entry(r.user).or_insert_with(|| {
             let c = components.of_file(r.file);
             let s = start[c] + next_in_comp[c];
             next_in_comp[c] = (next_in_comp[c] + 1) % slots[c];
-            s
+            s as u32
         });
-        scripts[slot].push(i);
-    }
-    scripts
+        (slot, r)
+    });
+    (total_clients, records)
 }
 
 /// Why a run will or will not shard. [`crate::sim::run_trace`] applies
@@ -448,13 +449,14 @@ pub(crate) fn run_sharded<P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?S
     // The carving is computed once and dealt out: every engine keeps the
     // whole slot layout (client ids are global) but only its own
     // component's scripts, the other slots empty.
-    let ClientScripts { scripts, tags } = ClientScripts::by_component(&components, &cluster, trace);
-    let mut dealt: Vec<Vec<Vec<usize>>> = vec![vec![Vec::new(); scripts.len()]; n];
-    for (slot, script) in scripts.into_iter().enumerate() {
+    let mut carved = ClientScripts::by_component(&components, &cluster, trace);
+    let mut dealt: Vec<Vec<Vec<ScriptOp>>> = vec![vec![Vec::new(); carved.scripts.len()]; n];
+    for (slot, script) in std::mem::take(&mut carved.scripts).into_iter().enumerate() {
         if let Some(&first) = script.first() {
-            dealt[components.of_file(trace.records[first].file)][slot] = script;
+            dealt[components.of_file(carved.file(first))][slot] = script;
         }
     }
+    let ClientScripts { files, tags, .. } = carved;
 
     // Each engine runs over the devices of its own component and owns
     // only its component's injected failures.
@@ -466,6 +468,7 @@ pub(crate) fn run_sharded<P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?S
         .map(|((world, scripts), (buf, rec))| {
             let clients = ClientScripts {
                 scripts,
+                files: files.clone(),
                 tags: tags.clone(),
             };
             new_engine(world, trace, buf, options.clone(), rec, clients)
@@ -761,24 +764,34 @@ mod tests {
         let trace = two_component_trace();
         let cluster = Cluster::build(two_component_config(), &trace).unwrap();
         let components = component_map(&cluster, &trace);
-        let scripts = component_scripts(&components, &trace, 4);
-        assert_eq!(scripts.len(), 4);
-        let mut seen = vec![false; trace.records.len()];
-        for s in &scripts {
-            for w in s.windows(2) {
-                assert!(w[0] < w[1], "per-client order must be trace order");
-            }
-            for &i in s {
-                assert!(!seen[i], "record {i} assigned twice");
-                seen[i] = true;
-            }
+        let (clients, assigned) = component_scripts(&components, &trace, 4);
+        let assigned: Vec<(u32, &TraceRecord)> = assigned.collect();
+        assert_eq!(clients, 4);
+        // Every record once, in trace order.
+        assert_eq!(assigned.len(), trace.records.len());
+        for ((slot, r), want) in assigned.iter().zip(&trace.records) {
+            assert!(std::ptr::eq(*r, want) && (*slot as usize) < clients);
         }
-        assert!(seen.iter().all(|&s| s), "record left unassigned");
+        // Each carved script is its slot's records as ops, in trace order.
+        let carved = ClientScripts::by_component(&components, &cluster, &trace);
+        assert_eq!(carved.scripts.len(), clients);
+        for (slot, script) in carved.scripts.iter().enumerate() {
+            let want: Vec<(FileId, FileOp)> = assigned
+                .iter()
+                .filter(|(s, _)| *s as usize == slot)
+                .map(|(_, r)| (r.file, r.op))
+                .collect();
+            let got: Vec<(FileId, FileOp)> = script
+                .iter()
+                .map(|&op| (carved.file(op), op.op()))
+                .collect();
+            assert_eq!(got, want, "slot {slot}");
+        }
         // Each script stays inside one component.
-        for s in scripts.iter().filter(|s| !s.is_empty()) {
-            let comp = |i: usize| components.of_file(trace.records[i].file);
-            let first = comp(s[0]);
-            assert!(s.iter().all(|&i| comp(i) == first));
+        for script in carved.scripts.iter().filter(|s| !s.is_empty()) {
+            let comp = |op: &ScriptOp| components.of_file(carved.file(*op));
+            let first = comp(&script[0]);
+            assert!(script.iter().all(|op| comp(op) == first));
         }
     }
 
@@ -787,9 +800,14 @@ mod tests {
         let trace = two_component_trace();
         let cluster = Cluster::build(two_component_config(), &trace).unwrap();
         // Fewer requested clients than components: one slot each.
-        let scripts = component_scripts(&component_map(&cluster, &trace), &trace, 1);
-        assert_eq!(scripts.len(), 2);
-        assert!(scripts.iter().all(|s| !s.is_empty()));
+        let components = component_map(&cluster, &trace);
+        let (clients, assigned) = component_scripts(&components, &trace, 1);
+        assert_eq!(clients, 2);
+        let mut used = vec![false; clients];
+        for (slot, _) in assigned {
+            used[slot as usize] = true;
+        }
+        assert!(used.iter().all(|&u| u));
     }
 
     /// Splitting hands every device to exactly one shard and merging

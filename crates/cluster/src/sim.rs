@@ -17,11 +17,13 @@ use std::path::{Path, PathBuf};
 
 use edm_obs::{AsDynRecorder, Event as ObsEvent, NoopRecorder, Recorder};
 use edm_snap::{
-    snapshot_struct, FlatMap, SnapError, SnapReader, SnapWriter, Snapshot, SnapshotFile, TokenMap,
+    snapshot_struct, FlatMap, IdMap, SnapError, SnapReader, SnapWriter, Snapshot, SnapshotFile,
+    TokenMap,
 };
-use edm_workload::{FileOp, Trace};
+use edm_workload::{FileId, FileOp, Trace, TraceRecord};
 
 use crate::cluster::Cluster;
+use crate::config::MAX_OSDS;
 use crate::ids::{ClientId, ObjectId, OsdId};
 use crate::metrics::{LatencyHistogram, ResponseSeries, RunReport, RunTallies};
 use crate::migrate::{close_wc_window, plan_round, Migrator, MoveAction};
@@ -228,13 +230,13 @@ snapshot_struct!(FailureSpec {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Event {
     /// The OSD finished servicing its current sub-request.
-    OsdDone(u32),
-    /// The MDS finished an open/close.
-    MdsDone(u64),
+    OsdDone { osd: u32 },
+    /// The MDS finished the open/close of file operation `token`.
+    MdsDone { token: u64 },
     /// Wear-monitor tick (§III.B.2).
     Tick,
     /// Injected OSD failure.
-    Fail(u32),
+    Fail { osd: u32 },
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -293,35 +295,142 @@ struct RebuildState {
     size: u64,
 }
 
-impl Snapshot for Event {
-    fn save(&self, w: &mut SnapWriter) {
-        match *self {
-            Event::OsdDone(o) => {
-                w.put_u8(0);
-                w.put_u32(o);
-            }
-            Event::MdsDone(token) => {
-                w.put_u8(1);
-                w.put_u64(token);
-            }
-            Event::Tick => w.put_u8(2),
-            Event::Fail(o) => {
-                w.put_u8(3);
-                w.put_u32(o);
-            }
-        }
+snapshot_struct!(Event {
+    0 = OsdDone { osd },
+    1 = MdsDone { token },
+    2 = Tick,
+    3 = Fail { osd },
+});
+
+/// The pending events, popped in `(at, seq)` order; `seq` is strictly
+/// increasing, so the order is total. Each event is one 16-byte heap key:
+/// `at` in the top 64 bits, `seq` in the next 40, then the event kind in
+/// 2 bits and its OSD id in the low 22. An `MdsDone` token does not fit.
+/// Every MDS op takes [`MDS_LATENCY_US`], so MDS completions fall due in
+/// issue order, and their tokens wait in a FIFO beside the heap: the
+/// front one belongs to the first MDS key to pop.
+#[derive(Default)]
+struct EventQueue {
+    heap: BinaryHeap<Reverse<u128>>,
+    /// `(at, token)` of every pending `MdsDone`, in push order.
+    mds: VecDeque<(u64, u64)>,
+    /// Sequence number of the last push.
+    seq: u64,
+}
+
+impl EventQueue {
+    const SEQ_BITS: u32 = 40;
+    const OSD_BITS: u32 = MAX_OSDS.trailing_zeros();
+
+    fn key(at: u64, seq: u64, ev: Event) -> u128 {
+        let (kind, osd) = match ev {
+            Event::OsdDone { osd } => (0, osd),
+            Event::MdsDone { .. } => (1, 0),
+            Event::Tick => (2, 0),
+            Event::Fail { osd } => (3, osd),
+        };
+        debug_assert!(seq < 1 << Self::SEQ_BITS && osd < MAX_OSDS);
+        (at as u128) << 64
+            | (seq as u128) << (64 - Self::SEQ_BITS)
+            | (kind << Self::OSD_BITS | osd) as u128
     }
-    fn load(r: &mut SnapReader) -> Self {
-        match r.take_u8() {
-            0 => Event::OsdDone(r.take_u32()),
-            1 => Event::MdsDone(r.take_u64()),
-            2 => Event::Tick,
-            3 => Event::Fail(r.take_u32()),
-            tag => {
-                r.corrupt(format!("event tag {tag}"));
-                Event::Tick
+
+    /// The 2-bit event kind of `key`: 1 is `MdsDone`.
+    fn kind(key: u128) -> u32 {
+        (key as u32 & ((1 << (64 - Self::SEQ_BITS)) - 1)) >> Self::OSD_BITS
+    }
+
+    /// The event of `key`; an `MdsDone` takes its token from `token`.
+    fn decode(key: u128, token: Option<&(u64, u64)>) -> (u64, u64, Event) {
+        let at = (key >> 64) as u64;
+        let seq = (key >> (64 - Self::SEQ_BITS)) as u64 & ((1 << Self::SEQ_BITS) - 1);
+        let osd = key as u32 & (MAX_OSDS - 1);
+        let ev = match Self::kind(key) {
+            0 => Event::OsdDone { osd },
+            // FIFO and heap are filled together, so a token is always
+            // there; `u64::MAX` is no live token, which `finish_subop`
+            // would report.
+            1 => {
+                debug_assert_eq!(token.map(|t| t.0), Some(at), "MDS FIFO out of step");
+                Event::MdsDone {
+                    token: token.map_or(u64::MAX, |t| t.1),
+                }
             }
+            2 => Event::Tick,
+            _ => Event::Fail { osd },
+        };
+        (at, seq, ev)
+    }
+
+    /// Enqueues `ev` at `at` under the next sequence number.
+    fn push(&mut self, at: u64, ev: Event) {
+        self.seq += 1;
+        self.insert(at, self.seq, ev);
+    }
+
+    fn insert(&mut self, at: u64, seq: u64, ev: Event) {
+        if let Event::MdsDone { token } = ev {
+            debug_assert!(
+                self.mds.back().is_none_or(|&(last, _)| last <= at),
+                "MDS completions must fall due in issue order"
+            );
+            self.mds.push_back((at, token));
         }
+        self.heap.push(Reverse(Self::key(at, seq, ev)));
+    }
+
+    /// Time of the earliest pending event.
+    fn next_at(&self) -> Option<u64> {
+        self.heap.peek().map(|k| (k.0 >> 64) as u64)
+    }
+
+    /// Removes and returns the earliest event as `(at, seq, event)`.
+    fn pop(&mut self) -> Option<(u64, u64, Event)> {
+        let Reverse(key) = self.heap.pop()?;
+        let token = (Self::kind(key) == 1)
+            .then(|| self.mds.pop_front())
+            .flatten();
+        Some(Self::decode(key, token.as_ref()))
+    }
+
+    /// Every pending event as the ascending `(at, seq, event)` list — the
+    /// checkpoint's canonical form, whatever the heap's internal order.
+    fn pending(&self) -> Vec<(u64, u64, Event)> {
+        let mut keys: Vec<u128> = self.heap.iter().map(|k| k.0).collect();
+        keys.sort_unstable();
+        let mut tokens = self.mds.iter();
+        let mut token_of = |key| (Self::kind(key) == 1).then(|| tokens.next()).flatten();
+        keys.into_iter()
+            .map(|key| Self::decode(key, token_of(key)))
+            .collect()
+    }
+
+    /// Mirror of [`pending`](Self::pending) plus the last sequence number:
+    /// refuses a list that is not strictly ascending in `(at, seq)`, runs
+    /// past `seq` or its 40 bits, or names an OSD outside `osds`, so
+    /// every key decodes to the event it was cut from.
+    fn restore(
+        &mut self,
+        pending: Vec<(u64, u64, Event)>,
+        seq: u64,
+        osds: u32,
+    ) -> Result<(), String> {
+        let ascending = pending.is_sorted_by(|a, b| (a.0, a.1) < (b.0, b.1));
+        let fits = |&(_, s, ev): &(u64, u64, Event)| {
+            s <= seq
+                && !matches!(ev, Event::OsdDone { osd: o } | Event::Fail { osd: o } if o >= osds)
+        };
+        if seq >= 1 << Self::SEQ_BITS || !ascending || !pending.iter().all(fits) {
+            return Err(format!(
+                "{} pending events up to seq {seq} are no queue of {osds} OSDs",
+                pending.len()
+            ));
+        }
+        for (at, s, ev) in pending {
+            self.insert(at, s, ev);
+        }
+        self.seq = seq;
+        Ok(())
     }
 }
 
@@ -361,34 +470,61 @@ pub(crate) struct CompTags {
 }
 
 impl CompTags {
-    fn build(
-        components: &Components,
-        osds: u32,
-        trace: &Trace,
-        scripts: &[Vec<usize>],
-    ) -> CompTags {
+    fn build(components: &Components, osds: u32, scripts: &ClientScripts) -> CompTags {
         let of_osd = (0..osds)
             .map(|o| components.of_osd(OsdId(o)) as u32)
             .collect();
         // A component-affine script stays inside one component, so its
-        // first record names it. Empty scripts never journal anything.
+        // first op's file names it. Empty scripts never journal anything.
         let of_client = scripts
+            .scripts
             .iter()
-            .map(|s| match s.first() {
-                Some(&i) => components.of_file(trace.records[i].file) as u32,
-                None => 0,
+            .map(|s| {
+                s.first()
+                    .map_or(0, |op| components.of_file(scripts.file(*op)) as u32)
             })
             .collect();
         CompTags { of_osd, of_client }
     }
 }
 
-/// The client side of a replay: the trace record indices each client
-/// slot issues, in order, and — under [`ClientAffinity::Component`] —
-/// the journal tags that go with them. Built once per run, walking the
+/// One trace record as a client issues it, in 16 bytes: the extent, and
+/// one word holding the op kind (low 2 bits) and the file's slot in
+/// [`ClientScripts::files`] (the rest). Open and close carry no extent.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ScriptOp {
+    offset: u64,
+    len: u32,
+    kind_slot: u32,
+}
+
+impl ScriptOp {
+    const KIND_BITS: u32 = 2;
+
+    /// The trace op this script op replays.
+    pub(crate) fn op(self) -> FileOp {
+        let (offset, len) = (self.offset, self.len as u64);
+        match self.kind_slot & ((1 << Self::KIND_BITS) - 1) {
+            0 => FileOp::Open,
+            1 => FileOp::Close,
+            2 => FileOp::Read { offset, len },
+            _ => FileOp::Write { offset, len },
+        }
+    }
+
+    fn slot(self) -> usize {
+        (self.kind_slot >> Self::KIND_BITS) as usize
+    }
+}
+
+/// The client side of a replay: the ops each client slot issues, in
+/// order, the files they name, and — under [`ClientAffinity::Component`]
+/// — the journal tags that go with them. Built once per run, walking the
 /// whole trace; [`new_engine`] takes it as given.
 pub(crate) struct ClientScripts {
-    pub(crate) scripts: Vec<Vec<usize>>,
+    pub(crate) scripts: Vec<Vec<ScriptOp>>,
+    /// The distinct files of the trace, by slot.
+    pub(crate) files: Vec<FileId>,
     pub(crate) tags: Option<CompTags>,
 }
 
@@ -396,13 +532,11 @@ impl ClientScripts {
     /// The assignment `options.affinity` asks for.
     pub(crate) fn build(cluster: &Cluster, trace: &Trace, affinity: ClientAffinity) -> Self {
         match affinity {
-            ClientAffinity::User => ClientScripts {
-                scripts: edm_workload::replay::assign_clients(trace, cluster.config.client_count())
-                    .into_iter()
-                    .map(|s| s.record_indices)
-                    .collect(),
-                tags: None,
-            },
+            ClientAffinity::User => {
+                let clients = cluster.config.client_count();
+                let records = edm_workload::replay::assign_clients(trace, clients);
+                Self::carve(cluster, clients as usize, records)
+            }
             ClientAffinity::Component => {
                 Self::by_component(&component_map(cluster, trace), cluster, trace)
             }
@@ -411,12 +545,59 @@ impl ClientScripts {
 
     /// The component-affine assignment over an already computed map.
     pub(crate) fn by_component(components: &Components, cluster: &Cluster, trace: &Trace) -> Self {
-        let scripts = component_scripts(components, trace, cluster.config.client_count());
-        let tags = CompTags::build(components, cluster.config.osds, trace, &scripts);
+        let (clients, records) =
+            component_scripts(components, trace, cluster.config.client_count());
+        let mut scripts = Self::carve(cluster, clients, records);
+        scripts.tags = Some(CompTags::build(components, cluster.config.osds, &scripts));
+        scripts
+    }
+
+    /// Carves `clients` scripts out of `(client, record)` pairs given in
+    /// trace order. Each distinct file gets a slot, and is checked
+    /// against the catalog, the first time it appears.
+    fn carve<'t>(
+        cluster: &Cluster,
+        clients: usize,
+        records: impl Iterator<Item = (u32, &'t TraceRecord)>,
+    ) -> Self {
+        let mut scripts = vec![Vec::new(); clients];
+        let mut files = Vec::new();
+        let mut slots: IdMap<FileId, u32> = IdMap::default();
+        for (client, r) in records {
+            let slot = *slots.entry(r.file).or_insert_with(|| {
+                let known = cluster.catalog.file(r.file).is_some();
+                assert!(known, "trace references unknown file {:?}", r.file);
+                // A catalog of 2^30 files would not fit in memory.
+                debug_assert!(files.len() < 1 << (32 - ScriptOp::KIND_BITS));
+                files.push(r.file);
+                files.len() as u32 - 1
+            });
+            let (kind, offset, len) = match r.op {
+                FileOp::Open => (0, 0, 0),
+                FileOp::Close => (1, 0, 0),
+                FileOp::Read { offset, len } => (2, offset, len),
+                FileOp::Write { offset, len } => (3, offset, len),
+            };
+            assert!(
+                len <= u32::MAX as u64,
+                "record of {len} bytes does not fit a script op (Trace::validate refuses it)"
+            );
+            scripts[client as usize].push(ScriptOp {
+                offset,
+                len: len as u32,
+                kind_slot: slot << ScriptOp::KIND_BITS | kind,
+            });
+        }
         ClientScripts {
             scripts,
-            tags: Some(tags),
+            files,
+            tags: None,
         }
+    }
+
+    /// The file `op` names.
+    pub(crate) fn file(&self, op: ScriptOp) -> FileId {
+        self.files[op.slot()]
     }
 }
 
@@ -459,13 +640,13 @@ pub(crate) struct Engine<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder +
     /// recording is read-only so behaviour is identical at every level.
     pub(crate) obs: &'a mut R,
 
-    /// Pending events, popped in `(at, seq)` order; `seq` is strictly
-    /// increasing, so the order is total.
-    queue: BinaryHeap<Reverse<(u64, u64, Event)>>,
-    seq: u64,
+    /// Pending events, popped in `(at, seq)` order.
+    queue: EventQueue,
     pub(crate) now: u64,
 
-    scripts: Vec<Vec<usize>>,
+    scripts: Vec<Vec<ScriptOp>>,
+    /// The files `scripts` name, by slot.
+    files: Vec<FileId>,
     cursors: Vec<usize>,
     /// File ops currently in flight per client (bounded by the configured
     /// concurrency — the multi-threaded replayer of §IV).
@@ -507,8 +688,7 @@ pub(crate) struct Engine<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder +
 
 impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, P, R> {
     fn push(&mut self, at: u64, ev: Event) {
-        self.seq += 1;
-        self.queue.push(Reverse((at, self.seq, ev)));
+        self.queue.push(at, ev);
     }
 
     /// Tags subsequent journal entries with the component that owns
@@ -548,15 +728,14 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
     /// exhausted.
     fn issue_next(&mut self, client: ClientId) -> bool {
         let c = client.0 as usize;
-        let Some(&idx) = self.scripts[c].get(self.cursors[c]) else {
+        let Some(&op) = self.scripts[c].get(self.cursors[c]) else {
             return false; // this client is done
         };
         self.cursors[c] += 1;
         self.outstanding[c] += 1;
-        let record = self.trace.records[idx];
         let token = self.next_token;
         self.next_token += 1;
-        match record.op {
+        match op.op() {
             FileOp::Open | FileOp::Close => {
                 self.inflight.insert(
                     token,
@@ -567,19 +746,14 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
                     },
                 );
                 let at = self.now + MDS_LATENCY_US;
-                self.push(at, Event::MdsDone(token));
+                self.push(at, Event::MdsDone { token });
             }
-            FileOp::Read { offset, len } | FileOp::Write { offset, len } => {
-                assert!(
-                    self.cluster.catalog.has_file(record.file),
-                    "trace references unknown file {:?}",
-                    record.file
-                );
+            kind @ (FileOp::Read { offset, len } | FileOp::Write { offset, len }) => {
                 let subops = self.cluster.file_subops(
-                    record.file,
+                    self.files[op.slot()],
                     offset,
                     len,
-                    record.op.is_write(),
+                    kind.is_write(),
                     self.now,
                 );
                 debug_assert!(subops.len() > 0);
@@ -817,7 +991,7 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
         let service = OSD_OVERHEAD_US + device.as_micros();
         self.tally.busy_us[o] += service;
         self.current[o] = Some(sub);
-        self.push(self.now + service, Event::OsdDone(osd.0));
+        self.push(self.now + service, Event::OsdDone { osd: osd.0 });
     }
 
     fn on_osd_done(&mut self, osd: OsdId) {
@@ -1376,10 +1550,8 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
         w.put_bool(self.blocking_moves);
         // A heap's internal order depends on its history; canonicalize
         // as the ascending (at, seq, event) list.
-        let mut pending: Vec<(u64, u64, Event)> = self.queue.iter().map(|e| e.0).collect();
-        pending.sort_unstable();
-        pending.save(w);
-        w.put_u64(self.seq);
+        self.queue.pending().save(w);
+        w.put_u64(self.queue.seq);
         w.put_u64(self.now);
         w.put_u64(self.last_ckpt_us);
         self.cursors.save(w);
@@ -1419,9 +1591,13 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
         if !r.failed() && blocking != self.blocking_moves {
             r.corrupt("policy blocking-moves mode differs from checkpoint");
         }
-        self.queue
-            .extend(Vec::<(u64, u64, Event)>::load(r).into_iter().map(Reverse));
-        self.seq = r.take_u64();
+        let pending: Vec<(u64, u64, Event)> = Vec::load(r);
+        let seq = r.take_u64();
+        if !r.failed() {
+            if let Err(e) = self.queue.restore(pending, seq, self.cluster.config.osds) {
+                r.corrupt(e);
+            }
+        }
         self.now = r.take_u64();
         self.last_ckpt_us = r.take_u64();
         self.cursors = Vec::load(r);
@@ -1556,7 +1732,7 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
                 f.osd
             );
             if owns(f.osd) {
-                self.push(f.at_us, Event::Fail(f.osd.0));
+                self.push(f.at_us, Event::Fail { osd: f.osd.0 });
             }
         }
     }
@@ -1584,36 +1760,38 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
 
     /// [`run_until_pause`](Self::run_until_pause) under an explicit
     /// [`TimeSource`]: before each event is dispatched the source is
-    /// consulted, and on [`TimeStep::Yield`] the event is re-enqueued
-    /// under its original `(time, seq)` key and control returns to the
-    /// caller with `true` ("yielded"; `self.paused` is untouched). The
-    /// re-push is order-safe: the key is the one just popped, still the
-    /// smallest pending, so the next pop sees the exact event it would
-    /// have seen without the yield. This is what lets a live daemon pace
-    /// the same deterministic engine against a dilated wall clock
-    /// without perturbing the replay digest.
+    /// consulted with the event's time, and on [`TimeStep::Yield`]
+    /// control returns to the caller with `true` ("yielded";
+    /// `self.paused` is untouched) while the event stays queued, its
+    /// `MdsDone` token (if any) still at the front of the FIFO. So the
+    /// next call sees the exact event it would have seen without the
+    /// yield. This is what lets a live daemon pace the same
+    /// deterministic engine against a dilated wall clock without
+    /// perturbing the replay digest.
     pub(crate) fn run_paced(&mut self, pace: &mut dyn TimeSource) -> bool {
-        while let Some(Reverse((at, seq, ev))) = self.queue.pop() {
+        while let Some(at) = self.queue.next_at() {
             debug_assert!(at >= self.now, "time went backwards");
             if pace.wait_until(at) == TimeStep::Yield {
-                self.queue.push(Reverse((at, seq, ev)));
                 return true;
             }
+            let Some((_, _, ev)) = self.queue.pop() else {
+                break;
+            };
             self.now = at;
             self.obs.set_now(at);
             match ev {
-                Event::OsdDone(o) => {
+                Event::OsdDone { osd: o } => {
                     self.scope_component_osd(OsdId(o));
                     self.on_osd_done(OsdId(o));
                 }
-                Event::MdsDone(token) => {
+                Event::MdsDone { token } => {
                     let client = self.inflight.get(token).map(|i| i.client);
                     if let Some(client) = client {
                         self.scope_component_client(client);
                     }
                     self.finish_subop(token);
                 }
-                Event::Fail(o) => {
+                Event::Fail { osd: o } => {
                     self.scope_component_osd(OsdId(o));
                     self.on_failure(OsdId(o));
                 }
@@ -1786,7 +1964,11 @@ pub(crate) fn new_engine<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder +
     obs: &'a mut R,
     clients: ClientScripts,
 ) -> Engine<'a, P, R> {
-    let ClientScripts { scripts, tags } = clients;
+    let ClientScripts {
+        scripts,
+        files,
+        tags,
+    } = clients;
     let comp_tags = tags.filter(|_| obs.events_on());
     let osds = cluster.config.osds as usize;
     let tally = RunTallies::new(osds, cluster.config.response_window_us);
@@ -1797,12 +1979,12 @@ pub(crate) fn new_engine<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder +
         policy,
         options,
         obs,
-        queue: BinaryHeap::new(),
-        seq: 0,
+        queue: EventQueue::default(),
         now: 0,
         cursors: vec![0; scripts.len()],
         outstanding: vec![0; scripts.len()],
         scripts,
+        files,
         inflight: TokenMap::new(),
         next_token: 0,
         queues: (0..osds).map(|_| VecDeque::new()).collect(),
@@ -2266,6 +2448,57 @@ mod checkpoint_tests {
     }
 
     #[test]
+    fn checkpoint_with_mds_events_pending_keeps_the_digest() {
+        let trace = synthesize(&harvard::spec("deasna").scaled(0.001));
+        let mut cluster = Cluster::build(ClusterConfig::test_small(), &trace).unwrap();
+        // Ticks every 2 ms, so some tick finds opens and closes in flight.
+        cluster.config.wear_tick_us = 2_000;
+        let want = format!(
+            "{:?}",
+            run_trace(
+                cluster.clone(),
+                &trace,
+                &mut NoMigration,
+                SimOptions::default()
+            )
+        );
+        let dir = ckpt_dir("mds");
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut policy = NoMigration;
+        let mut obs = NoopRecorder;
+        let clients = ClientScripts::build(&cluster, &trace, ClientAffinity::User);
+        let options = SimOptions::default();
+        let mut engine = new_engine(cluster, &trace, &mut policy, options, &mut obs, clients);
+        engine.seed_events();
+        let mut cut = None;
+        loop {
+            engine.run_until_pause();
+            match engine.paused {
+                Pause::Tick => engine.handle_tick(),
+                Pause::Done => break,
+            }
+            if cut.is_none() && engine.queue.mds.len() >= 2 {
+                let path = engine.write_checkpoint(&dir).unwrap();
+                cut = Some((path, engine.queue.mds.clone(), engine.queue.pending()));
+            }
+        }
+        assert_eq!(
+            format!("{:?}", engine.finalize().0),
+            want,
+            "cutting perturbed the run"
+        );
+        let (path, mds, pending) = cut.expect("no tick saw two MDS events pending");
+        let snap = SnapshotFile::read_from(&path).unwrap();
+        let (mut policy, mut obs) = (NoMigration, NoopRecorder);
+        let options = SimOptions::default();
+        let resumed = resume_engine(&snap, &trace, &mut policy, options, &mut obs).unwrap();
+        assert_eq!(resumed.queue.mds, mds, "the FIFO restores in token order");
+        assert_eq!(resumed.queue.pending(), pending);
+        assert_eq!(format!("{:?}", resumed.drain().0), want);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn resume_rejects_wrong_policy() {
         let trace = synthesize(&harvard::spec("deasna").scaled(0.001));
         let dir = ckpt_dir("wrongpol");
@@ -2298,5 +2531,179 @@ mod checkpoint_tests {
         .unwrap_err();
         assert!(matches!(err, SnapError::Corrupt { .. }), "{err:?}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[cfg(test)]
+mod queue_tests {
+    use super::*;
+    use crate::config::ClusterConfig;
+    use crate::migrate::NoMigration;
+    use edm_workload::{harvard, synth::synthesize};
+    use proptest::prelude::*;
+
+    /// The reference order: whole `(at, seq, event)` tuples in a heap.
+    type TupleHeap = BinaryHeap<Reverse<(u64, u64, Event)>>;
+
+    proptest! {
+        /// Random push/pop interleavings of OSD completions (ids up to
+        /// the 22-bit limit), constant-latency MDS completions with
+        /// tokens past 40 bits, ticks and failures pop in the same order
+        /// from the packed queue as from the tuple heap — also across a
+        /// checkpoint-style `pending` / `restore` round trip.
+        #[test]
+        fn packed_queue_pops_like_the_tuple_heap(
+            steps in prop::collection::vec((0u8..6, 0u64..5_000), 1..400)
+        ) {
+            let mut queue = EventQueue::default();
+            let mut model = TupleHeap::new();
+            let (mut seq, mut now, mut token) = (0u64, 0u64, 0u64);
+            for (step, x) in steps {
+                let push = match step {
+                    0 => Some((now + x, Event::OsdDone { osd: (x as u32 * 40_503) % MAX_OSDS })),
+                    1 => {
+                        token += 1 + x * 0x1_0000_0001;
+                        Some((now + MDS_LATENCY_US, Event::MdsDone { token }))
+                    }
+                    2 => Some((now + x * 1_000, Event::Tick)),
+                    3 => Some((now + x, Event::Fail { osd: MAX_OSDS - 1 - x as u32 })),
+                    _ => None,
+                };
+                if let Some((at, ev)) = push {
+                    queue.push(at, ev);
+                    seq += 1;
+                    model.push(Reverse((at, seq, ev)));
+                } else if step == 4 {
+                    let (got, want) = (queue.pop(), model.pop().map(|e| e.0));
+                    prop_assert_eq!(got, want);
+                    if let Some((at, ..)) = got {
+                        now = at;
+                    }
+                } else {
+                    let mut restored = EventQueue::default();
+                    restored
+                        .restore(queue.pending(), queue.seq, MAX_OSDS)
+                        .map_err(TestCaseError::fail)?;
+                    queue = restored;
+                }
+                prop_assert_eq!(queue.next_at(), model.peek().map(|e| e.0 .0));
+            }
+            let mut want: Vec<(u64, u64, Event)> = model.iter().map(|e| e.0).collect();
+            want.sort_unstable();
+            prop_assert_eq!(queue.pending(), want.clone());
+            let drained: Vec<_> = std::iter::from_fn(|| queue.pop()).collect();
+            prop_assert_eq!(drained, want);
+        }
+    }
+
+    #[test]
+    fn restore_refuses_lists_no_queue_could_have_written() {
+        let ok = vec![
+            (5, 1, Event::MdsDone { token: 9 }),
+            (5, 2, Event::OsdDone { osd: 3 }),
+        ];
+        EventQueue::default().restore(ok.clone(), 2, 8).unwrap();
+        for (pending, seq) in [
+            (vec![ok[1], ok[0]], 2),
+            (ok.clone(), 1),
+            (ok.clone(), 1 << 40),
+            (vec![(5, 1, Event::Fail { osd: 8 })], 1),
+        ] {
+            let err = EventQueue::default().restore(pending, seq, 8).unwrap_err();
+            assert!(err.contains("no queue of 8 OSDs"), "{err}");
+        }
+    }
+
+    fn world() -> (Trace, Cluster) {
+        let trace = synthesize(&harvard::spec("deasna").scaled(0.001));
+        let cluster = Cluster::build(ClusterConfig::test_small(), &trace).unwrap();
+        (trace, cluster)
+    }
+
+    fn unpaced(trace: &Trace, cluster: Cluster) -> String {
+        format!(
+            "{:?}",
+            run_trace(cluster, trace, &mut NoMigration, SimOptions::default())
+        )
+    }
+
+    /// Yields on every other consultation.
+    struct Choppy(u64);
+
+    impl TimeSource for Choppy {
+        fn wait_until(&mut self, _at: u64) -> TimeStep {
+            self.0 += 1;
+            if self.0.is_multiple_of(2) {
+                TimeStep::Yield
+            } else {
+                TimeStep::Proceed
+            }
+        }
+    }
+
+    #[test]
+    fn yielding_on_an_mds_head_keeps_the_digest() {
+        let (trace, cluster) = world();
+        let want = unpaced(&trace, cluster.clone());
+        let mut policy = NoMigration;
+        let mut obs = NoopRecorder;
+        let clients = ClientScripts::build(&cluster, &trace, ClientAffinity::User);
+        let options = SimOptions::default();
+        let mut engine = new_engine(cluster, &trace, &mut policy, options, &mut obs, clients);
+        engine.seed_events();
+        let mut pace = Choppy(0);
+        let mut mds_yields = 0;
+        loop {
+            if engine.run_paced(&mut pace) {
+                let head = engine.queue.heap.peek().map(|k| EventQueue::kind(k.0));
+                mds_yields += (head == Some(1)) as u64;
+                continue;
+            }
+            match engine.paused {
+                Pause::Tick => engine.handle_tick(),
+                Pause::Done => break,
+            }
+        }
+        assert!(mds_yields > 0, "no yield found an MdsDone at the head");
+        assert_eq!(format!("{:?}", engine.finalize().0), want);
+    }
+
+    /// Imported traces name files by 64-bit inode; the per-run slot table
+    /// keeps those working.
+    #[test]
+    fn file_ids_above_u32_replay_to_completion() {
+        let base = u32::MAX as u64 + 1;
+        let mut trace = Trace::new("wide-ids");
+        for f in 0..16 {
+            trace.file_sizes.insert(FileId(base + f * 977), 1 << 20);
+        }
+        for i in 0u64..400 {
+            let file = FileId(base + (i % 16) * 977);
+            let op = match i % 4 {
+                0 => FileOp::Open,
+                1 => FileOp::Read {
+                    offset: (i % 8) * 4096,
+                    len: 8192,
+                },
+                2 => FileOp::Write {
+                    offset: (i % 5) * 4096,
+                    len: 4096,
+                },
+                _ => FileOp::Close,
+            };
+            trace.records.push(TraceRecord {
+                time_us: i * 50,
+                user: (i % 7) as u32,
+                file,
+                op,
+            });
+        }
+        trace.validate().unwrap();
+        let cluster = Cluster::build(ClusterConfig::test_small(), &trace).unwrap();
+        let clients = ClientScripts::build(&cluster, &trace, ClientAffinity::User);
+        assert_eq!(clients.files.len(), 16);
+        let report = run_trace(cluster, &trace, &mut NoMigration, SimOptions::default());
+        assert_eq!(report.completed_ops, 400);
+        assert!(report.aggregate_write_pages() > 0);
     }
 }

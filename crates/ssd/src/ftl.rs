@@ -22,16 +22,77 @@ use crate::victim::{VictimBuckets, WearIndex};
 use crate::wear::WearStats;
 use crate::wear_leveling::{FreePool, SpreadTracker};
 
-/// A physical page address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PhysPage {
-    pub block: u32,
-    pub page: u32,
-}
+/// One of the FTL's two page maps: a 4-byte page number per entry, or
+/// [`PageMap::UNMAPPED`]. `l2p` holds linear physical page numbers
+/// (`block · pages_per_block + page`), `p2l` logical ones;
+/// [`Geometry::validate`] keeps both below the sentinel.
+#[derive(Clone)]
+struct PageMap(Vec<u32>);
 
-impl PhysPage {
-    fn linear(self, pages_per_block: u32) -> usize {
-        self.block as usize * pages_per_block as usize + self.page as usize
+impl PageMap {
+    const UNMAPPED: u32 = u32::MAX;
+
+    fn new(len: u64) -> Self {
+        PageMap(vec![Self::UNMAPPED; len as usize])
+    }
+
+    fn get(&self, i: u64) -> Option<u32> {
+        Some(self.0[i as usize]).filter(|&v| v != Self::UNMAPPED)
+    }
+
+    fn set(&mut self, i: u64, v: u32) {
+        debug_assert_ne!(v, Self::UNMAPPED);
+        self.0[i as usize] = v;
+    }
+
+    /// Unmaps entry `i`, returning what it held.
+    fn take(&mut self, i: u64) -> Option<u32> {
+        Some(std::mem::replace(&mut self.0[i as usize], Self::UNMAPPED))
+            .filter(|&v| v != Self::UNMAPPED)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = Option<u32>> + '_ {
+        (0..self.0.len() as u64).map(|i| self.get(i))
+    }
+
+    /// Writes the map exactly as a `Vec<Option<_>>` of its entries
+    /// encodes: the length, then a tag byte per entry and each mapped
+    /// value through `put`.
+    fn save(&self, w: &mut SnapWriter, put: impl Fn(&mut SnapWriter, u32)) {
+        w.put_u64(self.0.len() as u64);
+        for v in self.iter() {
+            w.put_bool(v.is_some());
+            if let Some(v) = v {
+                put(w, v);
+            }
+        }
+    }
+
+    /// A map of exactly `len` entries, each below `bound`, from its loaded
+    /// `Option` entries. Anything else is corrupt, so nothing later
+    /// indexes with it.
+    fn from_entries(
+        r: &mut SnapReader,
+        name: &str,
+        entries: impl ExactSizeIterator<Item = Option<u64>>,
+        (len, bound): (u64, u64),
+    ) -> Self {
+        if entries.len() as u64 != len {
+            r.corrupt(format!(
+                "{name} has {} entries, geometry says {len}",
+                entries.len()
+            ));
+            return PageMap(Vec::new());
+        }
+        let mut map = PageMap::new(len);
+        for (i, v) in entries.enumerate().filter_map(|(i, v)| Some((i, v?))) {
+            if v >= bound {
+                r.corrupt(format!("{name} entry {i} is {v}, beyond {bound}"));
+                break;
+            }
+            map.set(i as u64, v as u32);
+        }
+        map
     }
 }
 
@@ -122,10 +183,11 @@ pub struct PageLevelFtl {
     geometry: Geometry,
     config: FtlConfig,
     blocks: Vec<Block>,
-    /// Logical → physical map; `None` = unmapped (never written or trimmed).
-    l2p: Vec<Option<PhysPage>>,
+    /// Logical → linear physical page; unmapped = never written or
+    /// trimmed.
+    l2p: PageMap,
     /// Physical → logical back-map for GC relocation.
-    p2l: Vec<Option<u64>>,
+    p2l: PageMap,
     /// Fully erased blocks ready to become write targets, least-worn
     /// first (dynamic leveling).
     free_blocks: FreePool,
@@ -170,8 +232,8 @@ impl PageLevelFtl {
             .map(|_| Block::new(geometry.pages_per_block))
             .collect();
         PageLevelFtl {
-            l2p: vec![None; geometry.exported_pages() as usize],
-            p2l: vec![None; geometry.physical_pages() as usize],
+            l2p: PageMap::new(geometry.exported_pages()),
+            p2l: PageMap::new(geometry.physical_pages()),
             free_blocks: FreePool::new(0..geometry.blocks),
             active: None,
             gc_active: None,
@@ -214,7 +276,7 @@ impl PageLevelFtl {
 
     /// True if the logical page is currently mapped.
     pub fn is_mapped(&self, lpn: u64) -> bool {
-        (lpn as usize) < self.l2p.len() && self.l2p[lpn as usize].is_some()
+        lpn < self.geometry.exported_pages() && self.l2p.get(lpn).is_some()
     }
 
     /// Host read of `n` consecutive logical pages starting at `start`.
@@ -305,7 +367,7 @@ impl PageLevelFtl {
             // The per-page path reports DeviceFull *before* it would
             // trigger GC for that page; probe the run's first page the
             // same way so an error leaves identical wear behind.
-            if self.l2p[lpn as usize].is_none() && self.mapped_pages >= exported {
+            if self.l2p.get(lpn).is_none() && self.mapped_pages >= exported {
                 result = Err(FtlError::DeviceFull);
                 break;
             }
@@ -323,7 +385,7 @@ impl PageLevelFtl {
             let active = self.active.expect("ensure_host_active provides a block");
             let run = (end - lpn).min(self.blocks[active as usize].free_pages() as u64);
             for _ in 0..run {
-                if let Some(old) = self.l2p[lpn as usize].take() {
+                if let Some(old) = self.l2p.take(lpn) {
                     self.invalidate_phys(old);
                 } else {
                     if self.mapped_pages >= exported {
@@ -332,11 +394,8 @@ impl PageLevelFtl {
                     }
                     self.mapped_pages += 1;
                 }
-                let page = self.program_into(active, lpn);
-                self.l2p[lpn as usize] = Some(PhysPage {
-                    block: active,
-                    page,
-                });
+                let phys = self.program_into(active, lpn);
+                self.l2p.set(lpn, phys);
                 written += 1;
                 lpn += 1;
             }
@@ -368,7 +427,7 @@ impl PageLevelFtl {
         let in_range = n.min(exported - start);
         let mut unmapped = 0u64;
         for lpn in start..start + in_range {
-            if let Some(phys) = self.l2p[lpn as usize].take() {
+            if let Some(phys) = self.l2p.take(lpn) {
                 self.invalidate_phys(phys);
                 unmapped += 1;
             }
@@ -383,26 +442,33 @@ impl PageLevelFtl {
         Ok(())
     }
 
-    /// Programs one page of `block` recording the owning logical page, and
-    /// returns the in-block page index.
-    fn program_into(&mut self, block: u32, lpn: u64) -> u32 {
-        let page = self.blocks[block as usize].program();
-        let phys = PhysPage { block, page };
-        self.p2l[phys.linear(self.geometry.pages_per_block)] = Some(lpn);
-        page
+    /// Linear physical page number of `page` in `block`.
+    fn linear(&self, block: u32, page: u32) -> u32 {
+        block * self.geometry.pages_per_block + page
     }
 
-    fn invalidate_phys(&mut self, phys: PhysPage) {
-        let block = &mut self.blocks[phys.block as usize];
+    /// Programs one page of `block` recording the owning logical page, and
+    /// returns its linear physical page number.
+    fn program_into(&mut self, block: u32, lpn: u64) -> u32 {
+        let page = self.blocks[block as usize].program();
+        let phys = self.linear(block, page);
+        self.p2l.set(phys as u64, lpn as u32);
+        phys
+    }
+
+    fn invalidate_phys(&mut self, phys: u32) {
+        let ppb = self.geometry.pages_per_block;
+        let (b, page) = (phys / ppb, phys % ppb);
+        let block = &mut self.blocks[b as usize];
         // Keep the victim-candidate bucketing in sync with the new count;
         // a no-op for non-candidates (active blocks, GC victims in flight).
-        if self.candidates.decrement(phys.block) {
+        if self.candidates.decrement(b) {
             let (wear, valid) = (block.erase_count(), block.valid_pages());
             *self.wear_index.count_mut(wear, valid) -= 1;
             *self.wear_index.count_mut(wear, valid - 1) += 1;
         }
-        block.invalidate(phys.page);
-        self.p2l[phys.linear(self.geometry.pages_per_block)] = None;
+        block.invalidate(page);
+        self.p2l.take(phys as u64);
     }
 
     /// Moves a just-filled block into the victim-candidate set.
@@ -644,30 +710,19 @@ impl PageLevelFtl {
         let mut cursor = 0u32;
         while let Some(page) = self.blocks[victim as usize].next_valid_page(cursor) {
             cursor = page + 1;
+            let old = self.linear(victim, page) as u64;
             #[expect(
                 clippy::expect_used,
                 reason = "FTL invariant: reverse map covers every valid page"
             )]
-            let lpn = self.p2l[PhysPage {
-                block: victim,
-                page,
-            }
-            .linear(self.geometry.pages_per_block)]
-            .expect("valid page must have an owner");
+            let lpn = self.p2l.get(old).expect("valid page must have an owner") as u64;
             let dest = self.ensure_gc_active()?;
-            let dest_page = self.program_into(dest, lpn);
+            let phys = self.program_into(dest, lpn);
             // Invalidate the old copy directly: the victim is out of the
             // candidate set so no ordering bookkeeping is needed.
             self.blocks[victim as usize].invalidate(page);
-            self.p2l[PhysPage {
-                block: victim,
-                page,
-            }
-            .linear(self.geometry.pages_per_block)] = None;
-            self.l2p[lpn as usize] = Some(PhysPage {
-                block: dest,
-                page: dest_page,
-            });
+            self.p2l.take(old);
+            self.l2p.set(lpn, phys);
             if self.blocks[dest as usize].is_full() {
                 self.retire(dest);
                 self.gc_active = None;
@@ -739,7 +794,7 @@ impl PageLevelFtl {
     /// sites: mapping tables, valid counters, and the candidate set must
     /// all agree.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let mapped = self.l2p.iter().filter(|m| m.is_some()).count() as u64;
+        let mapped = self.l2p.iter().flatten().count() as u64;
         if mapped != self.mapped_pages {
             return Err(format!(
                 "mapped_pages counter {} != l2p population {}",
@@ -752,13 +807,15 @@ impl PageLevelFtl {
                 "block valid totals {valid_total} != mapped pages {mapped}"
             ));
         }
+        let ppb = self.geometry.pages_per_block;
         for (lpn, phys) in self.l2p.iter().enumerate() {
             if let Some(p) = phys {
-                let back = self.p2l[p.linear(self.geometry.pages_per_block)];
-                if back != Some(lpn as u64) {
+                let back = self.p2l.get(p as u64);
+                if back != Some(lpn as u32) {
                     return Err(format!("l2p/p2l disagree for lpn {lpn}: {back:?}"));
                 }
-                if self.blocks[p.block as usize].state(p.page) != crate::block::PageState::Valid {
+                if self.blocks[(p / ppb) as usize].state(p % ppb) != crate::block::PageState::Valid
+                {
                     return Err(format!("lpn {lpn} maps to a non-valid physical page"));
                 }
             }
@@ -831,8 +888,6 @@ thread_local! {
     static PICK_BLOCK_READS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-snapshot_struct!(PhysPage { block, page });
-
 snapshot_struct!(VictimPolicy { 0 = Greedy, 1 = Fifo, 2 = CostBenefit });
 
 snapshot_struct!(FtlConfig {
@@ -870,8 +925,14 @@ impl Snapshot for PageLevelFtl {
         geometry.save(w);
         config.save(w);
         blocks.save(w);
-        l2p.save(w);
-        p2l.save(w);
+        // Checkpoint format: `l2p` entries are `Option<(block u32, page
+        // u32)>`, `p2l` entries `Option<u64>`.
+        let ppb = geometry.pages_per_block;
+        l2p.save(w, |w, p| {
+            w.put_u32(p / ppb);
+            w.put_u32(p % ppb);
+        });
+        p2l.save(w, |w, lpn| w.put_u64(lpn as u64));
         free_blocks.save(w);
         active.save(w);
         gc_active.save(w);
@@ -884,12 +945,37 @@ impl Snapshot for PageLevelFtl {
         stats.save(w);
     }
     fn load(r: &mut SnapReader) -> Self {
+        let geometry = Geometry::load(r);
+        let config = FtlConfig::load(r);
+        let blocks: Vec<Block> = Vec::load(r);
+        let l2p: Vec<Option<(u32, u32)>> = Vec::load(r);
+        let p2l: Vec<Option<u64>> = Vec::load(r);
+        // A geometry that failed its check is not asked for page counts.
+        let (exported, physical) = match r.failed() {
+            true => (0, 0),
+            false => (geometry.exported_pages(), geometry.physical_pages()),
+        };
+        if !r.failed() && blocks.len() as u64 * geometry.pages_per_block as u64 != physical {
+            r.corrupt("block count disagrees with the geometry");
+        }
+        // An out-of-range page must not alias a valid linear number.
+        let ppb = geometry.pages_per_block as u64;
+        let linear = |(b, p): (u32, u32)| {
+            if p < geometry.pages_per_block {
+                b as u64 * ppb + p as u64
+            } else {
+                physical
+            }
+        };
+        let l2p = l2p.into_iter().map(|e| e.map(linear));
+        let l2p = PageMap::from_entries(r, "l2p", l2p, (exported, physical));
+        let p2l = PageMap::from_entries(r, "p2l", p2l.into_iter(), (physical, exported));
         let mut ftl = PageLevelFtl {
-            geometry: Geometry::load(r),
-            config: FtlConfig::load(r),
-            blocks: Vec::load(r),
-            l2p: Vec::load(r),
-            p2l: Vec::load(r),
+            geometry,
+            config,
+            blocks,
+            l2p,
+            p2l,
             free_blocks: FreePool::load(r),
             active: Option::load(r),
             gc_active: Option::load(r),

@@ -87,6 +87,10 @@ impl Geometry {
         if self.over_provision_ppt >= 1000 {
             return Err("over_provision_ppt must be < 1000".into());
         }
+        // The FTL maps hold 4-byte page numbers with `u32::MAX` unmapped.
+        if self.physical_pages() > u32::MAX as u64 {
+            return Err("physical pages overflow the FTL's 4-byte page numbers".into());
+        }
         if self.exported_pages() == 0 {
             return Err("device exports no logical pages".into());
         }
@@ -159,6 +163,22 @@ mod tests {
             ..Geometry::default()
         };
         assert!(g.validate().is_err());
+    }
+
+    #[test]
+    fn page_counts_must_fit_four_bytes() {
+        let fits = Geometry {
+            blocks: u32::MAX / 32,
+            ..Geometry::default()
+        };
+        fits.validate().unwrap();
+        let err = Geometry {
+            blocks: u32::MAX / 32 + 1,
+            ..fits
+        }
+        .validate()
+        .unwrap_err();
+        assert!(err.contains("4-byte page numbers"), "{err}");
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub mod wear;
 pub mod wear_leveling;
 
 pub use block::{Block, PageState};
-pub use ftl::{FtlConfig, FtlError, PageLevelFtl, PhysPage, VictimPolicy};
+pub use ftl::{FtlConfig, FtlError, PageLevelFtl, VictimPolicy};
 pub use geometry::Geometry;
 pub use latency::{DeviceTime, LatencyModel};
 pub use ssd::{Ssd, SsdSnapshot};

@@ -118,3 +118,85 @@ fn truncated_ssd_snapshot_fails_cleanly() {
         );
     }
 }
+
+/// Offset of the `l2p` map in an SSD's snapshot bytes: the one place
+/// where a length prefix of `exported` is followed by that many
+/// `Option<(u32, u32)>` entries and then the `p2l` length `physical`.
+fn l2p_offset(bytes: &[u8], exported: u64, physical: u64) -> usize {
+    let walk = |mut pos: usize| -> Option<usize> {
+        for _ in 0..exported {
+            pos += match *bytes.get(pos)? {
+                0 => 1,
+                1 => 9,
+                _ => return None,
+            };
+        }
+        Some(pos)
+    };
+    let hits: Vec<usize> = (0..bytes.len().saturating_sub(8))
+        .filter(|&at| bytes[at..at + 8] == exported.to_le_bytes())
+        .filter(|&at| {
+            walk(at + 8).is_some_and(|end| bytes.get(end..end + 8) == Some(&physical.to_le_bytes()))
+        })
+        .collect();
+    assert_eq!(hits.len(), 1, "l2p map not located uniquely: {hits:?}");
+    hits[0]
+}
+
+/// A crafted map entry — one the section CRC would not catch — is a
+/// typed `Corrupt`, never an index out of bounds in `check_invariants`.
+#[test]
+fn crafted_map_entries_are_corrupt_not_a_panic() {
+    let ssd = churned_ssd(
+        VictimPolicy::Greedy,
+        FtlConfig::default().static_threshold,
+        500,
+    );
+    let g = ssd.geometry();
+    let bytes = snapshot_bytes(&ssd);
+    let l2p = l2p_offset(&bytes, g.exported_pages(), g.physical_pages());
+    // The first mapped l2p entry, and where p2l's entries start.
+    let mut first_mapped = None;
+    let mut pos = l2p + 8;
+    for _ in 0..g.exported_pages() {
+        if bytes[pos] == 1 {
+            first_mapped.get_or_insert(pos);
+            pos += 9;
+        } else {
+            pos += 1;
+        }
+    }
+    let first_mapped = first_mapped.expect("the churned device maps some page");
+    let p2l_first_mapped = {
+        let mut p = pos + 8;
+        while bytes[p] == 0 {
+            p += 1;
+        }
+        p
+    };
+
+    let mut block_ffff = bytes.clone();
+    block_ffff[first_mapped + 1..first_mapped + 5].copy_from_slice(&0xFFFFu32.to_le_bytes());
+    let mut page_past_block = bytes.clone();
+    page_past_block[first_mapped + 5..first_mapped + 9]
+        .copy_from_slice(&g.pages_per_block.to_le_bytes());
+    let mut lpn_past_export = bytes.clone();
+    lpn_past_export[p2l_first_mapped + 1..p2l_first_mapped + 9]
+        .copy_from_slice(&g.exported_pages().to_le_bytes());
+    // The FTL's geometry leads the bytes; its last field is the
+    // over-provisioning. More of it exports fewer pages than l2p holds.
+    let mut fewer_exported = bytes.clone();
+    fewer_exported[16..20].copy_from_slice(&(g.over_provision_ppt + 100).to_le_bytes());
+
+    for (case, crafted, needle) in [
+        ("l2p block 0xFFFF", block_ffff, "l2p entry"),
+        ("l2p page past its block", page_past_block, "l2p entry"),
+        ("p2l lpn past the export", lpn_past_export, "p2l entry"),
+        ("geometry exports fewer pages", fewer_exported, "l2p has"),
+    ] {
+        let mut r = SnapReader::new(&crafted);
+        let _ = Ssd::load(&mut r);
+        let err = r.finish("ssd").expect_err(case).to_string();
+        assert!(err.contains(needle), "{case}: {err}");
+    }
+}

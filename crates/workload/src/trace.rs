@@ -83,7 +83,8 @@ impl Trace {
     }
 
     /// Checks structural well-formedness: records sorted by time, every
-    /// referenced file has a size, every access fits inside its file.
+    /// referenced file has a size, every access fits inside its file and
+    /// moves at most `u32::MAX` bytes.
     pub fn validate(&self) -> Result<(), String> {
         for (a, b) in self.records.iter().zip(self.records.iter().skip(1)) {
             if a.time_us > b.time_us {
@@ -100,6 +101,10 @@ impl Trace {
             if let FileOp::Read { offset, len } | FileOp::Write { offset, len } = r.op {
                 if len == 0 {
                     return Err(format!("record {i} has zero length"));
+                }
+                // The replayer carries an op's length in 4 bytes.
+                if len > u32::MAX as u64 {
+                    return Err(format!("record {i} has length {len}, beyond u32"));
                 }
                 if offset.checked_add(len).is_none_or(|end| end > size) {
                     return Err(format!(
@@ -351,6 +356,24 @@ mod tests {
             len: 2,
         };
         assert!(t.validate().unwrap_err().contains("beyond file size"));
+    }
+
+    #[test]
+    fn validate_rejects_an_op_longer_than_u32() {
+        let mut t = sample();
+        let file = t.records[1].file;
+        t.file_sizes.insert(file, 1 << 33);
+        t.records[1].op = FileOp::Read {
+            offset: 0,
+            len: u32::MAX as u64,
+        };
+        t.validate().unwrap();
+        t.records[1].op = FileOp::Read {
+            offset: 0,
+            len: 1 << 32,
+        };
+        let err = t.validate().unwrap_err();
+        assert!(err.contains("length 4294967296"), "{err}");
     }
 
     #[test]

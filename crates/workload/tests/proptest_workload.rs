@@ -80,15 +80,11 @@ proptest! {
     #[test]
     fn assignment_partitions(spec in spec_strategy(), clients in 1u32..12) {
         let t = synthesize(&spec);
-        let scripts = assign_clients(&t, clients);
-        let total: usize = scripts.iter().map(|s| s.record_indices.len()).sum();
-        prop_assert_eq!(total, t.records.len());
-        let mut seen = vec![false; t.records.len()];
-        for s in &scripts {
-            for &i in &s.record_indices {
-                prop_assert!(!seen[i]);
-                seen[i] = true;
-            }
+        let assigned: Vec<(u32, _)> = assign_clients(&t, clients).collect();
+        prop_assert_eq!(assigned.len(), t.records.len());
+        for ((c, r), want) in assigned.iter().zip(&t.records) {
+            prop_assert!(*c < clients);
+            prop_assert!(std::ptr::eq(*r, want), "records come back in trace order");
         }
     }
 
