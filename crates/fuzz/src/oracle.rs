@@ -130,7 +130,7 @@ fn check_scenario_impl(s: &Scenario, work_dir: &Path) -> Result<OracleStats, Ora
 
     check_policy_invariants(s, &rec, &obs_report, &cluster)?;
 
-    stats.kind_counts = check_spec_conformance(&rec)?;
+    stats.kind_counts = check_spec_conformance(&rec, "journal")?.kind_counts;
 
     check_resume_and_roundtrip(s, work_dir, base_digest, &mut stats)?;
 
@@ -143,26 +143,27 @@ fn check_scenario_impl(s: &Scenario, work_dir: &Path) -> Result<OracleStats, Ora
     Ok(stats)
 }
 
-/// Oracle `spec_conformance`: the event journal of the obs run must be
-/// accepted by the `edm-spec` abstract state machine — every event a
-/// legal EDM transition (placement, remap bijection, migration
-/// lifecycle, trigger semantics, plan consistency, GC/wear accounting).
-/// Returns the journal's per-kind event counts.
+/// Oracle `spec_conformance`: an event journal must be accepted by the
+/// `edm-spec` abstract state machine — every event a legal EDM
+/// transition (placement, remap bijection, migration lifecycle, trigger
+/// semantics, plan consistency, GC/wear accounting). The journal is
+/// checked in memory, citing the lines its file would have.
 fn check_spec_conformance(
     rec: &MemoryRecorder,
-) -> Result<BTreeMap<&'static str, u64>, OracleFailure> {
-    let text = journal_text(rec, "spec_conformance")?;
-    let report = edm_spec::verify_journal(&text);
-    if let Some(v) = report.violation {
-        return Err(fail(
+    journal: &str,
+) -> Result<edm_spec::SpecReport, OracleFailure> {
+    let report = edm_spec::verify_entries(rec);
+    match &report.violation {
+        None => Ok(report),
+        Some(v) => Err(fail(
             "spec_conformance",
-            format!("journal line {}: {}", v.line, v.message),
-        ));
+            format!("{journal} line {}: {}", v.line, v.message),
+        )),
     }
-    Ok(report.kind_counts)
 }
 
-fn journal_text(rec: &MemoryRecorder, oracle: &'static str) -> Result<String, OracleFailure> {
+fn journal_text(rec: &MemoryRecorder) -> Result<String, OracleFailure> {
+    let oracle = "journal_identity";
     let mut out = Vec::new();
     rec.write_jsonl(&mut out)
         .map_err(|e| fail(oracle, format!("journal render failed: {e}")))?;
@@ -206,8 +207,8 @@ fn check_shard_digest(s: &Scenario) -> Result<usize, OracleFailure> {
             ),
         ));
     }
-    let ja = journal_text(&rec_a, "journal_identity")?;
-    let jb = journal_text(&rec_b, "journal_identity")?;
+    let ja = journal_text(&rec_a)?;
+    let jb = journal_text(&rec_b)?;
     if ja != jb {
         let line = ja
             .lines()
@@ -222,14 +223,7 @@ fn check_shard_digest(s: &Scenario) -> Result<usize, OracleFailure> {
             ),
         ));
     }
-    let report = edm_spec::verify_journal(&ja);
-    if let Some(v) = report.violation {
-        return Err(fail(
-            "spec_conformance",
-            format!("component-affinity journal line {}: {}", v.line, v.message),
-        ));
-    }
-    Ok(report.components)
+    Ok(check_spec_conformance(&rec_a, "component-affinity journal")?.components)
 }
 
 /// Oracle `ingest_equiv`: the ingest daemon and the batch engine service

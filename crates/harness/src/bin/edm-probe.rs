@@ -12,8 +12,8 @@
 //! `edm-sim --obs <file> --obs-level events`: the per-OSD erase
 //! timeline, the migration-decision trace (trigger evaluations, chosen
 //! plans, predicted effects), per-component sections for sharded runs,
-//! and the latency histograms. Exits nonzero if any line fails to
-//! parse.
+//! and the latency histograms. Lines are decoded by edm-obs's journal
+//! reader; exits nonzero, citing `path:line`, on any line it rejects.
 //!
 //! The `--verify` mode replays the journal through the `edm-spec`
 //! abstract state machine: every event must be a legal EDM transition
@@ -28,13 +28,12 @@
 //! simulator, so it is safe to point at checkpoints from newer or older
 //! simulator builds. Exits nonzero on a corrupt or truncated file.
 
-use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 use edm_cluster::SnapManifest;
 use edm_harness::runner::{run_one, Run};
 use edm_harness::SnapMeta;
-use edm_obs::json::{Raw, Record};
+use edm_obs::{read_jsonl, Event, JournalEntry, JournalLine};
 use edm_snap::{SnapshotFile, FORMAT_VERSION};
 
 fn main() {
@@ -117,11 +116,15 @@ fn snapshot_mode(path: &str) {
     }
 }
 
-fn verify_mode(path: &str) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+fn read_journal(path: &str) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("cannot read {path}: {e}");
         std::process::exit(1);
-    });
+    })
+}
+
+fn verify_mode(path: &str) {
+    let text = read_journal(path);
     let report = edm_spec::verify_journal(&text);
     println!(
         "{path}: {} events checked, {} trailers, {} component tags",
@@ -146,106 +149,122 @@ fn verify_mode(path: &str) {
     }
 }
 
-fn get_u64(r: &Record<'_>, key: &str) -> u64 {
-    r.get(key).and_then(Raw::as_u64).unwrap_or(0)
-}
-
-fn get_f64(r: &Record<'_>, key: &str) -> f64 {
-    r.get(key).and_then(Raw::as_f64).unwrap_or(f64::NAN)
-}
-
-fn get_str<'a>(r: &Record<'a>, key: &str) -> Cow<'a, str> {
-    r.get(key)
-        .and_then(Raw::as_str)
-        .unwrap_or(Cow::Borrowed("?"))
-}
-
 /// One component tag's share of a sharded journal.
 #[derive(Default)]
 struct Comp {
     events: u64,
     erase_times: Vec<u64>,
-    osds: BTreeSet<u64>,
+    osds: BTreeSet<u32>,
 }
 
-/// Everything `--journal` prints, gathered in one pass over the records
-/// so no record outlives its line.
+/// Everything `--journal` prints, gathered in one pass over the lines.
+/// Every map is keyed by what the lines name, so memory is bounded by
+/// the lines read, not by the ids written in them.
 #[derive(Default)]
 struct Summary {
     records: usize,
     trailers: usize,
     max_t: u64,
-    /// `(t_us, osd)` of every `block_erase`.
-    erases: Vec<(u64, u64)>,
-    comps: BTreeMap<u64, Comp>,
+    /// `t_us` of every `block_erase`, per OSD.
+    erases: BTreeMap<u32, Vec<u64>>,
+    comps: BTreeMap<u32, Comp>,
     triggers: Vec<String>,
     plans: Vec<String>,
     counters: Vec<String>,
     hists: Vec<String>,
 }
 
+/// The OSD a journal event is about: its device scope, else the OSD the
+/// event itself names.
+fn osd_of(entry: &JournalEntry) -> Option<u32> {
+    entry.device.or(match entry.event {
+        Event::OpEnqueue { osd, .. }
+        | Event::OpDequeue { osd, .. }
+        | Event::QueueDepth { osd, .. }
+        | Event::WearModelInput { osd, .. }
+        | Event::DeviceFailed { osd } => Some(osd),
+        _ => None,
+    })
+}
+
+/// Columns of an erase timeline.
+const COLS: usize = 12;
+
+/// One timeline row: how many of `times` fall in each `width`-wide bucket.
+fn cells(times: &[u64], width: u64) -> String {
+    let mut row = [0u64; COLS];
+    for &t in times {
+        row[(t / width) as usize] += 1;
+    }
+    let cells: Vec<String> = row.iter().map(|n| format!("{n:>5}")).collect();
+    cells.join(" ")
+}
+
 impl Summary {
-    fn add(&mut self, r: &Record<'_>) {
-        let kind = get_str(r, "kind");
-        let t_us = get_u64(r, "t_us");
+    fn add(&mut self, line: JournalLine<'_>) {
         self.records += 1;
+        let entry = match line {
+            JournalLine::Event(entry) => entry,
+            trailer => {
+                self.trailers += 1;
+                match trailer {
+                    JournalLine::Counter(name, value) => {
+                        self.counters.push(format!("{name:<28} {value}"));
+                    }
+                    JournalLine::Hist(name, [count, p50, p95, p99, max]) => self.hists.push(
+                        format!("{name:<20} n={count:<9} p50={p50} p95={p95} p99={p99} max={max}"),
+                    ),
+                    _ => {}
+                }
+                return;
+            }
+        };
+        let t_us = entry.t_us;
         self.max_t = self.max_t.max(t_us);
-        if matches!(&*kind, "counter" | "gauge" | "hist") {
-            self.trailers += 1;
+        let erase = matches!(entry.event, Event::BlockErase { .. });
+        if let (true, Some(osd)) = (erase, entry.device) {
+            self.erases.entry(osd).or_default().push(t_us);
         }
-        if kind == "block_erase" {
-            self.erases.push((t_us, get_u64(r, "osd")));
-        }
-        if r.get("comp").is_some() {
-            let comp = self.comps.entry(get_u64(r, "comp")).or_default();
+        if let Some(c) = entry.component {
+            let comp = self.comps.entry(c).or_default();
             comp.events += 1;
-            if kind == "block_erase" {
+            if erase {
                 comp.erase_times.push(t_us);
             }
-            if let Some(o) = r.get("osd").and_then(Raw::as_u64) {
-                comp.osds.insert(o);
-            }
+            comp.osds.extend(osd_of(&entry));
         }
-        let len = |key: &str| r.get(key).and_then(Raw::items).map_or(0, |v| v.len());
-        match &*kind {
-            "trigger_eval" => self.triggers.push(format!(
-                "{:>10.3}  {:<8} {:<16} {:>8.4} {:>8.4}  {:<5}  {:>3} {:>3}",
+        match entry.event {
+            Event::TriggerEval {
+                policy,
+                metric,
+                rsd,
+                lambda,
+                triggered,
+                sources,
+                destinations,
+                ..
+            } => self.triggers.push(format!(
+                "{:>10.3}  {policy:<8} {metric:<16} {rsd:>8.4} {lambda:>8.4}  {triggered:<5}  {:>3} {:>3}",
                 t_us as f64 / 1e6,
-                get_str(r, "policy"),
-                get_str(r, "metric"),
-                get_f64(r, "rsd"),
-                get_f64(r, "lambda"),
-                r.get("triggered").and_then(Raw::as_bool) == Some(true),
-                len("sources"),
-                len("destinations"),
+                sources.len(),
+                destinations.len(),
             )),
-            "plan_chosen" => self.plans.push(format!(
-                "plan at {:.3}s: {} moves {} objects / {} bytes",
+            Event::PlanChosen {
+                policy,
+                moves,
+                moved_bytes,
+                ..
+            } => self.plans.push(format!(
+                "plan at {:.3}s: {policy} moves {moves} objects / {moved_bytes} bytes",
                 t_us as f64 / 1e6,
-                get_str(r, "policy"),
-                get_u64(r, "moves"),
-                get_u64(r, "moved_bytes"),
             )),
-            "plan_assessment" => self.plans.push(format!(
-                "  predicted RSD {:.4} -> {:.4} for {} bytes / {} write pages shifted",
-                get_f64(r, "rsd_before"),
-                get_f64(r, "rsd_after"),
-                get_u64(r, "moved_bytes"),
-                get_u64(r, "moved_write_pages"),
-            )),
-            "counter" => self.counters.push(format!(
-                "{:<28} {}",
-                get_str(r, "name"),
-                get_u64(r, "value")
-            )),
-            "hist" => self.hists.push(format!(
-                "{:<20} n={:<9} p50={} p95={} p99={} max={}",
-                get_str(r, "name"),
-                get_u64(r, "count"),
-                get_u64(r, "p50"),
-                get_u64(r, "p95"),
-                get_u64(r, "p99"),
-                get_u64(r, "max"),
+            Event::PlanAssessment {
+                rsd_before,
+                rsd_after,
+                moved_bytes,
+                moved_write_pages,
+            } => self.plans.push(format!(
+                "  predicted RSD {rsd_before:.4} -> {rsd_after:.4} for {moved_bytes} bytes / {moved_write_pages} write pages shifted"
             )),
             _ => {}
         }
@@ -261,26 +280,15 @@ impl Summary {
         );
 
         // Per-OSD erase timeline: block_erase events bucketed over the run.
-        const COLS: usize = 12;
         if !self.erases.is_empty() {
-            let max_t = self.erases.iter().map(|&(t, _)| t).max().unwrap_or(0);
-            let max_osd = self.erases.iter().map(|&(_, o)| o).max().unwrap_or(0) as usize;
+            let max_t = self.erases.values().flatten().max().copied().unwrap_or(0);
             let width = max_t / COLS as u64 + 1;
-            let mut counts = vec![[0u64; COLS]; max_osd + 1];
-            for &(t, o) in &self.erases {
-                counts[o as usize][(t / width) as usize] += 1;
-            }
             println!(
                 "-- per-OSD erase timeline ({COLS} x {:.2}s buckets) --",
                 width as f64 / 1e6
             );
-            for (o, row) in counts.iter().enumerate() {
-                let total: u64 = row.iter().sum();
-                if total == 0 {
-                    continue;
-                }
-                let cells: Vec<String> = row.iter().map(|c| format!("{c:>5}")).collect();
-                println!("osd{o:<3} |{}| total {total}", cells.join(" "));
+            for (o, times) in &self.erases {
+                println!("osd{o:<3} |{}| total {}", cells(times, width), times.len());
             }
         }
 
@@ -296,14 +304,9 @@ impl Summary {
                 width as f64 / 1e6
             );
             for (c, comp) in &self.comps {
-                let mut row = [0u64; COLS];
-                for &t in &comp.erase_times {
-                    row[(t / width) as usize] += 1;
-                }
-                let cells: Vec<String> = row.iter().map(|n| format!("{n:>5}")).collect();
                 println!(
                     "comp{c:<3} |{}| {} erases / {} events on {} OSDs",
-                    cells.join(" "),
+                    cells(&comp.erase_times, width),
                     comp.erase_times.len(),
                     comp.events,
                     comp.osds.len()
@@ -324,37 +327,28 @@ impl Summary {
         }
 
         // Counter and histogram trailer records.
-        if !self.counters.is_empty() {
-            println!("-- counters --");
-        }
-        for line in &self.counters {
-            println!("{line}");
-        }
-        if !self.hists.is_empty() {
-            println!("-- latency histograms (us) --");
-        }
-        for line in &self.hists {
-            println!("{line}");
+        for (title, lines) in [
+            ("counters", &self.counters),
+            ("latency histograms (us)", &self.hists),
+        ] {
+            if !lines.is_empty() {
+                println!("-- {title} --\n{}", lines.join("\n"));
+            }
         }
     }
 }
 
 fn journal_mode(path: &str) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(1);
-    });
-    let mut rec = Record::default();
+    let text = read_journal(path);
     let mut summary = Summary::default();
-    for (no, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
+    for (no, line) in read_jsonl(&text) {
+        match line {
+            Ok(line) => summary.add(line),
+            Err(e) => {
+                eprintln!("{path}:{no}: bad journal line: {e}");
+                std::process::exit(1);
+            }
         }
-        if let Err(e) = rec.read(line) {
-            eprintln!("{path}:{}: bad journal line: {e}", no + 1);
-            std::process::exit(1);
-        }
-        summary.add(&rec);
     }
     summary.print(path);
 }

@@ -191,12 +191,7 @@ fn main() {
     if let Some(out) = obs_path {
         let result = match level {
             ObsLevel::Metrics => std::fs::write(&out, mem.snapshot_json()),
-            ObsLevel::Events => std::fs::File::create(&out).and_then(|f| {
-                use std::io::Write as _;
-                let mut w = std::io::BufWriter::new(f);
-                mem.write_jsonl(&mut w)?;
-                w.flush()
-            }),
+            ObsLevel::Events => mem.write_jsonl_file(Path::new(&out)),
             ObsLevel::Off => Ok(()),
         };
         result.unwrap_or_else(|e| fail(&format!("cannot write {out}: {e}")));

@@ -15,16 +15,19 @@
 //!
 //! * **Scale-out planner** — `O(1)` per-device evaluation lets a planner
 //!   assess a migration plan against thousands of devices without the
-//!   one-window projection loop (see `edm-core`'s `ModelAssessor`).
+//!   one-window projection loop (`edm-core`'s `Assessor::Model`, applied
+//!   by `trim_to_improvement_model`).
 //! * **Standing differential oracle** — `edm-exp model-diff` runs the
-//!   same parameters through simulator and model and gates CI on their
-//!   divergence ([`divergence`]), so every future engine refactor is
-//!   checked against an independent quantitative prediction.
+//!   same parameters through the event-driven simulator and this model
+//!   and gates CI on their divergence ([`divergence`]), so every future
+//!   engine refactor is checked against an independent quantitative
+//!   prediction.
 //!
 //! Independence is deliberate: this crate re-derives the victim-ratio
-//! inversion from scratch and shares no code with `edm-core`'s
-//! [`WearModel`](https://en.wikipedia.org/wiki/Flash_memory) twin — a bug
-//! would have to be reinvented twice to escape the differential gate.
+//! inversion from scratch and shares no code with its twin, `edm-core`'s
+//! `WearModel` (§III.B.1, Eq. 1–4). The gate compares this model with
+//! the simulator, not with that twin; sharing no code keeps a bug in
+//! the twin out of the prediction the simulator is checked against.
 //!
 //! See `DESIGN.md` §15 for the equations, assumptions, and where model
 //! and simulator are *expected* to diverge.

@@ -45,7 +45,7 @@ fn intern(s: &str) -> Result<&'static str, String> {
 
 /// How one field type is written to, and read back from, a journal
 /// record. One impl per type the `events!` table uses.
-trait Field: Sized {
+pub(crate) trait Field: Sized {
     /// Appends `"key":value` to a partially built JSON object.
     fn write(&self, out: &mut String, key: &str);
     /// Reads `key` of the `kind` record `rec`; `Err` when it is missing

@@ -13,8 +13,11 @@
 //!   [`Histogram`]s, and a structured [`Event`] journal.
 //! * [`ObsLevel`] — `off` (nothing), `metrics` (scalars + histograms),
 //!   `events` (metrics plus the journal).
-//! * [`json`] — a dependency-free JSON writer/parser pair used for the
-//!   JSONL journal and by `edm-probe` to read one back.
+//! * [`json`] — a dependency-free JSON writer/parser pair.
+//! * [`read_jsonl`] — the one journal reader: each line of a
+//!   [`MemoryRecorder::write_jsonl`] file back into a [`JournalLine`]
+//!   (an event's [`JournalEntry`] or a metric trailer), or a typed
+//!   [`LineError`].
 //!
 //! Design rules for instrumented code:
 //!
@@ -35,4 +38,7 @@ pub mod recorder;
 pub use event::Event;
 pub use hist::Histogram;
 pub use prom::render_prometheus;
-pub use recorder::{AsDynRecorder, JournalEntry, MemoryRecorder, NoopRecorder, ObsLevel, Recorder};
+pub use recorder::{
+    read_jsonl, AsDynRecorder, JournalEntry, JournalLine, LineError, MemoryRecorder, NoopRecorder,
+    ObsLevel, Recorder,
+};

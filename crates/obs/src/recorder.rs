@@ -6,12 +6,15 @@
 //! guard event *construction* behind [`Recorder::events_on`] so that
 //! allocating variants cost nothing below the `events` level.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::fmt;
 use std::io::{self, Write};
+use std::path::Path;
 
-use crate::event::Event;
+use crate::event::{Event, Field};
 use crate::hist::Histogram;
-use crate::json;
+use crate::json::{self, Raw, Record};
 
 /// How much the recorder keeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
@@ -216,25 +219,36 @@ impl MemoryRecorder {
         out
     }
 
-    /// Writes the journal as JSONL: one line per event (keyed by virtual
-    /// time, stamped with the device and component scopes when present),
-    /// followed by trailer records for every counter, gauge, and
-    /// histogram so a journal file is self-contained.
-    ///
-    /// Events are serialized in the canonical `(t_us, component)` order
-    /// (untagged coordinator events first within a timestamp), with ties
-    /// broken by insertion order. Component sub-simulations are exact
-    /// restrictions of the sequential run, so each `(t_us, component)`
-    /// bucket holds the same events in the same order on both engine
-    /// paths — the canonical sort is what makes the serialized journal
-    /// byte-identical between them. Untagged journals (the default) sort
-    /// into pure insertion order, leaving their serialization unchanged.
-    pub fn write_jsonl<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        let mut line = String::new();
+    /// The journal in canonical `(t_us, component)` order: untagged
+    /// coordinator events first within a timestamp, ties broken by
+    /// insertion order. Component sub-simulations are exact restrictions
+    /// of the sequential run, so each `(t_us, component)` bucket holds
+    /// the same events in the same order on both engine paths — this
+    /// order is what makes the journal identical between them. Untagged
+    /// journals (the default) come out in pure insertion order.
+    pub fn canonical_journal(&self) -> Vec<&JournalEntry> {
         let mut ordered: Vec<&JournalEntry> = self.events.iter().collect();
         // Stable sort: equal keys keep insertion order.
         ordered.sort_by_key(|e| (e.t_us, e.component.map_or(0u64, |c| c as u64 + 1)));
-        for entry in ordered {
+        ordered
+    }
+
+    /// [`write_jsonl`](Self::write_jsonl) into a new file at `path`.
+    pub fn write_jsonl_file(&self, path: &Path) -> io::Result<()> {
+        let mut w = io::BufWriter::new(std::fs::File::create(path)?);
+        self.write_jsonl(&mut w)?;
+        w.flush()
+    }
+
+    /// Writes the journal as JSONL: one line per event in
+    /// [`canonical_journal`](Self::canonical_journal) order (keyed by
+    /// virtual time, stamped with the device and component scopes when
+    /// present), followed by trailer records for every counter, gauge,
+    /// and histogram so a journal file is self-contained. [`read_jsonl`]
+    /// reads it back.
+    pub fn write_jsonl<W: Write>(&self, w: &mut W) -> io::Result<()> {
+        let mut line = String::new();
+        for entry in self.canonical_journal() {
             line.clear();
             line.push('{');
             json::field_u64(&mut line, "t_us", entry.t_us);
@@ -287,6 +301,102 @@ fn write_hist_fields(out: &mut String, hist: &Histogram) {
     json::field_u64(out, "p95", p95);
     json::field_u64(out, "p99", p99);
     json::field_u64(out, "max", max);
+}
+
+/// One journal line decoded: an event, or one of the metric trailers
+/// that follow the events.
+#[derive(Debug, Clone, PartialEq)]
+pub enum JournalLine<'a> {
+    Event(JournalEntry),
+    /// A counter's final value.
+    Counter(Cow<'a, str>, u64),
+    /// A gauge's final value (NaN when it was not finite).
+    Gauge(Cow<'a, str>, f64),
+    /// A latency histogram's count, p50, p95, p99 and max.
+    Hist(Cow<'a, str>, [u64; 5]),
+}
+
+/// Why a journal line did not decode.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum LineError {
+    /// Not JSON: the reader's message.
+    Json(String),
+    /// A missing or ill-typed `kind`, event `t_us`, `osd` or `comp` (the
+    /// two scopes are `u32`s), or trailer `name`.
+    Envelope(&'static str),
+    /// A record of this kind with a missing or ill-typed field, or an
+    /// unknown kind.
+    Malformed(String, String),
+}
+
+impl fmt::Display for LineError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LineError::Json(e) => write!(f, "unparseable JSON: {e}"),
+            LineError::Envelope(key) => write!(f, "missing or malformed {key:?}"),
+            LineError::Malformed(kind, why) => write!(f, "malformed {kind} record: {why}"),
+        }
+    }
+}
+
+impl<'a> JournalLine<'a> {
+    /// Reads one journal line into `rec` and decodes it: the inverse of
+    /// a line [`MemoryRecorder::write_jsonl`] writes.
+    pub fn read(rec: &mut Record<'a>, line: &'a str) -> Result<JournalLine<'a>, LineError> {
+        rec.read(line).map_err(LineError::Json)?;
+        let rec = &*rec;
+        let text = |key| {
+            rec.get(key)
+                .and_then(Raw::as_str)
+                .ok_or(LineError::Envelope(key))
+        };
+        let kind = text("kind")?;
+        let malformed = |why| LineError::Malformed(kind.to_string(), why);
+        let num = |key| u64::read(rec, &kind, key).map_err(malformed);
+        Ok(match &*kind {
+            "counter" => JournalLine::Counter(text("name")?, num("value")?),
+            "gauge" => JournalLine::Gauge(
+                text("name")?,
+                f64::read(rec, &kind, "value").map_err(malformed)?,
+            ),
+            "hist" => {
+                let [count, p50, p95, p99, max] = ["count", "p50", "p95", "p99", "max"].map(num);
+                JournalLine::Hist(text("name")?, [count?, p50?, p95?, p99?, max?])
+            }
+            _ => {
+                // The scopes are the fields before `kind`: an `osd` after
+                // it is the event's own (queue events carry one).
+                let scope = |key| {
+                    let mut envelope = rec.fields().take_while(|&(k, _)| k != "kind");
+                    let Some((_, v)) = envelope.find(|&(k, _)| k == key) else {
+                        return Ok(None);
+                    };
+                    let scope = v.as_u64().and_then(|n| u32::try_from(n).ok());
+                    scope.map(Some).ok_or(LineError::Envelope(key))
+                };
+                let t_us = rec.get("t_us").and_then(Raw::as_u64);
+                JournalLine::Event(JournalEntry {
+                    t_us: t_us.ok_or(LineError::Envelope("t_us"))?,
+                    device: scope("osd")?,
+                    component: scope("comp")?,
+                    event: Event::from_record(rec).map_err(malformed)?,
+                })
+            }
+        })
+    }
+}
+
+/// Reads a JSONL journal line by line, blank lines skipped: each line's
+/// 1-based number and what it decoded to. One [`Record`] is reused for
+/// every line.
+pub fn read_jsonl(
+    text: &str,
+) -> impl Iterator<Item = (usize, Result<JournalLine<'_>, LineError>)> + '_ {
+    let mut rec = Record::default();
+    text.lines().enumerate().filter_map(move |(i, line)| {
+        let line = line.trim();
+        (!line.is_empty()).then(|| (i + 1, JournalLine::read(&mut rec, line)))
+    })
 }
 
 impl Recorder for MemoryRecorder {
@@ -491,6 +601,90 @@ mod tests {
         let pos1 = sequential.find("\"osd\":1").unwrap();
         let pos2 = sequential.find("\"osd\":2").unwrap();
         assert!(pos1 < pos2);
+    }
+
+    #[test]
+    fn read_jsonl_reads_back_what_write_jsonl_wrote() {
+        let mut r = MemoryRecorder::new(ObsLevel::Events);
+        r.set_now(7);
+        r.set_component(Some(1));
+        r.set_device(Some(2));
+        r.event(Event::BlockErase {
+            block: 3,
+            erase_count: 1,
+            moved_pages: 0,
+        });
+        // Its own `osd` field is not a device scope.
+        r.set_device(None);
+        r.event(Event::OpDequeue { osd: 4, depth: 0 });
+        r.set_component(None);
+        r.event(Event::QueueDepth { osd: 0, depth: 1 });
+        r.counter("c", 3);
+        r.gauge("g", -0.5);
+        r.latency("lat", 100);
+        let mut buf = Vec::new();
+        r.write_jsonl(&mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        let read: Vec<(usize, JournalLine)> = read_jsonl(&text)
+            .map(|(no, line)| (no, line.unwrap()))
+            .collect();
+        let mut want: Vec<JournalLine> = r
+            .canonical_journal()
+            .into_iter()
+            .map(|e| JournalLine::Event(e.clone()))
+            .collect();
+        let (p50, p95, p99, max) = r.hists["lat"].summary();
+        want.extend([
+            JournalLine::Counter("c".into(), 3),
+            JournalLine::Gauge("g".into(), -0.5),
+            JournalLine::Hist("lat".into(), [1, p50, p95, p99, max]),
+        ]);
+        let numbers: Vec<usize> = read.iter().map(|&(no, _)| no).collect();
+        assert_eq!(numbers, (1..=want.len()).collect::<Vec<_>>());
+        let lines: Vec<JournalLine> = read.into_iter().map(|(_, line)| line).collect();
+        assert_eq!(lines, want);
+    }
+
+    #[test]
+    fn read_jsonl_rejects_with_typed_errors_and_skips_blank_lines() {
+        let cases = [
+            ("not json", None),
+            ("{\"t_us\":1}", Some(LineError::Envelope("kind"))),
+            (
+                "{\"kind\":\"queue_depth\",\"osd\":0,\"depth\":0}",
+                Some(LineError::Envelope("t_us")),
+            ),
+            (
+                "{\"t_us\":1,\"osd\":4294967296,\"kind\":\"queue_depth\",\"osd\":0,\"depth\":0}",
+                Some(LineError::Envelope("osd")),
+            ),
+            (
+                "{\"t_us\":1,\"comp\":-1,\"kind\":\"queue_depth\",\"osd\":0,\"depth\":0}",
+                Some(LineError::Envelope("comp")),
+            ),
+            ("{\"kind\":\"counter\",\"name\":\"x\"}", None),
+            ("{\"kind\":\"hist\",\"name\":\"x\",\"count\":1}", None),
+            (
+                "{\"t_us\":1,\"kind\":\"trigger_eval\",\"policy\":\"CMT\"}",
+                None,
+            ),
+            ("{\"t_us\":1,\"kind\":\"no_such_event\"}", None),
+        ];
+        for (line, want) in cases {
+            let text = format!("\n  \n{line}\n");
+            let read: Vec<_> = read_jsonl(&text).collect();
+            assert_eq!(read.len(), 1, "{line}");
+            let (no, got) = &read[0];
+            assert_eq!(*no, 3, "{line}");
+            let err = got.clone().expect_err(line);
+            match want {
+                Some(want) => assert_eq!(err, want, "{line}"),
+                None => assert!(
+                    matches!(err, LineError::Json(_) | LineError::Malformed(..)),
+                    "{line}: {err}"
+                ),
+            }
+        }
     }
 
     #[test]

@@ -94,12 +94,9 @@ pub fn run_daemon_on(listener: TcpListener, config: DaemonConfig) -> Result<(), 
         return Err("server thread panicked".to_string());
     }
     if let Some(path) = &config.journal {
-        let file = std::fs::File::create(path)
-            .map_err(|e| format!("creating journal {}: {e}", path.display()))?;
-        let mut w = std::io::BufWriter::new(file);
         recorder
             .inner()
-            .write_jsonl(&mut w)
+            .write_jsonl_file(path)
             .map_err(|e| format!("writing journal {}: {e}", path.display()))?;
     }
     session

@@ -5,9 +5,12 @@
 //! edm-spec: an abstract EDM state machine replayed against the edm-obs
 //! JSONL journal.
 //!
-//! [`verify_journal`] parses a journal produced by `edm-sim --obs
-//! events` (or any [`edm_obs::MemoryRecorder::write_jsonl`] dump) and
-//! checks that every event is a legal transition of the paper's
+//! One checker, two feeders: [`verify_journal`] reads a journal file
+//! produced by `edm-sim --obs events` (or any
+//! [`edm_obs::MemoryRecorder::write_jsonl`] dump) through edm-obs's
+//! reader, and [`verify_entries`] feeds a [`MemoryRecorder`]'s journal
+//! straight from memory, in the same order and citing the same lines.
+//! Either checks that every event is a legal transition of the paper's
 //! protocol:
 //!
 //! * **Placement** — objects only migrate within their SSD group
@@ -58,14 +61,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use edm_obs::json::{Raw, Record};
-use edm_obs::Event;
+use edm_obs::{read_jsonl, Event, JournalEntry, JournalLine, MemoryRecorder};
 
 pub mod mutate;
-
-/// Metric-trailer record kinds appended after the event stream by
-/// [`edm_obs::MemoryRecorder::write_jsonl`].
-const TRAILER_KINDS: &[&str] = &["counter", "gauge", "hist"];
 
 /// The first illegal transition found in a journal.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,7 +76,8 @@ pub struct Violation {
 /// Outcome of replaying one journal through the spec.
 #[derive(Debug, Clone, Default)]
 pub struct SpecReport {
-    /// Non-empty journal lines examined (events + trailers).
+    /// Journal lines examined: events and trailers in a file, events in
+    /// memory.
     pub lines: usize,
     /// Event lines legally consumed by the state machine.
     pub events: u64,
@@ -179,17 +178,16 @@ struct Plan {
     assessed: bool,
 }
 
-/// The incremental state machine. [`verify_journal`] drives it line by
-/// line; `edm-fuzz` and tests may also drive it directly.
+/// The incremental state machine. [`verify_journal`] and
+/// [`verify_entries`] drive it entry by entry.
 #[derive(Debug, Default)]
 pub struct Spec {
     meta: Option<Meta>,
     /// Canonical ordering key of the previous event: `(t_us, comp+1)`
     /// with untagged events at component key 0.
     last_order: Option<(u64, u64)>,
-    /// True once any component tag was seen; relaxes the two
-    /// cross-scope checks (see module docs).
-    tagged: bool,
+    /// Component tags seen; any relaxes the two cross-scope checks (see
+    /// module docs).
     components: BTreeSet<u32>,
 
     /// Object → current OSD overlay; objects absent sit at their home.
@@ -259,6 +257,26 @@ impl Spec {
         Ok(())
     }
 
+    /// The OSD an FTL event happened on: its device scope, which must
+    /// name an OSD of the cluster, with the event's block in range.
+    fn device(
+        &self,
+        what: &str,
+        scope_osd: Option<u32>,
+        block: Option<u64>,
+    ) -> Result<(Meta, u32), String> {
+        let m = self.meta()?;
+        let osd = scope_osd.ok_or_else(|| format!("{what} without device scope"))?;
+        self.check_osd(&m, what, osd)?;
+        if let Some(block) = block.filter(|&b| b >= m.blocks_per_osd) {
+            return Err(format!(
+                "{what} block {block} out of range (device has {})",
+                m.blocks_per_osd
+            ));
+        }
+        Ok((m, osd))
+    }
+
     fn pin_bytes(&mut self, object: u64, bytes: u64, what: &str) -> Result<(), String> {
         match self.object_bytes.get(&object) {
             Some(&known) if known != bytes => Err(format!(
@@ -314,18 +332,11 @@ impl Spec {
         )
     }
 
-    /// Feeds one event line to the state machine.
-    ///
-    /// `scope_osd` is the line-level `"osd"` device scope (present on
-    /// FTL events), `comp` the line-level `"comp"` shard tag.
-    pub fn step(
-        &mut self,
-        line: usize,
-        t_us: u64,
-        scope_osd: Option<u32>,
-        comp: Option<u32>,
-        ev: &Event,
-    ) -> Result<(), String> {
+    /// Feeds one event, journal line `line`, to the state machine. The
+    /// entry's device scope is present on FTL events; its component is
+    /// the shard tag.
+    pub fn step(&mut self, line: usize, entry: &JournalEntry) -> Result<(), String> {
+        let (t_us, scope_osd, comp, ev) = (entry.t_us, entry.device, entry.component, &entry.event);
         // Canonical journal order: (t_us, component) non-decreasing,
         // untagged events first within a timestamp.
         let key = (t_us, comp.map_or(0u64, |c| c as u64 + 1));
@@ -338,10 +349,7 @@ impl Spec {
             }
         }
         self.last_order = Some(key);
-        if let Some(c) = comp {
-            self.tagged = true;
-            self.components.insert(c);
-        }
+        self.components.extend(comp);
 
         // A finish event pins the very next event to its remap_update.
         if let Some((fline, obj, dest)) = self.expect_remap {
@@ -418,9 +426,7 @@ impl Spec {
                 low_watermark,
                 high_watermark,
             } => {
-                let m = self.meta()?;
-                let osd = scope_osd.ok_or("gc_invoked without device scope")?;
-                self.check_osd(&m, "gc_invoked", osd)?;
+                self.device("gc_invoked", scope_osd, None)?;
                 if low_watermark > high_watermark {
                     return Err(format!(
                         "gc_invoked watermarks inverted: low {low_watermark} > high {high_watermark}"
@@ -433,28 +439,12 @@ impl Spec {
                 }
             }
             Event::GcVictim { block, .. } => {
-                let m = self.meta()?;
-                let osd = scope_osd.ok_or("gc_victim without device scope")?;
-                self.check_osd(&m, "gc_victim", osd)?;
-                if block >= m.blocks_per_osd {
-                    return Err(format!(
-                        "gc_victim block {block} out of range (device has {})",
-                        m.blocks_per_osd
-                    ));
-                }
+                self.device("gc_victim", scope_osd, Some(block))?;
             }
             Event::BlockErase {
                 block, erase_count, ..
             } => {
-                let m = self.meta()?;
-                let osd = scope_osd.ok_or("block_erase without device scope")?;
-                self.check_osd(&m, "block_erase", osd)?;
-                if block >= m.blocks_per_osd {
-                    return Err(format!(
-                        "block_erase block {block} out of range (device has {})",
-                        m.blocks_per_osd
-                    ));
-                }
+                let (_, osd) = self.device("block_erase", scope_osd, Some(block))?;
                 match self.erase_counts.get(&(osd, block)) {
                     // Warm-up erases predate the journal, so the first
                     // observation may sit anywhere ≥ 1; after that the
@@ -481,15 +471,7 @@ impl Spec {
             Event::WearLevelSwap {
                 block, wear_spread, ..
             } => {
-                let m = self.meta()?;
-                let osd = scope_osd.ok_or("wear_level_swap without device scope")?;
-                self.check_osd(&m, "wear_level_swap", osd)?;
-                if block >= m.blocks_per_osd {
-                    return Err(format!(
-                        "wear_level_swap block {block} out of range (device has {})",
-                        m.blocks_per_osd
-                    ));
-                }
+                let (m, osd) = self.device("wear_level_swap", scope_osd, Some(block))?;
                 // Conservation: once every block of the device has been
                 // journaled, the replayed counts are the device's true
                 // counts and the reported spread must equal max − min.
@@ -554,7 +536,7 @@ impl Spec {
                 // Cross-scope check: the untagged tick sample may sort
                 // before same-microsecond component events, so it is
                 // only compared against the model on untagged journals.
-                if !self.tagged {
+                if self.components.is_empty() {
                     if let Some(q) = self.qlen[osd as usize] {
                         // The sample counts waiting requests plus at
                         // most one in service.
@@ -604,16 +586,8 @@ impl Spec {
                         self.wear_t
                     ));
                 }
-                if !(utilization.is_finite() && utilization >= 0.0) {
-                    return Err(format!(
-                        "wear_model_input utilization {utilization} not finite/non-negative"
-                    ));
-                }
-                if !(erase_estimate.is_finite() && erase_estimate >= 0.0) {
-                    return Err(format!(
-                        "wear_model_input erase_estimate {erase_estimate} not finite/non-negative"
-                    ));
-                }
+                non_negative("wear_model_input utilization", utilization)?;
+                non_negative("wear_model_input erase_estimate", erase_estimate)?;
                 self.wear_batch.push(erase_estimate);
             }
             Event::TriggerEval {
@@ -628,17 +602,9 @@ impl Spec {
             } => {
                 let m = self.meta()?;
                 self.check_policy(policy)?;
-                if !(rsd.is_finite() && rsd >= 0.0) {
-                    return Err(format!("trigger_eval rsd {rsd} not finite/non-negative"));
-                }
-                if !(mean.is_finite() && mean >= 0.0) {
-                    return Err(format!("trigger_eval mean {mean} not finite/non-negative"));
-                }
-                if !(lambda.is_finite() && lambda >= 0.0) {
-                    return Err(format!(
-                        "trigger_eval lambda {lambda} not finite/non-negative"
-                    ));
-                }
+                non_negative("trigger_eval rsd", rsd)?;
+                non_negative("trigger_eval mean", mean)?;
+                non_negative("trigger_eval lambda", lambda)?;
                 if triggered != (rsd > lambda) {
                     return Err(format!(
                         "trigger_eval verdict inconsistent: triggered={triggered} but rsd {rsd} vs lambda {lambda}"
@@ -758,7 +724,7 @@ impl Spec {
                 // same-microsecond tagged remaps may trail in canonical
                 // order, so exact source-set equality only holds on
                 // untagged journals.
-                if !self.tagged {
+                if self.components.is_empty() {
                     let expected: Vec<u64> = expected_sources.into_iter().collect();
                     if *sources != expected {
                         return Err(format!(
@@ -803,15 +769,8 @@ impl Spec {
                         plan.policy
                     ));
                 }
-                if !(rsd_before.is_finite()
-                    && rsd_before >= 0.0
-                    && rsd_after.is_finite()
-                    && rsd_after >= 0.0)
-                {
-                    return Err(format!(
-                        "plan_assessment RSDs not finite/non-negative: before {rsd_before}, after {rsd_after}"
-                    ));
-                }
+                non_negative("plan_assessment rsd_before", rsd_before)?;
+                non_negative("plan_assessment rsd_after", rsd_after)?;
                 // Trim-to-improvement contract: a published plan never
                 // projects a worse imbalance.
                 if rsd_after > rsd_before + 1e-9 {
@@ -1098,6 +1057,14 @@ impl Spec {
     }
 }
 
+/// A journaled quantity that must be a finite, non-negative number.
+fn non_negative(what: &str, x: f64) -> Result<(), String> {
+    if x.is_finite() && x >= 0.0 {
+        return Ok(());
+    }
+    Err(format!("{what} {x} not finite/non-negative"))
+}
+
 fn is_edm(policy: &str) -> bool {
     policy == "EDM-HDF" || policy == "EDM-CDF"
 }
@@ -1109,73 +1076,88 @@ fn is_sorted_strict(v: &[u64]) -> bool {
     })
 }
 
+/// The one checker both feeders drive: the state machine, the report
+/// it fills, and the line of the last event fed.
+#[derive(Default)]
+struct Checker {
+    spec: Spec,
+    report: SpecReport,
+    last_line: usize,
+}
+
+impl Checker {
+    /// Steps one event; `false` once it was a violation.
+    fn step(&mut self, line: usize, entry: &JournalEntry) -> bool {
+        self.last_line = line;
+        self.report.events += 1;
+        *self
+            .report
+            .kind_counts
+            .entry(entry.event.kind())
+            .or_insert(0) += 1;
+        match self.spec.step(line, entry) {
+            Ok(()) => true,
+            Err(message) => self.fail(line, message),
+        }
+    }
+
+    fn fail(&mut self, line: usize, message: String) -> bool {
+        self.report.violation = Some(Violation { line, message });
+        false
+    }
+
+    /// Closes the report: end-of-journal obligations, cited at the last
+    /// event's line, unless a violation already stopped the replay.
+    fn finish(mut self) -> SpecReport {
+        self.report.components = self.spec.components.len();
+        if self.report.violation.is_none() {
+            if let Err(message) = self.spec.finish() {
+                self.fail(self.last_line, message);
+            }
+        }
+        self.report
+    }
+}
+
 /// Replays a JSONL journal through the state machine, stopping at the
-/// first violation. Each line is read in place into one reused
-/// [`Record`], so the replay allocates nothing per line beyond what an
-/// event's own fields hold.
+/// first violation: the file feeder. Lines are decoded by
+/// [`edm_obs::read_jsonl`]; what only a file can get wrong — a line
+/// that does not decode, an event after the metric trailers — is
+/// checked here.
 pub fn verify_journal(text: &str) -> SpecReport {
-    let mut spec = Spec::new();
-    let mut report = SpecReport::default();
-    let mut rec = Record::default();
-    let mut last_line = 0usize;
-    for (i, raw) in text.lines().enumerate() {
-        let line = i + 1;
-        let raw = raw.trim();
-        if raw.is_empty() {
-            continue;
-        }
-        last_line = line;
-        report.lines += 1;
-        macro_rules! fail {
-            ($($arg:tt)*) => {{
-                report.violation = Some(Violation { line, message: format!($($arg)*) });
-                return report;
-            }};
-        }
-        if let Err(e) = rec.read(raw) {
-            fail!("unparseable JSON: {e}");
-        }
-        let Some(kind) = rec.get("kind").and_then(Raw::as_str) else {
-            fail!("record without a \"kind\" field");
+    let mut check = Checker::default();
+    for (line, read) in read_jsonl(text) {
+        check.report.lines += 1;
+        let going = match read {
+            Err(e) => check.fail(line, e.to_string()),
+            Ok(JournalLine::Event(_)) if check.report.trailers > 0 => {
+                check.fail(line, "event record after the metric trailer section".into())
+            }
+            Ok(JournalLine::Event(entry)) => check.step(line, &entry),
+            Ok(_) => {
+                check.report.trailers += 1;
+                true
+            }
         };
-        if TRAILER_KINDS.contains(&&*kind) {
-            report.trailers += 1;
-            continue;
-        }
-        if report.trailers > 0 {
-            fail!("event record after the metric trailer section");
-        }
-        let Some(t_us) = rec.get("t_us").and_then(Raw::as_u64) else {
-            fail!("event without a t_us timestamp");
-        };
-        let scope_osd = match rec.get("osd").map(Raw::as_u64) {
-            None => None,
-            Some(Some(o)) if o <= u32::MAX as u64 => Some(o as u32),
-            _ => fail!("malformed device scope \"osd\""),
-        };
-        let comp = match rec.get("comp").map(Raw::as_u64) {
-            None => None,
-            Some(Some(c)) if c <= u32::MAX as u64 => Some(c as u32),
-            _ => fail!("malformed component tag \"comp\""),
-        };
-        let ev = match Event::from_record(&rec) {
-            Ok(ev) => ev,
-            Err(e) => fail!("malformed {kind} event: {e}"),
-        };
-        report.events += 1;
-        *report.kind_counts.entry(ev.kind()).or_insert(0) += 1;
-        if let Err(message) = spec.step(line, t_us, scope_osd, comp, &ev) {
-            report.components = spec.components.len();
-            report.violation = Some(Violation { line, message });
-            return report;
+        if !going {
+            break;
         }
     }
-    report.components = spec.components.len();
-    if let Err(message) = spec.finish() {
-        report.violation = Some(Violation {
-            line: last_line,
-            message,
-        });
+    check.finish()
+}
+
+/// Replays a recorder's journal in memory, stopping at the first
+/// violation: the in-memory feeder. Entries are fed in the canonical
+/// order [`MemoryRecorder::write_jsonl`] writes them, and events precede
+/// the trailers there, so entry *k* is cited as line *k + 1* — the line
+/// [`verify_journal`] cites for the same event of the written file.
+pub fn verify_entries(rec: &MemoryRecorder) -> SpecReport {
+    let mut check = Checker::default();
+    for (i, entry) in rec.canonical_journal().into_iter().enumerate() {
+        check.report.lines += 1;
+        if !check.step(i + 1, entry) {
+            break;
+        }
     }
-    report
+    check.finish()
 }

@@ -8,7 +8,8 @@
 //! [`mangle`] is the byte-level counterpart: hostile bytes the replay
 //! must reject or accept, never panic on.
 
-use edm_obs::json::{self, Raw, Record};
+use edm_obs::json::{self, Record};
+use edm_obs::{Event, JournalEntry, JournalLine};
 
 /// Every mutation class the self-test must prove rejected.
 pub const MUTATIONS: &[&str] = &[
@@ -45,132 +46,103 @@ impl Rng {
 pub fn mutate(journal: &str, class: &str, seed: u64) -> Option<String> {
     let mut rng = Rng(seed);
     let mut lines: Vec<String> = journal.lines().map(str::to_string).collect();
-    let parsed: Vec<Option<Record>> = journal
+    let mut rec = Record::default();
+    let entries: Vec<Option<JournalEntry>> = journal
         .lines()
-        .map(|l| {
-            let mut rec = Record::default();
-            rec.read(l).ok().map(|()| rec)
+        .map(|l| match JournalLine::read(&mut rec, l) {
+            Ok(JournalLine::Event(entry)) => Some(entry),
+            _ => None,
         })
         .collect();
 
-    let field = |i: usize, key: &str| -> Option<Raw> { parsed[i].as_ref()?.get(key) };
+    let event = |i: usize| entries[i].as_ref().map(|e| &e.event);
     let of_kind = |kind: &str| -> Vec<usize> {
-        (0..parsed.len())
-            .filter(|&i| field(i, "kind").and_then(Raw::as_str).as_deref() == Some(kind))
+        (0..entries.len())
+            .filter(|&i| event(i).is_some_and(|e| e.kind() == kind))
             .collect()
     };
-    let u64_field = |i: usize, key: &str| -> Option<u64> { field(i, key)?.as_u64() };
-    let osds = of_kind("run_meta")
-        .first()
-        .and_then(|&i| u64_field(i, "osds"))
-        .unwrap_or(1)
-        .max(1);
+    let mut pick = |sites: Vec<usize>| (!sites.is_empty()).then(|| sites[rng.pick(sites.len())]);
+    let osds = match of_kind("run_meta").first().and_then(|&i| event(i)) {
+        Some(&Event::RunMeta { osds, .. }) => u64::from(osds.max(1)),
+        _ => 1,
+    };
 
     match class {
         "drop_finish" => {
-            let sites = of_kind("migration_finish");
-            if sites.is_empty() {
-                return None;
-            }
-            let i = sites[rng.pick(sites.len())];
-            lines.remove(i);
+            lines.remove(pick(of_kind("migration_finish"))?);
         }
         "duplicate_start" => {
-            let sites = of_kind("migration_start");
-            if sites.is_empty() {
-                return None;
-            }
-            let i = sites[rng.pick(sites.len())];
-            let copy = lines[i].clone();
-            lines.insert(i + 1, copy);
+            let i = pick(of_kind("migration_start"))?;
+            lines.insert(i + 1, lines[i].clone());
         }
         "reorder_events" => {
-            // Adjacent event lines with strictly increasing timestamps:
+            // Adjacent events with strictly increasing timestamps:
             // swapping them breaks the canonical journal order.
-            let sites: Vec<usize> = (0..lines.len().saturating_sub(1))
-                .filter(
-                    |&i| match (u64_field(i, "t_us"), u64_field(i + 1, "t_us")) {
-                        (Some(a), Some(b)) => a < b,
-                        _ => false,
-                    },
-                )
-                .collect();
-            if sites.is_empty() {
-                return None;
-            }
-            let i = sites[rng.pick(sites.len())];
+            let t_us = |i: usize| entries[i].as_ref().map(|e| e.t_us);
+            let sites = (0..lines.len().saturating_sub(1))
+                .filter(|&i| matches!((t_us(i), t_us(i + 1)), (Some(a), Some(b)) if a < b));
+            let i = pick(sites.collect())?;
             lines.swap(i, i + 1);
         }
         "retarget_remap" => {
-            let sites = of_kind("remap_update");
-            if sites.is_empty() {
-                return None;
+            let i = pick(of_kind("remap_update"))?;
+            if let Some(&Event::RemapUpdate { dest, .. }) = event(i) {
+                lines[i] = rewrite(&lines[i], "dest", (u64::from(dest) + 1) % osds)?;
             }
-            let i = sites[rng.pick(sites.len())];
-            let dest = u64_field(i, "dest")?;
-            lines[i] = rewrite(parsed[i].as_ref()?, "dest", (dest + 1) % osds)?;
         }
         "retarget_migration" => {
-            let sites = of_kind("migration_start");
-            if sites.is_empty() {
-                return None;
+            let i = pick(of_kind("migration_start"))?;
+            if let Some(&Event::MigrationStart { source, dest, .. }) = event(i) {
+                let mut new_dest = (u64::from(dest) + 1) % osds;
+                if new_dest == u64::from(source) {
+                    new_dest = (new_dest + 1) % osds;
+                }
+                lines[i] = rewrite(&lines[i], "dest", new_dest)?;
             }
-            let i = sites[rng.pick(sites.len())];
-            let source = u64_field(i, "source")?;
-            let dest = u64_field(i, "dest")?;
-            let mut new_dest = (dest + 1) % osds;
-            if new_dest == source {
-                new_dest = (new_dest + 1) % osds;
-            }
-            lines[i] = rewrite(parsed[i].as_ref()?, "dest", new_dest)?;
         }
         "corrupt_trigger" => {
-            let sites = of_kind("trigger_eval");
-            if sites.is_empty() {
-                return None;
+            let i = pick(of_kind("trigger_eval"))?;
+            if let Some(&Event::TriggerEval { triggered, .. }) = event(i) {
+                lines[i] = rewrite(&lines[i], "triggered", !triggered)?;
             }
-            let i = sites[rng.pick(sites.len())];
-            let triggered = field(i, "triggered")?.as_bool()?;
-            lines[i] = rewrite(parsed[i].as_ref()?, "triggered", !triggered)?;
         }
         "skip_erase" => {
-            let sites = of_kind("block_erase");
-            if sites.is_empty() {
-                return None;
-            }
-            // Prefer a repeat erase of some (osd, block): bumping its
-            // count breaks the +1 monotonicity. Fall back to zeroing a
-            // first-seen count, which is impossible right after an
+            // Prefer the last repeat erase of some (osd, block): bumping
+            // its count breaks the +1 monotonicity. Fall back to zeroing
+            // a first-seen count, which is impossible right after an
             // erase.
+            let sites = of_kind("block_erase");
+            let erase = |i: usize| match entries[i].as_ref()? {
+                &JournalEntry {
+                    device,
+                    event:
+                        Event::BlockErase {
+                            block, erase_count, ..
+                        },
+                    ..
+                } => Some(((device, block), erase_count)),
+                _ => None,
+            };
             let mut seen = std::collections::BTreeSet::new();
-            let mut repeat = None;
-            for &i in &sites {
-                let site = (u64_field(i, "osd"), u64_field(i, "block"));
-                if !seen.insert(site) {
-                    repeat = Some(i);
-                }
-            }
-            match repeat {
+            let repeat = sites
+                .iter()
+                .copied()
+                .filter(|&i| !seen.insert(erase(i).map(|e| e.0)));
+            match repeat.last() {
                 Some(i) => {
-                    let count = u64_field(i, "erase_count")?;
-                    lines[i] = rewrite(parsed[i].as_ref()?, "erase_count", count + 1)?;
+                    let count = erase(i)?.1;
+                    lines[i] = rewrite(&lines[i], "erase_count", count + 1)?;
                 }
                 None => {
-                    let i = sites[rng.pick(sites.len())];
-                    lines[i] = rewrite(parsed[i].as_ref()?, "erase_count", 0)?;
+                    let i = pick(sites)?;
+                    lines[i] = rewrite(&lines[i], "erase_count", 0)?;
                 }
             }
         }
         "orphan_finish" => {
-            let sites = of_kind("migration_finish");
-            if sites.is_empty() {
-                return None;
-            }
-            let i = sites[rng.pick(sites.len())];
-            let copy = lines[i].clone();
             // Past its remap_update, the finish has no in-flight move.
-            let at = (i + 2).min(lines.len());
-            lines.insert(at, copy);
+            let i = pick(of_kind("migration_finish"))?;
+            lines.insert((i + 2).min(lines.len()), lines[i].clone());
         }
         _ => return None,
     }
@@ -181,7 +153,9 @@ pub fn mutate(journal: &str, class: &str, seed: u64) -> Option<String> {
 
 /// Re-renders an object line with every `key` field set to `value`,
 /// the other fields verbatim and in order.
-fn rewrite(rec: &Record, key: &str, value: impl std::fmt::Display) -> Option<String> {
+fn rewrite(line: &str, key: &str, value: impl std::fmt::Display) -> Option<String> {
+    let mut rec = Record::default();
+    rec.read(line).ok()?;
     rec.get(key)?;
     let mut out = String::from("{");
     for (k, v) in rec.fields() {

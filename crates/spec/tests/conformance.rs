@@ -3,7 +3,7 @@
 //! mutation class must be rejected with a line-numbered violation.
 
 use edm_obs::{Event, MemoryRecorder, ObsLevel, Recorder};
-use edm_spec::{mutate, verify_journal, Spec, SpecReport};
+use edm_spec::{mutate, verify_entries, verify_journal, Spec, SpecReport};
 
 fn jsonl(rec: &MemoryRecorder) -> String {
     let mut out = Vec::new();
@@ -66,7 +66,7 @@ fn plan_round(r: &mut MemoryRecorder, t: u64, ecs: [f64; 4], object: u64, source
 /// EDM planning rounds, a completed migration, an aborted migration
 /// (source device failure), a RAID-5 rebuild after a second failure,
 /// and a repeat block erase for the wear-monotonicity site.
-fn sample_journal() -> String {
+fn sample_recorder() -> MemoryRecorder {
     let mut r = MemoryRecorder::new(ObsLevel::Events);
     r.set_now(0);
     r.event(meta_event());
@@ -167,7 +167,11 @@ fn sample_journal() -> String {
     r.event(Event::QueueDepth { osd: 0, depth: 0 });
 
     r.counter("sim.ticks", 3);
-    jsonl(&r)
+    r
+}
+
+fn sample_journal() -> String {
+    jsonl(&sample_recorder())
 }
 
 fn assert_ok(report: &SpecReport) {
@@ -196,6 +200,78 @@ fn sample_journal_is_conformant_and_covers_every_kind() {
         "sample journal must exercise the full transition function, saw {:?}",
         report.kind_counts.keys().collect::<Vec<_>>()
     );
+}
+
+/// Both feeders on one recorder: the same counts and the same verdict
+/// on the same line.
+fn assert_feeders_agree(r: &MemoryRecorder) -> SpecReport {
+    let file = verify_journal(&jsonl(r));
+    let memory = verify_entries(r);
+    assert_eq!(memory.events, file.events);
+    assert_eq!(memory.kind_counts, file.kind_counts);
+    assert_eq!(memory.components, file.components);
+    assert_eq!(
+        memory.violation.as_ref().map(|v| v.line),
+        file.violation.as_ref().map(|v| v.line),
+        "memory {:?} vs file {:?}",
+        memory.violation,
+        file.violation
+    );
+    file
+}
+
+#[test]
+fn in_memory_and_file_feeders_agree_on_the_sample_journal() {
+    let r = sample_recorder();
+    assert_ok(&assert_feeders_agree(&r));
+    assert_eq!(verify_entries(&r).events, 33);
+}
+
+/// Corrupted in-memory streams: each tail is appended to the sample
+/// journal after its last event, which is line 33 of the file.
+#[test]
+fn in_memory_and_file_feeders_reject_on_the_same_line() {
+    let tails: [(&str, Event); 3] = [
+        (
+            "never started",
+            Event::MigrationFinish {
+                object: 5,
+                source: 1,
+                dest: 3,
+                bytes: 4096,
+            },
+        ),
+        // Written as null, so the file feeder reads NaN: both reject.
+        (
+            "not finite",
+            Event::WearModelInput {
+                osd: 0,
+                wc_pages: 1,
+                utilization: 0.5,
+                erase_estimate: f64::INFINITY,
+            },
+        ),
+        // Legal on its own; the end-of-journal obligation fails, cited
+        // at the last event's line by both feeders.
+        (
+            "dangling wear_model_input",
+            Event::WearModelInput {
+                osd: 0,
+                wc_pages: 1,
+                utilization: 0.5,
+                erase_estimate: 1.0,
+            },
+        ),
+    ];
+    for (want, tail) in tails {
+        let mut r = sample_recorder();
+        r.set_now(80);
+        r.event(tail);
+        let report = assert_feeders_agree(&r);
+        let v = report.violation.expect("must reject");
+        assert_eq!(v.line, 34, "{want}: {}", v.message);
+        assert!(v.message.contains(want), "{}", v.message);
+    }
 }
 
 /// The violation line each class reports for seeds 0..4 — pinned so a

@@ -160,6 +160,27 @@ EOF
     "$(bin edm-probe)" --verify "$obs_dir/smoke.jsonl" | grep -q "conformant" \
         || { echo "obs smoke: journal violates the EDM spec"; exit 1; }
     echo "obs smoke: $event_count journal lines, spec-conformant OK"
+    # A journal line the edm-obs reader cannot decode is `path:line` and
+    # exit 1 through the CLI, never a panic (101), an abort (134) or a
+    # made-up value: a device scope past u32, an event without its
+    # fields, a trigger_eval without rsd, lambda and metric.
+    local hostile code err
+    cat > "$obs_dir/scope.jsonl" <<'EOF'
+{"t_us":5,"osd":18446744073709551615,"kind":"block_erase","block":0,"erase_count":1,"moved_pages":0}
+EOF
+    cat > "$obs_dir/fields.jsonl" <<'EOF'
+{"t_us":5,"osd":4000000000,"kind":"block_erase"}
+EOF
+    cat > "$obs_dir/trigger.jsonl" <<'EOF'
+{"t_us":5,"kind":"trigger_eval","policy":"EDM-HDF","mean":1,"triggered":false,"sources":[],"destinations":[]}
+EOF
+    for hostile in scope fields trigger; do
+        code=0
+        err="$("$(bin edm-probe)" --journal "$obs_dir/$hostile.jsonl" 2>&1 > /dev/null)" || code=$?
+        [ "$code" -eq 1 ] && grep -qF "$obs_dir/$hostile.jsonl:1: " <<< "$err" \
+            || { echo "obs smoke: $hostile journal exited $code, want 1 and path:line: $err"; exit 1; }
+    done
+    echo "obs smoke: hostile journals refused with path:line OK"
 
     echo "==> checkpoint/resume smoke (edm-sim --checkpoint-* / --resume / edm-probe --snapshot)"
     # An uninterrupted run and a run resumed from a mid-run checkpoint
@@ -191,7 +212,7 @@ EOF
     # A damaged checkpoint is refused through the CLI with its typed
     # error and exit 1, never a panic (101): one copy a byte short, one
     # with a byte of its `cluster` body flipped.
-    local body_at damaged want code err
+    local body_at damaged want
     cp "$mid_snap" "$ckpt_dir/short.snap"
     truncate -s -1 "$ckpt_dir/short.snap"
     cp "$mid_snap" "$ckpt_dir/flipped.snap"

@@ -1,8 +1,13 @@
-//! The journal's label vocabulary against its emitters. Whether engine
-//! runs journal legal transitions is not checked here: the
-//! `spec_conformance` fuzz oracle replays every generated scenario's
-//! journal through edm-spec, and `tests/fuzz_replay.rs` does the same
-//! for every `fuzz/corpus/*.scn` under `cargo test`.
+//! The journal's label vocabulary against its emitters, edm-spec's two
+//! feeders against each other on engine runs, and `edm-probe --journal`
+//! against hostile lines. Whether engine runs journal legal transitions
+//! is not checked here: the `spec_conformance` fuzz oracle replays every
+//! generated scenario's journal through edm-spec, and
+//! `tests/fuzz_replay.rs` does the same for every `fuzz/corpus/*.scn`
+//! under `cargo test`.
+
+use edm_harness::Scenario;
+use edm_obs::{MemoryRecorder, ObsLevel};
 
 /// The journal's label vocabulary is closed (`edm-obs` interns against a
 /// fixed list) but the labels are owned by the crates that emit them. A
@@ -69,4 +74,79 @@ fn every_label_an_emitter_can_write_is_in_the_journal_vocabulary() {
         let back = Event::from_record(&rec).unwrap_or_else(|err| panic!("{line}: {err}"));
         assert_eq!(back, e, "{line}");
     }
+}
+
+/// The in-memory feeder replays a run's journal in the order the file
+/// holds it, so both must report the same counts and verdict. Run on the
+/// component-affinity corpus scenario both sequentially and on two shard
+/// workers, whose journals carry component tags.
+#[test]
+fn in_memory_and_file_feeders_agree_on_component_runs() {
+    let text = include_str!("../fuzz/corpus/sharded-stride2.scn");
+    let mut scenario = Scenario::parse(text).expect("corpus scenario parses");
+    for shards in [0, 2] {
+        scenario.shards = shards;
+        let mut rec = MemoryRecorder::new(ObsLevel::Events);
+        scenario.run_with_obs(&mut rec).expect("scenario runs");
+        let mut out = Vec::new();
+        rec.write_jsonl(&mut out).unwrap();
+        let file = edm_spec::verify_journal(&String::from_utf8(out).unwrap());
+        let memory = edm_spec::verify_entries(&rec);
+        assert!(file.ok(), "shards {shards}: {:?}", file.violation);
+        assert!(memory.ok(), "shards {shards}: {:?}", memory.violation);
+        assert_eq!(memory.events, file.events, "shards {shards}");
+        assert_eq!(memory.kind_counts, file.kind_counts, "shards {shards}");
+        assert_eq!(memory.components, file.components, "shards {shards}");
+        assert!(file.components >= 2, "shards {shards}: untagged journal");
+    }
+}
+
+/// `edm-probe --journal` reads through the edm-obs reader: a line it
+/// cannot decode is `path:line` and exit 1, never a default value or a
+/// panic, and the per-OSD timeline's memory follows the lines, not the
+/// OSD ids written in them.
+#[test]
+fn probe_journal_rejects_undecodable_lines_and_survives_huge_osd_ids() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("edm-probe-journal");
+    std::fs::create_dir_all(&dir).unwrap();
+    let probe = |name: &str, line: &str| {
+        let path = dir.join(name);
+        std::fs::write(&path, format!("{line}\n")).unwrap();
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_edm-probe"))
+            .arg("--journal")
+            .arg(&path)
+            .output()
+            .unwrap();
+        let text = |b: Vec<u8>| String::from_utf8(b).unwrap();
+        (out.status.code(), text(out.stdout), text(out.stderr), path)
+    };
+    let hostile = [
+        (
+            "scope.jsonl",
+            r#"{"t_us":5,"osd":18446744073709551615,"kind":"block_erase","block":0,"erase_count":1,"moved_pages":0}"#,
+        ),
+        (
+            "fields.jsonl",
+            r#"{"t_us":5,"osd":4000000000,"kind":"block_erase"}"#,
+        ),
+        (
+            "trigger.jsonl",
+            r#"{"t_us":5,"kind":"trigger_eval","policy":"EDM-HDF","mean":1,"triggered":false,"sources":[],"destinations":[]}"#,
+        ),
+    ];
+    for (name, line) in hostile {
+        let (code, _, err, path) = probe(name, line);
+        assert_eq!(code, Some(1), "{name}: {err}");
+        assert!(
+            err.starts_with(&format!("{}:1: ", path.display())),
+            "{name}: {err}"
+        );
+    }
+    let (code, out, err, _) = probe(
+        "huge.jsonl",
+        r#"{"t_us":5,"osd":4000000000,"kind":"block_erase","block":0,"erase_count":1,"moved_pages":0}"#,
+    );
+    assert_eq!(code, Some(0), "{err}");
+    assert!(out.contains("osd4000000000 |"), "{out}");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
