@@ -30,6 +30,7 @@ use std::path::{Path, PathBuf};
 use edm_cluster::{ClientAffinity, MigrationSchedule, NoMigration, SimOptions};
 use edm_harness::{report_digest, resume_snapshot, Scenario};
 use edm_obs::{MemoryRecorder, NoopRecorder, ObsLevel};
+use edm_scenario::fnv1a;
 use edm_serve::{dump_ops, ApplyOutcome, LiveWorld};
 use edm_snap::SnapshotFile;
 use edm_ssd::{Geometry, LatencyModel, Ssd};
@@ -68,15 +69,6 @@ fn fail(oracle: &'static str, detail: impl Into<String>) -> OracleFailure {
         oracle,
         detail: detail.into(),
     }
-}
-
-fn fnv1a(text: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in text.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// Runs the full oracle battery for one scenario. `work_dir` hosts the
@@ -419,7 +411,7 @@ fn check_resume_and_roundtrip(
 
     // The only randomness of the battery, seeded from the scenario text so
     // a replayed `.scn` picks the same checkpoint.
-    let mut pick_rng = Rng::new(fnv1a(&s.to_text()));
+    let mut pick_rng = Rng::new(fnv1a(s.to_text().as_bytes()));
     let picked = match snaps.get(pick_rng.below(snaps.len() as u64) as usize) {
         Some(p) => p.clone(),
         None => {
@@ -549,7 +541,7 @@ mod tests {
     fn fnv_is_stable() {
         // Pinned so the checkpoint pick (and thus replay behaviour) can
         // never drift silently.
-        assert_eq!(fnv1a(""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a("a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 }

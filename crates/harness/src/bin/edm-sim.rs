@@ -7,12 +7,13 @@
 //! edm-sim --example          # print a commented example scenario
 //! ```
 //!
-//! `--obs` writes the run's observability output to a file: a metrics
-//! snapshot (one JSON object) at `--obs-level metrics`, or the full
-//! event journal as JSONL (events first, then counter/gauge/histogram
-//! trailer records) at `--obs-level events`. Passing `--obs` alone
-//! implies `--obs-level events`. Recording is read-only — the printed
-//! report is identical at every level.
+//! `--obs` writes the run's observability output to a file as JSONL:
+//! the event journal followed by counter/gauge/histogram trailer
+//! records at `--obs-level events`, the trailer records alone at
+//! `--obs-level metrics`. `edm-probe --journal` reads either. Passing
+//! `--obs` alone implies `--obs-level events`. Recording is read-only —
+//! the printed report is identical at every level. Sharding is the
+//! scenario's `shards` key.
 //!
 //! `--checkpoint-every N` cuts an `edm-snap` checkpoint into
 //! `--checkpoint-dir` every N seconds of *virtual* time (at wear-tick
@@ -41,7 +42,7 @@ fail 2000000 3 rebuild  # at 2s of virtual time, OSD 3 dies; rebuild it
 ";
 
 const USAGE: &str = "usage: edm-sim <scenario-file> [--obs <file>] \
-     [--obs-level off|metrics|events] [--shards <n>] \
+     [--obs-level off|metrics|events] \
      [--checkpoint-every <virtual-secs> --checkpoint-dir <dir>] \
      | edm-sim --resume <snapshot.snap> | edm-sim --example";
 
@@ -66,7 +67,6 @@ fn main() {
     let mut ckpt_every_us: Option<u64> = None;
     let mut ckpt_dir: Option<PathBuf> = None;
     let mut resume: Option<PathBuf> = None;
-    let mut shards: Option<u32> = None;
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -78,13 +78,8 @@ fn main() {
                 let v = it
                     .next()
                     .unwrap_or_else(|| fail("--checkpoint-every needs a virtual-seconds value"));
-                let secs: f64 = v
-                    .parse()
-                    .unwrap_or_else(|_| fail(&format!("bad --checkpoint-every value {v:?}")));
-                if !(secs >= 0.0 && secs.is_finite()) {
-                    fail("--checkpoint-every must be a non-negative number of seconds");
-                }
-                ckpt_every_us = Some((secs * 1e6) as u64);
+                ckpt_every_us =
+                    Some(Scenario::checkpoint_every_us(&v).unwrap_or_else(|e| fail(&e)));
             }
             "--checkpoint-dir" => {
                 let v = it
@@ -97,13 +92,6 @@ fn main() {
                     .next()
                     .unwrap_or_else(|| fail("--resume needs a snapshot file"));
                 resume = Some(PathBuf::from(v));
-            }
-            "--shards" => {
-                let v = it.next().unwrap_or_else(|| fail("--shards needs a count"));
-                shards = Some(
-                    v.parse()
-                        .unwrap_or_else(|_| fail(&format!("bad --shards value {v:?}"))),
-                );
             }
             "--obs-level" => {
                 let v = it
@@ -120,9 +108,6 @@ fn main() {
     }
     if resume.is_some() && (path.is_some() || ckpt_every_us.is_some() || ckpt_dir.is_some()) {
         fail("--resume reconstructs the scenario from the snapshot; it takes no scenario file or checkpoint flags");
-    }
-    if resume.is_some() && shards.is_some() {
-        fail("--resume continues the checkpoint's sequential replay; --shards does not apply");
     }
     let checkpoint = match (ckpt_every_us, ckpt_dir) {
         (Some(every_us), Some(dir)) => Some((every_us, dir)),
@@ -160,16 +145,7 @@ fn main() {
         let path = path.expect("checked above");
         let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
-        let mut scenario = Scenario::parse(&text).unwrap_or_else(|e| fail(&format!("{path}: {e}")));
-        if let Some(n) = shards {
-            // Sharding requires component client affinity, so asking for
-            // shards on the command line opts into it; `--shards 0`
-            // forces the sequential path without touching the scenario.
-            scenario.shards = n;
-            if n > 0 {
-                scenario.affinity = edm_cluster::ClientAffinity::Component;
-            }
-        }
+        let scenario = Scenario::parse(&text).unwrap_or_else(|e| fail(&format!("{path}: {e}")));
         eprintln!("running {scenario:?}");
         if scenario.shards > 0 {
             let decision = scenario
@@ -188,13 +164,9 @@ fn main() {
     print!("{}", render_report(&report));
     println!("determinism digest {:#018x}", report_digest(&report));
 
-    if let Some(out) = obs_path {
-        let result = match level {
-            ObsLevel::Metrics => std::fs::write(&out, mem.snapshot_json()),
-            ObsLevel::Events => mem.write_jsonl_file(Path::new(&out)),
-            ObsLevel::Off => Ok(()),
-        };
-        result.unwrap_or_else(|e| fail(&format!("cannot write {out}: {e}")));
+    if let Some(out) = obs_path.filter(|_| level > ObsLevel::Off) {
+        mem.write_jsonl_file(Path::new(&out))
+            .unwrap_or_else(|e| fail(&format!("cannot write {out}: {e}")));
         eprintln!(
             "obs: wrote {} ({} journal events)",
             out,

@@ -1,11 +1,8 @@
-//! `edm-trace` — workload tooling: synthesize the Table 1 presets to
-//! trace files, analyze a trace's skew/locality profile, and import
-//! Harvard-style NFS trace text.
+//! `edm-trace` — workload tooling: list the Table 1 presets, and profile
+//! a synthesized preset's Table 1 counts and skew/locality.
 //!
 //! ```text
-//! edm-trace gen <preset|random> <out.trace> [--scale F] [--seed N]
-//! edm-trace stats <file.trace>
-//! edm-trace import <harvard.txt> <out.trace> [--name NAME]
+//! edm-trace stats <preset|random> [--scale F] [--seed N]
 //! edm-trace list
 //! ```
 
@@ -16,36 +13,45 @@ use edm_workload::Trace;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  edm-trace gen <preset|random> <out.trace> [--scale F] [--seed N]\n  \
-         edm-trace stats <file.trace>\n  \
-         edm-trace import <harvard.txt> <out.trace> [--name NAME]\n  \
+        "usage:\n  edm-trace stats <preset|random> [--scale F] [--seed N]\n  \
          edm-trace list"
     );
     std::process::exit(2);
 }
 
-fn load(path: &str) -> Trace {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(1);
-    });
-    Trace::from_text(&text).unwrap_or_else(|e| {
-        eprintln!("cannot parse {path}: {e}");
-        std::process::exit(1);
-    })
-}
-
-fn save(trace: &Trace, path: &str) {
-    std::fs::write(path, trace.to_text()).unwrap_or_else(|e| {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(1);
-    });
-    eprintln!(
-        "wrote {path}: {} records, {} files, {:.1} MB footprint",
-        trace.records.len(),
-        trace.file_sizes.len(),
-        trace.footprint_bytes() as f64 / 1e6
-    );
+/// Synthesizes `preset` from the `stats` arguments that follow it.
+fn synth(preset: &str, flags: &[String]) -> Trace {
+    let mut scale = 0.01;
+    let mut seed: Option<u64> = None;
+    let mut it = flags.iter();
+    while let Some(flag) = it.next() {
+        match flag.as_str() {
+            "--scale" => {
+                scale = it
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .unwrap_or_else(|| usage())
+            }
+            "--seed" => {
+                seed = Some(
+                    it.next()
+                        .and_then(|v| v.parse().ok())
+                        .unwrap_or_else(|| usage()),
+                )
+            }
+            _ => usage(),
+        }
+    }
+    if !(scale > 0.0 && scale <= 1.0) {
+        usage();
+    }
+    let mut spec = harvard::named(preset)
+        .unwrap_or_else(|| usage())
+        .scaled(scale);
+    if let Some(seed) = seed {
+        spec.seed = seed;
+    }
+    synthesize(&spec)
 }
 
 fn print_stats(trace: &Trace) {
@@ -87,69 +93,7 @@ fn main() {
         Some("list") => {
             println!("presets: {} random", harvard::TRACE_NAMES.join(" "));
         }
-        Some("gen") => {
-            if args.len() < 3 {
-                usage();
-            }
-            let (preset, out) = (&args[1], &args[2]);
-            let mut scale = 0.01;
-            let mut seed: Option<u64> = None;
-            let mut it = args[3..].iter();
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--scale" => {
-                        scale = it
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| usage())
-                    }
-                    "--seed" => {
-                        seed = Some(
-                            it.next()
-                                .and_then(|v| v.parse().ok())
-                                .unwrap_or_else(|| usage()),
-                        )
-                    }
-                    _ => usage(),
-                }
-            }
-            if !(scale > 0.0 && scale <= 1.0) {
-                usage();
-            }
-            let mut spec = harvard::named(preset)
-                .unwrap_or_else(|| usage())
-                .scaled(scale);
-            if let Some(seed) = seed {
-                spec.seed = seed;
-            }
-            save(&synthesize(&spec), out);
-        }
-        Some("stats") => {
-            if args.len() != 2 {
-                usage();
-            }
-            print_stats(&load(&args[1]));
-        }
-        Some("import") => {
-            if args.len() < 3 {
-                usage();
-            }
-            let mut name = "imported".to_string();
-            if args.len() == 5 && args[3] == "--name" {
-                name = args[4].clone();
-            } else if args.len() != 3 {
-                usage();
-            }
-            let text = std::fs::read_to_string(&args[1]).unwrap_or_else(|e| {
-                eprintln!("cannot read {}: {e}", args[1]);
-                std::process::exit(1);
-            });
-            let trace = harvard::parse_harvard_text(&name, &text).unwrap_or_else(|e| {
-                eprintln!("cannot parse Harvard text: {e}");
-                std::process::exit(1);
-            });
-            save(&trace, &args[2]);
-        }
+        Some("stats") if args.len() >= 2 => print_stats(&synth(&args[1], &args[2..])),
         _ => usage(),
     }
 }

@@ -198,27 +198,6 @@ impl MemoryRecorder {
             .count()
     }
 
-    /// One JSON object with counters, gauges, and histogram summaries.
-    pub fn snapshot_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (name, value) in &self.counters {
-            json::field_u64(&mut out, name, *value);
-        }
-        out.push_str("},\"gauges\":{");
-        for (name, value) in &self.gauges {
-            json::field_f64(&mut out, name, *value);
-        }
-        out.push_str("},\"histograms\":{");
-        for (name, hist) in &self.hists {
-            let mut body = String::from("{");
-            write_hist_fields(&mut body, hist);
-            body.push('}');
-            json::field_raw(&mut out, name, &body);
-        }
-        out.push_str("}}");
-        out
-    }
-
     /// The journal in canonical `(t_us, component)` order: untagged
     /// coordinator events first within a timestamp, ties broken by
     /// insertion order. Component sub-simulations are exact restrictions
@@ -685,23 +664,5 @@ mod tests {
                 ),
             }
         }
-    }
-
-    #[test]
-    fn snapshot_json_parses() {
-        let mut r = MemoryRecorder::new(ObsLevel::Metrics);
-        r.counter("a.b", 7);
-        r.gauge("g", -0.5);
-        r.latency("lat", 3);
-        r.latency("lat", 900);
-        let snap = r.snapshot_json();
-        let v = json::parse(&snap).unwrap();
-        assert_eq!(
-            v.get("counters").unwrap().get("a.b").unwrap().as_u64(),
-            Some(7)
-        );
-        let lat = v.get("histograms").unwrap().get("lat").unwrap();
-        assert_eq!(lat.get("count").unwrap().as_u64(), Some(2));
-        assert_eq!(lat.get("max").unwrap().as_u64(), Some(900));
     }
 }

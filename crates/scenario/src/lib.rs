@@ -21,5 +21,5 @@
 pub mod report;
 pub mod scenario;
 
-pub use report::{grouped, render_table, report_digest, signed_pct};
+pub use report::{fnv1a, grouped, render_table, report_digest, signed_pct};
 pub use scenario::{render_report, resume_snapshot, Checkpoint, Scenario, SnapMeta};

@@ -5,7 +5,7 @@ use edm_cluster::{OsdWearSummary, ResponseWindow, RunReport};
 use edm_snap::SnapWriter;
 
 /// FNV-1a over a byte slice.
-fn fnv1a(bytes: &[u8]) -> u64 {
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         h ^= b as u64;

@@ -451,6 +451,22 @@ impl Scenario {
         ))
     }
 
+    /// Parses a `--checkpoint-every` value, a finite, non-negative
+    /// number of virtual seconds, into the `every_us` of
+    /// [`checkpoint_config`](Self::checkpoint_config). The one parser of
+    /// that flag, for `edm-sim` and `edm-serve` alike.
+    pub fn checkpoint_every_us(secs: &str) -> Result<u64, String> {
+        let v: f64 = secs
+            .parse()
+            .map_err(|_| format!("bad --checkpoint-every value {secs:?}"))?;
+        if !(v >= 0.0 && v.is_finite()) {
+            return Err(format!(
+                "--checkpoint-every must be a non-negative number of seconds, not {secs:?}"
+            ));
+        }
+        Ok((v * 1e6) as u64)
+    }
+
     /// Checkpoints every `every_us` of virtual time into `dir`, each
     /// embedding this scenario's text and `trace`'s fingerprint so that
     /// [`Checkpoint::open`] can rebuild the run from the file alone.
@@ -774,5 +790,15 @@ mod tests {
             assert_eq!(a.gc_page_moves, b.gc_page_moves);
         }
         assert_eq!(reference.completed_ops, fast.completed_ops);
+    }
+
+    #[test]
+    fn checkpoint_every_takes_finite_non_negative_seconds() {
+        assert_eq!(Scenario::checkpoint_every_us("0"), Ok(0));
+        assert_eq!(Scenario::checkpoint_every_us("1.5"), Ok(1_500_000));
+        for bad in ["-1", "nan", "inf", "-inf", "soon", ""] {
+            let err = Scenario::checkpoint_every_us(bad).unwrap_err();
+            assert!(err.contains("--checkpoint-every"), "{bad:?}: {err}");
+        }
     }
 }

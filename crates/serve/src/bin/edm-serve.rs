@@ -110,10 +110,8 @@ fn main() {
             "--checkpoint-dir" => checkpoint_dir = Some(PathBuf::from(value("--checkpoint-dir"))),
             "--checkpoint-every" => {
                 let v = value("--checkpoint-every");
-                let secs: f64 = v
-                    .parse()
-                    .unwrap_or_else(|_| fail(&format!("bad --checkpoint-every value {v:?}")));
-                checkpoint_every_us = Some((secs * 1_000_000.0) as u64);
+                checkpoint_every_us =
+                    Some(Scenario::checkpoint_every_us(&v).unwrap_or_else(|e| fail(&e)));
             }
             "--resume" => resume = Some(PathBuf::from(value("--resume"))),
             "--journal" => journal = Some(PathBuf::from(value("--journal"))),

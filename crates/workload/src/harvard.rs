@@ -13,13 +13,8 @@
 //!   variance in this case is already very small") → mild skew;
 //! * the `home` traces are read-dominated (§V.B: "the home traces have
 //!   higher read ratio than others"), which Table 1 confirms.
-//!
-//! Users holding the real traces can instead import them with
-//! [`parse_harvard_text`].
 
-use crate::op::{FileId, FileOp, TraceRecord};
 use crate::spec::{FileSizeModel, SkewProfile, WorkloadSpec};
-use crate::trace::Trace;
 
 /// Names of the seven Table 1 workloads, in paper order.
 pub const TRACE_NAMES: [&str; 7] = [
@@ -225,88 +220,6 @@ pub fn random_spec() -> WorkloadSpec {
     }
 }
 
-/// Parses a Harvard-style NFS trace in the simplified text form
-///
-/// ```text
-/// <time_seconds.frac> <user> <op> <file-id> [<offset> <len>]
-/// ```
-///
-/// where `op` ∈ {`open`, `close`, `read`, `write`}. File sizes are inferred
-/// as the maximal extent accessed (the paper pre-creates files "with
-/// sufficient data").
-pub fn parse_harvard_text(name: &str, text: &str) -> Result<Trace, String> {
-    let mut trace = Trace::new(name);
-    for (no, line) in text.lines().enumerate() {
-        let no = no + 1;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut it = line.split_ascii_whitespace();
-        let time: f64 = it
-            .next()
-            .ok_or_else(|| format!("line {no}: missing time"))?
-            .parse()
-            .map_err(|e| format!("line {no}: bad time: {e}"))?;
-        // Also false for NaN; below 2^64 the cast is exact, not saturating.
-        let time_us = time * 1e6;
-        if !(0.0..u64::MAX as f64).contains(&time_us) {
-            return Err(format!(
-                "line {no}: time {time} is not a finite, non-negative number of seconds"
-            ));
-        }
-        let user: u32 = it
-            .next()
-            .ok_or_else(|| format!("line {no}: missing user"))?
-            .parse()
-            .map_err(|e| format!("line {no}: bad user: {e}"))?;
-        let kind = it.next().ok_or_else(|| format!("line {no}: missing op"))?;
-        let file = FileId(
-            it.next()
-                .ok_or_else(|| format!("line {no}: missing file"))?
-                .parse()
-                .map_err(|e| format!("line {no}: bad file: {e}"))?,
-        );
-        let mut next_u64 = |what: &str| -> Result<u64, String> {
-            it.next()
-                .ok_or_else(|| format!("line {no}: missing {what}"))?
-                .parse::<u64>()
-                .map_err(|e| format!("line {no}: bad {what}: {e}"))
-        };
-        let op = match kind {
-            "open" => FileOp::Open,
-            "close" => FileOp::Close,
-            "read" => FileOp::Read {
-                offset: next_u64("offset")?,
-                len: next_u64("len")?,
-            },
-            "write" => FileOp::Write {
-                offset: next_u64("offset")?,
-                len: next_u64("len")?,
-            },
-            other => return Err(format!("line {no}: unknown op {other:?}")),
-        };
-        let record = TraceRecord {
-            time_us: time_us as u64,
-            user,
-            file,
-            op,
-        };
-        let extent = match op {
-            FileOp::Read { offset, len } | FileOp::Write { offset, len } => offset
-                .checked_add(len)
-                .ok_or_else(|| format!("line {no}: offset {offset} + len {len} overflows"))?,
-            _ => 0,
-        };
-        let size = trace.file_sizes.entry(file).or_insert(0);
-        *size = (*size).max(extent).max(1);
-        trace.records.push(record);
-    }
-    trace.records.sort_by_key(|r| r.time_us);
-    trace.validate()?;
-    Ok(trace)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -367,56 +280,5 @@ mod tests {
         s.validate().unwrap();
         assert_eq!(s.skew.write_theta, 0.0);
         assert_eq!(s.skew.read_theta, 0.0);
-    }
-
-    #[test]
-    fn parse_harvard_roundtrip() {
-        let text = "\
-# comment
-0.000100 3 open 7
-0.000200 3 write 7 0 8192
-0.000400 3 read 7 4096 4096
-0.000500 3 close 7
-";
-        let t = parse_harvard_text("mini", text).unwrap();
-        assert_eq!(t.records.len(), 4);
-        assert_eq!(t.file_sizes[&FileId(7)], 8192);
-        let s = t.stats();
-        assert_eq!(s.write_cnt, 1);
-        assert_eq!(s.read_cnt, 1);
-    }
-
-    #[test]
-    fn parse_harvard_sorts_by_time() {
-        let text = "\
-0.5 0 write 1 0 100
-0.1 0 open 1
-";
-        let t = parse_harvard_text("x", text).unwrap();
-        assert_eq!(t.records[0].op, FileOp::Open);
-    }
-
-    #[test]
-    fn parse_harvard_rejects_bad_lines() {
-        assert!(parse_harvard_text("x", "abc").is_err());
-        assert!(parse_harvard_text("x", "0.1 0 explode 1").is_err());
-        assert!(parse_harvard_text("x", "0.1 0 read 1 0").is_err());
-        // Arithmetic the importer must not trust: an extent that wraps,
-        // and times a cast would turn into 0 or u64::MAX.
-        for (text, needle) in [
-            ("0.1 0 write 1 18446744073709551615 2", "overflows"),
-            ("NaN 0 open 1", "time"),
-            ("-1 0 open 1", "time"),
-            ("inf 0 open 1", "time"),
-            ("1e300 0 open 1", "time"),
-        ] {
-            let err = parse_harvard_text("x", text).expect_err(text);
-            assert!(
-                err.starts_with("line 1: ") && err.contains(needle),
-                "{text:?} -> {err}"
-            );
-        }
-        let err = parse_harvard_text("x", "0.1 0 open 1\nabc").unwrap_err();
-        assert!(err.starts_with("line 2: "), "{err}");
     }
 }

@@ -9,14 +9,13 @@
 //! workload (Fig. 3). This crate provides:
 //!
 //! * [`op`] / [`trace`] — NFS-style trace records (open/close/read/write)
-//!   with a line-oriented text format;
+//!   and the in-memory trace container;
 //! * [`zipf`] — exact Zipf sampling for skewed popularity;
 //! * [`spec`] — workload specifications: the Table 1 aggregates plus skew
 //!   knobs;
 //! * [`synth`] — a deterministic synthesizer that hits the Table 1 counts
 //!   exactly and reproduces the locality the Harvard traces exhibit;
-//! * [`harvard`] — the seven named presets, the `random` workload, and a
-//!   parser for real Harvard-style trace text;
+//! * [`harvard`] — the seven named presets and the `random` workload;
 //! * [`replay`] — per-user assignment of records to load-generating
 //!   clients (§V.A).
 //!

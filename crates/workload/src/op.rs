@@ -48,16 +48,6 @@ impl FileOp {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Short mnemonic used by the text trace format.
-    pub fn kind_str(&self) -> &'static str {
-        match self {
-            FileOp::Open => "open",
-            FileOp::Close => "close",
-            FileOp::Read { .. } => "read",
-            FileOp::Write { .. } => "write",
-        }
-    }
 }
 
 /// One record of a trace: a timestamped operation by one user on one file.
@@ -110,17 +100,5 @@ mod tests {
             .len(),
             8192
         );
-    }
-
-    #[test]
-    fn kind_strings_are_distinct() {
-        let kinds = [
-            FileOp::Open.kind_str(),
-            FileOp::Close.kind_str(),
-            FileOp::Read { offset: 0, len: 0 }.kind_str(),
-            FileOp::Write { offset: 0, len: 0 }.kind_str(),
-        ];
-        let set: std::collections::HashSet<_> = kinds.iter().collect();
-        assert_eq!(set.len(), 4);
     }
 }

@@ -3,9 +3,8 @@
 //! replay (§V.A: "all files related in the trace file are pre-created and
 //! populated with sufficient data").
 //!
-//! Traces serialize to a line-oriented text format close to the Harvard
-//! NFS trace style, so users with the real traces can import them through
-//! [`crate::harvard::parse_harvard_text`].
+//! Traces live only in memory: they are synthesized from a
+//! [`crate::WorkloadSpec`] and combined by [`crate::transform`].
 
 use std::collections::BTreeMap;
 
@@ -155,117 +154,6 @@ impl Trace {
         }
         h
     }
-
-    /// Serializes to the line-oriented text format:
-    ///
-    /// ```text
-    /// # edm-trace v1 <name>
-    /// F <file> <size>
-    /// R <time_us> <user> <file> <op> [<offset> <len>]
-    /// ```
-    pub fn to_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        #[expect(clippy::expect_used, reason = "write! into a String is infallible")]
-        writeln!(out, "# edm-trace v1 {}", self.name).expect("string write");
-        for (f, size) in &self.file_sizes {
-            #[expect(clippy::expect_used, reason = "write! into a String is infallible")]
-            writeln!(out, "F {} {}", f.0, size).expect("string write");
-        }
-        for r in &self.records {
-            #[expect(clippy::expect_used, reason = "write! into a String is infallible")]
-            match r.op {
-                FileOp::Open | FileOp::Close => writeln!(
-                    out,
-                    "R {} {} {} {}",
-                    r.time_us,
-                    r.user,
-                    r.file.0,
-                    r.op.kind_str()
-                ),
-                FileOp::Read { offset, len } | FileOp::Write { offset, len } => writeln!(
-                    out,
-                    "R {} {} {} {} {} {}",
-                    r.time_us,
-                    r.user,
-                    r.file.0,
-                    r.op.kind_str(),
-                    offset,
-                    len
-                ),
-            }
-            .expect("string write");
-        }
-        out
-    }
-
-    /// Parses the text format produced by [`Trace::to_text`].
-    pub fn from_text(text: &str) -> Result<Trace, String> {
-        let mut lines = text.lines().enumerate();
-        let (_, header) = lines.next().ok_or("empty trace file")?;
-        let name = header
-            .strip_prefix("# edm-trace v1 ")
-            .ok_or_else(|| format!("bad header: {header:?}"))?
-            .to_string();
-        let mut trace = Trace::new(name);
-        for (no, line) in lines {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut it = line.split_ascii_whitespace();
-            let tag = it.next().ok_or_else(|| format!("line {no}: empty"))?;
-            match tag {
-                "F" => {
-                    let file = FileId(next_u64(&mut it, no, "file id")?);
-                    let size = next_u64(&mut it, no, "size")?;
-                    trace.file_sizes.insert(file, size);
-                }
-                "R" => {
-                    let time_us = next_u64(&mut it, no, "time")?;
-                    let user = next_u64(&mut it, no, "user")? as u32;
-                    let file = FileId(next_u64(&mut it, no, "file id")?);
-                    let kind = it
-                        .next()
-                        .ok_or_else(|| format!("line {no}: missing op kind"))?;
-                    let op = match kind {
-                        "open" => FileOp::Open,
-                        "close" => FileOp::Close,
-                        "read" => FileOp::Read {
-                            offset: next_u64(&mut it, no, "offset")?,
-                            len: next_u64(&mut it, no, "len")?,
-                        },
-                        "write" => FileOp::Write {
-                            offset: next_u64(&mut it, no, "offset")?,
-                            len: next_u64(&mut it, no, "len")?,
-                        },
-                        other => return Err(format!("line {no}: unknown op {other:?}")),
-                    };
-                    trace.records.push(TraceRecord {
-                        time_us,
-                        user,
-                        file,
-                        op,
-                    });
-                }
-                other => return Err(format!("line {no}: unknown tag {other:?}")),
-            }
-        }
-        Ok(trace)
-    }
-}
-
-/// Parses the next whitespace token of `it` as a `u64`, with a
-/// line-and-field error message.
-fn next_u64<'a>(
-    it: &mut impl Iterator<Item = &'a str>,
-    no: usize,
-    what: &str,
-) -> Result<u64, String> {
-    it.next()
-        .ok_or_else(|| format!("line {no}: missing {what}"))?
-        .parse::<u64>()
-        .map_err(|e| format!("line {no}: bad {what}: {e}"))
 }
 
 #[cfg(test)]
@@ -374,22 +262,6 @@ mod tests {
         };
         let err = t.validate().unwrap_err();
         assert!(err.contains("length 4294967296"), "{err}");
-    }
-
-    #[test]
-    fn text_roundtrip_is_lossless() {
-        let t = sample();
-        let parsed = Trace::from_text(&t.to_text()).unwrap();
-        assert_eq!(t, parsed);
-    }
-
-    #[test]
-    fn from_text_rejects_garbage() {
-        assert!(Trace::from_text("").is_err());
-        assert!(Trace::from_text("junk header").is_err());
-        assert!(Trace::from_text("# edm-trace v1 x\nZ 1 2").is_err());
-        assert!(Trace::from_text("# edm-trace v1 x\nR 1 0 1 frobnicate").is_err());
-        assert!(Trace::from_text("# edm-trace v1 x\nR 1 0 1 read 0").is_err());
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Property-based tests of the workload substrate: the synthesizer hits
-//! its targets for arbitrary specs, the trace text format round-trips,
-//! client assignment partitions, and merging preserves structure.
+//! its targets for arbitrary specs, client assignment partitions, and
+//! merging preserves structure.
 
 use edm_workload::replay::assign_clients;
 use edm_workload::synth::synthesize;
-use edm_workload::trace::Trace;
 use edm_workload::transform::merge;
 use edm_workload::{FileSizeModel, SkewProfile, WorkloadSpec};
 use proptest::prelude::*;
@@ -65,15 +64,6 @@ proptest! {
         prop_assert_eq!(s.open_cnt, s.close_cnt);
         t.validate().map_err(TestCaseError::fail)?;
         prop_assert_eq!(synthesize(&spec), t, "synthesis must be deterministic");
-    }
-
-    /// The trace text format round-trips losslessly for any synthesized
-    /// trace.
-    #[test]
-    fn text_format_roundtrips(spec in spec_strategy()) {
-        let t = synthesize(&spec);
-        let parsed = Trace::from_text(&t.to_text()).map_err(TestCaseError::fail)?;
-        prop_assert_eq!(parsed, t);
     }
 
     /// Client assignment partitions the records for any client count.

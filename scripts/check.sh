@@ -160,6 +160,15 @@ EOF
     "$(bin edm-probe)" --verify "$obs_dir/smoke.jsonl" | grep -q "conformant" \
         || { echo "obs smoke: journal violates the EDM spec"; exit 1; }
     echo "obs smoke: $event_count journal lines, spec-conformant OK"
+    # The metrics level writes the same JSONL, trailer records only, and
+    # the same reader takes it.
+    "$(bin edm-sim)" "$obs_dir/smoke.scn" \
+        --obs "$obs_dir/metrics.jsonl" --obs-level metrics > /dev/null 2>&1
+    probe_out="$("$(bin edm-probe)" --journal "$obs_dir/metrics.jsonl")" \
+        || { echo "obs smoke: edm-probe --journal refused the metrics-level file"; exit 1; }
+    echo "$probe_out" | grep -q "ftl.block_erases" \
+        || { echo "obs smoke: no erase counter in the metrics-level file"; exit 1; }
+    echo "obs smoke: metrics-level file read by edm-probe --journal OK"
     # A journal line the edm-obs reader cannot decode is `path:line` and
     # exit 1 through the CLI, never a panic (101), an abort (134) or a
     # made-up value: a device scope past u32, an event without its
@@ -278,10 +287,10 @@ step_scale() {
         echo "==> scale skipped (EDM_CHECK_QUICK=1)"
         return 0
     fi
-    echo "==> scale smoke (edm-sim --shards vs sequential digest)"
+    echo "==> scale smoke (scenario shards 2 vs sequential digest)"
     # The group-sharded engine's contract: a sharded replay must print a
     # bit-identical report and determinism digest. The stride splits the
-    # 4 groups into 2 placement components, so `--shards 2` genuinely
+    # 4 groups into 2 placement components, so `shards 2` genuinely
     # runs the parallel path (asserted on the shard-plan line).
     local scale_dir
     scratch_dir; scale_dir="$SCRATCH_DIR"
@@ -296,9 +305,10 @@ schedule every-tick
 stride 2
 affinity component
 EOF
+    { cat "$scale_dir/scale.scn"; echo "shards 2"; } > "$scale_dir/sharded.scn"
     "$(bin edm-sim)" "$scale_dir/scale.scn" \
         > "$scale_dir/sequential.txt" 2> /dev/null
-    "$(bin edm-sim)" "$scale_dir/scale.scn" --shards 2 \
+    "$(bin edm-sim)" "$scale_dir/sharded.scn" \
         > "$scale_dir/sharded.txt" 2> "$scale_dir/sharded.log"
     grep -q "shard-plan: components=2 threads=2 active=true" "$scale_dir/sharded.log" \
         || { echo "scale smoke: sharded run fell back to the sequential path"; \
@@ -334,9 +344,10 @@ schedule every-tick
 stride 4
 affinity component
 EOF
+    { cat "$spec_dir/dc.scn"; echo "shards 4"; } > "$spec_dir/dc-par.scn"
     "$(bin edm-sim)" "$spec_dir/dc.scn" \
         --obs "$spec_dir/dc-seq.jsonl" --obs-level events > /dev/null
-    "$(bin edm-sim)" "$spec_dir/dc.scn" --shards 4 \
+    "$(bin edm-sim)" "$spec_dir/dc-par.scn" \
         --obs "$spec_dir/dc-par.jsonl" --obs-level events > /dev/null
     cmp "$spec_dir/dc-seq.jsonl" "$spec_dir/dc-par.jsonl" \
         || { echo "spec: sharded journal diverged from sequential bytes"; exit 1; }

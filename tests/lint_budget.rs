@@ -23,7 +23,7 @@ const BUDGETS: &[(&str, usize, usize)] = &[
     ("snap", 0, 1),
     ("spec", 2, 0),
     ("ssd", 8, 0),
-    ("workload", 6, 2),
+    ("workload", 3, 2),
 ];
 
 const LIB_HEADER: &str = "#![forbid(unsafe_code)]
