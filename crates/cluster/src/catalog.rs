@@ -67,10 +67,6 @@ impl Catalog {
         self.files.get(&file)
     }
 
-    pub fn file_count(&self) -> usize {
-        self.files.len()
-    }
-
     pub fn total_objects(&self) -> u64 {
         self.files.len() as u64 * self.placement.objects_per_file as u64
     }
@@ -154,7 +150,6 @@ mod tests {
         assert_eq!(meta.objects.len(), 4);
         assert_eq!(meta.objects[0], ObjectId(12));
         assert_eq!(meta.object_size, c.layout().object_size(1_000_000));
-        assert_eq!(c.file_count(), 1);
         assert_eq!(c.total_objects(), 4);
         assert!(c.file(FileId(3)).is_some() && c.file(FileId(4)).is_none());
     }

@@ -309,13 +309,15 @@ impl Cluster {
         self.catalog.record_move(action.object, action.dest);
         obs.counter("sim.moved_objects", 1);
         obs.counter("sim.moved_bytes", size);
+        // Built at every obs level: the daemon's backend applies moves
+        // from this event, and recorders below `events` drop it after.
+        obs.event(Event::MigrationFinish {
+            object: action.object.0,
+            source: action.source.0,
+            dest: action.dest.0,
+            bytes: size,
+        });
         if obs.events_on() {
-            obs.event(Event::MigrationFinish {
-                object: action.object.0,
-                source: action.source.0,
-                dest: action.dest.0,
-                bytes: size,
-            });
             obs.event(Event::RemapUpdate {
                 object: action.object.0,
                 dest: action.dest.0,

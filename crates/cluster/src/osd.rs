@@ -88,12 +88,6 @@ struct Device {
 }
 
 impl Osd {
-    /// Builds an OSD with an SSD of the given exported capacity and
-    /// default FTL tunables.
-    pub fn new(id: OsdId, capacity_bytes: u64, latency: LatencyModel) -> Self {
-        Osd::with_ftl(id, capacity_bytes, latency, FtlConfig::default())
-    }
-
     /// Builds an OSD with explicit FTL tunables (GC victim policy, wear
     /// leveling, watermarks).
     pub fn with_ftl(id: OsdId, capacity_bytes: u64, latency: LatencyModel, ftl: FtlConfig) -> Self {
@@ -389,7 +383,12 @@ mod tests {
     use super::*;
 
     fn osd() -> Osd {
-        Osd::new(OsdId(0), 8 * 1024 * 1024, LatencyModel::PAPER)
+        Osd::with_ftl(
+            OsdId(0),
+            8 * 1024 * 1024,
+            LatencyModel::PAPER,
+            FtlConfig::default(),
+        )
     }
 
     #[test]

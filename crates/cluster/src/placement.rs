@@ -122,12 +122,6 @@ impl Placement {
             .map(OsdId)
             .collect()
     }
-
-    /// True if `a` and `b` may exchange objects under the intra-group
-    /// migration rule.
-    pub fn same_group(&self, a: OsdId, b: OsdId) -> bool {
-        self.group_of(a) == self.group_of(b)
-    }
 }
 
 snapshot_struct!(
@@ -258,12 +252,5 @@ mod tests {
         }
         .validate()
         .is_err());
-    }
-
-    #[test]
-    fn same_group_is_an_equivalence_on_examples() {
-        let p = Placement::paper(20);
-        assert!(p.same_group(OsdId(1), OsdId(5)));
-        assert!(!p.same_group(OsdId(1), OsdId(2)));
     }
 }

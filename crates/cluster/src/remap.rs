@@ -93,14 +93,6 @@ impl RemappingTable {
     pub fn iter(&self) -> impl Iterator<Item = (ObjectId, OsdId)> + '_ {
         self.map.iter().map(|(o, d)| (*o, *d))
     }
-
-    /// Bytes of memory an entry costs (object id + OSD id), used to report
-    /// table overhead.
-    pub const ENTRY_BYTES: usize = std::mem::size_of::<ObjectId>() + std::mem::size_of::<OsdId>();
-
-    pub fn approx_bytes(&self) -> usize {
-        self.len() * Self::ENTRY_BYTES
-    }
 }
 
 impl Snapshot for RemappingTable {
@@ -163,16 +155,6 @@ mod tests {
         assert_eq!(t.len(), 0);
         assert_eq!(t.lookup(ObjectId(7)), None);
         assert_eq!(t.moves_recorded(), 2);
-    }
-
-    #[test]
-    fn approx_bytes_scales_with_entries() {
-        let mut t = RemappingTable::new();
-        assert_eq!(t.approx_bytes(), 0);
-        for i in 0..10 {
-            t.record_move(ObjectId(i), OsdId(0));
-        }
-        assert_eq!(t.approx_bytes(), 10 * RemappingTable::ENTRY_BYTES);
     }
 
     #[test]

@@ -1079,12 +1079,14 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
         self.rebuilds.remove(&lost);
         self.cluster.catalog.record_move(lost, dest);
         self.obs.counter("sim.rebuilds_finished", 1);
+        // Built at every obs level: the daemon's backend applies rebuilds
+        // from this event, and recorders below `events` drop it after.
+        self.obs.event(ObsEvent::RebuildFinish {
+            object: lost.0,
+            dest: dest.0,
+            bytes: size,
+        });
         if self.obs.events_on() {
-            self.obs.event(ObsEvent::RebuildFinish {
-                object: lost.0,
-                dest: dest.0,
-                bytes: size,
-            });
             self.obs.event(ObsEvent::RemapUpdate {
                 object: lost.0,
                 dest: dest.0,

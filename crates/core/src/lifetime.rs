@@ -103,32 +103,6 @@ pub fn staggering(lifetimes: &[DeviceLifetime]) -> Staggering {
     }
 }
 
-/// The §III.D risk metric: the probability window for simultaneous
-/// failures is governed by how many devices of the *same RAID-relevant
-/// set* wear out within `window` periods of each other. Returns the
-/// largest simultaneous cohort.
-pub fn max_simultaneous_wearouts(lifetimes: &[DeviceLifetime], window: f64) -> usize {
-    let mut order: Vec<f64> = lifetimes
-        .iter()
-        .map(|l| l.periods_to_wearout)
-        .filter(|p| p.is_finite())
-        .collect();
-    #[expect(
-        clippy::expect_used,
-        reason = "erase counts come from wear stats and are always finite"
-    )]
-    order.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let mut best = usize::from(!order.is_empty());
-    for i in 0..order.len() {
-        let cohort = order[i..]
-            .iter()
-            .take_while(|&&t| t - order[i] <= window)
-            .count();
-        best = best.max(cohort);
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,7 +136,6 @@ mod tests {
         let s = staggering(&l);
         assert_eq!(s.min_gap, 0.0);
         assert_eq!(s.total_span, 0.0);
-        assert_eq!(max_simultaneous_wearouts(&l, 1.0), 4);
     }
 
     #[test]
@@ -172,7 +145,6 @@ mod tests {
         let l = project(&spec(), [1_500, 1_200, 1_000, 800], []);
         let s = staggering(&l);
         assert!(s.min_gap > 100.0, "gap {}", s.min_gap);
-        assert_eq!(max_simultaneous_wearouts(&l, 100.0), 1);
         assert!(s.total_span > 1_000.0);
     }
 
@@ -182,7 +154,6 @@ mod tests {
         let s = staggering(&l);
         assert!(s.min_gap.is_infinite());
         assert!(s.total_span.is_infinite());
-        assert_eq!(max_simultaneous_wearouts(&l, 10.0), 1);
     }
 
     #[test]

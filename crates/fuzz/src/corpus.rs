@@ -9,7 +9,7 @@
 
 use std::path::{Path, PathBuf};
 
-use edm_harness::Scenario;
+use edm_scenario::Scenario;
 
 use crate::oracle::OracleFailure;
 

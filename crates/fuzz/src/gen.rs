@@ -10,7 +10,7 @@
 
 use edm_cluster::{ClientAffinity, FailureSpec, MigrationSchedule, OsdId};
 use edm_core::{Assessor, POLICY_NAMES};
-use edm_harness::Scenario;
+use edm_scenario::Scenario;
 use edm_workload::harvard::TRACE_NAMES;
 
 use crate::rng::Rng;

@@ -12,7 +12,7 @@
 //!
 //! * [`rng`] — a tiny splitmix64 PRNG, so fuzzing is a pure function of
 //!   the seed (no ambient randomness, replayable anywhere);
-//! * [`gen`] — draws random-but-valid [`edm_harness::Scenario`]s from a
+//! * [`gen`] — draws random-but-valid [`edm_scenario::Scenario`]s from a
 //!   constrained grammar (trace × scale × cluster shape × policy ×
 //!   schedule × failure/rebuild events);
 //! * [`oracle`] — the differential oracle panel each scenario must pass;

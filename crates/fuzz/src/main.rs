@@ -15,7 +15,7 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use edm_fuzz::{check_scenario, generate, shrink, write_repro, OracleFailure, Rng};
-use edm_harness::Scenario;
+use edm_scenario::Scenario;
 
 struct Args {
     seed: u64,

@@ -28,9 +28,8 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use edm_cluster::{ClientAffinity, MigrationSchedule, NoMigration, SimOptions};
-use edm_harness::{report_digest, resume_snapshot, Scenario};
 use edm_obs::{MemoryRecorder, NoopRecorder, ObsLevel};
-use edm_scenario::fnv1a;
+use edm_scenario::{fnv1a, report_digest, resume_snapshot, Scenario};
 use edm_serve::{dump_ops, ApplyOutcome, LiveWorld};
 use edm_snap::SnapshotFile;
 use edm_ssd::{Geometry, LatencyModel, Ssd};
@@ -96,15 +95,15 @@ fn check_scenario_impl(s: &Scenario, work_dir: &Path) -> Result<OracleStats, Ora
     let mut stats = OracleStats::default();
 
     // Reference run: observability off.
-    let base = s
-        .run()
+    let (base, _) = s
+        .run(&mut NoopRecorder, None)
         .map_err(|e| fail("harness", format!("baseline run failed: {e}")))?;
     let base_digest = report_digest(&base);
 
     // Differential run: full event journal on, end-state cluster kept.
     let mut rec = MemoryRecorder::new(ObsLevel::Events);
     let (obs_report, cluster) = s
-        .run_with_obs_checkpointed_keep(&mut rec, None)
+        .run(&mut rec, None)
         .map_err(|e| fail("harness", format!("events run failed: {e}")))?;
     let obs_digest = report_digest(&obs_report);
     if obs_digest != base_digest {
@@ -182,12 +181,12 @@ fn check_shard_digest(s: &Scenario) -> Result<usize, OracleFailure> {
     let mut par = seq.clone();
     par.shards = 2;
     let mut rec_a = MemoryRecorder::new(ObsLevel::Events);
-    let a = seq
-        .run_with_obs(&mut rec_a)
+    let (a, _) = seq
+        .run(&mut rec_a, None)
         .map_err(|e| fail("shard_digest", format!("sequential run failed: {e}")))?;
     let mut rec_b = MemoryRecorder::new(ObsLevel::Events);
-    let b = par
-        .run_with_obs(&mut rec_b)
+    let (b, _) = par
+        .run(&mut rec_b, None)
         .map_err(|e| fail("shard_digest", format!("sharded run failed: {e}")))?;
     let (da, db) = (report_digest(&a), report_digest(&b));
     if da != db {
@@ -379,7 +378,7 @@ fn check_resume_and_roundtrip(
     })?;
 
     let (ck_report, _) = s
-        .run_with_obs_checkpointed_keep(&mut NoopRecorder, Some((0, ckpt_dir.clone())))
+        .run(&mut NoopRecorder, Some((0, ckpt_dir.clone())))
         .map_err(|e| fail("harness", format!("checkpointed run failed: {e}")))?;
     let ck_digest = report_digest(&ck_report);
     if ck_digest != base_digest {

@@ -8,7 +8,7 @@
 //! repro is locally minimal: no single simplification can be applied to
 //! it without losing the bug.
 
-use edm_harness::Scenario;
+use edm_scenario::Scenario;
 
 use crate::oracle::OracleFailure;
 

@@ -32,8 +32,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use edm_cluster::SnapManifest;
 use edm_harness::runner::{run_one, Run};
-use edm_harness::SnapMeta;
 use edm_obs::{read_jsonl, Event, JournalEntry, JournalLine};
+use edm_scenario::SnapMeta;
 use edm_snap::{SnapshotFile, FORMAT_VERSION};
 
 fn main() {

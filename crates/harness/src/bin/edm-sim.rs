@@ -157,7 +157,7 @@ fn main() {
             }
         }
         scenario
-            .run_with_obs_checkpointed_keep(obs, checkpoint)
+            .run(obs, checkpoint)
             .unwrap_or_else(|e| fail(&format!("scenario failed: {e}")))
             .0
     };

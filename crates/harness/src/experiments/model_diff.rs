@@ -23,9 +23,11 @@
 use std::path::{Path, PathBuf};
 
 use edm_cluster::RunReport;
-use edm_model::{ks_statistic, max_rel_error, rel_error, ClusterPrediction, OsdLoad};
-use edm_model::{GcPolicy, MeanFieldModel};
+use edm_model::{
+    ks_statistic, max_rel_error, rel_error, ClusterPrediction, MeanFieldModel, OsdLoad,
+};
 use edm_obs::json::{parse, JsonValue};
+use edm_obs::NoopRecorder;
 
 use edm_scenario::render_table;
 use edm_scenario::Scenario;
@@ -97,12 +99,11 @@ pub fn diff_report(name: &str, report: &RunReport) -> ScenarioDiff {
     // The scenario engine builds paper-geometry clusters: 32 pages per
     // block, greedy GC (ClusterConfig::paper). σ = 0.28 is the paper's
     // skew fit for exactly these traces.
-    let model = MeanFieldModel::with_gc(32, edm_model::MODEL_SIGMA, GcPolicy::Greedy);
+    let model = MeanFieldModel::paper(32);
     let loads: Vec<OsdLoad> = report
         .per_osd
         .iter()
         .map(|o| OsdLoad {
-            erases: 0.0,
             write_rate: o.write_pages as f64,
             utilization: o.utilization,
         })
@@ -168,7 +169,9 @@ pub fn run(corpus_dir: &Path, tolerances: Tolerances) -> Result<ModelDiffResult,
         let text = std::fs::read_to_string(path)
             .map_err(|e| format!("reading {}: {e}", path.display()))?;
         let scenario = Scenario::parse(&text).map_err(|e| format!("{name}: {e}"))?;
-        let report = scenario.run().map_err(|e| format!("{name}: {e}"))?;
+        let (report, _) = scenario
+            .run(&mut NoopRecorder, None)
+            .map_err(|e| format!("{name}: {e}"))?;
         diffs.push(diff_report(&name, &report));
     }
     Ok(ModelDiffResult { diffs, tolerances })

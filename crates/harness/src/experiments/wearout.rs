@@ -49,8 +49,7 @@ pub fn run(cfg: &RunConfig, osds: u32, trace: &str) -> Result<WearoutResult, Str
     let dir = wearout_dir();
     let _ = std::fs::remove_dir_all(&dir);
     // every_us = 0: cut a checkpoint at every wear tick.
-    let (report, _) =
-        scenario.run_with_obs_checkpointed_keep(&mut NoopRecorder, Some((0, dir.clone())))?;
+    let (report, _) = scenario.run(&mut NoopRecorder, Some((0, dir.clone())))?;
     let digest = report_digest(&report);
 
     let unreadable = |e: &dyn std::fmt::Display| format!("checkpoints in {}: {e}", dir.display());

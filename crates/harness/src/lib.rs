@@ -17,11 +17,9 @@
 //!
 //! Scenario parsing, trace/cluster construction, ASCII report rendering
 //! and the determinism digest live in `edm-scenario` (shared with the
-//! `edm-serve` daemon); the names re-exported at this crate's root are
-//! the ones its integration tests and `edm-fuzz` reach it through.
+//! `edm-serve` daemon).
 
 pub mod experiments;
 pub mod runner;
 
-pub use edm_scenario::{report_digest, resume_snapshot, Scenario, SnapMeta};
 pub use runner::{run_all, Cell, Run, RunConfig, TraceKey};

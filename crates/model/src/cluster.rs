@@ -1,158 +1,24 @@
-//! Cluster-level predictions: per-OSD erase trajectories and the
-//! closed-form RSD curve the EDM trigger would observe over time.
+//! Cluster-level prediction: per-OSD erase counts over one window and
+//! the RSD the EDM trigger would see at its end.
 //!
-//! With per-device loads held steady over a window, each device's erase
-//! count grows affinely, `E_i(t) = b_i + r_i·t`, where `r_i` comes from
-//! the mean-field model ([`MeanFieldModel`]). Mean and variance of an
-//! affine family are quadratic in `t`, so the cluster RSD trajectory
-//!
-//! > RSD(t) = √(v0 + v1·t + v2·t²) / (m0 + m1·t)
-//!
-//! is closed-form: six scalars ([`RsdCurve`]) summarise the entire
-//! future of the imbalance metric, replacing per-window projection.
+//! Each device's erases come from the mean-field model
+//! ([`MeanFieldModel::erase_count`]) applied to its own write volume and
+//! utilization; the cluster RSD is the population RSD of those counts.
 
 use crate::divergence::normalize;
 use crate::meanfield::MeanFieldModel;
 
-/// One device's aggregate load, as seen by the planner or harness.
+/// One device's aggregate load over a window.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OsdLoad {
-    /// Erase count already accumulated (the trajectory's intercept).
-    pub erases: f64,
-    /// Host page writes per unit time (or, for end-of-run totals, the
-    /// whole window's host page writes with the horizon set to 1).
+    /// The window's host page writes.
     pub write_rate: f64,
     /// Live-data fraction of the device's physical capacity.
     pub utilization: f64,
 }
 
-/// Affine per-OSD erase trajectories under steady load.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Trajectory {
-    /// Erase counts at `t = 0`.
-    pub base: Vec<f64>,
-    /// Predicted erases per unit time for each OSD.
-    pub rate: Vec<f64>,
-}
-
-impl Trajectory {
-    /// Builds trajectories by pushing each load through the mean-field
-    /// model: `r_i = erase_count(write_rate_i, u_i)` per unit time.
-    pub fn new(model: &MeanFieldModel, loads: &[OsdLoad]) -> Self {
-        let base = loads.iter().map(|l| l.erases).collect();
-        let rate = loads
-            .iter()
-            .map(|l| model.erase_count(l.write_rate, l.utilization.clamp(0.0, 1.0)))
-            .collect();
-        Trajectory { base, rate }
-    }
-
-    /// Per-OSD erase counts at time `t`.
-    pub fn erases_at(&self, t: f64) -> Vec<f64> {
-        assert!(t >= 0.0, "trajectory time must be non-negative");
-        self.base
-            .iter()
-            .zip(self.rate.iter())
-            .map(|(b, r)| b + r * t)
-            .collect()
-    }
-
-    /// Normalized erase shares at time `t` (sums to 1 when any device
-    /// has worn at all).
-    pub fn distribution_at(&self, t: f64) -> Vec<f64> {
-        normalize(&self.erases_at(t))
-    }
-
-    /// The `t → ∞` limit of [`Self::distribution_at`]: shares converge
-    /// to the rate shares (intercepts wash out). Falls back to the
-    /// base-erase shares when every device is idle.
-    pub fn steady_distribution(&self) -> Vec<f64> {
-        if self.rate.iter().sum::<f64>() > 0.0 {
-            normalize(&self.rate)
-        } else {
-            normalize(&self.base)
-        }
-    }
-
-    /// Collapses the trajectories into the six-scalar RSD curve.
-    ///
-    /// With `E_i(t) = b_i + r_i·t`:
-    /// mean(t) = m0 + m1·t, var(t) = v0 + v1·t + v2·t²
-    /// where `v0 = Var(b)`, `v1 = 2·Cov(b, r)`, `v2 = Var(r)`
-    /// (population moments, matching `edm-core`'s trigger RSD).
-    pub fn rsd(&self) -> RsdCurve {
-        let n = self.base.len();
-        assert!(n > 0, "RSD of an empty cluster is undefined");
-        let nf = n as f64;
-        let m0 = self.base.iter().sum::<f64>() / nf;
-        let m1 = self.rate.iter().sum::<f64>() / nf;
-        let mut v0 = 0.0;
-        let mut v1 = 0.0;
-        let mut v2 = 0.0;
-        for (b, r) in self.base.iter().zip(self.rate.iter()) {
-            let db = b - m0;
-            let dr = r - m1;
-            v0 += db * db;
-            v1 += 2.0 * db * dr;
-            v2 += dr * dr;
-        }
-        RsdCurve {
-            n,
-            m0,
-            m1,
-            v0: v0 / nf,
-            v1: v1 / nf,
-            v2: v2 / nf,
-        }
-    }
-}
-
-/// Closed-form RSD trajectory `√(v0 + v1·t + v2·t²) / (m0 + m1·t)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RsdCurve {
-    /// Cluster size the moments were taken over.
-    pub n: usize,
-    /// Mean erase count at `t = 0`.
-    pub m0: f64,
-    /// Mean erase rate.
-    pub m1: f64,
-    /// Variance at `t = 0`.
-    pub v0: f64,
-    /// Twice the base/rate covariance (linear variance term).
-    pub v1: f64,
-    /// Variance of the rates (quadratic variance term).
-    pub v2: f64,
-}
-
-impl RsdCurve {
-    /// RSD at time `t`; 0 when the cluster has not worn at all yet.
-    pub fn rsd_at(&self, t: f64) -> f64 {
-        assert!(t >= 0.0, "trajectory time must be non-negative");
-        let mean = self.m0 + self.m1 * t;
-        if mean <= 0.0 {
-            return 0.0;
-        }
-        // The quadratic is a population variance by construction, but
-        // the three accumulated terms can cancel to a tiny negative
-        // under rounding — clamp before the square root.
-        let var = (self.v0 + self.v1 * t + self.v2 * t * t).max(0.0);
-        var.sqrt() / mean
-    }
-
-    /// The `t → ∞` limit, `√v2 / m1`: the imbalance the cluster settles
-    /// into under these rates. An idle cluster keeps its current RSD.
-    pub fn steady(&self) -> f64 {
-        if self.m1 > 0.0 {
-            self.v2.max(0.0).sqrt() / self.m1
-        } else {
-            self.rsd_at(0.0)
-        }
-    }
-}
-
 /// End-of-window cluster prediction — the `/model` endpoint payload and
-/// the `model-diff` comparator. Built from per-OSD *total* host writes
-/// over a window (horizon folded into `write_rate`).
+/// the `model-diff` comparator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterPrediction {
     /// Predicted erase count per OSD at the end of the window.
@@ -163,30 +29,36 @@ pub struct ClusterPrediction {
     pub shares: Vec<f64>,
     /// Cluster GC rate: predicted new erases per host page written.
     pub gc_rate: f64,
-    /// Predicted end-of-window RSD of the erase counts.
+    /// Predicted end-of-window RSD of the erase counts (population
+    /// moments, matching `edm-core`'s trigger RSD).
     pub rsd: f64,
 }
 
 impl ClusterPrediction {
     pub fn predict(model: &MeanFieldModel, loads: &[OsdLoad]) -> Self {
-        let traj = Trajectory::new(model, loads);
-        let erases = traj.erases_at(1.0);
+        let erases: Vec<f64> = loads
+            .iter()
+            .map(|l| model.erase_count(l.write_rate, l.utilization.clamp(0.0, 1.0)))
+            .collect();
         let write_amplification = loads
             .iter()
             .map(|l| model.write_amplification(l.utilization.clamp(0.0, 1.0)))
             .collect();
         let shares = normalize(&erases);
         let host_pages: f64 = loads.iter().map(|l| l.write_rate).sum();
-        let new_erases: f64 = traj.rate.iter().sum();
+        let total: f64 = erases.iter().sum();
         let gc_rate = if host_pages > 0.0 {
-            new_erases / host_pages
+            total / host_pages
         } else {
             0.0
         };
-        let rsd = if erases.is_empty() {
+        let n = erases.len() as f64;
+        let mean = total / n;
+        let rsd = if erases.is_empty() || mean <= 0.0 {
             0.0
         } else {
-            traj.rsd().rsd_at(1.0)
+            let var = erases.iter().map(|e| (e - mean) * (e - mean)).sum::<f64>() / n;
+            var.sqrt() / mean
         };
         ClusterPrediction {
             erases,
@@ -201,142 +73,33 @@ impl ClusterPrediction {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::meanfield::GcPolicy;
-
-    fn model() -> MeanFieldModel {
-        MeanFieldModel::with_gc(32, 0.0, GcPolicy::Greedy)
-    }
 
     fn loads() -> Vec<OsdLoad> {
-        vec![
-            OsdLoad {
-                erases: 100.0,
-                write_rate: 3200.0,
-                utilization: 0.5,
-            },
-            OsdLoad {
-                erases: 140.0,
-                write_rate: 1600.0,
-                utilization: 0.5,
-            },
-            OsdLoad {
-                erases: 60.0,
-                write_rate: 6400.0,
-                utilization: 0.7,
-            },
-        ]
+        [(3200.0, 0.5), (1600.0, 0.5), (6400.0, 0.7)]
+            .map(|(write_rate, utilization)| OsdLoad {
+                write_rate,
+                utilization,
+            })
+            .to_vec()
     }
 
     #[test]
-    fn erases_grow_affinely() {
-        let t = Trajectory::new(&model(), &loads());
-        let e0 = t.erases_at(0.0);
-        let e1 = t.erases_at(1.0);
-        let e2 = t.erases_at(2.0);
-        for i in 0..3 {
-            assert!((e2[i] - e1[i] - (e1[i] - e0[i])).abs() < 1e-9);
-            assert!(e1[i] > e0[i]);
-        }
-        assert_eq!(e0, vec![100.0, 140.0, 60.0]);
+    fn three_osd_prediction_is_pinned() {
+        // Pinned to the bit, so a reordered sum or a changed variance
+        // formula shows up here.
+        let p = ClusterPrediction::predict(&MeanFieldModel::paper(32), &loads());
+        assert_eq!(p.rsd.to_bits(), 0x3fe2_e56e_a76a_434c, "rsd {}", p.rsd);
+        assert_eq!(
+            p.gc_rate.to_bits(),
+            0x3fa1_6016_15af_914c,
+            "gc_rate {}",
+            p.gc_rate
+        );
     }
 
     #[test]
-    fn curve_matches_pointwise_rsd() {
-        // The six-scalar curve must agree with computing mean/var from
-        // the full erase vector at arbitrary times.
-        let t = Trajectory::new(&model(), &loads());
-        let curve = t.rsd();
-        for time in [0.0, 0.5, 1.0, 7.0, 100.0] {
-            let e = t.erases_at(time);
-            let mean = e.iter().sum::<f64>() / e.len() as f64;
-            let var = e.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / e.len() as f64;
-            let direct = var.sqrt() / mean;
-            assert!(
-                (curve.rsd_at(time) - direct).abs() < 1e-9,
-                "t = {time}: {} vs {direct}",
-                curve.rsd_at(time)
-            );
-        }
-    }
-
-    #[test]
-    fn steady_rsd_is_the_long_run_limit() {
-        let t = Trajectory::new(&model(), &loads());
-        let curve = t.rsd();
-        assert!((curve.rsd_at(1e9) - curve.steady()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn equal_rates_drive_rsd_toward_zero() {
-        // Perfect leveling: uneven intercepts, identical rates. RSD must
-        // decay monotonically toward 0 as the shared rate dominates.
-        let base = vec![10.0, 50.0, 90.0];
-        let t = Trajectory {
-            base,
-            rate: vec![4.0, 4.0, 4.0],
-        };
-        let curve = t.rsd();
-        let mut prev = f64::INFINITY;
-        for time in [0.0, 1.0, 10.0, 100.0, 1000.0] {
-            let r = curve.rsd_at(time);
-            assert!(r <= prev + 1e-12, "t = {time}");
-            prev = r;
-        }
-        assert!(curve.steady() < 1e-12);
-    }
-
-    #[test]
-    fn distributions_sum_to_one() {
-        let t = Trajectory::new(&model(), &loads());
-        for time in [0.0, 1.0, 42.0] {
-            let d = t.distribution_at(time);
-            assert!((d.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        }
-        let s = t.steady_distribution();
-        assert!((s.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn steady_distribution_follows_rates() {
-        let t = Trajectory::new(&model(), &loads());
-        let s = t.steady_distribution();
-        let far = t.distribution_at(1e12);
-        for (a, b) in s.iter().zip(far.iter()) {
-            assert!((a - b).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn idle_cluster_keeps_its_rsd() {
-        let t = Trajectory {
-            base: vec![10.0, 20.0],
-            rate: vec![0.0, 0.0],
-        };
-        let curve = t.rsd();
-        assert!((curve.steady() - curve.rsd_at(0.0)).abs() < 1e-12);
-        assert!(curve.rsd_at(0.0) > 0.0);
-        assert_eq!(t.steady_distribution(), normalize(&[10.0, 20.0]));
-    }
-
-    #[test]
-    fn unworn_cluster_reports_zero_rsd() {
-        let t = Trajectory {
-            base: vec![0.0, 0.0],
-            rate: vec![0.0, 0.0],
-        };
-        assert_eq!(t.rsd().rsd_at(0.0), 0.0);
-    }
-
-    #[test]
-    fn prediction_is_consistent_with_the_trajectory() {
-        let m = model();
-        let ls = loads();
-        let p = ClusterPrediction::predict(&m, &ls);
-        let t = Trajectory::new(&m, &ls);
-        assert_eq!(p.erases, t.erases_at(1.0));
-        assert!((p.rsd - t.rsd().rsd_at(1.0)).abs() < 1e-12);
-        assert!((p.shares.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        // GC rate must sit at WA/Np between the per-OSD extremes.
+    fn gc_rate_sits_between_the_per_osd_extremes() {
+        let p = ClusterPrediction::predict(&MeanFieldModel::paper(32), &loads());
         let lo = p
             .write_amplification
             .iter()
@@ -346,8 +109,19 @@ mod tests {
     }
 
     #[test]
+    fn unworn_cluster_reports_zero_rsd() {
+        let idle = [OsdLoad {
+            write_rate: 0.0,
+            utilization: 0.5,
+        }; 2];
+        let p = ClusterPrediction::predict(&MeanFieldModel::paper(32), &idle);
+        assert_eq!(p.erases, vec![0.0, 0.0]);
+        assert_eq!(p.rsd, 0.0);
+    }
+
+    #[test]
     fn empty_cluster_prediction_is_all_zero() {
-        let p = ClusterPrediction::predict(&model(), &[]);
+        let p = ClusterPrediction::predict(&MeanFieldModel::paper(32), &[]);
         assert!(p.erases.is_empty());
         assert_eq!(p.gc_rate, 0.0);
         assert_eq!(p.rsd, 0.0);

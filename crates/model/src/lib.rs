@@ -29,6 +29,10 @@
 //! the simulator, not with that twin; sharing no code keeps a bug in
 //! the twin out of the prediction the simulator is checked against.
 //!
+//! [`meanfield`] is the per-device model; [`cluster`] turns per-OSD
+//! loads into the end-of-window erase vector and RSD that `/model` and
+//! `model-diff` report.
+//!
 //! See `DESIGN.md` §15 for the equations, assumptions, and where model
 //! and simulator are *expected* to diverge.
 
@@ -36,6 +40,6 @@ pub mod cluster;
 pub mod divergence;
 pub mod meanfield;
 
-pub use cluster::{ClusterPrediction, OsdLoad, RsdCurve, Trajectory};
+pub use cluster::{ClusterPrediction, OsdLoad};
 pub use divergence::{ks_statistic, max_rel_error, normalize, rel_error};
 pub use meanfield::{GcPolicy, MeanFieldModel, MODEL_SIGMA};

@@ -64,17 +64,6 @@ pub enum GcPolicy {
 }
 
 impl GcPolicy {
-    /// Maps an FTL victim-policy label to its analytic counterpart.
-    /// Cost-benefit selects near-greedy victims at steady state, so it
-    /// shares the greedy curve.
-    pub fn from_label(label: &str) -> Option<GcPolicy> {
-        match label {
-            "greedy" | "cost_benefit" => Some(GcPolicy::Greedy),
-            "fifo" => Some(GcPolicy::Fifo),
-            _ => None,
-        }
-    }
-
     pub fn label(&self) -> &'static str {
         match self {
             GcPolicy::Greedy => "greedy",
@@ -290,10 +279,8 @@ mod tests {
 
     #[test]
     fn labels_round_trip_with_the_ftl() {
-        assert_eq!(GcPolicy::from_label("greedy"), Some(GcPolicy::Greedy));
-        assert_eq!(GcPolicy::from_label("fifo"), Some(GcPolicy::Fifo));
-        assert_eq!(GcPolicy::from_label("cost_benefit"), Some(GcPolicy::Greedy));
-        assert_eq!(GcPolicy::from_label("lru"), None);
+        // The FTL's `VictimPolicy` labels, which `/model` reports.
+        assert_eq!(GcPolicy::Greedy.label(), "greedy");
         assert_eq!(GcPolicy::Fifo.label(), "fifo");
     }
 

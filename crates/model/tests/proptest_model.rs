@@ -1,18 +1,15 @@
 //! Property-based tests of the closed-form invariants the analytic model
-//! promises its consumers: distributions are proper, the modeled leveling
-//! drives RSD down monotonically, and erase counts respect the write
-//! amplification identity.
+//! promises its consumers: the cluster prediction is the per-OSD model
+//! with a proper share distribution and the population RSD, and erase
+//! counts respect the write amplification identity.
 
-use edm_model::{GcPolicy, MeanFieldModel, OsdLoad, Trajectory};
+use edm_model::{ClusterPrediction, GcPolicy, MeanFieldModel, OsdLoad};
 use proptest::prelude::*;
 
 fn load_strategy() -> impl Strategy<Value = OsdLoad> {
-    (0.0f64..5_000.0, 1.0f64..100_000.0, 0.05f64..0.98).prop_map(|(erases, write_rate, u)| {
-        OsdLoad {
-            erases,
-            write_rate,
-            utilization: u,
-        }
+    (1.0f64..100_000.0, 0.05f64..0.98).prop_map(|(write_rate, utilization)| OsdLoad {
+        write_rate,
+        utilization,
     })
 }
 
@@ -23,49 +20,43 @@ fn gc_strategy() -> impl Strategy<Value = GcPolicy> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The predicted erase distribution is a proper distribution at any
-    /// point along the trajectory: every share in [0, 1], summing to 1.
+    /// The predicted erase shares are a proper distribution: every share
+    /// in [0, 1], summing to 1.
     #[test]
     fn distribution_sums_to_one(
         loads in prop::collection::vec(load_strategy(), 1..24),
         gc in gc_strategy(),
         sigma in 0.0f64..0.4,
-        t in 0.0f64..1_000.0,
     ) {
         let model = MeanFieldModel::with_gc(32, sigma, gc);
-        let traj = Trajectory::new(&model, &loads);
-        for dist in [traj.distribution_at(t), traj.steady_distribution()] {
-            let total: f64 = dist.iter().sum();
-            prop_assert!((total - 1.0).abs() < 1e-9, "sum = {total}");
-            for share in dist {
-                prop_assert!((-1e-12..=1.0 + 1e-12).contains(&share));
-            }
+        let p = ClusterPrediction::predict(&model, &loads);
+        let total: f64 = p.shares.iter().sum();
+        prop_assert!((total - 1.0).abs() < 1e-9, "sum = {total}");
+        for share in p.shares {
+            prop_assert!((0.0..=1.0).contains(&share), "share {share}");
         }
     }
 
-    /// Modeled leveling — every device erasing at the same rate — can
-    /// only shrink the cluster RSD as wear accumulates: the curve is
-    /// monotone non-increasing in time.
+    /// Each OSD's predicted erases are the per-device model applied to
+    /// that OSD's own load, and the cluster RSD is the population RSD of
+    /// those counts.
     #[test]
-    fn rsd_monotone_under_modeled_leveling(
-        bases in prop::collection::vec(0.0f64..10_000.0, 2..24),
-        shared_rate in 0.1f64..500.0,
-        times in prop::collection::vec(0.0f64..100_000.0, 2..16),
+    fn prediction_is_the_per_osd_model(
+        loads in prop::collection::vec(load_strategy(), 1..24),
+        gc in gc_strategy(),
+        sigma in 0.0f64..0.4,
     ) {
-        let n = bases.len();
-        let traj = Trajectory {
-            base: bases,
-            rate: vec![shared_rate; n],
-        };
-        let curve = traj.rsd();
-        let mut sorted = times;
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("times are finite"));
-        let mut prev = f64::INFINITY;
-        for t in sorted {
-            let r = curve.rsd_at(t);
-            prop_assert!(r <= prev + 1e-9, "RSD rose to {r} from {prev} at t = {t}");
-            prev = r;
+        let model = MeanFieldModel::with_gc(32, sigma, gc);
+        let p = ClusterPrediction::predict(&model, &loads);
+        prop_assert_eq!(p.erases.len(), loads.len());
+        for (e, l) in p.erases.iter().zip(&loads) {
+            prop_assert_eq!(*e, model.erase_count(l.write_rate, l.utilization));
         }
+        let n = p.erases.len() as f64;
+        let mean = p.erases.iter().sum::<f64>() / n;
+        let var = p.erases.iter().map(|e| (e - mean).powi(2)).sum::<f64>() / n;
+        let rsd = var.sqrt() / mean;
+        prop_assert!((p.rsd - rsd).abs() <= 1e-12 * rsd.max(1.0), "{} vs {rsd}", p.rsd);
     }
 
     /// Write amplification identity: predicted erases times pages per

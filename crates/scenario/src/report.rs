@@ -190,8 +190,9 @@ mod tests {
     fn report_digest_is_stable_and_field_sensitive() {
         let r = crate::Scenario::parse("trace deasna\nscale 0.001\nosds 8\n")
             .unwrap()
-            .run()
-            .unwrap();
+            .run(&mut edm_obs::NoopRecorder, None)
+            .unwrap()
+            .0;
         assert_eq!(report_digest(&r), report_digest(&r.clone()));
         let mut tweaked = r.clone();
         tweaked.completed_ops += 1;

@@ -409,26 +409,15 @@ impl Scenario {
         }
     }
 
-    /// Runs the scenario end to end.
-    pub fn run(&self) -> Result<RunReport, String> {
-        self.run_with_obs(&mut edm_obs::NoopRecorder)
-    }
-
-    /// [`run`](Self::run) with an observability sink. Recording is
-    /// read-only: the report is identical at every obs level.
-    pub fn run_with_obs(&self, obs: &mut dyn edm_obs::Recorder) -> Result<RunReport, String> {
-        self.run_with_obs_checkpointed_keep(obs, None)
-            .map(|(report, _)| report)
-    }
-
-    /// The full-signature entry: [`run_with_obs`](Self::run_with_obs),
-    /// optionally cutting periodic checkpoints (`every_us` of virtual
-    /// time, written under `dir`), and handing back the final [`Cluster`]
-    /// so callers — the fuzzer's differential oracles — can inspect
-    /// end-of-run device and catalog state. Each checkpoint embeds the
-    /// scenario text and the trace fingerprint so [`resume_snapshot`] can
-    /// rebuild the run from the file alone.
-    pub fn run_with_obs_checkpointed_keep(
+    /// Runs the scenario end to end into the observability sink `obs`
+    /// (recording is read-only: the report is identical at every obs
+    /// level), optionally cutting periodic checkpoints (`every_us` of
+    /// virtual time, written under `dir`), and hands back the final
+    /// [`Cluster`] so callers — the fuzzer's differential oracles — can
+    /// inspect end-of-run device and catalog state. Each checkpoint
+    /// embeds the scenario text and the trace fingerprint so
+    /// [`resume_snapshot`] can rebuild the run from the file alone.
+    pub fn run(
         &self,
         obs: &mut dyn edm_obs::Recorder,
         checkpoint: Option<(u64, PathBuf)>,
@@ -567,10 +556,9 @@ impl Checkpoint {
     }
 }
 
-/// Resumes a checkpoint written by
-/// [`Scenario::run_with_obs_checkpointed_keep`] and drives the run to
-/// completion. Returns the scenario alongside the report so callers can
-/// label their output.
+/// Resumes a checkpoint written by [`Scenario::run`] and drives the run
+/// to completion. Returns the scenario alongside the report so callers
+/// can label their output.
 pub fn resume_snapshot(
     path: &Path,
     obs: &mut dyn edm_obs::Recorder,
@@ -715,7 +703,7 @@ mod tests {
             "trace deasna\nscale 0.002\nosds 8\npolicy EDM-HDF\nfail 2000 1 rebuild\n",
         )
         .unwrap();
-        let r = s.run().unwrap();
+        let (r, _) = s.run(&mut edm_obs::NoopRecorder, None).unwrap();
         assert!(r.completed_ops > 0);
         assert_eq!(r.failed_osds, vec![1]);
         let text = render_report(&r);
@@ -726,7 +714,10 @@ mod tests {
     #[test]
     fn unknown_policy_is_reported() {
         let s = Scenario::parse("policy FancyPolicy\nscale 0.001\n").unwrap();
-        assert!(s.run().unwrap_err().contains("unknown policy"));
+        let Err(e) = s.run(&mut edm_obs::NoopRecorder, None) else {
+            panic!("unknown policy ran");
+        };
+        assert!(e.contains("unknown policy"), "{e}");
     }
 
     #[test]
@@ -779,11 +770,15 @@ mod tests {
     #[test]
     fn model_assessor_matches_projection_end_to_end() {
         let base = "trace home02\nscale 0.002\nosds 8\ngroups 4\npolicy EDM-HDF\n";
-        let reference = Scenario::parse(base).unwrap().run().unwrap();
-        let fast = Scenario::parse(&format!("{base}assessor model\n"))
-            .unwrap()
-            .run()
-            .unwrap();
+        let run = |text: &str| {
+            Scenario::parse(text)
+                .unwrap()
+                .run(&mut edm_obs::NoopRecorder, None)
+                .unwrap()
+                .0
+        };
+        let reference = run(base);
+        let fast = run(&format!("{base}assessor model\n"));
         for (a, b) in reference.per_osd.iter().zip(fast.per_osd.iter()) {
             assert_eq!(a.erase_count, b.erase_count);
             assert_eq!(a.write_pages, b.write_pages);

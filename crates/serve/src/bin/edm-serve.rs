@@ -146,6 +146,11 @@ fn main() {
         return;
     }
 
+    // `--checkpoint-dir` alone is fine (`POST /checkpoint`); a cadence
+    // with nowhere to write would silently never checkpoint.
+    if checkpoint_every_us.is_some() && checkpoint_dir.is_none() {
+        fail("--checkpoint-every needs --checkpoint-dir");
+    }
     let scenario = match (&scenario_path, &resume) {
         (Some(path), _) => read_scenario(path),
         // A pure resume takes its scenario from the checkpoint; this one
@@ -153,9 +158,6 @@ fn main() {
         (None, Some(_)) => Scenario::default(),
         (None, None) => fail(USAGE),
     };
-    if resume.is_none() && scenario_path.is_none() {
-        fail(USAGE);
-    }
 
     let listener = TcpListener::bind(("127.0.0.1", port))
         .unwrap_or_else(|e| fail(&format!("cannot bind 127.0.0.1:{port}: {e}")));

@@ -489,6 +489,7 @@ pub fn dump_ops(scenario: &Scenario) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{MemBackend, ServeRecorder};
     use edm_cluster::OsdId;
     use edm_obs::{MemoryRecorder, ObsLevel};
 
@@ -660,6 +661,23 @@ mod tests {
             }
         );
         assert_eq!(erases, [26, 23, 27, 31, 28, 27, 32, 26]);
+    }
+
+    #[test]
+    fn backend_sees_every_move_at_every_obs_level() {
+        for level in [ObsLevel::Off, ObsLevel::Metrics, ObsLevel::Events] {
+            let mut w = LiveWorld::new(scenario()).unwrap();
+            let mut obs = ServeRecorder::new(level, Box::new(MemBackend::new()));
+            for line in dump_ops(w.scenario()).lines() {
+                w.apply_line(line, &mut obs);
+            }
+            assert!(w.stats().moved_objects > 0, "{level:?}: nothing moved");
+            assert_eq!(
+                obs.backend().moves_applied(),
+                w.stats().moved_objects,
+                "{level:?}"
+            );
+        }
     }
 
     #[test]

@@ -156,6 +156,49 @@ mod tests {
     }
 
     #[test]
+    fn replay_at_metrics_applies_every_move_and_rebuild() {
+        use crate::FlatOut;
+        use edm_cluster::{FailureSpec, LiveRun, MigrationSchedule, StepPause};
+        use edm_scenario::Scenario;
+
+        let scenario = Scenario {
+            trace: "random".into(),
+            scale: 0.002,
+            osds: 8,
+            groups: 4,
+            schedule: MigrationSchedule::EveryTick,
+            lambda: 0.05,
+            failures: vec![FailureSpec {
+                at_us: 1_000,
+                osd: OsdId(2),
+                rebuild: true,
+            }],
+            ..Scenario::default()
+        };
+        let trace = scenario.synth_trace();
+        let mut policy = scenario.build_policy().unwrap();
+        let cluster = scenario.build_cluster(&trace).unwrap();
+        let mut r = ServeRecorder::new(ObsLevel::Metrics, Box::new(MemBackend::new()));
+        let mut live = LiveRun::new(
+            cluster,
+            &trace,
+            policy.as_mut(),
+            scenario.sim_options(),
+            &mut r,
+        );
+        while !matches!(live.step(&mut FlatOut::new()), StepPause::Done) {}
+        let (report, _) = live.finish();
+        assert!(
+            report.moved_objects > 0 && report.rebuilt_objects > 0,
+            "{report:?}"
+        );
+        assert_eq!(
+            r.backend().moves_applied(),
+            report.moved_objects + report.rebuilt_objects
+        );
+    }
+
+    #[test]
     fn taps_even_below_events_level() {
         // At `metrics` level the journal drops events, but completions
         // still reach the backend — the tap is on the hook, not the log.

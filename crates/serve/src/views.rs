@@ -221,11 +221,7 @@ pub fn render_replay_final(report_text: &str, digest: u64) -> String {
 /// `edm-exp model-diff` CI gate.
 pub fn render_model(cluster: &Cluster, now_us: u64) -> String {
     let view = cluster.view(now_us);
-    let model = edm_model::MeanFieldModel::with_gc(
-        view.pages_per_block,
-        edm_model::MODEL_SIGMA,
-        edm_model::GcPolicy::Greedy,
-    );
+    let model = edm_model::MeanFieldModel::paper(view.pages_per_block);
     // Cumulative host page writes, not the view's windowed `wc_pages`
     // (that counter resets at every wear tick and would predict near
     // zero right after one) — the prediction must cover the same span
@@ -234,7 +230,6 @@ pub fn render_model(cluster: &Cluster, now_us: u64) -> String {
         .osds
         .iter()
         .map(|o| edm_model::OsdLoad {
-            erases: 0.0,
             write_rate: cluster.osd(o.osd).ssd().wear().host_page_writes as f64,
             utilization: o.utilization,
         })

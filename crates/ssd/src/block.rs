@@ -51,11 +51,6 @@ impl Block {
         self.pages_per_block() - self.write_ptr
     }
 
-    /// Number of reclaimable (superseded) pages.
-    pub fn invalid_pages(&self) -> u32 {
-        self.write_ptr - self.valid
-    }
-
     /// True once every page has been programmed.
     pub fn is_full(&self) -> bool {
         self.write_ptr == self.pages_per_block()
@@ -152,7 +147,6 @@ mod tests {
         let b = Block::new(32);
         assert_eq!(b.free_pages(), 32);
         assert_eq!(b.valid_pages(), 0);
-        assert_eq!(b.invalid_pages(), 0);
         assert!(b.is_erased());
         assert!(!b.is_full());
     }
@@ -175,7 +169,6 @@ mod tests {
         b.program();
         b.invalidate(0);
         assert_eq!(b.valid_pages(), 1);
-        assert_eq!(b.invalid_pages(), 1);
         assert_eq!(b.state(0), PageState::Invalid);
     }
 

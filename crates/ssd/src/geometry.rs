@@ -67,11 +67,6 @@ impl Geometry {
         self.exported_pages() * self.page_size
     }
 
-    /// Number of pages needed to store `bytes` of data.
-    pub fn pages_for(&self, bytes: u64) -> u64 {
-        bytes.div_ceil(self.page_size)
-    }
-
     /// Validates internal consistency; returns a description of the first
     /// violated constraint.
     pub fn validate(&self) -> Result<(), String> {
@@ -179,15 +174,6 @@ mod tests {
         .validate()
         .unwrap_err();
         assert!(err.contains("4-byte page numbers"), "{err}");
-    }
-
-    #[test]
-    fn pages_for_rounds_up() {
-        let g = Geometry::default();
-        assert_eq!(g.pages_for(0), 0);
-        assert_eq!(g.pages_for(1), 1);
-        assert_eq!(g.pages_for(4096), 1);
-        assert_eq!(g.pages_for(4097), 2);
     }
 
     #[test]

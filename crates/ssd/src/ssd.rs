@@ -48,14 +48,6 @@ impl Ssd {
         }
     }
 
-    /// Convenience constructor: paper latencies, capacity in bytes.
-    pub fn with_capacity(exported_bytes: u64) -> Self {
-        Ssd::new(
-            Geometry::for_exported_capacity(exported_bytes),
-            LatencyModel::PAPER,
-        )
-    }
-
     pub fn geometry(&self) -> &Geometry {
         self.ftl.geometry()
     }

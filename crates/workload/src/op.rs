@@ -29,10 +29,6 @@ pub enum FileOp {
 }
 
 impl FileOp {
-    pub fn is_read(&self) -> bool {
-        matches!(self, FileOp::Read { .. })
-    }
-
     pub fn is_write(&self) -> bool {
         matches!(self, FileOp::Write { .. })
     }
@@ -79,10 +75,8 @@ mod tests {
 
     #[test]
     fn op_classification() {
-        assert!(FileOp::Read { offset: 0, len: 1 }.is_read());
         assert!(!FileOp::Read { offset: 0, len: 1 }.is_write());
         assert!(FileOp::Write { offset: 0, len: 1 }.is_write());
-        assert!(!FileOp::Open.is_read());
         assert!(!FileOp::Close.is_write());
     }
 

@@ -161,11 +161,6 @@ impl WorkloadSpec {
             ..self.clone()
         }
     }
-
-    /// Total payload bytes this workload will read plus write (expected).
-    pub fn expected_bytes(&self) -> u64 {
-        self.write_cnt * self.avg_write_size + self.read_cnt * self.avg_read_size
-    }
 }
 
 #[cfg(test)]
@@ -240,11 +235,5 @@ mod tests {
         assert!(s.file_cnt >= 1);
         assert!(s.write_cnt >= 1);
         s.validate().unwrap();
-    }
-
-    #[test]
-    fn expected_bytes_combines_reads_and_writes() {
-        let s = base();
-        assert_eq!(s.expected_bytes(), 1000 * 8000 + 2000 * 8192);
     }
 }

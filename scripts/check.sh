@@ -18,7 +18,8 @@
 #   check.sh scale   sharded-vs-sequential digest identity smoke
 #   check.sh spec    edm-spec on a 1024-OSD sharded journal and two hostile ones
 #                    (the corpus journals are verified by `test`, in fuzz_replay)
-#   check.sh serve   edm-serve daemon: ingest pipeline, kill/resume, replay digest
+#   check.sh serve   edm-serve daemon: ingest pipeline, kill/resume, replay digest,
+#                    dir: backend below the events obs level
 #   check.sh fuzz    edm-fuzz smoke batch (seed 1, six scenarios)
 #   check.sh model   analytic-model differential gate (edm-exp model-diff
 #                    vs scripts/model_tolerances.json)
@@ -436,7 +437,7 @@ step_serve() {
         echo "==> serve skipped (EDM_CHECK_QUICK=1)"
         return 0
     fi
-    echo "==> serve gate (live daemon: ingest, kill/resume convergence, replay digest)"
+    echo "==> serve gate (live daemon: ingest, kill/resume convergence, replay digest, backend)"
     local serve_dir
     scratch_dir; serve_dir="$SCRATCH_DIR"
     # The fuzz-corpus live scenario: crosses wear ticks and fires
@@ -545,7 +546,25 @@ EOF
     wait "$c_pid"
     diff "$serve_dir/stats-uninterrupted.json" "$serve_dir/stats-resumed.json" \
         || { echo "serve: killed-and-resumed /stats diverged from uninterrupted run"; exit 1; }
-    echo "serve: replay digest $batch_digest matches, journals conformant, kill/resume converges OK"
+
+    # (4) The same stream at `--obs-level metrics` into a `dir:` backend:
+    # below `events` the journal keeps no events, yet the backend must
+    # still apply every completed migration, without an error.
+    "$(bin edm-serve)" "$serve_dir/live.scn" --mode ingest --obs-level metrics \
+        --backend "dir:$serve_dir/backend" --port-file "$serve_dir/d.port" > /dev/null &
+    local d_pid=$!
+    serve_wait_port "$serve_dir/d.port"
+    serve_post "$SERVE_PORT" /ingest "$serve_dir/ops-end.txt" > /dev/null
+    serve_wait_health "$SERVE_PORT" '"done":true' "the metrics-level ingest run"
+    local health moved
+    health="$(serve_get "$SERVE_PORT" /healthz)"
+    moved="$(serve_get "$SERVE_PORT" /stats | grep -o '"moved_objects":[0-9]*' | grep -o '[0-9]*$')"
+    serve_post "$SERVE_PORT" /shutdown > /dev/null
+    wait "$d_pid"
+    [ "${moved:-0}" -gt 0 ] && grep -q "\"backend_moves\":$moved," <<< "$health" \
+        && grep -q '"backend_errors":0,' <<< "$health" \
+        || { echo "serve: dir backend at metrics level missed moves (moved_objects=$moved): $health"; exit 1; }
+    echo "serve: replay digest $batch_digest matches, journals conformant, kill/resume converges, metrics-level backend applied $moved moves OK"
 }
 
 step_fuzz() {

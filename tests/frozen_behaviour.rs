@@ -12,8 +12,8 @@
 //! the point of the change, the failure message prints the new table to
 //! paste in; otherwise it is the regression.
 
-use edm_harness::{report_digest, Scenario};
 use edm_obs::{MemoryRecorder, ObsLevel};
+use edm_scenario::{report_digest, Scenario};
 
 const SMOKE: &str =
     "trace home02\nscale 0.004\nosds 8\ngroups 4\npolicy EDM-HDF\nschedule midpoint\nforce true\n";
@@ -55,9 +55,7 @@ fn observe(text: &str, shards: u32) -> (u64, u64, usize) {
         assert!(decision.active, "sharded row ran sequentially: {decision}");
     }
     let mut rec = MemoryRecorder::new(ObsLevel::Events);
-    let report = scenario
-        .run_with_obs(&mut rec)
-        .expect("golden scenario runs");
+    let (report, _) = scenario.run(&mut rec, None).expect("golden scenario runs");
     let mut journal = Vec::new();
     rec.write_jsonl(&mut journal).expect("journal renders");
     (report_digest(&report), fnv1a(&journal), journal.len())

@@ -10,7 +10,7 @@ use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 use edm_fuzz::check_scenario;
-use edm_harness::Scenario;
+use edm_scenario::Scenario;
 
 fn corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../fuzz/corpus")

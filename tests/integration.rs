@@ -285,17 +285,17 @@ fn write_only_and_read_only_traces_replay() {
 
 #[test]
 fn observability_levels_do_not_change_the_run() {
-    use edm_harness::Scenario;
     use edm_obs::{MemoryRecorder, NoopRecorder, ObsLevel};
+    use edm_scenario::Scenario;
     let scenario = Scenario::parse(
         "trace home02\nscale 0.002\nosds 8\ngroups 4\npolicy EDM-HDF\n\
          schedule midpoint\nforce true\n",
     )
     .unwrap();
-    let baseline = scenario.run_with_obs(&mut NoopRecorder).unwrap();
+    let (baseline, _) = scenario.run(&mut NoopRecorder, None).unwrap();
     for level in [ObsLevel::Off, ObsLevel::Metrics, ObsLevel::Events] {
         let mut rec = MemoryRecorder::new(level);
-        let report = scenario.run_with_obs(&mut rec).unwrap();
+        let (report, _) = scenario.run(&mut rec, None).unwrap();
         assert_eq!(report.duration_us, baseline.duration_us, "{level:?}");
         assert_eq!(report.completed_ops, baseline.completed_ops, "{level:?}");
         assert_eq!(report.moved_objects, baseline.moved_objects, "{level:?}");

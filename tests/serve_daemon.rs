@@ -21,7 +21,7 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use edm_cluster::MigrationSchedule;
-use edm_obs::ObsLevel;
+use edm_obs::{NoopRecorder, ObsLevel};
 use edm_scenario::{report_digest, Scenario};
 use edm_serve::{
     dump_ops, run_daemon_on, views, BackendKind, DaemonConfig, LiveWorld, MemBackend, Mode,
@@ -211,7 +211,7 @@ fn ingest_daemon_runs_the_full_migration_pipeline() {
 
 #[test]
 fn replay_daemon_reproduces_the_batch_digest() {
-    let expected = report_digest(&scenario().run().unwrap());
+    let expected = report_digest(&scenario().run(&mut NoopRecorder, None).unwrap().0);
     let daemon = Daemon::start(config(Mode::Replay));
     daemon.wait_done();
     let stats = daemon.get("/stats");

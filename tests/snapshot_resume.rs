@@ -9,8 +9,8 @@
 use std::path::PathBuf;
 
 use edm_cluster::resume_trace_obs_keep;
-use edm_harness::{report_digest, resume_snapshot, Scenario, SnapMeta};
 use edm_obs::NoopRecorder;
+use edm_scenario::{report_digest, resume_snapshot, Scenario, SnapMeta};
 use edm_serve::LiveWorld;
 use edm_snap::{SnapError, SnapshotFile, FORMAT_VERSION};
 
@@ -29,7 +29,7 @@ fn ckpt_dir(tag: &str) -> PathBuf {
 fn checkpointed_run(scenario: &Scenario, tag: &str) -> (u64, Vec<PathBuf>) {
     let dir = ckpt_dir(tag);
     let (report, _) = scenario
-        .run_with_obs_checkpointed_keep(&mut NoopRecorder, Some((0, dir.clone())))
+        .run(&mut NoopRecorder, Some((0, dir.clone())))
         .expect("checkpointed run failed");
     let mut snaps: Vec<PathBuf> = std::fs::read_dir(&dir)
         .expect("checkpoint dir unreadable")
@@ -90,7 +90,9 @@ fn faulted_migrating_run_resumes_bit_identically() {
 
     // The run must actually exercise what the test claims: a failure and
     // migration activity in the uninterrupted report.
-    let report = scenario.run().expect("plain rerun failed");
+    let (report, _) = scenario
+        .run(&mut NoopRecorder, None)
+        .expect("plain rerun failed");
     assert_eq!(report.failed_osds, vec![1], "failure did not fire");
     assert!(report.migrations_triggered > 0, "no migration fired");
     assert_eq!(report_digest(&report), digest, "rerun not deterministic");

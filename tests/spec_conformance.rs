@@ -6,8 +6,8 @@
 //! `tests/fuzz_replay.rs` does the same for every `fuzz/corpus/*.scn`
 //! under `cargo test`.
 
-use edm_harness::Scenario;
 use edm_obs::{MemoryRecorder, ObsLevel};
+use edm_scenario::Scenario;
 
 /// The journal's label vocabulary is closed (`edm-obs` interns against a
 /// fixed list) but the labels are owned by the crates that emit them. A
@@ -87,7 +87,7 @@ fn in_memory_and_file_feeders_agree_on_component_runs() {
     for shards in [0, 2] {
         scenario.shards = shards;
         let mut rec = MemoryRecorder::new(ObsLevel::Events);
-        scenario.run_with_obs(&mut rec).expect("scenario runs");
+        scenario.run(&mut rec, None).expect("scenario runs");
         let mut out = Vec::new();
         rec.write_jsonl(&mut out).unwrap();
         let file = edm_spec::verify_journal(&String::from_utf8(out).unwrap());
