@@ -13,8 +13,7 @@
 //! symmetrically holds the write-page array fixed (§III.B.5).
 
 use edm_cluster::metrics::rsd;
-
-use crate::wear_model::{erase_count_over, WearModel};
+use edm_model::MeanFieldModel;
 
 /// Tunables of Algorithm 1. `Default` holds the values every policy run
 /// uses (`Edm` passes it); other values are for this module's tests.
@@ -70,23 +69,22 @@ pub struct MovementAmounts {
     pub iterations_used: usize,
 }
 
-/// HDF variant: returns ΔWc per device (pages).
-pub fn calculate_hdf(
-    wc_pages: &[f64],
-    utilization: &[f64],
-    model: &WearModel,
-    cfg: &Alg1Config,
-) -> MovementAmounts {
-    validate_inputs(wc_pages, utilization);
+/// HDF variant: returns ΔWc per device (pages). HDF holds utilization
+/// fixed, so the model enters only through each device's Eq. 4
+/// denominator, `free_pages` ([`free_pages_per_erase`]): Eq. 3 is solved
+/// once per device, by the caller, and every evaluation here divides.
+pub fn calculate_hdf(wc_pages: &[f64], free_pages: &[f64], cfg: &Alg1Config) -> MovementAmounts {
+    validate_wc(wc_pages, free_pages);
+    assert!(
+        free_pages.iter().all(|f| f.is_finite() && *f > 0.0),
+        "free pages per erase must be finite and positive"
+    );
     let n = wc_pages.len();
-    // HDF holds u fixed, so Eq. 3 is solved once per device and every
-    // Eq. 4 evaluation below divides by that device's denominator.
-    let free_pages = free_pages_per_erase(utilization, model);
     let mut wc = wc_pages.to_vec();
     let mut delta = vec![0.0; n];
     let mut used = 0;
     for _ in 0..cfg.iterations {
-        let ec = erase_counts(&wc, &free_pages);
+        let ec = erase_counts(&wc, free_pages);
         if rsd(ec.iter().copied()) < cfg.stop_rsd {
             break;
         }
@@ -98,8 +96,7 @@ pub fn calculate_hdf(
         let mut eps = 0.0;
         while eps < 1.0 {
             let dw = wc[x] * eps;
-            let de = erase_count_over(wc[x] - dw, free_pages[x])
-                - erase_count_over(wc[y] + dw, free_pages[y]);
+            let de = (wc[x] - dw) / free_pages[x] - (wc[y] + dw) / free_pages[y];
             if de <= 0.0 {
                 shift = dw;
                 break;
@@ -117,7 +114,7 @@ pub fn calculate_hdf(
     }
     MovementAmounts {
         delta,
-        final_erases: erase_counts(&wc, &free_pages),
+        final_erases: erase_counts(&wc, free_pages),
         iterations_used: used,
     }
 }
@@ -128,10 +125,14 @@ pub fn calculate_hdf(
 pub fn calculate_cdf(
     wc_pages: &[f64],
     utilization: &[f64],
-    model: &WearModel,
+    model: &MeanFieldModel,
     cfg: &Alg1Config,
 ) -> MovementAmounts {
-    validate_inputs(wc_pages, utilization);
+    validate_wc(wc_pages, utilization);
+    assert!(
+        utilization.iter().all(|x| (0.0..=1.0).contains(x)),
+        "utilizations must be in [0, 1]"
+    );
     let n = wc_pages.len();
     let mut u = utilization.to_vec();
     // CDF moves u, so the ε sweep re-solves Eq. 3 at every step; between
@@ -194,8 +195,8 @@ pub fn calculate_cdf(
 }
 
 /// Eq. 4's denominator `Np · (1 − F(uᵢ))` per device: one Eq. 3 solve
-/// each.
-fn free_pages_per_erase(utilization: &[f64], model: &WearModel) -> Vec<f64> {
+/// each. [`calculate_hdf`] takes these in place of utilizations.
+pub fn free_pages_per_erase(utilization: &[f64], model: &MeanFieldModel) -> Vec<f64> {
     utilization
         .iter()
         .map(|&u| model.free_pages_per_erase(u))
@@ -204,21 +205,18 @@ fn free_pages_per_erase(utilization: &[f64], model: &WearModel) -> Vec<f64> {
 
 /// Eq. 4 per device from the precomputed denominators.
 fn erase_counts(wc: &[f64], free_pages: &[f64]) -> Vec<f64> {
-    wc.iter()
-        .zip(free_pages)
-        .map(|(&w, &f)| erase_count_over(w, f))
-        .collect()
+    wc.iter().zip(free_pages).map(|(&w, &f)| w / f).collect()
 }
 
-fn validate_inputs(wc: &[f64], u: &[f64]) {
-    assert_eq!(wc.len(), u.len(), "wc and u arrays must align");
+fn validate_wc(wc: &[f64], per_device: &[f64]) {
+    assert_eq!(
+        wc.len(),
+        per_device.len(),
+        "wc and per-device arrays must align"
+    );
     assert!(
         wc.iter().all(|w| w.is_finite() && *w >= 0.0),
         "write pages must be finite and non-negative"
-    );
-    assert!(
-        u.iter().all(|x| (0.0..=1.0).contains(x)),
-        "utilizations must be in [0, 1]"
     );
 }
 
@@ -245,23 +243,29 @@ fn max_min_pair(ec: &[f64], source_ok: impl Fn(usize) -> bool) -> Option<(usize,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wear_model::{u_of_ur, F_OF_U_CALLS};
+    use edm_model::{u_of_v, GcPolicy};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn model() -> WearModel {
-        WearModel::paper(32)
+    fn model() -> MeanFieldModel {
+        MeanFieldModel::paper(32)
+    }
+
+    /// HDF as `Edm` runs it: the paper model's denominators, then
+    /// Algorithm 1.
+    fn hdf(wc: &[f64], u: &[f64], cfg: &Alg1Config) -> MovementAmounts {
+        calculate_hdf(wc, &free_pages_per_erase(u, &model()), cfg)
     }
 
     /// Algorithm 1 as the paper states it: Eq. 4 through
-    /// `WearModel::erase_count` — one Eq. 3 solve — at every evaluation.
+    /// `MeanFieldModel::erase_count` — one Eq. 3 solve — at every evaluation.
     /// `move_u` selects the CDF variant. The functions above must match
     /// this bit for bit.
     fn naive(
         move_u: bool,
         wc_pages: &[f64],
         utilization: &[f64],
-        m: &WearModel,
+        m: &MeanFieldModel,
         cfg: &Alg1Config,
     ) -> MovementAmounts {
         let n = wc_pages.len();
@@ -334,7 +338,7 @@ mod tests {
     }
 
     /// Seeded grid: group sizes 2–64, both σ, utilizations on both clamps
-    /// of `f_of_u` (≤ σ and ≥ `u_of_ur(0.999)`) and between, zero and
+    /// of the Eq. 3 solve (≤ σ and ≥ `u_of_v(0.999)`) and between, zero and
     /// equal write counts.
     #[test]
     fn matches_the_naive_reference_bit_for_bit() {
@@ -343,9 +347,9 @@ mod tests {
             iterations: 40, // keeps the naive side's debug-build cost down
             ..Alg1Config::default()
         };
-        let high_clamp = u_of_ur(0.999);
+        let high_clamp = u_of_v(0.999);
         let (mut hdf_moved, mut cdf_moved) = (0, 0);
-        for m in [WearModel::eq2(32), WearModel::paper(32)] {
+        for m in [MeanFieldModel::with_gc(32, 0.0, GcPolicy::Greedy), model()] {
             for n in [2usize, 3, 4, 7, 16, 64] {
                 for case in 0..4 {
                     let u: Vec<f64> = (0..n)
@@ -363,7 +367,7 @@ mod tests {
                         })
                         .collect();
                     let what = format!("σ={} n={n} case={case}", m.sigma);
-                    let hdf = calculate_hdf(&wc, &u, &m, &cfg);
+                    let hdf = calculate_hdf(&wc, &free_pages_per_erase(&u, &m), &cfg);
                     assert_bit_identical(
                         &hdf,
                         &naive(false, &wc, &u, &m, &cfg),
@@ -387,27 +391,13 @@ mod tests {
         );
     }
 
-    /// Exact work count: HDF solves Eq. 3 once per device, whatever the
-    /// iteration and ε-step counts.
-    #[test]
-    fn hdf_solves_eq3_exactly_once_per_device() {
-        for n in [2usize, 16, 64] {
-            let wc: Vec<f64> = (0..n).map(|i| 1_000.0 * (1 + i * i) as f64).collect();
-            let u: Vec<f64> = (0..n).map(|i| 0.4 + 0.5 * i as f64 / n as f64).collect();
-            F_OF_U_CALLS.set(0);
-            let out = calculate_hdf(&wc, &u, &model(), &Alg1Config::default());
-            assert!(out.iterations_used > 0, "the sweep must actually run");
-            assert_eq!(F_OF_U_CALLS.get(), n as u64);
-        }
-    }
-
     #[test]
     fn hdf_reduces_wear_imbalance() {
         let wc = [100_000.0, 20_000.0, 30_000.0, 10_000.0];
         let u = [0.7, 0.6, 0.65, 0.5];
         let m = model();
         let before: Vec<f64> = (0..4).map(|i| m.erase_count(wc[i], u[i])).collect();
-        let out = calculate_hdf(&wc, &u, &m, &Alg1Config::default());
+        let out = hdf(&wc, &u, &Alg1Config::default());
         assert!(
             rsd(out.final_erases.iter().copied()) < rsd(before.iter().copied()) * 0.2,
             "imbalance must shrink dramatically: {:?} -> {:?}",
@@ -420,7 +410,7 @@ mod tests {
     fn hdf_deltas_conserve_write_pages() {
         let wc = [50_000.0, 10_000.0, 5_000.0];
         let u = [0.7, 0.7, 0.7];
-        let out = calculate_hdf(&wc, &u, &model(), &Alg1Config::default());
+        let out = hdf(&wc, &u, &Alg1Config::default());
         let total: f64 = out.delta.iter().sum();
         assert!(total.abs() < 1e-6, "ΔWc must sum to zero, got {total}");
         // The hottest device sheds, the coldest gains.
@@ -432,7 +422,7 @@ mod tests {
     fn equal_utilization_hdf_equalizes_wc() {
         let wc = [40_000.0, 0.0];
         let u = [0.6, 0.6];
-        let out = calculate_hdf(&wc, &u, &model(), &Alg1Config::default());
+        let out = hdf(&wc, &u, &Alg1Config::default());
         // With equal u, balance means equal Wc: each ends near 20 000.
         assert!((out.delta[0] + 20_000.0).abs() < 1_000.0, "{:?}", out.delta);
         assert!((out.delta[1] - 20_000.0).abs() < 1_000.0);
@@ -442,7 +432,7 @@ mod tests {
     fn balanced_input_is_a_fixed_point() {
         let wc = [10_000.0; 4];
         let u = [0.6; 4];
-        let out = calculate_hdf(&wc, &u, &model(), &Alg1Config::default());
+        let out = hdf(&wc, &u, &Alg1Config::default());
         assert!(out.delta.iter().all(|d| *d == 0.0));
         assert_eq!(out.iterations_used, 0);
         let out = calculate_cdf(&wc, &u, &model(), &Alg1Config::default());
@@ -455,7 +445,7 @@ mod tests {
         // the highest model wear, so HDF shifts writes away from it.
         let wc = [20_000.0; 3];
         let u = [0.95, 0.5, 0.5];
-        let out = calculate_hdf(&wc, &u, &model(), &Alg1Config::default());
+        let out = hdf(&wc, &u, &Alg1Config::default());
         assert!(out.delta[0] < 0.0, "{:?}", out.delta);
     }
 
@@ -503,7 +493,7 @@ mod tests {
 
     #[test]
     fn single_device_is_a_noop() {
-        let out = calculate_hdf(&[1e5], &[0.7], &model(), &Alg1Config::default());
+        let out = hdf(&[1e5], &[0.7], &Alg1Config::default());
         assert_eq!(out.delta, vec![0.0]);
         let out = calculate_cdf(&[1e5], &[0.7], &model(), &Alg1Config::default());
         assert_eq!(out.delta, vec![0.0]);
@@ -517,7 +507,7 @@ mod tests {
             iterations: 3,
             ..Default::default()
         };
-        let out = calculate_hdf(&wc, &u, &model(), &cfg);
+        let out = hdf(&wc, &u, &cfg);
         assert!(out.iterations_used <= 3);
     }
 
@@ -525,11 +515,10 @@ mod tests {
     fn coarser_epsilon_still_converges_roughly() {
         let wc = [60_000.0, 10_000.0, 5_000.0];
         let u = [0.7, 0.6, 0.6];
-        let fine = calculate_hdf(&wc, &u, &model(), &Alg1Config::default());
-        let coarse = calculate_hdf(
+        let fine = hdf(&wc, &u, &Alg1Config::default());
+        let coarse = hdf(
             &wc,
             &u,
-            &model(),
             &Alg1Config {
                 eps_step: 0.01,
                 ..Default::default()
@@ -547,6 +536,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "must align")]
     fn mismatched_arrays_panic() {
-        calculate_hdf(&[1.0], &[0.5, 0.5], &model(), &Alg1Config::default());
+        calculate_hdf(&[1.0], &[32.0, 32.0], &Alg1Config::default());
     }
 }

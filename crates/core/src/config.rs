@@ -9,7 +9,7 @@ pub enum Assessor {
     /// reference semantics (default).
     #[default]
     Projection,
-    /// The closed-form mean-field fast path (`edm-model`): incremental
+    /// The incremental fast path (`trim_to_improvement_model`):
     /// O(1)-per-trimmed-move evaluation, with the published plan still
     /// reference-checked so it can never disagree with `Projection` on
     /// whether a plan improves balance.
@@ -45,8 +45,8 @@ pub struct EdmConfig {
     pub force: bool,
     /// Width of one temperature interval (Eq. 5's time-line split).
     pub temperature_interval_us: u64,
-    /// Plan-vetting engine (reference projection loop vs the `edm-model`
-    /// closed-form fast path).
+    /// Plan-vetting engine (reference projection loop vs the incremental
+    /// fast path).
     pub assessor: Assessor,
 }
 
@@ -84,7 +84,7 @@ mod tests {
         assert!(c.force);
         assert_eq!(c.temperature_interval_us, 60_000_000);
         c.validate().unwrap();
-        assert!((crate::wear_model::PAPER_SIGMA - 0.28).abs() < 1e-12);
+        assert!((edm_model::MODEL_SIGMA - 0.28).abs() < 1e-12);
         let alg1 = crate::alg1::Alg1Config::default();
         assert_eq!(alg1.iterations, 500);
         assert!((alg1.eps_step - 0.001).abs() < 1e-12);

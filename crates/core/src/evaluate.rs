@@ -22,10 +22,10 @@
 use std::collections::HashMap;
 
 use edm_cluster::{ClusterView, MoveAction, ObjectId};
+use edm_model::MeanFieldModel;
 
 use crate::temperature::AccessTracker;
 use crate::trigger;
-use crate::wear_model::WearModel;
 
 /// Predicted effect of a plan.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,7 +58,7 @@ pub fn assess_plan_obs(
     view: &ClusterView,
     plan: &[MoveAction],
     tracker: &AccessTracker,
-    model: &WearModel,
+    model: &MeanFieldModel,
     obs: &mut dyn edm_obs::Recorder,
 ) -> PlanAssessment {
     let assessment = assess_plan(view, plan, tracker, model);
@@ -86,7 +86,7 @@ pub fn trim_to_improvement(
     view: &ClusterView,
     mut plan: Vec<MoveAction>,
     tracker: &AccessTracker,
-    model: &WearModel,
+    model: &MeanFieldModel,
 ) -> Vec<MoveAction> {
     // Inputs and the no-plan projection are built once; every candidate
     // length is assessed from them.
@@ -101,7 +101,7 @@ pub fn trim_to_improvement(
 }
 
 /// Per-device projection inputs shared by the reference assessment and
-/// the `edm-model` fast path: write counts, capacities, live bytes, next
+/// the incremental fast path: write counts, capacities, live bytes, next
 /// window write rates, and each object's (size, write pages) footprint.
 struct ProjectionInputs {
     wc: Vec<f64>,
@@ -114,7 +114,7 @@ struct ProjectionInputs {
 impl ProjectionInputs {
     /// Eq. 4 per device one window ahead, for the given next-window
     /// write rates and live bytes.
-    fn project(&self, rate: &[f64], live_bytes: &[f64], model: &WearModel) -> Vec<f64> {
+    fn project(&self, rate: &[f64], live_bytes: &[f64], model: &MeanFieldModel) -> Vec<f64> {
         (0..self.wc.len())
             .map(|i| {
                 model.erase_count(
@@ -159,42 +159,36 @@ fn projection_inputs(view: &ClusterView, tracker: &AccessTracker) -> ProjectionI
     }
 }
 
-/// Drop-in replacement for [`trim_to_improvement`] backed by the
-/// closed-form mean-field model (`edm-model`), selected with
-/// [`crate::config::Assessor::Model`].
+/// Drop-in replacement for [`trim_to_improvement`] with incremental
+/// moments, selected with [`crate::config::Assessor::Model`].
 ///
 /// The reference loop re-projects every device for every candidate plan
 /// length — O(plan² + plan·cluster). Here each device's projected erase
-/// count comes from the analytic model once, running sums of the first
-/// two moments are maintained incrementally, and undoing a trailing move
+/// count comes from the model once, running sums of the first two
+/// moments are maintained incrementally, and undoing a trailing move
 /// touches exactly two devices — O(1) per trimmed move after the O(n)
 /// setup.
 ///
-/// The published plan is still vetted by the reference projection before
-/// being returned: if the two engines ever disagree on "does this plan
-/// improve balance", the reference wins and the reference trim runs —
-/// so this function can never publish a plan [`trim_to_improvement`]
-/// would reject, regardless of how the analytic curves drift from the
-/// projection's.
+/// Both use the same `model`; only the RSD arithmetic differs (running
+/// sums here, two passes in the reference). The published plan is still
+/// vetted by the reference projection before being returned: if the two
+/// ever disagree on "does this plan improve balance", the reference wins
+/// and the reference trim runs — so this function can never publish a
+/// plan [`trim_to_improvement`] would reject.
 pub fn trim_to_improvement_model(
     view: &ClusterView,
     plan: Vec<MoveAction>,
     tracker: &AccessTracker,
-    model: &WearModel,
+    model: &MeanFieldModel,
 ) -> Vec<MoveAction> {
     if plan.is_empty() {
         return plan;
     }
     let n = view.osds.len();
-    let mf = edm_model::MeanFieldModel::with_gc(
-        model.pages_per_block,
-        model.sigma,
-        edm_model::GcPolicy::Greedy,
-    );
     let mut inp = projection_inputs(view, tracker);
 
     let project_one = |inp: &ProjectionInputs, i: usize| -> f64 {
-        mf.erase_count(
+        model.erase_count(
             inp.wc[i] + inp.rate[i].max(0.0),
             (inp.live_bytes[i] / inp.capacity[i]).clamp(0.0, 1.0),
         )
@@ -262,7 +256,7 @@ pub fn assess_plan(
     view: &ClusterView,
     plan: &[MoveAction],
     tracker: &AccessTracker,
-    model: &WearModel,
+    model: &MeanFieldModel,
 ) -> PlanAssessment {
     Baseline::new(view, tracker, model).assess(plan)
 }
@@ -271,13 +265,13 @@ pub fn assess_plan(
 /// of one (view, tracker) and the projection without any plan.
 struct Baseline<'a> {
     inputs: ProjectionInputs,
-    model: &'a WearModel,
+    model: &'a MeanFieldModel,
     erases_before: Vec<f64>,
     rsd_before: f64,
 }
 
 impl<'a> Baseline<'a> {
-    fn new(view: &ClusterView, tracker: &AccessTracker, model: &'a WearModel) -> Self {
+    fn new(view: &ClusterView, tracker: &AccessTracker, model: &'a MeanFieldModel) -> Self {
         let inputs = projection_inputs(view, tracker);
         let erases_before = inputs.project(&inputs.rate, &inputs.live_bytes, model);
         Baseline {
@@ -371,7 +365,7 @@ mod tests {
     fn moving_the_hot_object_improves_balance() {
         let v = view();
         let t = hot_tracker();
-        let model = WearModel::paper(32);
+        let model = MeanFieldModel::paper(32);
         let plan = vec![MoveAction {
             object: ObjectId(1),
             source: OsdId(0),
@@ -389,7 +383,7 @@ mod tests {
     fn empty_plan_changes_nothing() {
         let v = view();
         let t = hot_tracker();
-        let a = assess_plan(&v, &[], &t, &WearModel::paper(32));
+        let a = assess_plan(&v, &[], &t, &MeanFieldModel::paper(32));
         assert_eq!(a.erases_before, a.erases_after);
         assert_eq!(a.moved_bytes, 0);
         assert_eq!(a.rsd_after, a.rsd_before);
@@ -423,8 +417,8 @@ mod tests {
             source: OsdId(1),
             dest: OsdId(0),
         }];
-        let good = assess_plan(&v, &plan, &t, &WearModel::paper(32));
-        let bad = assess_plan(&v2, &plan_bad, &t, &WearModel::paper(32));
+        let good = assess_plan(&v, &plan, &t, &MeanFieldModel::paper(32));
+        let bad = assess_plan(&v2, &plan_bad, &t, &MeanFieldModel::paper(32));
         assert!(good.rsd_after <= good.rsd_before);
         assert!(bad.rsd_after >= bad.rsd_before);
     }
@@ -441,7 +435,7 @@ mod tests {
             osd.wc_pages = wc;
         }
         v.objects[1].size_bytes = 380 << 20; // cold, ~37% of the device
-        let model = WearModel::paper(32);
+        let model = MeanFieldModel::paper(32);
         let mut t = AccessTracker::new(60_000_000);
         for _ in 0..40 {
             t.record(AccessEvent {
@@ -485,7 +479,7 @@ mod tests {
             osd.wc_pages = wc;
         }
         v.objects[1].size_bytes = 380 << 20;
-        let model = WearModel::paper(32);
+        let model = MeanFieldModel::paper(32);
         let mut t = AccessTracker::new(60_000_000);
         for _ in 0..40 {
             t.record(AccessEvent {
@@ -548,7 +542,7 @@ mod tests {
         }
         let plan = p.plan(&v);
         assert!(!plan.is_empty());
-        let a = assess_plan(&v, &plan, p.tracker(), &WearModel::paper(32));
+        let a = assess_plan(&v, &plan, p.tracker(), &MeanFieldModel::paper(32));
         assert!(a.is_improvement(), "{a:?}");
     }
 }

@@ -10,9 +10,6 @@
 //! *wear*, moving as little data as possible so the migration itself does
 //! not burn flash lifetime:
 //!
-//! * [`wear_model`] — the SSD wear model of Eq. 1–4: erase count as a
-//!   function of host write pages `Wc` and disk utilization `u`, with the
-//!   skew-corrected uᵣ relation (σ = 0.28, Fig. 3);
 //! * [`temperature`] — object temperature (Definition 1, Eq. 5/6) and the
 //!   access tracker of the EDM architecture (Fig. 4);
 //! * [`trigger`] — the wear-imbalance trigger: relative standard deviation
@@ -30,17 +27,28 @@
 //!   temperature interval, the plan assessor); σ = 0.28 and Algorithm 1's
 //!   500 iterations, ε = 0.001 and 50 % CDF floor are fixed.
 //!
-//! The remapping-table manager and data mover of Fig. 4 live in
+//! The SSD wear model of Eq. 1–4 — erase count as a function of host
+//! write pages `Wc` and disk utilization `u`, with the skew-corrected uᵣ
+//! relation (σ = 0.28, Fig. 3) — is `edm-model`'s
+//! [`MeanFieldModel::paper`](edm_model::MeanFieldModel::paper); the
+//! trigger, Algorithm 1 and the plan assessors all evaluate it. The
+//! remapping-table manager and data mover of Fig. 4 live in
 //! `edm-cluster` (`remap`, `sim`), where the moved objects are actually
 //! tracked and shuffled.
 //!
 //! ```
-//! use edm_core::wear_model::WearModel;
+//! use edm_core::{calculate_hdf, free_pages_per_erase, Alg1Config};
+//! use edm_model::MeanFieldModel;
 //!
 //! // Eq. 4: a device with 100k page writes at 70 % utilization.
-//! let model = WearModel::paper(32);
+//! let model = MeanFieldModel::paper(32);
 //! let erases = model.erase_count(100_000.0, 0.70);
 //! assert!(erases > 100_000.0 / 32.0); // GC overhead makes it worse than ideal
+//!
+//! // Algorithm 1 (HDF) shifts page writes from the hot device to the cold one.
+//! let free_pages = free_pages_per_erase(&[0.70, 0.70], &model);
+//! let out = calculate_hdf(&[100_000.0, 0.0], &free_pages, &Alg1Config::default());
+//! assert!(out.delta[0] < 0.0 && out.delta[1] > 0.0);
 //! ```
 
 pub mod alg1;
@@ -51,16 +59,14 @@ pub mod plan;
 pub mod policy;
 pub mod temperature;
 pub mod trigger;
-pub mod wear_model;
 
-pub use alg1::{calculate_cdf, calculate_hdf, Alg1Config, MovementAmounts};
+pub use alg1::{calculate_cdf, calculate_hdf, free_pages_per_erase, Alg1Config, MovementAmounts};
 pub use config::{Assessor, EdmConfig};
 pub use evaluate::{assess_plan, trim_to_improvement_model, PlanAssessment};
 pub use lifetime::{DeviceLifetime, EnduranceSpec, Staggering};
 pub use policy::{Cmt, CmtConfig, Edm, Selection};
 pub use temperature::{AccessTracker, ObjectHeat};
 pub use trigger::TriggerDecision;
-pub use wear_model::{u_of_ur, WearModel, PAPER_SIGMA};
 
 use edm_cluster::{Migrator, NoMigration};
 

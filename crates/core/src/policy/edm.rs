@@ -18,16 +18,18 @@
 //!   never drained further because the wear model is flat there (Fig. 3).
 
 use edm_cluster::{AccessEvent, ClusterView, Migrator, MoveAction, ObjectView, OsdId, OsdView};
+use edm_model::MeanFieldModel;
 use edm_snap::{SnapReader, SnapWriter, Snapshot};
 
-use crate::alg1::{calculate_cdf, calculate_hdf, Alg1Config, MovementAmounts};
+use crate::alg1::{
+    calculate_cdf, calculate_hdf, free_pages_per_erase, Alg1Config, MovementAmounts,
+};
 use crate::config::{Assessor, EdmConfig};
 use crate::evaluate::{assess_plan_obs, trim_to_improvement, trim_to_improvement_model};
 use crate::plan::{dest_budget_bytes, distribute, Destination, Selected};
 use crate::policy::{emit_plan_chosen, emit_wear_inputs, members_by_group};
 use crate::temperature::{AccessTracker, ObjectHeat};
 use crate::trigger;
-use crate::wear_model::WearModel;
 
 /// CDF's cold line: an object whose total temperature (Eq. 5, reads and
 /// writes) is below this is a cold candidate — "target objects which meet
@@ -56,9 +58,11 @@ impl Selection {
 
     /// Algorithm 1 in this rule's currency: how many page writes (HDF)
     /// or how much utilization (CDF) each group member sheds or absorbs.
-    fn amounts(self, wc: &[f64], u: &[f64], model: &WearModel) -> MovementAmounts {
+    fn amounts(self, wc: &[f64], u: &[f64], model: &MeanFieldModel) -> MovementAmounts {
         match self {
-            Selection::Hdf => calculate_hdf(wc, u, model, &Alg1Config::default()),
+            Selection::Hdf => {
+                calculate_hdf(wc, &free_pages_per_erase(u, model), &Alg1Config::default())
+            }
             Selection::Cdf => calculate_cdf(wc, u, model, &Alg1Config::default()),
         }
     }
@@ -168,7 +172,7 @@ impl Migrator for Edm {
 
     fn plan_obs(&mut self, view: &ClusterView, obs: &mut dyn edm_obs::Recorder) -> Vec<MoveAction> {
         let rule = self.selection;
-        let model = WearModel::paper(view.pages_per_block);
+        let model = MeanFieldModel::paper(view.pages_per_block);
         // Cluster-wide wear-imbalance trigger (§III.B.2), computed from the
         // model, not from device-internal counters the MDS cannot see.
         let ecs: Vec<f64> = view

@@ -6,6 +6,8 @@
 //! `Ecᵢ − Ēc > Ēc · λ` are migration sources; devices below the
 //! cluster-wide average form the destination set.
 
+use edm_cluster::metrics::rsd;
+
 /// The trigger verdict and the source/destination partition.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TriggerDecision {
@@ -64,16 +66,7 @@ pub fn evaluate(erase_counts: &[f64], lambda: f64) -> TriggerDecision {
         };
     }
     let mean = erase_counts.iter().sum::<f64>() / n as f64;
-    let rsd = if mean > 0.0 {
-        let var = erase_counts
-            .iter()
-            .map(|e| (e - mean) * (e - mean))
-            .sum::<f64>()
-            / n as f64;
-        var.sqrt() / mean
-    } else {
-        0.0
-    };
+    let rsd = rsd(erase_counts.iter().copied());
     let triggered = rsd > lambda;
     let mut sources: Vec<usize> = (0..n)
         .filter(|&i| erase_counts[i] - mean > mean * lambda)

@@ -2,7 +2,8 @@
 //! improvement properties, wear-model monotonicity, temperature decay
 //! bounds, and trigger set consistency.
 
-use edm_core::{calculate_cdf, calculate_hdf, trigger, u_of_ur, Alg1Config, WearModel};
+use edm_core::{calculate_cdf, calculate_hdf, free_pages_per_erase, trigger, Alg1Config};
+use edm_model::{u_of_v, GcPolicy, MeanFieldModel};
 use proptest::prelude::*;
 
 fn wc_strategy(n: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -23,7 +24,8 @@ proptest! {
         wc in wc_strategy(6),
         u in u_strategy(6),
     ) {
-        let out = calculate_hdf(&wc, &u, &WearModel::paper(32), &Alg1Config::default());
+        let free_pages = free_pages_per_erase(&u, &MeanFieldModel::paper(32));
+        let out = calculate_hdf(&wc, &free_pages, &Alg1Config::default());
         let total: f64 = out.delta.iter().sum();
         prop_assert!(total.abs() < 1e-6, "ΔWc sum {total}");
         for (i, d) in out.delta.iter().enumerate() {
@@ -37,9 +39,9 @@ proptest! {
         wc in wc_strategy(5),
         u in u_strategy(5),
     ) {
-        let model = WearModel::paper(32);
+        let model = MeanFieldModel::paper(32);
         let before: Vec<f64> = wc.iter().zip(&u).map(|(&w, &uu)| model.erase_count(w, uu)).collect();
-        let out = calculate_hdf(&wc, &u, &model, &Alg1Config::default());
+        let out = calculate_hdf(&wc, &free_pages_per_erase(&u, &model), &Alg1Config::default());
         let spread = |v: &[f64]| {
             let mean = v.iter().sum::<f64>() / v.len() as f64;
             if mean == 0.0 { return 0.0; }
@@ -61,7 +63,7 @@ proptest! {
         u in u_strategy(6),
     ) {
         let cfg = Alg1Config::default();
-        let out = calculate_cdf(&wc, &u, &WearModel::paper(32), &cfg);
+        let out = calculate_cdf(&wc, &u, &MeanFieldModel::paper(32), &cfg);
         let total: f64 = out.delta.iter().sum();
         prop_assert!(total.abs() < 1e-6, "Δu sum {total}");
         for (i, d) in out.delta.iter().enumerate() {
@@ -85,20 +87,21 @@ proptest! {
         w1 in 0.0f64..1e6, w2 in 0.0f64..1e6,
         ua in 0.0f64..1.0, ub in 0.0f64..1.0,
     ) {
-        let m = WearModel::paper(32);
+        let m = MeanFieldModel::paper(32);
         let (wlo, whi) = if w1 <= w2 { (w1, w2) } else { (w2, w1) };
         let (ulo, uhi) = if ua <= ub { (ua, ub) } else { (ub, ua) };
         prop_assert!(m.erase_count(wlo, ulo) <= m.erase_count(whi, ulo) + 1e-9);
         prop_assert!(m.erase_count(wlo, ulo) <= m.erase_count(wlo, uhi) + 1e-9);
     }
 
-    /// F(u) inverts u_of_ur on the valid range for any σ.
+    /// F(u) — the greedy victim ratio — inverts Eq. 3's forward relation
+    /// on the valid range for any σ.
     #[test]
     fn f_of_u_is_inverse(ur in 0.01f64..0.95, sigma in 0.0f64..0.5) {
-        let m = WearModel { pages_per_block: 32, sigma };
-        let u = u_of_ur(ur) + sigma;
+        let m = MeanFieldModel::with_gc(32, sigma, GcPolicy::Greedy);
+        let u = u_of_v(ur) + sigma;
         if u <= 1.0 {
-            let back = m.f_of_u(u);
+            let back = m.victim_valid_ratio(u);
             prop_assert!((back - ur).abs() < 1e-6, "ur {ur} -> {back}");
         }
     }

@@ -3,7 +3,7 @@
 //! group count m (intra-group constraint).
 
 use edm_cluster::{MigrationSchedule, RunReport};
-use edm_core::WearModel;
+use edm_model::{GcPolicy, MeanFieldModel};
 use edm_scenario::render_table;
 use edm_ssd::ftl::VictimPolicy;
 
@@ -44,13 +44,10 @@ pub fn sigma_sweep(
     Ok(sigmas
         .iter()
         .map(|&sigma| {
-            let model = WearModel {
-                pages_per_block: 32,
-                sigma,
-            };
+            let model = MeanFieldModel::with_gc(32, sigma, GcPolicy::Greedy);
             let mae = measured
                 .iter()
-                .map(|p| (model.f_of_u(p.utilization) - p.measured_ur).abs())
+                .map(|p| (model.victim_valid_ratio(p.utilization) - p.measured_ur).abs())
                 .sum::<f64>()
                 / measured.len().max(1) as f64;
             (sigma, mae)

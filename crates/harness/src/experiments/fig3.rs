@@ -6,6 +6,7 @@
 //! valid-page ratio uᵣ is compared against the estimates of Eq. 2 (no
 //! correction) and Eq. 3 (σ = 0.28, "EDM"). Claims: `fig3.*`.
 
+use edm_model::{GcPolicy, MeanFieldModel, MODEL_SIGMA};
 use edm_obs::NoopRecorder;
 use edm_scenario::render_table;
 use edm_ssd::{Geometry, LatencyModel, Ssd};
@@ -112,8 +113,8 @@ pub fn run(
     workloads: &[&str],
     utilizations: &[f64],
 ) -> Result<Vec<Series>, String> {
-    let eq2 = edm_core::WearModel::eq2(32);
-    let eq3 = edm_core::WearModel::paper(32);
+    let eq2 = MeanFieldModel::with_gc(32, 0.0, GcPolicy::Greedy);
+    let eq3 = MeanFieldModel::with_gc(32, MODEL_SIGMA, GcPolicy::Greedy);
     let traces: Vec<Trace> = par_map(workloads, cfg.jobs, |name| {
         TraceKey::preset(name, cfg.scale).synthesize()
     })
@@ -135,8 +136,8 @@ pub fn run(
                     Some(Point {
                         utilization: u,
                         measured_ur: measured_ur?,
-                        eq2_ur: eq2.f_of_u(u),
-                        eq3_ur: eq3.f_of_u(u),
+                        eq2_ur: eq2.victim_valid_ratio(u),
+                        eq3_ur: eq3.victim_valid_ratio(u),
                     })
                 })
                 .collect(),
@@ -217,7 +218,7 @@ mod tests {
         let trace = synthesize(&harvard::spec("home02").scaled(0.002));
         let u = 0.7;
         let measured = measure_ur(&trace, u).unwrap();
-        let eq2 = edm_core::WearModel::eq2(32).f_of_u(u);
+        let eq2 = MeanFieldModel::with_gc(32, 0.0, GcPolicy::Greedy).victim_valid_ratio(u);
         assert!(
             measured < eq2,
             "measured {measured} should undershoot Eq.2 {eq2}"
@@ -229,7 +230,7 @@ mod tests {
         let u = 0.8;
         let random = synthesize(&harvard::random_spec().scaled(0.002));
         let skewed = synthesize(&harvard::spec("lair62").scaled(0.002));
-        let eq2 = edm_core::WearModel::eq2(32).f_of_u(u);
+        let eq2 = MeanFieldModel::with_gc(32, 0.0, GcPolicy::Greedy).victim_valid_ratio(u);
         let r = measure_ur(&random, u).unwrap();
         let s = measure_ur(&skewed, u).unwrap();
         assert!(

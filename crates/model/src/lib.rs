@@ -23,11 +23,11 @@
 //!   engine refactor is checked against an independent quantitative
 //!   prediction.
 //!
-//! Independence is deliberate: this crate re-derives the victim-ratio
-//! inversion from scratch and shares no code with its twin, `edm-core`'s
-//! `WearModel` (§III.B.1, Eq. 1–4). The gate compares this model with
-//! the simulator, not with that twin; sharing no code keeps a bug in
-//! the twin out of the prediction the simulator is checked against.
+//! The greedy arm of [`MeanFieldModel`] is also the wear model EDM plans
+//! with (§III.B.1, Eq. 1–4, σ = 0.28): `edm-core`'s trigger, Algorithm 1
+//! and plan assessors all call it, so the function `model-diff` checks is
+//! the one every plan uses. The gate's reference is the FTL simulator,
+//! which shares no code with this crate.
 //!
 //! [`meanfield`] is the per-device model; [`cluster`] turns per-OSD
 //! loads into the end-of-window erase vector and RSD that `/model` and
@@ -42,4 +42,4 @@ pub mod meanfield;
 
 pub use cluster::{ClusterPrediction, OsdLoad};
 pub use divergence::{ks_statistic, max_rel_error, normalize, rel_error};
-pub use meanfield::{GcPolicy, MeanFieldModel, MODEL_SIGMA};
+pub use meanfield::{u_of_v, GcPolicy, MeanFieldModel, MODEL_SIGMA};

@@ -91,6 +91,12 @@ impl Default for Scenario {
 /// an unbounded allocation; the largest shape in use is 1 024.
 const MAX_OSDS: u32 = 65_536;
 
+/// Largest shard thread count scenario text may ask for. A sharded run
+/// spawns up to this many threads at every wear-tick barrier, so an
+/// unbounded count is an unbounded thread spawn; the largest value in
+/// use is 4 (`check.sh spec`).
+const MAX_SHARDS: u32 = 64;
+
 /// Largest inode stride scenario text may ask for: keeps
 /// `file id × stride` inside `u64` for every trace preset.
 const MAX_STRIDE: u64 = 65_536;
@@ -198,7 +204,13 @@ impl Scenario {
                 "shards" => {
                     s.shards = next("shards")?
                         .parse()
-                        .map_err(|e| format!("line {}: bad shards: {e}", no + 1))?
+                        .map_err(|e| format!("line {}: bad shards: {e}", no + 1))?;
+                    if s.shards > MAX_SHARDS {
+                        return Err(format!(
+                            "line {}: shards must be at most {MAX_SHARDS}",
+                            no + 1
+                        ));
+                    }
                 }
                 "affinity" => {
                     s.affinity = match next("affinity")? {
@@ -673,6 +685,8 @@ mod tests {
             ("osds 65537", "osds"),
             ("stride 18446744073709551615", "stride"),
             ("stride 65537", "stride"),
+            ("shards 65", "shards"),
+            ("shards 100000", "shards"),
         ] {
             let err = Scenario::parse(text).expect_err(text);
             assert!(err.contains(needle), "{text:?} -> {err}");
@@ -687,6 +701,7 @@ mod tests {
             "trace lair62b",
             "osds 65536",
             "stride 65536",
+            "shards 64",
         ] {
             Scenario::parse(text).expect(text);
         }

@@ -9,7 +9,7 @@
 //! cargo run --release -p edm-harness --example wear_model_explorer
 //! ```
 
-use edm_core::{u_of_ur, WearModel};
+use edm_model::{u_of_v, GcPolicy, MeanFieldModel};
 use edm_obs::NoopRecorder;
 use edm_ssd::{Geometry, LatencyModel, Ssd};
 
@@ -53,10 +53,10 @@ fn measure(utilization: f64, skewed: bool) -> f64 {
 }
 
 fn main() {
-    let eq2 = WearModel::eq2(32);
-    let eq3 = WearModel::paper(32);
+    let eq2 = MeanFieldModel::with_gc(32, 0.0, GcPolicy::Greedy);
+    let eq3 = MeanFieldModel::paper(32);
 
-    println!("analytic check: u(ur=0.5) = {:.4}", u_of_ur(0.5));
+    println!("analytic check: u(ur=0.5) = {:.4}", u_of_v(0.5));
     println!();
     println!("   u | Eq.2 ur | Eq.3 ur | uniform measured | skewed measured");
     println!("-----+---------+---------+------------------+----------------");
@@ -66,8 +66,8 @@ fn main() {
         let skewed = measure(u, true);
         println!(
             "{u:.2} |  {:.3}  |  {:.3}  |       {uniform:.3}      |      {skewed:.3}",
-            eq2.f_of_u(u),
-            eq3.f_of_u(u),
+            eq2.victim_valid_ratio(u),
+            eq3.victim_valid_ratio(u),
         );
     }
     println!();

@@ -5,12 +5,13 @@
 # diverge — tests/lint_budget.rs checks the STEPS list below against
 # .github/workflows/ci.yml.
 #
-#   check.sh fmt     rustfmt --check
+#   check.sh fmt     rustfmt --check, workspace then the benchmark package
 #   check.sh lint    clippy, warnings denied: the determinism rules of clippy.toml,
 #                    the panic/numeric `#![warn(clippy::...)]` lines in the crates,
 #                    stale or reasonless `#[expect]`s (DESIGN.md §8) — and what
 #                    fails on a snapshot field that a hand-written `save`
-#                    destructure names but never writes: unused_variables
+#                    destructure names but never writes: unused_variables;
+#                    then the benchmark package under its own clippy.toml
 #   check.sh build   release build
 #   check.sh test    cargo test, workspace then the benchmark package
 #   check.sh smoke   obs smoke (journal verified by edm-spec), checkpoint/resume
@@ -94,6 +95,7 @@ flip_byte() { # <file> <offset>
 step_fmt() {
     echo "==> cargo fmt --check"
     cargo fmt --all -- --check
+    cargo fmt --manifest-path benchmark/Cargo.toml -- --check
 }
 
 step_lint() {
@@ -102,6 +104,9 @@ step_lint() {
     # reason, in bins and tests too, where no lib-root attribute reaches.
     cargo clippy --workspace --all-targets -- -D warnings \
         -W clippy::allow_attributes -W clippy::allow_attributes_without_reason
+    echo "==> cargo clippy (benchmark package, deny warnings)"
+    cargo clippy --offline --locked --manifest-path benchmark/Cargo.toml --all-targets -- \
+        -D warnings -W clippy::allow_attributes -W clippy::allow_attributes_without_reason
 }
 
 step_build() {

@@ -4,20 +4,23 @@
 //! not just the nightly fuzz job. The corpus is the only list of
 //! hand-picked scenarios, so this test also asserts what it covers: every
 //! file crosses a wear tick, and together they journal the planning,
-//! assessment and failure transitions and a component-tagged run.
+//! assessment and failure transitions and a component-tagged run. The
+//! same texts, byte-mangled, check that the scenario parser refuses
+//! garbage without panicking and that whatever it accepts round-trips.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 use edm_fuzz::check_scenario;
 use edm_scenario::Scenario;
+use edm_spec::mutate::mangle;
 
 fn corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../fuzz/corpus")
 }
 
-#[test]
-fn corpus_scenarios_pass_all_oracles() {
+/// Every `.scn` file of the corpus, sorted.
+fn corpus_files() -> Vec<PathBuf> {
     let dir = corpus_dir();
     let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
         .unwrap_or_else(|e| panic!("corpus dir {}: {e}", dir.display()))
@@ -25,6 +28,12 @@ fn corpus_scenarios_pass_all_oracles() {
         .filter(|p| p.extension().and_then(|x| x.to_str()) == Some("scn"))
         .collect();
     files.sort();
+    files
+}
+
+#[test]
+fn corpus_scenarios_pass_all_oracles() {
+    let files = corpus_files();
     assert!(
         files.len() >= 9,
         "fuzz/corpus must hold at least 9 seed scenarios, found {}",
@@ -73,11 +82,7 @@ fn corpus_scenarios_pass_all_oracles() {
 
 #[test]
 fn corpus_scenarios_round_trip_through_scenario_text() {
-    for path in std::fs::read_dir(corpus_dir()).unwrap() {
-        let path = path.unwrap().path();
-        if path.extension().and_then(|x| x.to_str()) != Some("scn") {
-            continue;
-        }
+    for path in corpus_files() {
         let text = std::fs::read_to_string(&path).unwrap();
         let scenario = Scenario::parse(&text).unwrap();
         let reparsed = Scenario::parse(&scenario.to_text()).unwrap();
@@ -88,4 +93,32 @@ fn corpus_scenarios_round_trip_through_scenario_text() {
             path.display()
         );
     }
+}
+
+/// Scenario text under hostile bytes: each corpus file, mangled under a
+/// few thousand seeds, parses to `Ok` or `Err` and never panics, and
+/// every accepted text round-trips through `to_text` — the promise
+/// checkpoints rely on. The parsed scenarios are never run.
+#[test]
+fn mangled_scenario_text_parses_or_errs_and_round_trips() {
+    let (mut ok, mut err) = (0, 0);
+    for path in corpus_files() {
+        let text = std::fs::read_to_string(&path).unwrap();
+        for seed in 0..4_000 {
+            let mangled = mangle(&text, seed);
+            let Ok(s) = Scenario::parse(&mangled) else {
+                err += 1;
+                continue;
+            };
+            ok += 1;
+            assert!(s.shards <= 64, "{mangled:?} asks for {} shards", s.shards);
+            assert_eq!(
+                Scenario::parse(&s.to_text()).as_ref(),
+                Ok(&s),
+                "{} seed {seed}: {mangled:?} drifts through to_text",
+                path.display()
+            );
+        }
+    }
+    assert!(ok > 0 && err > 0, "{ok} accepted, {err} refused");
 }
