@@ -20,7 +20,7 @@ pub struct Cluster {
     pub config: ClusterConfig,
     pub catalog: Catalog,
     /// One slot per OSD id. A shard of the group-sharded runner
-    /// ([`Cluster::split`]) holds real devices only in the slots it owns.
+    /// (`Cluster::split`) holds real devices only in the slots it owns.
     pub osds: Vec<Osd>,
     /// The devices are uniform, so one geometry answers for all of them
     /// — in a shard too, whichever slots it holds.
@@ -42,7 +42,7 @@ impl Cluster {
     ///
     /// 1. registers every file of the trace (k objects each, hash placed);
     /// 2. sizes every SSD identically so the *most* utilized one sits at
-    ///    [`TARGET_MAX_UTILIZATION`] ("the capacity of each SSD is set the
+    ///    `TARGET_MAX_UTILIZATION`, 70 % ("the capacity of each SSD is set the
     ///    same dynamically before running each trace-replaying program,
     ///    which allows the maximum utilization among all SSDs is about 70
     ///    percent", §IV);

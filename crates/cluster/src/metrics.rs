@@ -1,7 +1,8 @@
 //! Run metrics: aggregate throughput (Fig. 5), windowed mean response
 //! time (Fig. 7), and per-OSD wear summaries (Fig. 1, Fig. 6).
 
-use edm_snap::{snapshot_struct, SnapReader, SnapWriter, Snapshot};
+use edm_obs::Histogram;
+use edm_snap::{SnapReader, SnapWriter, Snapshot};
 
 use edm_workload::Trace;
 
@@ -101,125 +102,6 @@ impl ResponseSeries {
     }
 }
 
-/// Log-scale latency histogram: ~5 % relative precision from 1 µs to
-/// ~18 minutes in a fixed 512-bucket footprint, good enough for the
-/// response-time percentiles a run reports.
-#[derive(Debug, Clone)]
-pub struct LatencyHistogram {
-    /// bucket i covers [floor^i, floor^(i+1)) µs with floor = 2^(1/16).
-    buckets: Vec<u64>,
-    count: u64,
-    max_us: u64,
-}
-
-impl LatencyHistogram {
-    const BUCKETS: usize = 512;
-    /// 16 buckets per octave ⇒ ~4.4 % bucket width.
-    const PER_OCTAVE: f64 = 16.0;
-
-    pub fn new() -> Self {
-        LatencyHistogram {
-            buckets: vec![0; Self::BUCKETS],
-            count: 0,
-            max_us: 0,
-        }
-    }
-
-    /// Bucket of `us`: `floor(16 · log2 us)`, capped at the last bucket.
-    /// The octave is the position of the top bit; the bucket within it
-    /// counts the octave's [`bucket_floors`] that `us` reaches, so no
-    /// logarithm runs per sample.
-    fn index(us: u64) -> usize {
-        if us <= 1 {
-            return 0;
-        }
-        let base = (63 - us.leading_zeros() as usize) * 16;
-        if base >= Self::BUCKETS {
-            return Self::BUCKETS - 1;
-        }
-        let floors = &bucket_floors()[base + 1..base + 16];
-        base + floors.iter().filter(|&&t| us >= t).count()
-    }
-
-    pub fn record(&mut self, us: u64) {
-        self.buckets[Self::index(us)] += 1;
-        self.count += 1;
-        self.max_us = self.max_us.max(us);
-    }
-
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Folds another histogram into this one, bucket by bucket. Counts
-    /// are integers, so the merge is exact and order-independent — the
-    /// group-sharded runner relies on that for bit-identical reports.
-    pub fn merge_from(&mut self, other: &LatencyHistogram) {
-        for (dst, &n) in self.buckets.iter_mut().zip(&other.buckets) {
-            *dst += n;
-        }
-        self.count += other.count;
-        self.max_us = self.max_us.max(other.max_us);
-    }
-
-    /// Value at quantile `q` in [0, 1]; 0 when empty. Exact for the
-    /// maximum (`q = 1`), bucket-resolution otherwise.
-    pub fn quantile(&self, q: f64) -> u64 {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
-        if self.count == 0 {
-            return 0;
-        }
-        if q >= 1.0 {
-            return self.max_us;
-        }
-        let target = (q * self.count as f64).floor() as u64;
-        let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen > target {
-                // Upper edge of bucket i.
-                return (2f64.powf((i + 1) as f64 / Self::PER_OCTAVE)) as u64;
-            }
-        }
-        self.max_us
-    }
-}
-
-/// The bucket formula, `floor(16 · log2 us)` in floating point. It
-/// defines [`bucket_floors`], and so every bucket a report counts.
-fn log_index(us: u64) -> usize {
-    ((us as f64).log2() * LatencyHistogram::PER_OCTAVE) as usize
-}
-
-/// `floors[i]`: the smallest latency [`log_index`] puts in bucket `i` or
-/// above. Derived once, from the exact edge `2^(i/16)` nudged until the
-/// float formula agrees, so [`LatencyHistogram::index`] reproduces it bit
-/// for bit.
-fn bucket_floors() -> &'static [u64; LatencyHistogram::BUCKETS] {
-    static FLOORS: std::sync::OnceLock<[u64; LatencyHistogram::BUCKETS]> =
-        std::sync::OnceLock::new();
-    FLOORS.get_or_init(|| {
-        let mut floors = [0u64; LatencyHistogram::BUCKETS];
-        for (i, floor) in floors.iter_mut().enumerate().skip(1) {
-            let mut t = 2f64.powf(i as f64 / LatencyHistogram::PER_OCTAVE) as u64;
-            while log_index(t) >= i {
-                t -= 1;
-            }
-            while log_index(t) < i {
-                t += 1;
-            }
-            *floor = t;
-        }
-        floors
-    })
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Snapshot for ResponseSeries {
     fn save(&self, w: &mut SnapWriter) {
         let Self { window_us, buckets } = self;
@@ -242,19 +124,6 @@ impl Snapshot for ResponseSeries {
         ResponseSeries { window_us, buckets }
     }
 }
-
-snapshot_struct!(
-    LatencyHistogram { buckets, count, max_us },
-    check = "latency histogram": |h| {
-        if h.buckets.len() != LatencyHistogram::BUCKETS {
-            return Err(format!("has {} buckets", h.buckets.len()));
-        }
-        if h.buckets.iter().sum::<u64>() != h.count {
-            return Err("count disagrees with its buckets".into());
-        }
-        Ok(())
-    }
-);
 
 /// Wear summary of one OSD at the end of a run (Fig. 1's two panels).
 #[derive(Debug, Clone)]
@@ -284,7 +153,9 @@ pub struct RunReport {
     pub duration_us: u64,
     /// Mean response time over the whole run, µs.
     pub mean_response_us: f64,
-    /// Response-time percentiles over the whole run, µs: (p50, p95, p99).
+    /// Response-time percentiles over the whole run, µs: (p50, p95, p99),
+    /// by [`Histogram::quantile`] (nearest rank, bucket upper edge, never
+    /// above the slowest response).
     pub response_percentiles_us: (u64, u64, u64),
     /// Windowed response-time series (Fig. 7).
     pub response_windows: Vec<ResponseWindow>,
@@ -367,7 +238,10 @@ pub fn rsd(values: impl Iterator<Item = f64> + Clone) -> f64 {
 #[derive(Debug, Clone)]
 pub(crate) struct RunTallies {
     pub responses: ResponseSeries,
-    pub response_hist: LatencyHistogram,
+    /// Every client response time, µs: the source of
+    /// [`RunReport::response_percentiles_us`]. The same type, and so the
+    /// same quantile rule, as the recorder's `response_us` histogram.
+    pub response_hist: Histogram,
     pub response_sum: f64,
     pub completed_ops: u64,
     /// Time of the last request or move completion — the replay duration.
@@ -391,7 +265,7 @@ impl RunTallies {
     pub fn new(osds: usize, response_window_us: u64) -> Self {
         RunTallies {
             responses: ResponseSeries::new(response_window_us),
-            response_hist: LatencyHistogram::new(),
+            response_hist: Histogram::new(),
             response_sum: 0.0,
             completed_ops: 0,
             last_completion_us: 0,
@@ -411,7 +285,7 @@ impl RunTallies {
     /// still hold their initial zero/false and sum/max/or are exact.
     pub fn merge_from(&mut self, other: &RunTallies) {
         self.responses.merge_from(&other.responses);
-        self.response_hist.merge_from(&other.response_hist);
+        self.response_hist.merge(&other.response_hist);
         self.response_sum += other.response_sum;
         self.completed_ops += other.completed_ops;
         self.last_completion_us = self.last_completion_us.max(other.last_completion_us);
@@ -601,63 +475,6 @@ mod tests {
         assert!((r.moved_fraction() - 0.1).abs() < 1e-12);
         assert!(r.erase_rsd() > 0.0);
         assert_eq!(r.throughput_ops_per_sec(), 0.0);
-    }
-
-    #[test]
-    fn latency_histogram_quantiles() {
-        let mut h = LatencyHistogram::new();
-        assert_eq!(h.quantile(0.5), 0);
-        for us in 1..=1000u64 {
-            h.record(us);
-        }
-        assert_eq!(h.count(), 1000);
-        let p50 = h.quantile(0.5);
-        // ~5 % bucket resolution around the true median of 500.
-        assert!((450..=560).contains(&p50), "p50 = {p50}");
-        let p99 = h.quantile(0.99);
-        assert!((930..=1100).contains(&p99), "p99 = {p99}");
-        assert_eq!(h.quantile(1.0), 1000);
-    }
-
-    #[test]
-    fn latency_histogram_handles_extremes() {
-        let mut h = LatencyHistogram::new();
-        h.record(0);
-        h.record(u64::MAX);
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.quantile(1.0), u64::MAX);
-        assert!(h.quantile(0.1) <= 2);
-    }
-
-    /// The reference `index` must equal: `floor(16 · log2 us)` in
-    /// floating point, capped.
-    fn float_index(us: u64) -> usize {
-        if us <= 1 {
-            return 0;
-        }
-        log_index(us).min(LatencyHistogram::BUCKETS - 1)
-    }
-
-    #[test]
-    fn bucket_index_equals_the_float_formula() {
-        for &t in bucket_floors().iter() {
-            for us in [t.saturating_sub(1), t, t + 1] {
-                assert_eq!(LatencyHistogram::index(us), float_index(us), "us = {us}");
-            }
-        }
-        // splitmix64, each draw shifted into every one of the 64 octaves.
-        let mut state = 0x5eed_u64;
-        for _ in 0..4096 {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^= z >> 31;
-            for octave in 0..64 {
-                let us = (z >> octave) | (1 << (63 - octave));
-                assert_eq!(LatencyHistogram::index(us), float_index(us), "us = {us}");
-            }
-        }
     }
 
     #[test]

@@ -67,7 +67,7 @@ impl From<FtlError> for OsdError {
 }
 
 /// One storage node — or, in a shard of the group-sharded runner, the
-/// vacant slot of a node another shard owns ([`Osd::vacant`]).
+/// vacant slot of a node another shard owns (`Osd::vacant`).
 #[derive(Clone)]
 pub struct Osd {
     pub id: OsdId,

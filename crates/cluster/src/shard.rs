@@ -12,8 +12,8 @@
 //! alone components.
 //!
 //! The sharded runner exploits that: the cluster is split so that each
-//! component gets its own [`Engine`] over the devices it owns
-//! ([`Cluster::split`]; every other slot is vacant and panics on use),
+//! component gets its own replay engine over the devices it owns
+//! (`Cluster::split`; every other slot is vacant and panics on use),
 //! issuing only its own clients' scripts, and runs on a worker thread
 //! until the next wear-monitor tick. At every tick all engines pause and a
 //! single-threaded coordinator runs the global tick body in fixed

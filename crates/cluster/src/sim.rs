@@ -15,7 +15,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet, VecDeque};
 use std::path::{Path, PathBuf};
 
-use edm_obs::{AsDynRecorder, Event as ObsEvent, NoopRecorder, Recorder};
+use edm_obs::{AsDynRecorder, Event as ObsEvent, Histogram, NoopRecorder, Recorder};
 use edm_snap::{
     snapshot_struct, FlatMap, IdMap, SnapError, SnapReader, SnapWriter, Snapshot, SnapshotFile,
     TokenMap,
@@ -25,7 +25,7 @@ use edm_workload::{FileId, FileOp, Trace, TraceRecord};
 use crate::cluster::Cluster;
 use crate::config::MAX_OSDS;
 use crate::ids::{ClientId, ObjectId, OsdId};
-use crate::metrics::{LatencyHistogram, ResponseSeries, RunReport, RunTallies};
+use crate::metrics::{ResponseSeries, RunReport, RunTallies};
 use crate::migrate::{close_wc_window, plan_round, Migrator, MoveAction};
 use crate::osd::OsdError;
 use crate::pace::{SimTime, TimeSource, TimeStep};
@@ -1573,7 +1573,8 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
         w.put_u64(self.tally.lost_ops);
         w.put_u64(self.tally.rebuilt_objects);
         self.tally.responses.save(w);
-        self.tally.response_hist.save(w);
+        self.tally.response_hist.buckets().to_vec().save(w);
+        w.put_u64(self.tally.response_hist.max());
         w.put_f64(self.tally.response_sum);
         w.put_u64(self.tally.completed_ops);
         w.put_u64(self.total_records);
@@ -1619,7 +1620,11 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
         self.tally.lost_ops = r.take_u64();
         self.tally.rebuilt_objects = r.take_u64();
         self.tally.responses = ResponseSeries::load(r);
-        self.tally.response_hist = LatencyHistogram::load(r);
+        let buckets: Vec<u64> = Vec::load(r);
+        match Histogram::from_parts(&buckets, r.take_u64()) {
+            Ok(hist) => self.tally.response_hist = hist,
+            Err(e) => r.corrupt(format!("latency histogram {e}")),
+        }
         self.tally.response_sum = r.take_f64();
         self.tally.completed_ops = r.take_u64();
         self.total_records = r.take_u64();

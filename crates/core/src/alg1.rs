@@ -243,7 +243,7 @@ fn max_min_pair(ec: &[f64], source_ok: impl Fn(usize) -> bool) -> Option<(usize,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use edm_model::{u_of_v, GcPolicy};
+    use edm_model::u_of_v;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -349,7 +349,7 @@ mod tests {
         };
         let high_clamp = u_of_v(0.999);
         let (mut hdf_moved, mut cdf_moved) = (0, 0);
-        for m in [MeanFieldModel::with_gc(32, 0.0, GcPolicy::Greedy), model()] {
+        for m in [MeanFieldModel::new(32, 0.0), model()] {
             for n in [2usize, 3, 4, 7, 16, 64] {
                 for case in 0..4 {
                     let u: Vec<f64> = (0..n)

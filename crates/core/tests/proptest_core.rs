@@ -3,7 +3,7 @@
 //! bounds, and trigger set consistency.
 
 use edm_core::{calculate_cdf, calculate_hdf, free_pages_per_erase, trigger, Alg1Config};
-use edm_model::{u_of_v, GcPolicy, MeanFieldModel};
+use edm_model::{u_of_v, MeanFieldModel};
 use proptest::prelude::*;
 
 fn wc_strategy(n: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -94,11 +94,11 @@ proptest! {
         prop_assert!(m.erase_count(wlo, ulo) <= m.erase_count(wlo, uhi) + 1e-9);
     }
 
-    /// F(u) — the greedy victim ratio — inverts Eq. 3's forward relation
+    /// F(u) — the model's victim ratio — inverts Eq. 3's forward relation
     /// on the valid range for any σ.
     #[test]
     fn f_of_u_is_inverse(ur in 0.01f64..0.95, sigma in 0.0f64..0.5) {
-        let m = MeanFieldModel::with_gc(32, sigma, GcPolicy::Greedy);
+        let m = MeanFieldModel::new(32, sigma);
         let u = u_of_v(ur) + sigma;
         if u <= 1.0 {
             let back = m.victim_valid_ratio(u);

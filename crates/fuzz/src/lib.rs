@@ -16,7 +16,7 @@
 //!   constrained grammar (trace × scale × cluster shape × policy ×
 //!   schedule × failure/rebuild events);
 //! * [`oracle`] — the differential oracle panel each scenario must pass;
-//! * [`shrink`] — greedy minimization of a failing scenario, preserving
+//! * [`mod@shrink`] — greedy minimization of a failing scenario, preserving
 //!   the failing oracle;
 //! * [`corpus`] — repro `.scn` emission and the regression corpus layout
 //!   replayed by `tests/fuzz_replay.rs`.

@@ -3,7 +3,7 @@
 //! group count m (intra-group constraint).
 
 use edm_cluster::{MigrationSchedule, RunReport};
-use edm_model::{GcPolicy, MeanFieldModel};
+use edm_model::MeanFieldModel;
 use edm_scenario::render_table;
 use edm_ssd::ftl::VictimPolicy;
 
@@ -44,7 +44,7 @@ pub fn sigma_sweep(
     Ok(sigmas
         .iter()
         .map(|&sigma| {
-            let model = MeanFieldModel::with_gc(32, sigma, GcPolicy::Greedy);
+            let model = MeanFieldModel::new(32, sigma);
             let mae = measured
                 .iter()
                 .map(|p| (model.victim_valid_ratio(p.utilization) - p.measured_ur).abs())

@@ -6,7 +6,7 @@
 //! valid-page ratio uᵣ is compared against the estimates of Eq. 2 (no
 //! correction) and Eq. 3 (σ = 0.28, "EDM"). Claims: `fig3.*`.
 
-use edm_model::{GcPolicy, MeanFieldModel, MODEL_SIGMA};
+use edm_model::{MeanFieldModel, MODEL_SIGMA};
 use edm_obs::NoopRecorder;
 use edm_scenario::render_table;
 use edm_ssd::{Geometry, LatencyModel, Ssd};
@@ -113,8 +113,8 @@ pub fn run(
     workloads: &[&str],
     utilizations: &[f64],
 ) -> Result<Vec<Series>, String> {
-    let eq2 = MeanFieldModel::with_gc(32, 0.0, GcPolicy::Greedy);
-    let eq3 = MeanFieldModel::with_gc(32, MODEL_SIGMA, GcPolicy::Greedy);
+    let eq2 = MeanFieldModel::new(32, 0.0);
+    let eq3 = MeanFieldModel::new(32, MODEL_SIGMA);
     let traces: Vec<Trace> = par_map(workloads, cfg.jobs, |name| {
         TraceKey::preset(name, cfg.scale).synthesize()
     })
@@ -218,7 +218,7 @@ mod tests {
         let trace = synthesize(&harvard::spec("home02").scaled(0.002));
         let u = 0.7;
         let measured = measure_ur(&trace, u).unwrap();
-        let eq2 = MeanFieldModel::with_gc(32, 0.0, GcPolicy::Greedy).victim_valid_ratio(u);
+        let eq2 = MeanFieldModel::new(32, 0.0).victim_valid_ratio(u);
         assert!(
             measured < eq2,
             "measured {measured} should undershoot Eq.2 {eq2}"
@@ -230,7 +230,7 @@ mod tests {
         let u = 0.8;
         let random = synthesize(&harvard::random_spec().scaled(0.002));
         let skewed = synthesize(&harvard::spec("lair62").scaled(0.002));
-        let eq2 = MeanFieldModel::with_gc(32, 0.0, GcPolicy::Greedy).victim_valid_ratio(u);
+        let eq2 = MeanFieldModel::new(32, 0.0).victim_valid_ratio(u);
         let r = measure_ur(&random, u).unwrap();
         let s = measure_ur(&skewed, u).unwrap();
         assert!(

@@ -8,7 +8,7 @@
 //! spirit of Li/Lee/Lui's stochastic modeling of large-scale SSD systems:
 //! per-device erase counts, garbage-collection cost, and cluster-level
 //! wear imbalance are predicted from a handful of aggregates (host write
-//! volume, write rate, disk utilization, over-provisioning, GC policy)
+//! volume, write rate, disk utilization, over-provisioning)
 //! instead of being measured by replaying every request.
 //!
 //! The crate serves two roles:
@@ -23,7 +23,8 @@
 //!   engine refactor is checked against an independent quantitative
 //!   prediction.
 //!
-//! The greedy arm of [`MeanFieldModel`] is also the wear model EDM plans
+//! [`MeanFieldModel`] is the paper's Eq. 2/3, which is the FIFO
+//! cleaning law (see [`meanfield`]), and it is the wear model EDM plans
 //! with (§III.B.1, Eq. 1–4, σ = 0.28): `edm-core`'s trigger, Algorithm 1
 //! and plan assessors all call it, so the function `model-diff` checks is
 //! the one every plan uses. The gate's reference is the FTL simulator,
@@ -42,4 +43,4 @@ pub mod meanfield;
 
 pub use cluster::{ClusterPrediction, OsdLoad};
 pub use divergence::{ks_statistic, max_rel_error, normalize, rel_error};
-pub use meanfield::{u_of_v, GcPolicy, MeanFieldModel, MODEL_SIGMA};
+pub use meanfield::{u_of_v, MeanFieldModel, MODEL_SIGMA};

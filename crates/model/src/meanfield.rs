@@ -1,35 +1,26 @@
 //! The per-device mean-field model: victim valid-page ratio, write
-//! amplification, and erase counts under greedy or FIFO garbage
-//! collection.
+//! amplification, and erase counts.
 //!
-//! ## Greedy GC
+//! ## The cleaning law (EDM Eq. 2 / Eq. 3)
 //!
-//! Under greedy victim selection the classic log-structured cleaning
-//! analysis relates the victim's valid-page ratio `v` to the disk
-//! utilization `u`:
+//! The classic log-structured cleaning analysis relates the victim's
+//! valid-page ratio `v` to the disk utilization `u`:
 //!
 //! > u = (v − 1) / ln v                     (EDM Eq. 2)
+//!
+//! Taking logs shows this is the FIFO (oldest-block-first) cleaning law,
+//! `v = exp(−(1 − v) / u)`: a block filled at the write frontier is
+//! reclaimed after the frontier traverses the whole device once, and
+//! with uniform writes over the live set a page survives that traversal
+//! with probability `exp(−(1 − v)/u)` (Li–Lee–Lui, arXiv 1303.4816). The
+//! FTL's greedy victim choice does better than this law; the model keeps
+//! the paper's equation because EDM plans with it.
 //!
 //! Real (skewed) workloads segregate hot and cold data, so victims hold
 //! fewer valid pages than the uniform analysis predicts; the EDM paper
 //! corrects with an empirical offset σ = 0.28:
 //!
 //! > u = (v − 1) / ln v + σ                 (EDM Eq. 3)
-//!
-//! ## FIFO GC
-//!
-//! Under FIFO (oldest-block-first) cleaning a block filled at the write
-//! frontier is reclaimed after the frontier traverses the whole device
-//! once. With uniform writes over the live set, a page survives that
-//! traversal with probability `exp(−H/U)` where `H` is the host writes
-//! per traversal and `U` the live pages — which closes into the
-//! Desnoyers-style fixed point
-//!
-//! > v = exp(−(1 − v) / u)
-//!
-//! whose smallest root in `[0, 1)` is the victim valid ratio. The same
-//! σ offset models skew (FIFO cannot exploit skew as well as greedy, but
-//! hot/cold segregation at the frontier still lowers `v`).
 //!
 //! ## Erases and write amplification
 //!
@@ -49,28 +40,9 @@ pub const MODEL_SIGMA: f64 = 0.28;
 /// erase count diverges; clamping keeps every prediction finite.
 const V_MAX: f64 = 0.999;
 
-/// Bisection steps for the victim-ratio inversions: interval width ends
+/// Bisection steps for the victim-ratio inversion: interval width ends
 /// below 1e-18, far under f64 noise on these curves.
 const BISECT_STEPS: u32 = 60;
-
-/// Garbage-collection victim policy, mirroring the FTL modes in
-/// `crates/ssd` (`VictimPolicy`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GcPolicy {
-    /// Fewest-valid-pages victim (the FTL default).
-    Greedy,
-    /// Oldest-block victim (wear-leveling-friendly round-robin).
-    Fifo,
-}
-
-impl GcPolicy {
-    pub fn label(&self) -> &'static str {
-        match self {
-            GcPolicy::Greedy => "greedy",
-            GcPolicy::Fifo => "fifo",
-        }
-    }
-}
 
 /// The analytic per-device model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -79,11 +51,9 @@ pub struct MeanFieldModel {
     pub pages_per_block: u32,
     /// Skew offset σ; 0 recovers the uniform-workload curves.
     pub sigma: f64,
-    /// GC victim policy the device runs.
-    pub gc: GcPolicy,
 }
 
-/// Forward greedy relation (Eq. 2): utilization implied by a victim
+/// Forward relation (Eq. 2): utilization implied by a victim
 /// ratio `v` in `[0, 1]`, `u = (v − 1)/ln v`, continuously extended with
 /// `u(0) = 0` and `u(1) = 1`.
 pub fn u_of_v(v: f64) -> f64 {
@@ -97,76 +67,46 @@ pub fn u_of_v(v: f64) -> f64 {
 }
 
 impl MeanFieldModel {
-    /// The paper's configuration: σ = 0.28 over greedy GC.
+    /// The paper's configuration: σ = 0.28.
     pub fn paper(pages_per_block: u32) -> Self {
-        MeanFieldModel {
-            pages_per_block,
-            sigma: MODEL_SIGMA,
-            gc: GcPolicy::Greedy,
-        }
+        MeanFieldModel::new(pages_per_block, MODEL_SIGMA)
     }
 
-    /// Same σ, explicit GC policy.
-    pub fn with_gc(pages_per_block: u32, sigma: f64, gc: GcPolicy) -> Self {
+    /// Eq. 3 with skew offset `sigma`; σ = 0 is Eq. 2.
+    pub fn new(pages_per_block: u32, sigma: f64) -> Self {
         MeanFieldModel {
             pages_per_block,
             sigma,
-            gc,
         }
     }
 
-    /// Victim valid-page ratio `v(u)` predicted for disk utilization `u`.
+    /// Victim valid-page ratio `v(u)` predicted for disk utilization `u`:
+    /// the root of Eq. 3.
     ///
-    /// Both curves are strictly increasing in `v` on the relevant branch,
-    /// so bisection finds the unique root. Utilizations at or below σ
-    /// clamp to 0 (victims entirely invalid); the top end clamps to
-    /// [`V_MAX`] so the erase count stays finite.
+    /// Eq. 2 is strictly increasing in `v`, so bisection finds the
+    /// unique root. Utilizations at or below σ clamp to 0 (victims
+    /// entirely invalid); the top end clamps to a ratio of 0.999 so the
+    /// erase count stays finite.
     pub fn victim_valid_ratio(&self, u: f64) -> f64 {
         assert!((0.0..=1.0).contains(&u), "utilization must be in [0, 1]");
         let ueff = u - self.sigma;
         if ueff <= 0.0 {
             return 0.0;
         }
-        match self.gc {
-            GcPolicy::Greedy => {
-                if ueff >= u_of_v(V_MAX) {
-                    return V_MAX;
-                }
-                // Root of u_of_v(v) = ueff.
-                let (mut lo, mut hi) = (0.0f64, V_MAX);
-                for _ in 0..BISECT_STEPS {
-                    let mid = 0.5 * (lo + hi);
-                    if u_of_v(mid) < ueff {
-                        lo = mid;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                0.5 * (lo + hi)
-            }
-            GcPolicy::Fifo => {
-                // Smallest fixed point of g(v) = exp(−(1−v)/ueff).
-                // h(v) = v − g(v) has h(0) < 0; the first upward crossing
-                // is the stable root (v = 1 is the unstable one). g is
-                // convex increasing, so below the root h < 0 and between
-                // the two roots h > 0 — bisection on the crossing works.
-                let g = |v: f64| (-(1.0 - v) / ueff).exp();
-                if V_MAX - g(V_MAX) <= 0.0 {
-                    // ueff so high the stable root collides with 1.
-                    return V_MAX;
-                }
-                let (mut lo, mut hi) = (0.0f64, V_MAX);
-                for _ in 0..BISECT_STEPS {
-                    let mid = 0.5 * (lo + hi);
-                    if mid - g(mid) < 0.0 {
-                        lo = mid;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                0.5 * (lo + hi)
+        if ueff >= u_of_v(V_MAX) {
+            return V_MAX;
+        }
+        // Root of u_of_v(v) = ueff.
+        let (mut lo, mut hi) = (0.0f64, V_MAX);
+        for _ in 0..BISECT_STEPS {
+            let mid = 0.5 * (lo + hi);
+            if u_of_v(mid) < ueff {
+                lo = mid;
+            } else {
+                hi = mid;
             }
         }
+        0.5 * (lo + hi)
     }
 
     /// Write amplification `1 / (1 − v(u))`: physical page writes per
@@ -216,7 +156,7 @@ mod tests {
 
     #[test]
     fn greedy_inverts_the_forward_relation() {
-        let m = MeanFieldModel::with_gc(32, 0.0, GcPolicy::Greedy);
+        let m = MeanFieldModel::new(32, 0.0);
         for v in [0.1, 0.3, 0.5, 0.7, 0.9] {
             let u = u_of_v(v);
             assert!((m.victim_valid_ratio(u) - v).abs() < 1e-9, "v {v}");
@@ -236,7 +176,7 @@ mod tests {
 
     /// The planner's Eq. 3 / Eq. 4 bits at 100 000 host page writes:
     /// both clamps (`u ≤ σ`, and `u ≥ u_of_v(0.999)` under σ = 0) and
-    /// interior points. A change to the greedy inversion that moves any
+    /// interior points. A change to the Eq. 3 inversion that moves any
     /// bit moves every EDM plan.
     #[test]
     fn greedy_bits_are_pinned() {
@@ -260,7 +200,7 @@ mod tests {
             (0.0, 1.0, 0x3feff7ced916872b, 0x4147d783fffffffa),
         ];
         for (sigma, u, v_bits, erase_bits) in cases {
-            let m = MeanFieldModel::with_gc(32, sigma, GcPolicy::Greedy);
+            let m = MeanFieldModel::new(32, sigma);
             assert_eq!(
                 m.victim_valid_ratio(u).to_bits(),
                 v_bits,
@@ -274,13 +214,15 @@ mod tests {
         }
         assert_eq!(
             MeanFieldModel::paper(32),
-            MeanFieldModel::with_gc(32, MODEL_SIGMA, GcPolicy::Greedy)
+            MeanFieldModel::new(32, MODEL_SIGMA)
         );
     }
 
+    /// Eq. 2 is the FIFO cleaning law: its root is the fixed point of
+    /// `v = exp(−(1 − v)/u)`.
     #[test]
     fn fifo_satisfies_its_fixed_point() {
-        let m = MeanFieldModel::with_gc(32, 0.0, GcPolicy::Fifo);
+        let m = MeanFieldModel::new(32, 0.0);
         for u in [0.3, 0.5, 0.7, 0.9] {
             let v = m.victim_valid_ratio(u);
             let back = (-(1.0 - v) / u).exp();
@@ -290,37 +232,21 @@ mod tests {
 
     #[test]
     fn fifo_picks_the_stable_root_not_v_equals_one() {
-        let m = MeanFieldModel::with_gc(32, 0.0, GcPolicy::Fifo);
+        let m = MeanFieldModel::new(32, 0.0);
         // At u = 0.5 the stable root sits near 0.2, well below 1.
         let v = m.victim_valid_ratio(0.5);
         assert!(v > 0.15 && v < 0.25, "v = {v}");
     }
 
     #[test]
-    fn fifo_never_beats_greedy() {
-        // Greedy picks the emptiest victim; FIFO takes whatever is
-        // oldest. The mean-field curves must preserve that ordering.
-        let greedy = MeanFieldModel::with_gc(32, 0.0, GcPolicy::Greedy);
-        let fifo = MeanFieldModel::with_gc(32, 0.0, GcPolicy::Fifo);
-        for u in [0.3, 0.5, 0.7, 0.9] {
+    fn sigma_lowers_the_victim_ratio() {
+        let uniform = MeanFieldModel::new(32, 0.0);
+        let skewed = MeanFieldModel::paper(32);
+        for u in [0.5, 0.7, 0.9] {
             assert!(
-                fifo.victim_valid_ratio(u) >= greedy.victim_valid_ratio(u) - 1e-12,
+                skewed.victim_valid_ratio(u) < uniform.victim_valid_ratio(u),
                 "at u = {u}"
             );
-        }
-    }
-
-    #[test]
-    fn sigma_lowers_the_victim_ratio() {
-        for gc in [GcPolicy::Greedy, GcPolicy::Fifo] {
-            let uniform = MeanFieldModel::with_gc(32, 0.0, gc);
-            let skewed = MeanFieldModel::with_gc(32, MODEL_SIGMA, gc);
-            for u in [0.5, 0.7, 0.9] {
-                assert!(
-                    skewed.victim_valid_ratio(u) < uniform.victim_valid_ratio(u),
-                    "{gc:?} at u = {u}"
-                );
-            }
         }
     }
 
@@ -344,10 +270,9 @@ mod tests {
 
     #[test]
     fn predictions_stay_finite_at_full_utilization() {
-        for gc in [GcPolicy::Greedy, GcPolicy::Fifo] {
-            let m = MeanFieldModel::with_gc(32, MODEL_SIGMA, gc);
-            let e = m.erase_count(10_000.0, 1.0);
-            assert!(e.is_finite() && e > 0.0, "{gc:?}: {e}");
+        for sigma in [0.0, MODEL_SIGMA] {
+            let e = MeanFieldModel::new(32, sigma).erase_count(10_000.0, 1.0);
+            assert!(e.is_finite() && e > 0.0, "σ {sigma}: {e}");
         }
     }
 
@@ -390,17 +315,10 @@ mod tests {
     }
 
     #[test]
-    fn labels_round_trip_with_the_ftl() {
-        // The FTL's `VictimPolicy` labels, which `/model` reports.
-        assert_eq!(GcPolicy::Greedy.label(), "greedy");
-        assert_eq!(GcPolicy::Fifo.label(), "fifo");
-    }
-
-    #[test]
     fn agrees_with_the_paper_twin_on_greedy() {
         // A closed-form value on the curve the EDM paper fits (Eq. 2):
         // u = 0.5/ln 2 maps back to v = 0.5 under σ = 0.
-        let m = MeanFieldModel::with_gc(32, 0.0, GcPolicy::Greedy);
+        let m = MeanFieldModel::new(32, 0.0);
         let u = 0.5 / std::f64::consts::LN_2;
         assert!((m.victim_valid_ratio(u) - 0.5).abs() < 1e-9);
     }

@@ -3,7 +3,7 @@
 //! with a proper share distribution and the population RSD, and erase
 //! counts respect the write amplification identity.
 
-use edm_model::{ClusterPrediction, GcPolicy, MeanFieldModel, OsdLoad};
+use edm_model::{ClusterPrediction, MeanFieldModel, OsdLoad};
 use proptest::prelude::*;
 
 fn load_strategy() -> impl Strategy<Value = OsdLoad> {
@@ -11,10 +11,6 @@ fn load_strategy() -> impl Strategy<Value = OsdLoad> {
         write_rate,
         utilization,
     })
-}
-
-fn gc_strategy() -> impl Strategy<Value = GcPolicy> {
-    prop_oneof![Just(GcPolicy::Greedy), Just(GcPolicy::Fifo)]
 }
 
 proptest! {
@@ -25,10 +21,9 @@ proptest! {
     #[test]
     fn distribution_sums_to_one(
         loads in prop::collection::vec(load_strategy(), 1..24),
-        gc in gc_strategy(),
         sigma in 0.0f64..0.4,
     ) {
-        let model = MeanFieldModel::with_gc(32, sigma, gc);
+        let model = MeanFieldModel::new(32, sigma);
         let p = ClusterPrediction::predict(&model, &loads);
         let total: f64 = p.shares.iter().sum();
         prop_assert!((total - 1.0).abs() < 1e-9, "sum = {total}");
@@ -43,10 +38,9 @@ proptest! {
     #[test]
     fn prediction_is_the_per_osd_model(
         loads in prop::collection::vec(load_strategy(), 1..24),
-        gc in gc_strategy(),
         sigma in 0.0f64..0.4,
     ) {
-        let model = MeanFieldModel::with_gc(32, sigma, gc);
+        let model = MeanFieldModel::new(32, sigma);
         let p = ClusterPrediction::predict(&model, &loads);
         prop_assert_eq!(p.erases.len(), loads.len());
         for (e, l) in p.erases.iter().zip(&loads) {
@@ -61,16 +55,15 @@ proptest! {
 
     /// Write amplification identity: predicted erases times pages per
     /// block equal host writes times WA — GC relocations are accounted
-    /// exactly once, for either GC policy.
+    /// exactly once.
     #[test]
     fn erase_mean_matches_wa_identity(
         wc in 0.0f64..1e9,
         u in 0.0f64..1.0,
         np in prop_oneof![Just(16u32), Just(32u32), Just(64u32), Just(256u32)],
-        gc in gc_strategy(),
         sigma in 0.0f64..0.4,
     ) {
-        let model = MeanFieldModel::with_gc(np, sigma, gc);
+        let model = MeanFieldModel::new(np, sigma);
         let erases = model.erase_count(wc, u);
         let physical = wc * model.write_amplification(u);
         prop_assert!(

@@ -9,7 +9,7 @@
 //! * [`Recorder`] — the sink trait threaded (`&mut dyn Recorder`)
 //!   through the FTL write path, the cluster engine, and the migration
 //!   policies. [`NoopRecorder`] implements it with empty inlined bodies;
-//!   [`MemoryRecorder`] keeps counters, gauges, log2 latency
+//!   [`MemoryRecorder`] keeps counters, gauges, log-linear latency
 //!   [`Histogram`]s, and a structured [`Event`] journal.
 //! * [`ObsLevel`] — `off` (nothing), `metrics` (scalars + histograms),
 //!   `events` (metrics plus the journal).
@@ -36,7 +36,7 @@ pub mod prom;
 pub mod recorder;
 
 pub use event::Event;
-pub use hist::Histogram;
+pub use hist::{Histogram, HistogramError};
 pub use prom::render_prometheus;
 pub use recorder::{
     read_jsonl, AsDynRecorder, JournalEntry, JournalLine, LineError, MemoryRecorder, NoopRecorder,

@@ -1,11 +1,13 @@
 //! Prometheus text-format rendering of a [`MemoryRecorder`].
 //!
 //! The daemon's `/metrics` endpoint serves this directly: counters
-//! become `_total` counters, gauges stay gauges, and the log2 latency
-//! histograms become cumulative-bucket histograms (`le` is the
-//! inclusive upper bound of each log2 bucket; there is no `_sum`
-//! series because the log2 histogram deliberately does not keep one —
-//! `_max` is exported as a companion gauge instead).
+//! become `_total` counters, gauges stay gauges, and the latency
+//! histograms become cumulative-bucket histograms with one row per
+//! non-empty octave (`le` is the octave's inclusive upper bound
+//! `2^k − 1`, so at most 65 rows; the histogram's 16 sub-buckets per
+//! octave stay internal). There is no `_sum` series because the
+//! histogram deliberately does not keep one — `_max` is exported as a
+//! companion gauge instead.
 //!
 //! Output is deterministic: metric families render in BTree name order
 //! and every name is sanitized to the Prometheus charset by mapping
@@ -24,6 +26,11 @@ fn sanitize(name: &str) -> String {
         .collect()
 }
 
+/// The octave edge `2^k − 1` at or above `v`: the `le` of its row.
+fn octave_edge(v: u64) -> u64 {
+    u64::MAX.checked_shr(v.leading_zeros()).unwrap_or(0)
+}
+
 /// Renders the recorder's counters, gauges, and histograms in the
 /// Prometheus exposition text format (version 0.0.4).
 pub fn render_prometheus(rec: &MemoryRecorder) -> String {
@@ -39,10 +46,16 @@ pub fn render_prometheus(rec: &MemoryRecorder) -> String {
     for (name, hist) in rec.histograms() {
         let m = format!("{PREFIX}{}", sanitize(name));
         out.push_str(&format!("# TYPE {m} histogram\n"));
+        let mut rows = hist.nonzero_buckets().into_iter().peekable();
         let mut cumulative = 0u64;
-        for (_lo, hi, n) in hist.nonzero_buckets() {
+        while let Some((_lo, hi, n)) = rows.next() {
             cumulative += n;
-            out.push_str(&format!("{m}_bucket{{le=\"{hi}\"}} {cumulative}\n"));
+            let le = octave_edge(hi);
+            // Buckets never straddle an octave edge: an octave's row
+            // follows its last non-empty bucket.
+            if rows.peek().map(|&(_, next, _)| octave_edge(next)) != Some(le) {
+                out.push_str(&format!("{m}_bucket{{le=\"{le}\"}} {cumulative}\n"));
+            }
         }
         out.push_str(&format!(
             "{m}_bucket{{le=\"+Inf\"}} {}\n{m}_count {}\n{m}_max {}\n",
@@ -71,19 +84,25 @@ mod tests {
         r.counter("sim.ops_completed", 41);
         r.counter("sim.ops_completed", 1);
         r.gauge("trigger.rsd", 0.25);
-        r.latency("response_us", 3); // bucket [2,3]
+        // Rows are cumulative, one per non-empty octave: 700 and 900
+        // share octave [512, 1023] but not a bucket.
         r.latency("response_us", 3);
-        r.latency("response_us", 900); // bucket [512,1023]
-        let text = render_prometheus(&r);
-        assert!(text.contains("# TYPE edm_sim_ops_completed_total counter"));
-        assert!(text.contains("edm_sim_ops_completed_total 42"));
-        assert!(text.contains("edm_trigger_rsd 0.25"));
-        assert!(text.contains("edm_response_us_bucket{le=\"3\"} 2"));
-        // Buckets are cumulative.
-        assert!(text.contains("edm_response_us_bucket{le=\"1023\"} 3"));
-        assert!(text.contains("edm_response_us_bucket{le=\"+Inf\"} 3"));
-        assert!(text.contains("edm_response_us_count 3"));
-        assert!(text.contains("edm_response_us_max 900"));
+        r.latency("response_us", 3);
+        r.latency("response_us", 700);
+        r.latency("response_us", 900);
+        assert_eq!(
+            render_prometheus(&r),
+            "# TYPE edm_sim_ops_completed_total counter\n\
+             edm_sim_ops_completed_total 42\n\
+             # TYPE edm_trigger_rsd gauge\n\
+             edm_trigger_rsd 0.25\n\
+             # TYPE edm_response_us histogram\n\
+             edm_response_us_bucket{le=\"3\"} 2\n\
+             edm_response_us_bucket{le=\"1023\"} 4\n\
+             edm_response_us_bucket{le=\"+Inf\"} 4\n\
+             edm_response_us_count 4\n\
+             edm_response_us_max 900\n"
+        );
     }
 
     #[test]

@@ -82,7 +82,7 @@ pub trait Recorder {
     /// Sets a named gauge to its latest value.
     fn gauge(&mut self, _name: &'static str, _value: f64) {}
 
-    /// Records a sample into a named log2 latency histogram.
+    /// Records a sample into a named latency histogram.
     fn latency(&mut self, _name: &'static str, _us: u64) {}
 
     /// Appends a structured event to the journal.

@@ -1,6 +1,6 @@
-//! Property tests for the log2 histogram (ISSUE 2 satellite): merging is
-//! exactly concatenation, and quantile estimates bound the true quantile
-//! within one bucket.
+//! Property tests for the log-linear histogram: merging is exactly
+//! concatenation, and quantile estimates bound the true quantile within
+//! one bucket.
 
 use edm_obs::Histogram;
 use proptest::prelude::*;
@@ -51,7 +51,7 @@ proptest! {
 
     /// The true quantile always lies inside the reported bucket bounds,
     /// and the point estimate is the (max-clamped) bucket upper bound —
-    /// i.e. the estimate is off by at most one log2 bucket.
+    /// i.e. the estimate is off by at most one bucket, 1/16 of an octave.
     #[test]
     fn quantile_bounds_contain_true_quantile(
         samples in prop::collection::vec(sample(), 1..300),
@@ -69,12 +69,12 @@ proptest! {
                 "q={q}: true quantile {truth} outside [{lo}, {hi}]"
             );
             prop_assert_eq!(h.quantile(q), hi);
-            // One-bucket error bound: the bucket is [2^(k-1), 2^k)
-            // (the top bucket's nominal upper edge needs u128 room).
-            if lo > 0 {
+            // One-bucket error bound: above 15 a bucket is at most 1/16
+            // of its lower edge wide (values below 16 are exact).
+            if lo >= 16 {
                 prop_assert!(
-                    (hi as u128) < 2 * lo as u128,
-                    "bucket wider than one octave: [{lo}, {hi}]"
+                    16 * (hi - lo + 1) <= lo,
+                    "bucket wider than 1/16 octave: [{lo}, {hi}]"
                 );
             }
         }

@@ -642,7 +642,7 @@ mod tests {
             .collect();
         assert_eq!(
             hash,
-            0x1182_09d3_eb29_7fd7,
+            0xb52f_9314_8167_807c,
             "{} journal bytes",
             journal.len()
         );

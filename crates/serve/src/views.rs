@@ -239,7 +239,6 @@ pub fn render_model(cluster: &Cluster, now_us: u64) -> String {
     let mut out = String::from("{");
     field_u64(&mut out, "now_us", now_us);
     field_str(&mut out, "model", "mean-field");
-    field_str(&mut out, "gc", model.gc.label());
     field_f64(&mut out, "sigma", model.sigma);
     field_f64(&mut out, "gc_rate", prediction.gc_rate);
     field_f64(&mut out, "rsd_model", prediction.rsd);
@@ -385,7 +384,6 @@ mod tests {
         }
         let v = json::parse(&render_model(world.cluster(), world.now_us())).unwrap();
         assert_eq!(v.get("model").unwrap().as_str(), Some("mean-field"));
-        assert_eq!(v.get("gc").unwrap().as_str(), Some("greedy"));
         let osds = v.get("osds").unwrap().as_arr().unwrap();
         assert_eq!(osds.len(), 8);
         for osd in osds {

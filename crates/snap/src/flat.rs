@@ -4,9 +4,10 @@
 //! `BTreeMap` gives the engine deterministic iteration, but every lookup
 //! chases pointers across nodes. The two containers here keep the same
 //! observable contract — ascending-by-key iteration, canonical snapshot
-//! bytes **identical** to [`BTreeMap`]'s `Snapshot` encoding (length
-//! prefix + ascending `(key, value)` pairs) — with cache-friendly
-//! storage:
+//! bytes **identical** to
+//! [`BTreeMap`](std::collections::BTreeMap)'s `Snapshot` encoding
+//! (length prefix + ascending `(key, value)` pairs) — with
+//! cache-friendly storage:
 //!
 //! * [`FlatMap`] — a sorted `Vec<(K, V)>` with binary-search lookups.
 //!   Right for small-to-medium maps with reads dominating inserts

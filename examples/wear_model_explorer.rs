@@ -9,7 +9,7 @@
 //! cargo run --release -p edm-harness --example wear_model_explorer
 //! ```
 
-use edm_model::{u_of_v, GcPolicy, MeanFieldModel};
+use edm_model::{u_of_v, MeanFieldModel};
 use edm_obs::NoopRecorder;
 use edm_ssd::{Geometry, LatencyModel, Ssd};
 
@@ -53,7 +53,7 @@ fn measure(utilization: f64, skewed: bool) -> f64 {
 }
 
 fn main() {
-    let eq2 = MeanFieldModel::with_gc(32, 0.0, GcPolicy::Greedy);
+    let eq2 = MeanFieldModel::new(32, 0.0);
     let eq3 = MeanFieldModel::paper(32);
 
     println!("analytic check: u(ur=0.5) = {:.4}", u_of_v(0.5));

@@ -11,7 +11,9 @@
 #                    stale or reasonless `#[expect]`s (DESIGN.md §8) — and what
 #                    fails on a snapshot field that a hand-written `save`
 #                    destructure names but never writes: unused_variables;
-#                    then the benchmark package under its own clippy.toml
+#                    then the benchmark package under its own clippy.toml;
+#                    then rustdoc over the workspace, warnings denied (broken
+#                    or private intra-doc links)
 #   check.sh build   release build
 #   check.sh test    cargo test, workspace then the benchmark package
 #   check.sh smoke   obs smoke (journal verified by edm-spec), checkpoint/resume
@@ -24,16 +26,19 @@
 #   check.sh fuzz    edm-fuzz smoke batch (seed 1, six scenarios)
 #   check.sh model   analytic-model differential gate (edm-exp model-diff
 #                    vs scripts/model_tolerances.json)
+#   check.sh record  regenerates the paper record (edm-exp all --full --osds
+#                    16,20, a few minutes) and cmps it with experiments_full.txt
 #   check.sh tsan    ThreadSanitizer lane over shard + serve tests and the
 #                    loopback daemon suite (advisory; skips cleanly without
 #                    a nightly toolchain + rust-src)
 #
 # EDM_CHECK_QUICK=1 shrinks the expensive steps (test -> workspace lib
-# tests only, smoke/scale/spec/fuzz -> skipped) for local edit loops.
+# tests only, smoke/scale/spec/serve/fuzz/model/record/tsan -> skipped)
+# for local edit loops.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-STEPS="fmt lint build test smoke scale spec serve fuzz model tsan"
+STEPS="fmt lint build test smoke scale spec serve fuzz model record tsan"
 QUICK="${EDM_CHECK_QUICK:-0}"
 
 # Resolve a release binary inside the active target directory. The steps
@@ -107,6 +112,8 @@ step_lint() {
     echo "==> cargo clippy (benchmark package, deny warnings)"
     cargo clippy --offline --locked --manifest-path benchmark/Cargo.toml --all-targets -- \
         -D warnings -W clippy::allow_attributes -W clippy::allow_attributes_without_reason
+    echo "==> cargo doc (deny warnings)"
+    RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 }
 
 step_build() {
@@ -596,6 +603,25 @@ step_model() {
     "$(bin edm-exp)" model-diff
 }
 
+step_record() {
+    if [ "$QUICK" = "1" ]; then
+        echo "==> record skipped (EDM_CHECK_QUICK=1)"
+        return 0
+    fi
+    echo "==> edm-exp all --full --osds 16,20 vs experiments_full.txt"
+    # The paper record is this command's stdout, byte for byte. A change
+    # that moves any byte must re-paste the file (and the lines
+    # EXPERIMENTS.md quotes from it); this step catches one that did not.
+    scratch_dir
+    "$(bin edm-exp)" all --full --osds 16,20 > "$SCRATCH_DIR/record.txt"
+    if ! cmp -s "$SCRATCH_DIR/record.txt" experiments_full.txt; then
+        diff experiments_full.txt "$SCRATCH_DIR/record.txt" | head -40
+        echo "record: edm-exp all --full --osds 16,20 differs from experiments_full.txt"
+        exit 1
+    fi
+    echo "record: edm-exp all --full --osds 16,20 matches experiments_full.txt"
+}
+
 step_tsan() {
     if [ "$QUICK" = "1" ]; then
         echo "==> tsan skipped (EDM_CHECK_QUICK=1)"
@@ -650,6 +676,7 @@ run_step() {
         serve) step_serve ;;
         fuzz)  step_fuzz ;;
         model) step_model ;;
+        record) step_record ;;
         tsan)  step_tsan ;;
         all)
             for s in $STEPS; do

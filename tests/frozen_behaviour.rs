@@ -29,15 +29,15 @@ type Row = (&'static str, &'static str, &'static [u32], u64, u64, usize);
 
 #[rustfmt::skip]
 const GOLDEN: [Row; 9] = [
-    ("smoke", SMOKE, &[0], 0xec91_df1c_b155_195f, 0xbacc_9a97_e2fc_754f, 3_663_727),
-    ("ckpt", CKPT, &[0], 0x4d07_7e16_2de3_0d81, 0x004f_1888_d8eb_98cc, 1_980_011),
-    ("scale", SCALE, &[0, 2], 0x2ff2_32f3_f0cf_8f7c, 0x6249_53a4_3ac9_634b, 4_438_759),
-    ("live", LIVE, &[0], 0xcfbc_179e_0a94_7558, 0xc641_c6ea_a8ee_515e, 502_099),
-    ("baseline-unrebuilt-failure", include_str!("../fuzz/corpus/baseline-unrebuilt-failure.scn"), &[0], 0xbd44_29da_4fd7_4cbb, 0x97c3_1c94_10e1_1eba, 1_014_324),
-    ("cdf-rebuild-every-tick", include_str!("../fuzz/corpus/cdf-rebuild-every-tick.scn"), &[0], 0x4d07_7e16_2de3_0d81, 0x004f_1888_d8eb_98cc, 1_980_011),
-    ("cmt-high-concurrency", include_str!("../fuzz/corpus/cmt-high-concurrency.scn"), &[0], 0x8eec_70d1_bccc_8db2, 0xd242_ba76_bbd9_d58c, 690_122),
-    ("hdf-uneven-groups", include_str!("../fuzz/corpus/hdf-uneven-groups.scn"), &[0], 0x0c4f_a5e8_75b4_f143, 0x6bef_96de_7237_bce2, 334_857),
-    ("random-trace-every-tick", include_str!("../fuzz/corpus/random-trace-every-tick.scn"), &[0], 0xcfbc_179e_0a94_7558, 0xc641_c6ea_a8ee_515e, 502_099),
+    ("smoke", SMOKE, &[0], 0x0779_307d_d274_755a, 0xd1d4_0401_f762_cfdc, 3_663_724),
+    ("ckpt", CKPT, &[0], 0xd031_89a1_245f_6f64, 0x4ee0_872f_b858_27b4, 1_980_011),
+    ("scale", SCALE, &[0, 2], 0xb8c5_b569_2210_f568, 0xada3_12b1_542d_1be3, 4_438_759),
+    ("live", LIVE, &[0], 0x9fd2_e75a_2091_0410, 0x12bd_20a7_0cff_5e2f, 502_099),
+    ("baseline-unrebuilt-failure", include_str!("../fuzz/corpus/baseline-unrebuilt-failure.scn"), &[0], 0x2eb9_4e1d_ae01_f21b, 0x3ad1_9b7d_5569_595a, 1_014_324),
+    ("cdf-rebuild-every-tick", include_str!("../fuzz/corpus/cdf-rebuild-every-tick.scn"), &[0], 0xd031_89a1_245f_6f64, 0x4ee0_872f_b858_27b4, 1_980_011),
+    ("cmt-high-concurrency", include_str!("../fuzz/corpus/cmt-high-concurrency.scn"), &[0], 0xdf0a_75fc_cfd1_238f, 0xd014_f7e2_1a72_4e00, 690_122),
+    ("hdf-uneven-groups", include_str!("../fuzz/corpus/hdf-uneven-groups.scn"), &[0], 0x07cd_fed0_49f3_c5c2, 0x944b_7213_4460_84f5, 334_857),
+    ("random-trace-every-tick", include_str!("../fuzz/corpus/random-trace-every-tick.scn"), &[0], 0x9fd2_e75a_2091_0410, 0x12bd_20a7_0cff_5e2f, 502_099),
 ];
 
 /// FNV-1a, as in `edm_scenario::report_digest`.

@@ -326,3 +326,29 @@ fn observability_levels_do_not_change_the_run() {
         }
     }
 }
+
+/// The report's percentiles and the recorder's `response_us` histogram
+/// are one type with one quantile rule, so they agree — sequentially and
+/// when per-shard tallies and recorders are merged — and no percentile
+/// exceeds the slowest response.
+#[test]
+fn report_percentiles_are_the_recorders_response_quantiles() {
+    use edm_obs::{MemoryRecorder, ObsLevel};
+    use edm_scenario::Scenario;
+    for text in [
+        "trace home02\nscale 0.002\nosds 8\ngroups 4\npolicy EDM-HDF\n\
+         schedule midpoint\nforce true\n",
+        "trace home02\nscale 0.002\nosds 16\ngroups 4\npolicy EDM-HDF\n\
+         schedule every-tick\nstride 2\naffinity component\nshards 2\n",
+    ] {
+        let scenario = Scenario::parse(text).unwrap();
+        let mut rec = MemoryRecorder::new(ObsLevel::Metrics);
+        let (report, _) = scenario.run(&mut rec, None).unwrap();
+        let hist = rec.histogram("response_us").expect("response histogram");
+        assert_eq!(hist.count(), report.completed_ops, "{text}");
+        let (p50, p95, p99) = report.response_percentiles_us;
+        let q = |p| hist.quantile(p);
+        assert_eq!((p50, p95, p99), (q(0.50), q(0.95), q(0.99)), "{text}");
+        assert!(p99 <= hist.max(), "p99 {p99} above max {}", hist.max());
+    }
+}

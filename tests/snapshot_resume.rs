@@ -311,9 +311,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 #[test]
 fn checkpoint_bytes_are_frozen() {
     const GOLDEN: [(&str, u64, usize); 3] = [
-        ("ckpt first", 0xe333_469a_8c63_e5ae, 289_505),
-        ("ckpt last", 0xff46_d98c_6afa_3f4e, 284_668),
-        ("live", 0x266d_c82c_c870_ef1b, 36_268),
+        ("ckpt first", 0x4faa_f590_58cd_e4c9, 293_209),
+        ("ckpt last", 0x5da6_ab90_aae9_4add, 288_372),
+        ("live", 0xe3eb_9901_576c_e768, 36_268),
     ];
 
     let (_, snaps) = checkpointed_run(&faulted_scenario(), "frozen");
