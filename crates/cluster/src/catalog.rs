@@ -114,7 +114,7 @@ impl Catalog {
     /// Records a migration in the remapping table.
     pub fn record_move(&mut self, object: ObjectId, dest: OsdId) {
         let home = self.home_of(object);
-        self.remap.record_move_with_home(object, dest, home);
+        self.remap.record_move(object, dest, home);
     }
 }
 

@@ -194,12 +194,12 @@ impl Migrator for NoMigration {
 
 /// Validates a plan against structural rules; the simulator refuses plans
 /// that violate them. Returns the view entry each action's object
-/// resolved to (in plan order), or the first violation.
+/// resolved to (in plan order), or the first violation. Cross-group moves
+/// are accepted: CMT balances across groups, and the intra-group rule
+/// belongs to each EDM policy, which plans per group.
 pub fn validate_plan<'v>(
     plan: &[MoveAction],
     view: &'v ClusterView,
-    intra_group_only: bool,
-    group_of: impl Fn(OsdId) -> GroupId,
 ) -> Result<Vec<&'v ObjectView>, String> {
     let mut seen = HashSet::new();
     let mut resolved = Vec::with_capacity(plan.len());
@@ -219,12 +219,6 @@ pub fn validate_plan<'v>(
             return Err(format!(
                 "action {i}: object {} lives on {}, not {}",
                 m.object, obj.osd, m.source
-            ));
-        }
-        if intra_group_only && group_of(m.source) != group_of(m.dest) {
-            return Err(format!(
-                "action {i}: cross-group move {} -> {}",
-                m.source, m.dest
             ));
         }
         resolved.push(obj);
@@ -283,12 +277,11 @@ pub fn plan_round<P: Migrator + ?Sized>(
 ) -> Result<(Vec<MoveAction>, u64), InvalidPlan> {
     obs.counter("sim.migration_evaluations", 1);
     let plan = policy.plan_obs(view, obs);
-    let resolved =
-        validate_plan(&plan, view, false, |o| view.osd(o).group).map_err(|reason| InvalidPlan {
-            policy: policy.name().to_string(),
-            moves: plan.len(),
-            reason,
-        })?;
+    let resolved = validate_plan(&plan, view).map_err(|reason| InvalidPlan {
+        policy: policy.name().to_string(),
+        moves: plan.len(),
+        reason,
+    })?;
     let mut projected_free: Vec<i64> = view.osds.iter().map(|o| o.free_bytes as i64).collect();
     let is_failed = |osd: OsdId| failed.get(osd.0 as usize).copied().unwrap_or(false);
     let mut accepted = Vec::new();
@@ -369,10 +362,6 @@ mod tests {
         }
     }
 
-    fn group(o: OsdId) -> GroupId {
-        GroupId(o.0 % 2)
-    }
-
     #[test]
     fn baseline_never_plans() {
         let mut b = NoMigration;
@@ -387,21 +376,20 @@ mod tests {
             source: OsdId(0),
             dest: OsdId(2),
         }];
-        validate_plan(&plan, &view(), true, group).unwrap();
+        validate_plan(&plan, &view()).unwrap();
     }
 
     #[test]
-    fn cross_group_move_rejected() {
+    fn cross_group_move_accepted() {
+        // OSDs 0 and 1 sit in different groups; CMT plans such moves.
         let plan = vec![MoveAction {
             object: ObjectId(1),
             source: OsdId(0),
             dest: OsdId(1),
         }];
-        assert!(validate_plan(&plan, &view(), true, group)
-            .unwrap_err()
-            .contains("cross-group"));
-        // ...but allowed when the rule is off (CMT has no group rule).
-        validate_plan(&plan, &view(), false, group).unwrap();
+        let v = view();
+        assert_ne!(v.osd(OsdId(0)).group, v.osd(OsdId(1)).group);
+        validate_plan(&plan, &v).unwrap();
     }
 
     #[test]
@@ -411,7 +399,7 @@ mod tests {
             source: OsdId(0),
             dest: OsdId(2),
         }];
-        assert!(validate_plan(&plan, &view(), true, group)
+        assert!(validate_plan(&plan, &view())
             .unwrap_err()
             .contains("lives on"));
     }
@@ -423,7 +411,7 @@ mod tests {
             source: OsdId(0),
             dest: OsdId(2),
         };
-        assert!(validate_plan(&[m, m], &view(), true, group)
+        assert!(validate_plan(&[m, m], &view())
             .unwrap_err()
             .contains("moved twice"));
     }
@@ -435,7 +423,7 @@ mod tests {
             source: OsdId(0),
             dest: OsdId(0),
         }];
-        assert!(validate_plan(&plan, &view(), false, group)
+        assert!(validate_plan(&plan, &view())
             .unwrap_err()
             .contains("source == dest"));
     }

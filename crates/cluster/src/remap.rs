@@ -54,17 +54,9 @@ impl RemappingTable {
         self.map.contains_key(&object)
     }
 
-    /// Records a move. If the object lands back on `home` the entry could
-    /// be dropped; the paper's table keeps entries, so we do too unless
-    /// `home` is supplied.
-    pub fn record_move(&mut self, object: ObjectId, dest: OsdId) {
-        self.moves_recorded += 1;
-        self.map.insert(object, dest);
-    }
-
-    /// Records a move and prunes the entry when the object returned to its
-    /// home OSD.
-    pub fn record_move_with_home(&mut self, object: ObjectId, dest: OsdId, home: OsdId) {
+    /// Records a move of `object` to `dest`, pruning the entry when the
+    /// object returned to its `home` OSD.
+    pub fn record_move(&mut self, object: ObjectId, dest: OsdId, home: OsdId) {
         self.moves_recorded += 1;
         if dest == home {
             self.map.remove(&object);
@@ -130,18 +122,18 @@ mod tests {
     fn lookup_reflects_moves() {
         let mut t = RemappingTable::new();
         assert_eq!(t.lookup(ObjectId(1)), None);
-        t.record_move(ObjectId(1), OsdId(5));
+        t.record_move(ObjectId(1), OsdId(5), OsdId(0));
         assert_eq!(t.lookup(ObjectId(1)), Some(OsdId(5)));
-        t.record_move(ObjectId(1), OsdId(9));
+        t.record_move(ObjectId(1), OsdId(9), OsdId(0));
         assert_eq!(t.lookup(ObjectId(1)), Some(OsdId(9)));
     }
 
     #[test]
     fn remigration_does_not_grow_table() {
         let mut t = RemappingTable::new();
-        t.record_move(ObjectId(1), OsdId(5));
-        t.record_move(ObjectId(1), OsdId(9));
-        t.record_move(ObjectId(1), OsdId(13));
+        t.record_move(ObjectId(1), OsdId(5), OsdId(0));
+        t.record_move(ObjectId(1), OsdId(9), OsdId(0));
+        t.record_move(ObjectId(1), OsdId(13), OsdId(0));
         assert_eq!(t.len(), 1, "re-migrations must reuse the entry");
         assert_eq!(t.moves_recorded(), 3);
     }
@@ -149,9 +141,9 @@ mod tests {
     #[test]
     fn moving_home_prunes_entry() {
         let mut t = RemappingTable::new();
-        t.record_move(ObjectId(7), OsdId(2));
+        t.record_move(ObjectId(7), OsdId(2), OsdId(0));
         assert_eq!(t.len(), 1);
-        t.record_move_with_home(ObjectId(7), OsdId(0), OsdId(0));
+        t.record_move(ObjectId(7), OsdId(0), OsdId(0));
         assert_eq!(t.len(), 0);
         assert_eq!(t.lookup(ObjectId(7)), None);
         assert_eq!(t.moves_recorded(), 2);
@@ -160,8 +152,8 @@ mod tests {
     #[test]
     fn iter_yields_all_entries() {
         let mut t = RemappingTable::new();
-        t.record_move(ObjectId(1), OsdId(2));
-        t.record_move(ObjectId(3), OsdId(4));
+        t.record_move(ObjectId(1), OsdId(2), OsdId(0));
+        t.record_move(ObjectId(3), OsdId(4), OsdId(0));
         let mut entries: Vec<_> = t.iter().collect();
         entries.sort();
         assert_eq!(

@@ -15,46 +15,34 @@
 use edm_cluster::metrics::rsd;
 use edm_model::MeanFieldModel;
 
-/// Tunables of Algorithm 1. `Default` holds the values every policy run
-/// uses (`Edm` passes it); other values are for this module's tests.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Alg1Config {
-    /// Outer iteration count ("total iteration step is set to 500").
-    pub iterations: usize,
-    /// ε grid step of the inner sweep (0.001 in the paper).
-    pub eps_step: f64,
-    /// CDF only: never raise a destination's utilization beyond this.
-    pub dest_util_cap: f64,
-    /// CDF only: never lower a source below 50 % utilization — below the
-    /// knee of Fig. 3, "further reduction of the disk utilization has
-    /// almost no effect on the wear frequency" (§III.B.5).
-    pub min_source_utilization: f64,
-    /// Stop iterating once the relative standard deviation of the model
-    /// erase counts falls below this — the same "significant wear
-    /// imbalance" criterion as the trigger (§III.B.2); further shuffling
-    /// would move data for no wear benefit.
-    pub stop_rsd: f64,
-    /// CDF only: utilization a single migration round may shed from one
-    /// device. When write intensities differ strongly, equalizing Eq. 4
-    /// through utilization alone would drain hot sources straight to the
-    /// 50 % floor — tens of percent of capacity in one round; this cap
-    /// bounds the round (the same disk-saturation reasoning as §III.B.5's
-    /// destination threshold) and leaves the rest to later rounds.
-    pub max_shed_per_device: f64,
-}
+/// Outer iteration count ("total iteration step is set to 500").
+pub const ITERATIONS: usize = 500;
 
-impl Default for Alg1Config {
-    fn default() -> Self {
-        Alg1Config {
-            iterations: 500,
-            eps_step: 0.001,
-            stop_rsd: 0.05,
-            dest_util_cap: 0.95,
-            min_source_utilization: 0.50,
-            max_shed_per_device: 0.015,
-        }
-    }
-}
+/// ε grid step of the inner sweep (0.001 in the paper).
+pub const EPS_STEP: f64 = 0.001;
+
+/// Stop iterating once the relative standard deviation of the model
+/// erase counts falls below this — the same "significant wear imbalance"
+/// criterion as the trigger (§III.B.2); further shuffling would move data
+/// for no wear benefit.
+pub const STOP_RSD: f64 = 0.05;
+
+/// CDF only: never raise a destination's utilization beyond this.
+pub const DEST_UTIL_CAP: f64 = 0.95;
+
+/// CDF only: never lower a source below 50 % utilization — below the knee
+/// of Fig. 3, "further reduction of the disk utilization has almost no
+/// effect on the wear frequency" (§III.B.5). Also read by
+/// `Selection::may_shed`.
+pub(crate) const MIN_SOURCE_UTILIZATION: f64 = 0.50;
+
+/// CDF only: utilization a single migration round may shed from one
+/// device. When write intensities differ strongly, equalizing Eq. 4
+/// through utilization alone would drain hot sources straight to the
+/// 50 % floor — tens of percent of capacity in one round; this cap bounds
+/// the round (the same disk-saturation reasoning as §III.B.5's
+/// destination threshold) and leaves the rest to later rounds.
+pub const MAX_SHED_PER_DEVICE: f64 = 0.015;
 
 /// Result of the movement calculation.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,7 +61,7 @@ pub struct MovementAmounts {
 /// fixed, so the model enters only through each device's Eq. 4
 /// denominator, `free_pages` ([`free_pages_per_erase`]): Eq. 3 is solved
 /// once per device, by the caller, and every evaluation here divides.
-pub fn calculate_hdf(wc_pages: &[f64], free_pages: &[f64], cfg: &Alg1Config) -> MovementAmounts {
+pub fn calculate_hdf(wc_pages: &[f64], free_pages: &[f64]) -> MovementAmounts {
     validate_wc(wc_pages, free_pages);
     assert!(
         free_pages.iter().all(|f| f.is_finite() && *f > 0.0),
@@ -83,9 +71,9 @@ pub fn calculate_hdf(wc_pages: &[f64], free_pages: &[f64], cfg: &Alg1Config) -> 
     let mut wc = wc_pages.to_vec();
     let mut delta = vec![0.0; n];
     let mut used = 0;
-    for _ in 0..cfg.iterations {
+    for _ in 0..ITERATIONS {
         let ec = erase_counts(&wc, free_pages);
-        if rsd(ec.iter().copied()) < cfg.stop_rsd {
+        if rsd(ec.iter().copied()) < STOP_RSD {
             break;
         }
         let Some((x, y)) = max_min_pair(&ec, |_| true) else {
@@ -101,7 +89,7 @@ pub fn calculate_hdf(wc_pages: &[f64], free_pages: &[f64], cfg: &Alg1Config) -> 
                 shift = dw;
                 break;
             }
-            eps += cfg.eps_step;
+            eps += EPS_STEP;
         }
         if shift <= 0.0 {
             break; // pair already balanced ⇒ whole array converged
@@ -120,13 +108,12 @@ pub fn calculate_hdf(wc_pages: &[f64], free_pages: &[f64], cfg: &Alg1Config) -> 
 }
 
 /// CDF variant: returns Δu per device (utilization fraction). Sources are
-/// restricted to devices at or above `min_source_utilization`, and no
-/// destination is pushed past `dest_util_cap`.
+/// restricted to devices at or above `MIN_SOURCE_UTILIZATION`, and no
+/// destination is pushed past [`DEST_UTIL_CAP`].
 pub fn calculate_cdf(
     wc_pages: &[f64],
     utilization: &[f64],
     model: &MeanFieldModel,
-    cfg: &Alg1Config,
 ) -> MovementAmounts {
     validate_wc(wc_pages, utilization);
     assert!(
@@ -140,31 +127,29 @@ pub fn calculate_cdf(
     let mut free_pages = free_pages_per_erase(&u, model);
     let mut delta = vec![0.0; n];
     let mut used = 0;
-    for _ in 0..cfg.iterations {
+    for _ in 0..ITERATIONS {
         let ec = erase_counts(wc_pages, &free_pages);
-        if rsd(ec.iter().copied()) < cfg.stop_rsd {
+        if rsd(ec.iter().copied()) < STOP_RSD {
             break;
         }
         // A source must sit above the 50 % floor and still have round
         // budget left.
         let Some((x, y)) = max_min_pair(&ec, |i| {
-            u[i] >= cfg.min_source_utilization && -delta[i] < cfg.max_shed_per_device
+            u[i] >= MIN_SOURCE_UTILIZATION && -delta[i] < MAX_SHED_PER_DEVICE
         }) else {
             break;
         };
         // Per-device floor for this round: the 50 % rule or the shed cap,
         // whichever binds first.
-        let floor = cfg
-            .min_source_utilization
-            .max(utilization[x] - cfg.max_shed_per_device);
+        let floor = MIN_SOURCE_UTILIZATION.max(utilization[x] - MAX_SHED_PER_DEVICE);
         let mut shift = 0.0;
         let mut eps = 0.0;
         while eps < 1.0 {
             let du = u[x] * eps;
-            if u[x] - du < floor || u[y] + du > cfg.dest_util_cap {
+            if u[x] - du < floor || u[y] + du > DEST_UTIL_CAP {
                 // Hit a guard rail before equalizing: commit the largest
                 // admissible shift.
-                shift = (u[x] - floor).min(cfg.dest_util_cap - u[y]).max(0.0);
+                shift = (u[x] - floor).min(DEST_UTIL_CAP - u[y]).max(0.0);
                 break;
             }
             let de = model.erase_count(wc_pages[x], u[x] - du)
@@ -173,7 +158,7 @@ pub fn calculate_cdf(
                 shift = du;
                 break;
             }
-            eps += cfg.eps_step;
+            eps += EPS_STEP;
         }
         if shift <= 1e-9 {
             break;
@@ -253,8 +238,8 @@ mod tests {
 
     /// HDF as `Edm` runs it: the paper model's denominators, then
     /// Algorithm 1.
-    fn hdf(wc: &[f64], u: &[f64], cfg: &Alg1Config) -> MovementAmounts {
-        calculate_hdf(wc, &free_pages_per_erase(u, &model()), cfg)
+    fn hdf(wc: &[f64], u: &[f64]) -> MovementAmounts {
+        calculate_hdf(wc, &free_pages_per_erase(u, &model()))
     }
 
     /// Algorithm 1 as the paper states it: Eq. 4 through
@@ -266,7 +251,6 @@ mod tests {
         wc_pages: &[f64],
         utilization: &[f64],
         m: &MeanFieldModel,
-        cfg: &Alg1Config,
     ) -> MovementAmounts {
         let n = wc_pages.len();
         let (mut wc, mut u) = (wc_pages.to_vec(), utilization.to_vec());
@@ -275,27 +259,24 @@ mod tests {
         let erases = |wc: &[f64], u: &[f64]| -> Vec<f64> {
             (0..n).map(|i| m.erase_count(wc[i], u[i])).collect()
         };
-        for _ in 0..cfg.iterations {
+        for _ in 0..ITERATIONS {
             let ec = erases(&wc, &u);
-            if rsd(ec.iter().copied()) < cfg.stop_rsd {
+            if rsd(ec.iter().copied()) < STOP_RSD {
                 break;
             }
             let pair = max_min_pair(&ec, |i| {
-                !move_u
-                    || (u[i] >= cfg.min_source_utilization && -delta[i] < cfg.max_shed_per_device)
+                !move_u || (u[i] >= MIN_SOURCE_UTILIZATION && -delta[i] < MAX_SHED_PER_DEVICE)
             });
             let Some((x, y)) = pair else {
                 break;
             };
-            let floor = cfg
-                .min_source_utilization
-                .max(utilization[x] - cfg.max_shed_per_device);
+            let floor = MIN_SOURCE_UTILIZATION.max(utilization[x] - MAX_SHED_PER_DEVICE);
             let mut shift = 0.0;
             let mut eps = 0.0;
             while eps < 1.0 {
                 let d = if move_u { u[x] * eps } else { wc[x] * eps };
-                if move_u && (u[x] - d < floor || u[y] + d > cfg.dest_util_cap) {
-                    shift = (u[x] - floor).min(cfg.dest_util_cap - u[y]).max(0.0);
+                if move_u && (u[x] - d < floor || u[y] + d > DEST_UTIL_CAP) {
+                    shift = (u[x] - floor).min(DEST_UTIL_CAP - u[y]).max(0.0);
                     break;
                 }
                 let de = if move_u {
@@ -307,7 +288,7 @@ mod tests {
                     shift = d;
                     break;
                 }
-                eps += cfg.eps_step;
+                eps += EPS_STEP;
             }
             if shift <= if move_u { 1e-9 } else { 0.0 } {
                 break;
@@ -343,10 +324,6 @@ mod tests {
     #[test]
     fn matches_the_naive_reference_bit_for_bit() {
         let mut rng = StdRng::seed_from_u64(0xA161);
-        let cfg = Alg1Config {
-            iterations: 40, // keeps the naive side's debug-build cost down
-            ..Alg1Config::default()
-        };
         let high_clamp = u_of_v(0.999);
         let (mut hdf_moved, mut cdf_moved) = (0, 0);
         for m in [MeanFieldModel::new(32, 0.0), model()] {
@@ -367,18 +344,10 @@ mod tests {
                         })
                         .collect();
                     let what = format!("σ={} n={n} case={case}", m.sigma);
-                    let hdf = calculate_hdf(&wc, &free_pages_per_erase(&u, &m), &cfg);
-                    assert_bit_identical(
-                        &hdf,
-                        &naive(false, &wc, &u, &m, &cfg),
-                        &format!("hdf {what}"),
-                    );
-                    let cdf = calculate_cdf(&wc, &u, &m, &cfg);
-                    assert_bit_identical(
-                        &cdf,
-                        &naive(true, &wc, &u, &m, &cfg),
-                        &format!("cdf {what}"),
-                    );
+                    let hdf = calculate_hdf(&wc, &free_pages_per_erase(&u, &m));
+                    assert_bit_identical(&hdf, &naive(false, &wc, &u, &m), &format!("hdf {what}"));
+                    let cdf = calculate_cdf(&wc, &u, &m);
+                    assert_bit_identical(&cdf, &naive(true, &wc, &u, &m), &format!("cdf {what}"));
                     hdf_moved += usize::from(hdf.iterations_used > 0);
                     cdf_moved += usize::from(cdf.iterations_used > 0);
                 }
@@ -397,7 +366,7 @@ mod tests {
         let u = [0.7, 0.6, 0.65, 0.5];
         let m = model();
         let before: Vec<f64> = (0..4).map(|i| m.erase_count(wc[i], u[i])).collect();
-        let out = hdf(&wc, &u, &Alg1Config::default());
+        let out = hdf(&wc, &u);
         assert!(
             rsd(out.final_erases.iter().copied()) < rsd(before.iter().copied()) * 0.2,
             "imbalance must shrink dramatically: {:?} -> {:?}",
@@ -410,7 +379,7 @@ mod tests {
     fn hdf_deltas_conserve_write_pages() {
         let wc = [50_000.0, 10_000.0, 5_000.0];
         let u = [0.7, 0.7, 0.7];
-        let out = hdf(&wc, &u, &Alg1Config::default());
+        let out = hdf(&wc, &u);
         let total: f64 = out.delta.iter().sum();
         assert!(total.abs() < 1e-6, "ΔWc must sum to zero, got {total}");
         // The hottest device sheds, the coldest gains.
@@ -422,7 +391,7 @@ mod tests {
     fn equal_utilization_hdf_equalizes_wc() {
         let wc = [40_000.0, 0.0];
         let u = [0.6, 0.6];
-        let out = hdf(&wc, &u, &Alg1Config::default());
+        let out = hdf(&wc, &u);
         // With equal u, balance means equal Wc: each ends near 20 000.
         assert!((out.delta[0] + 20_000.0).abs() < 1_000.0, "{:?}", out.delta);
         assert!((out.delta[1] - 20_000.0).abs() < 1_000.0);
@@ -432,10 +401,10 @@ mod tests {
     fn balanced_input_is_a_fixed_point() {
         let wc = [10_000.0; 4];
         let u = [0.6; 4];
-        let out = hdf(&wc, &u, &Alg1Config::default());
+        let out = hdf(&wc, &u);
         assert!(out.delta.iter().all(|d| *d == 0.0));
         assert_eq!(out.iterations_used, 0);
-        let out = calculate_cdf(&wc, &u, &model(), &Alg1Config::default());
+        let out = calculate_cdf(&wc, &u, &model());
         assert!(out.delta.iter().all(|d| *d == 0.0));
     }
 
@@ -445,7 +414,7 @@ mod tests {
         // the highest model wear, so HDF shifts writes away from it.
         let wc = [20_000.0; 3];
         let u = [0.95, 0.5, 0.5];
-        let out = hdf(&wc, &u, &Alg1Config::default());
+        let out = hdf(&wc, &u);
         assert!(out.delta[0] < 0.0, "{:?}", out.delta);
     }
 
@@ -453,7 +422,7 @@ mod tests {
     fn cdf_deltas_conserve_utilization() {
         let wc = [30_000.0, 30_000.0, 30_000.0];
         let u = [0.9, 0.6, 0.55];
-        let out = calculate_cdf(&wc, &u, &model(), &Alg1Config::default());
+        let out = calculate_cdf(&wc, &u, &model());
         let total: f64 = out.delta.iter().sum();
         assert!(total.abs() < 1e-9);
         assert!(
@@ -467,9 +436,8 @@ mod tests {
     fn cdf_never_drains_source_below_half() {
         let wc = [80_000.0, 10_000.0];
         let u = [0.55, 0.30];
-        let cfg = Alg1Config::default();
-        let out = calculate_cdf(&wc, &u, &model(), &cfg);
-        assert!(u[0] + out.delta[0] >= cfg.min_source_utilization - 1e-9);
+        let out = calculate_cdf(&wc, &u, &model());
+        assert!(u[0] + out.delta[0] >= MIN_SOURCE_UTILIZATION - 1e-9);
     }
 
     #[test]
@@ -478,7 +446,7 @@ mod tests {
         // help it (§III.B.5), so no movement is planned from it.
         let wc = [90_000.0, 10_000.0];
         let u = [0.40, 0.60];
-        let out = calculate_cdf(&wc, &u, &model(), &Alg1Config::default());
+        let out = calculate_cdf(&wc, &u, &model());
         assert!(out.delta[0] >= 0.0, "{:?}", out.delta);
     }
 
@@ -486,56 +454,33 @@ mod tests {
     fn cdf_respects_destination_cap() {
         let wc = [50_000.0, 50_000.0];
         let u = [0.94, 0.93];
-        let cfg = Alg1Config::default();
-        let out = calculate_cdf(&wc, &u, &model(), &cfg);
-        assert!(u[1] + out.delta[1] <= cfg.dest_util_cap + 1e-9);
+        let out = calculate_cdf(&wc, &u, &model());
+        assert!(u[1] + out.delta[1] <= DEST_UTIL_CAP + 1e-9);
     }
 
     #[test]
     fn single_device_is_a_noop() {
-        let out = hdf(&[1e5], &[0.7], &Alg1Config::default());
+        let out = hdf(&[1e5], &[0.7]);
         assert_eq!(out.delta, vec![0.0]);
-        let out = calculate_cdf(&[1e5], &[0.7], &model(), &Alg1Config::default());
+        let out = calculate_cdf(&[1e5], &[0.7], &model());
         assert_eq!(out.delta, vec![0.0]);
     }
 
+    /// One hot device and 600 idle ones: balancing reaches the stop RSD
+    /// only after nearly every idle device has absorbed a share, one pair
+    /// per iteration, so the run spends the whole budget.
     #[test]
     fn iteration_budget_limits_work() {
-        let wc = [100_000.0, 10.0, 20.0, 30.0];
-        let u = [0.7; 4];
-        let cfg = Alg1Config {
-            iterations: 3,
-            ..Default::default()
-        };
-        let out = hdf(&wc, &u, &cfg);
-        assert!(out.iterations_used <= 3);
-    }
-
-    #[test]
-    fn coarser_epsilon_still_converges_roughly() {
-        let wc = [60_000.0, 10_000.0, 5_000.0];
-        let u = [0.7, 0.6, 0.6];
-        let fine = hdf(&wc, &u, &Alg1Config::default());
-        let coarse = hdf(
-            &wc,
-            &u,
-            &Alg1Config {
-                eps_step: 0.01,
-                ..Default::default()
-            },
-        );
-        let r_fine = rsd(fine.final_erases.iter().copied());
-        let r_coarse = rsd(coarse.final_erases.iter().copied());
-        assert!(
-            r_coarse < 0.15,
-            "coarse grid should still balance: {r_coarse}"
-        );
-        assert!(r_fine <= r_coarse + 0.05);
+        let mut wc = vec![0.0; 601];
+        wc[0] = 1e9;
+        let out = hdf(&wc, &[0.7; 601]);
+        assert_eq!(out.iterations_used, ITERATIONS);
+        assert!(rsd(out.final_erases.iter().copied()) >= STOP_RSD);
     }
 
     #[test]
     #[should_panic(expected = "must align")]
     fn mismatched_arrays_panic() {
-        calculate_hdf(&[1.0], &[32.0, 32.0], &Alg1Config::default());
+        calculate_hdf(&[1.0], &[32.0, 32.0]);
     }
 }

@@ -85,9 +85,8 @@ mod tests {
         assert_eq!(c.temperature_interval_us, 60_000_000);
         c.validate().unwrap();
         assert!((edm_model::MODEL_SIGMA - 0.28).abs() < 1e-12);
-        let alg1 = crate::alg1::Alg1Config::default();
-        assert_eq!(alg1.iterations, 500);
-        assert!((alg1.eps_step - 0.001).abs() < 1e-12);
+        assert_eq!(crate::alg1::ITERATIONS, 500);
+        assert!((crate::alg1::EPS_STEP - 0.001).abs() < 1e-12);
     }
 
     #[test]

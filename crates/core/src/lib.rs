@@ -37,7 +37,7 @@
 //! tracked and shuffled.
 //!
 //! ```
-//! use edm_core::{calculate_hdf, free_pages_per_erase, Alg1Config};
+//! use edm_core::{calculate_hdf, free_pages_per_erase};
 //! use edm_model::MeanFieldModel;
 //!
 //! // Eq. 4: a device with 100k page writes at 70 % utilization.
@@ -47,7 +47,7 @@
 //!
 //! // Algorithm 1 (HDF) shifts page writes from the hot device to the cold one.
 //! let free_pages = free_pages_per_erase(&[0.70, 0.70], &model);
-//! let out = calculate_hdf(&[100_000.0, 0.0], &free_pages, &Alg1Config::default());
+//! let out = calculate_hdf(&[100_000.0, 0.0], &free_pages);
 //! assert!(out.delta[0] < 0.0 && out.delta[1] > 0.0);
 //! ```
 
@@ -60,7 +60,7 @@ pub mod policy;
 pub mod temperature;
 pub mod trigger;
 
-pub use alg1::{calculate_cdf, calculate_hdf, free_pages_per_erase, Alg1Config, MovementAmounts};
+pub use alg1::{calculate_cdf, calculate_hdf, free_pages_per_erase, MovementAmounts};
 pub use config::{Assessor, EdmConfig};
 pub use evaluate::{assess_plan, trim_to_improvement_model, PlanAssessment};
 pub use lifetime::{DeviceLifetime, EnduranceSpec, Staggering};

@@ -22,7 +22,7 @@ use edm_model::MeanFieldModel;
 use edm_snap::{SnapReader, SnapWriter, Snapshot};
 
 use crate::alg1::{
-    calculate_cdf, calculate_hdf, free_pages_per_erase, Alg1Config, MovementAmounts,
+    calculate_cdf, calculate_hdf, free_pages_per_erase, MovementAmounts, MIN_SOURCE_UTILIZATION,
 };
 use crate::config::{Assessor, EdmConfig};
 use crate::evaluate::{assess_plan_obs, trim_to_improvement, trim_to_improvement_model};
@@ -60,10 +60,8 @@ impl Selection {
     /// or how much utilization (CDF) each group member sheds or absorbs.
     fn amounts(self, wc: &[f64], u: &[f64], model: &MeanFieldModel) -> MovementAmounts {
         match self {
-            Selection::Hdf => {
-                calculate_hdf(wc, &free_pages_per_erase(u, model), &Alg1Config::default())
-            }
-            Selection::Cdf => calculate_cdf(wc, u, model, &Alg1Config::default()),
+            Selection::Hdf => calculate_hdf(wc, &free_pages_per_erase(u, model)),
+            Selection::Cdf => calculate_cdf(wc, u, model),
         }
     }
 
@@ -82,7 +80,7 @@ impl Selection {
     fn may_shed(self, source: &OsdView) -> bool {
         match self {
             Selection::Hdf => true,
-            Selection::Cdf => source.utilization >= Alg1Config::default().min_source_utilization,
+            Selection::Cdf => source.utilization >= MIN_SOURCE_UTILIZATION,
         }
     }
 

@@ -2,7 +2,7 @@
 //! improvement properties, wear-model monotonicity, temperature decay
 //! bounds, and trigger set consistency.
 
-use edm_core::{calculate_cdf, calculate_hdf, free_pages_per_erase, trigger, Alg1Config};
+use edm_core::{alg1, calculate_cdf, calculate_hdf, free_pages_per_erase, trigger};
 use edm_model::{u_of_v, MeanFieldModel};
 use proptest::prelude::*;
 
@@ -25,7 +25,7 @@ proptest! {
         u in u_strategy(6),
     ) {
         let free_pages = free_pages_per_erase(&u, &MeanFieldModel::paper(32));
-        let out = calculate_hdf(&wc, &free_pages, &Alg1Config::default());
+        let out = calculate_hdf(&wc, &free_pages);
         let total: f64 = out.delta.iter().sum();
         prop_assert!(total.abs() < 1e-6, "ΔWc sum {total}");
         for (i, d) in out.delta.iter().enumerate() {
@@ -41,7 +41,7 @@ proptest! {
     ) {
         let model = MeanFieldModel::paper(32);
         let before: Vec<f64> = wc.iter().zip(&u).map(|(&w, &uu)| model.erase_count(w, uu)).collect();
-        let out = calculate_hdf(&wc, &free_pages_per_erase(&u, &model), &Alg1Config::default());
+        let out = calculate_hdf(&wc, &free_pages_per_erase(&u, &model));
         let spread = |v: &[f64]| {
             let mean = v.iter().sum::<f64>() / v.len() as f64;
             if mean == 0.0 { return 0.0; }
@@ -62,19 +62,18 @@ proptest! {
         wc in wc_strategy(6),
         u in u_strategy(6),
     ) {
-        let cfg = Alg1Config::default();
-        let out = calculate_cdf(&wc, &u, &MeanFieldModel::paper(32), &cfg);
+        let out = calculate_cdf(&wc, &u, &MeanFieldModel::paper(32));
         let total: f64 = out.delta.iter().sum();
         prop_assert!(total.abs() < 1e-6, "Δu sum {total}");
         for (i, d) in out.delta.iter().enumerate() {
             let after = u[i] + d;
             if *d < 0.0 {
-                prop_assert!(after >= cfg.min_source_utilization - 1e-9,
+                prop_assert!(after >= 0.50 - 1e-9,
                     "source {i} drained below floor: {after}");
-                prop_assert!(-d <= cfg.max_shed_per_device + 1e-9,
+                prop_assert!(-d <= alg1::MAX_SHED_PER_DEVICE + 1e-9,
                     "source {i} exceeded round cap: {d}");
             } else if *d > 0.0 {
-                prop_assert!(after <= cfg.dest_util_cap + 1e-9,
+                prop_assert!(after <= alg1::DEST_UTIL_CAP + 1e-9,
                     "dest {i} overfilled: {after}");
             }
         }

@@ -17,7 +17,8 @@
 //!
 //! `--checkpoint-every N` cuts an `edm-snap` checkpoint into
 //! `--checkpoint-dir` every N seconds of *virtual* time (at wear-tick
-//! granularity; `0` means every tick). Each checkpoint embeds the
+//! granularity; `0` means every tick); a run that ends before the first
+//! one is due says so on stderr. Each checkpoint embeds the
 //! scenario, so `--resume <file>` needs no scenario argument and drives
 //! the run to completion — the printed report and determinism digest are
 //! bit-identical to the uninterrupted run's.
@@ -49,6 +50,21 @@ const USAGE: &str = "usage: edm-sim <scenario-file> [--obs <file>] \
 fn fail(msg: &str) -> ! {
     eprintln!("{msg}");
     std::process::exit(1);
+}
+
+/// The `ckpt_*` files in `dir` with their modification times. Every cut
+/// writes a fresh file, so the listing changes exactly when the run cut
+/// one, even over the files of an earlier run.
+fn checkpoint_files(dir: &Path) -> Vec<(PathBuf, Option<std::time::SystemTime>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .into_iter()
+        .flatten()
+        .flatten()
+        .filter(|e| e.file_name().to_string_lossy().starts_with("ckpt_"))
+        .map(|e| (e.path(), e.metadata().and_then(|m| m.modified()).ok()))
+        .collect();
+    files.sort();
+    files
 }
 
 fn main() {
@@ -156,10 +172,22 @@ fn main() {
                 eprintln!("shard-plan: checkpointing forces the sequential path");
             }
         }
-        scenario
-            .run(obs, checkpoint)
+        let before = checkpoint.as_ref().map(|(_, dir)| checkpoint_files(dir));
+        let report = scenario
+            .run(obs, checkpoint.clone())
             .unwrap_or_else(|e| fail(&format!("scenario failed: {e}")))
-            .0
+            .0;
+        if let (Some((every_us, dir)), Some(before)) = (&checkpoint, before) {
+            if checkpoint_files(dir) == before {
+                eprintln!(
+                    "edm-sim: no checkpoint was cut: the run ended at {} s of virtual time, \
+                     before the first one was due (--checkpoint-every {} s)",
+                    report.duration_us as f64 / 1e6,
+                    *every_us as f64 / 1e6
+                );
+            }
+        }
+        report
     };
     print!("{}", render_report(&report));
     println!("determinism digest {:#018x}", report_digest(&report));

@@ -108,15 +108,9 @@ impl Scenario {
         let mut s = Scenario::default();
         for (no, raw) in text.lines().enumerate() {
             let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
             let mut it = line.split_ascii_whitespace();
-            #[expect(
-                clippy::expect_used,
-                reason = "split_whitespace on a line checked non-empty always yields a token"
-            )]
-            let key = it.next().expect("non-empty line");
+            // Blank and comment-only lines have no key.
+            let Some(key) = it.next() else { continue };
             let mut next = |what: &str| -> Result<&str, String> {
                 it.next()
                     .ok_or_else(|| format!("line {}: missing value for {what}", no + 1))

@@ -107,27 +107,27 @@ step_lint() {
     echo "==> cargo clippy (deny warnings)"
     # The two -W lints make every suppression an `#[expect]` with a
     # reason, in bins and tests too, where no lib-root attribute reaches.
-    cargo clippy --workspace --all-targets -- -D warnings \
+    cargo clippy --locked --workspace --all-targets -- -D warnings \
         -W clippy::allow_attributes -W clippy::allow_attributes_without_reason
     echo "==> cargo clippy (benchmark package, deny warnings)"
     cargo clippy --offline --locked --manifest-path benchmark/Cargo.toml --all-targets -- \
         -D warnings -W clippy::allow_attributes -W clippy::allow_attributes_without_reason
     echo "==> cargo doc (deny warnings)"
-    RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+    RUSTDOCFLAGS="-D warnings" cargo doc --offline --locked --no-deps --workspace
 }
 
 step_build() {
     echo "==> cargo build --release"
-    cargo build --release
+    cargo build --locked --release
 }
 
 step_test() {
     if [ "$QUICK" = "1" ]; then
         echo "==> cargo test (quick: lib tests only)"
-        cargo test -q --workspace --lib
+        cargo test -q --locked --workspace --lib
     else
         echo "==> cargo test"
-        cargo test -q
+        cargo test -q --locked
         # benchmark/ is a package of its own that reaches the crates only
         # through public functions: a change to one it calls fails here,
         # not in the benchmark pipeline.

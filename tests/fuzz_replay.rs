@@ -6,13 +6,17 @@
 //! file crosses a wear tick, and together they journal the planning,
 //! assessment and failure transitions and a component-tagged run. The
 //! same texts, byte-mangled, check that the scenario parser refuses
-//! garbage without panicking and that whatever it accepts round-trips.
+//! garbage without panicking and that whatever it accepts round-trips;
+//! the daemon's request and op-line parsers get the same treatment.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 use edm_fuzz::check_scenario;
+use edm_obs::NoopRecorder;
 use edm_scenario::Scenario;
+use edm_serve::http::parse_request;
+use edm_serve::{dump_ops, ApplyOutcome, LiveWorld};
 use edm_spec::mutate::mangle;
 
 fn corpus_dir() -> PathBuf {
@@ -121,4 +125,41 @@ fn mangled_scenario_text_parses_or_errs_and_round_trips() {
         }
     }
     assert!(ok > 0 && err > 0, "{ok} accepted, {err} refused");
+}
+
+/// The daemon's two parsers under hostile bytes: mangled copies of a
+/// valid `POST /ingest` request through `parse_request`, and mangled
+/// `dump_ops` lines through `LiveWorld::apply_line`. Each input is
+/// accepted or refused with a typed error, never a panic, and both
+/// outcomes occur at each parser.
+#[test]
+fn mangled_requests_and_op_lines_are_accepted_or_refused() {
+    let scenario = Scenario::parse("trace random\nscale 0.002\nschedule every-tick\n").unwrap();
+    let ops = dump_ops(&scenario);
+    let body: String = ops.lines().take(8).map(|l| format!("{l}\n")).collect();
+    let request = format!(
+        "POST /ingest HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    let (mut ok, mut err) = (0, 0);
+    for seed in 0..4_000 {
+        match parse_request(&mut mangle(&request, seed).as_bytes()) {
+            Ok(_) => ok += 1,
+            Err(_) => err += 1,
+        }
+    }
+    assert!(ok > 0 && err > 0, "requests: {ok} parsed, {err} refused");
+
+    let mut world = LiveWorld::new(scenario).unwrap();
+    let (mut applied, mut rejected) = (0, 0);
+    for (seed, line) in (0..).zip(ops.lines()) {
+        match world.apply_line(&mangle(line, seed), &mut NoopRecorder) {
+            ApplyOutcome::Rejected(_) => rejected += 1,
+            ApplyOutcome::Applied { .. } | ApplyOutcome::Replayed => applied += 1,
+        }
+    }
+    assert!(
+        applied > 0 && rejected > 0,
+        "op lines: {applied} applied, {rejected} rejected"
+    );
 }

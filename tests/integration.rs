@@ -92,10 +92,9 @@ fn intra_group_rule_holds_for_edm_end_to_end() {
     // instead we simply re-run and check the catalog via a custom check:
     let report = run_trace(cluster, &trace, &mut policy, SimOptions::default());
     assert!(report.moved_objects > 0);
-    // The engine validates plans; a cross-group move would have panicked
-    // in `validate_plan` only if enforcement were on. EDM enforces by
-    // construction; verify through the policy's own planning output on a
-    // fresh view:
+    // The engine's `validate_plan` accepts cross-group moves (CMT plans
+    // them). EDM keeps to its groups by construction; verify through the
+    // policy's own planning output on a fresh view:
     let cluster2 = Cluster::build(ClusterConfig::paper(8), &trace).expect("build");
     let view = cluster2.view(0);
     let mut policy2 = Edm::new(Selection::Hdf, EdmConfig::default());

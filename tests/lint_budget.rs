@@ -18,7 +18,7 @@ const BUDGETS: &[(&str, usize, usize)] = &[
     ("harness", 3, 7),
     ("model", 0, 0),
     ("obs", 1, 0),
-    ("scenario", 1, 0),
+    ("scenario", 0, 0),
     ("serve", 0, 9),
     ("snap", 0, 1),
     ("spec", 2, 0),

@@ -111,6 +111,46 @@ fn faulted_migrating_run_resumes_bit_identically() {
     cleanup(&snaps);
 }
 
+/// `edm-sim` on a run that ends before its first checkpoint is due says
+/// so on stderr; stdout and the exit status stay those of a run that
+/// checkpoints. A run that does cut one, even over an earlier run's
+/// files, prints no such line.
+#[test]
+fn edm_sim_says_when_no_checkpoint_was_cut() {
+    let dir = ckpt_dir("none-due");
+    let scn = dir.with_extension("scn");
+    std::fs::write(
+        &scn,
+        "trace home02\nscale 0.002\npolicy EDM-CDF\nschedule every-tick\n",
+    )
+    .unwrap();
+    let run = |every: &str| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_edm-sim"))
+            .arg(&scn)
+            .args(["--checkpoint-every", every, "--checkpoint-dir"])
+            .arg(&dir)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "--checkpoint-every {every}: {out:?}");
+        (out.stdout, String::from_utf8(out.stderr).unwrap())
+    };
+    let (late_out, late_err) = run("60");
+    assert!(!dir.exists(), "nothing was due, nothing was written");
+    let said = late_err
+        .lines()
+        .filter(|l| l.contains("no checkpoint was cut"))
+        .collect::<Vec<_>>();
+    assert_eq!(said.len(), 1, "{late_err}");
+    assert!(said[0].contains("--checkpoint-every 60 s"), "{}", said[0]);
+    for _ in 0..2 {
+        let (out, err) = run("0");
+        assert_eq!(out, late_out);
+        assert!(!err.contains("no checkpoint"), "{err}");
+    }
+    let _ = std::fs::remove_file(&scn);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn truncated_snapshot_fails_with_typed_error() {
     let scenario = plain_scenario();
