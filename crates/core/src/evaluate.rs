@@ -63,12 +63,12 @@ pub fn assess_plan_obs(
 ) -> PlanAssessment {
     let assessment = assess_plan(view, plan, tracker, model);
     if obs.events_on() {
-        obs.event(edm_obs::Event::PlanAssessment {
+        obs.event(edm_obs::Event::from(edm_obs::event::PlanAssessment {
             rsd_before: assessment.rsd_before,
             rsd_after: assessment.rsd_after,
             moved_bytes: assessment.moved_bytes,
             moved_write_pages: assessment.moved_write_pages,
-        });
+        }));
     }
     assessment
 }

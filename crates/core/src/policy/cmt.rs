@@ -8,6 +8,7 @@
 //! (Fig. 8) and often *increases* cluster-wide erases (Fig. 6).
 
 use edm_cluster::{AccessEvent, ClusterView, Migrator, MoveAction};
+use edm_obs::Label;
 use edm_snap::{SnapReader, SnapWriter, Snapshot};
 
 use crate::plan::{dest_budget_bytes, distribute, Destination, Selected};
@@ -73,8 +74,13 @@ impl Cmt {
         obs: &mut dyn edm_obs::Recorder,
     ) -> Vec<MoveAction> {
         let loads: Vec<f64> = view.osds.iter().map(|o| o.ewma_latency_us).collect();
-        let decision =
-            trigger::evaluate_obs(&loads, self.cfg.lambda, "CMT", "ewma_latency_us", obs);
+        let decision = trigger::evaluate_obs(
+            &loads,
+            self.cfg.lambda,
+            Label::Cmt,
+            Label::EwmaLatencyUs,
+            obs,
+        );
         if !self.cfg.force && !decision.triggered {
             return Vec::new();
         }
@@ -278,7 +284,7 @@ impl Migrator for Cmt {
             .collect();
         let mut plan = self.plan_load(view, &mut moved, &mut budgets, obs);
         plan.extend(self.plan_storage(view, &mut moved, &mut budgets));
-        emit_plan_chosen("CMT", view, &plan, obs);
+        emit_plan_chosen(Label::Cmt, view, &plan, obs);
         plan
     }
 }
@@ -424,12 +430,12 @@ mod tests {
             .journal()
             .iter()
             .find_map(|e| match &e.event {
-                Event::TriggerEval { policy, metric, .. } => Some((*policy, *metric)),
+                Event::TriggerEval(t) => Some((t.policy, t.metric)),
                 _ => None,
             })
             .expect("trigger evaluation journaled");
-        assert_eq!(policy, "CMT");
-        assert_eq!(metric, "ewma_latency_us");
+        assert_eq!(policy, Label::Cmt);
+        assert_eq!(metric, Label::EwmaLatencyUs);
         // CMT is wear-oblivious: no wear-model events in its trace.
         assert_eq!(rec.count_kind("wear_model_input"), 0);
         assert_eq!(rec.count_kind("plan_chosen"), 1);

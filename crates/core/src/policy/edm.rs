@@ -19,6 +19,7 @@
 
 use edm_cluster::{AccessEvent, ClusterView, Migrator, MoveAction, ObjectView, OsdId, OsdView};
 use edm_model::MeanFieldModel;
+use edm_obs::Label;
 use edm_snap::{SnapReader, SnapWriter, Snapshot};
 
 use crate::alg1::{
@@ -48,11 +49,12 @@ pub enum Selection {
 }
 
 impl Selection {
-    /// The evaluation name of EDM under this rule.
-    pub fn name(self) -> &'static str {
+    /// The journal label of EDM under this rule; its text is the
+    /// evaluation name.
+    pub fn label(self) -> Label {
         match self {
-            Selection::Hdf => "EDM-HDF",
-            Selection::Cdf => "EDM-CDF",
+            Selection::Hdf => Label::EdmHdf,
+            Selection::Cdf => Label::EdmCdf,
         }
     }
 
@@ -138,7 +140,7 @@ impl Edm {
 
 impl Migrator for Edm {
     fn name(&self) -> &str {
-        self.selection.name()
+        self.selection.label().as_str()
     }
 
     fn on_access(&mut self, event: AccessEvent) {
@@ -179,8 +181,13 @@ impl Migrator for Edm {
             .map(|o| model.erase_count(o.wc_pages as f64, o.utilization))
             .collect();
         emit_wear_inputs(view, &ecs, obs);
-        let decision =
-            trigger::evaluate_obs(&ecs, self.cfg.lambda, rule.name(), "erase_estimate", obs);
+        let decision = trigger::evaluate_obs(
+            &ecs,
+            self.cfg.lambda,
+            rule.label(),
+            Label::EraseEstimate,
+            obs,
+        );
         if !self.cfg.force && !decision.triggered {
             return Vec::new();
         }
@@ -266,7 +273,7 @@ impl Migrator for Edm {
             Assessor::Projection => trim_to_improvement(view, plan, &self.tracker, &model),
             Assessor::Model => trim_to_improvement_model(view, plan, &self.tracker, &model),
         };
-        emit_plan_chosen(rule.name(), view, &plan, obs);
+        emit_plan_chosen(rule.label(), view, &plan, obs);
         if obs.events_on() {
             assess_plan_obs(view, &plan, &self.tracker, &model, obs);
         }

@@ -44,7 +44,7 @@ pub(crate) fn emit_wear_inputs(view: &ClusterView, ecs: &[f64], obs: &mut dyn ed
 /// the involved object/source/destination sets. No-op unless events are
 /// enabled.
 pub(crate) fn emit_plan_chosen(
-    policy: &'static str,
+    policy: edm_obs::Label,
     view: &ClusterView,
     plan: &[MoveAction],
     obs: &mut dyn edm_obs::Recorder,
@@ -67,14 +67,14 @@ pub(crate) fn emit_plan_chosen(
     let mut destinations: Vec<u64> = plan.iter().map(|m| m.dest.0 as u64).collect();
     destinations.sort_unstable();
     destinations.dedup();
-    obs.event(edm_obs::Event::PlanChosen {
+    obs.event(edm_obs::Event::from(edm_obs::event::PlanChosen {
         policy,
         moves: plan.len() as u64,
         moved_bytes,
         objects: plan.iter().map(|m| m.object.0).collect(),
         sources,
         destinations,
-    });
+    }));
 }
 
 #[cfg(test)]
@@ -296,7 +296,7 @@ mod hdf {
 
         #[test]
         fn plan_obs_journals_the_decision_and_changes_nothing() {
-            use edm_obs::{Event, MemoryRecorder, ObsLevel};
+            use edm_obs::{Event, Label, MemoryRecorder, ObsLevel};
             let v = hot_cold_view();
             let baseline = {
                 let mut p = hdf();
@@ -317,19 +317,14 @@ mod hdf {
                 .journal()
                 .iter()
                 .find_map(|e| match &e.event {
-                    Event::TriggerEval {
-                        policy,
-                        metric,
-                        rsd,
-                        lambda,
-                        triggered,
-                        ..
-                    } => Some((*policy, *metric, *rsd, *lambda, *triggered)),
+                    Event::TriggerEval(t) => {
+                        Some((t.policy, t.metric, t.rsd, t.lambda, t.triggered))
+                    }
                     _ => None,
                 })
                 .expect("trigger evaluation journaled");
-            assert_eq!(trigger.0, "EDM-HDF");
-            assert_eq!(trigger.1, "erase_estimate");
+            assert_eq!(trigger.0, Label::EdmHdf);
+            assert_eq!(trigger.1, Label::EraseEstimate);
             assert!(trigger.2 > trigger.3, "rsd above lambda in this view");
             assert!(trigger.4);
             // The chosen plan and its predicted effect close the journal.
@@ -337,16 +332,11 @@ mod hdf {
                 .journal()
                 .iter()
                 .find_map(|e| match &e.event {
-                    Event::PlanChosen {
-                        policy,
-                        moves,
-                        objects,
-                        ..
-                    } => Some((*policy, *moves, objects.clone())),
+                    Event::PlanChosen(p) => Some((p.policy, p.moves, p.objects.clone())),
                     _ => None,
                 })
                 .expect("chosen plan journaled");
-            assert_eq!(chosen.0, "EDM-HDF");
+            assert_eq!(chosen.0, Label::EdmHdf);
             assert_eq!(chosen.1, plan.len() as u64);
             assert_eq!(
                 chosen.2,

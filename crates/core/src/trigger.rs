@@ -7,6 +7,8 @@
 //! cluster-wide average form the destination set.
 
 use edm_cluster::metrics::rsd;
+use edm_obs::event::TriggerEval;
+use edm_obs::{Event, Label};
 
 /// The trigger verdict and the source/destination partition.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,13 +30,13 @@ pub struct TriggerDecision {
 pub fn evaluate_obs(
     erase_counts: &[f64],
     lambda: f64,
-    policy: &'static str,
-    metric: &'static str,
+    policy: Label,
+    metric: Label,
     obs: &mut dyn edm_obs::Recorder,
 ) -> TriggerDecision {
     let decision = evaluate(erase_counts, lambda);
     if obs.events_on() {
-        obs.event(edm_obs::Event::TriggerEval {
+        obs.event(Event::from(TriggerEval {
             policy,
             metric,
             rsd: decision.rsd,
@@ -43,7 +45,7 @@ pub fn evaluate_obs(
             triggered: decision.triggered,
             sources: decision.sources.iter().map(|&i| i as u64).collect(),
             destinations: decision.destinations.iter().map(|&i| i as u64).collect(),
-        });
+        }));
     }
     decision
 }

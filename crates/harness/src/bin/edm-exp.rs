@@ -96,9 +96,11 @@ fn parse_args() -> Args {
 
 /// Runs the model-vs-simulator differential gate: renders the corpus
 /// comparison and reports whether every scenario stayed within the
-/// committed tolerances.
+/// committed tolerances. Both inputs are found from the source tree the
+/// binary was built from, so the gate runs from any directory.
 fn run_model_diff() -> bool {
-    let tolerances = match model_diff::Tolerances::load(Path::new("scripts/model_tolerances.json"))
+    let repo = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
+    let tolerances = match model_diff::Tolerances::load(&repo.join("scripts/model_tolerances.json"))
     {
         Ok(t) => t,
         Err(e) => {
@@ -106,7 +108,7 @@ fn run_model_diff() -> bool {
             return false;
         }
     };
-    let result = match model_diff::run(Path::new("fuzz/corpus"), tolerances) {
+    let result = match model_diff::run(&repo.join("fuzz/corpus"), tolerances) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("model-diff: {e}");

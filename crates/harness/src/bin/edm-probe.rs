@@ -234,37 +234,27 @@ impl Summary {
             comp.osds.extend(osd_of(&entry));
         }
         match entry.event {
-            Event::TriggerEval {
-                policy,
-                metric,
-                rsd,
-                lambda,
-                triggered,
-                sources,
-                destinations,
-                ..
-            } => self.triggers.push(format!(
-                "{:>10.3}  {policy:<8} {metric:<16} {rsd:>8.4} {lambda:>8.4}  {triggered:<5}  {:>3} {:>3}",
+            Event::TriggerEval(trigger) => self.triggers.push(format!(
+                "{:>10.3}  {:<8} {:<16} {:>8.4} {:>8.4}  {:<5}  {:>3} {:>3}",
                 t_us as f64 / 1e6,
-                sources.len(),
-                destinations.len(),
+                trigger.policy,
+                trigger.metric,
+                trigger.rsd,
+                trigger.lambda,
+                trigger.triggered,
+                trigger.sources.len(),
+                trigger.destinations.len(),
             )),
-            Event::PlanChosen {
-                policy,
-                moves,
-                moved_bytes,
-                ..
-            } => self.plans.push(format!(
-                "plan at {:.3}s: {policy} moves {moves} objects / {moved_bytes} bytes",
+            Event::PlanChosen(plan) => self.plans.push(format!(
+                "plan at {:.3}s: {} moves {} objects / {} bytes",
                 t_us as f64 / 1e6,
+                plan.policy,
+                plan.moves,
+                plan.moved_bytes,
             )),
-            Event::PlanAssessment {
-                rsd_before,
-                rsd_after,
-                moved_bytes,
-                moved_write_pages,
-            } => self.plans.push(format!(
-                "  predicted RSD {rsd_before:.4} -> {rsd_after:.4} for {moved_bytes} bytes / {moved_write_pages} write pages shifted"
+            Event::PlanAssessment(a) => self.plans.push(format!(
+                "  predicted RSD {:.4} -> {:.4} for {} bytes / {} write pages shifted",
+                a.rsd_before, a.rsd_after, a.moved_bytes, a.moved_write_pages
             )),
             _ => {}
         }

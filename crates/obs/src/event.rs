@@ -12,35 +12,78 @@
 //! [`Event::from_record`] are generated from it. To add an event, add a
 //! row; `edm-spec`'s transition match is exhaustive, so the compiler
 //! then names what the state machine is missing.
+//!
+//! # Bytes per event
+//!
+//! [`crate::MemoryRecorder`] keeps every event of an `Events`-level run
+//! (1.7 M on the `journal_verify` benchmark), so an [`Event`] costs the
+//! size of its largest variant on every line. Rows whose payload fits in
+//! 24 bytes are stored inline: [`Event`] is 32 bytes and a
+//! [`crate::JournalEntry`] 56. A row marked `boxed` gets a payload struct
+//! of the same name ([`TriggerEval`], [`PlanChosen`], [`PlanAssessment`]:
+//! the few per-tick plan decisions, with `Vec` or four 8-byte fields) and
+//! a `Variant(Box<Payload>)` arm; build one with `Event::from(Payload {
+//! .. })`. Labels are the one-byte [`Label`], not `&'static str`. A new
+//! row whose fields exceed 24 bytes must be marked `boxed`;
+//! `tests::event_and_entry_stay_small` fails until it is.
 
 use crate::json;
 use crate::json::{Raw, Record};
 
-/// The `&'static str` labels that may appear in journal events. The
-/// record decoder interns against this list so a parsed [`Event`] is
-/// field-for-field the same type as an emitted one; an unknown label is
-/// a parse error (the journal vocabulary is closed, like the event set).
-const KNOWN_LABELS: &[&str] = &[
-    // GC victim policies (VictimPolicy::label).
-    "greedy",
-    "fifo",
-    "cost_benefit",
-    // Migration policies (TriggerEval / PlanChosen `policy`).
-    "Baseline",
-    "CMT",
-    "EDM-HDF",
-    "EDM-CDF",
-    // Trigger metrics.
-    "erase_estimate",
-    "ewma_latency_us",
-];
+/// Generates [`Label`] from one table of `Variant = "text"` rows.
+macro_rules! labels {
+    ($( $name:ident = $text:literal, )+) => {
+        /// A label journal events carry: the closed vocabulary of policy
+        /// and metric names (like the event set, an unknown label is a
+        /// parse error). One byte in memory, its `text` in JSON.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Label {
+            $( $name ),+
+        }
 
-fn intern(s: &str) -> Result<&'static str, String> {
-    KNOWN_LABELS
-        .iter()
-        .find(|k| **k == s)
-        .copied()
-        .ok_or_else(|| format!("unknown label {s:?}"))
+        impl Label {
+            /// Every label, in declaration order.
+            #[cfg(test)]
+            const ALL: &'static [Label] = &[$(Label::$name),+];
+
+            /// The label as written to the journal.
+            pub fn as_str(self) -> &'static str {
+                match self {
+                    $( Label::$name => $text ),+
+                }
+            }
+
+            /// The label whose [`as_str`](Self::as_str) is `s`.
+            pub fn parse(s: &str) -> Result<Label, String> {
+                match s {
+                    $( $text => Ok(Label::$name), )+
+                    _ => Err(format!("unknown label {s:?}")),
+                }
+            }
+        }
+    };
+}
+
+labels! {
+    // GC victim policies (VictimPolicy::label).
+    Greedy = "greedy",
+    Fifo = "fifo",
+    CostBenefit = "cost_benefit",
+    // Migration policies (TriggerEval / PlanChosen `policy`).
+    Baseline = "Baseline",
+    Cmt = "CMT",
+    EdmHdf = "EDM-HDF",
+    EdmCdf = "EDM-CDF",
+    // Trigger metrics.
+    EraseEstimate = "erase_estimate",
+    EwmaLatencyUs = "ewma_latency_us",
+}
+
+/// Pads, so widths apply (`edm-probe`'s trigger table aligns labels).
+impl std::fmt::Display for Label {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.pad(self.as_str())
+    }
 }
 
 /// How one field type is written to, and read back from, a journal
@@ -103,17 +146,16 @@ impl Field for bool {
     }
 }
 
-/// An interned label: one of [`KNOWN_LABELS`].
-impl Field for &'static str {
+impl Field for Label {
     fn write(&self, out: &mut String, key: &str) {
-        json::field_str(out, key, self);
+        json::field_str(out, key, self.as_str());
     }
-    fn read(rec: &Record<'_>, kind: &str, key: &str) -> Result<&'static str, String> {
+    fn read(rec: &Record<'_>, kind: &str, key: &str) -> Result<Label, String> {
         let raw = rec
             .get(key)
             .and_then(Raw::as_str)
             .ok_or_else(|| format!("{kind}: missing or non-string {key:?}"))?;
-        intern(&raw).map_err(|e| format!("{kind}: {key}: {e}"))
+        Label::parse(&raw).map_err(|e| format!("{kind}: {key}: {e}"))
     }
 }
 
@@ -135,19 +177,75 @@ impl Field for Vec<u64> {
 }
 
 /// Generates [`Event`] and everything that must stay in step with it
-/// from one table of `Variant = "kind" { field: type, … }` rows. The JSON
-/// key of a field is its name.
+/// from one table of `Variant = "kind" { field: type, … }` rows; a row
+/// prefixed `boxed` is stored behind a `Box` (see the module doc). The
+/// JSON key of a field is its name.
+///
+/// The `@row` arms bring both kinds of row to one shape: the variant's
+/// declaration, a pattern that binds every field by reference (plus the
+/// `let` that finishes the binding for a boxed row), and the path a
+/// struct literal of the fields is built on, which `Event::from` turns
+/// into the event. `@emit` then generates from that shape alone.
 macro_rules! events {
-    ($(
+    (@row [$($done:tt)*]) => {
+        events!(@emit $($done)*);
+    };
+    (@row [$($done:tt)*]
+        $(#[$vdoc:meta])*
+        boxed $variant:ident = $kind:literal {
+            $( $(#[$fdoc:meta])* $field:ident : $ty:ty ),+ $(,)?
+        }
+        $($rest:tt)*
+    ) => {
+        $(#[$vdoc])*
+        #[derive(Debug, Clone, PartialEq)]
+        pub struct $variant {
+            $( $(#[$fdoc])* pub $field: $ty ),+
+        }
+
+        impl From<$variant> for Event {
+            fn from(payload: $variant) -> Event {
+                Event::$variant(Box::new(payload))
+            }
+        }
+
+        events!(@row [$($done)* {
+            [$(#[$vdoc])*] $variant = $kind
+            decl[$variant(Box<$variant>)]
+            pat[Event::$variant(payload)]
+            bind[let $variant { $($field),+ } = &**payload;]
+            new[$variant]
+            fields[$($field: $ty),+]
+        }] $($rest)*);
+    };
+    (@row [$($done:tt)*]
         $(#[$vdoc:meta])*
         $variant:ident = $kind:literal {
             $( $(#[$fdoc:meta])* $field:ident : $ty:ty ),+ $(,)?
         }
-    )+) => {
+        $($rest:tt)*
+    ) => {
+        events!(@row [$($done)* {
+            [$(#[$vdoc])*] $variant = $kind
+            decl[$variant { $( $(#[$fdoc])* $field: $ty ),+ }]
+            pat[Event::$variant { $($field),+ }]
+            bind[]
+            new[Event::$variant]
+            fields[$($field: $ty),+]
+        }] $($rest)*);
+    };
+    (@emit $({
+        [$($vattr:tt)*] $variant:ident = $kind:literal
+        decl[$($decl:tt)*]
+        pat[$($pat:tt)*]
+        bind[$($bind:tt)*]
+        new[$($new:tt)*]
+        fields[$($field:ident : $ty:ty),+]
+    })+) => {
         /// One journal event. Field names match the emitted JSON keys.
         #[derive(Debug, Clone, PartialEq)]
         pub enum Event {
-            $( $(#[$vdoc])* $variant { $( $(#[$fdoc])* $field: $ty ),+ } ),+
+            $( $($vattr)* $($decl)* ),+
         }
 
         impl Event {
@@ -166,7 +264,8 @@ macro_rules! events {
             /// object (after `{` or previous fields).
             pub fn write_fields(&self, out: &mut String) {
                 match self {
-                    $( Event::$variant { $($field),+ } => {
+                    $( $($pat)* => {
+                        $($bind)*
                         $( $field.write(out, stringify!($field)); )+
                     } )+
                 }
@@ -186,9 +285,9 @@ macro_rules! events {
                     .ok_or("missing kind")?;
                 let kind = &*kind;
                 Ok(match kind {
-                    $( $kind => Event::$variant {
+                    $( $kind => Event::from($($new)* {
                         $( $field: Field::read(rec, kind, stringify!($field))? ),+
-                    }, )+
+                    }), )+
                     other => return Err(format!("unknown event kind {other:?}")),
                 })
             }
@@ -198,7 +297,7 @@ macro_rules! events {
         impl Event {
             /// One fixed value of every variant, in declaration order.
             fn samples() -> Vec<Event> {
-                vec![$( Event::$variant { $( $field: arb::Arb::sample() ),+ } ),+]
+                vec![$( Event::from($($new)* { $( $field: arb::Arb::sample() ),+ }) ),+]
             }
 
             /// Any variant with any JSON-representable field values.
@@ -206,10 +305,13 @@ macro_rules! events {
                 use proptest::prelude::Strategy;
                 proptest::prop_oneof![$(
                     ($( <$ty as arb::Arb>::strategy(), )+)
-                        .prop_map(|($($field,)+)| Event::$variant { $($field),+ })
+                        .prop_map(|($($field,)+)| Event::from($($new)* { $($field),+ }))
                 ),+]
             }
         }
+    };
+    ($($rows:tt)+) => {
+        events!(@row [] $($rows)+);
     };
 }
 
@@ -232,7 +334,7 @@ events! {
     /// GC entered because the free pool fell below the low watermark.
     GcInvoked = "gc_invoked" { free_blocks: u64, low_watermark: u64, high_watermark: u64 }
     /// A victim block was selected for cleaning.
-    GcVictim = "gc_victim" { block: u64, valid_pages: u64, policy: &'static str }
+    GcVictim = "gc_victim" { block: u64, valid_pages: u64, policy: Label }
     /// A block was erased (after relocating `moved_pages` valid pages).
     BlockErase = "block_erase" { block: u64, erase_count: u64, moved_pages: u64 }
     /// Static wear leveling relocated a cold block.
@@ -254,14 +356,14 @@ events! {
         erase_estimate: f64 }
     /// A wear/load trigger evaluation: RSD of the per-device estimates
     /// against the λ threshold (§III.B.2).
-    TriggerEval = "trigger_eval" { policy: &'static str, metric: &'static str, rsd: f64,
+    boxed TriggerEval = "trigger_eval" { policy: Label, metric: Label, rsd: f64,
         lambda: f64, mean: f64, triggered: bool, sources: Vec<u64>, destinations: Vec<u64> }
     /// The migration plan a policy settled on.
-    PlanChosen = "plan_chosen" { policy: &'static str, moves: u64, moved_bytes: u64,
+    boxed PlanChosen = "plan_chosen" { policy: Label, moves: u64, moved_bytes: u64,
         objects: Vec<u64>, sources: Vec<u64>, destinations: Vec<u64> }
     /// Predicted effect of the chosen plan (wear model re-run, §IV).
-    PlanAssessment = "plan_assessment" { rsd_before: f64, rsd_after: f64, moved_bytes: u64,
-        moved_write_pages: u64 }
+    boxed PlanAssessment = "plan_assessment" { rsd_before: f64, rsd_after: f64,
+        moved_bytes: u64, moved_write_pages: u64 }
     /// An object migration began copying.
     MigrationStart = "migration_start" { object: u64, source: u32, dest: u32, bytes: u64 }
     /// An object migration finished (dest durable, source dropped).
@@ -284,7 +386,7 @@ events! {
 mod arb {
     //! Test values per field type: what the table-generated
     //! `Event::samples` and `Event::strategy` are built from.
-    use super::KNOWN_LABELS;
+    use super::Label;
     use proptest::prelude::*;
 
     pub type Boxed<T> = Box<dyn Strategy<Value = T>>;
@@ -345,12 +447,12 @@ mod arb {
         }
     }
 
-    impl Arb for &'static str {
-        fn sample() -> &'static str {
-            "EDM-HDF"
+    impl Arb for Label {
+        fn sample() -> Label {
+            Label::EdmHdf
         }
-        fn strategy() -> Boxed<&'static str> {
-            Box::new((0..KNOWN_LABELS.len() as u64).prop_map(|i| KNOWN_LABELS[i as usize]))
+        fn strategy() -> Boxed<Label> {
+            Box::new((0..Label::ALL.len() as u64).prop_map(|i| Label::ALL[i as usize]))
         }
     }
 
@@ -401,6 +503,43 @@ mod tests {
         }
     }
 
+    /// Writes `events` through a recorder and reads the file back as
+    /// `verify_journal` does: each event must come back equal.
+    pub(super) fn assert_journal_round_trips(events: Vec<Event>) {
+        use crate::{read_jsonl, JournalLine, MemoryRecorder, ObsLevel, Recorder};
+        let mut r = MemoryRecorder::new(ObsLevel::Events);
+        for (t, e) in events.iter().enumerate() {
+            r.set_now(t as u64);
+            r.event(e.clone());
+        }
+        let mut buf = Vec::new();
+        r.write_jsonl(&mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        let back: Vec<Event> = read_jsonl(&text)
+            .map(|(no, line)| match line {
+                Ok(JournalLine::Event(entry)) => entry.event,
+                other => panic!("line {no}: {other:?}"),
+            })
+            .collect();
+        assert_eq!(back, events);
+    }
+
+    #[test]
+    fn every_event_round_trips_through_the_journal_file() {
+        let events = Event::samples();
+        let boxed = events
+            .iter()
+            .filter(|e| {
+                matches!(
+                    e,
+                    Event::TriggerEval(_) | Event::PlanChosen(_) | Event::PlanAssessment(_)
+                )
+            })
+            .count();
+        assert_eq!(boxed, 3, "samples cover the boxed rows");
+        assert_journal_round_trips(events);
+    }
+
     #[test]
     fn from_record_rejects_bad_records() {
         let cases = [
@@ -442,25 +581,47 @@ mod tests {
 
     #[test]
     fn non_finite_floats_round_trip_as_nan() {
-        let e = Event::PlanAssessment {
+        let e = Event::from(PlanAssessment {
             rsd_before: f64::NAN,
             rsd_after: f64::INFINITY,
             moved_bytes: 1,
             moved_write_pages: 2,
-        };
+        });
         let line = line_of(&e);
         assert!(line.contains("\"rsd_before\":null"));
         match decode(&line).unwrap() {
-            Event::PlanAssessment {
-                rsd_before,
-                rsd_after,
-                ..
-            } => {
-                assert!(rsd_before.is_nan());
-                assert!(rsd_after.is_nan());
+            Event::PlanAssessment(a) => {
+                assert!(a.rsd_before.is_nan());
+                assert!(a.rsd_after.is_nan());
             }
             other => panic!("wrong variant {other:?}"),
         }
+    }
+
+    /// The recorder keeps every event of an `Events`-level run, so these
+    /// sizes are its bytes per retained event.
+    #[test]
+    fn event_and_entry_stay_small() {
+        let event = std::mem::size_of::<Event>();
+        let entry = std::mem::size_of::<crate::JournalEntry>();
+        assert!(
+            event <= 32 && entry <= 56,
+            "Event is {event} bytes (at most 32), JournalEntry {entry} (at most 56): \
+             mark the `events!` row whose payload exceeds 24 bytes `boxed`"
+        );
+        assert_eq!(std::mem::size_of::<Label>(), 1);
+    }
+
+    #[test]
+    fn labels_round_trip_and_unknown_labels_fail() {
+        for &label in Label::ALL {
+            assert_eq!(Label::parse(label.as_str()), Ok(label));
+            assert_eq!(label.to_string(), label.as_str());
+        }
+        assert_eq!(
+            Label::parse("edm-hdf"),
+            Err("unknown label \"edm-hdf\"".to_string())
+        );
     }
 }
 
@@ -545,6 +706,15 @@ mod proptests {
             // NaN never round-trips by equality; the f64 strategy keeps
             // floats finite, so bit-for-bit equality is the contract here.
             prop_assert_eq!(back, e, "{}", line);
+        }
+
+        /// The same through `write_jsonl` and `read_jsonl`, several
+        /// events to a file.
+        #[test]
+        fn events_round_trip_through_the_journal_file(
+            events in proptest::collection::vec(Event::strategy(), 1..8),
+        ) {
+            tests::assert_journal_round_trips(events);
         }
     }
 

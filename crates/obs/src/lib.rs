@@ -24,8 +24,8 @@
 //! 1. Observability is *read-only*: no recorder call may change
 //!    simulation state, so determinism is bit-identical at every level.
 //! 2. Scalar hooks (`counter`, `latency`) may be called unconditionally;
-//!    anything that allocates (an [`Event`] with `Vec` fields) must be
-//!    guarded by [`Recorder::events_on`].
+//!    anything that allocates (an [`Event`] with `Vec` fields or a boxed
+//!    payload) must be guarded by [`Recorder::events_on`].
 //! 3. Virtual time and device scope are ambient: the engine calls
 //!    `set_now` / `set_device`, lower layers just emit.
 
@@ -35,7 +35,7 @@ pub mod json;
 pub mod prom;
 pub mod recorder;
 
-pub use event::Event;
+pub use event::{Event, Label};
 pub use hist::{Histogram, HistogramError};
 pub use prom::render_prometheus;
 pub use recorder::{

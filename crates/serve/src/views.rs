@@ -111,12 +111,12 @@ pub fn render_plan(journal: &[JournalEntry]) -> String {
     let mut evaluations = 0u64;
     for entry in journal {
         match entry.event {
-            Event::TriggerEval { .. } => {
+            Event::TriggerEval(_) => {
                 evaluations += 1;
                 trigger = Some(entry);
             }
-            Event::PlanChosen { .. } => plan = Some(entry),
-            Event::PlanAssessment { .. } => assessment = Some(entry),
+            Event::PlanChosen(_) => plan = Some(entry),
+            Event::PlanAssessment(_) => assessment = Some(entry),
             _ => {}
         }
     }
@@ -286,7 +286,8 @@ pub fn render_model(cluster: &Cluster, now_us: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use edm_obs::json;
+    use edm_obs::event::{PlanChosen, TriggerEval};
+    use edm_obs::{json, Label};
 
     #[test]
     fn healthz_is_valid_json() {
@@ -322,24 +323,24 @@ mod tests {
         use edm_obs::Recorder;
         rec.set_now(5);
         for round in 0..2u64 {
-            rec.event(Event::TriggerEval {
-                policy: "EDM-HDF",
-                metric: "wear",
+            rec.event(Event::from(TriggerEval {
+                policy: Label::EdmHdf,
+                metric: Label::EraseEstimate,
                 rsd: 0.2 + round as f64,
                 lambda: 0.1,
                 mean: 1.0,
                 triggered: true,
                 sources: vec![1],
                 destinations: vec![2],
-            });
-            rec.event(Event::PlanChosen {
-                policy: "EDM-HDF",
+            }));
+            rec.event(Event::from(PlanChosen {
+                policy: Label::EdmHdf,
                 moves: round + 1,
                 moved_bytes: 4096,
                 objects: vec![7],
                 sources: vec![1],
                 destinations: vec![2],
-            });
+            }));
         }
         let v = json::parse(&render_plan(rec.journal())).unwrap();
         assert_eq!(v.get("evaluations").unwrap().as_u64(), Some(2));

@@ -61,7 +61,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use edm_obs::{read_jsonl, Event, JournalEntry, JournalLine, MemoryRecorder};
+use edm_obs::event::{PlanAssessment, PlanChosen, TriggerEval};
+use edm_obs::{read_jsonl, Event, JournalEntry, JournalLine, Label, MemoryRecorder};
 
 pub mod mutate;
 
@@ -164,7 +165,7 @@ struct Rebuild {
 #[derive(Debug, Clone)]
 struct Trigger {
     t_us: u64,
-    policy: &'static str,
+    policy: Label,
     sources: Vec<u64>,
     destinations: Vec<u64>,
 }
@@ -173,7 +174,7 @@ struct Trigger {
 struct Plan {
     t_us: u64,
     line: usize,
-    policy: &'static str,
+    policy: Label,
     moved_bytes: u64,
     assessed: bool,
 }
@@ -220,7 +221,7 @@ pub struct Spec {
     wear_t: u64,
     last_trigger: Option<Trigger>,
     last_plan: Option<Plan>,
-    policy_label: Option<&'static str>,
+    policy_label: Option<Label>,
 
     /// `(osd, block)` → last journaled erase count.
     erase_counts: BTreeMap<(u32, u64), u64>,
@@ -590,16 +591,17 @@ impl Spec {
                 non_negative("wear_model_input erase_estimate", erase_estimate)?;
                 self.wear_batch.push(erase_estimate);
             }
-            Event::TriggerEval {
-                policy,
-                metric,
-                rsd,
-                lambda,
-                mean,
-                triggered,
-                ref sources,
-                ref destinations,
-            } => {
+            Event::TriggerEval(ref trigger) => {
+                let TriggerEval {
+                    policy,
+                    metric,
+                    rsd,
+                    lambda,
+                    mean,
+                    triggered,
+                    ref sources,
+                    ref destinations,
+                } = **trigger;
                 let m = self.meta()?;
                 self.check_policy(policy)?;
                 non_negative("trigger_eval rsd", rsd)?;
@@ -620,7 +622,7 @@ impl Spec {
                         "trigger_eval lists OSD {both} as both source and destination"
                     ));
                 }
-                if metric == "erase_estimate" {
+                if metric == Label::EraseEstimate {
                     // The wear-model inputs for this evaluation must
                     // directly precede it — one per OSD, same tick.
                     if self.wear_batch.len() != m.osds as usize || self.wear_t != t_us {
@@ -655,14 +657,15 @@ impl Spec {
                     destinations: destinations.clone(),
                 });
             }
-            Event::PlanChosen {
-                policy,
-                moves,
-                moved_bytes,
-                ref objects,
-                ref sources,
-                ref destinations,
-            } => {
+            Event::PlanChosen(ref chosen) => {
+                let PlanChosen {
+                    policy,
+                    moves,
+                    moved_bytes,
+                    ref objects,
+                    ref sources,
+                    ref destinations,
+                } = **chosen;
                 let m = self.meta()?;
                 self.check_policy(policy)?;
                 if let Some(prev) = self.last_plan {
@@ -743,12 +746,13 @@ impl Spec {
                     assessed: false,
                 });
             }
-            Event::PlanAssessment {
-                rsd_before,
-                rsd_after,
-                moved_bytes,
-                ..
-            } => {
+            Event::PlanAssessment(ref assessment) => {
+                let PlanAssessment {
+                    rsd_before,
+                    rsd_after,
+                    moved_bytes,
+                    ..
+                } = **assessment;
                 self.meta()?;
                 let plan = self
                     .last_plan
@@ -815,7 +819,7 @@ impl Spec {
                 }
                 // Intra-group rule (§III.C); the CMT baseline is the
                 // paper's explicit cross-group comparison point.
-                if self.policy_label != Some("CMT") && m.group_of(source) != m.group_of(dest) {
+                if self.policy_label != Some(Label::Cmt) && m.group_of(source) != m.group_of(dest) {
                     return Err(format!(
                         "migration_start of object {object} crosses groups: {source} (group {}) -> {dest} (group {})",
                         m.group_of(source),
@@ -1007,7 +1011,7 @@ impl Spec {
 
     /// One migration policy drives a run; every journaled label must
     /// agree with the first one seen.
-    fn check_policy(&mut self, policy: &'static str) -> Result<(), String> {
+    fn check_policy(&mut self, policy: Label) -> Result<(), String> {
         match self.policy_label {
             None => {
                 self.policy_label = Some(policy);
@@ -1065,8 +1069,8 @@ fn non_negative(what: &str, x: f64) -> Result<(), String> {
     Err(format!("{what} {x} not finite/non-negative"))
 }
 
-fn is_edm(policy: &str) -> bool {
-    policy == "EDM-HDF" || policy == "EDM-CDF"
+fn is_edm(policy: Label) -> bool {
+    matches!(policy, Label::EdmHdf | Label::EdmCdf)
 }
 
 fn is_sorted_strict(v: &[u64]) -> bool {

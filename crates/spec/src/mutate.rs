@@ -102,8 +102,8 @@ pub fn mutate(journal: &str, class: &str, seed: u64) -> Option<String> {
         }
         "corrupt_trigger" => {
             let i = pick(of_kind("trigger_eval"))?;
-            if let Some(&Event::TriggerEval { triggered, .. }) = event(i) {
-                lines[i] = rewrite(&lines[i], "triggered", !triggered)?;
+            if let Some(Event::TriggerEval(trigger)) = event(i) {
+                lines[i] = rewrite(&lines[i], "triggered", !trigger.triggered)?;
             }
         }
         "skip_erase" => {

@@ -2,7 +2,8 @@
 //! covering every event kind must be accepted, and every seeded
 //! mutation class must be rejected with a line-numbered violation.
 
-use edm_obs::{Event, MemoryRecorder, ObsLevel, Recorder};
+use edm_obs::event::{PlanAssessment, PlanChosen, TriggerEval};
+use edm_obs::{Event, Label, MemoryRecorder, ObsLevel, Recorder};
 use edm_spec::{mutate, verify_entries, verify_journal, Spec, SpecReport};
 
 fn jsonl(rec: &MemoryRecorder) -> String {
@@ -36,30 +37,30 @@ fn plan_round(r: &mut MemoryRecorder, t: u64, ecs: [f64; 4], object: u64, source
         });
     }
     let (rsd, mean, triggered, sources, destinations) = Spec::recompute_trigger(&ecs, 0.1);
-    r.event(Event::TriggerEval {
-        policy: "EDM-HDF",
-        metric: "erase_estimate",
+    r.event(Event::from(TriggerEval {
+        policy: Label::EdmHdf,
+        metric: Label::EraseEstimate,
         rsd,
         lambda: 0.1,
         mean,
         triggered,
         sources,
         destinations,
-    });
-    r.event(Event::PlanChosen {
-        policy: "EDM-HDF",
+    }));
+    r.event(Event::from(PlanChosen {
+        policy: Label::EdmHdf,
         moves: 1,
         moved_bytes: 4096,
         objects: vec![object],
         sources: vec![source],
         destinations: vec![dest],
-    });
-    r.event(Event::PlanAssessment {
+    }));
+    r.event(Event::from(PlanAssessment {
         rsd_before: rsd,
         rsd_after: rsd * 0.5,
         moved_bytes: 4096,
         moved_write_pages: 1,
-    });
+    }));
 }
 
 /// A small legal journal exercising every event kind: a GC pass, two
@@ -87,7 +88,7 @@ fn sample_recorder() -> MemoryRecorder {
     r.event(Event::GcVictim {
         block: 3,
         valid_pages: 2,
-        policy: "greedy",
+        policy: Label::Greedy,
     });
     r.event(Event::BlockErase {
         block: 3,
@@ -466,16 +467,16 @@ fn trigger_verdict_must_match_rsd_vs_lambda() {
     r.set_now(0);
     r.event(meta_event());
     r.set_now(10);
-    r.event(Event::TriggerEval {
-        policy: "CMT",
-        metric: "ewma_latency_us",
+    r.event(Event::from(TriggerEval {
+        policy: Label::Cmt,
+        metric: Label::EwmaLatencyUs,
         rsd: 0.05,
         lambda: 0.1,
         mean: 100.0,
         triggered: true,
         sources: vec![],
         destinations: vec![],
-    });
+    }));
     let v = verify_journal(&jsonl(&r)).violation.expect("must reject");
     assert!(v.message.contains("triggered"), "{}", v.message);
 }

@@ -12,7 +12,7 @@
 
 use std::collections::VecDeque;
 
-use edm_obs::{Event, Recorder};
+use edm_obs::{Event, Label, Recorder};
 use edm_snap::{snapshot_struct, SnapReader, SnapWriter, Snapshot};
 
 use crate::block::Block;
@@ -137,12 +137,12 @@ pub enum VictimPolicy {
 }
 
 impl VictimPolicy {
-    /// Stable lower-case label used in journal events and reports.
-    pub fn label(self) -> &'static str {
+    /// The label `gc_victim` events carry.
+    pub fn label(self) -> Label {
         match self {
-            VictimPolicy::Greedy => "greedy",
-            VictimPolicy::Fifo => "fifo",
-            VictimPolicy::CostBenefit => "cost_benefit",
+            VictimPolicy::Greedy => Label::Greedy,
+            VictimPolicy::Fifo => Label::Fifo,
+            VictimPolicy::CostBenefit => Label::CostBenefit,
         }
     }
 }

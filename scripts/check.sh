@@ -599,8 +599,13 @@ step_model() {
     # Differential cross-validation of the analytic mean-field model
     # (edm-model) against the simulator over every fuzz-corpus scenario:
     # per-scenario KS distance, max relative erase error, and GC-rate
-    # error must stay within the committed tolerances.
-    "$(bin edm-exp)" model-diff
+    # error must stay within the committed tolerances. It runs from a
+    # scratch directory: the binary finds the corpus and the tolerances
+    # in its own source tree, not in the working directory.
+    scratch_dir
+    local exp
+    exp="$(realpath "$(bin edm-exp)")"
+    (cd "$SCRATCH_DIR" && "$exp" model-diff)
 }
 
 step_record() {

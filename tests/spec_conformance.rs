@@ -9,15 +9,16 @@
 use edm_obs::{MemoryRecorder, ObsLevel};
 use edm_scenario::Scenario;
 
-/// The journal's label vocabulary is closed (`edm-obs` interns against a
-/// fixed list) but the labels are owned by the crates that emit them. A
-/// label an emitter writes and the reader does not know would make a
-/// journal the run itself produced fail `edm-probe --verify`, so every
-/// emitted label must decode.
+/// The journal's label vocabulary is closed (the one-byte
+/// `edm_obs::Label`), but the evaluation names a run is configured with
+/// are owned by `edm-core`. Every policy name must be the text of a
+/// label, and every label an emitter writes must decode back, or a
+/// journal the run itself produced would fail `edm-probe --verify`.
 #[test]
 fn every_label_an_emitter_can_write_is_in_the_journal_vocabulary() {
     use edm_core::{make_policy, EdmConfig, POLICY_NAMES};
-    use edm_obs::{json, Event};
+    use edm_obs::event::{PlanChosen, TriggerEval};
+    use edm_obs::{json, Event, Label};
     use edm_ssd::VictimPolicy;
 
     let victims = [
@@ -41,18 +42,20 @@ fn every_label_an_emitter_can_write_is_in_the_journal_vocabulary() {
     for name in POLICY_NAMES {
         let policy = make_policy(name, EdmConfig::default()).expect("evaluation name");
         assert_eq!(policy.name(), name);
-        carriers.push(Event::PlanChosen {
-            policy: name,
+        let label = Label::parse(name).unwrap_or_else(|err| panic!("{name}: {err}"));
+        assert_eq!(label.as_str(), name);
+        carriers.push(Event::from(PlanChosen {
+            policy: label,
             moves: 0,
             moved_bytes: 0,
             objects: vec![],
             sources: vec![],
             destinations: vec![],
-        });
+        }));
     }
-    for metric in ["erase_estimate", "ewma_latency_us"] {
-        carriers.push(Event::TriggerEval {
-            policy: "CMT",
+    for metric in [Label::EraseEstimate, Label::EwmaLatencyUs] {
+        carriers.push(Event::from(TriggerEval {
+            policy: Label::Cmt,
             metric,
             rsd: 0.0,
             lambda: 0.1,
@@ -60,7 +63,7 @@ fn every_label_an_emitter_can_write_is_in_the_journal_vocabulary() {
             triggered: false,
             sources: vec![],
             destinations: vec![],
-        });
+        }));
     }
     assert_eq!(carriers.len(), 3 + 4 + 2);
     for e in carriers {
