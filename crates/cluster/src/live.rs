@@ -117,7 +117,7 @@ impl<'a, R: Recorder + AsDynRecorder + ?Sized> LiveRun<'a, R> {
 
     /// File operations completed so far.
     pub fn completed_ops(&self) -> u64 {
-        self.engine.tally.completed_ops
+        self.engine.tally.response_hist.count()
     }
 
     /// File operations in the whole trace.
@@ -128,6 +128,12 @@ impl<'a, R: Recorder + AsDynRecorder + ?Sized> LiveRun<'a, R> {
     /// Read access to the simulated cluster mid-run.
     pub fn cluster(&self) -> &Cluster {
         &self.engine.cluster
+    }
+
+    /// Hands `obs` the facts the run's tallies own as they stand now:
+    /// what [`finish`](Self::finish) hands the run's recorder at the end.
+    pub fn publish_tallies(&self, obs: &mut dyn Recorder) {
+        self.engine.tally.clone().publish(obs);
     }
 
     /// Read access to the recorder between steps.

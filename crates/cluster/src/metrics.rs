@@ -1,7 +1,7 @@
 //! Run metrics: aggregate throughput (Fig. 5), windowed mean response
 //! time (Fig. 7), and per-OSD wear summaries (Fig. 1, Fig. 6).
 
-use edm_obs::Histogram;
+use edm_obs::{Histogram, Recorder};
 use edm_snap::{SnapReader, SnapWriter, Snapshot};
 
 use edm_workload::Trace;
@@ -238,12 +238,11 @@ pub fn rsd(values: impl Iterator<Item = f64> + Clone) -> f64 {
 #[derive(Debug, Clone)]
 pub(crate) struct RunTallies {
     pub responses: ResponseSeries,
-    /// Every client response time, µs: the source of
-    /// [`RunReport::response_percentiles_us`]. The same type, and so the
-    /// same quantile rule, as the recorder's `response_us` histogram.
+    /// Every client response time, µs: its count is the completed-op
+    /// count, its quantiles [`RunReport::response_percentiles_us`], and
+    /// it is what [`publish`](Self::publish) hands the recorder as
+    /// its `response_us` histogram.
     pub response_hist: Histogram,
-    pub response_sum: f64,
-    pub completed_ops: u64,
     /// Time of the last request or move completion — the replay duration.
     /// Deliberately not advanced by wear ticks: a trailing tick must not
     /// inflate the measured duration.
@@ -266,8 +265,6 @@ impl RunTallies {
         RunTallies {
             responses: ResponseSeries::new(response_window_us),
             response_hist: Histogram::new(),
-            response_sum: 0.0,
-            completed_ops: 0,
             last_completion_us: 0,
             migrations_triggered: 0,
             moved_objects: 0,
@@ -286,8 +283,6 @@ impl RunTallies {
     pub fn merge_from(&mut self, other: &RunTallies) {
         self.responses.merge_from(&other.responses);
         self.response_hist.merge(&other.response_hist);
-        self.response_sum += other.response_sum;
-        self.completed_ops += other.completed_ops;
         self.last_completion_us = self.last_completion_us.max(other.last_completion_us);
         self.migrations_triggered += other.migrations_triggered;
         self.moved_objects += other.moved_objects;
@@ -309,11 +304,32 @@ impl RunTallies {
         }
     }
 
+    /// Hands `obs` the facts these tallies own, once, at the end of a run
+    /// (or of a shard merge): completed ops, finished rebuilds, failed
+    /// devices and the `response_us` histogram. A zero count or an empty
+    /// histogram is not written: a trailer names only what happened.
+    pub fn publish(self, obs: &mut dyn Recorder) {
+        let failures = self.failed.iter().filter(|&&f| f).count() as u64;
+        for (name, n) in [
+            ("sim.ops_completed", self.response_hist.count()),
+            ("sim.rebuilds_finished", self.rebuilt_objects),
+            ("sim.device_failures", failures),
+        ] {
+            if n > 0 {
+                obs.counter(name, n);
+            }
+        }
+        if !self.response_hist.is_empty() {
+            obs.merge_histogram("response_us", self.response_hist);
+        }
+    }
+
     /// End-of-run invariant check and report construction over the final
     /// state of `cluster`.
     pub fn report(&self, trace: &Trace, policy: &str, cluster: &Cluster) -> RunReport {
+        let completed_ops = self.response_hist.count();
         assert_eq!(
-            self.completed_ops,
+            completed_ops,
             trace.records.len() as u64,
             "replay finished with unserved records"
         );
@@ -338,10 +354,11 @@ impl RunTallies {
             trace: trace.name.clone(),
             policy: policy.to_string(),
             osds: cluster.config.osds,
-            completed_ops: self.completed_ops,
+            completed_ops,
             duration_us: self.last_completion_us,
-            mean_response_us: if self.completed_ops > 0 {
-                self.response_sum / self.completed_ops as f64
+            // The window sums are integer µs far below 2^53: exact.
+            mean_response_us: if completed_ops > 0 {
+                self.responses.buckets.iter().map(|b| b.0).sum::<f64>() / completed_ops as f64
             } else {
                 0.0
             },

@@ -561,7 +561,7 @@ pub(crate) fn run_sharded<P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?S
             }
             close_wc_window(engines.iter_mut().map(|e| &mut e.cluster), policy);
         }
-        let completed: u64 = engines.iter().map(|e| e.tally.completed_ops).sum();
+        let completed: u64 = engines.iter().map(|e| e.tally.response_hist.count()).sum();
         if completed < total_records {
             now += wear_tick_us;
             for engine in engines.iter_mut() {
@@ -597,7 +597,7 @@ pub(crate) fn run_sharded<P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?S
             obs.gauge(name, *value);
         }
         for (name, hist) in engine.obs.histograms() {
-            obs.merge_histogram(name, hist);
+            obs.merge_histogram(name, hist.clone());
         }
     }
     if obs.events_on() {
@@ -624,7 +624,9 @@ pub(crate) fn run_sharded<P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?S
         })
         .collect();
     let cluster = Cluster::merge(worlds);
-    (tally.report(trace, policy.name(), &cluster), cluster)
+    let report = tally.report(trace, policy.name(), &cluster);
+    tally.publish(obs.as_dyn_mut());
+    (report, cluster)
 }
 
 #[cfg(test)]

@@ -1078,7 +1078,6 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
         }
         self.rebuilds.remove(&lost);
         self.cluster.catalog.record_move(lost, dest);
-        self.obs.counter("sim.rebuilds_finished", 1);
         // Built at every obs level: the daemon's backend applies rebuilds
         // from this event, and recorders below `events` drop it after.
         self.obs.event(ObsEvent::RebuildFinish {
@@ -1118,15 +1117,11 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
             let response = self.now - inflight.issued_us;
             self.tally.responses.record(self.now, response);
             self.tally.response_hist.record(response);
-            self.tally.response_sum += response as f64;
-            self.obs.latency("response_us", response);
-            self.obs.counter("sim.ops_completed", 1);
-            self.tally.completed_ops += 1;
             self.tally.last_completion_us = self.now;
             self.outstanding[inflight.client.0 as usize] -= 1;
             if self.options.schedule == MigrationSchedule::Midpoint
                 && !self.migration_fired
-                && self.tally.completed_ops * 2 >= self.total_records
+                && self.tally.response_hist.count() * 2 >= self.total_records
             {
                 self.migration_fired = true;
                 self.fire_migration();
@@ -1285,7 +1280,6 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
             return;
         }
         self.tally.failed[o] = true;
-        self.obs.counter("sim.device_failures", 1);
         if self.obs.events_on() {
             self.obs.event(ObsEvent::DeviceFailed { osd: osd.0 });
         }
@@ -1575,8 +1569,6 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
         self.tally.responses.save(w);
         self.tally.response_hist.buckets().to_vec().save(w);
         w.put_u64(self.tally.response_hist.max());
-        w.put_f64(self.tally.response_sum);
-        w.put_u64(self.tally.completed_ops);
         w.put_u64(self.total_records);
         w.put_bool(self.migration_fired);
         w.put_u64(self.tally.migrations_triggered);
@@ -1625,8 +1617,6 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
             Ok(hist) => self.tally.response_hist = hist,
             Err(e) => r.corrupt(format!("latency histogram {e}")),
         }
-        self.tally.response_sum = r.take_f64();
-        self.tally.completed_ops = r.take_u64();
         self.total_records = r.take_u64();
         self.migration_fired = r.take_bool();
         self.tally.migrations_triggered = r.take_u64();
@@ -1674,7 +1664,7 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
         self.save_engine(&mut engine);
         CheckpointCut {
             now_us: self.now,
-            completed_ops: self.tally.completed_ops,
+            completed_ops: self.tally.response_hist.count(),
             total_records: self.total_records,
             extra: self
                 .options
@@ -1844,7 +1834,7 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
             close_wc_window([&mut self.cluster], self.policy);
         }
         // Keep ticking while the replay is still in progress.
-        if self.tally.completed_ops < self.total_records {
+        if self.tally.response_hist.count() < self.total_records {
             let next = self.now + self.cluster.config.wear_tick_us;
             self.push(next, Event::Tick);
         }
@@ -1873,11 +1863,14 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
         (self.tally, self.cluster)
     }
 
-    /// End-of-run invariant checks and report construction.
+    /// End-of-run invariant checks and report construction; the
+    /// recorder is handed the tallies' facts here.
     pub(crate) fn finalize(self) -> (RunReport, Cluster) {
-        let (trace, policy) = (self.trace, self.policy.name().to_string());
-        let (tally, cluster) = self.into_parts();
-        (tally.report(trace, &policy, &cluster), cluster)
+        assert!(self.moving.is_empty(), "moves left in flight");
+        let tally = self.tally;
+        let report = tally.report(self.trace, self.policy.name(), &self.cluster);
+        tally.publish(self.obs.as_dyn_mut());
+        (report, self.cluster)
     }
 }
 

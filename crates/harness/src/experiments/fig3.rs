@@ -15,7 +15,7 @@ use edm_workload::{FileId, FileOp, Trace};
 use super::claims::{self, Record};
 use crate::runner::{par_map, RunConfig, TraceKey};
 
-/// Minimum GC victims before we trust a measured uᵣ sample.
+/// Minimum erases (GC victims) before we trust a measured uᵣ sample.
 const MIN_VICTIMS: u64 = 200;
 /// Maximum write-stream replays while hunting for victims.
 const MAX_LOOPS: u32 = 50;
@@ -97,7 +97,7 @@ pub fn measure_ur(trace: &Trace, utilization: f64) -> Option<f64> {
                     .expect("replay write");
             }
         }
-        if ssd.wear().gc_victims >= MIN_VICTIMS {
+        if ssd.wear().block_erases >= MIN_VICTIMS {
             break;
         }
     }

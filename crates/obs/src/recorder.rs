@@ -5,6 +5,11 @@
 //! recorder is an inlined empty body behind one indirect call) but must
 //! guard event *construction* behind [`Recorder::events_on`] so that
 //! allocating variants cost nothing below the `events` level.
+//!
+//! A fact a run's own tallies count (completed ops, finished rebuilds,
+//! failed devices, response times) is not also bumped here per event:
+//! the engine hands the tallies over once, when the run ends, as
+//! counters and a [`merge_histogram`](Recorder::merge_histogram).
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -89,10 +94,12 @@ pub trait Recorder {
     fn event(&mut self, _event: Event) {}
 
     /// Folds a whole histogram into the named latency histogram — the
-    /// bulk form of [`latency`](Self::latency), used when a sharded run
-    /// merges its per-shard recorders back into the parent. Recorders
-    /// that keep no histograms ignore it.
-    fn merge_histogram(&mut self, _name: &'static str, _hist: &Histogram) {}
+    /// bulk form of [`latency`](Self::latency), used when a run hands
+    /// over its response times and when a sharded run merges its
+    /// per-shard recorders back into the parent. Taken by value, so a
+    /// recorder without that histogram keeps this one and allocates
+    /// none. Recorders that keep no histograms ignore it.
+    fn merge_histogram(&mut self, _name: &'static str, _hist: Histogram) {}
 
     /// True when event construction is worth the allocation.
     fn events_on(&self) -> bool {
@@ -159,6 +166,18 @@ impl MemoryRecorder {
     pub fn new(level: ObsLevel) -> Self {
         MemoryRecorder {
             level,
+            ..MemoryRecorder::default()
+        }
+    }
+
+    /// A copy of the counters, gauges and histograms, without the
+    /// journal.
+    pub fn metrics_copy(&self) -> MemoryRecorder {
+        MemoryRecorder {
+            level: self.level,
+            counters: self.counters.clone(),
+            gauges: self.gauges.clone(),
+            hists: self.hists.clone(),
             ..MemoryRecorder::default()
         }
     }
@@ -424,9 +443,12 @@ impl Recorder for MemoryRecorder {
         }
     }
 
-    fn merge_histogram(&mut self, name: &'static str, hist: &Histogram) {
+    fn merge_histogram(&mut self, name: &'static str, hist: Histogram) {
         if self.level >= ObsLevel::Metrics {
-            self.hists.entry(name).or_default().merge(hist);
+            self.hists
+                .entry(name)
+                .and_modify(|h| h.merge(&hist))
+                .or_insert(hist);
         }
     }
 }

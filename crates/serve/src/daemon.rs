@@ -18,7 +18,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use edm_cluster::{Cluster, LiveRun, SimOptions, StepPause, TimeSource};
-use edm_obs::{render_prometheus, ObsLevel};
+use edm_obs::{render_prometheus, MemoryRecorder, ObsLevel};
 use edm_scenario::{render_report, report_digest, Checkpoint, Scenario};
 
 use crate::backend::{Backend, DirBackend, MemBackend};
@@ -219,12 +219,15 @@ fn render_view(
         View::Plan => views::render_plan(rec.journal()),
         View::Stats => stats(),
         View::Model => views::render_model(cluster, health.now_us),
-        View::Metrics => {
-            let mut out = render_prometheus(rec.inner());
-            ctrl.write_metrics(&mut out);
-            out
-        }
+        View::Metrics => render_metrics(ctrl, rec.inner()),
     }
+}
+
+/// `/metrics`: the recorder's metrics, then the control plane's.
+fn render_metrics(ctrl: &Ctrl, metrics: &MemoryRecorder) -> String {
+    let mut out = render_prometheus(metrics);
+    ctrl.write_metrics(&mut out);
+    out
 }
 
 fn render_ingest(
@@ -358,6 +361,13 @@ fn render_replay(
     checkpoints: u64,
 ) -> String {
     let rec = live.recorder();
+    if view == View::Metrics {
+        // The run's tallies reach its recorder when it finishes; until
+        // then a copy is handed them for each render.
+        let mut metrics = rec.inner().metrics_copy();
+        live.publish_tallies(&mut metrics);
+        return render_metrics(ctrl, &metrics);
+    }
     let now_us = live.now_us();
     let health = health(ctrl, rec, "replay", policy_name, now_us, checkpoints, false);
     render_view(view, ctrl, rec, live.cluster(), &health, || {

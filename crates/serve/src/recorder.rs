@@ -118,7 +118,7 @@ impl Recorder for ServeRecorder {
         self.inner.event(event);
     }
 
-    fn merge_histogram(&mut self, name: &'static str, hist: &Histogram) {
+    fn merge_histogram(&mut self, name: &'static str, hist: Histogram) {
         self.inner.merge_histogram(name, hist);
     }
 }

@@ -40,7 +40,7 @@ pub const MAGIC: [u8; 8] = *b"EDMSNAP1";
 /// Format version of the section contents. Bump when any `Snapshot`
 /// encoding changes shape; old files then fail with
 /// [`SnapError::UnsupportedVersion`] instead of misdecoding.
-pub const FORMAT_VERSION: u32 = 4;
+pub const FORMAT_VERSION: u32 = 5;
 
 #[derive(Debug)]
 struct Section {

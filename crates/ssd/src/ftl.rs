@@ -736,8 +736,6 @@ impl PageLevelFtl {
         self.spread.record_erase(wear - 1);
         self.free_blocks.push(victim, wear);
         self.stats.block_erases += 1;
-        self.stats.gc_victims += 1;
-        self.stats.victim_valid_pages += valid as u64;
         self.stats.gc_page_moves += valid as u64;
         obs.counter("ftl.block_erases", 1);
         obs.counter("ftl.gc_page_moves", valid as u64);

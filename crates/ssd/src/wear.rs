@@ -17,25 +17,23 @@ pub struct WearStats {
     pub host_page_writes: u64,
     /// Pages read by the host.
     pub host_page_reads: u64,
-    /// Pages relocated by garbage collection (write amplification).
+    /// Pages relocated by garbage collection (write amplification): the
+    /// victims' valid pages at reclaim time.
     pub gc_page_moves: u64,
-    /// Total block erase operations (`Ec` in the paper, Eq. 1).
+    /// Total block erase operations (`Ec` in the paper, Eq. 1). Every
+    /// erase reclaims one GC victim, so this is also the victim count.
     pub block_erases: u64,
-    /// Number of GC victim blocks reclaimed.
-    pub gc_victims: u64,
-    /// Sum over victims of their valid-page count at reclaim time; divided
-    /// by `gc_victims * Np` this yields the measured uᵣ of Fig. 3.
-    pub victim_valid_pages: u64,
 }
 
 impl WearStats {
-    /// Measured average valid-page ratio of victim blocks (uᵣ).
-    /// Returns `None` until at least one GC pass has run.
+    /// Measured average valid-page ratio of victim blocks (uᵣ): pages
+    /// relocated per erase over `Np`. Returns `None` until at least one
+    /// GC pass has run.
     pub fn measured_ur(&self, pages_per_block: u32) -> Option<f64> {
-        if self.gc_victims == 0 {
+        if self.block_erases == 0 {
             return None;
         }
-        Some(self.victim_valid_pages as f64 / (self.gc_victims * pages_per_block as u64) as f64)
+        Some(self.gc_page_moves as f64 / (self.block_erases * pages_per_block as u64) as f64)
     }
 
     /// Write amplification factor: (host writes + GC moves) / host writes.
@@ -61,8 +59,6 @@ impl WearStats {
         self.host_page_reads += other.host_page_reads;
         self.gc_page_moves += other.gc_page_moves;
         self.block_erases += other.block_erases;
-        self.gc_victims += other.gc_victims;
-        self.victim_valid_pages += other.victim_valid_pages;
     }
 }
 
@@ -70,9 +66,7 @@ snapshot_struct!(WearStats {
     host_page_writes,
     host_page_reads,
     gc_page_moves,
-    block_erases,
-    gc_victims,
-    victim_valid_pages
+    block_erases
 });
 
 #[cfg(test)]
@@ -83,8 +77,8 @@ mod tests {
     fn measured_ur_requires_a_victim() {
         let mut s = WearStats::default();
         assert_eq!(s.measured_ur(32), None);
-        s.gc_victims = 4;
-        s.victim_valid_pages = 4 * 8; // 8 of 32 pages valid on average
+        s.block_erases = 4;
+        s.gc_page_moves = 4 * 8; // 8 of 32 pages valid on average
         let ur = s.measured_ur(32).unwrap();
         assert!((ur - 0.25).abs() < 1e-12);
     }
@@ -105,16 +99,12 @@ mod tests {
             host_page_reads: 2,
             gc_page_moves: 3,
             block_erases: 4,
-            gc_victims: 5,
-            victim_valid_pages: 6,
         };
         a.merge(&a.clone());
         assert_eq!(a.host_page_writes, 2);
         assert_eq!(a.host_page_reads, 4);
         assert_eq!(a.gc_page_moves, 6);
         assert_eq!(a.block_erases, 8);
-        assert_eq!(a.gc_victims, 10);
-        assert_eq!(a.victim_valid_pages, 12);
     }
 
     #[test]

@@ -66,7 +66,7 @@ fn journal_counters_match_wear_stats() {
     );
     assert_eq!(
         rec.count_kind("gc_victim") as u64,
-        stats.gc_victims - rec.counter_value("ftl.wear_level_swaps"),
+        stats.block_erases - rec.counter_value("ftl.wear_level_swaps"),
         "every non-leveling victim pick is journaled"
     );
     assert!(rec.count_kind("gc_invoked") > 0);

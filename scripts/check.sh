@@ -206,7 +206,9 @@ EOF
 
     echo "==> checkpoint/resume smoke (edm-sim --checkpoint-* / --resume / edm-probe --snapshot)"
     # An uninterrupted run and a run resumed from a mid-run checkpoint
-    # must print bit-identical reports and determinism digests.
+    # must print bit-identical reports and determinism digests, and end
+    # their metrics journals with the same trailers for the facts the
+    # run's tallies own (the OSD fails before the mid-run checkpoint).
     local ckpt_dir
     scratch_dir; ckpt_dir="$SCRATCH_DIR"
     cat > "$ckpt_dir/ckpt.scn" <<'EOF'
@@ -219,6 +221,7 @@ fail 150000 1 rebuild
 EOF
     "$(bin edm-sim)" "$ckpt_dir/ckpt.scn" \
         --checkpoint-every 0 --checkpoint-dir "$ckpt_dir/ckpts" \
+        --obs "$ckpt_dir/uninterrupted.jsonl" --obs-level metrics \
         > "$ckpt_dir/uninterrupted.txt" 2> /dev/null
     local snap_count mid_snap
     snap_count="$(ls "$ckpt_dir"/ckpts/*.snap | wc -l)"
@@ -226,9 +229,18 @@ EOF
         || { echo "ckpt smoke: want >=2 checkpoints, got $snap_count"; exit 1; }
     mid_snap="$(ls "$ckpt_dir"/ckpts/*.snap | sed -n "$(( (snap_count + 1) / 2 ))p")"
     "$(bin edm-sim)" --resume "$mid_snap" \
+        --obs "$ckpt_dir/resumed.jsonl" --obs-level metrics \
         > "$ckpt_dir/resumed.txt" 2> /dev/null
     diff "$ckpt_dir/uninterrupted.txt" "$ckpt_dir/resumed.txt" \
         || { echo "ckpt smoke: resumed run diverged from uninterrupted run"; exit 1; }
+    local leg tallied='"name":"(sim\.(ops_completed|rebuilds_finished|device_failures)|response_us)"'
+    for leg in uninterrupted resumed; do
+        grep -E "$tallied" "$ckpt_dir/$leg.jsonl" > "$ckpt_dir/$leg.tallies"
+    done
+    [ "$(wc -l < "$ckpt_dir/uninterrupted.tallies")" -eq 4 ] \
+        || { echo "ckpt smoke: want 4 tally trailers, got:"; cat "$ckpt_dir/uninterrupted.tallies"; exit 1; }
+    diff "$ckpt_dir/uninterrupted.tallies" "$ckpt_dir/resumed.tallies" \
+        || { echo "ckpt smoke: resumed run's tally trailers diverged"; exit 1; }
     grep -q "determinism digest 0x" "$ckpt_dir/resumed.txt" \
         || { echo "ckpt smoke: no determinism digest printed"; exit 1; }
     # A damaged checkpoint is refused through the CLI with its typed

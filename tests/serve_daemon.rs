@@ -21,7 +21,7 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use edm_cluster::MigrationSchedule;
-use edm_obs::{NoopRecorder, ObsLevel};
+use edm_obs::{render_prometheus, MemoryRecorder, NoopRecorder, ObsLevel};
 use edm_scenario::{report_digest, Scenario};
 use edm_serve::{
     dump_ops, run_daemon_on, views, BackendKind, DaemonConfig, LiveWorld, MemBackend, Mode,
@@ -220,6 +220,63 @@ fn replay_daemon_reproduces_the_batch_digest() {
         "digest mismatch: want {expected:#018x} in {stats}"
     );
     assert!(stats.contains("\"mode\":\"replay\""));
+    daemon.shutdown();
+}
+
+/// `/metrics` without the control plane's block, which follows the
+/// recorder's metrics.
+fn recorder_metrics(metrics: &str) -> &str {
+    metrics
+        .split_once("# TYPE edm_serve_view_renders_total counter\n")
+        .map_or(metrics, |(recorder, _)| recorder)
+}
+
+/// The integer after the first `prefix` in `text`: a `/stats` field
+/// (`"completed_ops":`) or a `/metrics` sample (`\nedm_…_count `).
+fn field(text: &str, prefix: &str) -> u64 {
+    let rest = &text[text
+        .find(prefix)
+        .unwrap_or_else(|| panic!("{prefix} not in:\n{text}"))
+        + prefix.len()..];
+    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+    digits.parse().unwrap()
+}
+
+#[test]
+fn paused_replay_metrics_count_the_ops_stats_reports() {
+    let slow = DaemonConfig {
+        speed: Some(0.05),
+        ..config(Mode::Replay)
+    };
+    let daemon = Daemon::start(slow);
+    daemon.wait_health("\"mode\"");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while field(&daemon.get("/stats"), "\"completed_ops\":") == 0 {
+        assert!(Instant::now() < deadline, "replay never completed an op");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    daemon.post("/pause", "");
+    let stats = daemon.get("/stats");
+    assert!(stats.contains("\"done\":false"), "{stats}");
+    let completed = field(&stats, "\"completed_ops\":");
+    let metrics = daemon.get("/metrics");
+    assert_eq!(
+        metric(&metrics, "sim_ops_completed"),
+        completed,
+        "{metrics}"
+    );
+    assert_eq!(field(&metrics, "\nedm_response_us_count "), completed);
+    daemon.shutdown();
+}
+
+#[test]
+fn finished_replay_metrics_are_the_batch_recorders() {
+    let mut batch = MemoryRecorder::new(ObsLevel::Events);
+    scenario().run(&mut batch, None).unwrap();
+    let daemon = Daemon::start(config(Mode::Replay));
+    daemon.wait_done();
+    let metrics = daemon.get("/metrics");
+    assert_eq!(recorder_metrics(&metrics), render_prometheus(&batch));
     daemon.shutdown();
 }
 
