@@ -233,6 +233,21 @@ impl Cluster {
         });
     }
 
+    /// Hands `obs` the devices' summed erase and GC-relocation counts as
+    /// `ftl.block_erases` and `ftl.gc_page_moves`: the FTL's
+    /// [`WearStats`](edm_ssd::WearStats) are their only count. Written
+    /// once any block was erased, so a run without GC has neither.
+    pub fn publish_wear(&self, obs: &mut dyn Recorder) {
+        let (erases, moves) = self.osds.iter().fold((0, 0), |(e, m), o| {
+            let wear = o.ssd().wear();
+            (e + wear.block_erases, m + wear.gc_page_moves)
+        });
+        if erases > 0 {
+            obs.counter("ftl.block_erases", erases);
+            obs.counter("ftl.gc_page_moves", moves);
+        }
+    }
+
     /// Fans one file read or write out into its object-level I/Os
     /// (RAID-5 striping incl. the parity read-modify-write), each paired
     /// with the access it presents to the policy's tracker. Every
@@ -307,8 +322,6 @@ impl Cluster {
             .ok_or(OsdError::UnknownObject(action.object))?;
         self.osd_mut(action.source).remove_object(action.object)?;
         self.catalog.record_move(action.object, action.dest);
-        obs.counter("sim.moved_objects", 1);
-        obs.counter("sim.moved_bytes", size);
         // Built at every obs level: the daemon's backend applies moves
         // from this event, and recorders below `events` drop it after.
         obs.event(Event::MigrationFinish {

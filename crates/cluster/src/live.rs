@@ -133,7 +133,7 @@ impl<'a, R: Recorder + AsDynRecorder + ?Sized> LiveRun<'a, R> {
     /// Hands `obs` the facts the run's tallies own as they stand now:
     /// what [`finish`](Self::finish) hands the run's recorder at the end.
     pub fn publish_tallies(&self, obs: &mut dyn Recorder) {
-        self.engine.tally.clone().publish(obs);
+        self.engine.tally.clone().publish(&self.engine.cluster, obs);
     }
 
     /// Read access to the recorder between steps.

@@ -305,13 +305,16 @@ impl RunTallies {
     }
 
     /// Hands `obs` the facts these tallies own, once, at the end of a run
-    /// (or of a shard merge): completed ops, finished rebuilds, failed
-    /// devices and the `response_us` histogram. A zero count or an empty
-    /// histogram is not written: a trailer names only what happened.
-    pub fn publish(self, obs: &mut dyn Recorder) {
+    /// (or of a shard merge): completed ops, finished moves and rebuilds,
+    /// failed devices and the `response_us` histogram, and with them the
+    /// wear `cluster`'s devices count ([`Cluster::publish_wear`]). A zero
+    /// count or an empty histogram is not written: a trailer names only
+    /// what happened.
+    pub fn publish(self, cluster: &Cluster, obs: &mut dyn Recorder) {
         let failures = self.failed.iter().filter(|&&f| f).count() as u64;
         for (name, n) in [
             ("sim.ops_completed", self.response_hist.count()),
+            ("sim.moved_objects", self.moved_objects),
             ("sim.rebuilds_finished", self.rebuilt_objects),
             ("sim.device_failures", failures),
         ] {
@@ -322,6 +325,7 @@ impl RunTallies {
         if !self.response_hist.is_empty() {
             obs.merge_histogram("response_us", self.response_hist);
         }
+        cluster.publish_wear(obs);
     }
 
     /// End-of-run invariant check and report construction over the final

@@ -275,7 +275,6 @@ pub fn plan_round<P: Migrator + ?Sized>(
     failed: &[bool],
     obs: &mut dyn Recorder,
 ) -> Result<(Vec<MoveAction>, u64), InvalidPlan> {
-    obs.counter("sim.migration_evaluations", 1);
     let plan = policy.plan_obs(view, obs);
     let resolved = validate_plan(&plan, view).map_err(|reason| InvalidPlan {
         policy: policy.name().to_string(),

@@ -535,6 +535,7 @@ pub(crate) fn run_sharded<P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?S
             let failed: Vec<bool> = (0..osd_count)
                 .map(|o| engines[comp_of_osd(OsdId(o))].tally.failed[o as usize])
                 .collect();
+            obs.counter("sim.migration_evaluations", 1);
             #[expect(
                 clippy::panic,
                 reason = "plans are validated before acceptance; an invalid plan is a policy bug worth aborting on"
@@ -625,7 +626,7 @@ pub(crate) fn run_sharded<P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?S
         .collect();
     let cluster = Cluster::merge(worlds);
     let report = tally.report(trace, policy.name(), &cluster);
-    tally.publish(obs.as_dyn_mut());
+    tally.publish(&cluster, obs.as_dyn_mut());
     (report, cluster)
 }
 

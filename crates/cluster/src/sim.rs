@@ -1212,6 +1212,8 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
             .finish_move(action, self.obs.as_dyn_mut())
             .expect("source copy must exist until the move completes");
         self.tally.moved_objects += 1;
+        // No tally holds the moved bytes: this is their only count.
+        self.obs.counter("sim.moved_bytes", size);
         self.tally.last_completion_us = self.now;
         self.unblock(object);
         for sub in redirected {
@@ -1511,6 +1513,7 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
         self.scope_component_none();
         let view = self.cluster.view(self.now);
         let pending: HashSet<ObjectId> = self.pending_moves().collect();
+        self.obs.counter("sim.migration_evaluations", 1);
         #[expect(
             clippy::panic,
             reason = "plans are validated before acceptance; an invalid plan is a policy bug worth aborting on"
@@ -1869,7 +1872,7 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
         assert!(self.moving.is_empty(), "moves left in flight");
         let tally = self.tally;
         let report = tally.report(self.trace, self.policy.name(), &self.cluster);
-        tally.publish(self.obs.as_dyn_mut());
+        tally.publish(&self.cluster, self.obs.as_dyn_mut());
         (report, self.cluster)
     }
 }

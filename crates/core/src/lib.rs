@@ -63,7 +63,7 @@ pub mod trigger;
 pub use alg1::{calculate_cdf, calculate_hdf, free_pages_per_erase, MovementAmounts};
 pub use config::{Assessor, EdmConfig};
 pub use evaluate::{assess_plan, trim_to_improvement_model, PlanAssessment};
-pub use lifetime::{DeviceLifetime, EnduranceSpec, Staggering};
+pub use lifetime::{DeviceLifetime, EnduranceSpec};
 pub use policy::{Cmt, CmtConfig, Edm, Selection};
 pub use temperature::{AccessTracker, ObjectHeat};
 pub use trigger::TriggerDecision;

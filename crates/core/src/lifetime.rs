@@ -5,8 +5,8 @@
 //! perfectly balanced wear means the whole cluster wears out together
 //! (the Diff-RAID problem), while EDM's uneven groups stagger group
 //! worn-out times. This module projects, from measured erase counts over
-//! a measurement period, when each device exhausts its endurance, and
-//! quantifies the staggering margin between groups.
+//! a measurement period, when each device exhausts its endurance; the
+//! harness's reliability experiment counts how many land together.
 
 /// Endurance parameters of one SSD model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,47 +62,6 @@ pub fn project(
         .collect()
 }
 
-/// Staggering analysis: how far apart in time device wear-outs land.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Staggering {
-    /// Projected wear-out times, ascending (periods).
-    pub wearout_order: Vec<f64>,
-    /// Smallest gap between consecutive wear-outs (periods).
-    pub min_gap: f64,
-    /// Time from first to last wear-out (periods).
-    pub total_span: f64,
-}
-
-/// Computes the wear-out staggering of a set of projections. At least two
-/// finite projections are required for a meaningful gap; otherwise gaps
-/// are reported as infinite.
-pub fn staggering(lifetimes: &[DeviceLifetime]) -> Staggering {
-    let mut order: Vec<f64> = lifetimes
-        .iter()
-        .map(|l| l.periods_to_wearout)
-        .filter(|p| p.is_finite())
-        .collect();
-    #[expect(
-        clippy::expect_used,
-        reason = "erase counts come from wear stats and are always finite"
-    )]
-    order.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let min_gap = order
-        .iter()
-        .zip(order.iter().skip(1))
-        .map(|(a, b)| b - a)
-        .fold(f64::INFINITY, f64::min);
-    let total_span = match (order.first(), order.last()) {
-        (Some(first), Some(last)) if order.len() > 1 => last - first,
-        _ => f64::INFINITY,
-    };
-    Staggering {
-        wearout_order: order,
-        min_gap,
-        total_span,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,14 +87,16 @@ mod tests {
         assert!(l[2].periods_to_wearout.is_infinite());
     }
 
+    fn wearouts(l: &[DeviceLifetime]) -> Vec<f64> {
+        l.iter().map(|d| d.periods_to_wearout).collect()
+    }
+
     #[test]
     fn balanced_wear_means_simultaneous_wearout() {
         // The Diff-RAID hazard: perfectly balanced wear ⇒ everything dies
         // together.
         let l = project(&spec(), [1_000, 1_000, 1_000, 1_000], []);
-        let s = staggering(&l);
-        assert_eq!(s.min_gap, 0.0);
-        assert_eq!(s.total_span, 0.0);
+        assert_eq!(wearouts(&l), [3_000.0; 4]);
     }
 
     #[test]
@@ -143,17 +104,9 @@ mod tests {
         // §III.D: groups with different wear speeds die at different
         // times.
         let l = project(&spec(), [1_500, 1_200, 1_000, 800], []);
-        let s = staggering(&l);
-        assert!(s.min_gap > 100.0, "gap {}", s.min_gap);
-        assert!(s.total_span > 1_000.0);
-    }
-
-    #[test]
-    fn staggering_of_single_device_is_infinite() {
-        let l = project(&spec(), [100], []);
-        let s = staggering(&l);
-        assert!(s.min_gap.is_infinite());
-        assert!(s.total_span.is_infinite());
+        let w = wearouts(&l);
+        assert!(w.windows(2).all(|p| p[1] - p[0] > 100.0), "{w:?}");
+        assert!(w[3] - w[0] > 1_000.0);
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! guard event *construction* behind [`Recorder::events_on`] so that
 //! allocating variants cost nothing below the `events` level.
 //!
-//! A fact a run's own tallies count (completed ops, finished rebuilds,
-//! failed devices, response times) is not also bumped here per event:
-//! the engine hands the tallies over once, when the run ends, as
-//! counters and a [`merge_histogram`](Recorder::merge_histogram).
+//! A fact a run's own tallies count (completed ops, finished moves and
+//! rebuilds, failed devices, response times, device erases and GC
+//! relocations) is not also bumped here per event: the engine hands the
+//! tallies over once, when the run ends, as counters and a
+//! [`merge_histogram`](Recorder::merge_histogram).
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;

@@ -18,7 +18,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use edm_cluster::{Cluster, LiveRun, SimOptions, StepPause, TimeSource};
-use edm_obs::{render_prometheus, MemoryRecorder, ObsLevel};
+use edm_obs::{render_prometheus, ObsLevel, Recorder};
 use edm_scenario::{render_report, report_digest, Checkpoint, Scenario};
 
 use crate::backend::{Backend, DirBackend, MemBackend};
@@ -119,40 +119,49 @@ fn run_ingest_session(
     let mut checkpoints = 0u64;
     let mut last_ckpt_us = world.now_us();
     let mut batch = Vec::new();
-    loop {
-        let seen = ctrl.serve_views(|v| {
-            let done = ctrl.ingest_complete();
-            render_ingest(v, ctrl, &world, recorder, checkpoints, done)
-        });
-        if ctrl.shutdown_requested() {
-            return Ok(());
-        }
-        // Between operations the live world holds no mid-decision state,
-        // paused or not: an explicit checkpoint request is honored here.
-        if ctrl.take_checkpoint_request() {
-            checkpoint_world(config, &world, &mut checkpoints, &mut last_ckpt_us)?;
-        }
-        if ctrl.is_paused() {
-            batch.clear();
-        } else {
-            ctrl.drain_ingest(DRAIN_BATCH, &mut batch);
-        }
-        if batch.is_empty() {
-            ctrl.park(seen);
-            continue;
-        }
-        for line in &batch {
-            if let ApplyOutcome::Applied { ticked: true } = world.apply_line(line, recorder) {
-                let due = config
-                    .checkpoint_every_us
-                    .is_some_and(|every| world.now_us() >= last_ckpt_us.saturating_add(every));
-                if due {
-                    checkpoint_world(config, &world, &mut checkpoints, &mut last_ckpt_us)?;
+    // Every exit of the loop, a shutdown or a failed checkpoint, passes
+    // the publish below: what the world counts reaches the recorder
+    // once, before the journal is written.
+    let session = (|| -> Result<(), String> {
+        loop {
+            let seen = ctrl.serve_views(|v| {
+                let done = ctrl.ingest_complete();
+                render_ingest(v, ctrl, &world, recorder, checkpoints, done)
+            });
+            if ctrl.shutdown_requested() {
+                return Ok(());
+            }
+            // Between operations the live world holds no mid-decision state,
+            // paused or not: an explicit checkpoint request is honored here.
+            if ctrl.take_checkpoint_request() {
+                checkpoint_world(config, &world, &mut checkpoints, &mut last_ckpt_us)?;
+            }
+            if ctrl.is_paused() {
+                batch.clear();
+            } else {
+                ctrl.drain_ingest(DRAIN_BATCH, &mut batch);
+            }
+            if batch.is_empty() {
+                ctrl.park(seen);
+                continue;
+            }
+            for line in &batch {
+                if let ApplyOutcome::Applied { ticked: true } = world.apply_line(line, recorder) {
+                    let due = config
+                        .checkpoint_every_us
+                        .is_some_and(|every| world.now_us() >= last_ckpt_us.saturating_add(every));
+                    if due {
+                        checkpoint_world(config, &world, &mut checkpoints, &mut last_ckpt_us)?;
+                    }
+                    ctrl.serve_views(|v| {
+                        render_ingest(v, ctrl, &world, recorder, checkpoints, false)
+                    });
                 }
-                ctrl.serve_views(|v| render_ingest(v, ctrl, &world, recorder, checkpoints, false));
             }
         }
-    }
+    })();
+    world.publish(recorder);
+    session
 }
 
 fn checkpoint_world(
@@ -204,7 +213,10 @@ fn health<'a>(
 }
 
 /// Renders one view of a session at a safe point; `stats` is the mode's
-/// own `/stats` body.
+/// own `/stats` body and `publish` hands over what the mode's own
+/// tallies hold. Those reach the recorder only when the session ends,
+/// so `/metrics`, in both modes, renders a metrics-only copy of the
+/// recorder with them published into it, then the control plane's.
 fn render_view(
     view: View,
     ctrl: &Ctrl,
@@ -212,6 +224,7 @@ fn render_view(
     cluster: &Cluster,
     health: &HealthInfo<'_>,
     stats: impl FnOnce() -> String,
+    publish: impl FnOnce(&mut dyn Recorder),
 ) -> String {
     match view {
         View::Healthz => views::render_healthz(health),
@@ -219,15 +232,14 @@ fn render_view(
         View::Plan => views::render_plan(rec.journal()),
         View::Stats => stats(),
         View::Model => views::render_model(cluster, health.now_us),
-        View::Metrics => render_metrics(ctrl, rec.inner()),
+        View::Metrics => {
+            let mut metrics = rec.inner().metrics_copy();
+            publish(&mut metrics);
+            let mut out = render_prometheus(&metrics);
+            ctrl.write_metrics(&mut out);
+            out
+        }
     }
-}
-
-/// `/metrics`: the recorder's metrics, then the control plane's.
-fn render_metrics(ctrl: &Ctrl, metrics: &MemoryRecorder) -> String {
-    let mut out = render_prometheus(metrics);
-    ctrl.write_metrics(&mut out);
-    out
 }
 
 fn render_ingest(
@@ -245,8 +257,9 @@ fn render_ingest(
         last_error: world.last_error().or(rec.last_backend_error()),
         ..health(ctrl, rec, "ingest", &policy, now_us, checkpoints, done)
     };
-    render_view(view, ctrl, rec, world.cluster(), &health, || {
-        views::render_live_stats(&world.stats(), now_us, world.cluster())
+    let stats = || views::render_live_stats(&world.stats(), now_us, world.cluster());
+    render_view(view, ctrl, rec, world.cluster(), &health, stats, |m| {
+        world.publish(m)
     })
 }
 
@@ -343,10 +356,10 @@ fn run_replay_session(
         checkpoints,
         true,
     );
+    // `finish` has published the tallies into the recorder.
     ctrl.freeze_views(|view| {
-        render_view(view, ctrl, recorder, &cluster, &health, || {
-            views::render_replay_final(&render_report(&report), digest)
-        })
+        let stats = || views::render_replay_final(&render_report(&report), digest);
+        render_view(view, ctrl, recorder, &cluster, &health, stats, |_| {})
     });
     // Keep serving the final views until the client says shutdown.
     ctrl.park_until_shutdown();
@@ -361,16 +374,10 @@ fn render_replay(
     checkpoints: u64,
 ) -> String {
     let rec = live.recorder();
-    if view == View::Metrics {
-        // The run's tallies reach its recorder when it finishes; until
-        // then a copy is handed them for each render.
-        let mut metrics = rec.inner().metrics_copy();
-        live.publish_tallies(&mut metrics);
-        return render_metrics(ctrl, &metrics);
-    }
     let now_us = live.now_us();
     let health = health(ctrl, rec, "replay", policy_name, now_us, checkpoints, false);
-    render_view(view, ctrl, rec, live.cluster(), &health, || {
-        views::render_replay_progress(now_us, live.completed_ops(), live.total_ops())
+    let stats = || views::render_replay_progress(now_us, live.completed_ops(), live.total_ops());
+    render_view(view, ctrl, rec, live.cluster(), &health, stats, |m| {
+        live.publish_tallies(m)
     })
 }

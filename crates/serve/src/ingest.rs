@@ -183,11 +183,6 @@ impl LiveWorld {
         self.skipped_ops
     }
 
-    /// Valid operations still owed to the dedup skip window.
-    pub fn skip_remaining(&self) -> u64 {
-        self.skip_remaining
-    }
-
     pub fn rejected_lines(&self) -> u64 {
         self.rejected_lines
     }
@@ -287,7 +282,6 @@ impl LiveWorld {
         } else {
             self.stats.reads += 1;
         }
-        obs.counter("serve.ops_applied", 1);
         let ticked = self.now_us >= self.next_tick_us;
         if ticked {
             self.wear_tick(obs);
@@ -304,7 +298,6 @@ impl LiveWorld {
     /// daemon drops the round and keeps serving.
     fn wear_tick(&mut self, obs: &mut dyn Recorder) {
         obs.set_now(self.now_us);
-        obs.counter("sim.ticks", 1);
         self.stats.ticks += 1;
         self.policy.on_tick(self.now_us);
         self.stats.migration_evaluations += 1;
@@ -376,6 +369,32 @@ impl LiveWorld {
                 self.stats.failed_moves += 1;
             }
         }
+    }
+
+    /// Hands `obs` the facts [`LiveStats`] and the devices' wear
+    /// counters own, as they stand now: applied ops, ticks, migration
+    /// evaluations, moved objects and bytes, and
+    /// [`Cluster::publish_wear`]. A count is written only once what it
+    /// counts has happened. The daemon publishes into a copy of its
+    /// recorder for each `/metrics` render and into the recorder itself
+    /// before writing the journal; a resumed world's stats are the whole
+    /// session's, so are its trailers.
+    pub fn publish(&self, obs: &mut dyn Recorder) {
+        let s = &self.stats;
+        for (name, n) in [
+            ("serve.ops_applied", s.applied_ops),
+            ("sim.ticks", s.ticks),
+            ("sim.migration_evaluations", s.migration_evaluations),
+            ("sim.moved_objects", s.moved_objects),
+        ] {
+            if n > 0 {
+                obs.counter(name, n);
+            }
+        }
+        if s.moved_objects > 0 {
+            obs.counter("sim.moved_bytes", s.moved_bytes);
+        }
+        self.cluster.publish_wear(obs);
     }
 
     // ---- crash recovery -------------------------------------------------
@@ -604,6 +623,7 @@ mod tests {
             "the full op stream must cross at least one wear tick"
         );
         assert_eq!(w.stats().ticks, ticked);
+        w.publish(&mut obs);
         assert_eq!(obs.counter_value("sim.ticks"), ticked);
         assert_eq!(w.stats().applied_ops, lines.len() as u64);
         // Journal time is non-decreasing (canonical order holds).
@@ -628,6 +648,7 @@ mod tests {
                 ApplyOutcome::Applied { .. }
             ));
         }
+        w.publish(&mut obs);
         let mut journal = Vec::new();
         obs.write_jsonl(&mut journal).unwrap();
         // FNV-1a, as in `edm_scenario::report_digest`.
@@ -680,39 +701,50 @@ mod tests {
         }
     }
 
-    #[test]
-    fn checkpoint_resume_converges_with_uninterrupted_run() {
+    /// The first 3000 ops of the test stream fed to an uninterrupted
+    /// world, and to one interrupted at op 1000, resumed from its
+    /// checkpoint and re-fed all of them; each with the metrics-level
+    /// recorder it was fed through.
+    fn uninterrupted_and_resumed(
+        tag: &str,
+    ) -> ((LiveWorld, MemoryRecorder), (LiveWorld, MemoryRecorder)) {
         #[expect(
             clippy::disallowed_methods,
             reason = "test scratch directory; its location never reaches simulation state"
         )]
-        let dir = std::env::temp_dir().join(format!("edm-serve-live-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("edm-serve-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let ops = dump_ops(&scenario());
         let lines: Vec<&str> = ops.lines().take(3000).collect();
+        let feed = |w: &mut LiveWorld, lines: &[&str], obs: &mut MemoryRecorder| {
+            for line in lines {
+                w.apply_line(line, obs);
+            }
+        };
 
-        // Uninterrupted run.
         let mut a = LiveWorld::new(scenario()).unwrap();
         let mut obs_a = MemoryRecorder::new(ObsLevel::Metrics);
-        for line in &lines {
-            a.apply_line(line, &mut obs_a);
-        }
+        feed(&mut a, &lines, &mut obs_a);
 
-        // Interrupted at op 1000, resumed, re-fed the FULL stream.
         let mut b1 = LiveWorld::new(scenario()).unwrap();
-        let mut obs_b = MemoryRecorder::new(ObsLevel::Metrics);
-        for line in lines.iter().take(1000) {
-            b1.apply_line(line, &mut obs_b);
-        }
+        feed(
+            &mut b1,
+            &lines[..1000],
+            &mut MemoryRecorder::new(ObsLevel::Metrics),
+        );
         let path = b1.checkpoint_now(&dir).unwrap();
         drop(b1);
         let mut b2 = LiveWorld::resume(&path).unwrap();
         let mut obs_b2 = MemoryRecorder::new(ObsLevel::Metrics);
-        for line in &lines {
-            b2.apply_line(line, &mut obs_b2);
-        }
-
+        feed(&mut b2, &lines, &mut obs_b2);
+        let _ = std::fs::remove_dir_all(&dir);
         assert_eq!(b2.skipped_ops(), 1000);
+        ((a, obs_a), (b2, obs_b2))
+    }
+
+    #[test]
+    fn checkpoint_resume_converges_with_uninterrupted_run() {
+        let ((a, _), (b2, _)) = uninterrupted_and_resumed("live");
         assert_eq!(a.stats(), b2.stats());
         assert_eq!(a.now_us(), b2.now_us());
         // Device-level state converges too: wear, placement, free space.
@@ -726,6 +758,39 @@ mod tests {
             assert_eq!(oa.free_bytes(), ob.free_bytes(), "osd {o}");
             assert_eq!(oa.object_count(), ob.object_count(), "osd {o}");
         }
-        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A resumed world publishes the whole session's counts into the
+    /// recorder it was fed through, as the daemon does before writing
+    /// the journal: the same trailers as the uninterrupted world's.
+    #[test]
+    fn resumed_world_publishes_the_whole_sessions_trailers() {
+        let ((a, mut obs_a), (b2, mut obs_b2)) = uninterrupted_and_resumed("publish");
+        a.publish(&mut obs_a);
+        b2.publish(&mut obs_b2);
+        let published = |obs: &MemoryRecorder| {
+            let names = [
+                "serve.ops_applied",
+                "sim.ticks",
+                "sim.migration_evaluations",
+                "sim.moved_objects",
+                "sim.moved_bytes",
+                "ftl.block_erases",
+                "ftl.gc_page_moves",
+            ];
+            names.map(|n| (n, obs.counters().get(n).copied()))
+        };
+        let whole = published(&obs_a);
+        assert!(whole.iter().all(|(_, v)| v.is_some()), "{whole:?}");
+        assert_eq!(published(&obs_b2), whole);
+        let erases: u64 = a
+            .cluster()
+            .osds
+            .iter()
+            .map(|o| o.ssd().wear().block_erases)
+            .sum();
+        assert_eq!(obs_a.counter_value("ftl.block_erases"), erases);
+        let ops = dump_ops(&scenario()).lines().count() as u64;
+        assert_eq!(obs_a.counter_value("serve.ops_applied"), ops);
     }
 }

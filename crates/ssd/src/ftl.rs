@@ -737,8 +737,6 @@ impl PageLevelFtl {
         self.free_blocks.push(victim, wear);
         self.stats.block_erases += 1;
         self.stats.gc_page_moves += valid as u64;
-        obs.counter("ftl.block_erases", 1);
-        obs.counter("ftl.gc_page_moves", valid as u64);
         if obs.events_on() {
             obs.event(Event::BlockErase {
                 block: victim as u64,

@@ -57,8 +57,6 @@ fn journal_counters_match_wear_stats() {
     let ftl = run(FtlConfig::default(), &mut rec);
     let stats = ftl.stats();
     assert!(stats.block_erases > 0, "workload must exercise GC");
-    assert_eq!(rec.counter_value("ftl.block_erases"), stats.block_erases);
-    assert_eq!(rec.counter_value("ftl.gc_page_moves"), stats.gc_page_moves);
     assert_eq!(
         rec.count_kind("block_erase") as u64,
         stats.block_erases,
@@ -98,6 +96,6 @@ fn static_leveling_swaps_are_journaled() {
 fn metrics_level_has_counters_but_no_journal() {
     let mut rec = MemoryRecorder::new(ObsLevel::Metrics);
     run(FtlConfig::default(), &mut rec);
-    assert!(rec.counter_value("ftl.block_erases") > 0);
+    assert!(rec.counter_value("ftl.gc_invocations") > 0);
     assert!(rec.journal().is_empty());
 }

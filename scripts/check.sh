@@ -208,7 +208,8 @@ EOF
     # An uninterrupted run and a run resumed from a mid-run checkpoint
     # must print bit-identical reports and determinism digests, and end
     # their metrics journals with the same trailers for the facts the
-    # run's tallies own (the OSD fails before the mid-run checkpoint).
+    # run's tallies and the devices' wear counters own (the OSD fails
+    # before the mid-run checkpoint).
     local ckpt_dir
     scratch_dir; ckpt_dir="$SCRATCH_DIR"
     cat > "$ckpt_dir/ckpt.scn" <<'EOF'
@@ -233,12 +234,12 @@ EOF
         > "$ckpt_dir/resumed.txt" 2> /dev/null
     diff "$ckpt_dir/uninterrupted.txt" "$ckpt_dir/resumed.txt" \
         || { echo "ckpt smoke: resumed run diverged from uninterrupted run"; exit 1; }
-    local leg tallied='"name":"(sim\.(ops_completed|rebuilds_finished|device_failures)|response_us)"'
+    local leg tallied='"name":"(sim\.(ops_completed|moved_objects|rebuilds_finished|device_failures)|ftl\.(block_erases|gc_page_moves)|response_us)"'
     for leg in uninterrupted resumed; do
         grep -E "$tallied" "$ckpt_dir/$leg.jsonl" > "$ckpt_dir/$leg.tallies"
     done
-    [ "$(wc -l < "$ckpt_dir/uninterrupted.tallies")" -eq 4 ] \
-        || { echo "ckpt smoke: want 4 tally trailers, got:"; cat "$ckpt_dir/uninterrupted.tallies"; exit 1; }
+    [ "$(wc -l < "$ckpt_dir/uninterrupted.tallies")" -eq 7 ] \
+        || { echo "ckpt smoke: want 7 tally trailers, got:"; cat "$ckpt_dir/uninterrupted.tallies"; exit 1; }
     diff "$ckpt_dir/uninterrupted.tallies" "$ckpt_dir/resumed.tallies" \
         || { echo "ckpt smoke: resumed run's tally trailers diverged"; exit 1; }
     grep -q "determinism digest 0x" "$ckpt_dir/resumed.txt" \
@@ -524,7 +525,9 @@ EOF
     # (3) Kill-and-resume: feed a third of the stream, cut a checkpoint,
     # kill -9 the daemon, resume from the snapshot, re-feed the ENTIRE
     # stream. Dedup skips the checkpointed prefix and /stats must
-    # converge bit-identically on the uninterrupted run's.
+    # converge bit-identically on the uninterrupted run's, and so must
+    # the journal trailers of what the world's stats and the devices'
+    # wear counters own.
     local part
     part=$(( total_ops / 3 ))
     head -n "$part" "$serve_dir/ops.txt" > "$serve_dir/ops-part.txt"
@@ -557,7 +560,7 @@ EOF
     [ "$code" -eq 1 ] && [ "$(wc -l <<< "$err")" -eq 1 ] && grep -q "no 'engine' section" <<< "$err" \
         || { echo "serve: edm-sim --resume of an ingest checkpoint exited $code, want 1 and one line: $err"; exit 1; }
     "$(bin edm-serve)" --resume "$snap" --mode ingest \
-        --port-file "$serve_dir/c.port" > /dev/null &
+        --port-file "$serve_dir/c.port" --journal "$serve_dir/resumed.jsonl" > /dev/null &
     local c_pid=$!
     serve_wait_port "$serve_dir/c.port"
     serve_post "$SERVE_PORT" /ingest "$serve_dir/ops-end.txt" > /dev/null
@@ -570,6 +573,13 @@ EOF
     wait "$c_pid"
     diff "$serve_dir/stats-uninterrupted.json" "$serve_dir/stats-resumed.json" \
         || { echo "serve: killed-and-resumed /stats diverged from uninterrupted run"; exit 1; }
+    local published='"name":"(serve\.ops_applied|sim\.(ticks|migration_evaluations|moved_objects|moved_bytes)|ftl\.(block_erases|gc_page_moves))"'
+    grep -E "$published" "$serve_dir/ingest.jsonl" > "$serve_dir/ingest.published"
+    grep -E "$published" "$serve_dir/resumed.jsonl" > "$serve_dir/resumed.published"
+    [ "$(wc -l < "$serve_dir/ingest.published")" -eq 7 ] \
+        || { echo "serve: want 7 published trailers, got:"; cat "$serve_dir/ingest.published"; exit 1; }
+    diff "$serve_dir/ingest.published" "$serve_dir/resumed.published" \
+        || { echo "serve: killed-and-resumed journal trailers diverged from uninterrupted run"; exit 1; }
 
     # (4) The same stream at `--obs-level metrics` into a `dir:` backend:
     # below `events` the journal keeps no events, yet the backend must

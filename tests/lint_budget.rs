@@ -13,7 +13,7 @@ const DET_LINTS: &str = "disallowed_methods disallowed_types iter_over_hash_type
 /// review sees it; a removed one is a number lowered.
 const BUDGETS: &[(&str, usize, usize)] = &[
     ("cluster", 24, 5),
-    ("core", 8, 0),
+    ("core", 7, 0),
     ("fuzz", 0, 4),
     ("harness", 3, 7),
     ("model", 0, 0),

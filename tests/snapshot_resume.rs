@@ -111,14 +111,18 @@ fn faulted_migrating_run_resumes_bit_identically() {
     cleanup(&snaps);
 }
 
-/// The trailer lines of the facts a run's tallies own and publish once.
+/// The trailer lines of the facts a run's tallies and its devices' wear
+/// counters own and publish once.
 fn tally_trailers(rec: &MemoryRecorder) -> Vec<String> {
     let mut buf = Vec::new();
     rec.write_jsonl(&mut buf).expect("write journal");
     let names = [
         "sim.ops_completed",
+        "sim.moved_objects",
         "sim.rebuilds_finished",
         "sim.device_failures",
+        "ftl.block_erases",
+        "ftl.gc_page_moves",
         "response_us",
     ]
     .map(|n| format!("\"name\":\"{n}\""));
@@ -131,10 +135,11 @@ fn tally_trailers(rec: &MemoryRecorder) -> Vec<String> {
 }
 
 /// A run resumed from its middle checkpoint at `metrics` level ends with
-/// the uninterrupted run's completed-op, rebuild, failure and response
-/// trailers, and they are the report's: the tallies are restored from
-/// the checkpoint and handed to the recorder once, at the end. (The
-/// gate scenario's OSD fails before that checkpoint is cut.)
+/// the uninterrupted run's completed-op, move, rebuild, failure, erase,
+/// GC-relocation and response trailers, and they are the report's: the
+/// tallies and wear counters are restored from the checkpoint and handed
+/// to the recorder once, at the end. (The gate scenario's OSD fails
+/// before that checkpoint is cut.)
 #[test]
 fn resumed_run_publishes_the_whole_runs_tallies() {
     let scenario = faulted_scenario();
@@ -149,12 +154,17 @@ fn resumed_run_publishes_the_whole_runs_tallies() {
     assert_eq!(tally_trailers(&resumed), tally_trailers(&whole));
     assert_eq!(
         tally_trailers(&whole).len(),
-        4,
+        7,
         "{:?}",
         tally_trailers(&whole)
     );
+    let erases: u64 = report.per_osd.iter().map(|o| o.erase_count).sum();
+    let gc_moves: u64 = report.per_osd.iter().map(|o| o.gc_page_moves).sum();
     for rec in [&whole, &resumed] {
         assert_eq!(rec.counter_value("sim.ops_completed"), report.completed_ops);
+        assert_eq!(rec.counter_value("sim.moved_objects"), report.moved_objects);
+        assert_eq!(rec.counter_value("ftl.block_erases"), erases);
+        assert_eq!(rec.counter_value("ftl.gc_page_moves"), gc_moves);
         assert_eq!(
             rec.counter_value("sim.rebuilds_finished"),
             report.rebuilt_objects
