@@ -898,7 +898,13 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
         }
     }
 
+    /// Queues a foreground sub-op. Its queue events carry the OSD's
+    /// component, not the caller's scope, which may be none (after a
+    /// midpoint plan in `finish_subop`) or a client's whose object CMT
+    /// moved into another component: the journal's `(t_us, comp)` merge
+    /// must keep each OSD's enqueues and dequeues in order.
     fn enqueue(&mut self, osd: OsdId, sub: SubReq) {
+        self.scope_component_osd(osd);
         let o = osd.0 as usize;
         self.queues[o].push_back(sub);
         self.tally.peak_queue_depth[o] =
@@ -921,6 +927,7 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
     /// which an object is blocked as short as possible (one foreground
     /// request may still be mid-service ahead of it).
     fn enqueue_mover(&mut self, osd: OsdId, sub: SubReq) {
+        self.scope_component_osd(osd);
         self.queues[osd.0 as usize].push_front(sub);
         self.obs.counter("sim.mover_chunks_enqueued", 1);
         if self.obs.events_on() {
@@ -936,8 +943,11 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
     }
 
     /// Pops the head of the OSD queue, performs the device operation, and
-    /// schedules its completion.
+    /// schedules its completion. Scoped to the OSD's component like
+    /// [`enqueue`](Self::enqueue): a completion handler may have queued
+    /// on another component's OSD before this OSD's next service starts.
     fn start_service(&mut self, osd: OsdId) {
+        self.scope_component_osd(osd);
         let o = osd.0 as usize;
         debug_assert!(self.current[o].is_none(), "OSD {osd} double-booked");
         let Some(sub) = self.queues[o].pop_front() else {
@@ -1174,6 +1184,10 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
             self.enqueue_mover(action.source, sub);
             return;
         }
+        // The rest edits the source's queue without queue events; the
+        // spec learns of it from `migration_finish`, which must therefore
+        // sort with the source's component, not the destination's.
+        self.scope_component_osd(action.source);
         // Requests for this object still queued at the source — enqueued
         // before the move started (mover chunks overtake them in the
         // queue), or during it for non-blocking lazy copies — must be

@@ -2,35 +2,15 @@
 
 use crate::temperature::AccessTracker;
 
-/// Which engine vets a plan before the policy publishes it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// Read by nothing: EDM trims every plan with
+/// `evaluate::trim_to_improvement`. The enum and edm-scenario's
+/// `Scenario::assessor` field stay only because the benchmark package
+/// still names `Assessor::Model`; both go when the benchmark moves off
+/// them (ROADMAP item 3).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Assessor {
-    /// The one-window projection loop over every object footprint — the
-    /// reference semantics (default).
-    #[default]
     Projection,
-    /// The incremental fast path (`trim_to_improvement_model`):
-    /// O(1)-per-trimmed-move evaluation, with the published plan still
-    /// reference-checked so it can never disagree with `Projection` on
-    /// whether a plan improves balance.
     Model,
-}
-
-impl Assessor {
-    pub fn label(&self) -> &'static str {
-        match self {
-            Assessor::Projection => "projection",
-            Assessor::Model => "model",
-        }
-    }
-
-    pub fn from_label(label: &str) -> Option<Assessor> {
-        match label {
-            "projection" => Some(Assessor::Projection),
-            "model" => Some(Assessor::Model),
-            _ => None,
-        }
-    }
 }
 
 /// Tunables shared by EDM-HDF and EDM-CDF.
@@ -45,9 +25,6 @@ pub struct EdmConfig {
     pub force: bool,
     /// Width of one temperature interval (Eq. 5's time-line split).
     pub temperature_interval_us: u64,
-    /// Plan-vetting engine (reference projection loop vs the incremental
-    /// fast path).
-    pub assessor: Assessor,
 }
 
 impl Default for EdmConfig {
@@ -56,7 +33,6 @@ impl Default for EdmConfig {
             lambda: 0.10,
             force: true,
             temperature_interval_us: AccessTracker::DEFAULT_INTERVAL_US,
-            assessor: Assessor::Projection,
         }
     }
 }
@@ -87,15 +63,6 @@ mod tests {
         assert!((edm_model::MODEL_SIGMA - 0.28).abs() < 1e-12);
         assert_eq!(crate::alg1::ITERATIONS, 500);
         assert!((crate::alg1::EPS_STEP - 0.001).abs() < 1e-12);
-    }
-
-    #[test]
-    fn assessor_labels_round_trip() {
-        assert_eq!(EdmConfig::default().assessor, Assessor::Projection);
-        for a in [Assessor::Projection, Assessor::Model] {
-            assert_eq!(Assessor::from_label(a.label()), Some(a));
-        }
-        assert_eq!(Assessor::from_label("simulator"), None);
     }
 
     #[test]

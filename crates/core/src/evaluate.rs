@@ -100,156 +100,6 @@ pub fn trim_to_improvement(
     plan
 }
 
-/// Per-device projection inputs shared by the reference assessment and
-/// the incremental fast path: write counts, capacities, live bytes, next
-/// window write rates, and each object's (size, write pages) footprint.
-struct ProjectionInputs {
-    wc: Vec<f64>,
-    capacity: Vec<f64>,
-    live_bytes: Vec<f64>,
-    rate: Vec<f64>,
-    footprint: HashMap<ObjectId, (u64, u64)>,
-}
-
-impl ProjectionInputs {
-    /// Eq. 4 per device one window ahead, for the given next-window
-    /// write rates and live bytes.
-    fn project(&self, rate: &[f64], live_bytes: &[f64], model: &MeanFieldModel) -> Vec<f64> {
-        (0..self.wc.len())
-            .map(|i| {
-                model.erase_count(
-                    self.wc[i] + rate[i].max(0.0),
-                    (live_bytes[i] / self.capacity[i]).clamp(0.0, 1.0),
-                )
-            })
-            .collect()
-    }
-
-    /// (size, window write pages) of an object; zeros when the view does
-    /// not hold it.
-    fn footprint_of(&self, object: ObjectId) -> (u64, u64) {
-        self.footprint.get(&object).copied().unwrap_or((0, 0))
-    }
-}
-
-fn projection_inputs(view: &ClusterView, tracker: &AccessTracker) -> ProjectionInputs {
-    let n = view.osds.len();
-    let wc = view.osds.iter().map(|o| o.wc_pages as f64).collect();
-    let capacity = view.osds.iter().map(|o| o.capacity_bytes as f64).collect();
-    let live_bytes = view
-        .osds
-        .iter()
-        .map(|o| o.utilization * o.capacity_bytes as f64)
-        .collect();
-    // Per-device write rate for the next window, and each object's
-    // (size, window write pages) footprint for applying the moves.
-    let mut rate = vec![0.0f64; n];
-    let mut footprint: HashMap<ObjectId, (u64, u64)> = HashMap::new();
-    for o in &view.objects {
-        let pages = tracker.heat(o.object, view.now_us).window_write_pages;
-        rate[o.osd.0 as usize] += pages as f64;
-        footprint.insert(o.object, (o.size_bytes, pages));
-    }
-    ProjectionInputs {
-        wc,
-        capacity,
-        live_bytes,
-        rate,
-        footprint,
-    }
-}
-
-/// Drop-in replacement for [`trim_to_improvement`] with incremental
-/// moments, selected with [`crate::config::Assessor::Model`].
-///
-/// The reference loop re-projects every device for every candidate plan
-/// length — O(plan² + plan·cluster). Here each device's projected erase
-/// count comes from the model once, running sums of the first two
-/// moments are maintained incrementally, and undoing a trailing move
-/// touches exactly two devices — O(1) per trimmed move after the O(n)
-/// setup.
-///
-/// Both use the same `model`; only the RSD arithmetic differs (running
-/// sums here, two passes in the reference). The published plan is still
-/// vetted by the reference projection before being returned: if the two
-/// ever disagree on "does this plan improve balance", the reference wins
-/// and the reference trim runs — so this function can never publish a
-/// plan [`trim_to_improvement`] would reject.
-pub fn trim_to_improvement_model(
-    view: &ClusterView,
-    plan: Vec<MoveAction>,
-    tracker: &AccessTracker,
-    model: &MeanFieldModel,
-) -> Vec<MoveAction> {
-    if plan.is_empty() {
-        return plan;
-    }
-    let n = view.osds.len();
-    let mut inp = projection_inputs(view, tracker);
-
-    let project_one = |inp: &ProjectionInputs, i: usize| -> f64 {
-        model.erase_count(
-            inp.wc[i] + inp.rate[i].max(0.0),
-            (inp.live_bytes[i] / inp.capacity[i]).clamp(0.0, 1.0),
-        )
-    };
-    let rsd_of = |sum: f64, sumsq: f64| -> f64 {
-        let mean = sum / n as f64;
-        if mean <= 0.0 {
-            return 0.0;
-        }
-        (sumsq / n as f64 - mean * mean).max(0.0).sqrt() / mean
-    };
-
-    let erases_before: Vec<f64> = (0..n).map(|i| project_one(&inp, i)).collect();
-    let rsd_before = rsd_of(
-        erases_before.iter().sum(),
-        erases_before.iter().map(|e| e * e).sum(),
-    );
-
-    // Apply the whole plan, then project once and walk backwards.
-    for m in &plan {
-        let (size, pages) = inp.footprint_of(m.object);
-        let (s, d) = (m.source.0 as usize, m.dest.0 as usize);
-        inp.rate[s] -= pages as f64;
-        inp.rate[d] += pages as f64;
-        inp.live_bytes[s] -= size as f64;
-        inp.live_bytes[d] += size as f64;
-    }
-    let mut erases: Vec<f64> = (0..n).map(|i| project_one(&inp, i)).collect();
-    let mut sum: f64 = erases.iter().sum();
-    let mut sumsq: f64 = erases.iter().map(|e| e * e).sum();
-
-    let mut trimmed = plan;
-    while rsd_of(sum, sumsq) > rsd_before + 1e-9 {
-        let Some(m) = trimmed.pop() else {
-            break;
-        };
-        // Undo the move: only its two endpoints re-project.
-        let (size, pages) = inp.footprint_of(m.object);
-        let (s, d) = (m.source.0 as usize, m.dest.0 as usize);
-        inp.rate[s] += pages as f64;
-        inp.rate[d] -= pages as f64;
-        inp.live_bytes[s] += size as f64;
-        inp.live_bytes[d] -= size as f64;
-        for i in [s, d] {
-            let fresh = project_one(&inp, i);
-            sum += fresh - erases[i];
-            sumsq += fresh * fresh - erases[i] * erases[i];
-            erases[i] = fresh;
-        }
-    }
-
-    // Reference guardrail: the journaled invariant (`rsd_after <=
-    // rsd_before + 1e-9` under the projection) must hold for whatever we
-    // publish, so the reference engine has the last word.
-    if assess_plan(view, &trimmed, tracker, model).is_improvement() {
-        trimmed
-    } else {
-        trim_to_improvement(view, trimmed, tracker, model)
-    }
-}
-
 /// Assesses `plan` against `view`, using `tracker` for per-object write
 /// footprints (the same estimates the policies plan with).
 pub fn assess_plan(
@@ -261,10 +111,16 @@ pub fn assess_plan(
     Baseline::new(view, tracker, model).assess(plan)
 }
 
-/// The reference assessor's plan-independent half: the projection inputs
-/// of one (view, tracker) and the projection without any plan.
+/// The assessment's plan-independent half for one (view, tracker): per
+/// device write counts, capacities, live bytes and next-window write
+/// rates, each object's (size, window write pages) footprint, and the
+/// projection without any plan.
 struct Baseline<'a> {
-    inputs: ProjectionInputs,
+    wc: Vec<f64>,
+    capacity: Vec<f64>,
+    live_bytes: Vec<f64>,
+    rate: Vec<f64>,
+    footprint: HashMap<ObjectId, (u64, u64)>,
     model: &'a MeanFieldModel,
     erases_before: Vec<f64>,
     rsd_before: f64,
@@ -272,23 +128,57 @@ struct Baseline<'a> {
 
 impl<'a> Baseline<'a> {
     fn new(view: &ClusterView, tracker: &AccessTracker, model: &'a MeanFieldModel) -> Self {
-        let inputs = projection_inputs(view, tracker);
-        let erases_before = inputs.project(&inputs.rate, &inputs.live_bytes, model);
-        Baseline {
-            rsd_before: trigger::evaluate(&erases_before, 0.0).rsd,
-            erases_before,
-            inputs,
-            model,
+        let n = view.osds.len();
+        let wc = view.osds.iter().map(|o| o.wc_pages as f64).collect();
+        let capacity = view.osds.iter().map(|o| o.capacity_bytes as f64).collect();
+        let live_bytes = view
+            .osds
+            .iter()
+            .map(|o| o.utilization * o.capacity_bytes as f64)
+            .collect();
+        let mut rate = vec![0.0f64; n];
+        let mut footprint: HashMap<ObjectId, (u64, u64)> = HashMap::new();
+        for o in &view.objects {
+            let pages = tracker.heat(o.object, view.now_us).window_write_pages;
+            rate[o.osd.0 as usize] += pages as f64;
+            footprint.insert(o.object, (o.size_bytes, pages));
         }
+        let mut baseline = Baseline {
+            wc,
+            capacity,
+            live_bytes,
+            rate,
+            footprint,
+            model,
+            erases_before: Vec::new(),
+            rsd_before: 0.0,
+        };
+        baseline.erases_before = baseline.project(&baseline.rate, &baseline.live_bytes);
+        baseline.rsd_before = trigger::evaluate(&baseline.erases_before, 0.0).rsd;
+        baseline
+    }
+
+    /// Eq. 4 per device one window ahead, for the given next-window
+    /// write rates and live bytes.
+    fn project(&self, rate: &[f64], live_bytes: &[f64]) -> Vec<f64> {
+        (0..self.wc.len())
+            .map(|i| {
+                self.model.erase_count(
+                    self.wc[i] + rate[i].max(0.0),
+                    (live_bytes[i] / self.capacity[i]).clamp(0.0, 1.0),
+                )
+            })
+            .collect()
     }
 
     fn assess(&self, plan: &[MoveAction]) -> PlanAssessment {
-        let mut rate = self.inputs.rate.clone();
-        let mut live_bytes = self.inputs.live_bytes.clone();
+        let mut rate = self.rate.clone();
+        let mut live_bytes = self.live_bytes.clone();
         let mut moved_bytes = 0u64;
         let mut moved_write_pages = 0u64;
         for m in plan {
-            let (size, pages) = self.inputs.footprint_of(m.object);
+            // Zeros for an object the view does not hold.
+            let (size, pages) = self.footprint.get(&m.object).copied().unwrap_or((0, 0));
             moved_bytes += size;
             moved_write_pages += pages;
             let (s, d) = (m.source.0 as usize, m.dest.0 as usize);
@@ -297,7 +187,7 @@ impl<'a> Baseline<'a> {
             live_bytes[s] -= size as f64;
             live_bytes[d] += size as f64;
         }
-        let erases_after = self.inputs.project(&rate, &live_bytes, self.model);
+        let erases_after = self.project(&rate, &live_bytes);
         PlanAssessment {
             rsd_before: self.rsd_before,
             rsd_after: trigger::evaluate(&erases_after, 0.0).rsd,
@@ -467,49 +357,6 @@ mod tests {
         assert_eq!(trimmed, vec![good]);
         // ...and the empty plan is a fixed point.
         assert!(trim_to_improvement(&v, Vec::new(), &t, &model).is_empty());
-    }
-
-    #[test]
-    fn model_trim_agrees_with_the_reference() {
-        // Same fixture as trim_drops_overshooting_tail_moves: the fast
-        // path must keep the good move, drop the overshooting tail, and
-        // never publish anything the projection reference rejects.
-        let mut v = view();
-        for (osd, wc) in v.osds.iter_mut().zip([30_000u64, 28_000, 22_000, 28_000]) {
-            osd.wc_pages = wc;
-        }
-        v.objects[1].size_bytes = 380 << 20;
-        let model = MeanFieldModel::paper(32);
-        let mut t = AccessTracker::new(60_000_000);
-        for _ in 0..40 {
-            t.record(AccessEvent {
-                now_us: 500,
-                object: ObjectId(1),
-                kind: AccessKind::Write,
-                pages: 100,
-            });
-        }
-        let good = MoveAction {
-            object: ObjectId(1),
-            source: OsdId(0),
-            dest: OsdId(2),
-        };
-        let overshoot = MoveAction {
-            object: ObjectId(2),
-            source: OsdId(0),
-            dest: OsdId(2),
-        };
-        for plan in [
-            vec![good, overshoot],
-            vec![good],
-            vec![overshoot],
-            Vec::new(),
-        ] {
-            let fast = trim_to_improvement_model(&v, plan.clone(), &t, &model);
-            let reference = trim_to_improvement(&v, plan, &t, &model);
-            assert_eq!(fast, reference);
-            assert!(assess_plan(&v, &fast, &t, &model).is_improvement());
-        }
     }
 
     /// The EDM policies' plans must always assess as improvements on the

@@ -24,14 +24,14 @@
 //! * [`plan`] — distributing selected objects over destinations "in
 //!   proportion to ΔWc" under free-space budgets;
 //! * [`config`] — the tunables a run may set (λ, forced planning, the
-//!   temperature interval, the plan assessor); σ = 0.28 and Algorithm 1's
+//!   temperature interval); σ = 0.28 and Algorithm 1's
 //!   500 iterations, ε = 0.001 and 50 % CDF floor are fixed.
 //!
 //! The SSD wear model of Eq. 1–4 — erase count as a function of host
 //! write pages `Wc` and disk utilization `u`, with the skew-corrected uᵣ
 //! relation (σ = 0.28, Fig. 3) — is `edm-model`'s
 //! [`MeanFieldModel::paper`](edm_model::MeanFieldModel::paper); the
-//! trigger, Algorithm 1 and the plan assessors all evaluate it. The
+//! trigger, Algorithm 1 and the plan assessor all evaluate it. The
 //! remapping-table manager and data mover of Fig. 4 live in
 //! `edm-cluster` (`remap`, `sim`), where the moved objects are actually
 //! tracked and shuffled.
@@ -62,7 +62,7 @@ pub mod trigger;
 
 pub use alg1::{calculate_cdf, calculate_hdf, free_pages_per_erase, MovementAmounts};
 pub use config::{Assessor, EdmConfig};
-pub use evaluate::{assess_plan, trim_to_improvement_model, PlanAssessment};
+pub use evaluate::{assess_plan, PlanAssessment};
 pub use lifetime::{DeviceLifetime, EnduranceSpec};
 pub use policy::{Cmt, CmtConfig, Edm, Selection};
 pub use temperature::{AccessTracker, ObjectHeat};

@@ -25,8 +25,8 @@ use edm_snap::{SnapReader, SnapWriter, Snapshot};
 use crate::alg1::{
     calculate_cdf, calculate_hdf, free_pages_per_erase, MovementAmounts, MIN_SOURCE_UTILIZATION,
 };
-use crate::config::{Assessor, EdmConfig};
-use crate::evaluate::{assess_plan_obs, trim_to_improvement, trim_to_improvement_model};
+use crate::config::EdmConfig;
+use crate::evaluate::{assess_plan_obs, trim_to_improvement};
 use crate::plan::{dest_budget_bytes, distribute, Destination, Selected};
 use crate::policy::{emit_plan_chosen, emit_wear_inputs, members_by_group};
 use crate::temperature::{AccessTracker, ObjectHeat};
@@ -269,10 +269,7 @@ impl Migrator for Edm {
         }
         // Whole-object selection can overshoot Algorithm 1's demand; never
         // publish a plan the model predicts makes the imbalance worse.
-        let plan = match self.cfg.assessor {
-            Assessor::Projection => trim_to_improvement(view, plan, &self.tracker, &model),
-            Assessor::Model => trim_to_improvement_model(view, plan, &self.tracker, &model),
-        };
+        let plan = trim_to_improvement(view, plan, &self.tracker, &model);
         emit_plan_chosen(rule.label(), view, &plan, obs);
         if obs.events_on() {
             assess_plan_obs(view, &plan, &self.tracker, &model, obs);

@@ -77,7 +77,6 @@ mod tests {
              force false\nclient_concurrency 16\nfail 100000 3 rebuild\nfail 200000 1\n",
             "groups 2\nobjects_per_file 2\n",
             "groups 4\nobjects_per_file 2\nstride 2\nshards 2\naffinity component\n",
-            "assessor model\n",
         ];
         for t in texts {
             let s = Scenario::parse(t).expect("parse");

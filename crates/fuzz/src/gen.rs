@@ -9,7 +9,7 @@
 //! a resume) lands in well under a second.
 
 use edm_cluster::{ClientAffinity, FailureSpec, MigrationSchedule, OsdId};
-use edm_core::{Assessor, POLICY_NAMES};
+use edm_core::POLICY_NAMES;
 use edm_scenario::Scenario;
 use edm_workload::harvard::TRACE_NAMES;
 
@@ -58,13 +58,6 @@ pub fn generate(rng: &mut Rng) -> Scenario {
     };
     if let Some(&l) = rng.pick(&LAMBDAS) {
         s.lambda = l;
-    }
-    // A share of draws plan with the analytic mean-field assessor
-    // (edm-model) instead of the projection loop; the whole battery then
-    // runs on that path, and `spec_conformance` holds its guardrail —
-    // never publish a plan whose projected RSD worsens.
-    if rng.below(4) == 0 {
-        s.assessor = Assessor::Model;
     }
     s.force = rng.coin();
     s.client_concurrency = if rng.coin() {
@@ -161,8 +154,6 @@ mod tests {
             .iter()
             .any(|s| s.schedule == MigrationSchedule::EveryTick));
         assert!(scenarios.iter().any(|s| s.trace == "random"));
-        assert!(scenarios.iter().any(|s| s.assessor == Assessor::Model));
-        assert!(scenarios.iter().any(|s| s.assessor == Assessor::Projection));
         // The datacenter shape must come up: stride > 1 with component
         // affinity and worker shards, so the parallel engine is fuzzed.
         assert!(scenarios

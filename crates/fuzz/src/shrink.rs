@@ -56,7 +56,7 @@ fn candidates(s: &Scenario) -> Vec<Scenario> {
     }
     // Reset each field to its default, one at a time, so the repro text
     // (which omits default-valued keys) keeps only what matters.
-    let resets: [fn(&mut Scenario, &Scenario); 12] = [
+    let resets: [fn(&mut Scenario, &Scenario); 11] = [
         |c, d| c.trace = d.trace.clone(),
         |c, d| c.policy = d.policy.clone(),
         |c, d| c.schedule = d.schedule,
@@ -68,7 +68,6 @@ fn candidates(s: &Scenario) -> Vec<Scenario> {
         |c, d| c.shards = d.shards,
         |c, d| c.affinity = d.affinity,
         |c, d| c.stride = d.stride,
-        |c, d| c.assessor = d.assessor,
     ];
     for f in resets {
         let mut c = s.clone();
@@ -127,7 +126,7 @@ mod tests {
         let s = Scenario::parse(
             "trace lair62\nscale 0.003\nosds 16\ngroups 3\nobjects_per_file 3\n\
              policy CMT\nschedule every-tick\nlambda 0.4\nforce false\n\
-             client_concurrency 4\nassessor model\nfail 100000 1 rebuild\nfail 200000 2\n",
+             client_concurrency 4\nfail 100000 1 rebuild\nfail 200000 2\n",
         )
         .expect("parse");
         let (shrunk, f) = shrink(&s, &boom(), &mut |_| Some(boom()));
@@ -137,7 +136,6 @@ mod tests {
         assert_eq!(shrunk.osds, 4);
         assert_eq!(shrunk.policy, "EDM-HDF");
         assert_eq!(shrunk.client_concurrency, None);
-        assert_eq!(shrunk.assessor, edm_core::Assessor::Projection);
     }
 
     #[test]

@@ -13,10 +13,9 @@
 //!
 //! The crate serves two roles:
 //!
-//! * **Scale-out planner** — `O(1)` per-device evaluation lets a planner
-//!   assess a migration plan against thousands of devices without the
-//!   one-window projection loop (`edm-core`'s `Assessor::Model`, applied
-//!   by `trim_to_improvement_model`).
+//! * **The planner's wear model** — `O(1)` per-device evaluation, which
+//!   `edm-core`'s trigger, Algorithm 1 and plan trimmer
+//!   (`trim_to_improvement`, a one-window projection) call per device.
 //! * **Standing differential oracle** — `edm-exp model-diff` runs the
 //!   same parameters through the event-driven simulator and this model
 //!   and gates CI on their divergence ([`divergence`]), so every future
@@ -26,7 +25,7 @@
 //! [`MeanFieldModel`] is the paper's Eq. 2/3, which is the FIFO
 //! cleaning law (see [`meanfield`]), and it is the wear model EDM plans
 //! with (§III.B.1, Eq. 1–4, σ = 0.28): `edm-core`'s trigger, Algorithm 1
-//! and plan assessors all call it, so the function `model-diff` checks is
+//! and plan assessor all call it, so the function `model-diff` checks is
 //! the one every plan uses. The gate's reference is the FTL simulator,
 //! which shares no code with this crate.
 //!

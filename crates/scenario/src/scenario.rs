@@ -59,8 +59,9 @@ pub struct Scenario {
     /// group-sharded execution applicable to the hash-placed workloads
     /// (stride 1, the default, leaves the trace untouched).
     pub stride: u64,
-    /// Plan-vetting engine for the EDM policies: the reference projection
-    /// loop (default) or the `edm-model` closed-form fast path.
+    /// Read by nothing, and neither parsed nor rendered: EDM has one plan
+    /// trimmer. Kept, with [`Assessor`], only while the benchmark package
+    /// still sets it (ROADMAP item 3).
     pub assessor: Assessor,
 }
 
@@ -218,15 +219,6 @@ impl Scenario {
                         }
                     }
                 }
-                "assessor" => {
-                    let label = next("assessor")?;
-                    s.assessor = Assessor::from_label(label).ok_or_else(|| {
-                        format!(
-                            "line {}: unknown assessor {label:?} (projection | model)",
-                            no + 1
-                        )
-                    })?
-                }
                 "stride" => {
                     s.stride = next("stride")?
                         .parse()
@@ -280,7 +272,6 @@ impl Scenario {
             EdmConfig {
                 lambda: self.lambda,
                 force: self.force,
-                assessor: self.assessor,
                 ..EdmConfig::default()
             },
         )
@@ -322,9 +313,6 @@ impl Scenario {
         }
         if self.stride != 1 {
             out.push_str(&format!("stride {}\n", self.stride));
-        }
-        if self.assessor != Assessor::Projection {
-            out.push_str(&format!("assessor {}\n", self.assessor.label()));
         }
         for f in &self.failures {
             out.push_str(&format!("fail {} {}", f.at_us, f.osd.0));
@@ -759,41 +747,6 @@ mod tests {
         assert!(!text.contains("affinity"));
         assert!(!text.contains("stride"));
         assert_eq!(Scenario::parse(&text).unwrap(), d);
-    }
-
-    #[test]
-    fn assessor_key_parses_and_round_trips() {
-        let s = Scenario::parse("assessor model\n").unwrap();
-        assert_eq!(s.assessor, Assessor::Model);
-        assert_eq!(Scenario::parse(&s.to_text()).unwrap(), s);
-        let s = Scenario::parse("assessor projection\n").unwrap();
-        assert_eq!(s.assessor, Assessor::Projection);
-        assert!(Scenario::parse("assessor simulator\n").is_err());
-        // The default stays off the wire for old-checkpoint stability.
-        assert!(!Scenario::default().to_text().contains("assessor"));
-    }
-
-    /// The closed-form assessor is a pure plan-vetting swap: on a run
-    /// where the reference and model engines agree on every published
-    /// plan, the cluster report is identical.
-    #[test]
-    fn model_assessor_matches_projection_end_to_end() {
-        let base = "trace home02\nscale 0.002\nosds 8\ngroups 4\npolicy EDM-HDF\n";
-        let run = |text: &str| {
-            Scenario::parse(text)
-                .unwrap()
-                .run(&mut edm_obs::NoopRecorder, None)
-                .unwrap()
-                .0
-        };
-        let reference = run(base);
-        let fast = run(&format!("{base}assessor model\n"));
-        for (a, b) in reference.per_osd.iter().zip(fast.per_osd.iter()) {
-            assert_eq!(a.erase_count, b.erase_count);
-            assert_eq!(a.write_pages, b.write_pages);
-            assert_eq!(a.gc_page_moves, b.gc_page_moves);
-        }
-        assert_eq!(reference.completed_ops, fast.completed_ops);
     }
 
     #[test]

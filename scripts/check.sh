@@ -23,7 +23,7 @@
 #                    (the corpus journals are verified by `test`, in fuzz_replay)
 #   check.sh serve   edm-serve daemon: ingest pipeline, kill/resume, replay digest,
 #                    dir: backend below the events obs level
-#   check.sh fuzz    edm-fuzz smoke batch (seed 1, six scenarios)
+#   check.sh fuzz    edm-fuzz smoke batches (seed 1, six scenarios; seed 11, 400)
 #   check.sh model   analytic-model differential gate (edm-exp model-diff
 #                    vs scripts/model_tolerances.json)
 #   check.sh record  regenerates the paper record (edm-exp all --full --osds
@@ -610,6 +610,13 @@ step_fuzz() {
     # A fixed seed-1 batch through the full differential-oracle battery.
     # Nightly CI runs the long-budget variant.
     "$(bin edm-fuzz)" --seed 1 --runs 6
+    echo "==> edm-fuzz --seed 11 --runs 400 (component-tagged queue events)"
+    # A wider fixed batch (about 20 s on 2 vCPUs). Its draws include
+    # component-affine runs whose requests queue from a scope other than
+    # their OSD's (after a midpoint plan, or on an object CMT moved into
+    # another component); edm-spec's queue model catches a mis-tagged
+    # op_enqueue there.
+    "$(bin edm-fuzz)" --seed 11 --runs 400
 }
 
 step_model() {

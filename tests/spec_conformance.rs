@@ -1,10 +1,12 @@
 //! The journal's label vocabulary against its emitters, edm-spec's two
-//! feeders against each other on engine runs, and `edm-probe --journal`
-//! against hostile lines. Whether engine runs journal legal transitions
-//! is not checked here: the `spec_conformance` fuzz oracle replays every
-//! generated scenario's journal through edm-spec, and
-//! `tests/fuzz_replay.rs` does the same for every `fuzz/corpus/*.scn`
-//! under `cargo test`.
+//! feeders against each other on engine runs, the queue model on the two
+//! component-affine shapes where a request queues from a scope other
+//! than its OSD's component, and `edm-probe --journal` against hostile
+//! lines. Whether
+//! engine runs in general journal legal transitions is not checked here:
+//! the `spec_conformance` fuzz oracle replays every generated scenario's
+//! journal through edm-spec, and `tests/fuzz_replay.rs` does the same for
+//! every `fuzz/corpus/*.scn` under `cargo test`.
 
 use edm_obs::{MemoryRecorder, ObsLevel};
 use edm_scenario::Scenario;
@@ -101,6 +103,48 @@ fn in_memory_and_file_feeders_agree_on_component_runs() {
         assert_eq!(memory.kind_counts, file.kind_counts, "shards {shards}");
         assert_eq!(memory.components, file.components, "shards {shards}");
         assert!(file.components >= 2, "shards {shards}: untagged journal");
+    }
+}
+
+/// Queue events carry the component of the OSD they queue on, whatever
+/// scope the caller journals under, so the `(t_us, comp)` merge keeps
+/// each OSD's enqueues and dequeues in order: `text`'s Events journal
+/// passes edm-spec through both feeders.
+fn assert_queue_model_holds(text: &str) {
+    let scenario = Scenario::parse(text).expect("scenario parses");
+    let mut rec = MemoryRecorder::new(ObsLevel::Events);
+    scenario.run(&mut rec, None).expect("scenario runs");
+    let mut out = Vec::new();
+    rec.write_jsonl(&mut out).unwrap();
+    let file = edm_spec::verify_journal(&String::from_utf8(out).unwrap());
+    assert!(file.ok(), "{text}: {:?}", file.violation);
+    let memory = edm_spec::verify_entries(&rec);
+    assert!(memory.ok(), "{text}: {:?}", memory.violation);
+}
+
+/// The midpoint plan journals untagged; the op whose completion fired it
+/// then lets its client issue the next request from that scope.
+#[test]
+fn requests_issued_after_the_midpoint_plan_keep_their_osds_component() {
+    assert_queue_model_holds(
+        "trace random\nscale 0.001\nosds 6\nobjects_per_file 2\npolicy Baseline\n\
+         affinity component\n",
+    );
+}
+
+/// CMT moves objects across components, so a client's requests can
+/// queue on an OSD outside the client's own component; a completion
+/// handler can queue on one before its own OSD's next service starts;
+/// and a move finishing on the destination edits the source's queue.
+#[test]
+fn requests_to_objects_cmt_moved_keep_their_osds_component() {
+    for text in [
+        "scale 0.001\nobjects_per_file 2\npolicy CMT\nclient_concurrency 16\nstride 2\n",
+        "scale 0.0015\nosds 12\nobjects_per_file 2\npolicy CMT\nschedule every-tick\n\
+         client_concurrency 4\nstride 2\n",
+        "scale 0.003\nosds 12\nobjects_per_file 2\npolicy CMT\nstride 2\n",
+    ] {
+        assert_queue_model_holds(&format!("{text}affinity component\n"));
     }
 }
 
