@@ -12,6 +12,7 @@ use crate::ids::{ObjectId, OsdId};
 use crate::migrate::{AccessEvent, AccessKind, ClusterView, MoveAction, ObjectView, OsdView};
 use crate::osd::{pages_spanned, Osd, OsdError};
 use crate::raid::{ObjectIo, StripeLayout};
+use crate::shard::run_all;
 
 /// A built cluster: the metadata catalog plus its storage nodes, ready for
 /// replay.
@@ -37,6 +38,81 @@ fn uniform_geometry(osds: &[Osd]) -> Geometry {
 /// "the maximum utilization among all SSDs is about 70 percent" (§IV).
 const TARGET_MAX_UTILIZATION: f64 = 0.70;
 
+/// One device's share of [`Cluster::build`]: its objects in catalog
+/// order, each with its catalog position, then its warm-up.
+struct DeviceSetup<'a> {
+    osd: &'a mut Osd,
+    objects: Vec<(usize, ObjectId, u64)>,
+    /// Where set-up stopped: the catalog position of the object that
+    /// failed to populate (`usize::MAX` for a warm-up), and why.
+    failure: Option<(usize, String)>,
+}
+
+impl DeviceSetup<'_> {
+    /// Populates every object, then warms the device up (or, with
+    /// `skip_warm_up`, zeroes its wear). Stops at the first failure.
+    fn run(&mut self, skip_warm_up: bool) -> Result<(), (usize, String)> {
+        let osd = &mut *self.osd;
+        for &(pos, obj, size) in &self.objects {
+            osd.create_object(obj, size, true)
+                .map_err(|e| (pos, format!("pre-creating {obj} on {}: {e}", osd.id)))?;
+        }
+        if skip_warm_up {
+            osd.reset_wear();
+        } else {
+            osd.warm_up()
+                .map_err(|e| (usize::MAX, format!("warm-up: {e}")))?;
+        }
+        Ok(())
+    }
+}
+
+/// Steps 3 and 4 of [`Cluster::build`]: pre-creates and populates every
+/// object of `catalog` on the device it is located on, then warms every
+/// device up, each device on one of `workers` threads. A device sees the
+/// same op sequence as in one loop over the catalog, and no device
+/// touches another, so the devices end the same for every worker count.
+/// The error is the one that loop reports: the first populate failure in
+/// catalog order, else the first warm-up failure in OSD order.
+fn set_up_devices(
+    catalog: &Catalog,
+    osds: &mut [Osd],
+    skip_warm_up: bool,
+    workers: usize,
+) -> Result<(), String> {
+    // Each device's objects, in catalog order, with their catalog
+    // positions (one pass over the catalog, not one per device).
+    let mut buckets: Vec<Vec<(usize, ObjectId, u64)>> = vec![Vec::new(); osds.len()];
+    let objects = catalog
+        .files()
+        .flat_map(|meta| meta.objects.iter().map(|&obj| (obj, meta.object_size)));
+    for (pos, (obj, size)) in objects.enumerate() {
+        buckets[catalog.locate(obj).0 as usize].push((pos, obj, size));
+    }
+    let mut setups: Vec<DeviceSetup<'_>> = osds
+        .iter_mut()
+        .zip(buckets)
+        .map(|(osd, objects)| DeviceSetup {
+            osd,
+            objects,
+            failure: None,
+        })
+        .collect();
+    run_all(&mut setups, workers, |setup| {
+        setup.failure = setup.run(skip_warm_up).err();
+    });
+    // `min_by_key` keeps the first of equal keys: OSD order among
+    // warm-up failures.
+    match setups
+        .into_iter()
+        .filter_map(|setup| setup.failure)
+        .min_by_key(|&(pos, _)| pos)
+    {
+        None => Ok(()),
+        Some((_, why)) => Err(why),
+    }
+}
+
 impl Cluster {
     /// Builds the cluster for one trace:
     ///
@@ -48,7 +124,22 @@ impl Cluster {
     ///    percent", §IV);
     /// 3. pre-creates and populates all objects (§V.A);
     /// 4. runs the steady-state warm-up and zeroes wear counters.
+    ///
+    /// Steps 3 and 4 run each device on a scoped worker thread, one per
+    /// available core (at most one per OSD).
     pub fn build(config: ClusterConfig, trace: &Trace) -> Result<Cluster, String> {
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        let workers = cores.min(config.osds as usize);
+        Self::build_with(config, trace, workers)
+    }
+
+    /// [`build`](Self::build) with steps 3 and 4 dealt over `workers`
+    /// threads (1: a plain loop on the caller).
+    pub(crate) fn build_with(
+        config: ClusterConfig,
+        trace: &Trace,
+        workers: usize,
+    ) -> Result<Cluster, String> {
         config.validate()?;
         let mut catalog = Catalog::new(
             config.placement(),
@@ -70,29 +161,13 @@ impl Cluster {
         let max_footprint = footprint.iter().copied().max().unwrap_or(0).max(1);
         let capacity = (max_footprint as f64 / TARGET_MAX_UTILIZATION) as u64;
 
+        // The devices are allocated here, in id order, so their memory
+        // comes from this thread's allocator arena.
         let mut osds: Vec<Osd> = (0..config.osds)
             .map(|i| Osd::with_ftl(OsdId(i), capacity, config.latency, config.ftl))
             .collect();
 
-        // Pre-create and populate every object (setup is untimed).
-        for meta in catalog.files() {
-            for &obj in &meta.objects {
-                let osd = catalog.locate(obj);
-                osds[osd.0 as usize]
-                    .create_object(obj, meta.object_size, true)
-                    .map_err(|e| format!("pre-creating {obj} on {osd}: {e}"))?;
-            }
-        }
-
-        if config.skip_warm_up {
-            for osd in &mut osds {
-                osd.reset_wear();
-            }
-        } else {
-            for osd in &mut osds {
-                osd.warm_up().map_err(|e| format!("warm-up: {e}"))?;
-            }
-        }
+        set_up_devices(&catalog, &mut osds, config.skip_warm_up, workers)?;
 
         Ok(Cluster {
             config,
@@ -552,6 +627,105 @@ mod tests {
         let c = Cluster::build(ClusterConfig::test_small(), &trace).unwrap();
         let cap = c.osds[0].capacity_bytes();
         assert!(c.osds.iter().all(|o| o.capacity_bytes() == cap));
+    }
+
+    fn snapshot_bytes(c: &Cluster) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        c.save(&mut w);
+        w.into_bytes()
+    }
+
+    /// Builds `config` over `trace` with 1, 2 and 8 set-up workers and
+    /// requires the same snapshot bytes from each.
+    fn assert_same_for_every_worker_count(config: &ClusterConfig, trace: &Trace) {
+        let build = |workers| Cluster::build_with(config.clone(), trace, workers).unwrap();
+        let one = snapshot_bytes(&build(1));
+        for workers in [2, 8] {
+            assert!(
+                snapshot_bytes(&build(workers)) == one,
+                "{workers} workers built a different cluster than 1"
+            );
+        }
+    }
+
+    #[test]
+    fn build_is_the_same_for_every_worker_count() {
+        let trace = synthesize(&harvard::spec("home02").scaled(0.002));
+        assert_same_for_every_worker_count(&ClusterConfig::paper(16), &trace);
+    }
+
+    /// The shape of the 1024-OSD sharded scenarios (32 groups, inode
+    /// stride 4: eight placement components). Client affinity does not
+    /// reach the build; the stride does, through the file ids. A small
+    /// preset has too few files to put more than one object on a
+    /// device, so the file table is 2 048 files of 64–448 KiB.
+    #[test]
+    fn build_is_the_same_for_every_worker_count_at_1024_osds() {
+        let mut trace = Trace::new("stride-4");
+        trace.file_sizes = (0..2048)
+            .map(|f| (FileId(f * 4), (1 + f % 7) << 16))
+            .collect();
+        let config = ClusterConfig {
+            groups: 32,
+            ..ClusterConfig::paper(1024)
+        };
+        assert_same_for_every_worker_count(&config, &trace);
+    }
+
+    /// Steps 3 and 4 as one loop over the catalog, then one over the
+    /// devices: what `set_up_devices` must reproduce, errors included.
+    fn sequential_set_up(catalog: &Catalog, osds: &mut [Osd]) -> Result<(), String> {
+        for meta in catalog.files() {
+            for &obj in &meta.objects {
+                let osd = catalog.locate(obj);
+                osds[osd.0 as usize]
+                    .create_object(obj, meta.object_size, true)
+                    .map_err(|e| format!("pre-creating {obj} on {osd}: {e}"))?;
+            }
+        }
+        for osd in osds {
+            osd.warm_up().map_err(|e| format!("warm-up: {e}"))?;
+        }
+        Ok(())
+    }
+
+    /// Two devices run out of space; whatever the worker count, the
+    /// error is the sequential loop's: the failure first in catalog
+    /// order, which is on the higher-numbered device.
+    #[test]
+    fn set_up_reports_the_sequential_loops_first_error() {
+        let trace = small_trace();
+        let config = ClusterConfig::test_small();
+        let built = Cluster::build(config.clone(), &trace).unwrap();
+        let capacity = built.osds[0].capacity_bytes();
+        // Remap every object onto OSD 5 or OSD 2, two of every three
+        // onto 5, so both overflow and 5 does so earlier in the catalog.
+        let mut catalog = built.catalog.clone();
+        let objects: Vec<(ObjectId, u64)> = catalog
+            .files()
+            .flat_map(|m| m.objects.iter().map(|&o| (o, m.object_size)))
+            .collect();
+        let mut piled = [0u64; 2];
+        for (pos, &(obj, size)) in objects.iter().enumerate() {
+            let dest = usize::from(pos % 3 != 2);
+            piled[dest] += size;
+            catalog.record_move(obj, OsdId([2, 5][dest]));
+        }
+        assert!(piled.iter().all(|&bytes| bytes > capacity), "{piled:?}");
+        let fresh = || -> Vec<Osd> {
+            (0..config.osds)
+                .map(|i| Osd::with_ftl(OsdId(i), capacity, config.latency, config.ftl))
+                .collect()
+        };
+        let expected = sequential_set_up(&catalog, &mut fresh()).unwrap_err();
+        assert!(expected.contains(" on osd5: "), "{expected}");
+        for workers in [1, 2, 8] {
+            assert_eq!(
+                set_up_devices(&catalog, &mut fresh(), false, workers),
+                Err(expected.clone()),
+                "{workers} workers"
+            );
+        }
     }
 
     #[test]

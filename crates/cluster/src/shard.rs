@@ -384,32 +384,29 @@ impl Migrator for AccessBuffer {
 
 type ShardEngine<'a> = Engine<'a, AccessBuffer, MemoryRecorder>;
 
-/// Runs every engine to its next pause, distributing them over `threads`
-/// scoped worker threads (engine *i* on thread *i* mod `threads`). With
-/// one thread this degrades to a plain loop — same results either way,
-/// which is what the shard-digest fuzz oracle leans on.
-fn run_all(engines: &mut [ShardEngine<'_>], threads: usize) {
-    if threads <= 1 || engines.len() <= 1 {
-        for engine in engines.iter_mut() {
-            engine.run_until_pause();
-        }
+/// Applies `f` to every item, dealing item *i* to scoped worker thread
+/// *i* mod `threads`. With one thread (or one item) this degrades to a
+/// plain loop on the caller. Each worker mutates only its own items and
+/// the caller reads the results back from `items` in index order, so the
+/// outcome is the same for every thread count — which is what the
+/// shard-digest fuzz oracle and the parallel cluster build lean on.
+pub(crate) fn run_all<T: Send>(items: &mut [T], threads: usize, f: impl Fn(&mut T) + Sync) {
+    if threads <= 1 || items.len() <= 1 {
+        items.iter_mut().for_each(f);
         return;
     }
-    let mut bins: Vec<Vec<&mut ShardEngine<'_>>> = (0..threads).map(|_| Vec::new()).collect();
-    for (i, engine) in engines.iter_mut().enumerate() {
-        bins[i % threads].push(engine);
+    let mut bins: Vec<Vec<&mut T>> = (0..threads).map(|_| Vec::new()).collect();
+    for (i, item) in items.iter_mut().enumerate() {
+        bins[i % threads].push(item);
     }
+    let f = &f;
     std::thread::scope(|s| {
         for bin in bins {
             #[expect(
                 clippy::disallowed_methods,
-                reason = "workers mutate disjoint `&mut` engine slots; results are read back from the engines slice in component index order after the scope joins, so no scheduler-ordered aggregation exists"
+                reason = "workers mutate disjoint `&mut` item slots; results are read back from the items slice in index order after the scope joins, so no scheduler-ordered aggregation exists"
             )]
-            s.spawn(move || {
-                for engine in bin {
-                    engine.run_until_pause();
-                }
-            });
+            s.spawn(move || bin.into_iter().for_each(f));
         }
     });
 }
@@ -489,7 +486,7 @@ pub(crate) fn run_sharded<P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?S
     // `now` is the tick the coordinator seeded last.
     let mut now = wear_tick_us;
     loop {
-        run_all(&mut engines, threads);
+        run_all(&mut engines, threads, ShardEngine::run_until_pause);
         if engines.iter().all(|e| e.paused == Pause::Done) {
             break;
         }

@@ -39,10 +39,12 @@ pub fn synthesize(spec: &WorkloadSpec) -> Trace {
     let max_size = spec.file_sizes.max_bytes.max(min_size);
 
     // Log-uniform file sizes: heavily skewed, few large files hold most
-    // bytes.
+    // bytes. Sessions look sizes up by file index in `sizes`.
+    let mut sizes: Vec<u64> = Vec::with_capacity(spec.file_cnt as usize);
     for f in 0..spec.file_cnt {
         let size = log_uniform(&mut rng, min_size, max_size);
         trace.file_sizes.insert(FileId(f), size);
+        sizes.push(size);
     }
 
     // Popularity: rank r of the write ordering maps to file write_perm[r].
@@ -72,13 +74,8 @@ pub fn synthesize(spec: &WorkloadSpec) -> Trace {
     // couples a server's storage utilization to its I/O intensity — the
     // correlation §II of the paper observes ("servers with larger disk
     // usage ratio tend to have more write requests sent to them", §V.C).
-    let geo_mean_size = (trace
-        .file_sizes
-        .values()
-        .map(|&s| (s.max(1) as f64).ln())
-        .sum::<f64>()
-        / n as f64)
-        .exp();
+    let geo_mean_size =
+        (sizes.iter().map(|&s| (s.max(1) as f64).ln()).sum::<f64>() / n as f64).exp();
     let coupling = spec.skew.size_coupling;
     let size_factor = move |size: u64| -> f64 {
         if coupling == 0.0 {
@@ -119,7 +116,7 @@ pub fn synthesize(spec: &WorkloadSpec) -> Trace {
         };
         let file_idx = perm[rotate(zipf.sample(&mut rng))] as usize;
         let file = FileId(file_idx as u64);
-        let size = trace.file_sizes[&file];
+        let size = sizes[file_idx];
         let user = rng.gen_range(0..spec.users);
         let base_len = rng.gen_range(1..=(2.0 * WorkloadSpec::MEAN_SESSION_OPS) as u64 - 1);
         let session_len = ((base_len as f64 * size_factor(size)).round() as u64)
