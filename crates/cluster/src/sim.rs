@@ -1394,16 +1394,37 @@ impl<'a, P: Migrator + ?Sized, R: Recorder + AsDynRecorder + ?Sized> Engine<'a, 
             }
             self.obs.counter("sim.aborted_rebuilds", 1);
         }
+        // Each chunk dropped from a surviving queue is journaled as one
+        // `op_dequeue` (depth after the drop), scoped like the queue's
+        // other events, so edm-spec's queue model stays in step. The
+        // rebuilds below then journal under the failed OSD's component
+        // again, as the failure began.
         let live_moves: std::collections::BTreeSet<ObjectId> =
             self.move_routes.keys().copied().collect();
-        for q in &mut self.queues {
-            q.retain(|sub| {
+        let mut rescoped = false;
+        for q in 0..self.queues.len() {
+            let before = self.queues[q].len();
+            self.queues[q].retain(|sub| {
                 !matches!(
                     sub.payload,
                     Payload::MoveRead { object, .. } | Payload::MoveWrite { object, .. }
                         if !live_moves.contains(&object)
                 )
             });
+            let after = self.queues[q].len();
+            if after < before && self.obs.events_on() {
+                rescoped = true;
+                self.scope_component_osd(OsdId(q as u32));
+                for depth in (after..before).rev() {
+                    self.obs.event(ObsEvent::OpDequeue {
+                        osd: q as u32,
+                        depth: depth as u64,
+                    });
+                }
+            }
+        }
+        if rescoped {
+            self.scope_component_osd(osd);
         }
 
         // Kick off reconstruction of the lost objects.

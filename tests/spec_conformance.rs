@@ -148,6 +148,18 @@ fn requests_to_objects_cmt_moved_keep_their_osds_component() {
     }
 }
 
+/// A failure aborts the moves that touch the dead OSD; their mover
+/// chunks still queued on surviving OSDs leave those queues with one
+/// `op_dequeue` each, so the queue model stays in step (`edm-fuzz` seed
+/// 5018279433466523155).
+#[test]
+fn mover_chunks_a_failure_drops_are_dequeued() {
+    assert_queue_model_holds(
+        "trace lair62\nscale 0.0015\nosds 8\npolicy CMT\nschedule every-tick\n\
+         fail 118036 0 rebuild\n",
+    );
+}
+
 /// `edm-probe --journal` reads through the edm-obs reader: a line it
 /// cannot decode is `path:line` and exit 1, never a default value or a
 /// panic, and the per-OSD timeline's memory follows the lines, not the
