@@ -23,7 +23,7 @@
 #                    (the corpus journals are verified by `test`, in fuzz_replay)
 #   check.sh serve   edm-serve daemon: ingest pipeline, kill/resume, replay digest,
 #                    dir: backend below the events obs level
-#   check.sh fuzz    edm-fuzz smoke batches (seed 1, six scenarios; seed 11, 400)
+#   check.sh fuzz    edm-fuzz smoke batches (seed 1, six scenarios; seed 11, 1500)
 #   check.sh model   analytic-model differential gate (edm-exp model-diff
 #                    vs scripts/model_tolerances.json)
 #   check.sh record  regenerates the paper record (edm-exp all --full --osds
@@ -610,13 +610,14 @@ step_fuzz() {
     # A fixed seed-1 batch through the full differential-oracle battery.
     # Nightly CI runs the long-budget variant.
     "$(bin edm-fuzz)" --seed 1 --runs 6
-    echo "==> edm-fuzz --seed 11 --runs 400 (component-tagged queue events)"
-    # A wider fixed batch (about 20 s on 2 vCPUs). Its draws include
+    echo "==> edm-fuzz --seed 11 --runs 1500 (queue events vs edm-spec's queue model)"
+    # A wider fixed batch (about 45 s on 2 vCPUs). Its draws include
     # component-affine runs whose requests queue from a scope other than
     # their OSD's (after a midpoint plan, or on an object CMT moved into
-    # another component); edm-spec's queue model catches a mis-tagged
-    # op_enqueue there.
-    "$(bin edm-fuzz)" --seed 11 --runs 400
+    # another component), and failures that drop aborted moves' queued
+    # mover chunks from surviving queues; edm-spec's queue model catches
+    # a mis-tagged or missing queue event there.
+    "$(bin edm-fuzz)" --seed 11 --runs 1500
 }
 
 step_model() {
@@ -685,10 +686,12 @@ step_tsan() {
     fi
     local host
     host="$(rustc -vV | sed -n 's/^host: //p')"
-    # Only the crates with real thread concurrency: the group-sharded
-    # engine (scoped-thread shard execution) and the serve daemon (server
-    # thread + session thread meeting at the Ctrl hand-off) — its unit
-    # tests, then the loopback suite that drives both threads for real.
+    # Only the crates with real thread concurrency: edm-cluster's one
+    # scoped fan-out (`shard::run_all`), which runs the group-sharded
+    # engine's shards and, in every `Cluster::build`, each device's
+    # population and warm-up, and the serve daemon (server thread +
+    # session thread meeting at the Ctrl hand-off) — their unit tests,
+    # then the loopback suite that drives both daemon threads for real.
     RUSTFLAGS="-Zsanitizer=thread" RUSTDOCFLAGS="-Zsanitizer=thread" \
         cargo +nightly test -q -Zbuild-std --target "$host" \
         -p edm-cluster -p edm-serve
