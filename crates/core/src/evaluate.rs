@@ -137,7 +137,7 @@ impl<'a> Baseline<'a> {
             .map(|o| o.utilization * o.capacity_bytes as f64)
             .collect();
         let mut rate = vec![0.0f64; n];
-        let mut footprint: HashMap<ObjectId, (u64, u64)> = HashMap::new();
+        let mut footprint = HashMap::with_capacity(view.objects.len());
         for o in &view.objects {
             let pages = tracker.heat(o.object, view.now_us).window_write_pages;
             rate[o.osd.0 as usize] += pages as f64;
